@@ -11,10 +11,14 @@
 // (per-link bytes, predicted comm seconds) follows the plan, and remote
 // GPU-HBM rows are served over planned peer routes instead of the host copy.
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,30 @@
 
 using namespace moment;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: train_graphsage [epochs] [workers] "
+               "[--comm-plan=flat|ring|tree|auto]\n"
+               "  epochs and workers are positive integers (default 5 2)\n");
+  return 2;
+}
+
+/// Parses a whole-string positive int; 0 for anything else.
+int parse_positive(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v <= 0 ||
+      v > INT_MAX) {
+    return 0;
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   comm::AllReduceAlgo algo = comm::AllReduceAlgo::kAuto;
   bool use_comm_plan = false;
@@ -33,13 +61,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--comm-plan=", 12) == 0) {
       use_comm_plan = true;
-      algo = comm::parse_algo(argv[i] + 12);
+      try {
+        algo = comm::parse_algo(argv[i] + 12);
+      } catch (const std::invalid_argument&) {
+        return usage();
+      }
     } else {
       positional.push_back(argv[i]);
     }
   }
-  const int epochs = positional.size() > 0 ? std::atoi(positional[0]) : 5;
-  const int workers = positional.size() > 1 ? std::atoi(positional[1]) : 2;
+  if (positional.size() > 2) return usage();
+  const int epochs = positional.size() > 0 ? parse_positive(positional[0]) : 5;
+  const int workers =
+      positional.size() > 1 ? parse_positive(positional[1]) : 2;
+  if (epochs <= 0 || workers <= 0) return usage();
 
   // Plan: placement + DDAK layout for a Machine-A-like box.
   const auto machine = topology::make_machine_a();
@@ -160,8 +195,9 @@ int main(int argc, char** argv) {
   std::printf("\ngather statistics per worker:\n");
   for (int w = 0; w < workers; ++w) {
     const auto& s = clients[static_cast<std::size_t>(w)]->stats();
-    const double total =
-        static_cast<double>(s.gpu_hits + s.cpu_hits + s.ssd_reads);
+    // A worker that gathered nothing (e.g. no training batch) reports 0%.
+    const double total = std::max(
+        1.0, static_cast<double>(s.gpu_hits + s.cpu_hits + s.ssd_reads));
     std::printf("  worker %d: GPU hits %.1f%%  CPU hits %.1f%%  SSD reads "
                 "%.1f%% (%llu ops, %.1f MiB)\n",
                 w, 100.0 * s.gpu_hits / total, 100.0 * s.cpu_hits / total,

@@ -6,7 +6,7 @@
 // over which concrete links. Plans are compiled once per machine by
 // comm::CommPlanner (planner.hpp) from the topology plus the max-flow
 // bandwidth predictor, then consumed by
-//   - runtime::PipelineEngine::all_reduce_grads (gradient all-reduce),
+//   - runtime::DataParallelTrainer (gradient all-reduce),
 //   - iostack::TieredFeatureClient (peer-HBM gather routing),
 //   - sim::machine_sim (per-link contention costing of the comm phase).
 //

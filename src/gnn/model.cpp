@@ -122,4 +122,22 @@ std::size_t GnnModel::num_parameters() const {
   return n;
 }
 
+LossResult train_step(GnnModel& model, std::span<const Block> blocks,
+                      const Tensor& x0, std::span<const std::int32_t> labels) {
+  Tensor logits = model.forward(blocks, x0);
+  // The last block's destinations are the batch's seed vertices.
+  std::vector<std::int32_t> seed_labels;
+  seed_labels.reserve(blocks.back().dst_ids.size());
+  for (graph::VertexId v : blocks.back().dst_ids) {
+    if (v >= labels.size()) {
+      throw std::out_of_range("train_step: label table too small");
+    }
+    seed_labels.push_back(labels[v]);
+  }
+  model.zero_grad();
+  LossResult loss = softmax_cross_entropy(logits, seed_labels);
+  model.backward(blocks, loss.grad_logits);
+  return loss;
+}
+
 }  // namespace moment::gnn

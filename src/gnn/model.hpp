@@ -9,6 +9,7 @@
 #include "gnn/block.hpp"
 #include "gnn/gat_layer.hpp"
 #include "gnn/gcn_layer.hpp"
+#include "gnn/loss.hpp"
 #include "gnn/param.hpp"
 #include "gnn/sage_layer.hpp"
 
@@ -106,5 +107,13 @@ class GnnModel final : public Module {
   ModelConfig config_;
   std::vector<std::unique_ptr<GnnLayer>> layers_;
 };
+
+/// One training step up to (not including) the optimizer update: forward,
+/// the seed-label lookup (`labels` indexes by global vertex id; throws
+/// std::out_of_range when the table is too short), zero_grad, softmax
+/// cross-entropy and backward. Data-parallel callers average the gradients
+/// it leaves behind before stepping their optimizers.
+LossResult train_step(GnnModel& model, std::span<const Block> blocks,
+                      const Tensor& x0, std::span<const std::int32_t> labels);
 
 }  // namespace moment::gnn

@@ -85,6 +85,9 @@ class QueuePair {
   // Device side.
   bool fetch(Sqe& sqe) noexcept { return sq_.pop(sqe); }
   bool complete(const Cqe& cqe) noexcept { return cq_.push(cqe); }
+  /// True when complete() would succeed. The device is the CQ's only
+  /// producer, so room it sees here cannot vanish before it posts.
+  bool cq_has_room() const noexcept { return cq_.size() < cq_.capacity(); }
 
   std::size_t depth() const noexcept { return sq_.capacity(); }
   std::size_t sq_backlog() const noexcept { return sq_.size(); }

@@ -98,20 +98,11 @@ void SsdDevice::serve(const Sqe& sqe, QueuePair& qp) {
     ++stats_.errors;
   }
   cqe.status = status;
-  // Completion queues are sized to the submission queue, so delivery can
-  // only block if the client stops polling. The spin is bounded: it checks
-  // the stop flag (a client that stopped polling must not wedge shutdown)
-  // and eventually drops the completion rather than hanging the device.
-  constexpr std::size_t kCompleteSpinLimit = 1 << 20;
-  std::size_t spins = 0;
-  while (!qp.complete(cqe)) {
-    if (stop_requested_.load(std::memory_order_relaxed) ||
-        ++spins > kCompleteSpinLimit) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.dropped_completions;
-      return;
-    }
-    std::this_thread::yield();
+  // The caller fetched this SQE only after cq_has_room(), so the post cannot
+  // fail; a drop would mean that guard was bypassed.
+  if (!qp.complete(cqe)) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.dropped_completions;
   }
 }
 
@@ -127,6 +118,9 @@ void SsdDevice::service_loop() {
     for (auto& qp : queues_) {
       for (std::size_t k = 0; k < options_.max_batch; ++k) {
         if (paced && budget_bytes <= 0.0) break;
+        // A client that stopped polling keeps its SQEs queued rather than
+        // holding the device: fetch only what can be completed.
+        if (!qp->cq_has_room()) break;
         Sqe sqe;
         if (!qp->fetch(sqe)) break;
         serve(sqe, *qp);
@@ -147,10 +141,11 @@ void SsdDevice::service_loop() {
     if (!served_any) std::this_thread::yield();
   }
 
-  // Drain outstanding requests so clients never hang on shutdown.
+  // Serve what is still queued so clients never hang on shutdown; SQEs of
+  // a client whose CQ is full stay queued (its deadline handles them).
   for (auto& qp : queues_) {
     Sqe sqe;
-    while (qp->fetch(sqe)) serve(sqe, *qp);
+    while (qp->cq_has_room() && qp->fetch(sqe)) serve(sqe, *qp);
   }
 }
 

@@ -42,8 +42,8 @@ struct SsdStats {
   std::uint64_t reads = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t errors = 0;
-  /// Completions dropped because a client stopped polling its CQ (bounded
-  /// completion delivery — the service thread never wedges on a dead client).
+  /// Completions the device failed to post. The service loop fetches a
+  /// command only when its client's CQ has room, so this must stay 0.
   std::uint64_t dropped_completions = 0;
 };
 

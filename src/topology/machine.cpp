@@ -183,8 +183,6 @@ Placement classic_placement(const MachineSpec& spec, char which, int num_gpus,
   const bool machine_a = spec.name == "MachineA";
   const int front_direct =
       spec.group_index(machine_a ? "RC0.nvme" : "RC0.slots");
-  const int back_direct =
-      spec.group_index(machine_a ? "RC1.nvme" : "RC1.slots");
   const int plx0 = spec.group_index("PLX0.slots");
   const int plx1 = spec.group_index("PLX1.slots");
 

@@ -234,9 +234,8 @@ TEST(SsdDevice, StopWithRequestsInFlightDrains) {
 }
 
 TEST(SsdDevice, StopNeverWedgesOnFullCompletionQueue) {
-  // A client that stops polling its CQ must not wedge the service thread
-  // (the historical unbounded `while (!qp.complete(...))` spin). Fill the
-  // CQ, enqueue more work, and stop: stop() must return promptly.
+  // A client that stops polling its CQ must not wedge the service thread.
+  // Fill the CQ, enqueue more work, and stop: stop() must return promptly.
   SsdOptions opts;
   opts.capacity_bytes = 16 * kPageBytes;
   SsdDevice ssd(opts);
@@ -249,7 +248,7 @@ TEST(SsdDevice, StopNeverWedgesOnFullCompletionQueue) {
   }
   // Wait until all four completions are posted (CQ now full).
   while (ssd.stats().reads < 4) std::this_thread::yield();
-  // More work the device will try to complete against the full CQ.
+  // More work the device cannot complete while the CQ is full.
   for (std::uint64_t i = 4; i < 8; ++i) {
     ASSERT_TRUE(qp->submit({0, static_cast<std::uint32_t>(kPageBytes),
                             dest.data(), i}));
@@ -261,11 +260,56 @@ TEST(SsdDevice, StopNeverWedgesOnFullCompletionQueue) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   EXPECT_LT(dt, 10.0);
-  // Every request is accounted: polled completions + drops == 8.
+  // Every request is accounted: the device fetches a command only when its
+  // completion can be posted, so the rest stay queued and none is dropped.
   Cqe cqe;
   std::size_t polled = 0;
   while (qp->poll_completion(cqe)) ++polled;
-  EXPECT_EQ(polled + ssd.stats().dropped_completions, 8u);
+  EXPECT_EQ(polled + qp->sq_backlog(), 8u);
+  EXPECT_EQ(ssd.stats().dropped_completions, 0u);
+}
+
+TEST(SsdDevice, StalledClientDoesNotBlockOtherClients) {
+  // Two clients share one device. Client A fills its CQ and stops polling
+  // with more reads queued; client B's read must still be served promptly,
+  // and no completion may be dropped.
+  constexpr std::uint32_t kPage = kPageBytes;
+  SsdOptions opts;
+  opts.capacity_bytes = 64 * kPage;
+  SsdArray array(1, opts);
+  IoEngineOptions a_opts;
+  a_opts.request_deadline = std::chrono::seconds(1);
+  IoEngine a(array, /*queue_depth=*/8, a_opts);
+  IoEngine b(array, /*queue_depth=*/8);
+  array.start_all();
+
+  std::vector<std::byte> a_buf(15 * kPage);
+  std::vector<std::byte> b_buf(kPage);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    a.submit_read(0, i * kPage, kPage, a_buf.data() + i * kPage);
+  }
+  // A's CQ (depth 8) is full once all eight reads are served.
+  while (array.ssd(0).stats().reads < 8) std::this_thread::yield();
+  for (std::uint64_t i = 8; i < 15; ++i) {
+    a.submit_read(0, i * kPage, kPage, a_buf.data() + i * kPage);
+  }
+
+  // A now stalls (does not poll) for ~100 ms while B reads.
+  const auto stall_start = std::chrono::steady_clock::now();
+  b.submit_read(0, 20 * kPage, kPage, b_buf.data());
+  EXPECT_EQ(b.wait_all(), 0u);
+  const double b_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - stall_start)
+                          .count();
+  EXPECT_LT(b_ms, 50.0);
+  std::this_thread::sleep_until(stall_start + std::chrono::milliseconds(100));
+
+  // A resumes polling: its queued reads complete without retries.
+  EXPECT_EQ(a.wait_all(), 0u);
+  EXPECT_EQ(a.completed(), 15u);
+  EXPECT_EQ(a.retry_stats().timeouts, 0u);
+  EXPECT_EQ(array.ssd(0).stats().dropped_completions, 0u);
+  array.stop_all();
 }
 
 TEST(SsdArray, HealthStateMachineTransitions) {

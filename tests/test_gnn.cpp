@@ -14,8 +14,8 @@
 #include "gnn/optimizer.hpp"
 #include "gnn/sage_layer.hpp"
 #include "gnn/synthetic.hpp"
-#include "gnn/trainer.hpp"
 #include "graph/generators.hpp"
+#include "sampling/neighbor_sampler.hpp"
 
 namespace moment::gnn {
 namespace {
@@ -375,50 +375,29 @@ TEST(Synthetic, TaskIsLearnable) {
   cfg.num_classes = 4;
   GnnModel model(cfg);
   Adam opt(model.parameters(), 0.01f);
-  Trainer trainer(model, opt, features);
 
   sampling::NeighborSampler sampler(g, {5, 5});
   auto train = sampling::select_train_vertices(g, 0.2, 3);
   sampling::BatchIterator batches(train, 64, 4);
   util::Pcg32 rng(22);
 
+  const float initial = model.parameters()[0]->value.norm();
   float last_acc = 0.0f;
   for (int epoch = 0; epoch < 6; ++epoch) {
     batches.reset_epoch();
     for (;;) {
       const auto batch = batches.next();
       if (batch.empty()) break;
-      const auto sg = sampler.sample(batch, rng);
-      last_acc = trainer.step(sg, task.labels).accuracy;
+      const std::vector<Block> blocks =
+          build_blocks(sampler.sample(batch, rng));
+      Tensor x0(blocks[0].num_src(), features.dim());
+      features.gather(blocks[0].src_ids, x0);
+      last_acc = train_step(model, blocks, x0, task.labels).accuracy;
+      opt.step();
     }
   }
   EXPECT_GT(last_acc, 0.6f);
-}
-
-TEST(Trainer, EvaluateDoesNotChangeParams) {
-  graph::RmatParams gp;
-  gp.num_vertices = 256;
-  gp.num_edges = 2000;
-  const auto g = graph::generate_rmat(gp);
-  const auto task = make_synthetic_task(g, 3, 8, 0.2, 5);
-  InMemoryFeatures features(task.features);
-  ModelConfig cfg;
-  cfg.in_dim = 8;
-  cfg.hidden_dim = 8;
-  cfg.num_classes = 3;
-  GnnModel model(cfg);
-  Adam opt(model.parameters(), 0.01f);
-  Trainer trainer(model, opt, features);
-  sampling::NeighborSampler sampler(g, {3, 3});
-  util::Pcg32 rng(6);
-  const std::vector<graph::VertexId> seeds = {1, 2, 3};
-  const auto sg = sampler.sample(seeds, rng);
-
-  const float before = model.parameters()[0]->value.norm();
-  trainer.evaluate(sg, task.labels);
-  EXPECT_FLOAT_EQ(model.parameters()[0]->value.norm(), before);
-  trainer.step(sg, task.labels);
-  EXPECT_NE(model.parameters()[0]->value.norm(), before);
+  EXPECT_NE(model.parameters()[0]->value.norm(), initial);
 }
 
 }  // namespace

@@ -79,6 +79,14 @@ struct PredCase {
   int gpus;
 };
 
+// Without this, gtest prints the raw bytes of the struct: the string pointer
+// (randomised per run by ASLR) and uninitialised padding, which CTest then
+// bakes into the discovered test names, so they differ on every build.
+void PrintTo(const PredCase& c, std::ostream* os) {
+  *os << "machine_" << c.machine << "_placement_" << c.placement << '_'
+      << c.gpus << "gpu";
+}
+
 class PredictorProperty : public ::testing::TestWithParam<PredCase> {};
 
 topology::MachineSpec spec_of(const char* name) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
@@ -221,6 +223,26 @@ TEST(ParallelTrainer, RejectsEmptyWorkerList) {
   EXPECT_THROW(DataParallelTrainer(rig.g, {}, rig.model_config(), {4, 4},
                                    train, 0.01f, 1),
                std::invalid_argument);
+}
+
+TEST(ParallelTrainer, ShortLabelTableThrowsOutOfRange) {
+  // Labels index by global vertex id: a table that stops short of the
+  // largest training vertex must fail the epoch, never read past its end.
+  // The short table is a prefix view of the full one, so an unchecked read
+  // would find a valid label there and pass silently.
+  TrainerRig rig = TrainerRig::make(2);
+  auto train = sampling::select_train_vertices(rig.g, 0.3, 3);
+  const graph::VertexId max_id = *std::max_element(train.begin(), train.end());
+  const std::span<const std::int32_t> short_labels(rig.task.labels.data(),
+                                                   max_id);
+  DataParallelTrainer trainer(rig.g, rig.providers, rig.model_config(),
+                              {5, 5}, train, 0.01f, 13);
+  EXPECT_THROW(trainer.train_epoch(short_labels, 48), std::out_of_range);
+  // The failed epoch stepped no optimizer and left the workers reusable.
+  EXPECT_TRUE(trainer.replicas_in_sync());
+  const auto stats = trainer.train_epoch(rig.task.labels, 48);
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_TRUE(trainer.replicas_in_sync());
 }
 
 TEST(PipelineEngine, MatchesSequentialLossTrajectory) {
