@@ -4,6 +4,10 @@
 // compile at the project-default optimisation level, so the reported speedups
 // are honest before/after numbers, not strawmen.
 //
+// The GAT layer-0 block times the three GEMMs at the shape GAT trains on and
+// checks each bit for bit against an ascending-order float loop; the JSON
+// records the tile body (isa) the kernels ran on.
+//
 // Usage:
 //   bench_kernels [--threads N] [--out FILE]   full run, writes BENCH_kernels.json
 //   bench_kernels --smoke                      tiny-shape correctness only
@@ -89,6 +93,25 @@ void naive_gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
       if (av == 0.0f) continue;
       float* orow = c + p * n;
       for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
+}
+
+// Ascending-order float oracle for all three GEMM variants: C(r, j) =
+// sum over q of A(r, q) B(q, j) with A(r, q) = a[r*sr + q*sq] and
+// B(q, j) = b[q*bq + j*bj], added from 0 in ascending q with the multiply and
+// add rounded separately (this file is built with -ffp-contract=off) — the
+// exact bits the kernels promise.
+void ascending_gemm(std::size_t rows, std::size_t inner, std::size_t n,
+                    const float* a, std::size_t sr, std::size_t sq,
+                    const float* b, std::size_t bq, std::size_t bj, float* c) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t q = 0; q < inner; ++q) {
+        acc = acc + a[r * sr + q * sq] * b[q * bq + j * bj];
+      }
+      c[r * n + j] = acc;
     }
   }
 }
@@ -209,6 +232,53 @@ int run_smoke() {
   return pass ? 0 : 1;
 }
 
+struct BitwiseRow {
+  const char* name;
+  std::size_t m, k, n;
+  double kernel_s;
+  bool bitwise;
+};
+
+/// The three GEMMs at the GAT layer-0 shape (5.8k sampled sources, 128 input
+/// features, 8 heads of 64): Z = X W, dX = dZ W^T, dW = X^T dZ. Each output
+/// is compared bit for bit with the ascending float oracle.
+std::vector<BitwiseRow> run_gat_layer0(moment::util::Pcg32& rng) {
+  const std::size_t m = 5800, k = 128, n = 512;
+  const auto x = random_matrix(m, k, rng);
+  const auto w = random_matrix(k, n, rng);
+  const auto dz = random_matrix(m, n, rng);
+  std::vector<BitwiseRow> rows;
+  auto record = [&](const char* name, std::size_t rm, std::size_t rk,
+                    std::size_t rn, const std::vector<float>& ref, auto&& fn) {
+    std::vector<float> got(ref.size());
+    fn(got.data());
+    const bool same =
+        std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) == 0;
+    const double t = time_best(5, [&] { fn(got.data()); });
+    std::printf("  %-8s %zu x %zu x %zu  kernel %7.2f ms (%5.2f GF/s)  %s\n",
+                name, rm, rk, rn, t * 1e3,
+                2.0 * static_cast<double>(rm * rk * rn) / t / 1e9,
+                same ? "bitwise ok" : "BITWISE MISMATCH");
+    rows.push_back({name, rm, rk, rn, t, same});
+  };
+  std::vector<float> ref(m * n);
+  ascending_gemm(m, k, n, x.data(), k, 1, w.data(), n, 1, ref.data());
+  record("gemm", m, k, n, ref, [&](float* c) {
+    kernels::gemm(m, k, n, x.data(), w.data(), c, false);
+  });
+  ref.assign(m * k, 0.0f);
+  ascending_gemm(m, n, k, dz.data(), n, 1, w.data(), 1, n, ref.data());
+  record("gemm_bt", m, n, k, ref, [&](float* c) {
+    kernels::gemm_bt(m, n, k, dz.data(), w.data(), c, false);
+  });
+  ref.assign(k * n, 0.0f);
+  ascending_gemm(k, m, n, x.data(), 1, k, dz.data(), n, 1, ref.data());
+  record("gemm_at", m, k, n, ref, [&](float* c) {
+    kernels::gemm_at(m, k, n, x.data(), dz.data(), c, false);
+  });
+  return rows;
+}
+
 struct GemmRow {
   std::size_t m, k, n;
   double naive_s, kernel_s, speedup, naive_gflops, kernel_gflops;
@@ -254,6 +324,10 @@ int run_full(std::size_t threads, const std::string& out_path) {
                 r.kernel_gflops, r.speedup);
   }
 
+  std::printf("\nGAT layer-0 GEMMs, %s tile body:\n", kernels::isa());
+  const std::vector<BitwiseRow> gat = run_gat_layer0(rng);
+  for (const BitwiseRow& r : gat) pass &= r.bitwise;
+
   const std::size_t nd = 10000, ns = 30000, ne = 200000, dim = 256;
   const Block block = make_block(nd, ns, ne, rng);
   const CompiledBlock cb = moment::gnn::compile_block(block);
@@ -282,8 +356,10 @@ int run_full(std::size_t threads, const std::string& out_path) {
     std::printf("cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"threads\": %zu,\n  \"gemm\": [\n",
-               moment::util::compute_pool_threads());
+  std::fprintf(f,
+               "{\n  \"threads\": %zu,\n  \"isa\": \"%s\",\n"
+               "  \"gemm\": [\n",
+               moment::util::compute_pool_threads(), kernels::isa());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const GemmRow& r = rows[i];
     std::fprintf(f,
@@ -294,6 +370,15 @@ int run_full(std::size_t threads, const std::string& out_path) {
                  r.m, r.k, r.n, r.naive_s, r.kernel_s, r.naive_gflops,
                  r.kernel_gflops, r.speedup,
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"gat_layer0\": [\n");
+  for (std::size_t i = 0; i < gat.size(); ++i) {
+    const BitwiseRow& r = gat[i];
+    std::fprintf(f,
+                 "    {\"kernel\": \"%s\", \"m\": %zu, \"k\": %zu, "
+                 "\"n\": %zu, \"kernel_s\": %.6f, \"bitwise\": %s}%s\n",
+                 r.name, r.m, r.k, r.n, r.kernel_s,
+                 r.bitwise ? "true" : "false", i + 1 < gat.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"aggregate_mean\": {\"num_dst\": %zu, "

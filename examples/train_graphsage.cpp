@@ -24,6 +24,7 @@
 
 #include "comm/planner.hpp"
 #include "core/auto_module.hpp"
+#include "gnn/kernels.hpp"
 #include "gnn/synthetic.hpp"
 #include "iostack/feature_store.hpp"
 #include "runtime/parallel_trainer.hpp"
@@ -168,8 +169,10 @@ int main(int argc, char** argv) {
   engine_opts.link_counters = link_counters.get();
   runtime::DataParallelTrainer trainer(g, providers, mcfg, {10, 5}, train,
                                        0.01f, 99, engine_opts);
-  std::printf("training %zu vertices, %d workers, %zu-vertex graph\n",
-              train.size(), workers, static_cast<std::size_t>(g.num_vertices()));
+  std::printf("training %zu vertices, %d workers, %zu-vertex graph, "
+              "GEMM isa %s\n",
+              train.size(), workers, static_cast<std::size_t>(g.num_vertices()),
+              gnn::kernels::isa());
 
   for (int e = 0; e < epochs; ++e) {
     const auto stats = trainer.train_epoch(task.labels, 64);

@@ -95,7 +95,8 @@ Tensor GatLayer::forward(const Block& block, const Tensor& x_src) {
   return out;
 }
 
-Tensor GatLayer::backward(const Block& block, const Tensor& grad_out) {
+Tensor GatLayer::backward(const Block& block, const Tensor& grad_out,
+                          bool input_grad) {
   const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
   const std::size_t ne = cb.num_edges();
@@ -163,6 +164,7 @@ Tensor GatLayer::backward(const Block& block, const Tensor& grad_out) {
 
   // Z = X W: accumulate dW and dX.
   matmul_at(saved_x_src_, grad_z, w_.grad, /*accumulate=*/true);
+  if (!input_grad) return {};
   Tensor grad_x(ns, in_dim_);
   matmul_bt(grad_z, w_.value, grad_x);
   return grad_x;

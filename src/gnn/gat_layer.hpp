@@ -20,7 +20,9 @@ class GatLayer final : public Module {
            bool apply_elu, util::Pcg32& rng);
 
   Tensor forward(const Block& block, const Tensor& x_src);
-  Tensor backward(const Block& block, const Tensor& grad_out);
+  /// Returns the gradient w.r.t. x_src, or an empty tensor when !input_grad.
+  Tensor backward(const Block& block, const Tensor& grad_out,
+                  bool input_grad = true);
 
   std::vector<Param*> parameters() override {
     return {&w_, &attn_l_, &attn_r_, &bias_};

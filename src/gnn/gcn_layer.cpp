@@ -56,7 +56,8 @@ Tensor GcnLayer::forward(const Block& block, const Tensor& x_src) {
   return out;
 }
 
-Tensor GcnLayer::backward(const Block& block, const Tensor& grad_out) {
+Tensor GcnLayer::backward(const Block& block, const Tensor& grad_out,
+                          bool input_grad) {
   if (grad_out.rows() != block.num_dst() || grad_out.cols() != out_dim_) {
     throw std::invalid_argument("GcnLayer::backward: grad shape mismatch");
   }
@@ -66,6 +67,7 @@ Tensor GcnLayer::backward(const Block& block, const Tensor& grad_out) {
 
   matmul_at(saved_agg_, grad, w_.grad, /*accumulate=*/true);
   bias_grad(grad, bias_.grad);
+  if (!input_grad) return {};
 
   Tensor grad_agg(block.num_dst(), in_dim_);
   matmul_bt(grad, w_.value, grad_agg);

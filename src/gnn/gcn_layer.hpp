@@ -19,7 +19,9 @@ class GcnLayer final : public Module {
            util::Pcg32& rng);
 
   Tensor forward(const Block& block, const Tensor& x_src);
-  Tensor backward(const Block& block, const Tensor& grad_out);
+  /// Returns the gradient w.r.t. x_src, or an empty tensor when !input_grad.
+  Tensor backward(const Block& block, const Tensor& grad_out,
+                  bool input_grad = true);
 
   std::vector<Param*> parameters() override { return {&w_, &bias_}; }
 

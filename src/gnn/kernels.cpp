@@ -4,151 +4,175 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "util/thread_pool.hpp"
 
-// This translation unit is compiled -O3 -funroll-loops (see CMakeLists.txt):
-// the inner j-loops below are written against __restrict panel pointers so
-// the auto-vectorizer can prove independence and emit packed FMAs.
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define MOMENT_KERNELS_X86 1
+#endif
+
+// This translation unit is compiled -O3 -funroll-loops -ffp-contract=off (see
+// CMakeLists.txt). The last flag is load-bearing: every GEMM output element is
+// c = c + a*b with the multiply and the add rounded separately, which is what
+// makes the portable and the AVX2 tile bodies agree bit for bit.
 
 namespace moment::gnn::kernels {
 
 namespace {
 
-// c rows [r0, r1) of a (m x k) @ b (k x n). KC-blocked over k with a 4-row
-// register panel; per output row the k accumulation order is plain ascending
-// p, so the result is bitwise identical to the naive triple loop and
-// independent of how rows are grouped into panels or chunks.
-void gemm_rows(std::size_t r0, std::size_t r1, std::size_t k, std::size_t n,
-               const float* __restrict a, const float* __restrict b,
-               float* __restrict c, bool accumulate) {
-  if (!accumulate) {
-    std::memset(c + r0 * n, 0, (r1 - r0) * n * sizeof(float));
+// One output tile: C (rows x cols, row stride ldc) += sum over p < depth of
+// A(r, p) * B(p, j), with A(r, p) = a[r*sr + p*sp] and B(p, j) = b[p*ldb + j].
+// The accumulators start from C (load_c) or zero, stay in registers for the
+// whole p loop and are stored once. rows <= kTileRows, cols <= kTileCols.
+using TileFn = void (*)(std::size_t rows, std::size_t cols, std::size_t depth,
+                        const float* a, std::size_t sr, std::size_t sp,
+                        const float* b, std::size_t ldb, float* c,
+                        std::size_t ldc, bool load_c);
+
+// Any tile shape, one element at a time: the column tails of both bodies.
+void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
+                 const float* a, std::size_t sr, std::size_t sp,
+                 const float* b, std::size_t ldb, float* c, std::size_t ldc,
+                 bool load_c) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      float acc = load_c ? c[r * ldc + j] : 0.0f;
+      for (std::size_t p = 0; p < depth; ++p) {
+        acc = acc + a[r * sr + p * sp] * b[p * ldb + j];
+      }
+      c[r * ldc + j] = acc;
+    }
   }
-  for (std::size_t p0 = 0; p0 < k; p0 += kKcBlock) {
-    const std::size_t p1 = std::min(k, p0 + kKcBlock);
-    std::size_t i = r0;
-    for (; i + kRowPanel <= r1; i += kRowPanel) {
-      const float* a0 = a + (i + 0) * k;
-      const float* a1 = a + (i + 1) * k;
-      const float* a2 = a + (i + 2) * k;
-      const float* a3 = a + (i + 3) * k;
-      float* __restrict c0 = c + (i + 0) * n;
-      float* __restrict c1 = c + (i + 1) * n;
-      float* __restrict c2 = c + (i + 2) * n;
-      float* __restrict c3 = c + (i + 3) * n;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        const float* __restrict br = b + p * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          c0[j] += v0 * br[j];
-          c1[j] += v1 * br[j];
-          c2[j] += v2 * br[j];
-          c3[j] += v3 * br[j];
+}
+
+// Portable body: GNU vector extension with 4 lanes (SSE2, NEON, or scalar
+// code where there is neither). The 16 tile columns run as two 8-wide halves
+// so the 8 accumulators and 2 B vectors fit in 16 registers.
+struct PortableBody {
+  using V = float __attribute__((vector_size(16)));
+  template <std::size_t R>
+  static void rows(std::size_t depth, const float* a, std::size_t sr,
+                   std::size_t sp, const float* b, std::size_t ldb, float* c,
+                   std::size_t ldc, bool load_c) {
+    for (std::size_t h = 0; h < kTileCols; h += 8) {
+      V acc[R][2];
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t q = 0; q < 2; ++q) {
+          acc[r][q] = V{};
+          if (load_c) std::memcpy(&acc[r][q], c + r * ldc + h + 4 * q, 16);
         }
       }
+      for (std::size_t p = 0; p < depth; ++p) {
+        V b0, b1;
+        std::memcpy(&b0, b + p * ldb + h, 16);
+        std::memcpy(&b1, b + p * ldb + h + 4, 16);
+        for (std::size_t r = 0; r < R; ++r) {
+          const float av = a[r * sr + p * sp];
+          acc[r][0] = acc[r][0] + av * b0;
+          acc[r][1] = acc[r][1] + av * b1;
+        }
+      }
+      for (std::size_t r = 0; r < R; ++r) {
+        std::memcpy(c + r * ldc + h, &acc[r][0], 16);
+        std::memcpy(c + r * ldc + h + 4, &acc[r][1], 16);
+      }
     }
-    for (; i < r1; ++i) {
-      const float* ai = a + i * k;
-      float* __restrict ci = c + i * n;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float v = ai[p];
-        const float* __restrict br = b + p * n;
-        for (std::size_t j = 0; j < n; ++j) ci[j] += v * br[j];
+  }
+};
+
+#ifdef MOMENT_KERNELS_X86
+// AVX2 body: two 8-lane accumulators per row. Deliberately mul then add, not
+// FMA, so each lane rounds exactly as the portable body does.
+struct Avx2Body {
+  template <std::size_t R>
+  __attribute__((target("avx2"))) static void rows(
+      std::size_t depth, const float* a, std::size_t sr, std::size_t sp,
+      const float* b, std::size_t ldb, float* c, std::size_t ldc,
+      bool load_c) {
+    __m256 acc[R][2];
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r][0] = load_c ? _mm256_loadu_ps(c + r * ldc) : _mm256_setzero_ps();
+      acc[r][1] =
+          load_c ? _mm256_loadu_ps(c + r * ldc + 8) : _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < depth; ++p) {
+      const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
+      const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + r * sr + p * sp);
+        acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
+        acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
+      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
+    }
+  }
+};
+#endif
+
+template <typename Body>
+void tile(std::size_t rows, std::size_t cols, std::size_t depth,
+          const float* a, std::size_t sr, std::size_t sp, const float* b,
+          std::size_t ldb, float* c, std::size_t ldc, bool load_c) {
+  static_assert(kTileRows == 4 && kTileCols == 16);
+  if (cols != kTileCols) {
+    return tile_scalar(rows, cols, depth, a, sr, sp, b, ldb, c, ldc, load_c);
+  }
+  switch (rows) {
+    case 4:
+      return Body::template rows<4>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+    case 3:
+      return Body::template rows<3>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+    case 2:
+      return Body::template rows<2>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+    default:
+      return Body::template rows<1>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+  }
+}
+
+TileFn tile_for([[maybe_unused]] detail::Body body) {
+#ifdef MOMENT_KERNELS_X86
+  if (body == detail::Body::kAvx2 && detail::avx2_supported()) {
+    return tile<Avx2Body>;
+  }
+#endif
+  return tile<PortableBody>;
+}
+
+// C rows [r0, r1) (row-major, n wide) of A (rows x inner, strides sr/sp) @
+// B (inner x n, row-major). The inner index is blocked by kKcBlock so a B
+// panel stays cache-resident across the row tiles; C round-trips through
+// memory between blocks, which is exact, so every element is still
+// c = c + a*b in ascending inner index, whatever the tiling or threading.
+void gemm_rows(TileFn tile_fn, std::size_t r0, std::size_t r1,
+               std::size_t inner, std::size_t n, const float* a,
+               std::size_t sr, std::size_t sp, const float* b, float* c,
+               bool accumulate) {
+  if (inner == 0 && !accumulate) {
+    std::memset(c + r0 * n, 0, (r1 - r0) * n * sizeof(float));
+  }
+  for (std::size_t p0 = 0; p0 < inner; p0 += kKcBlock) {
+    const std::size_t depth = std::min(kKcBlock, inner - p0);
+    const bool load_c = accumulate || p0 > 0;
+    for (std::size_t r = r0; r < r1; r += kTileRows) {
+      const std::size_t rows = std::min(kTileRows, r1 - r);
+      for (std::size_t j = 0; j < n; j += kTileCols) {
+        tile_fn(rows, std::min(kTileCols, n - j), depth, a + r * sr + p0 * sp,
+                sr, sp, b + p0 * n + j, n, c + r * n + j, n, load_c);
       }
     }
   }
 }
 
-// c rows [r0, r1) of a (m x k) @ b^T with b (n x k). Dot products do not
-// auto-vectorize without reassociation, so throughput comes from 8
-// independent accumulator chains per j-block (ILP instead of SIMD).
-void gemm_bt_rows(std::size_t r0, std::size_t r1, std::size_t k, std::size_t n,
-                  const float* __restrict a, const float* __restrict b,
-                  float* __restrict c, bool accumulate) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    const float* ai = a + i * k;
-    float* __restrict ci = c + i * n;
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const float* b0 = b + (j + 0) * k;
-      const float* b1 = b + (j + 1) * k;
-      const float* b2 = b + (j + 2) * k;
-      const float* b3 = b + (j + 3) * k;
-      const float* b4 = b + (j + 4) * k;
-      const float* b5 = b + (j + 5) * k;
-      const float* b6 = b + (j + 6) * k;
-      const float* b7 = b + (j + 7) * k;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      float s4 = 0.0f, s5 = 0.0f, s6 = 0.0f, s7 = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ai[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-        s4 += av * b4[p];
-        s5 += av * b5[p];
-        s6 += av * b6[p];
-        s7 += av * b7[p];
-      }
-      if (accumulate) {
-        ci[j + 0] += s0; ci[j + 1] += s1; ci[j + 2] += s2; ci[j + 3] += s3;
-        ci[j + 4] += s4; ci[j + 5] += s5; ci[j + 6] += s6; ci[j + 7] += s7;
-      } else {
-        ci[j + 0] = s0; ci[j + 1] = s1; ci[j + 2] = s2; ci[j + 3] = s3;
-        ci[j + 4] = s4; ci[j + 5] = s5; ci[j + 6] = s6; ci[j + 7] = s7;
-      }
-    }
-    for (; j < n; ++j) {
-      const float* bj = b + j * k;
-      float s = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) s += ai[p] * bj[p];
-      if (accumulate) {
-        ci[j] += s;
-      } else {
-        ci[j] = s;
-      }
-    }
-  }
-}
-
-// c rows [p0r, p1r) of a^T (k x m) @ b (m x n) with a stored (m x k). Rank-1
-// updates streamed over i; a 4-row output panel reads a[i][p..p+3] as one
-// contiguous chunk per step.
-void gemm_at_rows(std::size_t p0r, std::size_t p1r, std::size_t m,
-                  std::size_t k, std::size_t n, const float* __restrict a,
-                  const float* __restrict b, float* __restrict c,
-                  bool accumulate) {
-  if (!accumulate) {
-    std::memset(c + p0r * n, 0, (p1r - p0r) * n * sizeof(float));
-  }
-  std::size_t p = p0r;
-  for (; p + kRowPanel <= p1r; p += kRowPanel) {
-    float* __restrict c0 = c + (p + 0) * n;
-    float* __restrict c1 = c + (p + 1) * n;
-    float* __restrict c2 = c + (p + 2) * n;
-    float* __restrict c3 = c + (p + 3) * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* ar = a + i * k + p;
-      const float v0 = ar[0], v1 = ar[1], v2 = ar[2], v3 = ar[3];
-      const float* __restrict br = b + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        c0[j] += v0 * br[j];
-        c1[j] += v1 * br[j];
-        c2[j] += v2 * br[j];
-        c3[j] += v3 * br[j];
-      }
-    }
-  }
-  for (; p < p1r; ++p) {
-    float* __restrict cp = c + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float v = a[i * k + p];
-      const float* __restrict br = b + i * n;
-      for (std::size_t j = 0; j < n; ++j) cp[j] += v * br[j];
-    }
-  }
+detail::Body active_body() {
+  static const detail::Body body = detail::avx2_supported()
+                                       ? detail::Body::kAvx2
+                                       : detail::Body::kPortable;
+  return body;
 }
 
 inline const float* row(const float* x, std::size_t i, std::size_t dim) {
@@ -157,29 +181,70 @@ inline const float* row(const float* x, std::size_t i, std::size_t dim) {
 
 }  // namespace
 
-void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
-          const float* b, float* c, bool accumulate) {
+namespace detail {
+
+bool avx2_supported() {
+#ifdef MOMENT_KERNELS_X86
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported;
+#else
+  return false;
+#endif
+}
+
+void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
+          const float* a, const float* b, float* c, bool accumulate) {
+  const TileFn tile_fn = tile_for(body);
   util::parallel_for(util::compute_pool(), 0, m, kRowGrain,
                      [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(r0, r1, k, n, a, b, c, accumulate);
+                       gemm_rows(tile_fn, r0, r1, k, n, a, k, 1, b, c,
+                                 accumulate);
                      });
+}
+
+void gemm_bt(Body body, std::size_t m, std::size_t k, std::size_t n,
+             const float* a, const float* b, float* c, bool accumulate) {
+  // Pack B (n x k) as B^T (k x n) into a per-thread buffer that is reused,
+  // not reallocated, from call to call; then it is a plain gemm.
+  thread_local std::vector<float> bt;
+  bt.resize(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+  }
+  gemm(body, m, k, n, a, bt.data(), c, accumulate);
+}
+
+void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
+             const float* a, const float* b, float* c, bool accumulate) {
+  // Output is k x n: parallelise over the k rows of c (columns of a), reading
+  // a transposed: A(r, i) = a[i*k + r].
+  const TileFn tile_fn = tile_for(body);
+  util::parallel_for(util::compute_pool(), 0, k, kRowGrain,
+                     [&](std::size_t r0, std::size_t r1) {
+                       gemm_rows(tile_fn, r0, r1, m, n, a, 1, k, b, c,
+                                 accumulate);
+                     });
+}
+
+}  // namespace detail
+
+const char* isa() {
+  return active_body() == detail::Body::kAvx2 ? "avx2" : "portable";
+}
+
+void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
+          const float* b, float* c, bool accumulate) {
+  detail::gemm(active_body(), m, k, n, a, b, c, accumulate);
 }
 
 void gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate) {
-  util::parallel_for(util::compute_pool(), 0, m, kRowGrain,
-                     [&](std::size_t r0, std::size_t r1) {
-                       gemm_bt_rows(r0, r1, k, n, a, b, c, accumulate);
-                     });
+  detail::gemm_bt(active_body(), m, k, n, a, b, c, accumulate);
 }
 
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate) {
-  // Output is k x n: parallelise over the k rows of c (columns of a).
-  util::parallel_for(util::compute_pool(), 0, k, kRowGrain,
-                     [&](std::size_t r0, std::size_t r1) {
-                       gemm_at_rows(r0, r1, m, k, n, a, b, c, accumulate);
-                     });
+  detail::gemm_at(active_body(), m, k, n, a, b, c, accumulate);
 }
 
 void aggregate_mean(const CompiledBlock& cb, const float* x, std::size_t dim,

@@ -8,12 +8,20 @@
 // identical for any thread count (1..N), which is what keeps the engine's
 // depth-1 vs depth-2 trajectory-equality guarantees intact.
 //
-// GEMM variants use a 4-row register panel over a KC-blocked k loop with
-// __restrict inner loops written to auto-vectorize (this translation unit is
-// compiled -O3, see src/gnn/CMakeLists.txt). Aggregation kernels walk the
-// CompiledBlock CSR with 4-way neighbor-row accumulation plus software
-// prefetch, which buys memory-level parallelism on the random feature-row
-// reads that dominate sampled-block aggregation.
+// GEMMs: one strided register tile (kTileRows x kTileCols accumulators held
+// for the whole inner loop, operand A read as a[r*sr + p*sp]) serves all
+// three variants. gemm calls it directly, gemm_at reads A transposed, and
+// gemm_bt packs B^T into a reused per-thread buffer and then runs gemm. The
+// inner index is blocked by kKcBlock so the B panel stays cache-resident.
+// The tile has a portable body and an AVX2 body, picked once at start-up
+// (isa()). Every output element is c = c + a*b in ascending inner index with
+// the multiply and add rounded separately (no FMA; the TU is built with
+// -ffp-contract=off), so both bodies, any tiling and any thread count give
+// the same bits as a plain ascending float triple loop.
+//
+// Aggregation kernels walk the CompiledBlock CSR with 4-way neighbor-row
+// accumulation plus software prefetch, which buys memory-level parallelism
+// on the random feature-row reads that dominate sampled-block aggregation.
 
 #include <cstddef>
 
@@ -21,15 +29,19 @@
 
 namespace moment::gnn::kernels {
 
-/// k-dimension block size: B panels of KC x n stay cache-resident while a
-/// 4-row output panel accumulates in registers.
+/// Inner-dimension block size: a B panel of KC x n stays cache-resident while
+/// the row tiles sweep it.
 inline constexpr std::size_t kKcBlock = 256;
-/// Rows per register panel (independent accumulator rows per inner loop).
-inline constexpr std::size_t kRowPanel = 4;
+/// GEMM register tile: output rows x columns accumulated in registers.
+inline constexpr std::size_t kTileRows = 4;
+inline constexpr std::size_t kTileCols = 16;
 /// parallel_for grain for row-partitioned loops.
 inline constexpr std::size_t kRowGrain = 16;
 
 // ---- GEMM -----------------------------------------------------------------
+
+/// Tile body the GEMMs run on this CPU: "avx2" or "portable".
+const char* isa();
 
 /// c (m x n) = a (m x k) @ b (k x n); adds into c when `accumulate`.
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -42,6 +54,19 @@ void gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
 /// c (k x n) = a (m x k)^T @ b (m x n); adds into c when `accumulate`.
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate);
+
+namespace detail {
+/// The GEMMs above with the tile body named explicitly, so tests can pin both
+/// bodies to the same bits. kAvx2 runs the portable body on CPUs without AVX2.
+enum class Body { kPortable, kAvx2 };
+bool avx2_supported();
+void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
+          const float* a, const float* b, float* c, bool accumulate);
+void gemm_bt(Body body, std::size_t m, std::size_t k, std::size_t n,
+             const float* a, const float* b, float* c, bool accumulate);
+void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
+             const float* a, const float* b, float* c, bool accumulate);
+}  // namespace detail
 
 // ---- Block aggregation (x: num_src x dim, out: num_dst x dim) -------------
 

@@ -1,5 +1,6 @@
 #include "gnn/model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace moment::gnn {
@@ -43,6 +44,28 @@ GnnModel::GnnModel(const ModelConfig& config) : config_(config) {
   }
 }
 
+namespace {
+
+// The next block's src set is a subset of this block's dst set (both sorted):
+// calls fn(i, row) for each next.src_ids[i] with its row in cur.dst_ids.
+template <typename Fn>
+void for_each_chained_row(const Block& cur, const Block& next, Fn&& fn) {
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < next.src_ids.size(); ++i) {
+    while (cursor < cur.dst_ids.size() &&
+           cur.dst_ids[cursor] < next.src_ids[i]) {
+      ++cursor;
+    }
+    if (cursor >= cur.dst_ids.size() ||
+        cur.dst_ids[cursor] != next.src_ids[i]) {
+      throw std::logic_error("GnnModel: block chaining broken");
+    }
+    fn(i, cursor);
+  }
+}
+
+}  // namespace
+
 Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::forward: block/layer mismatch");
@@ -51,23 +74,14 @@ Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     Tensor out = layers_[l]->forward(blocks[l], h);
     if (l + 1 < layers_.size()) {
-      // The next block's src set is a subset of this block's dst set; gather.
-      const Block& cur = blocks[l];
-      const Block& next = blocks[l + 1];
-      Tensor gathered(next.num_src(), out.cols());
-      std::size_t cursor = 0;
-      for (std::size_t i = 0; i < next.src_ids.size(); ++i) {
-        while (cursor < cur.dst_ids.size() &&
-               cur.dst_ids[cursor] < next.src_ids[i]) {
-          ++cursor;
-        }
-        if (cursor >= cur.dst_ids.size() ||
-            cur.dst_ids[cursor] != next.src_ids[i]) {
-          throw std::logic_error("GnnModel: block chaining broken");
-        }
-        std::copy(out.row(cursor).begin(), out.row(cursor).end(),
-                  gathered.row(i).begin());
-      }
+      // Gather the next block's src rows out of this block's dst rows.
+      Tensor gathered(blocks[l + 1].num_src(), out.cols());
+      for_each_chained_row(blocks[l], blocks[l + 1],
+                           [&](std::size_t i, std::size_t row) {
+                             std::copy(out.row(row).begin(),
+                                       out.row(row).end(),
+                                       gathered.row(i).begin());
+                           });
       h = std::move(gathered);
     } else {
       h = std::move(out);
@@ -77,24 +91,22 @@ Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
 }
 
 void GnnModel::backward(std::span<const Block> blocks, const Tensor& grad_out) {
+  if (blocks.size() != layers_.size()) {
+    throw std::invalid_argument("GnnModel::backward: block/layer mismatch");
+  }
   Tensor g = grad_out;
   for (std::size_t l = layers_.size(); l-- > 0;) {
-    Tensor gin = layers_[l]->backward(blocks[l], g);
+    // Layer 0's input gradient would be w.r.t. the raw features: skip it.
+    Tensor gin = layers_[l]->backward(blocks[l], g, /*input_grad=*/l > 0);
     if (l > 0) {
       // Scatter gin (defined on blocks[l].src_ids) back onto the previous
       // block's dst rows.
-      const Block& prev = blocks[l - 1];
-      const Block& cur = blocks[l];
-      Tensor scattered(prev.num_dst(), gin.cols());
-      std::size_t cursor = 0;
-      for (std::size_t i = 0; i < cur.src_ids.size(); ++i) {
-        while (cursor < prev.dst_ids.size() &&
-               prev.dst_ids[cursor] < cur.src_ids[i]) {
-          ++cursor;
-        }
-        std::copy(gin.row(i).begin(), gin.row(i).end(),
-                  scattered.row(cursor).begin());
-      }
+      Tensor scattered(blocks[l - 1].num_dst(), gin.cols());
+      for_each_chained_row(blocks[l - 1], blocks[l],
+                           [&](std::size_t i, std::size_t row) {
+                             std::copy(gin.row(i).begin(), gin.row(i).end(),
+                                       scattered.row(row).begin());
+                           });
       g = std::move(scattered);
     }
   }

@@ -19,7 +19,9 @@ namespace moment::gnn {
 class GnnLayer : public Module {
  public:
   virtual Tensor forward(const Block& block, const Tensor& x_src) = 0;
-  virtual Tensor backward(const Block& block, const Tensor& grad_out) = 0;
+  /// Skips the input gradient (returns an empty tensor) when !input_grad.
+  virtual Tensor backward(const Block& block, const Tensor& grad_out,
+                          bool input_grad) = 0;
   virtual std::size_t out_dim() const = 0;
 };
 
@@ -30,8 +32,8 @@ class SageGnnLayer final : public GnnLayer {
   Tensor forward(const Block& b, const Tensor& x) override {
     return layer_.forward(b, x);
   }
-  Tensor backward(const Block& b, const Tensor& g) override {
-    return layer_.backward(b, g);
+  Tensor backward(const Block& b, const Tensor& g, bool input_grad) override {
+    return layer_.backward(b, g, input_grad);
   }
   std::vector<Param*> parameters() override { return layer_.parameters(); }
   std::size_t out_dim() const override { return layer_.out_dim(); }
@@ -48,8 +50,8 @@ class GatGnnLayer final : public GnnLayer {
   Tensor forward(const Block& b, const Tensor& x) override {
     return layer_.forward(b, x);
   }
-  Tensor backward(const Block& b, const Tensor& g) override {
-    return layer_.backward(b, g);
+  Tensor backward(const Block& b, const Tensor& g, bool input_grad) override {
+    return layer_.backward(b, g, input_grad);
   }
   std::vector<Param*> parameters() override { return layer_.parameters(); }
   std::size_t out_dim() const override { return layer_.out_dim(); }
@@ -65,8 +67,8 @@ class GcnGnnLayer final : public GnnLayer {
   Tensor forward(const Block& b, const Tensor& x) override {
     return layer_.forward(b, x);
   }
-  Tensor backward(const Block& b, const Tensor& g) override {
-    return layer_.backward(b, g);
+  Tensor backward(const Block& b, const Tensor& g, bool input_grad) override {
+    return layer_.backward(b, g, input_grad);
   }
   std::vector<Param*> parameters() override { return layer_.parameters(); }
   std::size_t out_dim() const override { return layer_.out_dim(); }
@@ -94,7 +96,8 @@ class GnnModel final : public Module {
 
   /// blocks.size() must equal num_hops. x0: features of blocks[0].src_ids.
   Tensor forward(std::span<const Block> blocks, const Tensor& x0);
-  /// grad w.r.t. forward's output; backpropagates and accumulates grads.
+  /// grad w.r.t. forward's output; backpropagates and accumulates parameter
+  /// grads. The first layer's input gradient is never computed.
   void backward(std::span<const Block> blocks, const Tensor& grad_out);
 
   std::vector<Param*> parameters() override;

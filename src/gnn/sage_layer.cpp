@@ -35,7 +35,8 @@ Tensor SageLayer::forward(const Block& block, const Tensor& x_src) {
   return out;
 }
 
-Tensor SageLayer::backward(const Block& block, const Tensor& grad_out) {
+Tensor SageLayer::backward(const Block& block, const Tensor& grad_out,
+                           bool input_grad) {
   if (grad_out.rows() != block.num_dst() || grad_out.cols() != out_dim_) {
     throw std::invalid_argument("SageLayer::backward: grad shape mismatch");
   }
@@ -47,6 +48,7 @@ Tensor SageLayer::backward(const Block& block, const Tensor& grad_out) {
   matmul_at(saved_x_dst_, grad, w_self_.grad, /*accumulate=*/true);
   matmul_at(saved_mean_, grad, w_neigh_.grad, /*accumulate=*/true);
   bias_grad(grad, bias_.grad);
+  if (!input_grad) return {};
 
   // Input gradients: the self part lands on each dst's own src row, the
   // neighbor part fans grad @ W_neigh^T / degree back along the reverse CSR

@@ -17,9 +17,10 @@ class SageLayer final : public Module {
   Tensor forward(const Block& block, const Tensor& x_src);
 
   /// grad_out: gradient w.r.t. forward's return. Returns gradient w.r.t.
-  /// x_src and accumulates parameter gradients. Must follow a forward() on
-  /// the same block.
-  Tensor backward(const Block& block, const Tensor& grad_out);
+  /// x_src (empty when !input_grad) and accumulates parameter gradients.
+  /// Must follow a forward() on the same block.
+  Tensor backward(const Block& block, const Tensor& grad_out,
+                  bool input_grad = true);
 
   std::vector<Param*> parameters() override {
     return {&w_self_, &w_neigh_, &bias_};

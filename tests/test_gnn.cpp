@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "gnn/block.hpp"
 #include "gnn/features.hpp"
 #include "gnn/gat_layer.hpp"
+#include "gnn/gcn_layer.hpp"
 #include "gnn/loss.hpp"
 #include "gnn/model.hpp"
 #include "gnn/optimizer.hpp"
@@ -316,6 +319,149 @@ TEST(Model, ForwardProducesSeedLogits) {
     EXPECT_EQ(logits.cols(), 4u);
     EXPECT_GT(model.num_parameters(), 0u);
   }
+}
+
+std::vector<Block> sample_two_hop_blocks() {
+  graph::RmatParams gp;
+  gp.num_vertices = 512;
+  gp.num_edges = 4000;
+  const auto g = graph::generate_rmat(gp);
+  sampling::NeighborSampler sampler(g, {4, 4});
+  util::Pcg32 rng(13);
+  const std::vector<graph::VertexId> seeds = {9, 10, 11, 40, 41};
+  return build_blocks(sampler.sample(seeds, rng));
+}
+
+std::vector<float> flat_grads(const std::vector<Param*>& params) {
+  std::vector<float> out;
+  for (const Param* p : params) {
+    out.insert(out.end(), p->grad.data(), p->grad.data() + p->grad.size());
+  }
+  return out;
+}
+
+/// Two standalone layers chained by hand, every layer backpropagated with
+/// input_grad=true: the reference for GnnModel's layer-0 skip. Checks the
+/// model's logits bitwise (same construction order, same rng stream) and
+/// returns the parameter gradients in GnnModel::parameters() order. Also
+/// checks that layer 0 with input_grad=false returns an empty tensor and
+/// leaves the same parameter gradients.
+template <typename Layer>
+std::vector<float> reference_param_grads(Layer& l0, Layer& l1,
+                                         const std::vector<Block>& blocks,
+                                         const Tensor& x0, const Tensor& grad,
+                                         const Tensor& model_logits) {
+  const Block& b0 = blocks[0];
+  const Block& b1 = blocks[1];
+  std::vector<std::size_t> rows;  // b1.src_ids[i] == b0.dst_ids[rows[i]]
+  for (VertexId v : b1.src_ids) {
+    const auto it = std::lower_bound(b0.dst_ids.begin(), b0.dst_ids.end(), v);
+    rows.push_back(static_cast<std::size_t>(it - b0.dst_ids.begin()));
+  }
+  const Tensor h = l0.forward(b0, x0);
+  Tensor h1(b1.num_src(), h.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy(h.row(rows[i]).begin(), h.row(rows[i]).end(),
+              h1.row(i).begin());
+  }
+  const Tensor logits = l1.forward(b1, h1);
+  EXPECT_EQ(std::memcmp(logits.data(), model_logits.data(),
+                        logits.size() * sizeof(float)),
+            0);
+
+  l0.zero_grad();
+  l1.zero_grad();
+  const Tensor g1 = l1.backward(b1, grad, true);
+  Tensor g0(b0.num_dst(), g1.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy(g1.row(i).begin(), g1.row(i).end(), g0.row(rows[i]).begin());
+  }
+  EXPECT_EQ(l0.backward(b0, g0, true).rows(), b0.num_src());
+  std::vector<Param*> params = l0.parameters();
+  for (Param* p : l1.parameters()) params.push_back(p);
+  const std::vector<float> with_input_grad = flat_grads(params);
+
+  l0.zero_grad();
+  l0.forward(b0, x0);
+  EXPECT_TRUE(l0.backward(b0, g0, false).empty());
+  const std::vector<float> l0_skipped = flat_grads(l0.parameters());
+  EXPECT_EQ(std::memcmp(l0_skipped.data(), with_input_grad.data(),
+                        l0_skipped.size() * sizeof(float)),
+            0);
+  return with_input_grad;
+}
+
+TEST(GnnModel, FirstLayerInputGradSkipKeepsParamGrads) {
+  const std::vector<Block> blocks = sample_two_hop_blocks();
+  for (ModelKind kind :
+       {ModelKind::kGraphSage, ModelKind::kGcn, ModelKind::kGat}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    ModelConfig cfg;
+    cfg.kind = kind;
+    cfg.in_dim = 8;
+    cfg.hidden_dim = 6;
+    cfg.num_classes = 4;
+    cfg.gat_heads = 2;
+    cfg.seed = 5;
+    GnnModel model(cfg);
+    util::Pcg32 rng(17);
+    const Tensor x0 = Tensor::glorot(blocks[0].num_src(), cfg.in_dim, rng);
+    const Tensor logits = model.forward(blocks, x0);
+    const Tensor grad = Tensor::glorot(logits.rows(), logits.cols(), rng);
+    model.zero_grad();
+    model.backward(blocks, grad);
+    const std::vector<float> got = flat_grads(model.parameters());
+
+    // The layers GnnModel builds for `cfg`, from the same rng stream.
+    util::Pcg32 mrng(cfg.seed, 0x4d4f444c);
+    std::vector<float> want;
+    if (kind == ModelKind::kGraphSage) {
+      SageLayer l0(8, 6, true, mrng), l1(6, 4, false, mrng);
+      want = reference_param_grads(l0, l1, blocks, x0, grad, logits);
+    } else if (kind == ModelKind::kGcn) {
+      GcnLayer l0(8, 6, true, mrng), l1(6, 4, false, mrng);
+      want = reference_param_grads(l0, l1, blocks, x0, grad, logits);
+    } else {
+      GatLayer l0(8, 2, 6, true, mrng), l1(12, 1, 4, false, mrng);
+      want = reference_param_grads(l0, l1, blocks, x0, grad, logits);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0);
+  }
+}
+
+TEST(GnnModel, BackwardRejectsBrokenBlockChaining) {
+  const std::vector<Block> blocks = sample_two_hop_blocks();
+  ASSERT_EQ(blocks[0].dst_ids, blocks[1].src_ids);
+  ModelConfig cfg;
+  cfg.in_dim = 8;
+  cfg.hidden_dim = 6;
+  cfg.num_classes = 4;
+  GnnModel model(cfg);
+  util::Pcg32 rng(19);
+  const Tensor x0 = Tensor::glorot(blocks[0].num_src(), cfg.in_dim, rng);
+  const Tensor logits = model.forward(blocks, x0);
+  const Tensor grad = Tensor::glorot(logits.rows(), logits.cols(), rng);
+
+  // blocks[1]'s last src vertex is missing from blocks[0]'s dsts: once
+  // dropped (the scatter would write past the end of its output) and once
+  // replaced by another id (it would land on the wrong row).
+  for (const bool drop : {true, false}) {
+    std::vector<Block> broken = blocks;
+    if (drop) {
+      broken[0].dst_ids.pop_back();
+    } else {
+      broken[0].dst_ids.back() += 1;
+    }
+    try {
+      model.backward(broken, grad);
+      ADD_FAILURE() << "no exception, drop=" << drop;
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "GnnModel: block chaining broken");
+    }
+  }
+  model.backward(blocks, grad);  // the well-formed pair still works
 }
 
 TEST(Features, AsyncProtocolFallsBackToSync) {

@@ -1,12 +1,16 @@
-// Kernel-vs-naive equivalence for the gnn/kernels layer: the blocked GEMM
-// variants against reference triple loops on ragged shapes, CompiledBlock
+// Kernel-vs-naive equivalence for the gnn/kernels layer: the tiled GEMM
+// variants against reference triple loops on ragged shapes (within a
+// tolerance against double loops, and bit for bit against ascending float
+// loops for both tile bodies), CompiledBlock
 // structure, CSR aggregation against edge-list oracles, and bitwise
 // thread-count invariance of the row-partitioned parallel paths.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gnn/block.hpp"
@@ -138,6 +142,92 @@ TEST(Kernels, GemmVariantsMatchReferenceOnRaggedShapes) {
       expect_close(ref3, got3, "gemm_at");
     }
   }
+}
+
+// Float oracle in the order the kernels promise, for all three variants:
+// C(r, j) starts at c (accumulate) or 0 and takes c = c + A(r, q) * B(q, j)
+// for q ascending, with A(r, q) = a[r*sr + q*sq] and B(q, j) =
+// b[q*bq + j*bj]. This file is built with -ffp-contract=off, like
+// kernels.cpp, so the compiler cannot fuse the multiply and the add.
+void ascending_gemm(std::size_t rows, std::size_t inner, std::size_t n,
+                    const float* a, std::size_t sr, std::size_t sq,
+                    const float* b, std::size_t bq, std::size_t bj, float* c,
+                    bool accumulate) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = accumulate ? c[r * n + j] : 0.0f;
+      for (std::size_t q = 0; q < inner; ++q) {
+        acc = acc + a[r * sr + q * sq] * b[q * bq + j * bj];
+      }
+      c[r * n + j] = acc;
+    }
+  }
+}
+
+void expect_bitwise(const std::vector<float>& ref,
+                    const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(ref.size(), got.size());
+  if (ref.empty() ||
+      std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) == 0) {
+    return;
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&ref[i], &got[i], sizeof(float)), 0)
+        << what << " first differs at index " << i << ": " << ref[i]
+        << " vs " << got[i];
+  }
+}
+
+TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
+  using kernels::detail::Body;
+  // Ragged rows (m % 4 != 0), ragged columns (n % 16 != 0), inner dimensions
+  // past one kKcBlock (> 256), an empty inner dimension, and full tiles.
+  const std::size_t shapes[][3] = {
+      {1, 1, 1},   {3, 5, 2},    {17, 33, 29}, {65, 1, 129}, {33, 257, 7},
+      {4, 256, 16}, {6, 300, 37}, {13, 520, 48}, {8, 0, 16},  {37, 70, 130}};
+  for (const Body body : {Body::kPortable, Body::kAvx2}) {
+    if (body == Body::kAvx2 && !kernels::detail::avx2_supported()) {
+      std::printf("[ SKIPPED  ] AVX2 body: this CPU has no AVX2\n");
+      continue;
+    }
+    SCOPED_TRACE(body == Body::kAvx2 ? "avx2 body" : "portable body");
+    moment::util::Pcg32 rng(11);
+    for (const auto& s : shapes) {
+      const std::size_t m = s[0], k = s[1], n = s[2];
+      SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+      const auto a = random_matrix(m, k, rng);
+      const auto b = random_matrix(k, n, rng);
+      const auto bt = random_matrix(n, k, rng);
+      const auto bm = random_matrix(m, n, rng);
+      for (const bool acc : {false, true}) {
+        auto ref = random_matrix(m, n, rng);
+        auto got = ref;
+        ascending_gemm(m, k, n, a.data(), k, 1, b.data(), n, 1, ref.data(),
+                       acc);
+        kernels::detail::gemm(body, m, k, n, a.data(), b.data(), got.data(),
+                              acc);
+        expect_bitwise(ref, got, "gemm");
+
+        auto ref2 = random_matrix(m, n, rng);
+        auto got2 = ref2;
+        ascending_gemm(m, k, n, a.data(), k, 1, bt.data(), 1, k, ref2.data(),
+                       acc);
+        kernels::detail::gemm_bt(body, m, k, n, a.data(), bt.data(),
+                                 got2.data(), acc);
+        expect_bitwise(ref2, got2, "gemm_bt");
+
+        auto ref3 = random_matrix(k, n, rng);
+        auto got3 = ref3;
+        ascending_gemm(k, m, n, a.data(), 1, k, bm.data(), n, 1, ref3.data(),
+                       acc);
+        kernels::detail::gemm_at(body, m, k, n, a.data(), bm.data(),
+                                 got3.data(), acc);
+        expect_bitwise(ref3, got3, "gemm_at");
+      }
+    }
+  }
+  const std::string isa = kernels::isa();
+  EXPECT_EQ(isa, kernels::detail::avx2_supported() ? "avx2" : "portable");
 }
 
 TEST(CompiledBlockTest, StructureMatchesEdgeList) {
