@@ -198,14 +198,19 @@ int main(int argc, char** argv) {
   std::printf("\ngather statistics per worker:\n");
   for (int w = 0; w < workers; ++w) {
     const auto& s = clients[static_cast<std::size_t>(w)]->stats();
-    // A worker that gathered nothing (e.g. no training batch) reports 0%.
+    // Shares of every row source; a worker that gathered nothing reports 0%.
     const double total = std::max(
-        1.0, static_cast<double>(s.gpu_hits + s.cpu_hits + s.ssd_reads));
-    std::printf("  worker %d: GPU hits %.1f%%  CPU hits %.1f%%  SSD reads "
-                "%.1f%% (%llu ops, %.1f MiB)\n",
-                w, 100.0 * s.gpu_hits / total, 100.0 * s.cpu_hits / total,
-                100.0 * s.ssd_reads / total,
-                static_cast<unsigned long long>(s.ssd_reads),
+        1.0, static_cast<double>(s.gpu_hits + s.peer_hits + s.cpu_hits +
+                                 s.remote_hbm_host_reads + s.cache_hits +
+                                 s.ssd_reads));
+    const auto pct = [total](std::uint64_t n) {
+      return 100.0 * static_cast<double>(n) / total;
+    };
+    std::printf("  worker %d: GPU %.1f%%  peer %.1f%%  CPU %.1f%%  host "
+                "%.1f%%  cache %.1f%%  SSD %.1f%% (%llu reads, %.1f MiB)\n",
+                w, pct(s.gpu_hits), pct(s.peer_hits), pct(s.cpu_hits),
+                pct(s.remote_hbm_host_reads), pct(s.cache_hits),
+                pct(s.ssd_reads), static_cast<unsigned long long>(s.ssd_reads),
                 static_cast<double>(s.ssd_bytes) / (1024.0 * 1024.0));
   }
   return 0;

@@ -44,7 +44,7 @@ class FeatureProvider {
   virtual void gather_wait(GatherTicket ticket) { (void)ticket; }
 
   /// IO telemetry: fault-recovery work plus the IO-reduction pipeline's
-  /// effect (dedup, run coalescing, shared hot-row cache). Counters are
+  /// effect (run coalescing, shared hot-row cache). Counters are
   /// cumulative since construction; the gauges reflect the backing device
   /// array now. Providers without a faultable backend (e.g.
   /// InMemoryFeatures) report all-zero.
@@ -61,8 +61,8 @@ class FeatureProvider {
     std::uint32_t devices_failed = 0;
 
     // IO-reduction pipeline (all zero when the provider has none).
-    /// SSD reads the naive path would have issued that in-batch dedup
-    /// collapsed away.
+    /// Always 0: the gather has no in-batch dedup. Kept only because the
+    /// benchmark under perfbench/ still reads it; delete it with that use.
     std::uint64_t dedup_saved_reads = 0;
     /// Feature rows actually fetched from the SSDs.
     std::uint64_t ssd_rows = 0;

@@ -7,6 +7,16 @@
 #include "ddak/ddak.hpp"
 
 namespace moment::iostack {
+namespace {
+
+/// Copies `src` into output row `out_row` and counts it in `counter`.
+void serve(std::span<const float> src, gnn::Tensor& out, std::size_t out_row,
+           std::uint64_t& counter) {
+  std::copy(src.begin(), src.end(), out.row(out_row).begin());
+  ++counter;
+}
+
+}  // namespace
 
 std::uint64_t TieredFeatureStore::pack(const Location& loc) noexcept {
   return static_cast<std::uint64_t>(loc.index) |
@@ -42,6 +52,12 @@ TieredFeatureStore::TieredFeatureStore(
   }
   const std::size_t raw = dim_ * sizeof(float);
   row_bytes_ = ((raw + kPageBytes - 1) / kPageBytes) * kPageBytes;
+  for (const BinBacking& b : bins) {  // a gather reads a row in one command
+    if (b.kind == BinBacking::Kind::kSsd && row_bytes_ > kMaxTransferBytes) {
+      throw std::invalid_argument(
+          "TieredFeatureStore: row wider than one SSD transfer");
+    }
+  }
 
   // First pass: count rows per tier / per SSD. Rows in owned GPU-HBM bins
   // (BinBacking::gpu >= 0) also get a host authoritative copy: it is the
@@ -256,16 +272,23 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
 TieredFeatureClient::TieredFeatureClient(TieredFeatureStore& store,
                                          std::size_t queue_depth,
                                          IoEngineOptions io_options,
-                                         GatherOptions gather_options,
-                                         PeerConfig peer)
+                                         GatherOptions, PeerConfig peer)
     : store_(store), engine_(store.array(), queue_depth, io_options),
-      gather_options_(gather_options), peer_(peer) {}
+      peer_(peer) {}
 
-void TieredFeatureClient::serve_from_host(graph::VertexId v, gnn::Tensor& out,
-                                          std::size_t out_row) {
-  const auto src = store_.authoritative_row(v);
-  std::copy(src.begin(), src.end(), out.row(out_row).begin());
-  ++stats_.failovers;
+void TieredFeatureClient::snapshot_health() {
+  scratch_health_.resize(store_.array().size());
+  for (std::size_t s = 0; s < scratch_health_.size(); ++s) {
+    scratch_health_[s] = store_.array().health(s);
+  }
+}
+
+TieredFeatureClient::Slot* TieredFeatureClient::find_slot(
+    std::uint64_t ticket) noexcept {
+  for (Slot& s : slots_) {
+    if (s.ticket == ticket) return &s;
+  }
+  return nullptr;
 }
 
 void TieredFeatureClient::reset_slot(Slot& slot) noexcept {
@@ -274,7 +297,6 @@ void TieredFeatureClient::reset_slot(Slot& slot) noexcept {
   slot.out = nullptr;
   slot.pending.clear();
   slot.runs.clear();
-  slot.dups.clear();
 }
 
 void TieredFeatureClient::gather(std::span<const graph::VertexId> vertices,
@@ -287,164 +309,115 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
   if (out.rows() != vertices.size() || out.cols() != store_.dim()) {
     throw std::invalid_argument("TieredFeatureClient::gather: shape mismatch");
   }
-  Slot* slot = nullptr;
-  for (Slot& s : slots_) {
-    if (s.ticket == 0) {
-      slot = &s;
-      break;
-    }
-  }
+  Slot* slot = find_slot(0);
   if (slot == nullptr) {
     throw std::logic_error(
         "TieredFeatureClient::gather_begin: more than two gathers in flight");
   }
 
-  const std::size_t row_bytes = store_.row_bytes();
-  const bool dedup = gather_options_.dedup;
-  RowCache* cache = gather_options_.use_cache ? store_.row_cache() : nullptr;
-  slot->pending.clear();
-  slot->runs.clear();
-  slot->dups.clear();
-  scratch_reqs_.clear();
+  route_rows(vertices, out);
+  // Served entirely without the SSDs: nothing to wait for.
+  if (scratch_targets_.empty()) return kSyncTicket;
+
+  submit_runs(*slot);
+  slot->out = &out;
+  slot->ticket = next_ticket_++;
+  return slot->ticket;
+}
+
+void TieredFeatureClient::route_rows(std::span<const graph::VertexId> vertices,
+                                     gnn::Tensor& out) {
+  RowCache* cache = store_.row_cache();
   scratch_targets_.clear();
-  if (dedup) scratch_first_.clear();
-
-  // Per-batch device-health snapshot: one atomic load per device per gather
-  // instead of one per SSD-resident vertex. Refreshed after a remap (the
-  // only event that moves rows between devices mid-batch).
-  const std::size_t num_ssds = store_.array().size();
-  scratch_health_.resize(num_ssds);
-  const auto snapshot_health = [&] {
-    for (std::size_t s = 0; s < num_ssds; ++s) {
-      scratch_health_[s] = store_.array().health(s);
-    }
-  };
+  // Per-batch device-health snapshot, refreshed after a remap (the only
+  // event that moves rows between devices mid-batch).
   snapshot_health();
-
-  // First-occurrence map: bit 31 marks rows whose bytes are still in flight
-  // (duplicates of those replicate at scatter time instead of now).
-  constexpr std::uint32_t kInFlightBit = 0x80000000u;
 
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     const graph::VertexId v = vertices[i];
-    std::uint32_t* first_entry = nullptr;
-    if (dedup) {
-      const auto [it, inserted] =
-          scratch_first_.try_emplace(v, static_cast<std::uint32_t>(i));
-      if (!inserted) {
-        // Duplicate vertex: one copy already exists (or is in flight) in
-        // this batch's output — replicate it instead of re-fetching.
-        const std::uint32_t first = it->second;
-        if ((first & kInFlightBit) != 0) {
-          slot->dups.push_back(
-              {static_cast<std::uint32_t>(i), first & ~kInFlightBit});
-          ++stats_.dedup_saved_reads;
-        } else {
-          const auto src = out.row(first);
-          std::copy(src.begin(), src.end(), out.row(i).begin());
-          switch (store_.location(v).kind) {
-            case BinBacking::Kind::kGpuCache: ++stats_.gpu_hits; break;
-            case BinBacking::Kind::kCpuCache: ++stats_.cpu_hits; break;
-            case BinBacking::Kind::kSsd: ++stats_.dedup_saved_reads; break;
-          }
-        }
+    TieredFeatureStore::Location loc = store_.location(v);
+    if (loc.kind == BinBacking::Kind::kGpuCache) {
+      route_hbm_row(v, loc, out, i);
+      continue;
+    }
+    if (loc.kind == BinBacking::Kind::kCpuCache) {
+      serve(store_.cpu_cache().row(loc.index), out, i, stats_.cpu_hits);
+      continue;
+    }
+    auto ssd = static_cast<std::size_t>(loc.ssd);
+    if (scratch_health_[ssd] == DeviceHealth::kFailed) {
+      // Known-dead device: trigger the remap (idempotent), re-read the
+      // location, and fall back to the host copy if it didn't move.
+      if (store_.remap_failed_device(ssd)) ++stats_.device_remaps;
+      snapshot_health();
+      loc = store_.location(v);
+      ssd = static_cast<std::size_t>(loc.ssd);
+      if (loc.kind != BinBacking::Kind::kSsd ||
+          scratch_health_[ssd] == DeviceHealth::kFailed) {
+        serve(store_.authoritative_row(v), out, i, stats_.failovers);
         continue;
       }
-      first_entry = &it->second;
     }
+    if (cache != nullptr) {
+      if (cache->lookup(v, out.row(i))) {
+        ++stats_.cache_hits;
+        continue;
+      }
+      ++stats_.cache_misses;
+    }
+    scratch_targets_.push_back({static_cast<std::uint32_t>(ssd), loc.index, v,
+                                static_cast<std::uint32_t>(i)});
+    ++stats_.ssd_reads;
+    stats_.ssd_bytes += store_.row_bytes();
+  }
+}
 
-    TieredFeatureStore::Location loc = store_.location(v);
-    switch (loc.kind) {
-      case BinBacking::Kind::kGpuCache: {
-        const int owner = loc.ssd;  // owning GPU ordinal; -1 = replicated
-        if (owner >= 0 && owner != peer_.gpu) {
-          const comm::PeerRoute* route =
-              peer_.plan != nullptr ? peer_.plan->peer_route(owner, peer_.gpu)
-                                    : nullptr;
-          if (route != nullptr && route->valid()) {
-            // Modeled P2P copy: the bytes come from the owner's HBM tier and
-            // the planned route's links are charged dim*4 bytes each.
-            const auto src = store_.gpu_cache().row(loc.index);
-            std::copy(src.begin(), src.end(), out.row(i).begin());
-            ++stats_.peer_hits;
-            const std::uint64_t bytes = store_.dim() * sizeof(float);
-            stats_.peer_bytes += bytes;
-            if (peer_.counters != nullptr) {
-              for (const comm::RouteLink& rl : route->links) {
-                peer_.counters->add(rl.link, rl.forward, bytes);
-              }
-            }
-          } else {
-            // Storage-path round trip: host authoritative copy (same bytes).
-            const auto src = store_.authoritative_row(v);
-            std::copy(src.begin(), src.end(), out.row(i).begin());
-            ++stats_.remote_hbm_host_reads;
-          }
-        } else {
-          const auto src = store_.gpu_cache().row(loc.index);
-          std::copy(src.begin(), src.end(), out.row(i).begin());
-          ++stats_.gpu_hits;
-        }
-        break;
-      }
-      case BinBacking::Kind::kCpuCache: {
-        const auto src = store_.cpu_cache().row(loc.index);
-        std::copy(src.begin(), src.end(), out.row(i).begin());
-        ++stats_.cpu_hits;
-        break;
-      }
-      case BinBacking::Kind::kSsd: {
-        auto ssd = static_cast<std::size_t>(loc.ssd);
-        if (scratch_health_[ssd] == DeviceHealth::kFailed) {
-          // Known-dead device: trigger the remap (idempotent), re-read the
-          // location, and fall back to the host copy if it didn't move.
-          if (store_.remap_failed_device(ssd)) ++stats_.device_remaps;
-          snapshot_health();
-          loc = store_.location(v);
-          ssd = static_cast<std::size_t>(loc.ssd);
-          if (loc.kind != BinBacking::Kind::kSsd ||
-              scratch_health_[ssd] == DeviceHealth::kFailed) {
-            serve_from_host(v, out, i);
-            break;
-          }
-        }
-        if (cache != nullptr && cache->lookup(v, out.row(i))) {
-          ++stats_.cache_hits;
-          break;
-        }
-        if (cache != nullptr) ++stats_.cache_misses;
-        scratch_targets_.push_back({static_cast<std::uint32_t>(ssd),
-                                    loc.index, v,
-                                    static_cast<std::uint32_t>(i)});
-        if (first_entry != nullptr) *first_entry |= kInFlightBit;
-        ++stats_.ssd_reads;
-        stats_.ssd_bytes += row_bytes;
-        break;
-      }
+void TieredFeatureClient::route_hbm_row(
+    graph::VertexId v, const TieredFeatureStore::Location& loc,
+    gnn::Tensor& out, std::size_t out_row) {
+  const int owner = loc.ssd;  // owning GPU ordinal; -1 = replicated
+  if (owner < 0 || owner == peer_.gpu) {
+    serve(store_.gpu_cache().row(loc.index), out, out_row, stats_.gpu_hits);
+    return;
+  }
+  const comm::PeerRoute* route =
+      peer_.plan != nullptr ? peer_.plan->peer_route(owner, peer_.gpu)
+                            : nullptr;
+  if (route == nullptr || !route->valid()) {
+    // Storage-path round trip: host authoritative copy (same bytes).
+    serve(store_.authoritative_row(v), out, out_row,
+          stats_.remote_hbm_host_reads);
+    return;
+  }
+  // Modeled P2P copy: the bytes come from the owner's HBM tier and the
+  // planned route's links are charged dim*4 bytes each.
+  serve(store_.gpu_cache().row(loc.index), out, out_row, stats_.peer_hits);
+  const std::uint64_t bytes = store_.dim() * sizeof(float);
+  stats_.peer_bytes += bytes;
+  if (peer_.counters != nullptr) {
+    for (const comm::RouteLink& rl : route->links) {
+      peer_.counters->add(rl.link, rl.forward, bytes);
     }
   }
+}
 
-  if (scratch_targets_.empty()) {
-    // Served entirely from the cache tiers (dups of in-flight rows can only
-    // exist when at least one target is in flight).
-    return kSyncTicket;
-  }
-
-  // Run coalescing: sort the unique targets by (ssd, row index) and merge
-  // runs of adjacent rows into single multi-row commands, bounded by the
-  // transfer-size knob. Equal indices (dedup off) never extend a run.
+void TieredFeatureClient::submit_runs(Slot& slot) {
+  // Sort the targets by (ssd, row index) and merge runs of adjacent rows
+  // into single multi-row commands of at most kMaxTransferBytes (the store
+  // guarantees one row fits). Equal indices (a vertex repeated in the
+  // batch) never extend a run.
   std::sort(scratch_targets_.begin(), scratch_targets_.end(),
             [](const SsdTarget& a, const SsdTarget& b) {
               return a.ssd != b.ssd ? a.ssd < b.ssd : a.index < b.index;
             });
-  const std::size_t max_bytes = std::clamp(gather_options_.max_transfer_bytes,
-                                           row_bytes, kMaxTransferBytes);
-  const std::uint32_t max_rows =
-      gather_options_.coalesce
-          ? static_cast<std::uint32_t>(max_bytes / row_bytes)
-          : 1u;
+  const std::size_t row_bytes = store_.row_bytes();
+  const auto max_rows =
+      static_cast<std::uint32_t>(kMaxTransferBytes / row_bytes);
 
-  slot->bounce.resize(scratch_targets_.size() * row_bytes);
+  scratch_reqs_.clear();
+  slot.pending.clear();
+  slot.runs.clear();
+  slot.bounce.resize(scratch_targets_.size() * row_bytes);
   std::size_t off = 0;
   std::size_t t = 0;
   while (t < scratch_targets_.size()) {
@@ -458,15 +431,15 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
       ++rows;
       ++t;
     }
-    const auto run_id = static_cast<std::uint32_t>(slot->runs.size());
+    const auto run_id = static_cast<std::uint32_t>(slot.runs.size());
     scratch_reqs_.push_back(
         {first.ssd, static_cast<std::uint64_t>(first.index) * row_bytes,
          static_cast<std::uint32_t>(rows * row_bytes),
-         slot->bounce.data() + off});
-    slot->runs.push_back({off, rows, false});
+         slot.bounce.data() + off});
+    slot.runs.push_back({off, rows, false});
     for (std::uint32_t k = 0; k < rows; ++k) {
       const SsdTarget& tk = scratch_targets_[run_begin + k];
-      slot->pending.push_back(
+      slot.pending.push_back(
           {tk.out_row, off + k * row_bytes, tk.vertex, run_id});
     }
     off += static_cast<std::size_t>(rows) * row_bytes;
@@ -474,86 +447,69 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
     if (rows > 1) ++stats_.coalesced_commands;
   }
 
-  slot->group = engine_.group_begin();
+  slot.group = engine_.group_begin();
   engine_.submit_batch(scratch_reqs_);
-  engine_.group_end(slot->group);
-  slot->out = &out;
-  slot->ticket = next_ticket_++;
-  return slot->ticket;
+  engine_.group_end(slot.group);
 }
 
 void TieredFeatureClient::gather_wait(GatherTicket ticket) {
   if (ticket == kSyncTicket) return;
-  Slot* slot = nullptr;
-  for (Slot& s : slots_) {
-    if (s.ticket == ticket) {
-      slot = &s;
-      break;
-    }
-  }
+  Slot* slot = find_slot(ticket);
   if (slot == nullptr) {
     throw std::logic_error("TieredFeatureClient::gather_wait: unknown ticket");
   }
-
   try {
-    scratch_failed_.clear();
-    engine_.wait_group(slot->group, scratch_failed_);
-
-    // A coalesced command fails as a unit: mark its run (located by binary
-    // search over the ascending bounce offsets) so every row it carried is
-    // served from the host copy instead of the bounce buffer.
-    std::size_t failed_ssds_mask = 0;
-    for (const FailedRead& fr : scratch_failed_) {
-      const auto off = static_cast<std::size_t>(fr.dest - slot->bounce.data());
-      const auto it = std::lower_bound(
-          slot->runs.begin(), slot->runs.end(), off,
-          [](const Run& r, std::size_t o) { return r.bounce_off < o; });
-      if (it != slot->runs.end() && it->bounce_off == off) it->failed = true;
-      if (fr.ssd < sizeof(failed_ssds_mask) * 8) {
-        failed_ssds_mask |= std::size_t{1} << fr.ssd;
-      }
-    }
-
-    RowCache* cache =
-        gather_options_.use_cache ? store_.row_cache() : nullptr;
-    const std::size_t raw = store_.dim() * sizeof(float);
-    for (const PendingRow& pr : slot->pending) {
-      if (slot->runs[pr.run].failed) {
-        serve_from_host(pr.vertex, *slot->out, pr.out_row);
-      } else {
-        std::memcpy(slot->out->row(pr.out_row).data(),
-                    slot->bounce.data() + pr.bounce_off, raw);
-      }
-      // Fill the shared cache on completion. Failover rows are admitted
-      // too: the host copy carries the exact device bytes.
-      if (cache != nullptr) {
-        cache->insert(pr.vertex, slot->out->row(pr.out_row));
-      }
-    }
-
-    // Replicate duplicate occurrences from the first (just-scattered) copy.
-    for (const DupRow& d : slot->dups) {
-      const auto src = slot->out->row(d.src_row);
-      std::copy(src.begin(), src.end(), slot->out->row(d.out_row).begin());
-    }
-
-    // Hard-failed devices get their bins re-placed so future gathers hit
-    // survivors instead of falling back row by row.
-    if (failed_ssds_mask != 0) {
-      for (std::size_t s = 0; s < store_.array().size(); ++s) {
-        if ((failed_ssds_mask >> s) & 1u) {
-          if (store_.array().health(s) == DeviceHealth::kFailed &&
-              store_.remap_failed_device(s)) {
-            ++stats_.device_remaps;
-          }
-        }
-      }
-    }
+    complete(*slot);
   } catch (...) {
     reset_slot(*slot);
     throw;
   }
   reset_slot(*slot);
+}
+
+void TieredFeatureClient::complete(Slot& slot) {
+  scratch_failed_.clear();
+  engine_.wait_group(slot.group, scratch_failed_);
+
+  // A coalesced command fails as a unit: mark its run (located by binary
+  // search over the ascending bounce offsets) so every row it carried is
+  // served from the host copy instead of the bounce buffer.
+  std::size_t failed_ssds_mask = 0;
+  for (const FailedRead& fr : scratch_failed_) {
+    const auto off = static_cast<std::size_t>(fr.dest - slot.bounce.data());
+    const auto it = std::lower_bound(
+        slot.runs.begin(), slot.runs.end(), off,
+        [](const Run& r, std::size_t o) { return r.bounce_off < o; });
+    if (it != slot.runs.end() && it->bounce_off == off) it->failed = true;
+    if (fr.ssd < sizeof(failed_ssds_mask) * 8) {
+      failed_ssds_mask |= std::size_t{1} << fr.ssd;
+    }
+  }
+
+  RowCache* cache = store_.row_cache();
+  const std::size_t raw = store_.dim() * sizeof(float);
+  for (const PendingRow& pr : slot.pending) {
+    if (slot.runs[pr.run].failed) {
+      serve(store_.authoritative_row(pr.vertex), *slot.out, pr.out_row,
+            stats_.failovers);
+    } else {
+      std::memcpy(slot.out->row(pr.out_row).data(),
+                  slot.bounce.data() + pr.bounce_off, raw);
+    }
+    // Fill the shared cache on completion. Failover rows are admitted too:
+    // the host copy carries the exact device bytes.
+    if (cache != nullptr) cache->insert(pr.vertex, slot.out->row(pr.out_row));
+  }
+
+  // Hard-failed devices get their bins re-placed so future gathers hit
+  // survivors instead of falling back row by row.
+  for (std::size_t s = 0; s < store_.array().size(); ++s) {
+    if (((failed_ssds_mask >> s) & 1u) != 0 &&
+        store_.array().health(s) == DeviceHealth::kFailed &&
+        store_.remap_failed_device(s)) {
+      ++stats_.device_remaps;
+    }
+  }
 }
 
 gnn::FeatureProvider::IoResilience TieredFeatureClient::io_resilience() const {
@@ -564,7 +520,6 @@ gnn::FeatureProvider::IoResilience TieredFeatureClient::io_resilience() const {
   r.permanent_failures = rs.permanent_failures;
   r.failovers = stats_.failovers;
   r.device_remaps = store_.device_remaps();
-  r.dedup_saved_reads = stats_.dedup_saved_reads;
   r.ssd_rows = stats_.ssd_reads;
   r.ssd_commands = stats_.ssd_commands;
   r.coalesced_commands = stats_.coalesced_commands;

@@ -18,7 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/plan.hpp"
@@ -41,19 +40,18 @@ struct BinBacking {
 };
 
 struct GatherStats {
+  /// Each gathered row counts once, under the source that served it: with
+  /// no faults, gpu + cpu + peer + remote_hbm_host + cache + ssd = rows.
   std::uint64_t gpu_hits = 0;
   std::uint64_t cpu_hits = 0;
-  /// Feature rows fetched from the SSDs (post dedup and cache; with both
-  /// disabled this equals the naive one-read-per-occurrence count).
+  /// SSD-resident rows that missed the row cache and were read from an SSD
+  /// (one per occurrence; duplicates in a batch are read twice).
   std::uint64_t ssd_reads = 0;
   std::uint64_t ssd_bytes = 0;
   /// Commands actually issued after run coalescing (<= ssd_reads).
   std::uint64_t ssd_commands = 0;
   /// Commands that carried two or more adjacent rows.
   std::uint64_t coalesced_commands = 0;
-  /// SSD reads the naive path would have issued for duplicate vertices in a
-  /// batch that in-batch dedup collapsed onto one read.
-  std::uint64_t dedup_saved_reads = 0;
   /// Shared hot-row cache traffic, from this client's perspective.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -71,7 +69,7 @@ struct GatherStats {
   /// triggered by any client; each is counted once per store).
   std::uint64_t device_remaps = 0;
 
-  /// Average rows per issued command (1.0 with coalescing off).
+  /// Average rows per issued command.
   double coalesce_rows_per_cmd() const noexcept {
     return ssd_commands > 0
                ? static_cast<double>(ssd_reads) /
@@ -80,22 +78,11 @@ struct GatherStats {
   }
 };
 
-/// Per-client IO-reduction knobs for the gather path. Each stage composes on
-/// the previous one and every combination returns byte-identical results —
-/// the bench toggles them independently to attribute the command savings.
-struct GatherOptions {
-  /// Collapse duplicate vertices in a batch onto one SSD read (hub vertices
-  /// appear many times in sampled blocks) and one cache-tier copy.
-  bool dedup = true;
-  /// Merge runs of adjacent SSD row indices into single multi-row commands.
-  bool coalesce = true;
-  /// Upper bound on one coalesced command (clamped to [row_bytes,
-  /// kMaxTransferBytes]).
-  std::size_t max_transfer_bytes = kMaxTransferBytes;
-  /// Consult/fill the store's shared hot-row cache (no-op until the store
-  /// enables one).
-  bool use_cache = true;
-};
+/// Empty, and sets nothing: the gather has one pipeline with no per-client
+/// knobs. The type remains only because the benchmark under perfbench/ still
+/// passes `GatherOptions{}` to the TieredFeatureClient constructor; delete
+/// it together with that argument.
+struct GatherOptions {};
 
 /// Shared layout: writes SSD-resident rows to the devices (the one-off
 /// "dataset reorganisation" the paper's SSD-wear discussion covers) and
@@ -104,7 +91,9 @@ struct GatherOptions {
 class TieredFeatureStore {
  public:
   /// `bin_of_vertex[v]` indexes `bins`. All SSD rows are written before
-  /// return; the array must not be started yet.
+  /// return; the array must not be started yet. Throws
+  /// std::invalid_argument if a bin is on an SSD and row_bytes() exceeds
+  /// kMaxTransferBytes (a row must fit in one read command).
   TieredFeatureStore(const gnn::Tensor& features,
                      std::span<const std::int32_t> bin_of_vertex,
                      std::span<const BinBacking> bins, SsdArray& array);
@@ -215,15 +204,13 @@ struct PeerConfig {
 };
 
 /// Per-GPU gather client. Implements gnn::FeatureProvider so the trainer can
-/// run end-to-end through the IO stack. The async gather_begin/gather_wait
-/// protocol serves cache tiers immediately, then runs the IO-reduction
-/// pipeline on the SSD-resident remainder — in-batch dedup (one read per
-/// unique row), shared hot-row cache lookup, and run coalescing (adjacent
-/// rows merged into multi-row commands) — submits the surviving commands as
-/// one completion group, and scatters/replicates the bounce-buffered rows at
-/// wait time. Two staging slots allow two batches in flight (pipelined
-/// prefetch). Every GatherOptions combination is byte-identical; only the
-/// command count changes.
+/// run end-to-end through the IO stack. Every batch runs one pipeline with
+/// no knobs: gather_begin routes each row (local/peer GPU, CPU, host copy or
+/// shared row cache, else an SSD target), coalesces the SSD targets into
+/// adjacent-slot commands and submits them as one completion group;
+/// gather_wait scatters the bounce-buffered rows, fills the cache and remaps
+/// failed devices. Each occurrence of a repeated vertex is routed on its
+/// own. Two staging slots allow two batches in flight (pipelined prefetch).
 ///
 /// Failures are recovered, not thrown: a read that permanently fails is
 /// served from the store's authoritative copy (same bytes), and a hard
@@ -231,11 +218,11 @@ struct PeerConfig {
 /// protocol misuse, never on IO faults.
 class TieredFeatureClient final : public gnn::FeatureProvider {
  public:
+  /// The GatherOptions argument is ignored (see GatherOptions).
   explicit TieredFeatureClient(TieredFeatureStore& store,
                                std::size_t queue_depth = 256,
                                IoEngineOptions io_options = {},
-                               GatherOptions gather_options = {},
-                               PeerConfig peer = {});
+                               GatherOptions = {}, PeerConfig peer = {});
 
   std::size_t dim() const override { return store_.dim(); }
   void gather(std::span<const graph::VertexId> vertices,
@@ -249,15 +236,11 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   const GatherStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
   const IoEngine& engine() const noexcept { return engine_; }
-  const GatherOptions& gather_options() const noexcept {
-    return gather_options_;
-  }
   const PeerConfig& peer_config() const noexcept { return peer_; }
 
  private:
-  /// One unique SSD row in flight: where its bytes land in the bounce
-  /// buffer, which output row receives the first copy, and which coalesced
-  /// command carries it.
+  /// One SSD row in flight: where its bytes land in the bounce buffer,
+  /// which output row receives them, and which coalesced command carries it.
   struct PendingRow {
     std::size_t out_row;
     std::size_t bounce_off;
@@ -272,13 +255,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     std::uint32_t rows;
     bool failed;
   };
-  /// A duplicate occurrence whose source row is still in flight at
-  /// gather_begin time; replicated out-of-buffer at wait time.
-  struct DupRow {
-    std::uint32_t out_row;
-    std::uint32_t src_row;
-  };
-  /// A unique SSD target before coalescing.
+  /// An SSD row to read, before coalescing.
   struct SsdTarget {
     std::uint32_t ssd;
     std::uint32_t index;
@@ -294,17 +271,29 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     gnn::Tensor* out = nullptr;
     std::vector<PendingRow> pending;
     std::vector<Run> runs;
-    std::vector<DupRow> dups;
     std::vector<std::byte> bounce;  // page-aligned staging for SSD reads
   };
 
-  void serve_from_host(graph::VertexId v, gnn::Tensor& out,
-                       std::size_t out_row);
+  /// Stage 1: serves every row that needs no SSD read and collects the rest
+  /// in scratch_targets_.
+  void route_rows(std::span<const graph::VertexId> vertices, gnn::Tensor& out);
+  /// Routes a GPU-HBM row: local, peer route, or host copy.
+  void route_hbm_row(graph::VertexId v, const TieredFeatureStore::Location& loc,
+                     gnn::Tensor& out, std::size_t out_row);
+  /// Stage 2: coalesces scratch_targets_ into commands and submits them as
+  /// one completion group owned by `slot`.
+  void submit_runs(Slot& slot);
+  /// Stage 3: scatters a completed slot into its output tensor, fills the
+  /// row cache, and remaps devices that failed during the batch.
+  void complete(Slot& slot);
+
+  /// The slot holding `ticket` (0 finds a free slot), or nullptr.
+  Slot* find_slot(std::uint64_t ticket) noexcept;
+  void snapshot_health();
   void reset_slot(Slot& slot) noexcept;
 
   TieredFeatureStore& store_;
   IoEngine engine_;
-  GatherOptions gather_options_;
   PeerConfig peer_;
   GatherStats stats_;
   Slot slots_[2];
@@ -315,9 +304,6 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// Per-batch device-health snapshot: one atomic load per device per
   /// gather instead of one per vertex.
   std::vector<DeviceHealth> scratch_health_;
-  /// First occurrence of each vertex in the current batch; value is the
-  /// output row, with bit 31 set while the row is still in flight.
-  std::unordered_map<graph::VertexId, std::uint32_t> scratch_first_;
 };
 
 }  // namespace moment::iostack

@@ -37,7 +37,6 @@ void visit_io(IoResilience& a, const IoResilience& b, F&& f) {
   f(a.device_remaps, b.device_remaps, IoField::kStoreWide);
   f(a.devices_degraded, b.devices_degraded, IoField::kGauge);
   f(a.devices_failed, b.devices_failed, IoField::kGauge);
-  f(a.dedup_saved_reads, b.dedup_saved_reads, IoField::kClient);
   f(a.ssd_rows, b.ssd_rows, IoField::kClient);
   f(a.ssd_commands, b.ssd_commands, IoField::kClient);
   f(a.coalesced_commands, b.coalesced_commands, IoField::kClient);
@@ -427,15 +426,13 @@ std::string io_report(const EpochStats& stats) {
   const auto& io = stats.io;
   char buf[256];
   std::string out = "io:";
-  const std::uint64_t naive =
-      io.ssd_rows + io.dedup_saved_reads + io.cache_hits;
+  // Naive = one read per SSD-resident row that reached the cache or SSDs.
+  const std::uint64_t naive = io.ssd_rows + io.cache_hits;
   std::snprintf(buf, sizeof(buf),
-                " cmds %llu (rows %llu, %.2f rows/cmd, dedup -%llu, "
-                "cache -%llu)",
+                " cmds %llu (rows %llu, %.2f rows/cmd, cache -%llu)",
                 static_cast<unsigned long long>(io.ssd_commands),
                 static_cast<unsigned long long>(io.ssd_rows),
-                io.ssd_commands > 0 ? io.coalesce_rows_per_cmd() : 0.0,
-                static_cast<unsigned long long>(io.dedup_saved_reads),
+                io.coalesce_rows_per_cmd(),
                 static_cast<unsigned long long>(io.cache_hits));
   out += buf;
   if (io.cache_hits + io.cache_misses > 0) {

@@ -94,7 +94,7 @@ struct EpochStats {
   double overlap_ratio = 0.0;
 
   /// IO telemetry this epoch: counter fields are per-epoch deltas summed
-  /// over workers (fault recovery plus the dedup/coalesce/cache IO-reduction
+  /// over workers (fault recovery plus the coalesce/cache IO-reduction
   /// pipeline); the devices_* gauges are the post-epoch state of the backing
   /// array (max across providers). All zero for fault-free runs on providers
   /// without a faultable backend.
@@ -106,8 +106,8 @@ struct EpochStats {
 
 /// Formats the epoch's IO telemetry for the per-epoch report: the retry/
 /// failover counters (RetryStats-derived) alongside the IO-reduction
-/// pipeline's counters (dedup saves, coalesced commands and rows/cmd, cache
-/// hit rate and evictions). Single line, empty-ish sections elided.
+/// pipeline's counters (coalesced commands and rows/cmd, cache hit rate
+/// and evictions). Single line, empty-ish sections elided.
 std::string io_report(const EpochStats& stats);
 
 /// Formats the epoch's comm telemetry (algorithm, per-round payload,

@@ -41,8 +41,8 @@ struct SimOptions {
   /// size) — 4 KiB feature reads on a P5510 are IOPS-bound near 1M ops/s.
   double ssd_iops = 0.0;
   double ssd_request_bytes = 4096.0;
-  /// Average feature rows per SSD command after the client's dedup + run
-  /// coalescing (TieredFeatureClient's GatherStats::coalesce_rows_per_cmd).
+  /// Average feature rows per SSD command after the client's run coalescing
+  /// (TieredFeatureClient's GatherStats::coalesce_rows_per_cmd).
   /// Each command moves factor * request bytes, so under an IOPS cap the
   /// effective egress rate scales by the same factor; 1.0 = no coalescing.
   double ssd_coalesce_factor = 1.0;

@@ -501,5 +501,27 @@ TEST(FeatureStore, RejectsOverflowingPlacement) {
                std::invalid_argument);
 }
 
+TEST(FeatureStore, RejectsSsdRowsWiderThanOneTransfer) {
+  // One float past kMaxTransferBytes: the padded row no longer fits in a
+  // single read command, so an SSD placement must be refused up front.
+  graph::RmatParams gp;
+  gp.num_vertices = 4;
+  gp.num_edges = 8;
+  const auto g = graph::generate_rmat(gp);
+  const std::size_t dim = kMaxTransferBytes / sizeof(float) + 1;
+  const auto task = gnn::make_synthetic_task(g, 2, dim, 0.1, 1);
+  std::vector<std::int32_t> bov(4, 0);
+  SsdOptions opts;
+  opts.capacity_bytes = 16ull << 20;
+  SsdArray array(1, opts);
+  const std::vector<BinBacking> ssd_bins = {{BinBacking::Kind::kSsd, 0}};
+  EXPECT_THROW(TieredFeatureStore(task.features, bov, ssd_bins, array),
+               std::invalid_argument);
+  // Cache tiers read rows in place, so the same width is fine there.
+  const std::vector<BinBacking> cpu_bins = {{BinBacking::Kind::kCpuCache, -1}};
+  TieredFeatureStore store(task.features, bov, cpu_bins, array);
+  EXPECT_GT(store.row_bytes(), kMaxTransferBytes);
+}
+
 }  // namespace
 }  // namespace moment::iostack

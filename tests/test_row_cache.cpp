@@ -1,12 +1,13 @@
-// Tests for the gather IO-reduction pipeline: the sharded CLOCK row cache,
-// in-batch dedup, run coalescing, hotness-seeded warmup, failover
-// invalidation, and concurrent multi-client gathers. Every GatherOptions
-// combination must return byte-identical features — only command counts may
-// differ. Registered under the `cache` CTest label (also run under TSan).
+// Tests for the gather pipeline: the sharded CLOCK row cache, run
+// coalescing, hotness-seeded warmup, failover invalidation, and concurrent
+// multi-client gathers. Every batch, duplicates included, must return the
+// exact source bytes, and every gathered row is counted by exactly one
+// source. Registered under the `cache` CTest label (also run under TSan).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -117,12 +118,10 @@ void expect_bytes_match(const gnn::Tensor& out,
   }
 }
 
-GatherOptions naive_options() {
-  GatherOptions o;
-  o.dedup = false;
-  o.coalesce = false;
-  o.use_cache = false;
-  return o;
+/// Rows served by any source; equals the rows requested when no read fails.
+std::uint64_t rows_served(const GatherStats& s) {
+  return s.gpu_hits + s.cpu_hits + s.peer_hits + s.remote_hbm_host_reads +
+         s.cache_hits + s.ssd_reads;
 }
 
 // ---------------------------------------------------------------------------
@@ -229,59 +228,41 @@ TEST(RowCache, ZeroCapacityIsInert) {
 }
 
 // ---------------------------------------------------------------------------
-// Gather pipeline: byte-identity across every GatherOptions combination
+// Gather pipeline: byte-identity and row conservation
 // ---------------------------------------------------------------------------
 
-TEST(GatherPipeline, AllOptionCombinationsAreByteIdenticalOnRandomBatches) {
+TEST(GatherPipeline, DuplicateHeavyBatchesAreByteIdenticalAndConserveRows) {
   Rig rig;
   RowCacheOptions cache_opts;
   cache_opts.capacity_rows = 128;
   rig.store.enable_row_cache(cache_opts);
-
-  GatherOptions dedup_only = naive_options();
-  dedup_only.dedup = true;
-  GatherOptions dedup_coalesce = dedup_only;
-  dedup_coalesce.coalesce = true;
-  const GatherOptions full;  // dedup + coalesce + cache
-
-  TieredFeatureClient naive(rig.store, 256, {}, naive_options());
-  TieredFeatureClient dedup(rig.store, 256, {}, dedup_only);
-  TieredFeatureClient coalesced(rig.store, 256, {}, dedup_coalesce);
-  TieredFeatureClient cached(rig.store, 256, {}, full);
+  TieredFeatureClient client(rig.store, 256, {});
   rig.array.start_all();
 
   util::Pcg32 rng(11);
   for (int batch = 0; batch < 6; ++batch) {
+    // 192 uniform draws over 512 vertices on every tier repeat vertices;
+    // each occurrence is routed on its own.
     const auto vs = uniform_batch(192, rng);
-    gnn::Tensor ref(vs.size(), kDim);
-    naive.gather(vs, ref);
-    expect_bytes_match(ref, vs, rig.task.features, "naive");
-    for (TieredFeatureClient* c : {&dedup, &coalesced, &cached}) {
-      gnn::Tensor out(vs.size(), kDim);
-      c->gather(vs, out);
-      ASSERT_EQ(0, std::memcmp(out.row(0).data(), ref.row(0).data(),
-                               vs.size() * kDim * sizeof(float)))
-          << "batch " << batch;
-    }
+    const std::set<graph::VertexId> unique(vs.begin(), vs.end());
+    ASSERT_LT(unique.size(), vs.size()) << "batch " << batch;
+    const std::uint64_t before = rows_served(client.stats());
+    gnn::Tensor out(vs.size(), kDim);
+    client.gather(vs, out);
+    expect_bytes_match(out, vs, rig.task.features, "uniform batch");
+    EXPECT_EQ(rows_served(client.stats()) - before, vs.size())
+        << "batch " << batch;
   }
   rig.array.stop_all();
 
-  // Uniform batches of 192 over 512 vertices repeat vertices; dedup must
-  // have collapsed some SSD reads and cache-tier copies.
-  EXPECT_GT(dedup.stats().dedup_saved_reads, 0u);
-  EXPECT_LT(dedup.stats().ssd_reads, naive.stats().ssd_reads);
-  // Dedup accounts for every SSD occurrence the naive path served: one real
-  // read per unique row plus one saved read per duplicate.
-  EXPECT_EQ(dedup.stats().ssd_reads + dedup.stats().dedup_saved_reads,
-            naive.stats().ssd_reads);
-  EXPECT_EQ(dedup.stats().gpu_hits, naive.stats().gpu_hits);
-  EXPECT_EQ(dedup.stats().cpu_hits, naive.stats().cpu_hits);
-  // Coalescing only merges, never drops: rows match dedup, commands shrink.
-  EXPECT_EQ(coalesced.stats().ssd_reads, dedup.stats().ssd_reads);
-  EXPECT_LE(coalesced.stats().ssd_commands, coalesced.stats().ssd_reads);
-  // The cached client stops issuing reads for rows it has already seen.
-  EXPECT_GT(cached.stats().cache_hits, 0u);
-  EXPECT_LT(cached.stats().ssd_reads, coalesced.stats().ssd_reads);
+  const auto& s = client.stats();
+  EXPECT_GT(s.gpu_hits, 0u);
+  EXPECT_GT(s.cpu_hits, 0u);
+  EXPECT_GT(s.ssd_reads, 0u);
+  EXPECT_LE(s.ssd_commands, s.ssd_reads);
+  // Later batches hit rows the earlier ones filled into the cache.
+  EXPECT_GT(s.cache_hits, 0u);
+  EXPECT_EQ(s.failovers, 0u);
 }
 
 TEST(GatherPipeline, CoalescingMergesAdjacentRunsOnFullRangeBatch) {
@@ -289,10 +270,7 @@ TEST(GatherPipeline, CoalescingMergesAdjacentRunsOnFullRangeBatch) {
   // range (slots are assigned in vertex order within a device), so run
   // coalescing must pack many rows per command.
   Rig rig;
-  GatherOptions opts = naive_options();
-  opts.dedup = true;
-  opts.coalesce = true;
-  TieredFeatureClient client(rig.store, 256, {}, opts);
+  TieredFeatureClient client(rig.store, 256, {});
   rig.array.start_all();
 
   std::vector<graph::VertexId> vs(kVertices);
@@ -324,30 +302,27 @@ TEST(GatherPipeline, PowerLawBatchesCutCommandsVsNaive) {
   rig.store.enable_row_cache(cache_opts);
   rig.store.warm_row_cache(rig.hot_order());
 
-  TieredFeatureClient naive(rig.store, 256, {}, naive_options());
-  TieredFeatureClient full(rig.store, 256, {});
+  TieredFeatureClient client(rig.store, 256, {});
   rig.array.start_all();
 
-  util::Pcg32 rng_a(21), rng_b(21);  // identical batch streams
-  for (int batch = 0; batch < 8; ++batch) {
-    const auto vs = zipf_batch(256, rng_a);
-    const auto vs2 = zipf_batch(256, rng_b);
-    ASSERT_EQ(vs, vs2);
-    gnn::Tensor a(vs.size(), kDim), b(vs.size(), kDim);
-    naive.gather(vs, a);
-    full.gather(vs2, b);
-    expect_bytes_match(a, vs, rig.task.features, "naive power-law");
-    ASSERT_EQ(0, std::memcmp(a.row(0).data(), b.row(0).data(),
-                             vs.size() * kDim * sizeof(float)))
-        << "batch " << batch;
+  util::Pcg32 rng(21);
+  constexpr std::size_t kBatches = 8, kBatch = 256;
+  for (std::size_t batch = 0; batch < kBatches; ++batch) {
+    const auto vs = zipf_batch(kBatch, rng);
+    gnn::Tensor out(vs.size(), kDim);
+    client.gather(vs, out);
+    expect_bytes_match(out, vs, rig.task.features, "power-law");
   }
   rig.array.stop_all();
 
-  // Zipf(1.2) batches are duplicate- and reuse-heavy: the full pipeline must
-  // issue far fewer commands than naive one-read-per-occurrence.
-  EXPECT_GT(full.stats().dedup_saved_reads, 0u);
-  EXPECT_GT(full.stats().cache_hits, 0u);
-  EXPECT_LT(full.stats().ssd_commands, naive.stats().ssd_commands / 2);
+  // The naive gather issues one read per SSD-resident occurrence, and every
+  // such occurrence either hit the cache or was read. Zipf(1.2) batches are
+  // reuse-heavy: the pipeline must issue far fewer commands than that.
+  const auto& s = client.stats();
+  const std::uint64_t naive = s.ssd_reads + s.cache_hits;
+  EXPECT_EQ(naive, kBatches * kBatch);
+  EXPECT_GT(s.cache_hits, 0u);
+  EXPECT_LT(s.ssd_commands, naive / 2);
 }
 
 // ---------------------------------------------------------------------------
