@@ -174,8 +174,18 @@ int main(int argc, char** argv) {
               train.size(), workers, static_cast<std::size_t>(g.num_vertices()),
               gnn::kernels::isa());
 
+  // Bytes each SSD served so far, for the per-epoch throughput line.
+  const auto ssd_bytes = [&array] {
+    std::vector<std::uint64_t> b(array.size());
+    for (std::size_t s = 0; s < b.size(); ++s) {
+      b[s] = array.ssd(s).stats().bytes_read;
+    }
+    return b;
+  };
   for (int e = 0; e < epochs; ++e) {
+    const std::vector<std::uint64_t> bytes_before = ssd_bytes();
     const auto stats = trainer.train_epoch(task.labels, 64);
+    const std::vector<std::uint64_t> bytes_after = ssd_bytes();
     std::printf("epoch %d: loss %.3f  acc %.3f  batches %zu  "
                 "fetched %zu vertices  (%.2f s, replicas in sync: %s)\n",
                 e, stats.mean_loss, stats.mean_accuracy, stats.batches,
@@ -189,6 +199,19 @@ int main(int argc, char** argv) {
                 stats.allreduce_s, stats.stage_max.hidden_io_s,
                 100.0 * stats.overlap_ratio);
     std::printf("  %s\n", runtime::io_report(stats).c_str());
+    // Per-SSD throughput over the epoch wall time; a paced array also shows
+    // how busy each device was (bytes / (wall x pace)).
+    std::printf("  ssd MB/s:");
+    for (std::size_t s = 0; s < bytes_after.size(); ++s) {
+      const double bytes =
+          static_cast<double>(bytes_after[s] - bytes_before[s]);
+      std::printf("  %zu: %.1f", s, bytes / stats.wall_time_s / 1e6);
+      if (sopts.max_bytes_per_s > 0.0) {
+        std::printf(" (%.0f%% busy)", 100.0 * bytes / (stats.wall_time_s *
+                                                       sopts.max_bytes_per_s));
+      }
+    }
+    std::printf("\n");
     const std::string comm_line = runtime::comm_report(stats);
     if (!comm_line.empty()) std::printf("  %s\n", comm_line.c_str());
   }

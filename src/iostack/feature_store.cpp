@@ -273,8 +273,8 @@ TieredFeatureClient::TieredFeatureClient(TieredFeatureStore& store,
                                          std::size_t queue_depth,
                                          IoEngineOptions io_options,
                                          GatherOptions, PeerConfig peer)
-    : store_(store), engine_(store.array(), queue_depth, io_options),
-      peer_(peer) {}
+    : store_(store), peer_(peer),
+      io_(store.array(), queue_depth, io_options) {}
 
 void TieredFeatureClient::snapshot_health() {
   scratch_health_.resize(store_.array().size());
@@ -293,7 +293,6 @@ TieredFeatureClient::Slot* TieredFeatureClient::find_slot(
 
 void TieredFeatureClient::reset_slot(Slot& slot) noexcept {
   slot.ticket = 0;
-  slot.group = 0;
   slot.out = nullptr;
   slot.pending.clear();
   slot.runs.clear();
@@ -319,9 +318,8 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
   // Served entirely without the SSDs: nothing to wait for.
   if (scratch_targets_.empty()) return kSyncTicket;
 
-  submit_runs(*slot);
   slot->out = &out;
-  slot->ticket = next_ticket_++;
+  submit_runs(*slot);
   return slot->ticket;
 }
 
@@ -414,7 +412,7 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
   const auto max_rows =
       static_cast<std::uint32_t>(kMaxTransferBytes / row_bytes);
 
-  scratch_reqs_.clear();
+  slot.reqs.clear();
   slot.pending.clear();
   slot.runs.clear();
   slot.bounce.resize(scratch_targets_.size() * row_bytes);
@@ -432,7 +430,7 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
       ++t;
     }
     const auto run_id = static_cast<std::uint32_t>(slot.runs.size());
-    scratch_reqs_.push_back(
+    slot.reqs.push_back(
         {first.ssd, static_cast<std::uint64_t>(first.index) * row_bytes,
          static_cast<std::uint32_t>(rows * row_bytes),
          slot.bounce.data() + off});
@@ -447,9 +445,7 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
     if (rows > 1) ++stats_.coalesced_commands;
   }
 
-  slot.group = engine_.group_begin();
-  engine_.submit_batch(scratch_reqs_);
-  engine_.group_end(slot.group);
+  slot.ticket = io_.submit(slot.reqs);
 }
 
 void TieredFeatureClient::gather_wait(GatherTicket ticket) {
@@ -469,21 +465,19 @@ void TieredFeatureClient::gather_wait(GatherTicket ticket) {
 
 void TieredFeatureClient::complete(Slot& slot) {
   scratch_failed_.clear();
-  engine_.wait_group(slot.group, scratch_failed_);
+  io_.wait(slot.ticket, scratch_failed_);
 
   // A coalesced command fails as a unit: mark its run (located by binary
   // search over the ascending bounce offsets) so every row it carried is
   // served from the host copy instead of the bounce buffer.
-  std::size_t failed_ssds_mask = 0;
+  scratch_failed_ssds_.assign(store_.array().size(), false);
   for (const FailedRead& fr : scratch_failed_) {
     const auto off = static_cast<std::size_t>(fr.dest - slot.bounce.data());
     const auto it = std::lower_bound(
         slot.runs.begin(), slot.runs.end(), off,
         [](const Run& r, std::size_t o) { return r.bounce_off < o; });
     if (it != slot.runs.end() && it->bounce_off == off) it->failed = true;
-    if (fr.ssd < sizeof(failed_ssds_mask) * 8) {
-      failed_ssds_mask |= std::size_t{1} << fr.ssd;
-    }
+    scratch_failed_ssds_[fr.ssd] = true;
   }
 
   RowCache* cache = store_.row_cache();
@@ -504,7 +498,7 @@ void TieredFeatureClient::complete(Slot& slot) {
   // Hard-failed devices get their bins re-placed so future gathers hit
   // survivors instead of falling back row by row.
   for (std::size_t s = 0; s < store_.array().size(); ++s) {
-    if (((failed_ssds_mask >> s) & 1u) != 0 &&
+    if (scratch_failed_ssds_[s] &&
         store_.array().health(s) == DeviceHealth::kFailed &&
         store_.remap_failed_device(s)) {
       ++stats_.device_remaps;
@@ -514,7 +508,7 @@ void TieredFeatureClient::complete(Slot& slot) {
 
 gnn::FeatureProvider::IoResilience TieredFeatureClient::io_resilience() const {
   IoResilience r;
-  const RetryStats& rs = engine_.retry_stats();
+  const RetryStats rs = io_.retry_stats();
   r.retries = rs.retries;
   r.timeouts = rs.timeouts;
   r.permanent_failures = rs.permanent_failures;

@@ -22,6 +22,7 @@
 
 #include "comm/plan.hpp"
 #include "gnn/features.hpp"
+#include "iostack/io_thread.hpp"
 #include "iostack/row_cache.hpp"
 #include "iostack/ssd.hpp"
 
@@ -207,10 +208,14 @@ struct PeerConfig {
 /// run end-to-end through the IO stack. Every batch runs one pipeline with
 /// no knobs: gather_begin routes each row (local/peer GPU, CPU, host copy or
 /// shared row cache, else an SSD target), coalesces the SSD targets into
-/// adjacent-slot commands and submits them as one completion group;
-/// gather_wait scatters the bounce-buffered rows, fills the cache and remaps
-/// failed devices. Each occurrence of a repeated vertex is routed on its
-/// own. Two staging slots allow two batches in flight (pipelined prefetch).
+/// adjacent-slot commands and hands them to the client's IoThread, which
+/// submits and completes them while the caller samples and computes;
+/// gather_wait waits for that batch, then scatters the bounce-buffered rows,
+/// fills the cache and remaps failed devices on the calling thread, so cache
+/// admission and every counter follow the caller's order, not IO timing.
+/// Each occurrence of a repeated vertex is routed on its own. Two staging
+/// slots allow two batches in flight (pipelined prefetch). One thread at a
+/// time may call the client.
 ///
 /// Failures are recovered, not thrown: a read that permanently fails is
 /// served from the store's authoritative copy (same bytes), and a hard
@@ -235,7 +240,9 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
 
   const GatherStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
-  const IoEngine& engine() const noexcept { return engine_; }
+  /// The client's IO thread (owner of its IoEngine); its retry_stats() and
+  /// latency() are snapshots safe to read from any thread.
+  const IoThread& engine() const noexcept { return io_; }
   const PeerConfig& peer_config() const noexcept { return peer_; }
 
  private:
@@ -262,13 +269,14 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     graph::VertexId vertex;
     std::uint32_t out_row;
   };
-  /// One in-flight gather: its SSD completion group, the rows to scatter,
-  /// and a dedicated bounce buffer (per-slot, so prefetch never overwrites
-  /// the batch still being awaited).
+  /// One in-flight gather: its IoThread ticket, the commands it handed
+  /// over, the rows to scatter, and a dedicated bounce buffer (per-slot, so
+  /// prefetch never overwrites the batch still being awaited). The IO thread
+  /// reads `reqs` and the devices write `bounce` until the ticket is waited.
   struct Slot {
     std::uint64_t ticket = 0;  // 0 = free
-    std::uint64_t group = 0;
     gnn::Tensor* out = nullptr;
+    std::vector<ReadRequest> reqs;
     std::vector<PendingRow> pending;
     std::vector<Run> runs;
     std::vector<std::byte> bounce;  // page-aligned staging for SSD reads
@@ -280,11 +288,11 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// Routes a GPU-HBM row: local, peer route, or host copy.
   void route_hbm_row(graph::VertexId v, const TieredFeatureStore::Location& loc,
                      gnn::Tensor& out, std::size_t out_row);
-  /// Stage 2: coalesces scratch_targets_ into commands and submits them as
-  /// one completion group owned by `slot`.
+  /// Stage 2: coalesces scratch_targets_ into commands and hands them to
+  /// the IO thread as one batch owned by `slot`.
   void submit_runs(Slot& slot);
-  /// Stage 3: scatters a completed slot into its output tensor, fills the
-  /// row cache, and remaps devices that failed during the batch.
+  /// Stage 3: waits for the slot's batch, scatters it into its output
+  /// tensor, fills the row cache, and remaps devices that failed during it.
   void complete(Slot& slot);
 
   /// The slot holding `ticket` (0 finds a free slot), or nullptr.
@@ -293,17 +301,19 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   void reset_slot(Slot& slot) noexcept;
 
   TieredFeatureStore& store_;
-  IoEngine engine_;
   PeerConfig peer_;
   GatherStats stats_;
   Slot slots_[2];
-  std::uint64_t next_ticket_ = 1;
-  std::vector<ReadRequest> scratch_reqs_;
   std::vector<FailedRead> scratch_failed_;
+  /// Devices with a permanently failed read in the batch being completed.
+  std::vector<bool> scratch_failed_ssds_;
   std::vector<SsdTarget> scratch_targets_;
   /// Per-batch device-health snapshot: one atomic load per device per
   /// gather instead of one per vertex.
   std::vector<DeviceHealth> scratch_health_;
+  /// Declared after the slots whose buffers its reads target, so it is
+  /// destroyed (and its reads drained) first.
+  IoThread io_;
 };
 
 }  // namespace moment::iostack

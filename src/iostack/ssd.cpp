@@ -230,6 +230,7 @@ IoEngine::IoEngine(SsdArray& array, std::size_t queue_depth,
   for (std::size_t i = 0; i < array.size(); ++i) {
     queues_.push_back(array.ssd(i).create_queue_pair(queue_depth));
   }
+  queued_.resize(array.size());
 }
 
 bool IoEngine::device_failed(std::size_t ssd) const noexcept {
@@ -258,7 +259,6 @@ void IoEngine::finish_failure(const Pending& p) {
     auto it = groups_.find(p.group_id);
     if (it != groups_.end()) {
       --it->second.outstanding;
-      ++it->second.failures;
       it->second.failed.push_back(fr);
       return;
     }
@@ -381,8 +381,21 @@ bool IoEngine::pump() {
   bool progress = drain_completions();
   const std::uint64_t now = now_ns();
   progress |= service_retries(now);
+  const std::size_t queued = queued_count_;
+  progress |= submit_queued() < queued;
   progress |= check_timeouts(now);
   return progress;
+}
+
+void IoEngine::fail_queued(std::uint64_t group_id, bool all) {
+  for (std::deque<Pending>& q : queued_) {
+    std::erase_if(q, [&](const Pending& p) {
+      if (!all && p.group_id != group_id) return false;
+      finish_failure(p);
+      --queued_count_;
+      return true;
+    });
+  }
 }
 
 void IoEngine::force_fail(std::uint64_t group_id, bool all) {
@@ -407,86 +420,96 @@ void IoEngine::force_fail(std::uint64_t group_id, bool all) {
     finish_failure(it->req);
     it = retry_queue_.erase(it);
   }
+  fail_queued(group_id, all);
   last_timeout_scan_ns_ = now;
 }
 
-std::uint64_t IoEngine::submit_read(std::size_t ssd, std::uint64_t offset,
-                                    std::uint32_t length, std::byte* dest) {
-  if (ssd >= queues_.size()) {
-    throw std::out_of_range("IoEngine::submit_read: ssd index");
-  }
-  if (length > kMaxTransferBytes) {
-    throw std::invalid_argument(
-        "IoEngine::submit_read: transfer size exceeds kMaxTransferBytes");
-  }
-  const std::uint64_t now = now_ns();
-  Pending p;
-  p.ssd = ssd;
-  p.offset = offset;
-  p.length = length;
-  p.dest = dest;
-  p.group_id = open_group_;
-  p.first_submit_ns = now;
-  p.deadline_ns =
-      now + static_cast<std::uint64_t>(options_.request_deadline.count());
-  if (open_group_ != 0) ++groups_.at(open_group_).outstanding;
-
-  const std::uint64_t tag = next_tag_++;
-  if (device_failed(ssd)) {
-    // Known-dead device: fail fast without touching it.
-    finish_failure(p);
-    return tag;
-  }
-  const std::uint64_t spin_bound =
-      now + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  while (!queues_[ssd]->submit({offset, length, dest, tag})) {
-    // SQ full: make progress by draining completions (as a GPU thread would
-    // spin on its CQ doorbell) and servicing retries/timeouts.
-    pump();
-    if (device_failed(ssd)) {
-      finish_failure(p);
-      return tag;
-    }
-    if (now_ns() > spin_bound) {
-      ++retry_stats_.timeouts;
-      if (array_) array_->report_io_result(ssd, false);
-      finish_failure(p);
-      return tag;
-    }
-    std::this_thread::yield();
-  }
-  pending_.emplace(tag, p);
-  return tag;
+void IoEngine::submit_read(std::size_t ssd, std::uint64_t offset,
+                           std::uint32_t length, std::byte* dest) {
+  const ReadRequest r{ssd, offset, length, dest};
+  submit_batch(std::span<const ReadRequest>(&r, 1));
 }
 
 void IoEngine::submit_batch(std::span<const ReadRequest> requests) {
-  for (const ReadRequest& r : requests) {
-    submit_read(r.ssd, r.offset, r.length, r.dest);
+  enqueue(requests);
+  const std::uint64_t bound =
+      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
+  while (submit_queued() > 0) {
+    // An SQ is full: make progress by draining completions (as a GPU thread
+    // would spin on its CQ doorbell) and servicing retries/timeouts.
+    pump();
+    if (queued_count_ > 0 && now_ns() > bound) {
+      retry_stats_.timeouts += queued_count_;
+      fail_queued(0, /*all=*/true);
+      return;
+    }
+    std::this_thread::yield();
   }
 }
 
-std::size_t IoEngine::wait_all() {
-  const std::uint64_t bound =
-      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  while (!pending_.empty() || !retry_queue_.empty()) {
-    if (!pump()) {
-      if (now_ns() > bound) {
-        force_fail(0, /*all=*/true);
-        break;
-      }
-      std::this_thread::yield();
+void IoEngine::enqueue(std::span<const ReadRequest> requests) {
+  for (const ReadRequest& r : requests) {
+    if (r.ssd >= queues_.size()) {
+      throw std::out_of_range("IoEngine::enqueue: ssd index");
+    }
+    if (r.length > kMaxTransferBytes) {
+      throw std::invalid_argument(
+          "IoEngine::enqueue: transfer size exceeds kMaxTransferBytes");
     }
   }
-  const std::size_t f = failures_;
-  failures_ = 0;
-  ungrouped_failed_.clear();
-  return f;
+  for (const ReadRequest& r : requests) {
+    Pending p;
+    p.ssd = r.ssd;
+    p.offset = r.offset;
+    p.length = r.length;
+    p.dest = r.dest;
+    p.group_id = open_group_;
+    if (open_group_ != 0) ++groups_.at(open_group_).outstanding;
+    if (device_failed(r.ssd)) {
+      finish_failure(p);  // known-dead device: fail fast without touching it
+      continue;
+    }
+    queued_[r.ssd].push_back(p);
+    ++queued_count_;
+  }
+}
+
+std::size_t IoEngine::submit_queued() {
+  if (queued_count_ == 0) return 0;
+  const std::uint64_t now = now_ns();
+  const auto deadline =
+      static_cast<std::uint64_t>(options_.request_deadline.count());
+  for (std::size_t ssd = 0; ssd < queued_.size(); ++ssd) {
+    std::deque<Pending>& q = queued_[ssd];
+    const bool dead = !q.empty() && device_failed(ssd);
+    while (!q.empty()) {
+      Pending& p = q.front();
+      if (dead) {
+        finish_failure(p);
+      } else {
+        if (!queues_[ssd]->submit({p.offset, p.length, p.dest, next_tag_})) {
+          break;  // SQ full: this device waits, the next one is still fed
+        }
+        p.first_submit_ns = now;
+        p.deadline_ns = now + deadline;
+        pending_.emplace(next_tag_++, p);
+      }
+      q.pop_front();
+      --queued_count_;
+    }
+  }
+  return queued_count_;
+}
+
+std::size_t IoEngine::wait_all() {
+  std::vector<FailedRead> failed;
+  return wait_all(failed);
 }
 
 std::size_t IoEngine::wait_all(std::vector<FailedRead>& failed) {
   const std::uint64_t bound =
       now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  while (!pending_.empty() || !retry_queue_.empty()) {
+  while (in_flight() > 0) {
     if (!pump()) {
       if (now_ns() > bound) {
         force_fail(0, /*all=*/true);
@@ -508,7 +531,10 @@ std::uint64_t IoEngine::group_begin() {
     throw std::logic_error("IoEngine::group_begin: a group is already open");
   }
   const std::uint64_t id = next_group_id_++;
-  groups_.emplace(id, CompletionGroup{});
+  CompletionGroup g;
+  g.deadline_ns =
+      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
+  groups_.emplace(id, std::move(g));
   open_group_ = id;
   return id;
 }
@@ -527,29 +553,30 @@ std::size_t IoEngine::wait_group(std::uint64_t group) {
   return wait_group(group, scratch);
 }
 
-std::size_t IoEngine::wait_group(std::uint64_t group,
-                                 std::vector<FailedRead>& failed) {
+bool IoEngine::poll_group(std::uint64_t group,
+                          std::vector<FailedRead>& failed) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) {
-    throw std::logic_error("IoEngine::wait_group: unknown group");
+    throw std::logic_error("IoEngine::poll_group: unknown group");
   }
   if (it->second.open) group_end(group);
-  const std::uint64_t bound =
-      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  while (it->second.outstanding > 0) {
-    if (!pump()) {
-      if (now_ns() > bound) {
-        force_fail(group, /*all=*/false);
-        break;
-      }
-      std::this_thread::yield();
-    }
+  if (it->second.outstanding > 0 && now_ns() > it->second.deadline_ns) {
+    force_fail(group, /*all=*/false);
   }
-  const std::size_t f = it->second.failures;
+  if (it->second.outstanding > 0) return false;
   failed.insert(failed.end(), it->second.failed.begin(),
                 it->second.failed.end());
   groups_.erase(it);
-  return f;
+  return true;
+}
+
+std::size_t IoEngine::wait_group(std::uint64_t group,
+                                 std::vector<FailedRead>& failed) {
+  const std::size_t before = failed.size();
+  while (!poll_group(group, failed)) {
+    if (!pump()) std::this_thread::yield();
+  }
+  return failed.size() - before;
 }
 
 LatencyStats IoEngine::latency() const noexcept {

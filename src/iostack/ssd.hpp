@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -171,12 +172,14 @@ struct IoEngineOptions {
   /// Retries after the first attempt fails or times out; a request is a
   /// permanent failure after 1 + max_retries attempts.
   std::uint32_t max_retries = 3;
-  /// Per-attempt deadline; an attempt past it is abandoned and retried.
+  /// Per-attempt deadline, from the attempt's entry into an SQ; an attempt
+  /// past it is abandoned and retried.
   std::chrono::nanoseconds request_deadline = std::chrono::seconds(5);
   /// Exponential backoff base: attempt k waits backoff << (k-1).
   std::chrono::nanoseconds retry_backoff = std::chrono::microseconds(50);
-  /// Hard bound on wait_all()/wait_group()/SQ-full spins: past it, every
-  /// remaining in-flight request is force-failed so no wait is unbounded.
+  /// Hard bound on wait_all(), on a completion group (from group_begin())
+  /// and on submit_batch()'s SQ-full spin: past it, every remaining request
+  /// is force-failed so no wait is unbounded.
   std::chrono::nanoseconds wait_deadline = std::chrono::seconds(30);
 };
 
@@ -198,21 +201,41 @@ struct FailedRead {
 
 /// Per-client ("per-GPU") IO engine: one queue pair to every SSD, async
 /// submission, polling completion — the GPU-initiated access path, with
-/// client-side retry/timeout resilience layered on top.
+/// client-side retry/timeout resilience layered on top. Single-threaded: one
+/// thread at a time drives it (a client's IoThread, or a test directly).
+///
+/// Submission has one step. enqueue() places requests on per-device
+/// software queues; submit_queued() moves what fits into each device's SQ
+/// and never waits on a full one, so a saturated SSD never holds back
+/// another. pump() runs that step together with completion draining,
+/// retries and timeouts; the blocking submit_read()/submit_batch() are
+/// enqueue() plus pump() in a loop.
 class IoEngine {
  public:
   /// Creates queue pairs on each SSD of the array. Call before start_all().
   explicit IoEngine(SsdArray& array, std::size_t queue_depth = 256,
                     IoEngineOptions options = {});
 
-  /// Asynchronous read; returns a tag. Spins (deadline-bounded) when the SQ
-  /// is full. A read aimed at a failed device is failed immediately without
-  /// touching the device.
-  std::uint64_t submit_read(std::size_t ssd, std::uint64_t offset,
-                            std::uint32_t length, std::byte* dest);
+  /// Blocking read of one request: submit_batch() of one.
+  void submit_read(std::size_t ssd, std::uint64_t offset, std::uint32_t length,
+                   std::byte* dest);
 
-  /// Doorbell batching: submits a whole batch before polling anything.
+  /// Doorbell batching: enqueues the whole batch, then pumps until every
+  /// request is in an SQ (or failed). Deadline-bounded: requests still
+  /// queued after wait_deadline are failed as timeouts.
   void submit_batch(std::span<const ReadRequest> requests);
+
+  /// Non-blocking: queues `requests` (in the open group, if any) on their
+  /// devices' software queues. The whole batch is validated first, so a
+  /// throw (std::out_of_range for an SSD index, std::invalid_argument for a
+  /// transfer over kMaxTransferBytes) queues nothing. A request for a failed
+  /// device fails at once without touching it.
+  void enqueue(std::span<const ReadRequest> requests);
+
+  /// One non-blocking round of progress: drains completions, resubmits due
+  /// retries, runs submit_queued() and expires overdue attempts. Returns
+  /// true if anything moved.
+  bool pump();
 
   /// Polls completions until all in-flight requests reach a terminal state
   /// (deadline-bounded). Returns the number of permanently failed requests
@@ -225,18 +248,24 @@ class IoEngine {
   /// group_end() can be awaited independently of later submissions, so two
   /// batches (e.g. the current gather and a prefetched one) can be in
   /// flight at once. Only one group may be open at a time; groups may be
-  /// awaited in any order via wait_group().
+  /// awaited in any order via wait_group() or poll_group(). A group is
+  /// bounded by wait_deadline from group_begin(): past it, its remaining
+  /// reads are force-failed.
   std::uint64_t group_begin();
   void group_end(std::uint64_t group);
-  /// Polls until every read of `group` reached a terminal state
-  /// (deadline-bounded); returns the group's permanent-failure count.
+  /// Non-blocking: true once every read of `group` (closed here if still
+  /// open) reached a terminal state; then appends the group's permanently
+  /// failed requests to `failed` and forgets the group.
+  bool poll_group(std::uint64_t group, std::vector<FailedRead>& failed);
+  /// Pumps until poll_group() succeeds; returns the group's permanent-
+  /// failure count.
   std::size_t wait_group(std::uint64_t group);
   /// Same, appending the group's permanently-failed requests to `failed`.
   std::size_t wait_group(std::uint64_t group, std::vector<FailedRead>& failed);
 
-  /// Requests not yet terminal (in a device SQ or awaiting retry).
+  /// Requests not yet terminal (queued, in a device SQ or awaiting retry).
   std::size_t in_flight() const noexcept {
-    return pending_.size() + retry_queue_.size();
+    return queued_count_ + pending_.size() + retry_queue_.size();
   }
   std::uint64_t completed() const noexcept { return completed_; }
 
@@ -250,14 +279,15 @@ class IoEngine {
   void reset_latency() noexcept;
 
  private:
-  /// One attempt in a device SQ (or completed, not yet polled).
+  /// One attempt in a device SQ (or completed, not yet polled), or a request
+  /// still on its device's software queue.
   struct Pending {
     std::size_t ssd = 0;
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
     std::byte* dest = nullptr;
     std::uint64_t group_id = 0;  // 0 = ungrouped
-    std::uint64_t first_submit_ns = 0;
+    std::uint64_t first_submit_ns = 0;  // first entry into an SQ
     std::uint64_t deadline_ns = 0;
     std::uint32_t attempts = 1;
   };
@@ -267,25 +297,35 @@ class IoEngine {
   };
   struct CompletionGroup {
     std::size_t outstanding = 0;
-    std::size_t failures = 0;
+    std::uint64_t deadline_ns = 0;
     bool open = true;
     std::vector<FailedRead> failed;
   };
 
+  /// The submission step: moves queued requests into every device's SQ
+  /// while it has room, in per-device FIFO order, and never waits. Returns
+  /// the number of requests still queued.
+  std::size_t submit_queued();
   bool drain_completions();
   bool service_retries(std::uint64_t now);
   bool check_timeouts(std::uint64_t now);
-  bool pump();
   void finish_success(const Pending& p);
   void finish_failure(const Pending& p);
   void handle_attempt_failure(Pending p, std::uint64_t now, bool timed_out);
   void force_fail(std::uint64_t group_id, bool all);
+  /// Fails the queued (never submitted) requests of `group_id`, or all.
+  void fail_queued(std::uint64_t group_id, bool all);
   std::uint64_t backoff_ns(std::uint32_t attempts) const noexcept;
   bool device_failed(std::size_t ssd) const noexcept;
 
   SsdArray* array_ = nullptr;
   std::vector<QueuePair*> queues_;  // one per SSD
   IoEngineOptions options_;
+
+  /// Per-device software queues filled by enqueue() and emptied into the
+  /// SQs by submit_queued().
+  std::vector<std::deque<Pending>> queued_;
+  std::size_t queued_count_ = 0;
 
   /// Tag-indexed state (no linear scans on the completion path).
   std::unordered_map<std::uint64_t, Pending> pending_;

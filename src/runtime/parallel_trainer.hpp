@@ -41,7 +41,9 @@ namespace moment::runtime {
 /// Per-worker wall-clock breakdown of one epoch (seconds).
 struct StageTimes {
   double sample_s = 0.0;        // neighbor sampling + block building
-  double gather_issue_s = 0.0;  // gather_begin: cache copies + SQ submission
+  /// gather_begin: routing, tier and cache copies, coalescing and the
+  /// hand-off to the client's IO thread (which submits to the SQs).
+  double gather_issue_s = 0.0;
   double gather_wait_s = 0.0;   // exposed stall inside gather_wait
   double compute_s = 0.0;       // forward/backward
   double optimizer_s = 0.0;     // local optimizer step

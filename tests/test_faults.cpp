@@ -17,7 +17,9 @@
 #include "graph/generators.hpp"
 #include "iostack/fault_injector.hpp"
 #include "iostack/feature_store.hpp"
+#include "runtime/parallel_trainer.hpp"
 #include "runtime/systems.hpp"
+#include "sampling/neighbor_sampler.hpp"
 #include "sim/machine_sim.hpp"
 
 namespace moment::iostack {
@@ -437,6 +439,110 @@ TEST(FeatureStore, GatherWaitFailurePathLeavesSlotReusable) {
   }
   array.stop_all();
   EXPECT_GT(client.stats().failovers, 0u);
+}
+
+TEST(FeatureStore, HardFailureOnSsd64IsRemappedByTheBatchThatSawIt) {
+  // Ordinals past 63 must not be dropped when the completing batch records
+  // which devices failed: SSD 64 dies on its first read, and the same gather
+  // must remap it, not a later one.
+  constexpr std::size_t kSsds = 65;
+  constexpr std::size_t kRows = 64;
+  gnn::Tensor features(kRows, 8);
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    features.data()[i] = static_cast<float>(i) * 0.5f;
+  }
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 64}};
+  std::vector<std::int32_t> bov(kRows);
+  for (std::size_t v = 0; v < kRows; ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = kRows * kPageBytes;  // SSD 0 can absorb SSD 64
+  SsdArray array(kSsds, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.fail_after_reads = 0;
+  array.ssd(64).inject_faults(fp);
+  IoEngineOptions io;
+  io.max_retries = 1;
+  TieredFeatureClient client(store, 16, io);
+  array.ssd(0).start();  // the only devices that hold rows
+  array.ssd(64).start();
+
+  std::vector<graph::VertexId> vs(kRows);
+  for (std::size_t v = 0; v < kRows; ++v) {
+    vs[v] = static_cast<graph::VertexId>(v);
+  }
+  gnn::Tensor out(kRows, 8);
+  client.gather(vs, out);
+  EXPECT_EQ(0, std::memcmp(out.data(), features.data(),
+                           features.size() * sizeof(float)));
+  EXPECT_EQ(array.health(64), DeviceHealth::kFailed);
+  EXPECT_GT(client.stats().failovers, 0u);
+  EXPECT_EQ(client.stats().device_remaps, 1u);
+  EXPECT_EQ(store.device_remaps(), 1u);
+  EXPECT_EQ(store.location(1).ssd, 0);
+  array.stop_all();
+}
+
+TEST(FeatureStore, TwoClientsUnderFaultsReportIoResilienceBetweenEpochs) {
+  // Two trainer workers gather through their own clients (and IO threads)
+  // from SSDs that fail 5% of reads. The main thread reads every client's
+  // io_resilience() between epochs while the IO threads stay alive; the
+  // counters must never decrease and must add up to the epoch's deltas.
+  graph::RmatParams gp;
+  gp.num_vertices = 512;
+  gp.num_edges = 4000;
+  const auto g = graph::generate_rmat(gp);
+  const auto task = gnn::make_synthetic_task(g, 4, 8, 0.3, 11);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(gp.num_vertices);
+  for (std::size_t v = 0; v < bov.size(); ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = gp.num_vertices * kPageBytes;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(task.features, bov, bins, array);
+  for (std::size_t s = 0; s < 2; ++s) {
+    FaultProfile fp;
+    fp.read_error_prob = 0.05;
+    fp.seed = 31 + s;
+    array.ssd(s).inject_faults(fp);
+  }
+  TieredFeatureClient c0(store), c1(store);
+  array.start_all();
+
+  gnn::ModelConfig mcfg;
+  mcfg.kind = gnn::ModelKind::kGraphSage;
+  mcfg.in_dim = 8;
+  mcfg.hidden_dim = 8;
+  mcfg.num_classes = 4;
+  runtime::DataParallelTrainer trainer(
+      g, {&c0, &c1}, mcfg, {5, 5}, sampling::select_train_vertices(g, 0.2, 3),
+      0.01f, 7);
+  gnn::FeatureProvider::IoResilience prev[2];
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const auto stats = trainer.train_epoch(task.labels, 32);
+    const gnn::FeatureProvider::IoResilience now[2] = {c0.io_resilience(),
+                                                       c1.io_resilience()};
+    std::uint64_t retries = 0, rows = 0;
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_GE(now[c].retries, prev[c].retries);
+      EXPECT_GE(now[c].ssd_rows, prev[c].ssd_rows);
+      retries += now[c].retries - prev[c].retries;
+      rows += now[c].ssd_rows - prev[c].ssd_rows;
+      prev[c] = now[c];
+    }
+    EXPECT_EQ(stats.io.retries, retries) << "epoch " << epoch;
+    EXPECT_EQ(stats.io.ssd_rows, rows) << "epoch " << epoch;
+    EXPECT_GT(stats.io.ssd_rows, 0u);
+  }
+  array.stop_all();
+  EXPECT_GT(prev[0].retries + prev[1].retries, 0u);
+  EXPECT_EQ(prev[0].permanent_failures + prev[1].permanent_failures, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
 #include "iostack/feature_store.hpp"
+#include "iostack/io_thread.hpp"
 #include "iostack/queue_pair.hpp"
 #include "iostack/ssd.hpp"
 
@@ -228,6 +230,79 @@ TEST(IoEngine, BackpressureWhenQueueFull) {
   }
   EXPECT_EQ(engine.wait_all(), 0u);
   EXPECT_EQ(engine.completed(), 64u);
+  array.stop_all();
+}
+
+TEST(IoEngine, SubmitBatchFeedsEveryDeviceWhileOneSqIsFull) {
+  // Two paced SSDs and a batch sorted SSD0-first, several SQs deep. SSD0 is
+  // not started yet, so its SQ fills and stays full: SSD1 must still get
+  // (and serve) its whole share before SSD0's share is submitted.
+  constexpr std::size_t kPerDevice = 32;
+  constexpr std::size_t kDepth = 4;
+  SsdOptions opts;
+  opts.capacity_bytes = kPerDevice * kPageBytes;
+  opts.max_bytes_per_s = 2.0 * 1024 * 1024;  // ~2 ms per 4 KiB read
+  SsdArray array(2, opts);
+  IoEngine engine(array, kDepth);
+  std::vector<std::byte> buf(2 * kPerDevice * kPageBytes);
+  std::vector<ReadRequest> reqs;
+  for (std::size_t ssd = 0; ssd < 2; ++ssd) {
+    for (std::size_t i = 0; i < kPerDevice; ++i) {
+      reqs.push_back({ssd, i * kPageBytes,
+                      static_cast<std::uint32_t>(kPageBytes),
+                      buf.data() + (ssd * kPerDevice + i) * kPageBytes});
+    }
+  }
+  array.ssd(1).start();
+  std::atomic<std::size_t> failures{1};
+  std::thread submitter([&] {
+    engine.submit_batch(reqs);
+    failures = engine.wait_all();
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (array.ssd(1).stats().reads < kPerDevice &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t ssd1_reads = array.ssd(1).stats().reads;
+  array.ssd(0).start();
+  submitter.join();
+  array.stop_all();
+  EXPECT_EQ(ssd1_reads, kPerDevice) << "SSD1 starved behind SSD0's full SQ";
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(array.ssd(0).stats().reads, kPerDevice);
+}
+
+TEST(IoThread, ExceptionOnTheIoThreadIsRethrownFromWait) {
+  // enqueue() validates on the IO thread; its exception must reach the
+  // batch's waiter, and the thread must keep serving later batches.
+  SsdOptions opts;
+  opts.capacity_bytes = 4 * kPageBytes;
+  SsdArray array(1, opts);
+  const std::vector<std::byte> page(kPageBytes, std::byte{0x3C});
+  array.ssd(0).write(0, page.data(), page.size());
+  IoThread io(array);
+  array.start_all();
+
+  std::vector<std::byte> buf(kPageBytes);
+  const auto page_len = static_cast<std::uint32_t>(kPageBytes);
+  const std::vector<ReadRequest> too_long = {
+      {0, 0, page_len, buf.data()},
+      {0, 0, static_cast<std::uint32_t>(kMaxTransferBytes) + page_len,
+       buf.data()}};
+  const std::vector<ReadRequest> bad_ssd = {{7, 0, page_len, buf.data()}};
+  std::vector<FailedRead> failed;
+  EXPECT_THROW(io.wait(io.submit(too_long), failed), std::invalid_argument);
+  EXPECT_THROW(io.wait(io.submit(bad_ssd), failed), std::out_of_range);
+  EXPECT_TRUE(failed.empty());
+  EXPECT_EQ(array.ssd(0).stats().reads, 0u);  // nothing of them was queued
+
+  const std::vector<ReadRequest> good = {{0, 0, page_len, buf.data()}};
+  io.wait(io.submit(good), failed);
+  EXPECT_TRUE(failed.empty());
+  EXPECT_EQ(buf[0], std::byte{0x3C});
+  EXPECT_EQ(io.latency().count, 1u);
   array.stop_all();
 }
 
