@@ -164,17 +164,18 @@ void BM_IoStackRead4K(benchmark::State& state) {
   iostack::IoEngine engine(array);
   array.start_all();
   std::vector<std::byte> buf(64 * iostack::kPageBytes);
+  std::vector<iostack::ReadRequest> reqs(64);
+  std::vector<iostack::FailedRead> failed;
   util::Pcg32 rng(7);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      engine.submit_read(
-          rng.next_below(4),
-          rng.next_below(4000) * iostack::kPageBytes,
-          static_cast<std::uint32_t>(iostack::kPageBytes),
-          buf.data() + static_cast<std::size_t>(i) * iostack::kPageBytes);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i] = {rng.next_below(4),
+                 rng.next_below(4000) * iostack::kPageBytes,
+                 static_cast<std::uint32_t>(iostack::kPageBytes),
+                 buf.data() + i * iostack::kPageBytes};
     }
-    engine.wait_all();
+    engine.wait(engine.submit(reqs), failed);
     bytes += 64 * iostack::kPageBytes;
   }
   array.stop_all();

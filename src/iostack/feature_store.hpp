@@ -22,7 +22,6 @@
 
 #include "comm/plan.hpp"
 #include "gnn/features.hpp"
-#include "iostack/io_thread.hpp"
 #include "iostack/row_cache.hpp"
 #include "iostack/ssd.hpp"
 
@@ -208,8 +207,8 @@ struct PeerConfig {
 /// run end-to-end through the IO stack. Every batch runs one pipeline with
 /// no knobs: gather_begin routes each row (local/peer GPU, CPU, host copy or
 /// shared row cache, else an SSD target), coalesces the SSD targets into
-/// adjacent-slot commands and hands them to the client's IoThread, which
-/// submits and completes them while the caller samples and computes;
+/// adjacent-slot commands and hands them to the client's IoEngine, whose IO
+/// thread submits and completes them while the caller samples and computes;
 /// gather_wait waits for that batch, then scatters the bounce-buffered rows,
 /// fills the cache and remaps failed devices on the calling thread, so cache
 /// admission and every counter follow the caller's order, not IO timing.
@@ -240,9 +239,9 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
 
   const GatherStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
-  /// The client's IO thread (owner of its IoEngine); its retry_stats() and
-  /// latency() are snapshots safe to read from any thread.
-  const IoThread& engine() const noexcept { return io_; }
+  /// The client's IO engine; its retry_stats() and latency() are snapshots
+  /// safe to read from any thread.
+  const IoEngine& engine() const noexcept { return io_; }
   const PeerConfig& peer_config() const noexcept { return peer_; }
 
  private:
@@ -269,7 +268,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     graph::VertexId vertex;
     std::uint32_t out_row;
   };
-  /// One in-flight gather: its IoThread ticket, the commands it handed
+  /// One in-flight gather: its IoEngine ticket, the commands it handed
   /// over, the rows to scatter, and a dedicated bounce buffer (per-slot, so
   /// prefetch never overwrites the batch still being awaited). The IO thread
   /// reads `reqs` and the devices write `bounce` until the ticket is waited.
@@ -313,7 +312,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   std::vector<DeviceHealth> scratch_health_;
   /// Declared after the slots whose buffers its reads target, so it is
   /// destroyed (and its reads drained) first.
-  IoThread io_;
+  IoEngine io_;
 };
 
 }  // namespace moment::iostack

@@ -53,7 +53,7 @@ void SsdDevice::stop() {
 
 void SsdDevice::write(std::uint64_t offset, const std::byte* src,
                       std::size_t len) {
-  if (offset + len > store_.size()) {
+  if (offset > store_.size() || len > store_.size() - offset) {
     throw std::out_of_range("SsdDevice::write: beyond capacity");
   }
   std::memcpy(store_.data() + offset, src, len);
@@ -85,7 +85,8 @@ void SsdDevice::serve(const Sqe& sqe, QueuePair& qp) {
     status = d.status;
   }
   if (status == kStatusOk &&
-      (sqe.dest == nullptr || sqe.offset + sqe.length > store_.size())) {
+      (sqe.dest == nullptr || sqe.offset > store_.size() ||
+       sqe.length > store_.size() - sqe.offset)) {
     status = kStatusReadError;
   }
   if (status == kStatusOk) {
@@ -225,16 +226,180 @@ std::size_t SsdArray::num_failed() const noexcept {
 
 IoEngine::IoEngine(SsdArray& array, std::size_t queue_depth,
                    IoEngineOptions options)
-    : array_(&array), options_(options) {
+    : array_(array), options_(options) {
   queues_.reserve(array.size());
   for (std::size_t i = 0; i < array.size(); ++i) {
     queues_.push_back(array.ssd(i).create_queue_pair(queue_depth));
   }
   queued_.resize(array.size());
+  thread_ = std::thread([this] { run(); });
+}
+
+IoEngine::~IoEngine() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_one();
+  thread_.join();
+}
+
+std::uint64_t IoEngine::submit(std::span<const ReadRequest> requests) {
+  for (const ReadRequest& r : requests) {
+    if (r.ssd >= queues_.size()) {
+      throw std::out_of_range("IoEngine::submit: ssd index");
+    }
+    if (r.length > kMaxTransferBytes) {
+      throw std::invalid_argument(
+          "IoEngine::submit: transfer size exceeds kMaxTransferBytes");
+    }
+  }
+  std::uint64_t ticket = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Batch& b = batches_.emplace_back();
+    b.ticket = ticket = next_ticket_++;
+    b.requests = requests;
+    inbox_.push_back(&b);
+  }
+  work_cv_.notify_one();
+  return ticket;
+}
+
+void IoEngine::wait(std::uint64_t ticket, std::vector<FailedRead>& failed) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto it =
+      std::find_if(batches_.begin(), batches_.end(),
+                   [ticket](const Batch& b) { return b.ticket == ticket; });
+  if (it == batches_.end()) {
+    throw std::logic_error("IoEngine::wait: unknown ticket");
+  }
+  done_cv_.wait(lock, [&] { return it->done; });
+  failed.insert(failed.end(), it->failed.begin(), it->failed.end());
+  const std::exception_ptr error = it->error;
+  batches_.erase(it);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
+}
+
+RetryStats IoEngine::retry_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return retry_stats_;
+}
+
+LatencyStats IoEngine::latency() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  LatencyStats s;
+  s.count = latency_count_;
+  s.mean_ns = latency_count_ > 0
+                  ? latency_sum_ns_ / static_cast<double>(latency_count_)
+                  : 0.0;
+  s.max_ns = latency_max_ns_;
+  return s;
+}
+
+void IoEngine::run() {
+  std::vector<Batch*> active;    // handed over and not yet done
+  std::vector<Batch*> finished;  // done this pass, not yet published
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      // Blocks only when idle; with reads in flight it returns at once.
+      work_cv_.wait(lock, [&] {
+        return stop_ || !inbox_.empty() || !active.empty();
+      });
+      if (stop_) break;
+      active.insert(active.end(), inbox_.begin(), inbox_.end());
+      inbox_.clear();
+    }
+    bool progress = false;
+    try {
+      for (Batch* b : active) {
+        if (!b->started) {
+          start(*b);
+          progress = true;
+        }
+      }
+      progress |= pump();
+      std::erase_if(active, [&](Batch* b) {
+        if (b->outstanding > 0 && now_ns() > b->deadline_ns) force_fail(b);
+        if (b->outstanding > 0) return false;
+        finished.push_back(b);
+        return true;
+      });
+    } catch (...) {
+      // Not tied to one batch (e.g. std::bad_alloc inside the engine):
+      // every batch in flight reports it.
+      const std::exception_ptr error = std::current_exception();
+      drain();
+      for (Batch* b : active) {
+        if (!b->error) b->error = error;
+        finished.push_back(b);
+      }
+      active.clear();
+    }
+    if (!finished.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (Batch* b : finished) b->done = true;
+      }
+      done_cv_.notify_all();
+      finished.clear();
+    } else if (!progress) {
+      std::this_thread::yield();
+    }
+  }
+  drain();
+}
+
+void IoEngine::start(Batch& batch) {
+  batch.started = true;
+  batch.deadline_ns =
+      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
+  for (const ReadRequest& r : batch.requests) {
+    Pending p;
+    p.ssd = r.ssd;
+    p.offset = r.offset;
+    p.length = r.length;
+    p.dest = r.dest;
+    p.batch = &batch;
+    ++batch.outstanding;
+    if (device_failed(r.ssd)) {
+      finish_failure(p);  // known-dead device: fail fast without touching it
+      continue;
+    }
+    queued_[r.ssd].push_back(p);
+    ++queued_count_;
+  }
+}
+
+void IoEngine::drain() noexcept {
+  // Reads still in flight must land (or fail) before a caller may free
+  // their buffers.
+  try {
+    const std::uint64_t bound =
+        now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
+    while (in_flight() > 0) {
+      if (!pump()) {
+        if (now_ns() > bound) {
+          force_fail(nullptr);
+          break;
+        }
+        std::this_thread::yield();
+      }
+    }
+  } catch (...) {
+    // Only an allocation can throw here. Forget what is left so no request
+    // outlives its batch; a late completion is then dropped as a stale tag.
+    pending_.clear();
+    retry_queue_.clear();
+    for (std::deque<Pending>& q : queued_) q.clear();
+    queued_count_ = 0;
+  }
 }
 
 bool IoEngine::device_failed(std::size_t ssd) const noexcept {
-  return array_ != nullptr && array_->health(ssd) == DeviceHealth::kFailed;
+  return array_.health(ssd) == DeviceHealth::kFailed;
 }
 
 std::uint64_t IoEngine::backoff_ns(std::uint32_t attempts) const noexcept {
@@ -244,33 +409,22 @@ std::uint64_t IoEngine::backoff_ns(std::uint32_t attempts) const noexcept {
   return base << shift;
 }
 
-void IoEngine::finish_success(const Pending& p) {
-  if (p.group_id != 0) {
-    auto it = groups_.find(p.group_id);
-    if (it != groups_.end()) --it->second.outstanding;
-  }
+void IoEngine::bump(std::uint64_t RetryStats::*counter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(retry_stats_.*counter);
 }
 
 void IoEngine::finish_failure(const Pending& p) {
-  ++failures_;
-  ++retry_stats_.permanent_failures;
-  const FailedRead fr{p.ssd, p.offset, p.length, p.dest};
-  if (p.group_id != 0) {
-    auto it = groups_.find(p.group_id);
-    if (it != groups_.end()) {
-      --it->second.outstanding;
-      it->second.failed.push_back(fr);
-      return;
-    }
-  }
-  ungrouped_failed_.push_back(fr);
+  bump(&RetryStats::permanent_failures);
+  --p.batch->outstanding;
+  p.batch->failed.push_back({p.ssd, p.offset, p.length, p.dest});
 }
 
 void IoEngine::handle_attempt_failure(Pending p, std::uint64_t now,
                                       bool timed_out) {
-  if (timed_out) ++retry_stats_.timeouts;
+  if (timed_out) bump(&RetryStats::timeouts);
   if (!device_failed(p.ssd) && p.attempts <= options_.max_retries) {
-    ++retry_stats_.retries;
+    bump(&RetryStats::retries);
     RetryEntry e;
     e.not_before_ns = now + backoff_ns(p.attempts);
     e.req = p;
@@ -298,22 +452,22 @@ bool IoEngine::drain_completions() {
       if (it == pending_.end()) continue;  // dropped/stale tag
       const Pending p = it->second;
       pending_.erase(it);
-      ++completed_;
       if (cqe.status == kStatusOk) {
-        if (array_) array_->report_io_result(p.ssd, true);
+        array_.report_io_result(p.ssd, true);
         const double lat =
             static_cast<double>(now_ns() - p.first_submit_ns);
-        ++latency_count_;
-        latency_sum_ns_ += lat;
-        latency_max_ns_ = std::max(latency_max_ns_, lat);
-        finish_success(p);
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++latency_count_;
+          latency_sum_ns_ += lat;
+          latency_max_ns_ = std::max(latency_max_ns_, lat);
+        }
+        --p.batch->outstanding;
       } else {
-        if (array_) {
-          if (cqe.status == kStatusDeviceFailed) {
-            array_->mark_failed(p.ssd);
-          } else {
-            array_->report_io_result(p.ssd, false);
-          }
+        if (cqe.status == kStatusDeviceFailed) {
+          array_.mark_failed(p.ssd);
+        } else {
+          array_.report_io_result(p.ssd, false);
         }
         handle_attempt_failure(p, now_ns(), /*timed_out=*/false);
       }
@@ -364,15 +518,13 @@ bool IoEngine::check_timeouts(std::uint64_t now) {
     const Pending p = it->second;
     abandoned_.emplace(it->first, p.ssd);
     it = pending_.erase(it);
-    if (array_) array_->report_io_result(p.ssd, false);
+    array_.report_io_result(p.ssd, false);
     handle_attempt_failure(p, now, /*timed_out=*/true);
     progress = true;
   }
   // Abandoned attempts on a failed device will never complete; forget them.
-  if (array_ != nullptr && !abandoned_.empty()) {
-    for (auto it = abandoned_.begin(); it != abandoned_.end();) {
-      it = device_failed(it->second) ? abandoned_.erase(it) : std::next(it);
-    }
+  for (auto it = abandoned_.begin(); it != abandoned_.end();) {
+    it = device_failed(it->second) ? abandoned_.erase(it) : std::next(it);
   }
   return progress;
 }
@@ -387,91 +539,41 @@ bool IoEngine::pump() {
   return progress;
 }
 
-void IoEngine::fail_queued(std::uint64_t group_id, bool all) {
-  for (std::deque<Pending>& q : queued_) {
-    std::erase_if(q, [&](const Pending& p) {
-      if (!all && p.group_id != group_id) return false;
-      finish_failure(p);
-      --queued_count_;
-      return true;
-    });
-  }
-}
-
-void IoEngine::force_fail(std::uint64_t group_id, bool all) {
+void IoEngine::force_fail(const Batch* batch) {
+  const auto doomed = [batch](const Pending& p) {
+    return batch == nullptr || p.batch == batch;
+  };
   const std::uint64_t now = now_ns();
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (!all && it->second.group_id != group_id) {
+    if (!doomed(it->second)) {
       ++it;
       continue;
     }
     const Pending p = it->second;
     abandoned_.emplace(it->first, p.ssd);
     it = pending_.erase(it);
-    ++retry_stats_.timeouts;
-    if (array_) array_->report_io_result(p.ssd, false);
+    bump(&RetryStats::timeouts);
+    array_.report_io_result(p.ssd, false);
     finish_failure(p);
   }
   for (auto it = retry_queue_.begin(); it != retry_queue_.end();) {
-    if (!all && it->req.group_id != group_id) {
+    if (!doomed(it->req)) {
       ++it;
       continue;
     }
     finish_failure(it->req);
     it = retry_queue_.erase(it);
   }
-  fail_queued(group_id, all);
+  // Queued requests never reached a device.
+  for (std::deque<Pending>& q : queued_) {
+    std::erase_if(q, [&](const Pending& p) {
+      if (!doomed(p)) return false;
+      finish_failure(p);
+      --queued_count_;
+      return true;
+    });
+  }
   last_timeout_scan_ns_ = now;
-}
-
-void IoEngine::submit_read(std::size_t ssd, std::uint64_t offset,
-                           std::uint32_t length, std::byte* dest) {
-  const ReadRequest r{ssd, offset, length, dest};
-  submit_batch(std::span<const ReadRequest>(&r, 1));
-}
-
-void IoEngine::submit_batch(std::span<const ReadRequest> requests) {
-  enqueue(requests);
-  const std::uint64_t bound =
-      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  while (submit_queued() > 0) {
-    // An SQ is full: make progress by draining completions (as a GPU thread
-    // would spin on its CQ doorbell) and servicing retries/timeouts.
-    pump();
-    if (queued_count_ > 0 && now_ns() > bound) {
-      retry_stats_.timeouts += queued_count_;
-      fail_queued(0, /*all=*/true);
-      return;
-    }
-    std::this_thread::yield();
-  }
-}
-
-void IoEngine::enqueue(std::span<const ReadRequest> requests) {
-  for (const ReadRequest& r : requests) {
-    if (r.ssd >= queues_.size()) {
-      throw std::out_of_range("IoEngine::enqueue: ssd index");
-    }
-    if (r.length > kMaxTransferBytes) {
-      throw std::invalid_argument(
-          "IoEngine::enqueue: transfer size exceeds kMaxTransferBytes");
-    }
-  }
-  for (const ReadRequest& r : requests) {
-    Pending p;
-    p.ssd = r.ssd;
-    p.offset = r.offset;
-    p.length = r.length;
-    p.dest = r.dest;
-    p.group_id = open_group_;
-    if (open_group_ != 0) ++groups_.at(open_group_).outstanding;
-    if (device_failed(r.ssd)) {
-      finish_failure(p);  // known-dead device: fail fast without touching it
-      continue;
-    }
-    queued_[r.ssd].push_back(p);
-    ++queued_count_;
-  }
 }
 
 std::size_t IoEngine::submit_queued() {
@@ -499,100 +601,6 @@ std::size_t IoEngine::submit_queued() {
     }
   }
   return queued_count_;
-}
-
-std::size_t IoEngine::wait_all() {
-  std::vector<FailedRead> failed;
-  return wait_all(failed);
-}
-
-std::size_t IoEngine::wait_all(std::vector<FailedRead>& failed) {
-  const std::uint64_t bound =
-      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  while (in_flight() > 0) {
-    if (!pump()) {
-      if (now_ns() > bound) {
-        force_fail(0, /*all=*/true);
-        break;
-      }
-      std::this_thread::yield();
-    }
-  }
-  failed.insert(failed.end(), ungrouped_failed_.begin(),
-                ungrouped_failed_.end());
-  ungrouped_failed_.clear();
-  const std::size_t f = failures_;
-  failures_ = 0;
-  return f;
-}
-
-std::uint64_t IoEngine::group_begin() {
-  if (open_group_ != 0) {
-    throw std::logic_error("IoEngine::group_begin: a group is already open");
-  }
-  const std::uint64_t id = next_group_id_++;
-  CompletionGroup g;
-  g.deadline_ns =
-      now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  groups_.emplace(id, std::move(g));
-  open_group_ = id;
-  return id;
-}
-
-void IoEngine::group_end(std::uint64_t group) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    throw std::logic_error("IoEngine::group_end: unknown group");
-  }
-  it->second.open = false;
-  if (open_group_ == group) open_group_ = 0;
-}
-
-std::size_t IoEngine::wait_group(std::uint64_t group) {
-  std::vector<FailedRead> scratch;
-  return wait_group(group, scratch);
-}
-
-bool IoEngine::poll_group(std::uint64_t group,
-                          std::vector<FailedRead>& failed) {
-  const auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    throw std::logic_error("IoEngine::poll_group: unknown group");
-  }
-  if (it->second.open) group_end(group);
-  if (it->second.outstanding > 0 && now_ns() > it->second.deadline_ns) {
-    force_fail(group, /*all=*/false);
-  }
-  if (it->second.outstanding > 0) return false;
-  failed.insert(failed.end(), it->second.failed.begin(),
-                it->second.failed.end());
-  groups_.erase(it);
-  return true;
-}
-
-std::size_t IoEngine::wait_group(std::uint64_t group,
-                                 std::vector<FailedRead>& failed) {
-  const std::size_t before = failed.size();
-  while (!poll_group(group, failed)) {
-    if (!pump()) std::this_thread::yield();
-  }
-  return failed.size() - before;
-}
-
-LatencyStats IoEngine::latency() const noexcept {
-  LatencyStats s;
-  s.count = latency_count_;
-  s.mean_ns = latency_count_ > 0
-                  ? latency_sum_ns_ / static_cast<double>(latency_count_)
-                  : 0.0;
-  s.max_ns = latency_max_ns_;
-  return s;
-}
-
-void IoEngine::reset_latency() noexcept {
-  latency_count_ = 0;
-  latency_sum_ns_ = 0.0;
-  latency_max_ns_ = 0.0;
 }
 
 }  // namespace moment::iostack

@@ -16,8 +16,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -177,9 +180,9 @@ struct IoEngineOptions {
   std::chrono::nanoseconds request_deadline = std::chrono::seconds(5);
   /// Exponential backoff base: attempt k waits backoff << (k-1).
   std::chrono::nanoseconds retry_backoff = std::chrono::microseconds(50);
-  /// Hard bound on wait_all(), on a completion group (from group_begin())
-  /// and on submit_batch()'s SQ-full spin: past it, every remaining request
-  /// is force-failed so no wait is unbounded.
+  /// Hard bound on a batch (from its start on the IO thread) and on the
+  /// engine's shutdown drain: past it, every remaining request is
+  /// force-failed so no wait is unbounded.
   std::chrono::nanoseconds wait_deadline = std::chrono::seconds(30);
 };
 
@@ -201,84 +204,62 @@ struct FailedRead {
 
 /// Per-client ("per-GPU") IO engine: one queue pair to every SSD, async
 /// submission, polling completion — the GPU-initiated access path, with
-/// client-side retry/timeout resilience layered on top. Single-threaded: one
-/// thread at a time drives it (a client's IoThread, or a test directly).
-///
-/// Submission has one step. enqueue() places requests on per-device
-/// software queues; submit_queued() moves what fits into each device's SQ
-/// and never waits on a full one, so a saturated SSD never holds back
-/// another. pump() runs that step together with completion draining,
-/// retries and timeouts; the blocking submit_read()/submit_batch() are
-/// enqueue() plus pump() in a loop.
+/// client-side retry/timeout resilience layered on top. The engine owns its
+/// IO thread (the GPU's IO warps), the only thread that touches the queue
+/// pairs and the request state. A caller hands over a batch with submit()
+/// and gets a ticket back at once; the thread keeps every device's queues
+/// fed (a full SQ on one SSD never holds back another) while the caller
+/// samples and computes, and publishes each batch as done, with its
+/// permanent failures, under one mutex and condition variable. This is the
+/// paper's per-GPU IO stack with no central coordinator (Section 3.1).
 class IoEngine {
  public:
-  /// Creates queue pairs on each SSD of the array. Call before start_all().
+  /// Creates queue pairs on each SSD of the array (call before start_all())
+  /// and starts the IO thread, which blocks until a batch arrives.
   explicit IoEngine(SsdArray& array, std::size_t queue_depth = 256,
                     IoEngineOptions options = {});
+  /// Stops the IO thread. Reads already handed over are driven to a
+  /// terminal state first (bounded by wait_deadline), so no device writes
+  /// into a caller's buffer after the engine is gone.
+  ~IoEngine();
 
-  /// Blocking read of one request: submit_batch() of one.
-  void submit_read(std::size_t ssd, std::uint64_t offset, std::uint32_t length,
-                   std::byte* dest);
+  IoEngine(const IoEngine&) = delete;
+  IoEngine& operator=(const IoEngine&) = delete;
 
-  /// Doorbell batching: enqueues the whole batch, then pumps until every
-  /// request is in an SQ (or failed). Deadline-bounded: requests still
-  /// queued after wait_deadline are failed as timeouts.
-  void submit_batch(std::span<const ReadRequest> requests);
+  /// Validates `requests` on the calling thread, then hands them to the IO
+  /// thread as one batch and returns without waiting on any SQ. A bad batch
+  /// throws (std::out_of_range for an SSD index, std::invalid_argument for a
+  /// transfer over kMaxTransferBytes) and queues nothing. `requests` and
+  /// every `dest` buffer must stay valid until wait() on the returned ticket
+  /// (never 0) returns.
+  std::uint64_t submit(std::span<const ReadRequest> requests);
 
-  /// Non-blocking: queues `requests` (in the open group, if any) on their
-  /// devices' software queues. The whole batch is validated first, so a
-  /// throw (std::out_of_range for an SSD index, std::invalid_argument for a
-  /// transfer over kMaxTransferBytes) queues nothing. A request for a failed
-  /// device fails at once without touching it.
-  void enqueue(std::span<const ReadRequest> requests);
+  /// Blocks until every read of `ticket` reached a terminal state (bounded
+  /// by wait_deadline from the batch's start on the IO thread) and appends
+  /// the permanently failed ones to `failed`. Rethrows an exception the IO
+  /// thread raised while the batch was in flight. Tickets may be waited in
+  /// any order, each exactly once.
+  void wait(std::uint64_t ticket, std::vector<FailedRead>& failed);
 
-  /// One non-blocking round of progress: drains completions, resubmits due
-  /// retries, runs submit_queued() and expires overdue attempts. Returns
-  /// true if anything moved.
-  bool pump();
-
-  /// Polls completions until all in-flight requests reach a terminal state
-  /// (deadline-bounded). Returns the number of permanently failed requests
-  /// and resets the failure counter.
-  std::size_t wait_all();
-  /// Same, appending the permanently-failed ungrouped requests to `failed`.
-  std::size_t wait_all(std::vector<FailedRead>& failed);
-
-  /// Completion groups: reads submitted between group_begin() and
-  /// group_end() can be awaited independently of later submissions, so two
-  /// batches (e.g. the current gather and a prefetched one) can be in
-  /// flight at once. Only one group may be open at a time; groups may be
-  /// awaited in any order via wait_group() or poll_group(). A group is
-  /// bounded by wait_deadline from group_begin(): past it, its remaining
-  /// reads are force-failed.
-  std::uint64_t group_begin();
-  void group_end(std::uint64_t group);
-  /// Non-blocking: true once every read of `group` (closed here if still
-  /// open) reached a terminal state; then appends the group's permanently
-  /// failed requests to `failed` and forgets the group.
-  bool poll_group(std::uint64_t group, std::vector<FailedRead>& failed);
-  /// Pumps until poll_group() succeeds; returns the group's permanent-
-  /// failure count.
-  std::size_t wait_group(std::uint64_t group);
-  /// Same, appending the group's permanently-failed requests to `failed`.
-  std::size_t wait_group(std::uint64_t group, std::vector<FailedRead>& failed);
-
-  /// Requests not yet terminal (queued, in a device SQ or awaiting retry).
-  std::size_t in_flight() const noexcept {
-    return queued_count_ + pending_.size() + retry_queue_.size();
-  }
-  std::uint64_t completed() const noexcept { return completed_; }
-
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
-  void reset_retry_stats() noexcept { retry_stats_ = {}; }
-  const IoEngineOptions& options() const noexcept { return options_; }
-
-  /// Latency of completed requests since construction/reset (first submit
-  /// to completion poll, i.e. including retry delays).
-  LatencyStats latency() const noexcept;
-  void reset_latency() noexcept;
+  /// Counters since construction; safe from any thread.
+  RetryStats retry_stats() const;
+  /// Latency of completed requests (first entry into an SQ to completion
+  /// poll, i.e. including retry delays); safe from any thread.
+  LatencyStats latency() const;
 
  private:
+  /// One handed-over batch. submit() sets `ticket` and `requests`; the rest
+  /// but `done` belongs to the IO thread until it sets `done` under mu_.
+  struct Batch {
+    std::uint64_t ticket = 0;
+    std::span<const ReadRequest> requests;
+    bool started = false;
+    std::size_t outstanding = 0;  // reads not yet terminal
+    std::uint64_t deadline_ns = 0;
+    std::vector<FailedRead> failed;
+    std::exception_ptr error;
+    bool done = false;
+  };
   /// One attempt in a device SQ (or completed, not yet polled), or a request
   /// still on its device's software queue.
   struct Pending {
@@ -286,7 +267,7 @@ class IoEngine {
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
     std::byte* dest = nullptr;
-    std::uint64_t group_id = 0;  // 0 = ungrouped
+    Batch* batch = nullptr;
     std::uint64_t first_submit_ns = 0;  // first entry into an SQ
     std::uint64_t deadline_ns = 0;
     std::uint32_t attempts = 1;
@@ -295,13 +276,21 @@ class IoEngine {
     Pending req;
     std::uint64_t not_before_ns = 0;
   };
-  struct CompletionGroup {
-    std::size_t outstanding = 0;
-    std::uint64_t deadline_ns = 0;
-    bool open = true;
-    std::vector<FailedRead> failed;
-  };
 
+  void run();
+  /// Sets the batch's deadline and places its reads on their devices'
+  /// software queues; a read for a failed device fails at once.
+  void start(Batch& batch);
+  /// One non-blocking round of progress: drains completions, resubmits due
+  /// retries, runs submit_queued() and expires overdue attempts. Returns
+  /// true if anything moved.
+  bool pump();
+  /// Pumps until no request is in flight, force-failing what is left past
+  /// wait_deadline.
+  void drain() noexcept;
+  std::size_t in_flight() const noexcept {
+    return queued_count_ + pending_.size() + retry_queue_.size();
+  }
   /// The submission step: moves queued requests into every device's SQ
   /// while it has room, in per-device FIFO order, and never waits. Returns
   /// the number of requests still queued.
@@ -309,41 +298,46 @@ class IoEngine {
   bool drain_completions();
   bool service_retries(std::uint64_t now);
   bool check_timeouts(std::uint64_t now);
-  void finish_success(const Pending& p);
+  /// Bumps one retry counter under mu_ (retry_stats() reads it from any
+  /// thread).
+  void bump(std::uint64_t RetryStats::*counter);
   void finish_failure(const Pending& p);
   void handle_attempt_failure(Pending p, std::uint64_t now, bool timed_out);
-  void force_fail(std::uint64_t group_id, bool all);
-  /// Fails the queued (never submitted) requests of `group_id`, or all.
-  void fail_queued(std::uint64_t group_id, bool all);
+  /// Fails every remaining request of `batch`, or of all batches if null.
+  void force_fail(const Batch* batch);
   std::uint64_t backoff_ns(std::uint32_t attempts) const noexcept;
   bool device_failed(std::size_t ssd) const noexcept;
 
-  SsdArray* array_ = nullptr;
+  SsdArray& array_;
   std::vector<QueuePair*> queues_;  // one per SSD
   IoEngineOptions options_;
 
-  /// Per-device software queues filled by enqueue() and emptied into the
+  // IO thread only.
+  /// Per-device software queues filled by start() and emptied into the
   /// SQs by submit_queued().
   std::vector<std::deque<Pending>> queued_;
   std::size_t queued_count_ = 0;
-
   /// Tag-indexed state (no linear scans on the completion path).
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::unordered_map<std::uint64_t, std::size_t> abandoned_;  // tag -> ssd
   std::vector<RetryEntry> retry_queue_;
-  std::unordered_map<std::uint64_t, CompletionGroup> groups_;
-  std::uint64_t open_group_ = 0;
-  std::uint64_t next_group_id_ = 1;
   std::uint64_t next_tag_ = 1;
-  std::uint64_t completed_ = 0;
-  std::size_t failures_ = 0;
-  std::vector<FailedRead> ungrouped_failed_;
-  RetryStats retry_stats_;
   std::uint64_t last_timeout_scan_ns_ = 0;
 
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;  // IO thread: new batch or stop
+  std::condition_variable done_cv_;  // wait(): a batch finished
+  std::list<Batch> batches_;         // handed over, not yet waited
+  std::vector<Batch*> inbox_;        // handed over, not yet started
+  std::uint64_t next_ticket_ = 1;
+  bool stop_ = false;
+  // Written by the IO thread under mu_.
+  RetryStats retry_stats_;
   std::uint64_t latency_count_ = 0;
   double latency_sum_ns_ = 0.0;
   double latency_max_ns_ = 0.0;
+
+  std::thread thread_;  // started last, in the constructor body
 };
 
 }  // namespace moment::iostack

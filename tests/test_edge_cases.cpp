@@ -250,8 +250,11 @@ TEST(EdgeIostack, ZeroLengthReadCompletes) {
   iostack::IoEngine engine(array);
   array.start_all();
   std::byte dummy;
-  engine.submit_read(0, 0, 0, &dummy);
-  EXPECT_EQ(engine.wait_all(), 0u);
+  const std::vector<iostack::ReadRequest> reqs = {{0, 0, 0, &dummy}};
+  std::vector<iostack::FailedRead> failed;
+  engine.wait(engine.submit(reqs), failed);
+  EXPECT_TRUE(failed.empty());
+  EXPECT_EQ(engine.latency().count, 1u);
   array.stop_all();
 }
 
@@ -259,18 +262,23 @@ TEST(EdgeIostack, StopWithOutstandingRequestsDrains) {
   iostack::SsdOptions opts;
   opts.capacity_bytes = 8 * iostack::kPageBytes;
   opts.max_bytes_per_s = 64.0 * 1024;  // slow device
-  iostack::SsdArray array(1, opts);
-  iostack::IoEngine engine(array);
-  array.start_all();
+  iostack::SsdDevice ssd(opts);
+  // A raw queue pair, so every request is in the SQ before stop().
+  iostack::QueuePair* qp = ssd.create_queue_pair(/*depth=*/8);
+  ssd.start();
   std::vector<std::byte> buf(8 * iostack::kPageBytes);
-  for (int i = 0; i < 8; ++i) {
-    engine.submit_read(0, static_cast<std::uint64_t>(i) * iostack::kPageBytes,
-                       static_cast<std::uint32_t>(iostack::kPageBytes),
-                       buf.data() + static_cast<std::size_t>(i) *
-                                        iostack::kPageBytes);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(qp->submit({i * iostack::kPageBytes,
+                            static_cast<std::uint32_t>(iostack::kPageBytes),
+                            buf.data() + i * iostack::kPageBytes, i}));
   }
-  array.stop_all();  // shutdown drain must complete all requests
-  EXPECT_EQ(engine.wait_all(), 0u);
+  ssd.stop();  // shutdown drain must complete all requests
+  iostack::Cqe cqe;
+  std::size_t ok = 0;
+  while (qp->poll_completion(cqe)) {
+    ok += cqe.status == iostack::kStatusOk ? 1 : 0;
+  }
+  EXPECT_EQ(ok, 8u);
 }
 
 TEST(EdgeIostack, EngineRejectsBadSsdIndex) {
@@ -278,7 +286,8 @@ TEST(EdgeIostack, EngineRejectsBadSsdIndex) {
   iostack::SsdArray array(1, opts);
   iostack::IoEngine engine(array);
   std::byte dummy;
-  EXPECT_THROW(engine.submit_read(3, 0, 1, &dummy), std::out_of_range);
+  const std::vector<iostack::ReadRequest> reqs = {{3, 0, 1, &dummy}};
+  EXPECT_THROW(engine.submit(reqs), std::out_of_range);
 }
 
 // -------------------------------------------------------------------- sim

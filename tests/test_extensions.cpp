@@ -508,16 +508,15 @@ TEST(IoEngineExt, BatchSubmissionAndLatency) {
                     buf.data() + static_cast<std::size_t>(i) *
                                      iostack::kPageBytes});
   }
-  engine.submit_batch(reqs);
-  EXPECT_EQ(engine.wait_all(), 0u);
+  std::vector<iostack::FailedRead> failed;
+  engine.wait(engine.submit(reqs), failed);
+  EXPECT_TRUE(failed.empty());
   array.stop_all();
 
   const auto lat = engine.latency();
   EXPECT_EQ(lat.count, 32u);
   EXPECT_GT(lat.mean_ns, 0.0);
   EXPECT_GE(lat.max_ns, lat.mean_ns);
-  engine.reset_latency();
-  EXPECT_EQ(engine.latency().count, 0u);
 }
 
 // -------------------------------------------------------------- trace sim

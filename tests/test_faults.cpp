@@ -64,6 +64,26 @@ TEST(FaultInjector, FailNowTakesEffectImmediately) {
   EXPECT_EQ(inj.on_read().status, kStatusDeviceFailed);
 }
 
+/// `count` one-page reads from device 0, page i % pages into dest page i.
+std::vector<ReadRequest> page_reads(std::size_t count, std::size_t pages,
+                                    std::vector<std::byte>& dest) {
+  std::vector<ReadRequest> reqs;
+  for (std::size_t i = 0; i < count; ++i) {
+    reqs.push_back({0, (i % pages) * kPageBytes,
+                    static_cast<std::uint32_t>(kPageBytes),
+                    dest.data() + i * kPageBytes});
+  }
+  return reqs;
+}
+
+/// Submits `reqs` as one batch, waits for it and returns its failures.
+std::vector<FailedRead> read_batch(IoEngine& engine,
+                                   const std::vector<ReadRequest>& reqs) {
+  std::vector<FailedRead> failed;
+  engine.wait(engine.submit(reqs), failed);
+  return failed;
+}
+
 TEST(IoEngine, RetryThenSucceedRecoversData) {
   // The first served read fails deterministically; the retry succeeds and
   // the caller sees correct bytes with zero reported failures.
@@ -79,9 +99,7 @@ TEST(IoEngine, RetryThenSucceedRecoversData) {
   IoEngine engine(array);
   array.start_all();
   std::vector<std::byte> dest(kPageBytes);
-  engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes),
-                     dest.data());
-  EXPECT_EQ(engine.wait_all(), 0u);
+  EXPECT_TRUE(read_batch(engine, page_reads(1, 1, dest)).empty());
   array.stop_all();
   EXPECT_EQ(dest[0], std::byte{0xAB});
   EXPECT_EQ(engine.retry_stats().retries, 1u);
@@ -90,7 +108,7 @@ TEST(IoEngine, RetryThenSucceedRecoversData) {
 }
 
 TEST(IoEngine, RetryExhaustedPropagatesThroughGroup) {
-  // Every served read fails: the request exhausts its retries and the group
+  // Every served read fails: the request exhausts its retries and its batch
   // reports it with the original request attached.
   SsdOptions opts;
   opts.capacity_bytes = 16 * kPageBytes;
@@ -104,12 +122,8 @@ TEST(IoEngine, RetryExhaustedPropagatesThroughGroup) {
   IoEngine engine(array, 256, io);
   array.start_all();
   std::vector<std::byte> dest(kPageBytes);
-  const std::uint64_t g = engine.group_begin();
-  engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes),
-                     dest.data());
-  engine.group_end(g);
-  std::vector<FailedRead> failed;
-  EXPECT_EQ(engine.wait_group(g, failed), 1u);
+  const std::vector<FailedRead> failed =
+      read_batch(engine, page_reads(1, 1, dest));
   array.stop_all();
   ASSERT_EQ(failed.size(), 1u);
   EXPECT_EQ(failed[0].ssd, 0u);
@@ -131,11 +145,10 @@ TEST(IoEngine, DeadDeviceNeverHangsWaits) {
   io.wait_deadline = std::chrono::milliseconds(500);
   IoEngine engine(array, 256, io);
   std::vector<std::byte> dest(kPageBytes);
-  engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes),
-                     dest.data());
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t failures = engine.wait_all();
+  const std::size_t failures =
+      read_batch(engine, page_reads(1, 1, dest)).size();
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -143,7 +156,6 @@ TEST(IoEngine, DeadDeviceNeverHangsWaits) {
   EXPECT_LT(dt, 5.0);  // bounded, nowhere near an unbounded spin
   EXPECT_GT(engine.retry_stats().timeouts, 0u);
   EXPECT_EQ(engine.retry_stats().permanent_failures, 1u);
-  EXPECT_EQ(engine.in_flight(), 0u);
 }
 
 TEST(IoEngine, StallInjectionDelaysButCompletes) {
@@ -159,11 +171,7 @@ TEST(IoEngine, StallInjectionDelaysButCompletes) {
   IoEngine engine(array);
   array.start_all();
   std::vector<std::byte> dest(4 * kPageBytes);
-  for (int i = 0; i < 4; ++i) {
-    engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes),
-                       dest.data() + static_cast<std::size_t>(i) * kPageBytes);
-  }
-  EXPECT_EQ(engine.wait_all(), 0u);
+  EXPECT_TRUE(read_batch(engine, page_reads(4, 1, dest)).empty());
   array.stop_all();
   EXPECT_EQ(array.ssd(0).fault_injector()->stats().injected_stalls, 4u);
   EXPECT_EQ(dest[0], std::byte{0x5A});
@@ -179,15 +187,12 @@ TEST(IoEngine, HardDeviceFailureFailsFastAfterDetection) {
   IoEngine engine(array);
   array.start_all();
   std::vector<std::byte> dest(kPageBytes);
-  engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes),
-                     dest.data());
-  EXPECT_EQ(engine.wait_all(), 1u);
+  const std::vector<ReadRequest> reqs = page_reads(1, 1, dest);
+  EXPECT_EQ(read_batch(engine, reqs).size(), 1u);
   EXPECT_EQ(array.health(0), DeviceHealth::kFailed);
   // Subsequent reads fail instantly without touching the device.
   const std::uint64_t served = array.ssd(0).fault_injector()->stats().reads_seen;
-  engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes),
-                     dest.data());
-  EXPECT_EQ(engine.wait_all(), 1u);
+  EXPECT_EQ(read_batch(engine, reqs).size(), 1u);
   EXPECT_EQ(array.ssd(0).fault_injector()->stats().reads_seen, served);
   array.stop_all();
 }
@@ -202,14 +207,9 @@ TEST(IoEngine, SqFullBackpressureUnderPacedDevice) {
   IoEngine engine(array, /*queue_depth=*/4);
   array.start_all();
   std::vector<std::byte> buf(16 * kPageBytes);
-  for (int i = 0; i < 16; ++i) {
-    engine.submit_read(0, (static_cast<std::uint64_t>(i) % 16) * kPageBytes,
-                       static_cast<std::uint32_t>(kPageBytes),
-                       buf.data() + static_cast<std::size_t>(i) * kPageBytes);
-  }
-  EXPECT_EQ(engine.wait_all(), 0u);
+  EXPECT_TRUE(read_batch(engine, page_reads(16, 16, buf)).empty());
   array.stop_all();
-  EXPECT_EQ(engine.completed(), 16u);
+  EXPECT_EQ(engine.latency().count, 16u);
   EXPECT_EQ(engine.retry_stats().retries, 0u);
   EXPECT_EQ(engine.retry_stats().timeouts, 0u);
   EXPECT_EQ(engine.retry_stats().permanent_failures, 0u);
@@ -217,22 +217,26 @@ TEST(IoEngine, SqFullBackpressureUnderPacedDevice) {
 
 TEST(SsdDevice, StopWithRequestsInFlightDrains) {
   // stop() is requested while requests sit in the SQ of a paced device; the
-  // service loop's shutdown drain must complete them all.
+  // service loop's shutdown drain must complete them all. A raw queue pair
+  // puts every request in the SQ before stop() is called.
   SsdOptions opts;
   opts.capacity_bytes = 16 * kPageBytes;
   opts.max_bytes_per_s = 2.0 * 1024 * 1024;
-  SsdArray array(1, opts);
-  IoEngine engine(array);
-  array.start_all();
+  SsdDevice ssd(opts);
+  QueuePair* qp = ssd.create_queue_pair(/*depth=*/32);
+  ssd.start();
   std::vector<std::byte> buf(32 * kPageBytes);
-  for (int i = 0; i < 32; ++i) {
-    engine.submit_read(0, (static_cast<std::uint64_t>(i) % 16) * kPageBytes,
-                       static_cast<std::uint32_t>(kPageBytes),
-                       buf.data() + static_cast<std::size_t>(i) * kPageBytes);
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    ASSERT_TRUE(qp->submit({(i % 16) * kPageBytes,
+                            static_cast<std::uint32_t>(kPageBytes),
+                            buf.data() + i * kPageBytes, i}));
   }
-  array.stop_all();  // requests still in flight
-  EXPECT_EQ(engine.wait_all(), 0u);
-  EXPECT_EQ(engine.completed(), 32u);
+  ssd.stop();  // requests still in flight
+  Cqe cqe;
+  std::size_t ok = 0;
+  while (qp->poll_completion(cqe)) ok += cqe.status == kStatusOk ? 1 : 0;
+  EXPECT_EQ(ok, 32u);
+  EXPECT_EQ(ssd.stats().reads, 32u);
 }
 
 TEST(SsdDevice, StopNeverWedgesOnFullCompletionQueue) {
@@ -272,44 +276,52 @@ TEST(SsdDevice, StopNeverWedgesOnFullCompletionQueue) {
 }
 
 TEST(SsdDevice, StalledClientDoesNotBlockOtherClients) {
-  // Two clients share one device. Client A fills its CQ and stops polling
-  // with more reads queued; client B's read must still be served promptly,
-  // and no completion may be dropped.
+  // Two clients share one device. Client A (a raw queue pair) fills its CQ
+  // and stops polling with more reads queued; client B's read must still be
+  // served promptly, and no completion may be dropped.
   constexpr std::uint32_t kPage = kPageBytes;
   SsdOptions opts;
   opts.capacity_bytes = 64 * kPage;
   SsdArray array(1, opts);
-  IoEngineOptions a_opts;
-  a_opts.request_deadline = std::chrono::seconds(1);
-  IoEngine a(array, /*queue_depth=*/8, a_opts);
+  QueuePair* a = array.ssd(0).create_queue_pair(/*depth=*/8);
   IoEngine b(array, /*queue_depth=*/8);
   array.start_all();
 
   std::vector<std::byte> a_buf(15 * kPage);
   std::vector<std::byte> b_buf(kPage);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    a.submit_read(0, i * kPage, kPage, a_buf.data() + i * kPage);
+    ASSERT_TRUE(a->submit({i * kPage, kPage, a_buf.data() + i * kPage, i}));
   }
   // A's CQ (depth 8) is full once all eight reads are served.
   while (array.ssd(0).stats().reads < 8) std::this_thread::yield();
   for (std::uint64_t i = 8; i < 15; ++i) {
-    a.submit_read(0, i * kPage, kPage, a_buf.data() + i * kPage);
+    ASSERT_TRUE(a->submit({i * kPage, kPage, a_buf.data() + i * kPage, i}));
   }
 
   // A now stalls (does not poll) for ~100 ms while B reads.
   const auto stall_start = std::chrono::steady_clock::now();
-  b.submit_read(0, 20 * kPage, kPage, b_buf.data());
-  EXPECT_EQ(b.wait_all(), 0u);
+  const std::vector<ReadRequest> b_reqs = {
+      {0, 20 * kPage, kPage, b_buf.data()}};
+  EXPECT_TRUE(read_batch(b, b_reqs).empty());
   const double b_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - stall_start)
                           .count();
   EXPECT_LT(b_ms, 50.0);
   std::this_thread::sleep_until(stall_start + std::chrono::milliseconds(100));
 
-  // A resumes polling: its queued reads complete without retries.
-  EXPECT_EQ(a.wait_all(), 0u);
-  EXPECT_EQ(a.completed(), 15u);
-  EXPECT_EQ(a.retry_stats().timeouts, 0u);
+  // A resumes polling: every queued read completes.
+  std::size_t a_ok = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (a_ok < 15 && std::chrono::steady_clock::now() < give_up) {
+    Cqe cqe;
+    if (a->poll_completion(cqe)) {
+      a_ok += cqe.status == kStatusOk ? 1 : 0;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_EQ(a_ok, 15u);
   EXPECT_EQ(array.ssd(0).stats().dropped_completions, 0u);
   array.stop_all();
 }

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
 #include "iostack/feature_store.hpp"
-#include "iostack/io_thread.hpp"
 #include "iostack/queue_pair.hpp"
 #include "iostack/ssd.hpp"
 
@@ -147,13 +145,18 @@ TEST(SsdDevice, OutOfRangeReadFails) {
   QueuePair* qp = ssd.create_queue_pair();
   ssd.start();
   std::vector<std::byte> dest(kPageBytes);
-  qp->submit({100 * kPageBytes, static_cast<std::uint32_t>(kPageBytes),
-              dest.data(), 1});
-  Cqe cqe;
-  while (!qp->poll_completion(cqe)) std::this_thread::yield();
-  EXPECT_NE(cqe.status, 0u);
+  // Past the end, and an offset at which offset + length wraps around.
+  const std::uint64_t offsets[] = {100 * kPageBytes, UINT64_MAX - 100};
+  for (const std::uint64_t offset : offsets) {
+    qp->submit({offset, static_cast<std::uint32_t>(kPageBytes), dest.data(),
+                offset});
+    Cqe cqe;
+    while (!qp->poll_completion(cqe)) std::this_thread::yield();
+    EXPECT_EQ(cqe.tag, offset);
+    EXPECT_NE(cqe.status, 0u);
+  }
   ssd.stop();
-  EXPECT_EQ(ssd.stats().errors, 1u);
+  EXPECT_EQ(ssd.stats().errors, 2u);
 }
 
 TEST(SsdDevice, WriteBeyondCapacityThrows) {
@@ -163,6 +166,8 @@ TEST(SsdDevice, WriteBeyondCapacityThrows) {
   std::vector<std::byte> page(kPageBytes);
   EXPECT_THROW(ssd.write(kPageBytes, page.data(), page.size()),
                std::out_of_range);
+  // offset + length wraps around.
+  EXPECT_THROW(ssd.write(UINT64_MAX - 7, page.data(), 16), std::out_of_range);
 }
 
 TEST(IoEngine, MultiGpuConcurrentReads) {
@@ -185,20 +190,20 @@ TEST(IoEngine, MultiGpuConcurrentReads) {
   auto worker = [&](IoEngine& engine, std::uint64_t seed) {
     util::Pcg32 rng(seed);
     std::vector<std::byte> buf(256 * kPageBytes);
-    std::vector<std::pair<std::size_t, std::size_t>> reqs;
-    for (int i = 0; i < 256; ++i) {
+    std::vector<ReadRequest> reqs;
+    for (std::size_t i = 0; i < 256; ++i) {
       const std::size_t s = rng.next_below(kSsds);
       const std::size_t p = rng.next_below(kPagesPerSsd);
-      engine.submit_read(s, p * kPageBytes,
-                         static_cast<std::uint32_t>(kPageBytes),
-                         buf.data() + static_cast<std::size_t>(i) * kPageBytes);
-      reqs.emplace_back(s, p);
+      reqs.push_back({s, p * kPageBytes, static_cast<std::uint32_t>(kPageBytes),
+                      buf.data() + i * kPageBytes});
     }
-    EXPECT_EQ(engine.wait_all(), 0u);
-    for (int i = 0; i < 256; ++i) {
-      const auto [s, p] = reqs[static_cast<std::size_t>(i)];
-      EXPECT_EQ(buf[static_cast<std::size_t>(i) * kPageBytes],
-                static_cast<std::byte>(s * 100 + p))
+    std::vector<FailedRead> failed;
+    engine.wait(engine.submit(reqs), failed);
+    EXPECT_TRUE(failed.empty());
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint64_t p = reqs[i].offset / kPageBytes;
+      EXPECT_EQ(buf[i * kPageBytes],
+                static_cast<std::byte>(reqs[i].ssd * 100 + p))
           << "req " << i;
     }
   };
@@ -215,21 +220,32 @@ TEST(IoEngine, MultiGpuConcurrentReads) {
   EXPECT_EQ(total_reads, 512u);
 }
 
+/// `count` one-page reads from device 0, page i % pages into dest page i.
+std::vector<ReadRequest> page_reads(std::size_t count, std::size_t pages,
+                                    std::vector<std::byte>& dest) {
+  std::vector<ReadRequest> reqs;
+  for (std::size_t i = 0; i < count; ++i) {
+    reqs.push_back({0, (i % pages) * kPageBytes,
+                    static_cast<std::uint32_t>(kPageBytes),
+                    dest.data() + i * kPageBytes});
+  }
+  return reqs;
+}
+
 TEST(IoEngine, BackpressureWhenQueueFull) {
-  // Tiny queue depth forces the submit path to drain completions inline.
+  // Tiny queue depth forces the IO thread to drain completions between
+  // submissions.
   SsdOptions opts;
   opts.capacity_bytes = 16 * kPageBytes;
   SsdArray array(1, opts);
   IoEngine engine(array, /*queue_depth=*/4);
   array.start_all();
   std::vector<std::byte> buf(64 * kPageBytes);
-  for (int i = 0; i < 64; ++i) {
-    engine.submit_read(0, (static_cast<std::uint64_t>(i) % 16) * kPageBytes,
-                       static_cast<std::uint32_t>(kPageBytes),
-                       buf.data() + static_cast<std::size_t>(i) * kPageBytes);
-  }
-  EXPECT_EQ(engine.wait_all(), 0u);
-  EXPECT_EQ(engine.completed(), 64u);
+  const std::vector<ReadRequest> reqs = page_reads(64, 16, buf);
+  std::vector<FailedRead> failed;
+  engine.wait(engine.submit(reqs), failed);
+  EXPECT_TRUE(failed.empty());
+  EXPECT_EQ(engine.latency().count, 64u);
   array.stop_all();
 }
 
@@ -254,11 +270,7 @@ TEST(IoEngine, SubmitBatchFeedsEveryDeviceWhileOneSqIsFull) {
     }
   }
   array.ssd(1).start();
-  std::atomic<std::size_t> failures{1};
-  std::thread submitter([&] {
-    engine.submit_batch(reqs);
-    failures = engine.wait_all();
-  });
+  const std::uint64_t ticket = engine.submit(reqs);
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(3);
   while (array.ssd(1).stats().reads < kPerDevice &&
@@ -267,22 +279,23 @@ TEST(IoEngine, SubmitBatchFeedsEveryDeviceWhileOneSqIsFull) {
   }
   const std::uint64_t ssd1_reads = array.ssd(1).stats().reads;
   array.ssd(0).start();
-  submitter.join();
+  std::vector<FailedRead> failed;
+  engine.wait(ticket, failed);
   array.stop_all();
   EXPECT_EQ(ssd1_reads, kPerDevice) << "SSD1 starved behind SSD0's full SQ";
-  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_TRUE(failed.empty());
   EXPECT_EQ(array.ssd(0).stats().reads, kPerDevice);
 }
 
-TEST(IoThread, ExceptionOnTheIoThreadIsRethrownFromWait) {
-  // enqueue() validates on the IO thread; its exception must reach the
-  // batch's waiter, and the thread must keep serving later batches.
+TEST(IoEngine, SubmitRejectsBadBatchAndServesTheNext) {
+  // submit() validates the whole batch on the caller's thread: a bad batch
+  // throws, none of it reaches the device, and the next batch is served.
   SsdOptions opts;
   opts.capacity_bytes = 4 * kPageBytes;
   SsdArray array(1, opts);
   const std::vector<std::byte> page(kPageBytes, std::byte{0x3C});
   array.ssd(0).write(0, page.data(), page.size());
-  IoThread io(array);
+  IoEngine engine(array);
   array.start_all();
 
   std::vector<std::byte> buf(kPageBytes);
@@ -292,17 +305,17 @@ TEST(IoThread, ExceptionOnTheIoThreadIsRethrownFromWait) {
       {0, 0, static_cast<std::uint32_t>(kMaxTransferBytes) + page_len,
        buf.data()}};
   const std::vector<ReadRequest> bad_ssd = {{7, 0, page_len, buf.data()}};
-  std::vector<FailedRead> failed;
-  EXPECT_THROW(io.wait(io.submit(too_long), failed), std::invalid_argument);
-  EXPECT_THROW(io.wait(io.submit(bad_ssd), failed), std::out_of_range);
-  EXPECT_TRUE(failed.empty());
-  EXPECT_EQ(array.ssd(0).stats().reads, 0u);  // nothing of them was queued
+  EXPECT_THROW(engine.submit(too_long), std::invalid_argument);
+  EXPECT_THROW(engine.submit(bad_ssd), std::out_of_range);
 
   const std::vector<ReadRequest> good = {{0, 0, page_len, buf.data()}};
-  io.wait(io.submit(good), failed);
+  std::vector<FailedRead> failed;
+  engine.wait(engine.submit(good), failed);
   EXPECT_TRUE(failed.empty());
   EXPECT_EQ(buf[0], std::byte{0x3C});
-  EXPECT_EQ(io.latency().count, 1u);
+  // Only the good batch's read reached the device.
+  EXPECT_EQ(array.ssd(0).stats().reads, 1u);
+  EXPECT_EQ(engine.latency().count, 1u);
   array.stop_all();
 }
 
@@ -320,31 +333,27 @@ TEST(IoEngine, CompletionGroupsAwaitIndependently) {
   array.start_all();
 
   std::vector<std::byte> buf_a(8 * kPageBytes), buf_b(8 * kPageBytes);
-  const std::uint64_t ga = engine.group_begin();
-  for (int i = 0; i < 8; ++i) {
-    engine.submit_read(0, static_cast<std::uint64_t>(i) * kPageBytes,
-                       static_cast<std::uint32_t>(kPageBytes),
-                       buf_a.data() + static_cast<std::size_t>(i) * kPageBytes);
+  std::vector<ReadRequest> reqs_a, reqs_b;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto len = static_cast<std::uint32_t>(kPageBytes);
+    reqs_a.push_back({0, i * kPageBytes, len, buf_a.data() + i * kPageBytes});
+    reqs_b.push_back(
+        {0, (8 + i) * kPageBytes, len, buf_b.data() + i * kPageBytes});
   }
-  engine.group_end(ga);
-  const std::uint64_t gb = engine.group_begin();
-  for (int i = 0; i < 8; ++i) {
-    engine.submit_read(0, static_cast<std::uint64_t>(8 + i) * kPageBytes,
-                       static_cast<std::uint32_t>(kPageBytes),
-                       buf_b.data() + static_cast<std::size_t>(i) * kPageBytes);
-  }
-  engine.group_end(gb);
+  const std::uint64_t ta = engine.submit(reqs_a);
+  const std::uint64_t tb = engine.submit(reqs_b);
 
   // Waiting out of submission order must work too.
-  EXPECT_EQ(engine.wait_group(gb), 0u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(buf_b[static_cast<std::size_t>(i) * kPageBytes],
-              static_cast<std::byte>(8 + i));
+  std::vector<FailedRead> failed;
+  engine.wait(tb, failed);
+  EXPECT_TRUE(failed.empty());
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(buf_b[i * kPageBytes], static_cast<std::byte>(8 + i));
   }
-  EXPECT_EQ(engine.wait_group(ga), 0u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(buf_a[static_cast<std::size_t>(i) * kPageBytes],
-              static_cast<std::byte>(i));
+  engine.wait(ta, failed);
+  EXPECT_TRUE(failed.empty());
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(buf_a[i * kPageBytes], static_cast<std::byte>(i));
   }
   array.stop_all();
 }
@@ -356,15 +365,18 @@ TEST(IoEngine, GroupFailuresAreAttributed) {
   IoEngine engine(array);
   array.start_all();
   std::vector<std::byte> buf(2 * kPageBytes);
-  const std::uint64_t ok = engine.group_begin();
-  engine.submit_read(0, 0, static_cast<std::uint32_t>(kPageBytes), buf.data());
-  engine.group_end(ok);
-  const std::uint64_t bad = engine.group_begin();
-  engine.submit_read(0, 100 * kPageBytes, static_cast<std::uint32_t>(kPageBytes),
-                     buf.data() + kPageBytes);
-  engine.group_end(bad);
-  EXPECT_EQ(engine.wait_group(ok), 0u);
-  EXPECT_EQ(engine.wait_group(bad), 1u);
+  const auto len = static_cast<std::uint32_t>(kPageBytes);
+  const std::vector<ReadRequest> good = {{0, 0, len, buf.data()}};
+  const std::vector<ReadRequest> bad = {
+      {0, 100 * kPageBytes, len, buf.data() + kPageBytes}};
+  const std::uint64_t t_good = engine.submit(good);
+  const std::uint64_t t_bad = engine.submit(bad);
+  std::vector<FailedRead> good_failed, bad_failed;
+  engine.wait(t_good, good_failed);
+  engine.wait(t_bad, bad_failed);
+  EXPECT_TRUE(good_failed.empty());
+  ASSERT_EQ(bad_failed.size(), 1u);
+  EXPECT_EQ(bad_failed[0].offset, 100 * kPageBytes);
   array.stop_all();
 }
 
@@ -376,13 +388,10 @@ TEST(SsdDevice, PacingLimitsThroughput) {
   IoEngine engine(array);
   array.start_all();
   std::vector<std::byte> buf(256 * kPageBytes);  // 1 MiB total
+  const std::vector<ReadRequest> reqs = page_reads(256, 64, buf);
+  std::vector<FailedRead> failed;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 256; ++i) {
-    engine.submit_read(0, (static_cast<std::uint64_t>(i) % 64) * kPageBytes,
-                       static_cast<std::uint32_t>(kPageBytes),
-                       buf.data() + static_cast<std::size_t>(i) * kPageBytes);
-  }
-  engine.wait_all();
+  engine.wait(engine.submit(reqs), failed);
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
