@@ -70,10 +70,12 @@ class FeatureProvider {
     std::uint64_t ssd_commands = 0;
     /// Commands that carried two or more adjacent rows.
     std::uint64_t coalesced_commands = 0;
-    /// Shared hot-row cache traffic; evictions/invalidations are cache-wide
-    /// (shared by all clients of a store).
+    /// Shared hot-row cache traffic.
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
+    /// Always 0: the row cache is static and never evicts. Kept only
+    /// because the benchmark under perfbench/ still reads it; delete it with
+    /// that use.
     std::uint64_t cache_evictions = 0;
 
     // Peer-HBM gather path (zero unless a comm plan routes remote-owned

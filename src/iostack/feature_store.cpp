@@ -154,26 +154,29 @@ TieredFeatureStore::TieredFeatureStore(
 }
 
 void TieredFeatureStore::enable_row_cache(const RowCacheOptions& options) {
-  row_cache_ = options.capacity_rows > 0
-                   ? std::make_unique<RowCache>(options, dim_)
-                   : nullptr;
+  const std::size_t cap = options.capacity_rows;
+  cache_rows_ = gnn::Tensor(cap, dim_);
+  cache_slot_.assign(cap > 0 ? loc_.size() : 0, -1);
 }
 
 std::size_t TieredFeatureStore::warm_row_cache(
     std::span<const graph::VertexId> by_hotness_desc) {
-  if (row_cache_ == nullptr) return 0;
-  std::size_t seeded = 0;
+  std::fill(cache_slot_.begin(), cache_slot_.end(), -1);
+  std::size_t filled = 0;
   for (graph::VertexId v : by_hotness_desc) {
-    if (seeded >= row_cache_->capacity_rows()) break;
+    if (filled >= cache_rows_.rows()) break;
     // Only SSD-resident vertices belong in the cache; the static tiers
     // already hold the rest in DRAM/HBM (owned-HBM rows have a host copy
     // too, but caching them would shadow the peer path).
-    if (v >= host_index_.size() || host_index_[v] < 0) continue;
+    if (v >= cache_slot_.size() || cache_slot_[v] >= 0) continue;
+    if (host_index_[v] < 0) continue;
     if (location(v).kind != BinBacking::Kind::kSsd) continue;
-    row_cache_->insert(v, authoritative_row(v));
-    ++seeded;
+    const auto src = authoritative_row(v);
+    std::copy(src.begin(), src.end(), cache_rows_.row(filled).begin());
+    cache_slot_[v] = static_cast<std::int32_t>(filled);
+    ++filled;
   }
-  return seeded;
+  return filled;
 }
 
 std::span<const float> TieredFeatureStore::authoritative_row(
@@ -260,11 +263,6 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
     loc.index = static_cast<std::uint32_t>(slot);
     loc_[m.vertex].store(pack(loc), std::memory_order_release);
   }
-  // Failover invalidation rule: drop the whole shared cache so no gather
-  // mixes admission decisions made against the old placement. Cached bytes
-  // are always authoritative-identical, so this costs warm-up, not
-  // correctness — the chaos harness stays bit-identical either way.
-  if (row_cache_ != nullptr) row_cache_->invalidate_all();
   device_remaps_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -325,7 +323,7 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
 
 void TieredFeatureClient::route_rows(std::span<const graph::VertexId> vertices,
                                      gnn::Tensor& out) {
-  RowCache* cache = store_.row_cache();
+  const bool cache_on = store_.row_cache_capacity() > 0;
   scratch_targets_.clear();
   // Per-batch device-health snapshot, refreshed after a remap (the only
   // event that moves rows between devices mid-batch).
@@ -342,6 +340,15 @@ void TieredFeatureClient::route_rows(std::span<const graph::VertexId> vertices,
       serve(store_.cpu_cache().row(loc.index), out, i, stats_.cpu_hits);
       continue;
     }
+    // A cached row is served even if its device has failed: the bytes are
+    // keyed by vertex, not by device.
+    if (cache_on) {
+      if (const auto row = store_.cached_row(v); !row.empty()) {
+        serve(row, out, i, stats_.cache_hits);
+        continue;
+      }
+      ++stats_.cache_misses;
+    }
     auto ssd = static_cast<std::size_t>(loc.ssd);
     if (scratch_health_[ssd] == DeviceHealth::kFailed) {
       // Known-dead device: trigger the remap (idempotent), re-read the
@@ -355,13 +362,6 @@ void TieredFeatureClient::route_rows(std::span<const graph::VertexId> vertices,
         serve(store_.authoritative_row(v), out, i, stats_.failovers);
         continue;
       }
-    }
-    if (cache != nullptr) {
-      if (cache->lookup(v, out.row(i))) {
-        ++stats_.cache_hits;
-        continue;
-      }
-      ++stats_.cache_misses;
     }
     scratch_targets_.push_back({static_cast<std::uint32_t>(ssd), loc.index, v,
                                 static_cast<std::uint32_t>(i)});
@@ -480,7 +480,6 @@ void TieredFeatureClient::complete(Slot& slot) {
     scratch_failed_ssds_[fr.ssd] = true;
   }
 
-  RowCache* cache = store_.row_cache();
   const std::size_t raw = store_.dim() * sizeof(float);
   for (const PendingRow& pr : slot.pending) {
     if (slot.runs[pr.run].failed) {
@@ -490,9 +489,6 @@ void TieredFeatureClient::complete(Slot& slot) {
       std::memcpy(slot.out->row(pr.out_row).data(),
                   slot.bounce.data() + pr.bounce_off, raw);
     }
-    // Fill the shared cache on completion. Failover rows are admitted too:
-    // the host copy carries the exact device bytes.
-    if (cache != nullptr) cache->insert(pr.vertex, slot.out->row(pr.out_row));
   }
 
   // Hard-failed devices get their bins re-placed so future gathers hit
@@ -522,9 +518,6 @@ gnn::FeatureProvider::IoResilience TieredFeatureClient::io_resilience() const {
   r.peer_rows = stats_.peer_hits;
   r.peer_bytes = stats_.peer_bytes;
   r.remote_hbm_host_rows = stats_.remote_hbm_host_reads;
-  if (const RowCache* cache = store_.row_cache()) {
-    r.cache_evictions = cache->stats().evictions;
-  }
   r.devices_degraded =
       static_cast<std::uint32_t>(store_.array().num_degraded());
   r.devices_failed = static_cast<std::uint32_t>(store_.array().num_failed());

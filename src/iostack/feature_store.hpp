@@ -15,17 +15,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "comm/plan.hpp"
 #include "gnn/features.hpp"
-#include "iostack/row_cache.hpp"
 #include "iostack/ssd.hpp"
 
 namespace moment::iostack {
+
+/// Sizes the store's static hot-row DRAM cache (see enable_row_cache).
+struct RowCacheOptions {
+  /// Rows the cache holds. 0 disables it.
+  std::size_t capacity_rows = 0;
+};
 
 /// Where a data-placement bin physically lives.
 struct BinBacking {
@@ -138,18 +142,25 @@ class TieredFeatureStore {
     return device_remaps_.load(std::memory_order_relaxed);
   }
 
-  /// Enables the shared hot-row DRAM cache consulted by every client before
-  /// it builds SSD requests. Call before gathering starts (clients hold a
-  /// plain pointer). capacity_rows == 0 disables it again.
+  /// Sizes the shared hot-row DRAM cache, which every client consults
+  /// before it builds SSD requests, and empties it. capacity_rows == 0
+  /// disables it. Not thread-safe: call before clients gather.
   void enable_row_cache(const RowCacheOptions& options);
-  RowCache* row_cache() noexcept { return row_cache_.get(); }
-  const RowCache* row_cache() const noexcept { return row_cache_.get(); }
+  std::size_t row_cache_capacity() const noexcept { return cache_rows_.rows(); }
 
-  /// Seeds the cache from a hotness order (sampling::HotnessProfile::
-  /// by_hotness_desc): walks `by_hotness_desc` and inserts the authoritative
-  /// rows of SSD-resident vertices until the cache is full or the order is
-  /// exhausted. Returns the number of rows seeded.
+  /// Refills the cache from a hotness order (sampling::HotnessProfile::
+  /// by_hotness_desc) with the authoritative rows of the first
+  /// row_cache_capacity() distinct SSD-resident vertices in it. Returns the
+  /// number of rows cached. The cache is read-only afterwards, so this must
+  /// finish before clients gather.
   std::size_t warm_row_cache(std::span<const graph::VertexId> by_hotness_desc);
+
+  /// The cached row of `v`, or an empty span if `v` is not cached.
+  /// Lock-free: the cache never changes while clients gather.
+  std::span<const float> cached_row(graph::VertexId v) const noexcept {
+    if (v >= cache_slot_.size() || cache_slot_[v] < 0) return {};
+    return cache_rows_.row(static_cast<std::size_t>(cache_slot_[v]));
+  }
 
  private:
   friend class TieredFeatureClient;
@@ -181,10 +192,11 @@ class TieredFeatureStore {
   std::vector<bool> device_remapped_;
   std::atomic<std::uint64_t> device_remaps_{0};
 
-  /// Shared hot-row cache (nullptr until enabled). Invalidated wholesale by
-  /// remap_failed_device so post-failover gathers never mix cache decisions
-  /// made against the old placement.
-  std::unique_ptr<RowCache> row_cache_;
+  /// Static hot-row cache: row cache_slot_[v] of cache_rows_ holds v's
+  /// bytes, -1 = not cached (empty while the cache is disabled). Keyed by
+  /// vertex, so it stays valid when a failover moves rows between devices.
+  std::vector<std::int32_t> cache_slot_;
+  gnn::Tensor cache_rows_;
 };
 
 /// Wires a gather client into the comm layer's peer-HBM path: rows whose bin
@@ -209,9 +221,9 @@ struct PeerConfig {
 /// shared row cache, else an SSD target), coalesces the SSD targets into
 /// adjacent-slot commands and hands them to the client's IoEngine, whose IO
 /// thread submits and completes them while the caller samples and computes;
-/// gather_wait waits for that batch, then scatters the bounce-buffered rows,
-/// fills the cache and remaps failed devices on the calling thread, so cache
-/// admission and every counter follow the caller's order, not IO timing.
+/// gather_wait waits for that batch, then scatters the bounce-buffered rows
+/// and remaps failed devices on the calling thread, so every counter follows
+/// the caller's order, not IO timing.
 /// Each occurrence of a repeated vertex is routed on its own. Two staging
 /// slots allow two batches in flight (pipelined prefetch). One thread at a
 /// time may call the client.
@@ -291,7 +303,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// the IO thread as one batch owned by `slot`.
   void submit_runs(Slot& slot);
   /// Stage 3: waits for the slot's batch, scatters it into its output
-  /// tensor, fills the row cache, and remaps devices that failed during it.
+  /// tensor, and remaps devices that failed during it.
   void complete(Slot& slot);
 
   /// The slot holding `ticket` (0 finds a free slot), or nullptr.

@@ -42,7 +42,6 @@ void visit_io(IoResilience& a, const IoResilience& b, F&& f) {
   f(a.coalesced_commands, b.coalesced_commands, IoField::kClient);
   f(a.cache_hits, b.cache_hits, IoField::kClient);
   f(a.cache_misses, b.cache_misses, IoField::kClient);
-  f(a.cache_evictions, b.cache_evictions, IoField::kStoreWide);
   f(a.peer_rows, b.peer_rows, IoField::kClient);
   f(a.peer_bytes, b.peer_bytes, IoField::kClient);
   f(a.remote_hbm_host_rows, b.remote_hbm_host_rows, IoField::kClient);
@@ -436,10 +435,9 @@ std::string io_report(const EpochStats& stats) {
                 static_cast<unsigned long long>(io.cache_hits));
   out += buf;
   if (io.cache_hits + io.cache_misses > 0) {
-    std::snprintf(buf, sizeof(buf), "  cache %.1f%% hit, %llu evictions",
+    std::snprintf(buf, sizeof(buf), "  cache %.1f%% hit",
                   100.0 * static_cast<double>(io.cache_hits) /
-                      static_cast<double>(io.cache_hits + io.cache_misses),
-                  static_cast<unsigned long long>(io.cache_evictions));
+                      static_cast<double>(io.cache_hits + io.cache_misses));
     out += buf;
   }
   if (naive > 0 && io.ssd_commands < naive) {

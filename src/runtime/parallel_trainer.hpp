@@ -108,8 +108,8 @@ struct EpochStats {
 
 /// Formats the epoch's IO telemetry for the per-epoch report: the retry/
 /// failover counters (RetryStats-derived) alongside the IO-reduction
-/// pipeline's counters (coalesced commands and rows/cmd, cache hit rate
-/// and evictions). Single line, empty-ish sections elided.
+/// pipeline's counters (coalesced commands and rows/cmd, cache hit rate).
+/// Single line, empty-ish sections elided.
 std::string io_report(const EpochStats& stats);
 
 /// Formats the epoch's comm telemetry (algorithm, per-round payload,

@@ -441,6 +441,13 @@ TEST(PeerGather, ByteIdenticalWithAndWithoutPeerRoute) {
   iostack::RowCacheOptions cache;
   cache.capacity_rows = 64;
   rig.store.enable_row_cache(cache);
+  // Warm-up walks every vertex but caches only SSD-resident rows: owned-HBM
+  // rows stay on the peer path.
+  std::vector<graph::VertexId> order(kVertices);
+  for (std::size_t v = 0; v < kVertices; ++v) {
+    order[v] = static_cast<graph::VertexId>(v);
+  }
+  ASSERT_EQ(rig.store.warm_row_cache(order), cache.capacity_rows);
 
   LinkCounters counters(plan.num_links);
   iostack::TieredFeatureClient peer_path(rig.store, 256, {}, {},
@@ -468,6 +475,8 @@ TEST(PeerGather, ByteIdenticalWithAndWithoutPeerRoute) {
   EXPECT_GT(storage_path.stats().remote_hbm_host_reads, 0u);
   // Both clients saw the same GPU1-owned occurrences, one way or the other.
   EXPECT_EQ(ps.peer_hits, storage_path.stats().remote_hbm_host_reads);
+  EXPECT_GT(ps.cache_hits, 0u);
+  EXPECT_EQ(ps.cache_hits, storage_path.stats().cache_hits);
 
   // Link counters carry exactly the peer traffic: every peer row charges
   // row bytes to each link of the owner->client route.
