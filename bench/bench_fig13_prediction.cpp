@@ -11,7 +11,7 @@ using namespace moment;
 namespace {
 
 /// Trace-driven measurement of a Moment plan: real sampled batches against
-/// the realised placement, per-round fluid simulation.
+/// the run's own bins and data placement, per-round fluid simulation.
 double traced_epoch_time(const topology::MachineSpec& spec,
                          const runtime::Workbench& wb,
                          const runtime::SystemResult& r) {
@@ -19,24 +19,14 @@ double traced_epoch_time(const topology::MachineSpec& spec,
   topology::FlowGraphOptions fopts;
   fopts.use_nvlink = r.placement.nvlink;
   const auto fg = topology::compile_flow_graph(topo, fopts);
-  const auto pred = topology::predict(
-      fg, ddak::to_flow_demand(r.workload, fg,
-                               ddak::SupplyModel::kFlexibleTier));
-  auto bins = ddak::make_bins(topo, fg, pred.per_storage_bytes,
-                              wb.dataset.scaled.vertices, 0.005, 0.01);
-  auto working = sim::merge_replicated_gpu_bins(bins);
-  working = sim::merge_replicated_cpu_bins(working);
-  ddak::DdakOptions dopt;
-  dopt.pool_size = ddak::default_pool_size(wb.dataset.scaled.vertices);
-  const auto place = ddak::ddak_place(working, wb.profile, dopt);
   sampling::NeighborSampler sampler(wb.dataset.csr, {25, 10});
   const auto train = sampling::select_train_vertices(
       wb.dataset.csr, wb.dataset.train_fraction, 42);
   sim::TraceSimOptions topts;
   topts.trace_rounds = 8;
   topts.scaled_batch_size = wb.profile.batch_size;
-  return sim::simulate_epoch_traced(topo, fg, r.workload, working, place,
-                                    sampler, train, topts)
+  return sim::simulate_epoch_traced(topo, fg, r.workload, r.bins,
+                                    r.data_placement, sampler, train, topts)
       .epoch_time_s;
 }
 

@@ -23,7 +23,7 @@ int main() {
       c.placement = topology::classic_placement(spec, 'c', 4, 8);
       c.placement->nvlink = nvlink;
       c.nvlink = nvlink;
-      c.gpu_cache_mode = ddak::GpuCacheMode::kPartitioned;
+      c.cache.gpu_cache_mode = ddak::GpuCacheMode::kPartitioned;
       // Partitioned caches hold G distinct hot slices; peers fetch over
       // NVLink when present, else over PCIe P2P.
       c.cache.gpu_cache_fraction = 0.01;

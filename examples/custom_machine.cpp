@@ -8,10 +8,10 @@
 //        (with no file, a built-in 3-switch demo machine is used)
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
+#include "cli.hpp"
 #include "placement/search.hpp"
 #include "topology/discovery.hpp"
 #include "util/table.hpp"
@@ -47,9 +47,22 @@ slots SW1.slots SW1 8 gpu,ssd gen4
 slots SW2.slots SW2 8 gpu,ssd gen4
 )";
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: custom_machine [spec-file] [num_gpus] [num_ssds]\n"
+               "  num_gpus >= 1 and num_ssds >= 0 (default 4 8)\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  int gpus = 4;
+  int ssds = 8;
+  if (argc > 4 || (argc > 2 && !examples::parse_int(argv[2], 1, gpus)) ||
+      (argc > 3 && !examples::parse_int(argv[3], 0, ssds))) {
+    return usage();
+  }
   topology::MachineSpec spec;
   if (argc > 1) {
     std::ifstream file(argv[1]);
@@ -61,8 +74,6 @@ int main(int argc, char** argv) {
   } else {
     spec = topology::parse_machine_spec_string(kDemoMachine);
   }
-  const int gpus = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int ssds = argc > 3 ? std::atoi(argv[3]) : 8;
 
   std::printf("machine: %s — %s\n", spec.name.c_str(),
               spec.description.c_str());

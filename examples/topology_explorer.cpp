@@ -6,9 +6,11 @@
 // Usage: topology_explorer [a|b] [num_gpus] [num_ssds]
 
 #include <cstdio>
+#include <cstring>
 #include <iostream>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "cli.hpp"
 #include "maxflow/dinic.hpp"
 #include "maxflow/min_cut.hpp"
 #include "placement/search.hpp"
@@ -19,6 +21,13 @@
 using namespace moment;
 
 namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: topology_explorer [a|b] [num_gpus] [num_ssds]\n"
+               "  num_gpus >= 1 and num_ssds >= 0 (default b 4 8)\n");
+  return 2;
+}
 
 void diagnose_bottlenecks(const topology::MachineSpec& spec,
                           const topology::Placement& p) {
@@ -50,12 +59,18 @@ void diagnose_bottlenecks(const topology::MachineSpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char which = argc > 1 ? argv[1][0] : 'b';
-  const int gpus = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int ssds = argc > 3 ? std::atoi(argv[3]) : 8;
+  const char* which = argc > 1 ? argv[1] : "b";
+  int gpus = 4;
+  int ssds = 8;
+  if (argc > 4 ||
+      (std::strcmp(which, "a") != 0 && std::strcmp(which, "b") != 0) ||
+      (argc > 2 && !examples::parse_int(argv[2], 1, gpus)) ||
+      (argc > 3 && !examples::parse_int(argv[3], 0, ssds))) {
+    return usage();
+  }
 
   const topology::MachineSpec spec =
-      which == 'a' ? topology::make_machine_a() : topology::make_machine_b();
+      which[0] == 'a' ? topology::make_machine_a() : topology::make_machine_b();
   std::printf("%s\n%s\n\nSkeleton:\n%s\n", spec.name.c_str(),
               spec.description.c_str(), spec.skeleton.to_string().c_str());
 
@@ -72,6 +87,11 @@ int main(int argc, char** argv) {
   const auto result = placement::search_placements(spec, opts);
   std::printf("placements: %zu feasible, %zu after isomorphic reduction\n\n",
               result.total_combinations, result.evaluated);
+  if (result.top.empty()) {
+    std::fprintf(stderr, "no placement of %d GPUs and %d SSDs fits %s\n",
+                 gpus, ssds, spec.name.c_str());
+    return 1;
+  }
 
   util::Table t({"#", "placement", "predicted epoch IO (s)",
                  "throughput (GiB/s)"});
@@ -86,10 +106,15 @@ int main(int argc, char** argv) {
 
   std::printf("\nBottleneck diagnosis (min cut):\n");
   for (char classic : {'b', 'c'}) {
-    const auto p = topology::classic_placement(spec, classic, gpus, ssds);
-    std::printf("placement (%c): %s\n", classic,
-                placement::describe(spec, p).c_str());
-    diagnose_bottlenecks(spec, p);
+    try {
+      const auto p = topology::classic_placement(spec, classic, gpus, ssds);
+      std::printf("placement (%c): %s\n", classic,
+                  placement::describe(spec, p).c_str());
+      diagnose_bottlenecks(spec, p);
+    } catch (const std::invalid_argument&) {
+      std::printf("placement (%c): does not fit %d GPUs and %d SSDs\n",
+                  classic, gpus, ssds);
+    }
   }
   std::printf("best searched placement:\n");
   diagnose_bottlenecks(spec, result.best().placement);

@@ -12,16 +12,14 @@
 // GPU-HBM rows are served over planned peer routes instead of the host copy.
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "comm/planner.hpp"
 #include "core/auto_module.hpp"
 #include "gnn/kernels.hpp"
@@ -39,18 +37,6 @@ int usage() {
                "[--comm-plan=flat|ring|tree|auto]\n"
                "  epochs and workers are positive integers (default 5 2)\n");
   return 2;
-}
-
-/// Parses a whole-string positive int; 0 for anything else.
-int parse_positive(const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v <= 0 ||
-      v > INT_MAX) {
-    return 0;
-  }
-  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -72,10 +58,14 @@ int main(int argc, char** argv) {
     }
   }
   if (positional.size() > 2) return usage();
-  const int epochs = positional.size() > 0 ? parse_positive(positional[0]) : 5;
-  const int workers =
-      positional.size() > 1 ? parse_positive(positional[1]) : 2;
-  if (epochs <= 0 || workers <= 0) return usage();
+  int epochs = 5;
+  int workers = 2;
+  if ((positional.size() > 0 &&
+       !examples::parse_int(positional[0], 1, epochs)) ||
+      (positional.size() > 1 &&
+       !examples::parse_int(positional[1], 1, workers))) {
+    return usage();
+  }
 
   // Plan: placement + DDAK layout for a Machine-A-like box.
   const auto machine = topology::make_machine_a();

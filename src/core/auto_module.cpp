@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/machine_sim.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -40,42 +39,21 @@ Plan AutoModule::plan(const AutoModuleConfig& config,
                                             config.cache, config.num_gpus);
 
   // Stage 2: hardware placement — max-flow ranking over the symmetry-reduced
-  // candidate space, refined by fluid simulation of the leaders.
-  auto t_search = std::chrono::steady_clock::now();
-  const runtime::ModelPreset preset = runtime::model_preset(config.model);
-  ddak::CacheConfig cache = config.cache;
-  const runtime::PlacementChoice choice = runtime::choose_moment_placement(
+  // candidate space, refined by simulating the leaders. The winner's
+  // evaluation already holds its DDAK data placement.
+  const auto t_search = std::chrono::steady_clock::now();
+  runtime::PlacementChoice choice = runtime::choose_moment_placement(
       spec, bench, plan.workload, config.num_gpus, config.num_ssds,
-      config.nvlink, cache, preset.compute_time_per_batch);
+      config.nvlink, config.cache,
+      runtime::model_preset(config.model).compute_time_per_batch);
   plan.hardware_placement = choice.placement;
-  plan.prediction = choice.prediction;
+  plan.prediction = choice.eval.prediction;
+  plan.bins = std::move(choice.eval.bins);
+  plan.data_placement = std::move(choice.eval.data_placement);
   plan.candidates_total = choice.candidates_total;
   plan.candidates_evaluated = choice.candidates_evaluated;
-  plan.predicted_epoch_io_time_s = plan.prediction.epoch_io_time_s;
-  plan.predicted_throughput = plan.prediction.throughput;
-  plan.search_time_s = seconds_since(t_search);
-
-  // Stage 3: DDAK from the winning plan's per-storage flows.
-  auto t_ddak = std::chrono::steady_clock::now();
-  const topology::Topology topo =
-      topology::instantiate(spec, plan.hardware_placement);
-  topology::FlowGraphOptions fopts;
-  fopts.use_nvlink = config.nvlink;
-  const topology::FlowGraph fg = topology::compile_flow_graph(topo, fopts);
-  auto bins = ddak::make_bins(topo, fg, plan.prediction.per_storage_bytes,
-                              bench.dataset.scaled.vertices,
-                              config.cache.gpu_cache_fraction,
-                              config.cache.cpu_cache_fraction);
-  plan.bins = config.cache.gpu_cache_mode == ddak::GpuCacheMode::kReplicated
-                  ? sim::merge_replicated_gpu_bins(bins)
-                  : std::move(bins);
-  plan.bins = sim::merge_replicated_cpu_bins(plan.bins);
-  ddak::DdakOptions dopt;
-  dopt.pool_size = config.ddak_pool_size != 0
-                       ? config.ddak_pool_size
-                       : ddak::default_pool_size(bench.dataset.scaled.vertices);
-  plan.data_placement = ddak::ddak_place(plan.bins, bench.profile, dopt);
-  plan.ddak_time_s = seconds_since(t_ddak);
+  plan.ddak_time_s = choice.eval.ddak_time_s;
+  plan.search_time_s = seconds_since(t_search) - plan.ddak_time_s;
   return plan;
 }
 
@@ -86,8 +64,8 @@ std::string Plan::to_string(const topology::MachineSpec& spec) const {
       << placement::describe(spec, hardware_placement) << "\n";
   out << "  search: " << candidates_evaluated << " evaluated of "
       << candidates_total << " feasible combinations\n";
-  out << "  predicted epoch IO time: " << predicted_epoch_io_time_s << " s ("
-      << util::to_gib_per_s(predicted_throughput) << " GiB/s)\n";
+  out << "  predicted epoch IO time: " << prediction.epoch_io_time_s
+      << " s (" << util::to_gib_per_s(prediction.throughput) << " GiB/s)\n";
   util::Table table({"bin", "tier", "capacity(vtx)", "traffic share",
                      "vertices", "hotness share"});
   const char* tier_names[] = {"GPU", "CPU", "SSD"};

@@ -5,8 +5,9 @@
 //            config, dataset
 //   stage 1: pre-sampling hotness profile (Workbench)
 //   stage 2: hardware placement search — enumerate, symmetry-reduce,
-//            max-flow time-bisection per candidate
-//   stage 3: DDAK data placement from the winning plan's storage-node flows
+//            max-flow time-bisection per candidate, then simulate the
+//            leaders (runtime::choose_moment_placement); the winner's DDAK
+//            data placement, from its storage-node flows, is kept
 //
 // The resulting Plan is everything the runtime needs; it is reusable across
 // GNN models and epochs for a fixed hardware set, so its cost amortises
@@ -32,9 +33,6 @@ struct AutoModuleConfig {
   int num_ssds = 8;
   bool nvlink = false;
   ddak::CacheConfig cache;
-  /// DDAK pooling granularity; 0 = auto-scale to the dataset (the paper's
-  /// n = 100 corresponds to ~1e-6 of a paper-scale graph's vertices).
-  std::size_t ddak_pool_size = 0;
   std::uint64_t seed = 42;
 };
 
@@ -48,8 +46,6 @@ struct Plan {
   // Search telemetry (paper's search-space reduction claims).
   std::size_t candidates_total = 0;
   std::size_t candidates_evaluated = 0;
-  double predicted_epoch_io_time_s = 0.0;
-  double predicted_throughput = 0.0;  // bytes/s
 
   // Offline cost breakdown (paper Section 3.3 "Pre-processing Cost").
   double profile_time_s = 0.0;
@@ -64,7 +60,7 @@ struct Plan {
 
 class AutoModule {
  public:
-  /// Full pipeline: profiles the dataset, searches placements, runs DDAK.
+  /// Full pipeline: profiles the dataset, then searches placements.
   static Plan plan(const AutoModuleConfig& config);
   /// Same but with a pre-built workbench (shared across sweeps).
   static Plan plan(const AutoModuleConfig& config,

@@ -30,7 +30,7 @@ topology::StorageTier parse_tier(const std::string& s) {
 
 void save_plan(const Plan& plan, std::ostream& out) {
   out << kMagic << "\n";
-  out << "# predicted epoch IO time (s): " << plan.predicted_epoch_io_time_s
+  out << "# predicted epoch IO time (s): " << plan.prediction.epoch_io_time_s
       << "\n";
   out << "# offline cost (s): " << plan.total_time_s() << "\n";
 

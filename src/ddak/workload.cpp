@@ -43,7 +43,6 @@ EpochWorkload make_epoch_workload(const graph::Dataset& dataset,
   EpochWorkload w;
   w.num_gpus = num_gpus;
   w.batch_size = batch_size;
-  w.cache = cache;
   w.gpu_cache_mode = cache.gpu_cache_mode;
   w.feature_bytes =
       static_cast<double>(dataset.paper.feature_dim) * sizeof(float);

@@ -42,7 +42,6 @@ struct EpochWorkload {
   double cpu_hit_fraction = 0.0;
   double ssd_fraction = 0.0;
   GpuCacheMode gpu_cache_mode = GpuCacheMode::kReplicated;
-  CacheConfig cache;
 };
 
 EpochWorkload make_epoch_workload(const graph::Dataset& dataset,

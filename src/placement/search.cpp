@@ -5,6 +5,7 @@
 #include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "topology/flow_graph.hpp"
 #include "util/thread_pool.hpp"
@@ -146,8 +147,19 @@ CandidateResult evaluate_placement(const MachineSpec& spec, const Placement& p,
   return result;
 }
 
+const CandidateResult& SearchResult::best() const {
+  if (top.empty()) {
+    throw std::out_of_range("SearchResult::best: no feasible placement");
+  }
+  return top.front();
+}
+
 SearchResult search_placements(const MachineSpec& spec,
                                const SearchOptions& options) {
+  if (options.num_gpus < 1 || options.num_ssds < 0) {
+    throw std::invalid_argument(
+        "search_placements: need num_gpus >= 1 and num_ssds >= 0");
+  }
   SearchResult result;
   result.spec = &spec;
 

@@ -59,9 +59,12 @@ struct SearchResult {
   std::size_t evaluated = 0;            // after symmetry reduction
   const topology::MachineSpec* spec = nullptr;
 
-  const CandidateResult& best() const { return top.front(); }
+  /// The top-ranked candidate; throws std::out_of_range when no placement
+  /// fits (e.g. more GPUs than the machine has slots for).
+  const CandidateResult& best() const;
 };
 
+/// Throws std::invalid_argument for num_gpus < 1 or num_ssds < 0.
 SearchResult search_placements(const topology::MachineSpec& spec,
                                const SearchOptions& options);
 

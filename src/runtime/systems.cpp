@@ -1,17 +1,15 @@
 #include "runtime/systems.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "graph/partition.hpp"
 #include "placement/search.hpp"
-#include "util/units.hpp"
 
 namespace moment::runtime {
-
-using util::gib_per_s;
 
 const char* system_name(SystemKind kind) noexcept {
   switch (kind) {
@@ -106,59 +104,73 @@ SystemResult run_distdgl(const ExperimentConfig& /*config*/,
 
 }  // namespace
 
-namespace {
-
-/// Full Moment pipeline for one placement: flexible-supply prediction, DDAK
-/// from the (smoothed) flow plan, multipath epoch simulation.
-struct PlacementEval {
-  topology::Prediction prediction;
-  sim::SimReport sim;
-};
-
-PlacementEval evaluate_moment_placement(const topology::MachineSpec& spec,
-                                        const topology::Placement& p,
-                                        const Workbench& bench,
-                                        const ddak::EpochWorkload& workload,
-                                        const ddak::CacheConfig& cache,
-                                        bool nvlink,
-                                        double compute_time_per_batch) {
-  PlacementEval out;
-  const topology::Topology topo = topology::instantiate(spec, p);
+PlacementEval simulate_placement(SystemKind kind,
+                                 const topology::MachineSpec& spec,
+                                 const topology::Placement& placement,
+                                 const Workbench& bench,
+                                 const ddak::EpochWorkload& workload,
+                                 const ddak::CacheConfig& cache,
+                                 DataPolicy policy,
+                                 double compute_time_per_batch,
+                                 std::uint64_t seed) {
+  const topology::Topology topo = topology::instantiate(spec, placement);
   topology::FlowGraphOptions fopts;
-  fopts.use_nvlink = nvlink;
+  fopts.use_nvlink = placement.nvlink;
   const topology::FlowGraph fg = topology::compile_flow_graph(topo, fopts);
+
+  PlacementEval out;
   out.prediction = topology::predict(
-      fg, ddak::to_flow_demand(workload, fg, ddak::SupplyModel::kFlexibleTier));
-  if (!out.prediction.feasible) return out;
-  auto bins = ddak::make_bins(topo, fg, out.prediction.per_storage_bytes,
-                              bench.dataset.scaled.vertices,
-                              cache.gpu_cache_fraction,
-                              cache.cpu_cache_fraction);
-  std::vector<ddak::Bin> working =
-      cache.gpu_cache_mode == ddak::GpuCacheMode::kReplicated
-          ? sim::merge_replicated_gpu_bins(bins)
-          : std::move(bins);
-  working = sim::merge_replicated_cpu_bins(working);  // socket-local hits
-  ddak::DdakOptions dopt;
-  dopt.pool_size = ddak::default_pool_size(bench.dataset.scaled.vertices);
-  const auto data = ddak::ddak_place(working, bench.profile, dopt);
-  // Moment's IO stack can spread a stream across alternate routes or keep it
-  // on the direct one; pick whichever the fluid model says is faster for
-  // this placement (static multipath weights are not congestion-aware, so
-  // they can lose to direct routing on balanced layouts).
+      fg, ddak::to_flow_demand(workload, fg,
+                               kind == SystemKind::kMoment
+                                   ? ddak::SupplyModel::kFlexibleTier
+                                   : ddak::SupplyModel::kUniformHash));
+
+  out.bins = ddak::make_bins(topo, fg, out.prediction.per_storage_bytes,
+                             bench.dataset.scaled.vertices,
+                             cache.gpu_cache_fraction,
+                             cache.cpu_cache_fraction);
+  if (cache.gpu_cache_mode == ddak::GpuCacheMode::kReplicated) {
+    out.bins = sim::merge_replicated_gpu_bins(out.bins);
+  }
+  const auto t_place = std::chrono::steady_clock::now();
+  if (policy == DataPolicy::kDdak) {
+    // Moment mirrors the CPU cache per socket so hits stay QPI-local; the
+    // hash baseline stripes cached vertices across sockets.
+    out.bins = sim::merge_replicated_cpu_bins(out.bins);
+    ddak::DdakOptions dopt;
+    dopt.pool_size = ddak::default_pool_size(bench.dataset.scaled.vertices);
+    out.data_placement = ddak::ddak_place(out.bins, bench.profile, dopt);
+  } else {
+    out.data_placement = ddak::hash_place(out.bins, bench.profile, seed);
+  }
+  out.ddak_time_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t_place)
+                        .count();
+
+  // Epoch simulation ("measured"). Moment's IO stack can spread a stream
+  // across alternate routes or keep it on the direct one; static multipath
+  // weights are not congestion-aware, so they can lose to direct routing on
+  // balanced layouts. The baselines are topology-oblivious and route
+  // directly.
   sim::SimOptions sopts;
   sopts.compute_time_per_batch = compute_time_per_batch;
-  sopts.routing = sim::RoutingPolicy::kMultiPath;
-  const auto multi = sim::simulate_epoch(topo, fg, workload, working, data,
-                                         sopts);
+  if (kind == SystemKind::kMGids) {
+    // Page-granular BaM accesses: metadata traffic plus partially-used
+    // cache lines inflate the bytes actually moved from the SSDs.
+    sopts.partition_ssds_per_gpu = true;
+    sopts.ssd_read_amplification = 1.45;
+  }
   sopts.routing = sim::RoutingPolicy::kSinglePath;
-  const auto single = sim::simulate_epoch(topo, fg, workload, working, data,
-                                          sopts);
-  out.sim = multi.epoch_time_s <= single.epoch_time_s ? multi : single;
+  out.sim = sim::simulate_epoch(topo, fg, workload, out.bins,
+                                out.data_placement, sopts);
+  if (kind == SystemKind::kMoment) {
+    sopts.routing = sim::RoutingPolicy::kMultiPath;
+    sim::SimReport multi = sim::simulate_epoch(topo, fg, workload, out.bins,
+                                               out.data_placement, sopts);
+    if (multi.epoch_time_s <= out.sim.epoch_time_s) out.sim = std::move(multi);
+  }
   return out;
 }
-
-}  // namespace
 
 PlacementChoice choose_moment_placement(const topology::MachineSpec& spec,
                                         const Workbench& bench,
@@ -166,8 +178,8 @@ PlacementChoice choose_moment_placement(const topology::MachineSpec& spec,
                                         int num_gpus, int num_ssds,
                                         bool nvlink,
                                         const ddak::CacheConfig& cache,
-                                        double compute_time_per_batch,
-                                        std::size_t refine_top) {
+                                        double compute_time_per_batch) {
+  constexpr std::size_t kRefineTop = 6;
   placement::SearchOptions sopt;
   sopt.num_gpus = num_gpus;
   sopt.num_ssds = num_ssds;
@@ -178,7 +190,7 @@ PlacementChoice choose_moment_placement(const topology::MachineSpec& spec,
       workload.total_bytes * workload.cpu_hit_fraction,
       workload.total_bytes * workload.ssd_fraction};
   sopt.gpu_hbm_bytes = workload.per_gpu_bytes * workload.gpu_hit_fraction;
-  sopt.keep_top = refine_top;
+  sopt.keep_top = kRefineTop;
   const placement::SearchResult search =
       placement::search_placements(spec, sopt);
   if (search.top.empty()) {
@@ -201,19 +213,16 @@ PlacementChoice choose_moment_placement(const topology::MachineSpec& spec,
   choice.candidates_total = search.total_combinations;
   choice.candidates_evaluated = search.evaluated;
   double best = std::numeric_limits<double>::infinity();
-  for (auto& p : pool) {
-    topology::Placement candidate = p;
+  for (auto& candidate : pool) {
     candidate.nvlink = nvlink;
-    const PlacementEval eval = evaluate_moment_placement(
-        spec, candidate, bench, workload, cache, nvlink,
-        compute_time_per_batch);
-    ++choice.candidates_simulated;
+    PlacementEval eval = simulate_placement(
+        SystemKind::kMoment, spec, candidate, bench, workload, cache,
+        DataPolicy::kDdak, compute_time_per_batch, /*seed=*/0);
     if (!eval.prediction.feasible) continue;
     if (eval.sim.epoch_time_s < best) {
       best = eval.sim.epoch_time_s;
       choice.placement = candidate;
-      choice.prediction = eval.prediction;
-      choice.simulated_epoch_s = eval.sim.epoch_time_s;
+      choice.eval = std::move(eval);
     }
   }
   if (!std::isfinite(best)) {
@@ -235,7 +244,6 @@ SystemResult run_system(SystemKind kind, const ExperimentConfig& config,
                         const Workbench& bench) {
   const ModelPreset preset = model_preset(config.model);
   ddak::CacheConfig cache = config.cache;
-  cache.gpu_cache_mode = config.gpu_cache_mode;
   if (kind == SystemKind::kMGids) {
     // BaM's page-cache metadata and cache lines occupy the GPU memory that
     // Moment/Hyperion use as a hot-feature cache (paper Section 4.2).
@@ -278,10 +286,11 @@ SystemResult run_system(SystemKind kind, const ExperimentConfig& config,
   if (config.placement.has_value()) {
     r.placement = *config.placement;
   } else if (kind == SystemKind::kMoment) {
-    const PlacementChoice choice = choose_moment_placement(
-        spec, bench, workload, config.num_gpus, config.num_ssds,
-        config.nvlink, cache, preset.compute_time_per_batch);
-    r.placement = choice.placement;
+    r.placement = choose_moment_placement(spec, bench, workload,
+                                          config.num_gpus, config.num_ssds,
+                                          config.nvlink, cache,
+                                          preset.compute_time_per_batch)
+                      .placement;
   } else {
     r.placement = topology::classic_placement(spec, config.default_classic,
                                               config.num_gpus,
@@ -289,75 +298,21 @@ SystemResult run_system(SystemKind kind, const ExperimentConfig& config,
   }
   r.placement.nvlink = config.nvlink;
 
-  const topology::Topology topo = topology::instantiate(spec, r.placement);
-  topology::FlowGraphOptions fopts;
-  fopts.use_nvlink = config.nvlink;
-  const topology::FlowGraph fg = topology::compile_flow_graph(topo, fopts);
-
-  // Prediction: Moment plans with tier-flexible supplies (DDAK realises the
-  // split); baselines are pinned to the uniform hash split.
-  const auto supply_model = kind == SystemKind::kMoment
-                                ? ddak::SupplyModel::kFlexibleTier
-                                : ddak::SupplyModel::kUniformHash;
-  const topology::WorkloadDemand demand =
-      ddak::to_flow_demand(workload, fg, supply_model);
-  r.prediction = topology::predict(fg, demand);
-
+  const DataPolicy policy = config.data_policy.value_or(
+      kind == SystemKind::kMoment ? DataPolicy::kDdak : DataPolicy::kHash);
+  PlacementEval eval = simulate_placement(
+      kind, spec, r.placement, bench, workload, cache, policy,
+      preset.compute_time_per_batch, config.seed);
+  r.prediction = eval.prediction;
   const double rounds = std::ceil(
       static_cast<double>(workload.batches_per_epoch) /
       std::max(1, config.num_gpus));
   r.predicted_epoch_time_s =
       std::max(r.prediction.epoch_io_time_s,
                rounds * preset.compute_time_per_batch);
-
-  // Data placement.
-  const DataPolicy policy = config.data_policy.value_or(
-      kind == SystemKind::kMoment ? DataPolicy::kDdak : DataPolicy::kHash);
-  auto bins = ddak::make_bins(topo, fg, r.prediction.per_storage_bytes,
-                              bench.dataset.scaled.vertices,
-                              cache.gpu_cache_fraction,
-                              cache.cpu_cache_fraction);
-  std::vector<ddak::Bin> working_bins =
-      config.gpu_cache_mode == ddak::GpuCacheMode::kReplicated
-          ? sim::merge_replicated_gpu_bins(bins)
-          : std::move(bins);
-  if (policy == DataPolicy::kDdak) {
-    // Moment mirrors the CPU cache per socket so hits stay QPI-local; the
-    // hash baseline stripes cached vertices across sockets.
-    working_bins = sim::merge_replicated_cpu_bins(working_bins);
-  }
-  ddak::DdakOptions dopt;
-  dopt.pool_size =
-      ddak::default_pool_size(bench.dataset.scaled.vertices);
-  const ddak::DataPlacementResult data_placement =
-      policy == DataPolicy::kDdak
-          ? ddak::ddak_place(working_bins, bench.profile, dopt)
-          : ddak::hash_place(working_bins, bench.profile, config.seed);
-
-  // Epoch simulation ("measured"). Moment's IO stack picks the better of
-  // direct and spread routing (see choose_moment_placement); the baselines
-  // are topology-oblivious and always route directly.
-  sim::SimOptions sopts;
-  sopts.compute_time_per_batch = preset.compute_time_per_batch;
-  sopts.partition_ssds_per_gpu = kind == SystemKind::kMGids;
-  if (kind == SystemKind::kMGids) {
-    // Page-granular BaM accesses: metadata traffic plus partially-used
-    // cache lines inflate the bytes actually moved from the SSDs.
-    sopts.ssd_read_amplification = 1.45;
-  }
-  if (kind == SystemKind::kMoment) {
-    sopts.routing = sim::RoutingPolicy::kMultiPath;
-    const auto multi = sim::simulate_epoch(topo, fg, workload, working_bins,
-                                           data_placement, sopts);
-    sopts.routing = sim::RoutingPolicy::kSinglePath;
-    const auto single = sim::simulate_epoch(topo, fg, workload, working_bins,
-                                            data_placement, sopts);
-    r.sim = multi.epoch_time_s <= single.epoch_time_s ? multi : single;
-  } else {
-    sopts.routing = sim::RoutingPolicy::kSinglePath;
-    r.sim = sim::simulate_epoch(topo, fg, workload, working_bins,
-                                data_placement, sopts);
-  }
+  r.sim = eval.sim;
+  r.bins = std::move(eval.bins);
+  r.data_placement = std::move(eval.data_placement);
   r.epoch_time_s = r.sim.epoch_time_s;
   r.throughput_seeds_per_s = r.sim.throughput_seeds_per_s;
   return r;

@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ddak/ddak.hpp"
 #include "ddak/workload.hpp"
@@ -46,7 +47,6 @@ struct ExperimentConfig {
   char default_classic = 'c';
   std::optional<DataPolicy> data_policy;  // default: per-system policy
   bool nvlink = false;
-  ddak::GpuCacheMode gpu_cache_mode = ddak::GpuCacheMode::kReplicated;
   ddak::CacheConfig cache;
   std::uint64_t seed = 42;
 };
@@ -67,6 +67,8 @@ struct SystemResult {
   double predicted_epoch_time_s = 0.0;
   topology::Placement placement;
   ddak::EpochWorkload workload;
+  std::vector<ddak::Bin> bins;        // as placed (see simulate_placement)
+  ddak::DataPlacementResult data_placement;
   double monetary_cost_usd = 0.0;     // 5-year TCO of the platform
 };
 
@@ -90,19 +92,48 @@ SystemResult run_system(SystemKind kind, const ExperimentConfig& config,
 double machine_tco_usd();
 double cluster_tco_usd();
 
+/// One placement through the evaluation pipeline: max-flow prediction,
+/// storage bins, data placement and the fluid-simulated epoch.
+struct PlacementEval {
+  topology::Prediction prediction;
+  /// The bins the data was placed into: per-GPU HBM bins merged into one
+  /// under replicated caches, the CPU cache socket-mirrored under DDAK.
+  std::vector<ddak::Bin> bins;
+  ddak::DataPlacementResult data_placement;
+  sim::SimReport sim;
+  double ddak_time_s = 0.0;  // wall time of the data-placement step
+};
+
+/// The one evaluation pipeline every system runs on a hardware placement
+/// (NVLink edges follow `placement.nvlink`). What varies by system:
+///   - supply model: Moment plans tier-flexible supplies (DDAK realises the
+///     split); the baselines are pinned to the uniform hash split;
+///   - data placement: DDAK (with the CPU cache mirrored per socket) or hash
+///     striping (`seed` is the hash seed), per `policy`;
+///   - M-GIDS partitions the SSDs per GPU and reads 1.45x the bytes;
+///   - Moment routes over multiple paths or directly, whichever simulates
+///     faster (multipath wins ties); the baselines route directly.
+PlacementEval simulate_placement(SystemKind kind,
+                                 const topology::MachineSpec& spec,
+                                 const topology::Placement& placement,
+                                 const Workbench& bench,
+                                 const ddak::EpochWorkload& workload,
+                                 const ddak::CacheConfig& cache,
+                                 DataPolicy policy,
+                                 double compute_time_per_batch,
+                                 std::uint64_t seed);
+
 /// Moment's placement choice: max-flow ranks the (symmetry-reduced)
-/// candidate space, then the fluid simulator scores the top few candidates
-/// plus the classic layouts under the real symmetric-access model, and the
+/// candidate space, then the top few candidates plus the classic layouts run
+/// through simulate_placement (DDAK, symmetric-access fluid model), and the
 /// best *simulated* placement wins. The single-commodity max flow can
 /// overestimate what symmetric per-GPU access achieves on asymmetric
 /// layouts; the refinement step keeps that optimism from selecting them.
 struct PlacementChoice {
   topology::Placement placement;
-  topology::Prediction prediction;  // flexible-tier, for the chosen layout
-  double simulated_epoch_s = 0.0;
+  PlacementEval eval;  // the winner's evaluation
   std::size_t candidates_total = 0;
   std::size_t candidates_evaluated = 0;
-  std::size_t candidates_simulated = 0;
 };
 
 PlacementChoice choose_moment_placement(const topology::MachineSpec& spec,
@@ -111,7 +142,6 @@ PlacementChoice choose_moment_placement(const topology::MachineSpec& spec,
                                         int num_gpus, int num_ssds,
                                         bool nvlink,
                                         const ddak::CacheConfig& cache,
-                                        double compute_time_per_batch,
-                                        std::size_t refine_top = 6);
+                                        double compute_time_per_batch);
 
 }  // namespace moment::runtime

@@ -23,7 +23,7 @@ TEST(AutoModule, ProducesFeasiblePlan) {
   const auto spec = topology::make_machine_b();
   const Plan plan = AutoModule::plan(config_for(&spec));
   EXPECT_TRUE(plan.prediction.feasible);
-  EXPECT_GT(plan.predicted_throughput, 0.0);
+  EXPECT_GT(plan.prediction.throughput, 0.0);
   EXPECT_GT(plan.candidates_total, plan.candidates_evaluated - 1);
   EXPECT_EQ(plan.hardware_placement.total_gpus(), 4);
   EXPECT_EQ(plan.hardware_placement.total_ssds(), 8);
@@ -67,7 +67,7 @@ TEST(AutoModule, PlanBeatsClassicPlacements) {
   for (char which : {'a', 'b', 'c', 'd'}) {
     const auto classic = placement::evaluate_placement(
         spec, topology::classic_placement(spec, which, 4, 8), sopt);
-    EXPECT_GE(plan.predicted_throughput, classic.score * 0.999)
+    EXPECT_GE(plan.prediction.throughput, classic.score * 0.999)
         << "classic " << which;
   }
 }
@@ -122,12 +122,44 @@ TEST(AutoModule, RequiresMachine) {
   EXPECT_THROW(AutoModule::plan(c), std::invalid_argument);
 }
 
-TEST(AutoModule, PoolSizeOverrideHonoured) {
-  const auto spec = topology::make_machine_a();
-  AutoModuleConfig c = config_for(&spec);
-  c.ddak_pool_size = 7;  // just exercise the explicit path
-  const Plan plan = AutoModule::plan(c);
-  EXPECT_TRUE(plan.prediction.feasible);
+TEST(AutoModule, PlanIsTheWinnersEvaluation) {
+  // The plan reuses the refinement winner's evaluation instead of running
+  // DDAK again: same placement as run_system picks, and the same bins and
+  // vertex layout as a fresh simulate_placement of that placement.
+  const auto spec = topology::make_machine_b();
+  const auto cfg = config_for(&spec);
+  const runtime::Workbench bench =
+      runtime::Workbench::make(cfg.dataset, cfg.dataset_scale_shift, cfg.seed);
+  const Plan plan = AutoModule::plan(cfg, bench);
+
+  runtime::ExperimentConfig ec;
+  ec.machine = &spec;
+  ec.dataset = cfg.dataset;
+  ec.dataset_scale_shift = cfg.dataset_scale_shift;
+  ec.num_gpus = cfg.num_gpus;
+  ec.num_ssds = cfg.num_ssds;
+  const auto r = runtime::run_system(runtime::SystemKind::kMoment, ec, bench);
+  EXPECT_EQ(plan.hardware_placement, r.placement);
+
+  const runtime::PlacementEval fresh = runtime::simulate_placement(
+      runtime::SystemKind::kMoment, spec, plan.hardware_placement, bench,
+      plan.workload, cfg.cache, runtime::DataPolicy::kDdak,
+      runtime::model_preset(cfg.model).compute_time_per_batch, cfg.seed);
+  ASSERT_EQ(plan.bins.size(), fresh.bins.size());
+  for (std::size_t i = 0; i < plan.bins.size(); ++i) {
+    EXPECT_EQ(plan.bins[i].name, fresh.bins[i].name);
+    EXPECT_EQ(plan.bins[i].storage_index, fresh.bins[i].storage_index);
+    EXPECT_DOUBLE_EQ(plan.bins[i].capacity_vertices,
+                     fresh.bins[i].capacity_vertices);
+    EXPECT_DOUBLE_EQ(plan.bins[i].traffic_target,
+                     fresh.bins[i].traffic_target);
+    EXPECT_EQ(plan.bins[i].replica_storage_indices,
+              fresh.bins[i].replica_storage_indices);
+  }
+  EXPECT_EQ(plan.data_placement.bin_of_vertex,
+            fresh.data_placement.bin_of_vertex);
+  EXPECT_EQ(r.data_placement.bin_of_vertex,
+            fresh.data_placement.bin_of_vertex);
 }
 
 }  // namespace

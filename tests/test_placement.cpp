@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "placement/search.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -123,6 +126,27 @@ TEST(Search, DeterministicAcrossRuns) {
   ASSERT_FALSE(a.top.empty());
   EXPECT_EQ(a.best().placement, b.best().placement);
   EXPECT_DOUBLE_EQ(a.best().score, b.best().score);
+}
+
+TEST(Search, RejectsBadDeviceCounts) {
+  const MachineSpec spec = topology::make_machine_b();
+  for (auto [gpus, ssds] : {std::pair{-3, 8}, std::pair{0, 8},
+                            std::pair{4, -1}}) {
+    SearchOptions o = workload_options(4, 8);
+    o.num_gpus = gpus;
+    o.num_ssds = ssds;
+    EXPECT_THROW(search_placements(spec, o), std::invalid_argument)
+        << gpus << " GPUs, " << ssds << " SSDs";
+  }
+}
+
+TEST(Search, BestThrowsWhenNothingFits) {
+  // Valid counts can still leave no candidate: Machine B has no room for 20
+  // GPUs.
+  const MachineSpec spec = topology::make_machine_b();
+  const SearchResult r = search_placements(spec, workload_options(20, 8));
+  EXPECT_TRUE(r.top.empty());
+  EXPECT_THROW(r.best(), std::out_of_range);
 }
 
 TEST(Search, IdenticalTopListWithOneVsManyEvalThreads) {

@@ -150,6 +150,48 @@ TEST(Systems, DeterministicAcrossRuns) {
   EXPECT_EQ(a.placement, b.placement);
 }
 
+int count_bins(const std::vector<ddak::Bin>& bins, topology::StorageTier t) {
+  return static_cast<int>(std::count_if(
+      bins.begin(), bins.end(), [t](const ddak::Bin& b) { return b.tier == t; }));
+}
+
+TEST(Systems, PartitionedCacheModeHonoured) {
+  const auto spec = topology::make_machine_a();
+  const Workbench bench = Workbench::make(graph::DatasetId::kIG, 4, 1);
+  ExperimentConfig c = base_config(&spec);
+  c.cache.gpu_cache_mode = ddak::GpuCacheMode::kPartitioned;
+  const auto r = run_system(SystemKind::kMoment, c, bench);
+  EXPECT_EQ(r.workload.gpu_cache_mode, ddak::GpuCacheMode::kPartitioned);
+  // Partitioned caches keep one HBM bin per GPU (no merged replicated bin).
+  EXPECT_EQ(count_bins(r.bins, topology::StorageTier::kGpuHbm), c.num_gpus);
+  EXPECT_EQ(r.data_placement.bin_count.size(), r.bins.size());
+}
+
+TEST(Systems, HashPolicyKeepsCpuBinsUnmirrored) {
+  const auto spec = topology::make_machine_b();
+  const Workbench bench = Workbench::make(graph::DatasetId::kIG, 4, 1);
+  ExperimentConfig c = base_config(&spec);
+  c.placement = topology::classic_placement(spec, 'c', 4, 8);
+  const auto ddak = run_system(SystemKind::kMoment, c, bench);
+  c.data_policy = DataPolicy::kHash;
+  const auto hash = run_system(SystemKind::kMoment, c, bench);
+
+  // DDAK mirrors the hottest CPU-cached vertices on both sockets.
+  const auto mirrored = [](const std::vector<ddak::Bin>& bins) {
+    return std::count_if(bins.begin(), bins.end(), [](const ddak::Bin& b) {
+      return b.tier == topology::StorageTier::kCpuDram &&
+             !b.replica_storage_indices.empty();
+    });
+  };
+  EXPECT_EQ(mirrored(ddak.bins), 1);
+  EXPECT_EQ(mirrored(hash.bins), 0);
+  EXPECT_EQ(count_bins(hash.bins, topology::StorageTier::kCpuDram), 2);
+  // Replicated GPU caches merge under either policy.
+  EXPECT_EQ(count_bins(hash.bins, topology::StorageTier::kGpuHbm), 1);
+  EXPECT_EQ(hash.data_placement.bin_of_vertex.size(),
+            bench.dataset.scaled.vertices);
+}
+
 struct TrainerRig {
   graph::CsrGraph g;
   gnn::SyntheticTask task;
