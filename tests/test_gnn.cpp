@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "gnn/block.hpp"
 #include "gnn/features.hpp"
@@ -19,6 +20,7 @@
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
 #include "sampling/neighbor_sampler.hpp"
+#include "util/thread_pool.hpp"
 
 namespace moment::gnn {
 namespace {
@@ -462,6 +464,240 @@ TEST(GnnModel, BackwardRejectsBrokenBlockChaining) {
     }
   }
   model.backward(blocks, grad);  // the well-formed pair still works
+}
+
+// ---- Per-head GAT reference -------------------------------------------------
+// A serial, one-head-at-a-time copy of the GAT layer as it was before the
+// all-head kernels: the bit-level contract GatLayer must keep. Every dot
+// product is an ascending chain of separately rounded multiplies and adds.
+
+struct GatReference {
+  Tensor out, grad_x;
+  std::vector<float> param_grads;  // w, attn_l, attn_r, bias (flattened)
+};
+
+GatReference gat_per_head_reference(const Block& block, const Tensor& x,
+                                    const Tensor& grad_out,
+                                    std::vector<Param> params,
+                                    std::size_t heads, std::size_t hd,
+                                    bool elu) {
+  const CompiledBlock cb = compile_block(block);
+  const std::size_t nd = cb.num_dst(), ns = cb.num_src(),
+                    ne = cb.num_edges(), od = heads * hd;
+  Param &w = params[0], &attn_l = params[1], &attn_r = params[2],
+        &bias = params[3];
+  const float slope = GatLayer::kLeakySlope;
+
+  Tensor z(ns, od);
+  matmul(x, w.value, z);
+  std::vector<float> score(ne * heads, 0.0f), alpha(ne * heads, 0.0f);
+  Tensor pre(nd, od);
+  std::vector<float> pl(ns), pr(ns);
+  for (std::size_t h = 0; h < heads; ++h) {
+    const std::size_t off = h * hd;
+    const float* al = attn_l.value.data() + off;
+    const float* ar = attn_r.value.data() + off;
+    for (std::size_t v = 0; v < ns; ++v) {
+      const float* zr = z.data() + v * od + off;
+      float l = 0.0f, r = 0.0f;
+      for (std::size_t c = 0; c < hd; ++c) {
+        l += al[c] * zr[c];
+        r += ar[c] * zr[c];
+      }
+      pl[v] = l;
+      pr[v] = r;
+    }
+    for (std::size_t i = 0; i < nd; ++i) {
+      float* o = pre.data() + i * od + off;
+      const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+      if (e == b) continue;
+      const float el = pl[static_cast<std::size_t>(cb.self_src[i])];
+      float mx = -std::numeric_limits<float>::infinity();
+      for (int t = b; t < e; ++t) {
+        const float s = el + pr[static_cast<std::size_t>(cb.src_of[t])];
+        score[static_cast<std::size_t>(t) * heads + h] = s;
+        mx = std::max(mx, s > 0.0f ? s : slope * s);
+      }
+      float denom = 0.0f;
+      for (int t = b; t < e; ++t) {
+        const float s = score[static_cast<std::size_t>(t) * heads + h];
+        const float wgt = std::exp((s > 0.0f ? s : slope * s) - mx);
+        alpha[static_cast<std::size_t>(t) * heads + h] = wgt;
+        denom += wgt;
+      }
+      const float inv = 1.0f / denom;
+      for (int t = b; t < e; ++t) {
+        float& a = alpha[static_cast<std::size_t>(t) * heads + h];
+        a = a * inv;
+        const float* zr =
+            z.data() + static_cast<std::size_t>(cb.src_of[t]) * od + off;
+        for (std::size_t j = 0; j < hd; ++j) o[j] += a * zr[j];
+      }
+    }
+  }
+  add_bias(pre, bias.value);
+  if (elu) {
+    for (std::size_t i = 0; i < pre.size(); ++i) {
+      pre.data()[i] = elu_scalar(pre.data()[i]);
+    }
+  }
+
+  Tensor grad = grad_out;
+  if (elu) {
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      grad.data()[i] *= elu_grad_from_out(pre.data()[i]);
+    }
+  }
+  bias_grad(grad, bias.grad);
+  Tensor grad_z(ns, od);
+  std::vector<float> ds(ne * heads, 0.0f), del(nd), der(ns);
+  for (std::size_t h = 0; h < heads; ++h) {
+    const std::size_t off = h * hd;
+    for (std::size_t i = 0; i < nd; ++i) {
+      const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+      del[i] = 0.0f;
+      if (e == b) continue;
+      const float* gi = grad.data() + i * od + off;
+      float sum = 0.0f;
+      for (int t = b; t < e; ++t) {
+        const float* zr =
+            z.data() + static_cast<std::size_t>(cb.src_of[t]) * od + off;
+        float dot = 0.0f;
+        for (std::size_t j = 0; j < hd; ++j) dot += gi[j] * zr[j];
+        const std::size_t idx = static_cast<std::size_t>(t) * heads + h;
+        ds[idx] = dot;
+        sum += alpha[idx] * dot;
+      }
+      float acc = 0.0f;
+      for (int t = b; t < e; ++t) {
+        const std::size_t idx = static_cast<std::size_t>(t) * heads + h;
+        const float grad_act = alpha[idx] * (ds[idx] - sum);
+        ds[idx] = grad_act * (score[idx] > 0.0f ? 1.0f : slope);
+        acc += ds[idx];
+      }
+      del[i] = acc;
+    }
+    for (std::size_t v = 0; v < ns; ++v) {
+      float* o = grad_z.data() + v * od + off;
+      float acc = 0.0f;
+      for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
+        const auto ed = static_cast<std::size_t>(cb.rev_edge[t]);
+        const auto d = static_cast<std::size_t>(cb.dst_of[ed]);
+        const float a = alpha[ed * heads + h];
+        acc += ds[ed * heads + h];
+        const float* gr = grad.data() + d * od + off;
+        for (std::size_t j = 0; j < hd; ++j) o[j] += a * gr[j];
+      }
+      der[v] = acc;
+    }
+    const float* al = attn_l.value.data() + off;
+    const float* ar = attn_r.value.data() + off;
+    float* gal = attn_l.grad.data() + off;
+    float* gar = attn_r.grad.data() + off;
+    for (std::size_t i = 0; i < nd; ++i) {
+      const float gl = del[i];
+      if (gl == 0.0f) continue;
+      const auto self = static_cast<std::size_t>(cb.self_src[i]);
+      const float* zr = z.data() + self * od + off;
+      float* gz = grad_z.data() + self * od + off;
+      for (std::size_t c = 0; c < hd; ++c) {
+        gal[c] += gl * zr[c];
+        gz[c] += gl * al[c];
+      }
+    }
+    for (std::size_t v = 0; v < ns; ++v) {
+      const float gr = der[v];
+      if (gr == 0.0f) continue;
+      const float* zr = z.data() + v * od + off;
+      float* gz = grad_z.data() + v * od + off;
+      for (std::size_t c = 0; c < hd; ++c) {
+        gar[c] += gr * zr[c];
+        gz[c] += gr * ar[c];
+      }
+    }
+  }
+  matmul_at(x, grad_z, w.grad, /*accumulate=*/true);
+  GatReference ref{pre, Tensor(ns, x.cols()), {}};
+  matmul_bt(grad_z, w.value, ref.grad_x);
+  for (const Param& p : params) {
+    ref.param_grads.insert(ref.param_grads.end(), p.grad.data(),
+                           p.grad.data() + p.grad.size());
+  }
+  return ref;
+}
+
+/// 150 src rows, 48 dst rows (every third src, so self rows are spread out),
+/// ~5 random in-edges per dst. dst 5 has no in-edges and src 149 no
+/// out-edges, so both zero-gradient skips are exercised.
+Block gat_reference_block() {
+  util::Pcg32 rng(23);
+  Block b;
+  for (VertexId v = 0; v < 150; ++v) b.src_ids.push_back(v);
+  for (int i = 0; i < 48; ++i) {
+    b.dst_ids.push_back(static_cast<VertexId>(3 * i + 1));
+    b.dst_in_src.push_back(3 * i + 1);
+  }
+  for (int i = 0; i < 48; ++i) {
+    if (i == 5) continue;
+    const int deg = 1 + static_cast<int>(rng.next_below(9));
+    for (int k = 0; k < deg; ++k) {
+      b.edges.emplace_back(i, static_cast<int>(rng.next_below(149)));
+    }
+  }
+  return b;
+}
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(GatLayer, MatchesPerHeadReferenceBitwise) {
+  const Block block = gat_reference_block();
+  constexpr std::size_t kInDim = 10;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::set_compute_pool_threads(threads);
+    for (const std::size_t heads : {1u, 3u, 8u, 9u}) {
+      for (const std::size_t hd : {1u, 7u, 64u}) {
+        for (const bool elu : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "threads=" << threads << " heads=" << heads
+                       << " head_dim=" << hd << " elu=" << elu);
+          util::Pcg32 rng(31 + heads * 7 + hd);
+          GatLayer layer(kInDim, heads, hd, elu, rng);
+          Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
+          x *= 3.0f;
+          for (Param* p : layer.parameters()) {
+            if (p->name == "bias") p->value = Tensor::glorot(1, heads * hd, rng);
+            p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
+          }
+          const Tensor grad_out =
+              Tensor::glorot(block.num_dst(), heads * hd, rng);
+          std::vector<Param> params;
+          for (Param* p : layer.parameters()) params.push_back(*p);
+
+          const GatReference ref = gat_per_head_reference(
+              block, x, grad_out, params, heads, hd, elu);
+          const Tensor out = layer.forward(block, x);
+          const Tensor grad_x = layer.backward(block, grad_out);
+          ASSERT_EQ(out.size(), ref.out.size());
+          EXPECT_TRUE(same_bits(out.data(), ref.out.data(), out.size()));
+          ASSERT_EQ(grad_x.size(), ref.grad_x.size());
+          EXPECT_TRUE(
+              same_bits(grad_x.data(), ref.grad_x.data(), grad_x.size()));
+          const std::vector<float> got = flat_grads(layer.parameters());
+          ASSERT_EQ(got.size(), ref.param_grads.size());
+          std::size_t at = 0;
+          for (const Param* p : layer.parameters()) {
+            EXPECT_TRUE(same_bits(got.data() + at,
+                                  ref.param_grads.data() + at, p->grad.size()))
+                << p->name;
+            at += p->grad.size();
+          }
+        }
+      }
+    }
+  }
+  util::set_compute_pool_threads(0);
 }
 
 TEST(Features, AsyncProtocolFallsBackToSync) {
