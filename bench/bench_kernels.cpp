@@ -6,7 +6,11 @@
 //
 // The GAT layer-0 block times the three GEMMs at the shape GAT trains on and
 // checks each bit for bit against an ascending-order float loop; the JSON
-// records the tile body (isa) the kernels ran on.
+// records the tile body (isa) the kernels ran on. The gat_attention row times
+// the all-head attention kernels (logits, forward, backward) against the
+// per-head reference (tests/gat_reference.hpp) at the layer-0 block shape on
+// one thread each, and checks every output bit for bit; --smoke runs the same
+// check at small shapes.
 //
 // Usage:
 //   bench_kernels [--threads N] [--out FILE]   full run, writes BENCH_kernels.json
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "gat_reference.hpp"
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
 #include "util/rng.hpp"
@@ -194,6 +199,98 @@ bool check(const char* what, const std::vector<float>& ref,
   return true;
 }
 
+struct GatAttentionRow {
+  std::size_t nd, ns, ne, heads, head_dim;
+  double reference_s, logits_s, forward_s, backward_s;
+  bool bitwise;
+};
+
+/// All-head attention kernels vs the per-head reference on one random block,
+/// each on one thread: score, alpha, out, grad_z and both attention-vector
+/// gradients must match bit for bit. Times are best of `reps` (0 = check
+/// only).
+GatAttentionRow run_gat_attention(std::size_t nd, std::size_t ns,
+                                  std::size_t ne, std::size_t heads,
+                                  std::size_t hd, int reps,
+                                  moment::util::Pcg32& rng) {
+  const std::size_t threads = moment::util::compute_pool_threads();
+  moment::util::set_compute_pool_threads(1);
+  const Block block = make_block(nd, ns, ne, rng);
+  const CompiledBlock cb = moment::gnn::compile_block(block);
+  const std::size_t od = heads * hd;
+  const float slope = 0.2f;
+  const auto z = random_matrix(ns, od, rng);
+  const auto g = random_matrix(nd, od, rng);
+  const auto attn_l = random_matrix(heads, hd, rng);
+  const auto attn_r = random_matrix(heads, hd, rng);
+  const auto grad_attn0 = random_matrix(2, od, rng);
+
+  struct Outputs {
+    std::vector<float> score, alpha, out, grad_z, gal, gar;
+  };
+  auto fresh = [&] {
+    Outputs o{std::vector<float>(ne * heads), std::vector<float>(ne * heads),
+              std::vector<float>(nd * od),    std::vector<float>(ns * od),
+              std::vector<float>(grad_attn0.begin(), grad_attn0.begin() + od),
+              std::vector<float>(grad_attn0.begin() + od, grad_attn0.end())};
+    return o;
+  };
+  Outputs ref = fresh();
+  auto run_reference = [&] {
+    std::fill(ref.out.begin(), ref.out.end(), 0.0f);
+    std::fill(ref.grad_z.begin(), ref.grad_z.end(), 0.0f);
+    moment::gnn::reference::gat_attention_forward(
+        cb, z.data(), heads, hd, attn_l.data(), attn_r.data(), slope,
+        ref.score.data(), ref.alpha.data(), ref.out.data());
+    moment::gnn::reference::gat_attention_backward(
+        cb, g.data(), z.data(), heads, hd, slope, attn_l.data(),
+        attn_r.data(), ref.score.data(), ref.alpha.data(), ref.grad_z.data(),
+        ref.gal.data(), ref.gar.data());
+  };
+  run_reference();
+
+  Outputs got = fresh();
+  std::vector<float> zm(ns * od), grad_zm(ns * od), el(nd * heads),
+      er(ns * heads);
+  kernels::heads_to_minor(ns, heads, hd, z.data(), zm.data());
+  auto logits = [&] {
+    kernels::gat_logits(cb, zm.data(), heads, hd, attn_l.data(),
+                        attn_r.data(), el.data(), er.data());
+  };
+  auto forward = [&] {
+    kernels::gat_attention_forward(cb, el.data(), er.data(), zm.data(), heads,
+                                   hd, slope, got.score.data(),
+                                   got.alpha.data(), got.out.data());
+  };
+  auto backward = [&] {
+    kernels::gat_attention_backward(
+        cb, g.data(), zm.data(), heads, hd, slope, attn_l.data(),
+        attn_r.data(), got.score.data(), got.alpha.data(), grad_zm.data(),
+        got.gal.data(), got.gar.data());
+  };
+  logits();
+  forward();
+  backward();
+  kernels::heads_to_major(ns, heads, hd, grad_zm.data(), got.grad_z.data());
+  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  GatAttentionRow row{nd, ns, ne, heads, hd, 0.0, 0.0, 0.0, 0.0,
+                      same(ref.score, got.score) &&
+                          same(ref.alpha, got.alpha) &&
+                          same(ref.out, got.out) &&
+                          same(ref.grad_z, got.grad_z) &&
+                          same(ref.gal, got.gal) && same(ref.gar, got.gar)};
+  if (reps > 0) {
+    row.reference_s = time_best(reps, run_reference);
+    row.logits_s = time_best(reps, logits);
+    row.forward_s = time_best(reps, forward);
+    row.backward_s = time_best(reps, backward);
+  }
+  moment::util::set_compute_pool_threads(threads);
+  return row;
+}
+
 int run_smoke() {
   moment::util::Pcg32 rng(42);
   bool pass = true;
@@ -227,6 +324,15 @@ int run_smoke() {
     naive_aggregate_mean(block, x.data(), dim, ref.data());
     kernels::aggregate_mean(cb, x.data(), dim, got.data());
     pass &= check("aggregate_mean", ref, got);
+  }
+  const std::size_t gat_shapes[][2] = {{8, 64}, {3, 7}, {16, 5}, {1, 16}};
+  for (const auto& s : gat_shapes) {
+    const GatAttentionRow r =
+        run_gat_attention(50, 120, 400, s[0], s[1], 0, rng);
+    std::printf("%s gat_attention heads %zu x %zu: %s\n",
+                r.bitwise ? "ok  " : "FAIL", r.heads, r.head_dim,
+                r.bitwise ? "bitwise" : "BITWISE MISMATCH vs per-head");
+    pass &= r.bitwise;
   }
   std::printf("smoke: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
@@ -328,6 +434,21 @@ int run_full(std::size_t threads, const std::string& out_path) {
   const std::vector<BitwiseRow> gat = run_gat_layer0(rng);
   for (const BitwiseRow& r : gat) pass &= r.bitwise;
 
+  // GAT layer-0 block: 1.15k dst, 4.8k src, 10.7k edges, 8 heads of 64.
+  const GatAttentionRow att =
+      run_gat_attention(1150, 4800, 10700, 8, 64, 5, rng);
+  const double att_kernel_s = att.logits_s + att.forward_s + att.backward_s;
+  std::printf("\ngat_attention %zu dst / %zu edges / %zu src, %zu heads x "
+              "%zu, 1 thread:\n  per-head %7.2f ms  all-head %7.2f ms "
+              "(logits %.2f, forward %.2f, backward %.2f)  speedup %.2fx  "
+              "%s\n",
+              att.nd, att.ne, att.ns, att.heads, att.head_dim,
+              att.reference_s * 1e3, att_kernel_s * 1e3, att.logits_s * 1e3,
+              att.forward_s * 1e3, att.backward_s * 1e3,
+              att.reference_s / att_kernel_s,
+              att.bitwise ? "bitwise ok" : "BITWISE MISMATCH");
+  pass &= att.bitwise;
+
   const std::size_t nd = 10000, ns = 30000, ne = 200000, dim = 256;
   const Block block = make_block(nd, ns, ne, rng);
   const CompiledBlock cb = moment::gnn::compile_block(block);
@@ -381,7 +502,18 @@ int run_full(std::size_t threads, const std::string& out_path) {
                  r.bitwise ? "true" : "false", i + 1 < gat.size() ? "," : "");
   }
   std::fprintf(f,
-               "  ],\n  \"aggregate_mean\": {\"num_dst\": %zu, "
+               "  ],\n  \"gat_attention\": {\"num_dst\": %zu, "
+               "\"num_edges\": %zu, \"num_src\": %zu, \"heads\": %zu, "
+               "\"head_dim\": %zu, \"threads\": 1, \"reference_s\": %.6f, "
+               "\"kernel_s\": %.6f, \"logits_s\": %.6f, "
+               "\"forward_s\": %.6f, \"backward_s\": %.6f, "
+               "\"speedup\": %.3f, \"bitwise\": %s},\n",
+               att.nd, att.ne, att.ns, att.heads, att.head_dim,
+               att.reference_s, att_kernel_s, att.logits_s, att.forward_s,
+               att.backward_s, att.reference_s / att_kernel_s,
+               att.bitwise ? "true" : "false");
+  std::fprintf(f,
+               "  \"aggregate_mean\": {\"num_dst\": %zu, "
                "\"num_edges\": %zu, \"num_src\": %zu, \"dim\": %zu, "
                "\"naive_s\": %.6f, \"kernel_s\": %.6f, \"speedup\": %.3f}\n}\n",
                nd, ne, ns, dim, agg_naive_s, agg_kernel_s, agg_speedup);

@@ -6,8 +6,8 @@
 // Usage: ddak_planner [machine a|b] [placement a|b|c|d] [dataset PA|IG|UK|CL]
 
 #include <cstdio>
-#include <iostream>
 #include <cstring>
+#include <iostream>
 
 #include "ddak/ddak.hpp"
 #include "ddak/workload.hpp"
@@ -18,14 +18,44 @@
 
 using namespace moment;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: ddak_planner [a|b] [a|b|c|d] [PA|IG|UK|CL]\n"
+               "  machine, placement and dataset (default a b IG)\n");
+  return 2;
+}
+
+/// True if `text` is a single character in `allowed`; stores it in `out`.
+bool parse_choice(const char* text, const char* allowed, char& out) {
+  if (text[0] == '\0' || text[1] != '\0' ||
+      std::strchr(allowed, text[0]) == nullptr) {
+    return false;
+  }
+  out = text[0];
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const char machine = argc > 1 ? argv[1][0] : 'a';
-  const char layout = argc > 2 ? argv[2][0] : 'b';
+  char machine = 'a';
+  char layout = 'b';
   graph::DatasetId dataset = graph::DatasetId::kIG;
+  bool dataset_ok = argc <= 3;
   if (argc > 3) {
     for (auto id : graph::kAllDatasets) {
-      if (std::strcmp(argv[3], graph::dataset_name(id)) == 0) dataset = id;
+      if (std::strcmp(argv[3], graph::dataset_name(id)) == 0) {
+        dataset = id;
+        dataset_ok = true;
+      }
     }
+  }
+  if (argc > 4 || !dataset_ok ||
+      (argc > 1 && !parse_choice(argv[1], "ab", machine)) ||
+      (argc > 2 && !parse_choice(argv[2], "abcd", layout))) {
+    return usage();
   }
 
   const auto spec = machine == 'a' ? topology::make_machine_a()

@@ -35,10 +35,6 @@ class GatLayer final : public Module {
   static constexpr float kLeakySlope = 0.2f;
 
  private:
-  /// Per-src attention logits a_l . z and a_r . z for head h.
-  void project_head(std::size_t h, std::vector<float>& pl,
-                    std::vector<float>& pr) const;
-
   std::size_t in_dim_, num_heads_, head_dim_;
   bool apply_elu_;
   Param w_;       // (in_dim x heads*head_dim), heads column-blocked
@@ -50,14 +46,10 @@ class GatLayer final : public Module {
   // block.compiled() (head-minor: edge * num_heads + head) — the per-dst
   // adjacency comes from the shared CompiledBlock, not a layer-local copy.
   Tensor saved_x_src_;
-  Tensor saved_z_;               // (num_src x heads*head_dim)
-  Tensor saved_pre_;             // pre-ELU output (num_dst x heads*head_dim)
+  Tensor saved_z_;    // (num_src x heads*head_dim), head-minor columns
+  Tensor saved_out_;  // post-activation output (num_dst x heads*head_dim)
   std::vector<float> saved_alpha_;   // per (CSR edge, head)
   std::vector<float> saved_score_;   // pre-LeakyReLU logits per (CSR edge, head)
 };
-
-/// ELU and its derivative (alpha = 1).
-float elu_scalar(float x) noexcept;
-float elu_grad_from_out(float out) noexcept;
 
 }  // namespace moment::gnn

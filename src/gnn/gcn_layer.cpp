@@ -44,6 +44,7 @@ Tensor GcnLayer::forward(const Block& block, const Tensor& x_src) {
     saved_coeff_[ne + i] = static_cast<float>(1.0 / deg[i]);
   }
 
+  saved_num_src_ = block.num_src();
   saved_agg_ = Tensor(nd, in_dim_);
   kernels::aggregate_coeff(cb, saved_coeff_.data(), saved_coeff_.data() + ne,
                            x_src.data(), in_dim_, saved_agg_.data());
@@ -62,6 +63,11 @@ Tensor GcnLayer::backward(const Block& block, const Tensor& grad_out,
     throw std::invalid_argument("GcnLayer::backward: grad shape mismatch");
   }
   const CompiledBlock& cb = block.compiled();
+  if (saved_num_src_ != block.num_src() ||
+      saved_coeff_.size() != cb.num_edges() + block.num_dst()) {
+    throw std::logic_error(
+        "GcnLayer::backward: block differs from the last forward's");
+  }
   Tensor grad = grad_out;
   if (apply_relu_) relu_backward(saved_out_, grad);
 

@@ -33,6 +33,7 @@ class GcnLayer final : public Module {
   bool apply_relu_;
   Param w_, bias_;
 
+  std::size_t saved_num_src_ = 0;  // src rows of the last forward's block
   Tensor saved_agg_;   // normalized aggregation (num_dst x in)
   Tensor saved_out_;   // post-activation
   /// Indexed by CSR edge id (block.compiled()), with the per-dst self-loop

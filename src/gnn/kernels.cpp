@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -407,108 +408,391 @@ void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
       });
 }
 
+// ---- GAT attention --------------------------------------------------------
+
+namespace {
+
+// Lane primitives over `n` feature indices of one head-minor row, element
+// [c * heads + h]: the heads are independent lanes, and each lane runs the
+// ascending-c chain a one-head loop would. `s` holds one value per head.
+struct HeadOps {
+  // out[h] = 0 + a[0,h]*b[0,h] + a[1,h]*b[1,h] + ... (ascending c).
+  void (*dot)(std::size_t heads, std::size_t n, const float* a,
+              const float* b, float* out);
+  // y[c,h] += s[h] * x[c,h]; with skip_zero, lanes with s[h] == 0 are left
+  // as they are (adding a zero product would turn -0 into +0).
+  void (*axpy)(std::size_t heads, std::size_t n, const float* s,
+               const float* x, float* y, bool skip_zero);
+};
+
+// Any head count: scalar lanes, accumulators in `out`.
+void dot_any(std::size_t heads, std::size_t n, const float* __restrict a,
+             const float* __restrict b, float* __restrict out) {
+  for (std::size_t h = 0; h < heads; ++h) out[h] = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      out[h] = out[h] + a[c * heads + h] * b[c * heads + h];
+    }
+  }
+}
+
+void axpy_any(std::size_t heads, std::size_t n, const float* __restrict s,
+              const float* __restrict x, float* __restrict y, bool skip_zero) {
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      const float v = y[c * heads + h];
+      const float sum = v + s[h] * x[c * heads + h];
+      y[c * heads + h] = skip_zero ? (s[h] != 0.0f ? sum : v) : sum;
+    }
+  }
+}
+
+// heads % 8 == 0: 8 heads per vector. One source, compiled twice below
+// (baseline and AVX2); every lane is a separately rounded multiply and add,
+// so both builds give the bits of the scalar lanes above.
+using V8 = float __attribute__((vector_size(32)));
+using M8 = std::int32_t __attribute__((vector_size(32)));  // lane mask
+
+[[gnu::always_inline]] inline void dot_v8(std::size_t heads, std::size_t n,
+                                          const float* a, const float* b,
+                                          float* out) {
+  for (std::size_t h0 = 0; h0 < heads; h0 += 8) {
+    V8 acc{};
+    for (std::size_t c = 0; c < n; ++c) {
+      V8 av, bv;
+      std::memcpy(&av, a + c * heads + h0, sizeof(V8));
+      std::memcpy(&bv, b + c * heads + h0, sizeof(V8));
+      acc = acc + av * bv;
+    }
+    std::memcpy(out + h0, &acc, sizeof(V8));
+  }
+}
+
+[[gnu::always_inline]] inline void axpy_v8(std::size_t heads, std::size_t n,
+                                           const float* s, const float* x,
+                                           float* y, bool skip_zero) {
+  for (std::size_t h0 = 0; h0 < heads; h0 += 8) {
+    V8 sv;
+    std::memcpy(&sv, s + h0, sizeof(V8));
+    const M8 live = sv != V8{};
+    for (std::size_t c = 0; c < n; ++c) {
+      V8 xv, yv;
+      std::memcpy(&xv, x + c * heads + h0, sizeof(V8));
+      std::memcpy(&yv, y + c * heads + h0, sizeof(V8));
+      const V8 sum = yv + sv * xv;
+      yv = skip_zero ? (live ? sum : yv) : sum;
+      std::memcpy(y + c * heads + h0, &yv, sizeof(V8));
+    }
+  }
+}
+
+void dot_v8_base(std::size_t heads, std::size_t n, const float* a,
+                 const float* b, float* out) {
+  dot_v8(heads, n, a, b, out);
+}
+void axpy_v8_base(std::size_t heads, std::size_t n, const float* s,
+                  const float* x, float* y, bool skip_zero) {
+  axpy_v8(heads, n, s, x, y, skip_zero);
+}
+
+#ifdef MOMENT_KERNELS_X86
+__attribute__((target("avx2"))) void dot_v8_avx2(std::size_t heads,
+                                                 std::size_t n,
+                                                 const float* a,
+                                                 const float* b, float* out) {
+  dot_v8(heads, n, a, b, out);
+}
+__attribute__((target("avx2"))) void axpy_v8_avx2(std::size_t heads,
+                                                  std::size_t n,
+                                                  const float* s,
+                                                  const float* x, float* y,
+                                                  bool skip_zero) {
+  axpy_v8(heads, n, s, x, y, skip_zero);
+}
+#endif
+
+const HeadOps& head_ops(std::size_t heads) {
+  static const HeadOps any{dot_any, axpy_any};
+  static const HeadOps v8_base{dot_v8_base, axpy_v8_base};
+  if (heads % 8 != 0) return any;
+#ifdef MOMENT_KERNELS_X86
+  static const HeadOps v8_avx2{dot_v8_avx2, axpy_v8_avx2};
+  if (active_body() == detail::Body::kAvx2) return v8_avx2;
+#endif
+  return v8_base;
+}
+
+// out row r = in row r, an (a x b) row-major block, transposed to (b x a).
+void transpose_rows(std::size_t rows, std::size_t a, std::size_t b,
+                    const float* in, float* out) {
+  util::parallel_for(util::compute_pool(), 0, rows, kRowGrain * 4,
+                     [&](std::size_t r0, std::size_t r1) {
+                       for (std::size_t r = r0; r < r1; ++r) {
+                         const float* __restrict src = in + r * a * b;
+                         float* __restrict dst = out + r * a * b;
+                         for (std::size_t i = 0; i < a; ++i) {
+                           for (std::size_t j = 0; j < b; ++j) {
+                             dst[j * a + i] = src[i * b + j];
+                           }
+                         }
+                       }
+                     });
+}
+
+// Software prefetch of a whole feature row: the attention kernels read rows
+// of random src vertices, one per edge.
+inline void prefetch_row(const float* p, std::size_t n) {
+  for (std::size_t k = 0; k < n; k += 16) __builtin_prefetch(p + k);
+}
+
+std::vector<float> minor_copy(std::size_t heads, std::size_t head_dim,
+                              const float* row) {
+  std::vector<float> out(heads * head_dim);
+  heads_to_minor(1, heads, head_dim, row, out.data());
+  return out;
+}
+
+}  // namespace
+
+void heads_to_minor(std::size_t rows, std::size_t heads, std::size_t head_dim,
+                    const float* in, float* out) {
+  transpose_rows(rows, heads, head_dim, in, out);
+}
+
+void heads_to_major(std::size_t rows, std::size_t heads, std::size_t head_dim,
+                    const float* in, float* out) {
+  transpose_rows(rows, head_dim, heads, in, out);
+}
+
+void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
+                std::size_t head_dim, const float* attn_l,
+                const float* attn_r, float* el, float* er) {
+  const std::size_t od = heads * head_dim;
+  const HeadOps& ops = head_ops(heads);
+  const std::vector<float> al = minor_copy(heads, head_dim, attn_l);
+  const std::vector<float> ar = minor_copy(heads, head_dim, attn_r);
+  util::parallel_for(util::compute_pool(), 0, cb.num_src(), kRowGrain * 4,
+                     [&](std::size_t v0, std::size_t v1) {
+                       for (std::size_t v = v0; v < v1; ++v) {
+                         ops.dot(heads, head_dim, ar.data(), z + v * od,
+                                 er + v * heads);
+                       }
+                     });
+  util::parallel_for(
+      util::compute_pool(), 0, cb.num_dst(), kRowGrain * 4,
+      [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          const auto self = static_cast<std::size_t>(cb.self_src[i]);
+          ops.dot(heads, head_dim, al.data(), z + self * od, el + i * heads);
+        }
+      });
+}
+
 void gat_attention_forward(const CompiledBlock& cb, const float* el,
-                           const float* er, const float* z, std::size_t stride,
+                           const float* er, const float* z, std::size_t heads,
                            std::size_t head_dim, float leaky_slope,
-                           std::size_t alpha_stride, float* score, float* alpha,
-                           float* out) {
+                           float* score, float* alpha, float* out) {
+  const std::size_t od = heads * head_dim;
+  const HeadOps& ops = head_ops(heads);
   const int* __restrict src_of = cb.src_of.data();
   util::parallel_for(
       util::compute_pool(), 0, cb.num_dst(), kRowGrain,
       [&](std::size_t d0, std::size_t d1) {
+        // acc: the dst row head-minor; mx: per-head running max, then the
+        // softmax denominator's inverse.
+        std::vector<float> buf(od + heads);
+        float* __restrict acc = buf.data();
+        float* __restrict mx = acc + od;
         for (std::size_t i = d0; i < d1; ++i) {
-          float* __restrict o = out + i * stride;
-          std::memset(o, 0, head_dim * sizeof(float));
+          float* __restrict o = out + i * od;
           const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
-          if (e == b) continue;
-          float mx = -std::numeric_limits<float>::infinity();
-          for (int t = b; t < e; ++t) {
-            const float s = el[i] + er[src_of[t]];
-            score[static_cast<std::size_t>(t) * alpha_stride] = s;
-            const float act = s > 0.0f ? s : leaky_slope * s;
-            mx = std::max(mx, act);
+          if (e == b) {
+            std::memset(o, 0, od * sizeof(float));
+            continue;
           }
-          float denom = 0.0f;
+          const float* __restrict eli = el + i * heads;
+          std::fill(mx, mx + heads, -std::numeric_limits<float>::infinity());
           for (int t = b; t < e; ++t) {
-            const float s = score[static_cast<std::size_t>(t) * alpha_stride];
-            const float act = s > 0.0f ? s : leaky_slope * s;
-            const float w = std::exp(act - mx);
-            alpha[static_cast<std::size_t>(t) * alpha_stride] = w;
-            denom += w;
+            const float* __restrict err =
+                er + static_cast<std::size_t>(src_of[t]) * heads;
+            float* __restrict sc = score + static_cast<std::size_t>(t) * heads;
+            for (std::size_t h = 0; h < heads; ++h) {
+              const float s = eli[h] + err[h];
+              sc[h] = s;
+              mx[h] = std::max(mx[h], s > 0.0f ? s : leaky_slope * s);
+            }
           }
-          const float inv = 1.0f / denom;
+          std::memset(acc, 0, heads * sizeof(float));  // denominators
           for (int t = b; t < e; ++t) {
-            const float a = alpha[static_cast<std::size_t>(t) * alpha_stride] * inv;
-            alpha[static_cast<std::size_t>(t) * alpha_stride] = a;
-            const float* __restrict zr =
-                z + static_cast<std::size_t>(src_of[t]) * stride;
-            for (std::size_t j = 0; j < head_dim; ++j) o[j] += a * zr[j];
+            const float* __restrict sc =
+                score + static_cast<std::size_t>(t) * heads;
+            float* __restrict al = alpha + static_cast<std::size_t>(t) * heads;
+            for (std::size_t h = 0; h < heads; ++h) {
+              const float s = sc[h];
+              const float act = s > 0.0f ? s : leaky_slope * s;
+              const float w = std::exp(act - mx[h]);
+              al[h] = w;
+              acc[h] += w;
+            }
           }
+          for (std::size_t h = 0; h < heads; ++h) mx[h] = 1.0f / acc[h];
+          std::memset(acc, 0, od * sizeof(float));
+          for (int t = b; t < e; ++t) {
+            if (t + 1 < e) {
+              prefetch_row(z + static_cast<std::size_t>(src_of[t + 1]) * od,
+                           od);
+            }
+            float* __restrict al = alpha + static_cast<std::size_t>(t) * heads;
+            for (std::size_t h = 0; h < heads; ++h) al[h] = al[h] * mx[h];
+            ops.axpy(heads, head_dim, al,
+                     z + static_cast<std::size_t>(src_of[t]) * od, acc, false);
+          }
+          heads_to_major(1, heads, head_dim, acc, o);
         }
       });
 }
 
-void gat_attention_backward_dst(const CompiledBlock& cb, const float* g,
-                                const float* z, std::size_t stride,
-                                std::size_t head_dim, float leaky_slope,
-                                std::size_t alpha_stride, const float* score,
-                                const float* alpha, float* ds, float* del) {
+void gat_attention_backward(const CompiledBlock& cb, const float* g,
+                            const float* z, std::size_t heads,
+                            std::size_t head_dim, float leaky_slope,
+                            const float* attn_l, const float* attn_r,
+                            const float* score, const float* alpha,
+                            float* grad_z, float* grad_attn_l,
+                            float* grad_attn_r) {
+  const std::size_t nd = cb.num_dst(), ns = cb.num_src();
+  const std::size_t od = heads * head_dim;
+  const HeadOps& ops = head_ops(heads);
   const int* __restrict src_of = cb.src_of.data();
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_dst(), kRowGrain,
-      [&](std::size_t d0, std::size_t d1) {
-        for (std::size_t i = d0; i < d1; ++i) {
-          const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
-          del[i] = 0.0f;
-          if (e == b) continue;
-          const float* __restrict gi = g + i * stride;
-          // t_e = g_i . z_src[e]; S = sum_e alpha_e t_e. Stash t_e in ds.
-          float sum = 0.0f;
-          for (int t = b; t < e; ++t) {
-            const float* __restrict zr =
-                z + static_cast<std::size_t>(src_of[t]) * stride;
-            float dot = 0.0f;
-            for (std::size_t j = 0; j < head_dim; ++j) dot += gi[j] * zr[j];
-            ds[static_cast<std::size_t>(t) * alpha_stride] = dot;
-            sum += alpha[static_cast<std::size_t>(t) * alpha_stride] * dot;
-          }
-          float acc = 0.0f;
-          for (int t = b; t < e; ++t) {
-            const std::size_t idx = static_cast<std::size_t>(t) * alpha_stride;
-            const float grad_act = alpha[idx] * (ds[idx] - sum);
-            const float lg = score[idx] > 0.0f ? 1.0f : leaky_slope;
-            ds[idx] = grad_act * lg;
-            acc += ds[idx];
-          }
-          del[i] = acc;
-        }
-      });
-}
-
-void gat_attention_backward_src(const CompiledBlock& cb, const float* g,
-                                std::size_t stride, std::size_t head_dim,
-                                std::size_t alpha_stride, const float* alpha,
-                                const float* ds, float* der, float* gz) {
   const int* __restrict rev_edge = cb.rev_edge.data();
   const int* __restrict dst_of = cb.dst_of.data();
+
+  std::vector<float> gt(nd * od);
+  heads_to_minor(nd, heads, head_dim, g, gt.data());
+  std::vector<float> ds(cb.num_edges() * heads), del(nd * heads),
+      der(ns * heads);
+
+  // Pass 1 (over dst): ds holds g.z per edge, then the score gradient.
   util::parallel_for(
-      util::compute_pool(), 0, cb.num_src(), kRowGrain,
-      [&](std::size_t v0, std::size_t v1) {
-        for (std::size_t v = v0; v < v1; ++v) {
-          float* __restrict o = gz + v * stride;
-          float acc = 0.0f;
-          const int b = cb.src_off[v], e = cb.src_off[v + 1];
+      util::compute_pool(), 0, nd, kRowGrain,
+      [&](std::size_t d0, std::size_t d1) {
+        std::vector<float> sum(heads);
+        for (std::size_t i = d0; i < d1; ++i) {
+          float* __restrict dl = del.data() + i * heads;
+          std::memset(dl, 0, heads * sizeof(float));
+          const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+          if (e == b) continue;
+          const float* gi = gt.data() + i * od;
+          std::fill(sum.begin(), sum.end(), 0.0f);
           for (int t = b; t < e; ++t) {
-            const std::size_t ed = static_cast<std::size_t>(rev_edge[t]);
-            const std::size_t d = static_cast<std::size_t>(dst_of[ed]);
-            const float a = alpha[ed * alpha_stride];
-            acc += ds[ed * alpha_stride];
-            const float* __restrict gr = g + d * stride;
-            for (std::size_t j = 0; j < head_dim; ++j) o[j] += a * gr[j];
+            if (t + 1 < e) {
+              prefetch_row(z + static_cast<std::size_t>(src_of[t + 1]) * od,
+                           od);
+            }
+            const std::size_t idx = static_cast<std::size_t>(t) * heads;
+            float* __restrict dot = ds.data() + idx;
+            ops.dot(heads, head_dim, gi,
+                    z + static_cast<std::size_t>(src_of[t]) * od, dot);
+            for (std::size_t h = 0; h < heads; ++h) {
+              sum[h] += alpha[idx + h] * dot[h];
+            }
           }
-          der[v] = acc;
+          for (int t = b; t < e; ++t) {
+            const std::size_t idx = static_cast<std::size_t>(t) * heads;
+            float* __restrict d = ds.data() + idx;
+            for (std::size_t h = 0; h < heads; ++h) {
+              const float grad_act = alpha[idx + h] * (d[h] - sum[h]);
+              d[h] = grad_act * (score[idx + h] > 0.0f ? 1.0f : leaky_slope);
+              dl[h] += d[h];
+            }
+          }
         }
       });
+
+  // Pass 2 (over src): grad_z rows and der.
+  const std::vector<float> al = minor_copy(heads, head_dim, attn_l);
+  const std::vector<float> ar = minor_copy(heads, head_dim, attn_r);
+  util::parallel_for(
+      util::compute_pool(), 0, ns, kRowGrain,
+      [&](std::size_t v0, std::size_t v1) {
+        for (std::size_t v = v0; v < v1; ++v) {
+          float* __restrict o = grad_z + v * od;
+          std::memset(o, 0, od * sizeof(float));
+          float* __restrict dr = der.data() + v * heads;
+          std::memset(dr, 0, heads * sizeof(float));
+          for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
+            const std::size_t ed = static_cast<std::size_t>(rev_edge[t]);
+            const std::size_t d = static_cast<std::size_t>(dst_of[ed]);
+            for (std::size_t h = 0; h < heads; ++h) {
+              dr[h] += ds[ed * heads + h];
+            }
+            ops.axpy(heads, head_dim, alpha + ed * heads, gt.data() + d * od,
+                     o, false);
+          }
+          const int sd = cb.src_to_dst[v];
+          if (sd >= 0) {
+            ops.axpy(heads, head_dim,
+                     del.data() + static_cast<std::size_t>(sd) * heads,
+                     al.data(), o, true);
+          }
+          ops.axpy(heads, head_dim, dr, ar.data(), o, true);
+        }
+      });
+
+  // Attention-vector gradients: every element sums over rows in ascending
+  // order, so tasks split the feature index instead.
+  std::vector<float> gl = minor_copy(heads, head_dim, grad_attn_l);
+  std::vector<float> gr = minor_copy(heads, head_dim, grad_attn_r);
+  util::parallel_for(
+      util::compute_pool(), 0, head_dim, 8,
+      [&](std::size_t c0, std::size_t c1) {
+        const std::size_t off = c0 * heads, n = c1 - c0;
+        for (std::size_t i = 0; i < nd; ++i) {
+          const auto self = static_cast<std::size_t>(cb.self_src[i]);
+          ops.axpy(heads, n, del.data() + i * heads, z + self * od + off,
+                   gl.data() + off, true);
+        }
+        for (std::size_t v = 0; v < ns; ++v) {
+          ops.axpy(heads, n, der.data() + v * heads, z + v * od + off,
+                   gr.data() + off, true);
+        }
+      });
+  heads_to_major(1, heads, head_dim, gl.data(), grad_attn_l);
+  heads_to_major(1, heads, head_dim, gr.data(), grad_attn_r);
+}
+
+void bias_act(std::size_t rows, std::size_t cols, const float* bias, bool elu,
+              float* x) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* __restrict row = x + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
+    if (!elu) continue;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!(row[c] > 0.0f)) row[c] = std::expm1(row[c]);
+    }
+  }
+}
+
+void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
+                   const float* out, bool elu, float* grad,
+                   float* grad_bias) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* __restrict go = grad_out + r * cols;
+    const float* __restrict y = out + r * cols;
+    float* __restrict gr = grad + r * cols;
+    float* __restrict gb = grad_bias;
+    if (elu) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const float v = go[c] * (y[c] > 0.0f ? 1.0f : y[c] + 1.0f);
+        gr[c] = v;
+        gb[c] += v;
+      }
+    } else {
+      for (std::size_t c = 0; c < cols; ++c) {
+        gr[c] = go[c];
+        gb[c] += go[c];
+      }
+    }
+  }
 }
 
 void gather_rows(const int* index, std::size_t rows, const float* x,

@@ -95,40 +95,71 @@ void aggregate_coeff_grad(const CompiledBlock& cb, const float* edge_coeff,
 void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
                      const float* grad_mean, std::size_t dim, float* grad_src);
 
-// ---- GAT attention (one head per call) ------------------------------------
-// Head slices: row v of the projected features lives at z + v*stride (+ the
-// head offset, already applied by the caller), head_dim floats wide. el[i] is
-// the dst-side attention logit (attn_l . z[self of dst i]), er[v] the
-// src-side logit. Per-edge state (score/alpha/ds) is indexed
-// [csr_edge * alpha_stride], so multi-head layers can interleave heads.
+// ---- GAT attention (all heads per call) -----------------------------------
+// A row of `heads` heads of head_dim features is stored head-major
+// ([h * head_dim + c], the layer's concatenated layout) or head-minor
+// ([c * heads + h], all heads of one feature index side by side). The
+// attention kernels read and write projected features head-minor, so every
+// inner loop runs over the heads as independent lanes; per-row and per-edge
+// state (el, er, score, alpha) is [row * heads + h]. Every dot product is
+// still one ascending-c chain per head with the multiply and the add rounded
+// separately, so the results are the bits of a one-head-at-a-time loop. The
+// loops run on a portable body or, when heads is a multiple of 8, on 8-lane
+// vectors picked once through isa().
 
-/// Softmax-normalized attention aggregation for one head, parallel over dst:
-/// stores the pre-LeakyReLU logit el[i] + er[src] into score, the
-/// max-shifted softmax of LeakyReLU(score) into alpha, and writes
-/// out[i] = sum_e alpha[e] * z[src_of[e]] over the head_dim slice.
+/// out row r = in row r converted head-major -> head-minor.
+void heads_to_minor(std::size_t rows, std::size_t heads, std::size_t head_dim,
+                    const float* in, float* out);
+/// out row r = in row r converted head-minor -> head-major.
+void heads_to_major(std::size_t rows, std::size_t heads, std::size_t head_dim,
+                    const float* in, float* out);
+
+/// Attention logits from head-minor z (num_src rows): er[v*heads + h] =
+/// attn_r[h] . z[v] for every src row and el[i*heads + h] =
+/// attn_l[h] . z[self_src[i]] for every dst row. attn_l/attn_r are the
+/// (heads x head_dim) parameters, head-major.
+void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
+                std::size_t head_dim, const float* attn_l,
+                const float* attn_r, float* el, float* er);
+
+/// Softmax-normalized attention aggregation, one pass over the forward CSR,
+/// parallel over dst: stores the pre-LeakyReLU logit el[i] + er[src] into
+/// score, the max-shifted softmax of LeakyReLU(score) into alpha (both
+/// [csr_edge * heads + h]) and writes out[i] = concat_h sum_e alpha * z[src]
+/// head-major. Isolated dsts get a zero row and no edge state.
 void gat_attention_forward(const CompiledBlock& cb, const float* el,
-                           const float* er, const float* z, std::size_t stride,
+                           const float* er, const float* z, std::size_t heads,
                            std::size_t head_dim, float leaky_slope,
-                           std::size_t alpha_stride, float* score, float* alpha,
-                           float* out);
+                           float* score, float* alpha, float* out);
 
-/// Backward pass 1, parallel over dst rows: from the head's output gradient
-/// g (same layout as out) computes the per-edge pre-activation score gradient
-/// ds[e] = alpha_e (g.z_e - sum_e' alpha_e' g.z_e') * LeakyReLU'(score[e])
-/// and the per-dst logit gradient del[i] = sum_e ds[e].
-void gat_attention_backward_dst(const CompiledBlock& cb, const float* g,
-                                const float* z, std::size_t stride,
-                                std::size_t head_dim, float leaky_slope,
-                                std::size_t alpha_stride, const float* score,
-                                const float* alpha, float* ds, float* del);
+/// Backward of gat_logits + gat_attention_forward. g is the head-major
+/// gradient of `out`. Pass 1 (over dst) computes the per-edge score gradient
+/// ds = alpha (g.z_e - sum_e' alpha_e' g.z_e') LeakyReLU'(score) and the
+/// per-dst logit gradient del = sum_e ds. Pass 2 (over src) writes the
+/// head-minor grad_z row by row: the aggregation term sum_e alpha g[dst],
+/// then del[self] * attn_l, then der * attn_r, der = sum_{e into v} ds (a
+/// zero logit gradient adds nothing). The last pass adds
+/// sum_i del[i] z[self_i] into grad_attn_l and sum_v der[v] z[v] into
+/// grad_attn_r, rows ascending. Needs src_to_dst to invert self_src.
+void gat_attention_backward(const CompiledBlock& cb, const float* g,
+                            const float* z, std::size_t heads,
+                            std::size_t head_dim, float leaky_slope,
+                            const float* attn_l, const float* attn_r,
+                            const float* score, const float* alpha,
+                            float* grad_z, float* grad_attn_l,
+                            float* grad_attn_r);
 
-/// Backward pass 2, parallel over src rows: accumulates
-/// gz[v] += sum_{e into v} alpha[e] * g[dst_of[e]] (head slice of the
-/// projected-feature gradient) and writes der[v] = sum_{e into v} ds[e].
-void gat_attention_backward_src(const CompiledBlock& cb, const float* g,
-                                std::size_t stride, std::size_t head_dim,
-                                std::size_t alpha_stride, const float* alpha,
-                                const float* ds, float* der, float* gz);
+// ---- Elementwise tails ----------------------------------------------------
+
+/// x[r] = act(x[r] + bias) in place, act = ELU (std::expm1 where not > 0) when
+/// `elu`, else identity.
+void bias_act(std::size_t rows, std::size_t cols, const float* bias, bool elu,
+              float* x);
+
+/// grad = grad_out * ELU'(out) (just grad_out when !elu, out being the
+/// post-activation output) and grad_bias[c] += grad[r][c], rows ascending.
+void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
+                   const float* out, bool elu, float* grad, float* grad_bias);
 
 // ---- Row gather -----------------------------------------------------------
 

@@ -7,8 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
+#include "gat_reference.hpp"
 #include "gnn/block.hpp"
 #include "gnn/features.hpp"
 #include "gnn/gat_layer.hpp"
@@ -467,9 +467,9 @@ TEST(GnnModel, BackwardRejectsBrokenBlockChaining) {
 }
 
 // ---- Per-head GAT reference -------------------------------------------------
-// A serial, one-head-at-a-time copy of the GAT layer as it was before the
-// all-head kernels: the bit-level contract GatLayer must keep. Every dot
-// product is an ascending chain of separately rounded multiplies and adds.
+// The GAT layer as it was before the all-head kernels: the shared per-head
+// attention reference (gat_reference.hpp) between the same GEMMs, bias,
+// ELU and their gradients. The bit-level contract GatLayer must keep.
 
 struct GatReference {
   Tensor out, grad_x;
@@ -486,136 +486,36 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
                     ne = cb.num_edges(), od = heads * hd;
   Param &w = params[0], &attn_l = params[1], &attn_r = params[2],
         &bias = params[3];
-  const float slope = GatLayer::kLeakySlope;
 
   Tensor z(ns, od);
   matmul(x, w.value, z);
   std::vector<float> score(ne * heads, 0.0f), alpha(ne * heads, 0.0f);
   Tensor pre(nd, od);
-  std::vector<float> pl(ns), pr(ns);
-  for (std::size_t h = 0; h < heads; ++h) {
-    const std::size_t off = h * hd;
-    const float* al = attn_l.value.data() + off;
-    const float* ar = attn_r.value.data() + off;
-    for (std::size_t v = 0; v < ns; ++v) {
-      const float* zr = z.data() + v * od + off;
-      float l = 0.0f, r = 0.0f;
-      for (std::size_t c = 0; c < hd; ++c) {
-        l += al[c] * zr[c];
-        r += ar[c] * zr[c];
-      }
-      pl[v] = l;
-      pr[v] = r;
-    }
-    for (std::size_t i = 0; i < nd; ++i) {
-      float* o = pre.data() + i * od + off;
-      const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
-      if (e == b) continue;
-      const float el = pl[static_cast<std::size_t>(cb.self_src[i])];
-      float mx = -std::numeric_limits<float>::infinity();
-      for (int t = b; t < e; ++t) {
-        const float s = el + pr[static_cast<std::size_t>(cb.src_of[t])];
-        score[static_cast<std::size_t>(t) * heads + h] = s;
-        mx = std::max(mx, s > 0.0f ? s : slope * s);
-      }
-      float denom = 0.0f;
-      for (int t = b; t < e; ++t) {
-        const float s = score[static_cast<std::size_t>(t) * heads + h];
-        const float wgt = std::exp((s > 0.0f ? s : slope * s) - mx);
-        alpha[static_cast<std::size_t>(t) * heads + h] = wgt;
-        denom += wgt;
-      }
-      const float inv = 1.0f / denom;
-      for (int t = b; t < e; ++t) {
-        float& a = alpha[static_cast<std::size_t>(t) * heads + h];
-        a = a * inv;
-        const float* zr =
-            z.data() + static_cast<std::size_t>(cb.src_of[t]) * od + off;
-        for (std::size_t j = 0; j < hd; ++j) o[j] += a * zr[j];
-      }
-    }
-  }
+  reference::gat_attention_forward(cb, z.data(), heads, hd,
+                                   attn_l.value.data(), attn_r.value.data(),
+                                   GatLayer::kLeakySlope, score.data(),
+                                   alpha.data(), pre.data());
   add_bias(pre, bias.value);
   if (elu) {
     for (std::size_t i = 0; i < pre.size(); ++i) {
-      pre.data()[i] = elu_scalar(pre.data()[i]);
+      const float v = pre.data()[i];
+      pre.data()[i] = v > 0.0f ? v : std::expm1(v);
     }
   }
 
   Tensor grad = grad_out;
   if (elu) {
     for (std::size_t i = 0; i < grad.size(); ++i) {
-      grad.data()[i] *= elu_grad_from_out(pre.data()[i]);
+      const float out = pre.data()[i];
+      grad.data()[i] *= out > 0.0f ? 1.0f : out + 1.0f;
     }
   }
   bias_grad(grad, bias.grad);
   Tensor grad_z(ns, od);
-  std::vector<float> ds(ne * heads, 0.0f), del(nd), der(ns);
-  for (std::size_t h = 0; h < heads; ++h) {
-    const std::size_t off = h * hd;
-    for (std::size_t i = 0; i < nd; ++i) {
-      const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
-      del[i] = 0.0f;
-      if (e == b) continue;
-      const float* gi = grad.data() + i * od + off;
-      float sum = 0.0f;
-      for (int t = b; t < e; ++t) {
-        const float* zr =
-            z.data() + static_cast<std::size_t>(cb.src_of[t]) * od + off;
-        float dot = 0.0f;
-        for (std::size_t j = 0; j < hd; ++j) dot += gi[j] * zr[j];
-        const std::size_t idx = static_cast<std::size_t>(t) * heads + h;
-        ds[idx] = dot;
-        sum += alpha[idx] * dot;
-      }
-      float acc = 0.0f;
-      for (int t = b; t < e; ++t) {
-        const std::size_t idx = static_cast<std::size_t>(t) * heads + h;
-        const float grad_act = alpha[idx] * (ds[idx] - sum);
-        ds[idx] = grad_act * (score[idx] > 0.0f ? 1.0f : slope);
-        acc += ds[idx];
-      }
-      del[i] = acc;
-    }
-    for (std::size_t v = 0; v < ns; ++v) {
-      float* o = grad_z.data() + v * od + off;
-      float acc = 0.0f;
-      for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
-        const auto ed = static_cast<std::size_t>(cb.rev_edge[t]);
-        const auto d = static_cast<std::size_t>(cb.dst_of[ed]);
-        const float a = alpha[ed * heads + h];
-        acc += ds[ed * heads + h];
-        const float* gr = grad.data() + d * od + off;
-        for (std::size_t j = 0; j < hd; ++j) o[j] += a * gr[j];
-      }
-      der[v] = acc;
-    }
-    const float* al = attn_l.value.data() + off;
-    const float* ar = attn_r.value.data() + off;
-    float* gal = attn_l.grad.data() + off;
-    float* gar = attn_r.grad.data() + off;
-    for (std::size_t i = 0; i < nd; ++i) {
-      const float gl = del[i];
-      if (gl == 0.0f) continue;
-      const auto self = static_cast<std::size_t>(cb.self_src[i]);
-      const float* zr = z.data() + self * od + off;
-      float* gz = grad_z.data() + self * od + off;
-      for (std::size_t c = 0; c < hd; ++c) {
-        gal[c] += gl * zr[c];
-        gz[c] += gl * al[c];
-      }
-    }
-    for (std::size_t v = 0; v < ns; ++v) {
-      const float gr = der[v];
-      if (gr == 0.0f) continue;
-      const float* zr = z.data() + v * od + off;
-      float* gz = grad_z.data() + v * od + off;
-      for (std::size_t c = 0; c < hd; ++c) {
-        gar[c] += gr * zr[c];
-        gz[c] += gr * ar[c];
-      }
-    }
-  }
+  reference::gat_attention_backward(
+      cb, grad.data(), z.data(), heads, hd, GatLayer::kLeakySlope,
+      attn_l.value.data(), attn_r.value.data(), score.data(), alpha.data(),
+      grad_z.data(), attn_l.grad.data(), attn_r.grad.data());
   matmul_at(x, grad_z, w.grad, /*accumulate=*/true);
   GatReference ref{pre, Tensor(ns, x.cols()), {}};
   matmul_bt(grad_z, w.value, ref.grad_x);
@@ -656,7 +556,7 @@ TEST(GatLayer, MatchesPerHeadReferenceBitwise) {
   constexpr std::size_t kInDim = 10;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::set_compute_pool_threads(threads);
-    for (const std::size_t heads : {1u, 3u, 8u, 9u}) {
+    for (const std::size_t heads : {1u, 3u, 8u, 9u, 16u}) {
       for (const std::size_t hd : {1u, 7u, 64u}) {
         for (const bool elu : {false, true}) {
           SCOPED_TRACE(::testing::Message()
@@ -667,7 +567,9 @@ TEST(GatLayer, MatchesPerHeadReferenceBitwise) {
           Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
           x *= 3.0f;
           for (Param* p : layer.parameters()) {
-            if (p->name == "bias") p->value = Tensor::glorot(1, heads * hd, rng);
+            if (p->name == "bias") {
+              p->value = Tensor::glorot(1, heads * hd, rng);
+            }
             p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
           }
           const Tensor grad_out =
@@ -698,6 +600,48 @@ TEST(GatLayer, MatchesPerHeadReferenceBitwise) {
     }
   }
   util::set_compute_pool_threads(0);
+}
+
+/// tiny_block() with one more src row and two more edges: same dst count,
+/// so a gradient for one block has the shape of the other's.
+Block wider_tiny_block() {
+  Block b = tiny_block();
+  b.src_ids.push_back(5);
+  b.edges.emplace_back(0, 5);
+  b.edges.emplace_back(2, 5);
+  return b;
+}
+
+TEST(GatLayer, BackwardRejectsBlockOfOtherForward) {
+  util::Pcg32 rng(41);
+  GatLayer layer(4, 2, 3, true, rng);
+  const Block small = tiny_block(), wide = wider_tiny_block();
+  const Tensor x = Tensor::glorot(wide.num_src(), 4, rng);
+  const Tensor out = layer.forward(wide, x);
+  try {
+    layer.backward(small, out);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "GatLayer::backward: block differs from the last forward's");
+  }
+  EXPECT_EQ(layer.backward(wide, out).rows(), wide.num_src());
+}
+
+TEST(GcnLayer, BackwardRejectsBlockOfOtherForward) {
+  util::Pcg32 rng(43);
+  GcnLayer layer(4, 3, true, rng);
+  const Block small = tiny_block(), wide = wider_tiny_block();
+  const Tensor x = Tensor::glorot(small.num_src(), 4, rng);
+  const Tensor out = layer.forward(small, x);
+  try {
+    layer.backward(wide, out);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "GcnLayer::backward: block differs from the last forward's");
+  }
+  EXPECT_EQ(layer.backward(small, out).rows(), small.num_src());
 }
 
 TEST(Features, AsyncProtocolFallsBackToSync) {
