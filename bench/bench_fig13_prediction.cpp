@@ -4,7 +4,7 @@
 // Paper: max error 8.61%.
 
 #include "common.hpp"
-#include "sim/trace_sim.hpp"
+#include "sim/machine_sim.hpp"
 
 using namespace moment;
 
@@ -27,7 +27,7 @@ double traced_epoch_time(const topology::MachineSpec& spec,
   topts.scaled_batch_size = wb.profile.batch_size;
   return sim::simulate_epoch_traced(topo, fg, r.workload, r.bins,
                                     r.data_placement, sampler, train, topts)
-      .epoch_time_s;
+      .epoch.epoch_time_s;
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ void SsdDevice::service_loop() {
   while (!stop_requested_.load(std::memory_order_relaxed)) {
     bool served_any = false;
     for (auto& qp : queues_) {
-      for (std::size_t k = 0; k < options_.max_batch; ++k) {
+      for (std::size_t k = 0; k < kSqesPerServicePass; ++k) {
         if (paced && budget_bytes <= 0.0) break;
         // A client that stopped polling keeps its SQEs queued rather than
         // holding the device: fetch only what can be completed.

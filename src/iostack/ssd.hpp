@@ -42,6 +42,10 @@ inline constexpr std::size_t kPageBytes = 4096;
 /// buggy caller can't smuggle an unbounded transfer past the pacing model.
 inline constexpr std::size_t kMaxTransferBytes = 128 * 1024;
 
+/// SQEs the device drains from one queue per service pass, so one busy
+/// client cannot starve the others.
+inline constexpr std::size_t kSqesPerServicePass = 32;
+
 struct SsdStats {
   std::uint64_t reads = 0;
   std::uint64_t bytes_read = 0;
@@ -55,7 +59,6 @@ struct SsdOptions {
   std::size_t capacity_bytes = 64ull << 20;
   /// 0 = serve as fast as memcpy allows; otherwise pace to this rate.
   double max_bytes_per_s = 0.0;
-  std::size_t max_batch = 32;  // SQEs drained per queue per service pass
 };
 
 class SsdDevice {

@@ -72,8 +72,8 @@ struct CommStats {
   std::uint64_t payload_bytes = 0;  // gradient bytes per all-reduce round
   std::uint64_t modeled_bytes = 0;  // sum of per-link byte deltas this epoch
   /// Contention-costed plan model x rounds: the predicted wall-clock cost of
-  /// this epoch's all-reduces on the physical links (compare against
-  /// sim::SimReport::comm_round_time_s and the measured allreduce_s).
+  /// this epoch's all-reduces on the physical links (compare against the
+  /// measured allreduce_s).
   double predicted_comm_s = 0.0;
   std::vector<CommLinkBytes> links;  // links with nonzero traffic, by id
 };

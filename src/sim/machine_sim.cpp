@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/stats.hpp"
-
 namespace moment::sim {
 
 std::vector<ddak::Bin> merge_replicated_gpu_bins(
@@ -75,87 +73,145 @@ std::vector<ddak::Bin> merge_replicated_cpu_bins(
   return out;
 }
 
-SimReport simulate_epoch(const topology::Topology& topo,
-                         const topology::FlowGraph& fg_in,
-                         const ddak::EpochWorkload& workload,
-                         std::span<const ddak::Bin> bins,
-                         const ddak::DataPlacementResult& placement,
-                         const SimOptions& options) {
-  if (placement.bin_traffic_share.size() != bins.size()) {
-    throw std::invalid_argument("simulate_epoch: placement/bins mismatch");
+namespace {
+
+/// `fg` with every SSD's egress edge capped at iops * request size, or `fg`
+/// itself when no IOPS limit is set (4 KiB random reads are IOPS-bound
+/// before they are bandwidth-bound on real NVMe). `capped` holds the copy.
+const topology::FlowGraph& iops_capped(const topology::FlowGraph& fg,
+                                       const SimOptions& options,
+                                       topology::FlowGraph& capped) {
+  if (options.ssd_iops <= 0.0) return fg;
+  capped = fg;
+  const double cap = options.ssd_iops * options.ssd_request_bytes;
+  for (const auto& s : capped.storage) {
+    if (s.tier != topology::StorageTier::kSsd) continue;
+    for (maxflow::EdgeId eid : capped.net.incident(s.node)) {
+      const auto& e = capped.net.edge(eid);
+      if (e.is_residual || capped.net.edge_source(eid) != s.node) continue;
+      capped.net.set_capacity(eid,
+                              std::min(capped.net.original_capacity(eid), cap));
+    }
   }
-  // Optional IOPS modelling: cap each SSD's egress edge at iops * request
-  // size (4 KiB random reads are IOPS-bound before they are bandwidth-bound
-  // on real NVMe).
-  topology::FlowGraph capped;
-  const topology::FlowGraph* fg_ptr = &fg_in;
-  if (options.ssd_iops > 0.0) {
-    capped = fg_in;
-    // Coalesced multi-row commands move coalesce_factor * request bytes per
-    // IOP, so the IOPS ceiling translates to proportionally more bandwidth.
-    const double cap = options.ssd_iops * options.ssd_request_bytes *
-                       std::max(1.0, options.ssd_coalesce_factor);
-    for (const auto& s : capped.storage) {
-      if (s.tier != topology::StorageTier::kSsd) continue;
-      for (maxflow::EdgeId eid : capped.net.incident(s.node)) {
-        const auto& e = capped.net.edge(eid);
-        if (e.is_residual || capped.net.edge_source(eid) != s.node) continue;
-        capped.net.set_capacity(
-            eid, std::min(capped.net.original_capacity(eid), cap));
+  return capped;
+}
+
+/// Builds the streams of one round, one GPU at a time. Holds what is fixed
+/// for a simulation: the per-(GPU, bin) routes and the SSD fault state.
+class RoundStreams {
+ public:
+  RoundStreams(const topology::FlowGraph& fg, std::span<const ddak::Bin> bins,
+               const SimOptions& options)
+      : bins_(bins),
+        options_(options),
+        num_gpus_(static_cast<int>(fg.gpus.size())),
+        ssd_ordinal_(bins.size(), -1),
+        failed_(bins.size(), false),
+        retry_amp_(1.0 / (1.0 - std::clamp(options.ssd_transient_error_rate,
+                                           0.0, 0.99))) {
+    for (std::size_t bi = 0; bi < bins.size(); ++bi) {
+      if (bins[bi].tier != topology::StorageTier::kSsd) continue;
+      ssd_ordinal_[bi] = num_ssd_bins_++;
+      failed_[bi] = std::find(options.failed_ssd_ordinals.begin(),
+                              options.failed_ssd_ordinals.end(),
+                              ssd_ordinal_[bi]) !=
+                    options.failed_ssd_ordinals.end();
+      if (failed_[bi]) ++failed_ssds_;
+    }
+    // Route table: each GPU reads a socket-replicated bin from its nearest
+    // replica, then follows the routing policy's paths. A bin without a
+    // route fails only once traffic is put on it.
+    routes_.resize(static_cast<std::size_t>(num_gpus_) * bins.size());
+    for (int g = 0; g < num_gpus_; ++g) {
+      const maxflow::NodeId comp =
+          fg.gpus[static_cast<std::size_t>(g)].comp_node;
+      for (std::size_t bi = 0; bi < bins.size(); ++bi) {
+        const ddak::Bin& bin = bins[bi];
+        if (bin.storage_index < 0) continue;  // replicated HBM: local
+        Route& route = routes_[static_cast<std::size_t>(g) * bins.size() + bi];
+        route.storage_index = bin.storage_index;
+        if (bin.replica_storage_indices.size() > 1) {
+          std::size_t best_hops = std::numeric_limits<std::size_t>::max();
+          for (int ri : bin.replica_storage_indices) {
+            const PathSet rp = find_paths(
+                fg, fg.storage[static_cast<std::size_t>(ri)].node, comp,
+                RoutingPolicy::kSinglePath);
+            if (!rp.paths.empty() && rp.paths[0].size() < best_hops) {
+              best_hops = rp.paths[0].size();
+              route.storage_index = ri;
+            }
+          }
+        }
+        route.paths = find_paths(
+            fg, fg.storage[static_cast<std::size_t>(route.storage_index)].node,
+            comp, options.routing);
       }
     }
-    fg_ptr = &capped;
   }
-  const topology::FlowGraph& fg = *fg_ptr;
-  const int num_gpus = static_cast<int>(fg.gpus.size());
-  if (num_gpus == 0) throw std::invalid_argument("simulate_epoch: no GPUs");
 
-  const double bytes_per_batch =
-      workload.fetches_per_batch * workload.feature_bytes;
+  std::size_t failed_ssds() const noexcept { return failed_ssds_; }
+  double retry_amplification() const noexcept { return retry_amp_; }
 
-  // Build one round's sub-streams: every GPU fetches one batch concurrently.
-  std::vector<SubStream> streams;
-  double local_bytes_per_gpu = 0.0;  // HBM-replicated hits, same for each GPU
-  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-    if (bins[bi].storage_index < 0) {
-      local_bytes_per_gpu +=
-          bytes_per_batch * placement.bin_traffic_share[bi];
+  /// Appends GPU g's streams for one round that fetches `bytes` in total:
+  /// bin bi serves weights[bi] / total of them. Failed SSD bins shed their
+  /// weight proportionally onto the surviving SSD bins (the post-failover
+  /// steady state); under M-GIDS partitioning the GPU draws its whole SSD
+  /// weight from its own SSD subset; SSD bytes carry the read and retry
+  /// amplification.
+  void add_gpu(int g, std::span<const double> weights, double total,
+               double bytes, std::vector<SubStream>& streams) const {
+    std::vector<double> w(weights.begin(), weights.end());
+    double ssd_total = 0.0;
+    for (std::size_t bi = 0; bi < w.size(); ++bi) {
+      if (ssd_ordinal_[bi] >= 0) ssd_total += w[bi];
+    }
+    if (failed_ssds_ > 0) shed_failed(w);
+    for (std::size_t bi = 0; bi < bins_.size(); ++bi) {
+      double share = w[bi];
+      if (options_.partition_ssds_per_gpu && ssd_ordinal_[bi] >= 0) {
+        const int per_gpu = std::max(1, num_ssd_bins_ / num_gpus_);
+        const int owner = std::min(ssd_ordinal_[bi] / per_gpu, num_gpus_ - 1);
+        share = owner == g ? ssd_total / static_cast<double>(per_gpu) : 0.0;
+      }
+      if (share <= 1e-12 * total) continue;
+      const ddak::Bin& bin = bins_[bi];
+      if (bin.storage_index < 0) continue;  // replicated HBM: no fabric
+      double bin_bytes = bytes * share / total;
+      if (bin.tier == topology::StorageTier::kSsd) {
+        bin_bytes *= options_.ssd_read_amplification * retry_amp_;
+      }
+      const Route& route =
+          routes_[static_cast<std::size_t>(g) * bins_.size() + bi];
+      if (route.paths.paths.empty()) {
+        throw std::logic_error("simulate_epoch: no route from " + bin.name +
+                               " to GPU" + std::to_string(g));
+      }
+      for (std::size_t p = 0; p < route.paths.paths.size(); ++p) {
+        SubStream s;
+        s.gpu = g;
+        s.storage_index = route.storage_index;
+        s.edges = route.paths.paths[p];
+        s.bytes = bin_bytes * route.paths.weights[p];
+        streams.push_back(std::move(s));
+      }
     }
   }
-  // M-GIDS partitioning bookkeeping: ordinal of each SSD bin and the total
-  // SSD-tier traffic share.
-  std::vector<int> ssd_ordinal(bins.size(), -1);
-  int num_ssd_bins = 0;
-  double ssd_share_total = 0.0;
-  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-    if (bins[bi].tier == topology::StorageTier::kSsd) {
-      ssd_ordinal[bi] = num_ssd_bins++;
-      ssd_share_total += placement.bin_traffic_share[bi];
-    }
-  }
 
-  // Degraded mode: failed SSD bins shed their traffic share proportionally
-  // onto the surviving SSD bins (the post-failover steady state), and
-  // transient errors inflate SSD bytes by the retry read amplification.
-  std::vector<double> share_of_bin(placement.bin_traffic_share.begin(),
-                                   placement.bin_traffic_share.end());
-  std::size_t failed_ssd_count = 0;
-  if (!options.failed_ssd_ordinals.empty()) {
-    std::vector<bool> bin_failed(bins.size(), false);
+ private:
+  struct Route {
+    int storage_index = -1;  // the replica read
+    PathSet paths;
+  };
+
+  void shed_failed(std::vector<double>& w) const {
     double failed_share = 0.0, surviving_share = 0.0;
     int surviving_bins = 0;
-    for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-      if (ssd_ordinal[bi] < 0) continue;
-      const bool f = std::find(options.failed_ssd_ordinals.begin(),
-                               options.failed_ssd_ordinals.end(),
-                               ssd_ordinal[bi]) !=
-                     options.failed_ssd_ordinals.end();
-      bin_failed[bi] = f;
-      if (f) {
-        ++failed_ssd_count;
-        failed_share += share_of_bin[bi];
+    for (std::size_t bi = 0; bi < w.size(); ++bi) {
+      if (ssd_ordinal_[bi] < 0) continue;
+      if (failed_[bi]) {
+        failed_share += w[bi];
       } else {
-        surviving_share += share_of_bin[bi];
+        surviving_share += w[bi];
         ++surviving_bins;
       }
     }
@@ -163,131 +219,59 @@ SimReport simulate_epoch(const topology::Topology& topo,
       throw std::invalid_argument(
           "simulate_epoch: all SSD bins carrying traffic are failed");
     }
-    for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-      if (ssd_ordinal[bi] < 0) continue;
-      if (bin_failed[bi]) {
-        share_of_bin[bi] = 0.0;
+    for (std::size_t bi = 0; bi < w.size(); ++bi) {
+      if (ssd_ordinal_[bi] < 0) continue;
+      if (failed_[bi]) {
+        w[bi] = 0.0;
       } else if (failed_share > 0.0) {
-        share_of_bin[bi] += surviving_share > 0.0
-                                ? failed_share * share_of_bin[bi] /
-                                      surviving_share
-                                : failed_share /
-                                      static_cast<double>(surviving_bins);
-      }
-    }
-  }
-  const double retry_amp =
-      1.0 /
-      (1.0 - std::clamp(options.ssd_transient_error_rate, 0.0, 0.99));
-
-  for (int g = 0; g < num_gpus; ++g) {
-    const maxflow::NodeId comp = fg.gpus[static_cast<std::size_t>(g)].comp_node;
-    for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-      double share = share_of_bin[bi];
-      const ddak::Bin& bin = bins[bi];
-      if (options.partition_ssds_per_gpu && ssd_ordinal[bi] >= 0 &&
-          num_ssd_bins > 0) {
-        // GPU g draws its entire SSD byte share from its own SSD subset.
-        const int per_gpu = std::max(1, num_ssd_bins / num_gpus);
-        const int owner = std::min(ssd_ordinal[bi] / per_gpu, num_gpus - 1);
-        share = owner == g
-                    ? ssd_share_total / static_cast<double>(per_gpu)
-                    : 0.0;
-      }
-      if (share <= 1e-12) continue;
-      double bytes = bytes_per_batch * share;
-      if (bin.tier == topology::StorageTier::kSsd) {
-        bytes *= options.ssd_read_amplification * retry_amp;
-      }
-      if (bin.storage_index < 0) {
-        continue;  // replicated GPU cache: HBM-local, no fabric traffic
-      }
-      // Socket-replicated bins: this GPU reads from its nearest replica.
-      int chosen = bin.storage_index;
-      if (bin.replica_storage_indices.size() > 1) {
-        std::size_t best_hops = std::numeric_limits<std::size_t>::max();
-        for (int ri : bin.replica_storage_indices) {
-          const PathSet rp = find_paths(
-              fg, fg.storage[static_cast<std::size_t>(ri)].node, comp,
-              RoutingPolicy::kSinglePath);
-          if (!rp.paths.empty() && rp.paths[0].size() < best_hops) {
-            best_hops = rp.paths[0].size();
-            chosen = ri;
-          }
-        }
-      }
-      const auto& storage =
-          fg.storage[static_cast<std::size_t>(chosen)];
-      const PathSet ps =
-          find_paths(fg, storage.node, comp, options.routing,
-                     options.max_paths);
-      if (ps.paths.empty()) {
-        throw std::logic_error("simulate_epoch: no route from " + bin.name +
-                               " to GPU" + std::to_string(g));
-      }
-      for (std::size_t p = 0; p < ps.paths.size(); ++p) {
-        SubStream s;
-        s.gpu = g;
-        s.storage_index = chosen;
-        s.edges = ps.paths[p];
-        s.bytes = bytes * ps.weights[p];
-        streams.push_back(std::move(s));
+        w[bi] += surviving_share > 0.0
+                     ? failed_share * w[bi] / surviving_share
+                     : failed_share / static_cast<double>(surviving_bins);
       }
     }
   }
 
-  const FluidResult round = simulate_round(fg, streams, num_gpus);
+  std::span<const ddak::Bin> bins_;
+  const SimOptions& options_;
+  int num_gpus_;
+  int num_ssd_bins_ = 0;
+  std::vector<int> ssd_ordinal_;  // position among SSD bins, -1 otherwise
+  std::vector<bool> failed_;
+  std::size_t failed_ssds_ = 0;
+  double retry_amp_;
+  std::vector<Route> routes_;  // [gpu * bins + bin]
+};
 
+/// The epoch of one round's IO time and per-edge bytes: round time,
+/// IO-boundness, rounds, epoch time, throughput, the per-link and QPI bytes
+/// scaled to the epoch, and the builder's SSD fault echo.
+SimReport epoch_report(const topology::Topology& topo,
+                       const topology::FlowGraph& fg,
+                       const ddak::EpochWorkload& workload,
+                       const SimOptions& options, const RoundStreams& builder,
+                       double io_round_time_s,
+                       std::span<const double> edge_bytes) {
+  const auto num_gpus = static_cast<std::size_t>(fg.gpus.size());
   SimReport report;
-  report.failed_ssds = failed_ssd_count;
-  report.retry_read_amplification = retry_amp;
-  report.coalesce_factor = std::max(1.0, options.ssd_coalesce_factor);
-  report.io_round_time_s = round.finish_time;
+  report.failed_ssds = builder.failed_ssds();
+  report.retry_read_amplification = builder.retry_amplification();
+  report.io_round_time_s = io_round_time_s;
   report.round_time_s =
-      std::max(round.finish_time, options.compute_time_per_batch) +
+      std::max(io_round_time_s, options.compute_time_per_batch) +
       options.round_overhead_s;
-  report.io_bound = round.finish_time >= options.compute_time_per_batch;
-
-  // Gradient all-reduce phase: a barrier between rounds, costed against the
-  // physical links with per-step contention (the plan's model), so planned
-  // vs. flat schedules are directly comparable on the same machine.
-  if (options.comm_plan != nullptr && options.gradient_bytes_per_round > 0.0) {
-    report.comm_round_time_s =
-        options.comm_plan->predicted_seconds(options.gradient_bytes_per_round);
-    report.comm_algorithm = comm::to_string(options.comm_plan->algo);
-    report.round_time_s += report.comm_round_time_s;
-  }
-
-  const std::size_t rounds =
-      (workload.batches_per_epoch + static_cast<std::size_t>(num_gpus) - 1) /
-      static_cast<std::size_t>(num_gpus);
-  report.rounds = rounds;
+  report.io_bound = io_round_time_s >= options.compute_time_per_batch;
+  report.rounds = (workload.batches_per_epoch + num_gpus - 1) / num_gpus;
   // Pipeline: IO of round k overlaps compute of round k-1; the tail adds one
   // compute phase.
-  report.epoch_time_s = static_cast<double>(rounds) * report.round_time_s +
-                        options.compute_time_per_batch;
-  report.throughput_seeds_per_s =
-      static_cast<double>(workload.batch_size) *
-      static_cast<double>(num_gpus) / report.round_time_s;
-
-  report.per_gpu_io_bandwidth.resize(static_cast<std::size_t>(num_gpus), 0.0);
-  std::vector<double> finishes;
-  for (int g = 0; g < num_gpus; ++g) {
-    const double t = round.gpu_finish[static_cast<std::size_t>(g)];
-    finishes.push_back(t);
-    const double fabric_bytes = bytes_per_batch - local_bytes_per_gpu;
-    report.per_gpu_io_bandwidth[static_cast<std::size_t>(g)] =
-        t > 0.0 ? fabric_bytes / t : 0.0;
-  }
-  report.imbalance_cv = util::coefficient_of_variation(finishes);
-  report.agg_io_bandwidth =
-      round.finish_time > 0.0
-          ? (bytes_per_batch - local_bytes_per_gpu) *
-                static_cast<double>(num_gpus) / round.finish_time
-          : 0.0;
+  report.epoch_time_s =
+      static_cast<double>(report.rounds) * report.round_time_s +
+      options.compute_time_per_batch;
+  report.throughput_seeds_per_s = static_cast<double>(workload.batch_size) *
+                                  static_cast<double>(num_gpus) /
+                                  report.round_time_s;
 
   // Map per-edge bytes back to physical links, scaled to the whole epoch.
-  const auto scale = static_cast<double>(rounds);
+  const auto scale = static_cast<double>(report.rounds);
   for (const auto& le : fg.link_edges) {
     if (le.link < 0) continue;
     LinkTrafficReport lt;
@@ -296,47 +280,155 @@ SimReport simulate_epoch(const topology::Topology& topo,
     lt.label = l.label;
     lt.kind = l.kind;
     if (le.ab >= 0) {
-      lt.bytes_ab = round.edge_bytes[static_cast<std::size_t>(le.ab)] * scale;
+      lt.bytes_ab = edge_bytes[static_cast<std::size_t>(le.ab)] * scale;
     }
     if (le.ba >= 0) {
-      lt.bytes_ba = round.edge_bytes[static_cast<std::size_t>(le.ba)] * scale;
+      lt.bytes_ba = edge_bytes[static_cast<std::size_t>(le.ba)] * scale;
     }
     if (lt.kind == topology::LinkKind::kQpi) {
       report.qpi_bytes += lt.bytes_ab + lt.bytes_ba;
     }
     report.link_traffic.push_back(std::move(lt));
   }
+  return report;
+}
 
-  // Fold the comm plan's modeled all-reduce bytes into the link report.
-  if (options.comm_plan != nullptr && options.gradient_bytes_per_round > 0.0) {
-    const auto volume =
-        options.comm_plan->link_volume(options.gradient_bytes_per_round);
-    for (const comm::LinkVolume& lv : volume) {
-      if (lv.ab == 0 && lv.ba == 0) continue;
-      const double ab = static_cast<double>(lv.ab) * scale;
-      const double ba = static_cast<double>(lv.ba) * scale;
-      LinkTrafficReport* entry = nullptr;
-      for (LinkTrafficReport& lt : report.link_traffic) {
-        if (lt.link == lv.link) {
-          entry = &lt;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        LinkTrafficReport lt;
-        lt.link = lv.link;
-        const auto& l = topo.link(lv.link);
-        lt.label = l.label;
-        lt.kind = l.kind;
-        report.link_traffic.push_back(std::move(lt));
-        entry = &report.link_traffic.back();
-      }
-      entry->bytes_ab += ab;
-      entry->bytes_ba += ba;
-      if (entry->kind == topology::LinkKind::kQpi) {
-        report.qpi_bytes += ab + ba;
-      }
+/// Expectation mode over an already IOPS-capped flow graph.
+SimReport expected_epoch(const topology::Topology& topo,
+                         const topology::FlowGraph& fg,
+                         const ddak::EpochWorkload& workload,
+                         std::span<const ddak::Bin> bins,
+                         const ddak::DataPlacementResult& placement,
+                         const SimOptions& options,
+                         const RoundStreams& builder) {
+  const int num_gpus = static_cast<int>(fg.gpus.size());
+  const double bytes_per_batch =
+      workload.fetches_per_batch * workload.feature_bytes;
+  const std::span<const double> shares = placement.bin_traffic_share;
+
+  // One round: every GPU fetches one batch by the expected bin shares.
+  std::vector<SubStream> streams;
+  for (int g = 0; g < num_gpus; ++g) {
+    builder.add_gpu(g, shares, 1.0, bytes_per_batch, streams);
+  }
+  const FluidResult round = simulate_round(fg, streams, num_gpus);
+
+  SimReport report = epoch_report(topo, fg, workload, options, builder,
+                                  round.finish_time, round.edge_bytes);
+
+  double local_bytes_per_gpu = 0.0;  // HBM-replicated hits, same for each GPU
+  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
+    if (bins[bi].storage_index < 0) {
+      local_bytes_per_gpu += bytes_per_batch * shares[bi];
     }
+  }
+  const double fabric_bytes = bytes_per_batch - local_bytes_per_gpu;
+  for (const double t : round.gpu_finish) {
+    report.per_gpu_io_bandwidth.push_back(t > 0.0 ? fabric_bytes / t : 0.0);
+  }
+  report.imbalance_cv = util::coefficient_of_variation(round.gpu_finish);
+  report.agg_io_bandwidth =
+      round.finish_time > 0.0
+          ? fabric_bytes * static_cast<double>(num_gpus) / round.finish_time
+          : 0.0;
+  return report;
+}
+
+void check_inputs(const topology::FlowGraph& fg,
+                  std::span<const ddak::Bin> bins,
+                  const ddak::DataPlacementResult& placement) {
+  if (placement.bin_traffic_share.size() != bins.size()) {
+    throw std::invalid_argument("simulate_epoch: placement/bins mismatch");
+  }
+  if (fg.gpus.empty()) throw std::invalid_argument("simulate_epoch: no GPUs");
+}
+
+}  // namespace
+
+SimReport simulate_epoch(const topology::Topology& topo,
+                         const topology::FlowGraph& fg_in,
+                         const ddak::EpochWorkload& workload,
+                         std::span<const ddak::Bin> bins,
+                         const ddak::DataPlacementResult& placement,
+                         const SimOptions& options) {
+  check_inputs(fg_in, bins, placement);
+  topology::FlowGraph capped;
+  const topology::FlowGraph& fg = iops_capped(fg_in, options, capped);
+  const RoundStreams builder(fg, bins, options);
+  return expected_epoch(topo, fg, workload, bins, placement, options, builder);
+}
+
+TraceSimReport simulate_epoch_traced(
+    const topology::Topology& topo, const topology::FlowGraph& fg_in,
+    const ddak::EpochWorkload& workload, std::span<const ddak::Bin> bins,
+    const ddak::DataPlacementResult& placement,
+    const sampling::NeighborSampler& sampler,
+    std::span<const graph::VertexId> train_vertices,
+    const TraceSimOptions& options) {
+  if (train_vertices.empty()) {
+    throw std::invalid_argument("simulate_epoch_traced: no train vertices");
+  }
+  if (options.trace_rounds == 0) {
+    throw std::invalid_argument("simulate_epoch_traced: no rounds to trace");
+  }
+  check_inputs(fg_in, bins, placement);
+  const SimOptions& base = options.base;
+  topology::FlowGraph capped;
+  const topology::FlowGraph& fg = iops_capped(fg_in, base, capped);
+  const RoundStreams builder(fg, bins, base);
+  const int num_gpus = static_cast<int>(fg.gpus.size());
+  const std::size_t scaled_batch =
+      options.scaled_batch_size > 0 ? options.scaled_batch_size : 8;
+  const double bytes_per_batch =
+      workload.fetches_per_batch * workload.feature_bytes;
+
+  util::Pcg32 rng(options.seed, 0x54524143);  // "TRAC"
+  std::vector<double> io_times;
+  std::vector<double> edge_bytes;  // summed over traced rounds
+  std::vector<double> counts(bins.size());
+  for (std::size_t round = 0; round < options.trace_rounds; ++round) {
+    std::vector<SubStream> streams;
+    for (int g = 0; g < num_gpus; ++g) {
+      // Sample a real batch for this GPU and bucket its fetch set by bin.
+      std::vector<graph::VertexId> seeds(scaled_batch);
+      for (auto& s : seeds) {
+        s = train_vertices[rng.next_below(
+            static_cast<std::uint32_t>(train_vertices.size()))];
+      }
+      const auto sg = sampler.sample(seeds, rng);
+      std::fill(counts.begin(), counts.end(), 0.0);
+      for (graph::VertexId v : sg.fetch_set) {
+        const auto bi = placement.bin_of_vertex[v];
+        if (bi < 0 || static_cast<std::size_t>(bi) >= bins.size()) {
+          throw std::out_of_range("simulate_epoch_traced: vertex bin");
+        }
+        counts[static_cast<std::size_t>(bi)] += 1.0;
+      }
+      builder.add_gpu(g, counts, static_cast<double>(sg.fetch_set.size()),
+                      bytes_per_batch, streams);
+    }
+    const FluidResult res = simulate_round(fg, streams, num_gpus);
+    io_times.push_back(res.finish_time);
+    edge_bytes.resize(res.edge_bytes.size(), 0.0);
+    for (std::size_t e = 0; e < edge_bytes.size(); ++e) {
+      edge_bytes[e] += res.edge_bytes[e];
+    }
+  }
+
+  TraceSimReport report;
+  report.traced_rounds = io_times.size();
+  report.round_io_time_s = util::summarize(io_times);
+  for (double& b : edge_bytes) b /= static_cast<double>(report.traced_rounds);
+  report.epoch = epoch_report(topo, fg, workload, base, builder,
+                              report.round_io_time_s.mean, edge_bytes);
+
+  // Diagnostic: deviation from the expectation-mode simulator.
+  const SimReport expect =
+      expected_epoch(topo, fg, workload, bins, placement, base, builder);
+  if (expect.io_round_time_s > 0.0) {
+    report.deviation_from_expectation =
+        std::abs(report.round_io_time_s.mean - expect.io_round_time_s) /
+        expect.io_round_time_s;
   }
   return report;
 }

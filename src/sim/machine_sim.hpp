@@ -6,23 +6,36 @@
 // deliberate modelling differences (single/weighted-path routing instead of
 // optimal splitting, per-round barriers, integer rounds) are what give the
 // paper's Fig. 13 prediction-vs-measurement gap.
+//
+// Two modes share the routes, the per-GPU round streams and the epoch
+// arithmetic:
+//   - expectation mode (simulate_epoch) drives one representative round from
+//     the placement's *expected* bin shares;
+//   - trace mode (simulate_epoch_traced) samples real mini-batches with the
+//     real neighbor sampler, looks each fetched vertex up in the realised
+//     data placement, and simulates every traced round individually. It
+//     captures what expectation mode cannot: round-to-round variance from
+//     sampling noise and placement granularity. A traced round moves the
+//     paper-scale per-batch volume, split across bins by the traced batch's
+//     observed composition.
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "comm/plan.hpp"
 #include "ddak/ddak.hpp"
 #include "ddak/workload.hpp"
+#include "sampling/neighbor_sampler.hpp"
 #include "sim/fluid.hpp"
 #include "sim/routes.hpp"
 #include "topology/machine.hpp"
+#include "util/stats.hpp"
 
 namespace moment::sim {
 
 struct SimOptions {
   RoutingPolicy routing = RoutingPolicy::kMultiPath;
-  int max_paths = 3;
   /// Model-training time per batch on one GPU (seconds); sets the compute
   /// side of the IO/compute overlap. See runtime/models.hpp for presets.
   double compute_time_per_batch = 0.06;
@@ -41,11 +54,6 @@ struct SimOptions {
   /// size) — 4 KiB feature reads on a P5510 are IOPS-bound near 1M ops/s.
   double ssd_iops = 0.0;
   double ssd_request_bytes = 4096.0;
-  /// Average feature rows per SSD command after the client's run coalescing
-  /// (TieredFeatureClient's GatherStats::coalesce_rows_per_cmd).
-  /// Each command moves factor * request bytes, so under an IOPS cap the
-  /// effective egress rate scales by the same factor; 1.0 = no coalescing.
-  double ssd_coalesce_factor = 1.0;
   /// Degraded mode: SSD bins with these ordinals (position among SSD-tier
   /// bins, matching the partition_ssds_per_gpu numbering) are failed; their
   /// traffic share is redistributed proportionally onto surviving SSD bins —
@@ -54,15 +62,6 @@ struct SimOptions {
   /// Transient read-error rate p on the SSD tier: every SSD byte is fetched
   /// 1/(1-p) times on average (retry read amplification). 0 = fault-free.
   double ssd_transient_error_rate = 0.0;
-  /// Gradient all-reduce comm phase. When `comm_plan` is set, every round
-  /// additionally pays the plan's contention-costed time for
-  /// `gradient_bytes_per_round` bytes (per schedule step, the most loaded
-  /// (link, direction) sets the step's duration; steps are sequential), and
-  /// the plan's modeled per-link bytes are folded into link_traffic. The
-  /// comm phase is a barrier between rounds, so it does not overlap IO or
-  /// compute. Not owned; null = comm-free epochs (historical behaviour).
-  const comm::CommPlan* comm_plan = nullptr;
-  double gradient_bytes_per_round = 0.0;
 };
 
 struct LinkTrafficReport {
@@ -89,15 +88,9 @@ struct SimReport {
   /// factor applied to SSD-tier bytes (1.0 = fault-free).
   std::size_t failed_ssds = 0;
   double retry_read_amplification = 1.0;
-  /// Echo of SimOptions::ssd_coalesce_factor applied to the IOPS cap.
-  double coalesce_factor = 1.0;
-  /// Contention-costed gradient all-reduce time per round (0 without a
-  /// comm plan) and the plan's algorithm name ("" without one).
-  double comm_round_time_s = 0.0;
-  std::string comm_algorithm;
 };
 
-/// Simulates one epoch of data-parallel training.
+/// Expectation mode: simulates one epoch of data-parallel training.
 /// `bins`/`placement` define where each vertex's embedding lives and hence
 /// the per-(GPU, storage) traffic; a merged replicated-GPU bin
 /// (storage_index == -1) is served HBM-locally by every GPU.
@@ -107,6 +100,40 @@ SimReport simulate_epoch(const topology::Topology& topo,
                          std::span<const ddak::Bin> bins,
                          const ddak::DataPlacementResult& placement,
                          const SimOptions& options = {});
+
+struct TraceSimOptions {
+  SimOptions base;
+  /// Rounds actually traced and fluid-simulated (at least 1); the epoch
+  /// extrapolates from their mean (an epoch has thousands of statistically
+  /// identical rounds).
+  std::size_t trace_rounds = 12;
+  /// Seeds per traced batch on the scaled graph (8 when 0; pass the hotness
+  /// profiler's proportional batch size).
+  std::size_t scaled_batch_size = 0;
+  std::uint64_t seed = 42;
+};
+
+struct TraceSimReport {
+  /// The epoch extrapolated from the traced rounds' mean IO time and mean
+  /// per-link bytes. The per-GPU bandwidth and imbalance fields stay empty.
+  SimReport epoch;
+  util::Summary round_io_time_s;  // spread across traced rounds
+  std::size_t traced_rounds = 0;
+  /// Relative deviation of the traced mean IO time from the expectation-mode
+  /// round IO time (diagnostic for Fig.-13-style studies).
+  double deviation_from_expectation = 0.0;
+};
+
+/// Trace mode. `placement.bin_of_vertex` is the realised placement over
+/// `bins` (indices align). `train_vertices` seeds the traced batches; the
+/// sampler must wrap the same scaled graph the placement was computed for.
+TraceSimReport simulate_epoch_traced(
+    const topology::Topology& topo, const topology::FlowGraph& fg,
+    const ddak::EpochWorkload& workload, std::span<const ddak::Bin> bins,
+    const ddak::DataPlacementResult& placement,
+    const sampling::NeighborSampler& sampler,
+    std::span<const graph::VertexId> train_vertices,
+    const TraceSimOptions& options = {});
 
 /// Merges per-GPU HBM bins into one replicated bin (capacity = one replica,
 /// traffic = sum). Use with GpuCacheMode::kReplicated.

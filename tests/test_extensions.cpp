@@ -21,7 +21,6 @@
 #include "placement/search.hpp"
 #include "runtime/systems.hpp"
 #include "sim/machine_sim.hpp"
-#include "sim/trace_sim.hpp"
 #include "topology/cluster.hpp"
 #include "topology/discovery.hpp"
 #include "util/units.hpp"
@@ -521,36 +520,92 @@ TEST(IoEngineExt, BatchSubmissionAndLatency) {
 
 // -------------------------------------------------------------- trace sim
 
-TEST(TraceSim, AgreesWithExpectationMode) {
-  const auto bench = runtime::Workbench::make(graph::DatasetId::kIG, 3, 42);
-  const auto workload = ddak::make_epoch_workload(
+/// IG on a Machine A classic placement with 4 GPUs and 8 SSDs, DDAK-placed.
+struct TraceRig {
+  runtime::Workbench bench =
+      runtime::Workbench::make(graph::DatasetId::kIG, 3, 42);
+  ddak::EpochWorkload workload = ddak::make_epoch_workload(
       bench.dataset, bench.profile, ddak::CacheConfig{}, 4);
-  const auto spec = topology::make_machine_a();
-  const auto topo = topology::instantiate(
-      spec, topology::classic_placement(spec, 'c', 4, 8));
-  const auto fg = topology::compile_flow_graph(topo);
-  const auto pred = topology::predict(
-      fg, ddak::to_flow_demand(workload, fg, ddak::SupplyModel::kFlexibleTier));
-  auto bins = ddak::make_bins(topo, fg, pred.per_storage_bytes,
-                              bench.dataset.scaled.vertices, 0.005, 0.01);
-  const auto merged = sim::merge_replicated_gpu_bins(bins);
-  ddak::DdakOptions dopt;
-  dopt.pool_size = ddak::default_pool_size(bench.dataset.scaled.vertices);
-  const auto place = ddak::ddak_place(merged, bench.profile, dopt);
-
-  sampling::NeighborSampler sampler(bench.dataset.csr, {25, 10});
-  const auto train = sampling::select_train_vertices(
+  topology::MachineSpec spec = topology::make_machine_a();
+  topology::Topology topo;
+  topology::FlowGraph fg;
+  std::vector<ddak::Bin> bins;
+  ddak::DataPlacementResult place;
+  sampling::NeighborSampler sampler{bench.dataset.csr, {25, 10}};
+  std::vector<graph::VertexId> train = sampling::select_train_vertices(
       bench.dataset.csr, bench.dataset.train_fraction, 42);
 
-  sim::TraceSimOptions topts;
-  topts.trace_rounds = 8;
-  const auto traced = sim::simulate_epoch_traced(
-      topo, fg, workload, merged, place, sampler, train, topts);
+  explicit TraceRig(char which)
+      : topo(topology::instantiate(
+            spec, topology::classic_placement(spec, which, 4, 8))),
+        fg(topology::compile_flow_graph(topo)) {
+    const auto pred = topology::predict(
+        fg, ddak::to_flow_demand(workload, fg,
+                                 ddak::SupplyModel::kFlexibleTier));
+    bins = sim::merge_replicated_gpu_bins(
+        ddak::make_bins(topo, fg, pred.per_storage_bytes,
+                        bench.dataset.scaled.vertices, 0.005, 0.01));
+    ddak::DdakOptions dopt;
+    dopt.pool_size = ddak::default_pool_size(bench.dataset.scaled.vertices);
+    place = ddak::ddak_place(bins, bench.profile, dopt);
+  }
+
+  sim::SimReport expected(const sim::SimOptions& base) const {
+    return sim::simulate_epoch(topo, fg, workload, bins, place, base);
+  }
+  sim::TraceSimReport traced(const sim::SimOptions& base,
+                             std::size_t rounds) const {
+    sim::TraceSimOptions topts;
+    topts.base = base;
+    topts.trace_rounds = rounds;
+    return sim::simulate_epoch_traced(topo, fg, workload, bins, place,
+                                      sampler, train, topts);
+  }
+};
+
+TEST(TraceSim, AgreesWithExpectationMode) {
+  const TraceRig rig('c');
+  const auto traced = rig.traced({}, 8);
   ASSERT_EQ(traced.traced_rounds, 8u);
-  EXPECT_GT(traced.epoch_time_s, 0.0);
+  EXPECT_GT(traced.epoch.epoch_time_s, 0.0);
+  EXPECT_FALSE(traced.epoch.link_traffic.empty());
   EXPECT_GT(traced.round_io_time_s.stddev, 0.0) << "no sampling variance?";
   // Traced mean within 30% of expectation mode (same placement, same plan).
   EXPECT_LT(traced.deviation_from_expectation, 0.30);
+}
+
+TEST(TraceSim, HonoursSsdModel) {
+  // Each SSD setting moves the traced round IO time the way it moves
+  // expectation mode's: same direction, both by at least 5%. Placement (b)
+  // puts the SSDs front-first and all GPUs on PLX0, so partitioning the SSDs
+  // per GPU leaves some GPUs reading only their slower subsets.
+  const TraceRig rig('b');
+  const sim::SimOptions healthy;
+  const double expect0 = rig.expected(healthy).io_round_time_s;
+  const double traced0 = rig.traced(healthy, 4).round_io_time_s.mean;
+  ASSERT_GT(expect0, 0.0);
+  ASSERT_GT(traced0, 0.0);
+
+  sim::SimOptions iops;
+  iops.ssd_iops = 200'000;
+  sim::SimOptions partitioned;
+  partitioned.partition_ssds_per_gpu = true;
+  sim::SimOptions failed;
+  failed.failed_ssd_ordinals = {0};
+  for (const auto& [name, opts] :
+       {std::pair{"ssd_iops", iops},
+        std::pair{"partition_ssds_per_gpu", partitioned},
+        std::pair{"failed_ssd_ordinals", failed}}) {
+    const double expect_ratio = rig.expected(opts).io_round_time_s / expect0;
+    const double traced_ratio =
+        rig.traced(opts, 4).round_io_time_s.mean / traced0;
+    ASSERT_GT(std::abs(expect_ratio - 1.0), 0.05) << name;
+    EXPECT_GT(std::abs(traced_ratio - 1.0), 0.05) << name;
+    EXPECT_EQ(expect_ratio > 1.0, traced_ratio > 1.0)
+        << name << ": expectation x" << expect_ratio << ", traced x"
+        << traced_ratio;
+  }
+  EXPECT_EQ(rig.traced(failed, 1).epoch.failed_ssds, 1u);
 }
 
 TEST(TraceSim, DeterministicGivenSeed) {
@@ -576,8 +631,8 @@ TEST(TraceSim, DeterministicGivenSeed) {
                                             place, sampler, train, topts);
   const auto b = sim::simulate_epoch_traced(topo, fg, workload, merged,
                                             place, sampler, train, topts);
-  EXPECT_DOUBLE_EQ(a.epoch_time_s, b.epoch_time_s);
-  EXPECT_DOUBLE_EQ(a.qpi_bytes, b.qpi_bytes);
+  EXPECT_DOUBLE_EQ(a.epoch.epoch_time_s, b.epoch.epoch_time_s);
+  EXPECT_DOUBLE_EQ(a.epoch.qpi_bytes, b.epoch.qpi_bytes);
 }
 
 TEST(TraceSim, ValidatesInputs) {
