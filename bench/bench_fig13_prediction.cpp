@@ -11,7 +11,8 @@ using namespace moment;
 namespace {
 
 /// Trace-driven measurement of a Moment plan: real sampled batches against
-/// the run's own bins and data placement, per-round fluid simulation.
+/// the run's own bins, data placement and simulator settings, per-round
+/// fluid simulation.
 double traced_epoch_time(const topology::MachineSpec& spec,
                          const runtime::Workbench& wb,
                          const runtime::SystemResult& r) {
@@ -23,6 +24,7 @@ double traced_epoch_time(const topology::MachineSpec& spec,
   const auto train = sampling::select_train_vertices(
       wb.dataset.csr, wb.dataset.train_fraction, 42);
   sim::TraceSimOptions topts;
+  topts.base = r.sim_options;
   topts.trace_rounds = 8;
   topts.scaled_batch_size = wb.profile.batch_size;
   return sim::simulate_epoch_traced(topo, fg, r.workload, r.bins,

@@ -152,7 +152,7 @@ PlacementEval simulate_placement(SystemKind kind,
   // weights are not congestion-aware, so they can lose to direct routing on
   // balanced layouts. The baselines are topology-oblivious and route
   // directly.
-  sim::SimOptions sopts;
+  sim::SimOptions& sopts = out.sim_options;
   sopts.compute_time_per_batch = compute_time_per_batch;
   if (kind == SystemKind::kMGids) {
     // Page-granular BaM accesses: metadata traffic plus partially-used
@@ -164,10 +164,14 @@ PlacementEval simulate_placement(SystemKind kind,
   out.sim = sim::simulate_epoch(topo, fg, workload, out.bins,
                                 out.data_placement, sopts);
   if (kind == SystemKind::kMoment) {
-    sopts.routing = sim::RoutingPolicy::kMultiPath;
-    sim::SimReport multi = sim::simulate_epoch(topo, fg, workload, out.bins,
-                                               out.data_placement, sopts);
-    if (multi.epoch_time_s <= out.sim.epoch_time_s) out.sim = std::move(multi);
+    sim::SimOptions multipath = sopts;
+    multipath.routing = sim::RoutingPolicy::kMultiPath;
+    sim::SimReport multi = sim::simulate_epoch(
+        topo, fg, workload, out.bins, out.data_placement, multipath);
+    if (multi.epoch_time_s <= out.sim.epoch_time_s) {
+      out.sim = std::move(multi);
+      sopts = std::move(multipath);
+    }
   }
   return out;
 }
@@ -311,6 +315,7 @@ SystemResult run_system(SystemKind kind, const ExperimentConfig& config,
       std::max(r.prediction.epoch_io_time_s,
                rounds * preset.compute_time_per_batch);
   r.sim = eval.sim;
+  r.sim_options = eval.sim_options;
   r.bins = std::move(eval.bins);
   r.data_placement = std::move(eval.data_placement);
   r.epoch_time_s = r.sim.epoch_time_s;

@@ -63,6 +63,7 @@ struct SystemResult {
   double epoch_time_s = 0.0;
   double throughput_seeds_per_s = 0.0;
   sim::SimReport sim;                 // "measured"
+  sim::SimOptions sim_options;        // what `sim` ran with
   topology::Prediction prediction;    // max-flow "predicted"
   double predicted_epoch_time_s = 0.0;
   topology::Placement placement;
@@ -101,6 +102,7 @@ struct PlacementEval {
   std::vector<ddak::Bin> bins;
   ddak::DataPlacementResult data_placement;
   sim::SimReport sim;
+  sim::SimOptions sim_options;  // what the winning `sim` ran with
   double ddak_time_s = 0.0;  // wall time of the data-placement step
 };
 
