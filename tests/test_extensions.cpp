@@ -651,6 +651,12 @@ TEST(TraceSim, ValidatesInputs) {
   EXPECT_THROW(sim::simulate_epoch_traced(topo, fg, workload, merged, place,
                                           sampler, {}, {}),
                std::invalid_argument);
+  const std::vector<graph::VertexId> train{0};
+  sim::TraceSimOptions no_rounds;
+  no_rounds.trace_rounds = 0;
+  EXPECT_THROW(sim::simulate_epoch_traced(topo, fg, workload, merged, place,
+                                          sampler, train, no_rounds),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- plan io
