@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "graph/generators.hpp"
 #include "iostack/feature_store.hpp"
 #include "runtime/parallel_trainer.hpp"
+#include "sim/routes.hpp"
+#include "topology/flow_graph.hpp"
 #include "topology/machine.hpp"
 #include "util/rng.hpp"
 
@@ -141,6 +144,66 @@ TEST(Planner, PeerRoutesCoverAllPairs) {
   }
   EXPECT_EQ(plan.peer_route(-1, 0), nullptr);
   EXPECT_EQ(plan.peer_route(0, plan.num_gpus), nullptr);
+}
+
+TEST(Planner, PeerRoutesMatchSinglePathFlowRoutes) {
+  // Every peer route is the single-path flow-graph route from the source
+  // GPU's HBM node to the destination's compute node, mapped back to the
+  // physical links it crosses (ids, directions and capacities).
+  int topologies = 0;
+  for (const auto& spec :
+       {topology::make_machine_a(), topology::make_machine_b()}) {
+    for (const int gpus : {2, 4, 8}) {
+      for (const bool nvlink : {false, true}) {
+        for (const char which : {'a', 'b', 'c', 'd'}) {
+          topology::Placement p;
+          try {
+            p = topology::classic_placement(spec, which, gpus, 8);
+          } catch (const std::invalid_argument&) {
+            continue;  // e.g. 8 GPUs do not fit one PLX switch
+          }
+          p.nvlink = nvlink;
+          SCOPED_TRACE(::testing::Message()
+                       << spec.name << " " << which << " gpus=" << gpus
+                       << " nvlink=" << nvlink);
+          const auto topo = topology::instantiate(spec, p);
+          const auto fg = topology::compile_flow_graph(topo);
+          const CommPlan plan = CommPlanner(topo).plan(AllReduceAlgo::kRing);
+          ++topologies;
+          for (int i = 0; i < gpus; ++i) {
+            for (int j = 0; j < gpus; ++j) {
+              if (i == j) continue;
+              const PeerRoute* r = plan.peer_route(i, j);
+              ASSERT_NE(r, nullptr) << i << "->" << j;
+              const auto ps = sim::find_paths(
+                  fg, fg.gpus[static_cast<std::size_t>(i)].mem_node,
+                  fg.gpus[static_cast<std::size_t>(j)].comp_node,
+                  sim::RoutingPolicy::kSinglePath);
+              ASSERT_EQ(ps.paths.size(), 1u);
+              const auto& path = ps.paths.front();
+              ASSERT_EQ(r->links.size(), path.size()) << i << "->" << j;
+              for (std::size_t k = 0; k < path.size(); ++k) {
+                const auto le = std::find_if(
+                    fg.link_edges.begin(), fg.link_edges.end(),
+                    [&](const topology::LinkFlowEdges& x) {
+                      return x.ab == path[k] || x.ba == path[k];
+                    });
+                ASSERT_NE(le, fg.link_edges.end());
+                const bool fwd = le->ab == path[k];
+                const topology::Link& l = topo.link(le->link);
+                const RouteLink& rl = r->links[k];
+                EXPECT_EQ(rl.link, le->link) << i << "->" << j << " hop " << k;
+                EXPECT_EQ(rl.forward, fwd) << i << "->" << j << " hop " << k;
+                EXPECT_EQ(rl.capacity, fwd ? l.bw_ab : l.bw_ba);
+                EXPECT_EQ(rl.capacity, fg.net.original_capacity(path[k]));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(topologies, 40);
 }
 
 TEST(Plan, SchedulePayloadMatchesAnalyticVolume) {
