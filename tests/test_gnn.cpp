@@ -13,6 +13,7 @@
 #include "gnn/features.hpp"
 #include "gnn/gat_layer.hpp"
 #include "gnn/gcn_layer.hpp"
+#include "gnn/kernels.hpp"
 #include "gnn/loss.hpp"
 #include "gnn/model.hpp"
 #include "gnn/optimizer.hpp"
@@ -600,6 +601,182 @@ TEST(GatLayer, MatchesPerHeadReferenceBitwise) {
     }
   }
   util::set_compute_pool_threads(0);
+}
+
+// ---- SAGE/GCN reference -----------------------------------------------------
+// Each layer's GEMMs and aggregation kernels with the bias + ReLU tail and its
+// gradient written out as loops. The bit-level contract of SageLayer and
+// GcnLayer.
+
+struct LayerReference {
+  Tensor out, grad_x;
+  std::vector<float> param_grads;  // parameters() order, flattened
+};
+
+/// out = act(pre + bias) in place, act = ReLU (x > 0 ? x : 0) or identity.
+void reference_bias_act(Tensor& pre, const Tensor& bias, bool relu) {
+  for (std::size_t r = 0; r < pre.rows(); ++r) {
+    for (std::size_t c = 0; c < pre.cols(); ++c) {
+      const float v = pre.at(r, c) + bias.at(0, c);
+      pre.at(r, c) = relu && !(v > 0.0f) ? 0.0f : v;
+    }
+  }
+}
+
+/// Gradient of reference_bias_act given its output; adds the column sums,
+/// rows ascending, into grad_bias.
+Tensor reference_bias_act_grad(const Tensor& out, const Tensor& grad_out,
+                               bool relu, Tensor& grad_bias) {
+  Tensor grad = grad_out;
+  for (std::size_t r = 0; r < grad.rows(); ++r) {
+    for (std::size_t c = 0; c < grad.cols(); ++c) {
+      if (relu && !(out.at(r, c) > 0.0f)) grad.at(r, c) = 0.0f;
+      grad_bias.at(0, c) += grad.at(r, c);
+    }
+  }
+  return grad;
+}
+
+void append_grads(const std::vector<Param>& params, LayerReference& ref) {
+  for (const Param& p : params) {
+    ref.param_grads.insert(ref.param_grads.end(), p.grad.data(),
+                           p.grad.data() + p.grad.size());
+  }
+}
+
+LayerReference sage_reference(const Block& block, const Tensor& x,
+                              const Tensor& grad_out,
+                              std::vector<Param> params, bool relu) {
+  const CompiledBlock cb = compile_block(block);
+  const std::size_t nd = cb.num_dst(), in = x.cols();
+  Param &w_self = params[0], &w_neigh = params[1], &bias = params[2];
+  Tensor x_dst(nd, in), mean(nd, in);
+  for (std::size_t i = 0; i < nd; ++i) {
+    const auto self = x.row(static_cast<std::size_t>(cb.self_src[i]));
+    std::copy(self.begin(), self.end(), x_dst.row(i).begin());
+  }
+  kernels::aggregate_mean(cb, x.data(), in, mean.data());
+  Tensor out(nd, w_self.value.cols());
+  matmul(x_dst, w_self.value, out);
+  matmul(mean, w_neigh.value, out, /*accumulate=*/true);
+  reference_bias_act(out, bias.value, relu);
+
+  const Tensor grad = reference_bias_act_grad(out, grad_out, relu, bias.grad);
+  matmul_at(x_dst, grad, w_self.grad, /*accumulate=*/true);
+  matmul_at(mean, grad, w_neigh.grad, /*accumulate=*/true);
+  Tensor grad_self(nd, in), grad_mean(nd, in);
+  matmul_bt(grad, w_self.value, grad_self);
+  matmul_bt(grad, w_neigh.value, grad_mean);
+  LayerReference ref{out, Tensor(cb.num_src(), in), {}};
+  kernels::sage_input_grad(cb, grad_self.data(), grad_mean.data(), in,
+                           ref.grad_x.data());
+  append_grads(params, ref);
+  return ref;
+}
+
+LayerReference gcn_reference(const Block& block, const Tensor& x,
+                             const Tensor& grad_out, std::vector<Param> params,
+                             bool relu) {
+  const CompiledBlock cb = compile_block(block);
+  const std::size_t nd = cb.num_dst(), ne = cb.num_edges(), in = x.cols();
+  Param &w = params[0], &bias = params[1];
+  // Symmetric normalisation 1/sqrt(d_dst * d_src) with in-block degrees + 1;
+  // frontier-only sources count as degree 1. Self coefficients follow the
+  // edge coefficients.
+  std::vector<float> coeff(ne + nd);
+  for (std::size_t i = 0; i < nd; ++i) {
+    const double di = 1.0 + static_cast<double>(cb.degree(i));
+    for (int t = cb.dst_off[i]; t < cb.dst_off[i + 1]; ++t) {
+      const int sd = cb.src_to_dst[static_cast<std::size_t>(cb.src_of[t])];
+      const double ds =
+          sd >= 0 ? 1.0 + static_cast<double>(
+                              cb.degree(static_cast<std::size_t>(sd)))
+                  : 1.0;
+      coeff[static_cast<std::size_t>(t)] =
+          static_cast<float>(1.0 / std::sqrt(di * ds));
+    }
+    coeff[ne + i] = static_cast<float>(1.0 / di);
+  }
+  Tensor agg(nd, in);
+  kernels::aggregate_coeff(cb, coeff.data(), coeff.data() + ne, x.data(), in,
+                           agg.data());
+  Tensor out(nd, w.value.cols());
+  matmul(agg, w.value, out);
+  reference_bias_act(out, bias.value, relu);
+
+  const Tensor grad = reference_bias_act_grad(out, grad_out, relu, bias.grad);
+  matmul_at(agg, grad, w.grad, /*accumulate=*/true);
+  Tensor grad_agg(nd, in);
+  matmul_bt(grad, w.value, grad_agg);
+  LayerReference ref{out, Tensor(cb.num_src(), in), {}};
+  kernels::aggregate_coeff_grad(cb, coeff.data(), coeff.data() + ne,
+                                grad_agg.data(), in, ref.grad_x.data());
+  append_grads(params, ref);
+  return ref;
+}
+
+/// Runs `Layer` against `reference` on gat_reference_block(), ReLU on and
+/// off, with 1 and 4 pool threads, and compares every output bit. Output
+/// column 0 is a dead ReLU unit (bias -100, negative upstream gradient) whose
+/// bias gradient starts at -0: it stays -0 only if the masked gradient is -0,
+/// so a ReLU gradient that multiplies by 0 instead of selecting shows.
+template <class Layer, class Reference>
+void expect_layer_matches_reference(Reference reference) {
+  const Block block = gat_reference_block();
+  constexpr std::size_t kInDim = 10, kOutDim = 9;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::set_compute_pool_threads(threads);
+    for (const bool relu : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " relu=" << relu);
+      util::Pcg32 rng(relu ? 57 : 53);
+      Layer layer(kInDim, kOutDim, relu, rng);
+      Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
+      x *= 3.0f;
+      for (Param* p : layer.parameters()) {
+        if (p->name == "bias") {
+          p->value = Tensor::glorot(1, kOutDim, rng);
+          p->value.at(0, 0) = -100.0f;
+          p->grad = Tensor::glorot(1, kOutDim, rng);
+          p->grad.at(0, 0) = -0.0f;
+        } else {
+          p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
+        }
+      }
+      Tensor grad_out = Tensor::glorot(block.num_dst(), kOutDim, rng);
+      for (std::size_t r = 0; r < grad_out.rows(); ++r) {
+        grad_out.at(r, 0) = -1.0f - std::fabs(grad_out.at(r, 0));
+      }
+      std::vector<Param> params;
+      for (Param* p : layer.parameters()) params.push_back(*p);
+
+      const LayerReference ref = reference(block, x, grad_out, params, relu);
+      const Tensor out = layer.forward(block, x);
+      const Tensor grad_x = layer.backward(block, grad_out);
+      ASSERT_EQ(out.size(), ref.out.size());
+      EXPECT_TRUE(same_bits(out.data(), ref.out.data(), out.size()));
+      ASSERT_EQ(grad_x.size(), ref.grad_x.size());
+      EXPECT_TRUE(same_bits(grad_x.data(), ref.grad_x.data(), grad_x.size()));
+      const std::vector<float> got = flat_grads(layer.parameters());
+      ASSERT_EQ(got.size(), ref.param_grads.size());
+      std::size_t at = 0;
+      for (const Param* p : layer.parameters()) {
+        EXPECT_TRUE(same_bits(got.data() + at, ref.param_grads.data() + at,
+                              p->grad.size()))
+            << p->name;
+        at += p->grad.size();
+      }
+    }
+  }
+  util::set_compute_pool_threads(0);
+}
+
+TEST(SageLayer, MatchesReferenceBitwise) {
+  expect_layer_matches_reference<SageLayer>(sage_reference);
+}
+
+TEST(GcnLayer, MatchesReferenceBitwise) {
+  expect_layer_matches_reference<GcnLayer>(gcn_reference);
 }
 
 /// tiny_block() with one more src row and two more edges: same dst count,
