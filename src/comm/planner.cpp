@@ -9,6 +9,7 @@
 
 #include "maxflow/dinic.hpp"
 #include "topology/flow_graph.hpp"
+#include "topology/routes.hpp"
 
 namespace moment::comm {
 
@@ -16,23 +17,32 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-bool routable_through(topology::DeviceKind kind) noexcept {
-  return kind == topology::DeviceKind::kPcieSwitch ||
-         kind == topology::DeviceKind::kRootComplex;
-}
-
 }  // namespace
 
 CommPlanner::CommPlanner(const topology::Topology& topo) : topo_(&topo) {
-  gpu_devices_ = topo.devices_of_kind(topology::DeviceKind::kGpu);
-  const std::size_t n = gpu_devices_.size();
+  const std::size_t n =
+      topo.devices_of_kind(topology::DeviceKind::kGpu).size();
+  num_gpus_ = static_cast<int>(n);
   pair_bw_.assign(n * n, 0.0);
+  routes_.resize(n * n);
   if (n < 2) return;
-  // One flow graph, re-solved per ordered pair with flows reset in between.
-  // The virtual source has no in-edges and every compute node only feeds the
-  // sink, so solving HBM_i -> comp_j isolates exactly the inter-GPU fabric
-  // (slot links, switches, QPI, NVLink bridges).
+  // One flow graph serves both: Dinic re-solves it per ordered pair with
+  // flows reset in between, and the router reads its capacities. The virtual
+  // source has no in-edges and every compute node only feeds the sink, so
+  // HBM_i -> comp_j isolates exactly the inter-GPU fabric (slot links,
+  // switches, QPI, NVLink bridges).
   topology::FlowGraph fg = topology::compile_flow_graph(topo);
+  // The physical link traversal each flow edge realises.
+  std::vector<RouteLink> hop_of(2 * fg.net.num_edges());
+  for (const topology::LinkFlowEdges& le : fg.link_edges) {
+    const topology::Link& l = topo.link(le.link);
+    if (le.ab >= 0) {
+      hop_of[static_cast<std::size_t>(le.ab)] = {le.link, true, l.bw_ab};
+    }
+    if (le.ba >= 0) {
+      hop_of[static_cast<std::size_t>(le.ba)] = {le.link, false, l.bw_ba};
+    }
+  }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
@@ -40,76 +50,19 @@ CommPlanner::CommPlanner(const topology::Topology& topo) : topo_(&topo) {
       const auto result = maxflow::Dinic::solve(fg.net, fg.gpus[i].mem_node,
                                                 fg.gpus[j].comp_node);
       pair_bw_[i * n + j] = result.total_flow;
-    }
-  }
-}
-
-PeerRoute CommPlanner::find_route(int src, int dst) const {
-  PeerRoute route;
-  route.src_gpu = src;
-  route.dst_gpu = dst;
-  route.max_flow_bw = pair_bandwidth(src, dst);
-  if (src == dst) return route;
-
-  const topology::Topology& topo = *topo_;
-  const auto start = gpu_devices_[static_cast<std::size_t>(src)];
-  const auto goal = gpu_devices_[static_cast<std::size_t>(dst)];
-
-  // Widest-shortest BFS: minimise hop count first, then maximise the
-  // bottleneck capacity among equal-hop paths. Widths are final when a node
-  // is popped because all predecessors at the previous level were processed
-  // first; ties break on smaller link id for determinism.
-  const std::size_t nd = topo.num_devices();
-  std::vector<int> dist(nd, -1);
-  std::vector<double> width(nd, 0.0);
-  std::vector<topology::LinkId> via_link(nd, -1);
-  std::vector<topology::DeviceId> via_dev(nd, -1);
-  std::vector<topology::DeviceId> queue;
-  queue.reserve(nd);
-  dist[static_cast<std::size_t>(start)] = 0;
-  width[static_cast<std::size_t>(start)] =
-      std::numeric_limits<double>::infinity();
-  queue.push_back(start);
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const topology::DeviceId u = queue[qi];
-    if (u == goal) continue;  // expand only through routable devices
-    if (u != start && !routable_through(topo.device(u).kind)) continue;
-    for (topology::LinkId lid : topo.incident(u)) {
-      const topology::Link& l = topo.link(lid);
-      const bool fwd = l.a == u;
-      const topology::DeviceId v = fwd ? l.b : l.a;
-      const double cap = fwd ? l.bw_ab : l.bw_ba;
-      if (cap <= 0.0) continue;
-      const auto& vk = topo.device(v).kind;
-      if (v != goal && !routable_through(vk)) continue;
-      const double w =
-          std::min(width[static_cast<std::size_t>(u)], cap);
-      auto& dv = dist[static_cast<std::size_t>(v)];
-      if (dv < 0) {
-        dv = dist[static_cast<std::size_t>(u)] + 1;
-        width[static_cast<std::size_t>(v)] = w;
-        via_link[static_cast<std::size_t>(v)] = lid;
-        via_dev[static_cast<std::size_t>(v)] = u;
-        queue.push_back(v);
-      } else if (dv == dist[static_cast<std::size_t>(u)] + 1 &&
-                 w > width[static_cast<std::size_t>(v)] + kEps) {
-        width[static_cast<std::size_t>(v)] = w;
-        via_link[static_cast<std::size_t>(v)] = lid;
-        via_dev[static_cast<std::size_t>(v)] = u;
+      PeerRoute& route = routes_[i * n + j];
+      route.src_gpu = static_cast<int>(i);
+      route.dst_gpu = static_cast<int>(j);
+      route.max_flow_bw = result.total_flow;
+      const topology::PathSet ps =
+          topology::find_paths(fg, fg.gpus[i].mem_node, fg.gpus[j].comp_node,
+                               topology::RoutingPolicy::kSinglePath);
+      if (ps.paths.empty()) continue;  // unroutable
+      for (const maxflow::EdgeId e : ps.paths.front()) {
+        route.links.push_back(hop_of[static_cast<std::size_t>(e)]);
       }
     }
   }
-  if (dist[static_cast<std::size_t>(goal)] < 0) return route;  // unroutable
-  std::vector<RouteLink> rev;
-  for (topology::DeviceId v = goal; v != start;
-       v = via_dev[static_cast<std::size_t>(v)]) {
-    const topology::LinkId lid = via_link[static_cast<std::size_t>(v)];
-    const topology::Link& l = topo.link(lid);
-    const bool fwd = l.b == v;  // entered v over the a->b direction
-    rev.push_back({lid, fwd, fwd ? l.bw_ab : l.bw_ba});
-  }
-  route.links.assign(rev.rbegin(), rev.rend());
-  return route;
 }
 
 void CommPlanner::fill_routes(CommPlan& plan) const {
@@ -121,12 +74,12 @@ void CommPlanner::fill_routes(CommPlan& plan) const {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (i == j) continue;
-      PeerRoute r = find_route(i, j);
-      if (!r.valid()) continue;
-      plan.route_of[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-                    static_cast<std::size_t>(j)] =
-          static_cast<int>(plan.routes.size());
-      plan.routes.push_back(std::move(r));
+      const std::size_t ij = static_cast<std::size_t>(i) *
+                                 static_cast<std::size_t>(n) +
+                             static_cast<std::size_t>(j);
+      if (!routes_[ij].valid()) continue;
+      plan.route_of[ij] = static_cast<int>(plan.routes.size());
+      plan.routes.push_back(routes_[ij]);
     }
   }
   // Link metadata for every link any route touches, ordered by link id.

@@ -160,12 +160,12 @@ PlacementEval simulate_placement(SystemKind kind,
     sopts.partition_ssds_per_gpu = true;
     sopts.ssd_read_amplification = 1.45;
   }
-  sopts.routing = sim::RoutingPolicy::kSinglePath;
+  sopts.routing = topology::RoutingPolicy::kSinglePath;
   out.sim = sim::simulate_epoch(topo, fg, workload, out.bins,
                                 out.data_placement, sopts);
   if (kind == SystemKind::kMoment) {
     sim::SimOptions multipath = sopts;
-    multipath.routing = sim::RoutingPolicy::kMultiPath;
+    multipath.routing = topology::RoutingPolicy::kMultiPath;
     sim::SimReport multi = sim::simulate_epoch(
         topo, fg, workload, out.bins, out.data_placement, multipath);
     if (multi.epoch_time_s <= out.sim.epoch_time_s) {

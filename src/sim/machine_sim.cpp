@@ -133,16 +133,16 @@ class RoundStreams {
         if (bin.replica_storage_indices.size() > 1) {
           std::size_t best_hops = std::numeric_limits<std::size_t>::max();
           for (int ri : bin.replica_storage_indices) {
-            const PathSet rp = find_paths(
+            const topology::PathSet rp = topology::find_paths(
                 fg, fg.storage[static_cast<std::size_t>(ri)].node, comp,
-                RoutingPolicy::kSinglePath);
+                topology::RoutingPolicy::kSinglePath);
             if (!rp.paths.empty() && rp.paths[0].size() < best_hops) {
               best_hops = rp.paths[0].size();
               route.storage_index = ri;
             }
           }
         }
-        route.paths = find_paths(
+        route.paths = topology::find_paths(
             fg, fg.storage[static_cast<std::size_t>(route.storage_index)].node,
             comp, options.routing);
       }
@@ -200,7 +200,7 @@ class RoundStreams {
  private:
   struct Route {
     int storage_index = -1;  // the replica read
-    PathSet paths;
+    topology::PathSet paths;
   };
 
   void shed_failed(std::vector<double>& w) const {

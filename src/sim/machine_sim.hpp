@@ -28,14 +28,14 @@
 #include "ddak/workload.hpp"
 #include "sampling/neighbor_sampler.hpp"
 #include "sim/fluid.hpp"
-#include "sim/routes.hpp"
 #include "topology/machine.hpp"
+#include "topology/routes.hpp"
 #include "util/stats.hpp"
 
 namespace moment::sim {
 
 struct SimOptions {
-  RoutingPolicy routing = RoutingPolicy::kMultiPath;
+  topology::RoutingPolicy routing = topology::RoutingPolicy::kMultiPath;
   /// Model-training time per batch on one GPU (seconds); sets the compute
   /// side of the IO/compute overlap. See runtime/models.hpp for presets.
   double compute_time_per_batch = 0.06;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/units.hpp"
@@ -84,6 +85,9 @@ FlowGraph compile_flow_graph(const Topology& topo,
              dev.kind == DeviceKind::kNic;
     };
 
+    // le.ab / le.ba hold the edges in the link's a->b / b->a direction; the
+    // branches that orient an edge by device kind swap them when the link
+    // lists its ends the other way round.
     if (l.kind == LinkKind::kDram) {
       // Orientation: CpuMemory side -> root complex (feature reads).
       const auto [mem, rc, bw] =
@@ -93,6 +97,7 @@ FlowGraph compile_flow_graph(const Topology& topo,
       le.ab = fg.net.add_edge(storage_of[static_cast<std::size_t>(mem)],
                               inter_of[static_cast<std::size_t>(rc)], bw);
       out_rate[static_cast<std::size_t>(mem)] += bw;
+      if (mem != l.a) std::swap(le.ab, le.ba);
     } else if (l.kind == LinkKind::kNvlink) {
       if (options.gpu_cache && options.use_nvlink) {
         // Peer HBM -> peer compute, both directions.
@@ -110,6 +115,7 @@ FlowGraph compile_flow_graph(const Topology& topo,
       le.ab = fg.net.add_edge(storage_of[static_cast<std::size_t>(ssd)],
                               inter_of[static_cast<std::size_t>(parent)], bw);
       out_rate[static_cast<std::size_t>(ssd)] += bw;
+      if (ssd != l.a) std::swap(le.ab, le.ba);
     } else if (da.kind == DeviceKind::kGpu || db.kind == DeviceKind::kGpu) {
       const auto [parent, gpu, down_bw, up_bw] =
           db.kind == DeviceKind::kGpu
@@ -123,6 +129,7 @@ FlowGraph compile_flow_graph(const Topology& topo,
                                 up_bw);
         out_rate[static_cast<std::size_t>(gpu)] += up_bw;
       }
+      if (gpu == l.a) std::swap(le.ab, le.ba);
     } else if (is_inter(da) && is_inter(db)) {
       le.ab = fg.net.add_edge(inter_of[static_cast<std::size_t>(l.a)],
                               inter_of[static_cast<std::size_t>(l.b)], l.bw_ab);

@@ -1,4 +1,4 @@
-#include "sim/routes.hpp"
+#include "topology/routes.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include <map>
 #include <queue>
 
-namespace moment::sim {
+namespace moment::topology {
 
 using maxflow::EdgeId;
 using maxflow::NodeId;
@@ -15,7 +15,7 @@ namespace {
 
 /// Dijkstra with lexicographic cost (penalised hops, then prefer wider
 /// bottleneck). Only forward, non-virtual edges participate.
-std::vector<EdgeId> best_path(const topology::FlowGraph& fg, NodeId from,
+std::vector<EdgeId> best_path(const FlowGraph& fg, NodeId from,
                               NodeId to,
                               const std::map<EdgeId, int>& edge_penalty) {
   const auto& net = fg.net;
@@ -72,7 +72,7 @@ std::vector<EdgeId> best_path(const topology::FlowGraph& fg, NodeId from,
   return path;
 }
 
-double bottleneck(const topology::FlowGraph& fg,
+double bottleneck(const FlowGraph& fg,
                   const std::vector<EdgeId>& path) {
   double b = std::numeric_limits<double>::infinity();
   for (EdgeId e : path) b = std::min(b, fg.net.original_capacity(e));
@@ -81,10 +81,10 @@ double bottleneck(const topology::FlowGraph& fg,
 
 }  // namespace
 
-PathSet find_paths(const topology::FlowGraph& fg, NodeId from, NodeId to,
-                   RoutingPolicy policy, int max_paths) {
+PathSet find_paths(const FlowGraph& fg, NodeId from, NodeId to,
+                   RoutingPolicy policy) {
   PathSet set;
-  const int want = policy == RoutingPolicy::kSinglePath ? 1 : max_paths;
+  const int want = policy == RoutingPolicy::kSinglePath ? 1 : kMaxPaths;
   std::map<EdgeId, int> penalty;
   for (int k = 0; k < want; ++k) {
     std::vector<EdgeId> path = best_path(fg, from, to, penalty);
@@ -110,4 +110,4 @@ PathSet find_paths(const topology::FlowGraph& fg, NodeId from, NodeId to,
   return set;
 }
 
-}  // namespace moment::sim
+}  // namespace moment::topology

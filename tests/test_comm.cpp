@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,8 +21,6 @@
 #include "graph/generators.hpp"
 #include "iostack/feature_store.hpp"
 #include "runtime/parallel_trainer.hpp"
-#include "sim/routes.hpp"
-#include "topology/flow_graph.hpp"
 #include "topology/machine.hpp"
 #include "util/rng.hpp"
 
@@ -146,64 +144,64 @@ TEST(Planner, PeerRoutesCoverAllPairs) {
   EXPECT_EQ(plan.peer_route(0, plan.num_gpus), nullptr);
 }
 
-TEST(Planner, PeerRoutesMatchSinglePathFlowRoutes) {
-  // Every peer route is the single-path flow-graph route from the source
-  // GPU's HBM node to the destination's compute node, mapped back to the
-  // physical links it crosses (ids, directions and capacities).
-  int topologies = 0;
-  for (const auto& spec :
-       {topology::make_machine_a(), topology::make_machine_b()}) {
-    for (const int gpus : {2, 4, 8}) {
-      for (const bool nvlink : {false, true}) {
-        for (const char which : {'a', 'b', 'c', 'd'}) {
-          topology::Placement p;
-          try {
-            p = topology::classic_placement(spec, which, gpus, 8);
-          } catch (const std::invalid_argument&) {
-            continue;  // e.g. 8 GPUs do not fit one PLX switch
-          }
-          p.nvlink = nvlink;
-          SCOPED_TRACE(::testing::Message()
-                       << spec.name << " " << which << " gpus=" << gpus
-                       << " nvlink=" << nvlink);
-          const auto topo = topology::instantiate(spec, p);
-          const auto fg = topology::compile_flow_graph(topo);
-          const CommPlan plan = CommPlanner(topo).plan(AllReduceAlgo::kRing);
-          ++topologies;
-          for (int i = 0; i < gpus; ++i) {
-            for (int j = 0; j < gpus; ++j) {
-              if (i == j) continue;
-              const PeerRoute* r = plan.peer_route(i, j);
-              ASSERT_NE(r, nullptr) << i << "->" << j;
-              const auto ps = sim::find_paths(
-                  fg, fg.gpus[static_cast<std::size_t>(i)].mem_node,
-                  fg.gpus[static_cast<std::size_t>(j)].comp_node,
-                  sim::RoutingPolicy::kSinglePath);
-              ASSERT_EQ(ps.paths.size(), 1u);
-              const auto& path = ps.paths.front();
-              ASSERT_EQ(r->links.size(), path.size()) << i << "->" << j;
-              for (std::size_t k = 0; k < path.size(); ++k) {
-                const auto le = std::find_if(
-                    fg.link_edges.begin(), fg.link_edges.end(),
-                    [&](const topology::LinkFlowEdges& x) {
-                      return x.ab == path[k] || x.ba == path[k];
-                    });
-                ASSERT_NE(le, fg.link_edges.end());
-                const bool fwd = le->ab == path[k];
-                const topology::Link& l = topo.link(le->link);
-                const RouteLink& rl = r->links[k];
-                EXPECT_EQ(rl.link, le->link) << i << "->" << j << " hop " << k;
-                EXPECT_EQ(rl.forward, fwd) << i << "->" << j << " hop " << k;
-                EXPECT_EQ(rl.capacity, fwd ? l.bw_ab : l.bw_ba);
-                EXPECT_EQ(rl.capacity, fg.net.original_capacity(path[k]));
-              }
-            }
-          }
-        }
+/// A route as "label>" (link traversed a->b) or "label<" (b->a) per hop.
+/// Also checks each hop's capacity is its link's rate in that direction.
+std::string describe(const topology::Topology& topo, const PeerRoute& r) {
+  std::string out;
+  for (const RouteLink& rl : r.links) {
+    const topology::Link& l = topo.link(rl.link);
+    EXPECT_EQ(rl.capacity, rl.forward ? l.bw_ab : l.bw_ba) << l.label;
+    out += (out.empty() ? "" : " ") + l.label + (rl.forward ? ">" : "<");
+  }
+  return out;
+}
+
+TEST(Planner, PeerRoutesFollowFlowGraph) {
+  // The routes the planner's own widest-shortest search picked before peer
+  // routes came from the flow-graph router; the two agreed on every pair.
+  // Machine B, placement c: GPUs 0-1 on PLX0, GPUs 2-3 on PLX1, which hangs
+  // off PLX0 over the cascade link Bus16.
+  {
+    const auto spec = topology::make_machine_b();
+    const auto topo = topology::instantiate(
+        spec, topology::classic_placement(spec, 'c', 4, 8));
+    const CommPlan plan = CommPlanner(topo).plan(AllReduceAlgo::kRing);
+    const char* const want[4][4] = {
+        {"", "PLX0.slots.gpu0< PLX0.slots.gpu1>",
+         "PLX0.slots.gpu0< Bus16> PLX1.slots.gpu0>",
+         "PLX0.slots.gpu0< Bus16> PLX1.slots.gpu1>"},
+        {"PLX0.slots.gpu1< PLX0.slots.gpu0>", "",
+         "PLX0.slots.gpu1< Bus16> PLX1.slots.gpu0>",
+         "PLX0.slots.gpu1< Bus16> PLX1.slots.gpu1>"},
+        {"PLX1.slots.gpu0< Bus16< PLX0.slots.gpu0>",
+         "PLX1.slots.gpu0< Bus16< PLX0.slots.gpu1>", "",
+         "PLX1.slots.gpu0< PLX1.slots.gpu1>"},
+        {"PLX1.slots.gpu1< Bus16< PLX0.slots.gpu0>",
+         "PLX1.slots.gpu1< Bus16< PLX0.slots.gpu1>",
+         "PLX1.slots.gpu1< PLX1.slots.gpu0>", ""}};
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        if (i == j) continue;
+        const PeerRoute* r = plan.peer_route(i, j);
+        ASSERT_NE(r, nullptr) << i << "->" << j;
+        EXPECT_EQ(describe(topo, *r), want[i][j]) << i << "->" << j;
       }
     }
   }
-  EXPECT_GE(topologies, 40);
+  // Machine A, placement c with NVLink: GPU0 and GPU2 sit on different
+  // switches but share the bridge NVLink0, one hop either way; GPU0 -> GPU3
+  // has no bridge and crosses both switches and QPI.
+  {
+    const auto spec = topology::make_machine_a();
+    auto p = topology::classic_placement(spec, 'c', 4, 8);
+    p.nvlink = true;
+    const auto topo = topology::instantiate(spec, p);
+    const CommPlan plan = CommPlanner(topo).plan(AllReduceAlgo::kRing);
+    EXPECT_EQ(describe(topo, *plan.peer_route(0, 2)), "NVLink0>");
+    EXPECT_EQ(describe(topo, *plan.peer_route(2, 0)), "NVLink0<");
+    EXPECT_EQ(describe(topo, *plan.peer_route(0, 3)),
+              "PLX0.slots.gpu0< Bus9< QPI> Bus10> PLX1.slots.gpu1>");
+  }
 }
 
 TEST(Plan, SchedulePayloadMatchesAnalyticVolume) {

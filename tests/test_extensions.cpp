@@ -1,7 +1,6 @@
-// Tests for the extension features: push-relabel max flow, the GCN layer,
-// the machine-description parser, multi-node cluster modelling (paper §5),
-// the adaptive online placer (paper Limitations), SSD IOPS modelling, and
-// IO-engine latency/batch APIs.
+// Tests for the extension features: the GCN layer, the machine-description
+// parser, multi-node cluster modelling (paper §5), the adaptive online placer
+// (paper Limitations), SSD IOPS modelling, and IO-engine latency/batch APIs.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +15,6 @@
 #include "gnn/model.hpp"
 #include "graph/generators.hpp"
 #include "iostack/ssd.hpp"
-#include "maxflow/dinic.hpp"
-#include "maxflow/push_relabel.hpp"
 #include "placement/search.hpp"
 #include "runtime/systems.hpp"
 #include "sim/machine_sim.hpp"
@@ -27,61 +24,6 @@
 
 namespace moment {
 namespace {
-
-// ---------------------------------------------------------------- maxflow
-
-TEST(PushRelabel, ClrsExample) {
-  maxflow::FlowNetwork net(6);
-  net.add_edge(0, 1, 16);
-  net.add_edge(0, 2, 13);
-  net.add_edge(1, 2, 10);
-  net.add_edge(2, 1, 4);
-  net.add_edge(1, 3, 12);
-  net.add_edge(3, 2, 9);
-  net.add_edge(2, 4, 14);
-  net.add_edge(4, 3, 7);
-  net.add_edge(3, 5, 20);
-  net.add_edge(4, 5, 4);
-  EXPECT_NEAR(maxflow::PushRelabel::solve(net, 0, 5).total_flow, 23.0, 1e-9);
-}
-
-class PushRelabelProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(PushRelabelProperty, MatchesDinicOnRandomNetworks) {
-  util::Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 0xF21);
-  const int layers = 3 + static_cast<int>(rng.next_below(3));
-  const int width = 2 + static_cast<int>(rng.next_below(4));
-  maxflow::FlowNetwork net(2 + layers * width);
-  auto node = [&](int l, int i) { return 2 + l * width + i; };
-  for (int i = 0; i < width; ++i) {
-    net.add_edge(0, node(0, i), rng.next_double(1.0, 20.0));
-    net.add_edge(node(layers - 1, i), 1, rng.next_double(1.0, 20.0));
-  }
-  for (int l = 0; l + 1 < layers; ++l) {
-    for (int i = 0; i < width; ++i) {
-      for (int j = 0; j < width; ++j) {
-        if (rng.next_double() < 0.6) {
-          net.add_edge(node(l, i), node(l + 1, j),
-                       rng.next_double(0.5, 15.0));
-        }
-      }
-    }
-  }
-  maxflow::FlowNetwork copy = net;
-  const double dinic = maxflow::Dinic::solve(copy, 0, 1).total_flow;
-  const double pr = maxflow::PushRelabel::solve(net, 0, 1).total_flow;
-  EXPECT_NEAR(pr, dinic, 1e-6 * std::max(1.0, dinic));
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomNetworks, PushRelabelProperty,
-                         ::testing::Range(0, 20));
-
-TEST(PushRelabel, HandlesInfiniteEdges) {
-  maxflow::FlowNetwork net(3);
-  net.add_edge(0, 1, maxflow::kInfiniteCapacity);
-  net.add_edge(1, 2, 7.5);
-  EXPECT_NEAR(maxflow::PushRelabel::solve(net, 0, 2).total_flow, 7.5, 1e-9);
-}
 
 // -------------------------------------------------------------------- gnn
 

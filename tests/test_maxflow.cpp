@@ -134,13 +134,17 @@ FlowNetwork random_network(util::Pcg32& rng, NodeId& s, NodeId& t) {
 class MaxFlowProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaxFlowProperty, DinicMatchesEdmondsKarp) {
-  util::Pcg32 rng(static_cast<std::uint64_t>(GetParam()), 0xF10);
-  NodeId s, t;
-  FlowNetwork net = random_network(rng, s, t);
-  FlowNetwork net2 = net;
-  const double dinic = Dinic::solve(net, s, t).total_flow;
-  const double ek = EdmondsKarp::solve(net2, s, t).total_flow;
-  EXPECT_NEAR(dinic, ek, 1e-6 * std::max(1.0, dinic));
+  // Stream 0xF21 adds, for seeds 0-19, the networks the removed
+  // push-relabel solver was cross-checked on.
+  for (const std::uint64_t stream : {0xF10, 0xF21}) {
+    util::Pcg32 rng(static_cast<std::uint64_t>(GetParam()), stream);
+    NodeId s, t;
+    FlowNetwork net = random_network(rng, s, t);
+    FlowNetwork net2 = net;
+    const double dinic = Dinic::solve(net, s, t).total_flow;
+    const double ek = EdmondsKarp::solve(net2, s, t).total_flow;
+    EXPECT_NEAR(dinic, ek, 1e-6 * std::max(1.0, dinic)) << "stream " << stream;
+  }
 }
 
 TEST_P(MaxFlowProperty, FlowConservation) {

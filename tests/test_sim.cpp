@@ -12,7 +12,7 @@
 #include "runtime/systems.hpp"
 #include "sim/fluid.hpp"
 #include "sim/machine_sim.hpp"
-#include "sim/routes.hpp"
+#include "topology/routes.hpp"
 #include "util/units.hpp"
 
 namespace moment::sim {
@@ -20,6 +20,7 @@ namespace {
 
 using topology::FlowGraph;
 using topology::MachineSpec;
+using topology::RoutingPolicy;
 using topology::Topology;
 using util::gib_per_s;
 
