@@ -10,7 +10,7 @@ namespace moment::gnn {
 GatLayer::GatLayer(std::size_t in_dim, std::size_t num_heads,
                    std::size_t head_dim, bool apply_elu, util::Pcg32& rng)
     : in_dim_(in_dim), num_heads_(num_heads), head_dim_(head_dim),
-      apply_elu_(apply_elu),
+      act_(apply_elu ? kernels::Activation::kElu : kernels::Activation::kNone),
       w_("w", Tensor::glorot(in_dim, num_heads * head_dim, rng)),
       attn_l_("attn_l", Tensor::glorot(num_heads, head_dim, rng)),
       attn_r_("attn_r", Tensor::glorot(num_heads, head_dim, rng)),
@@ -46,8 +46,7 @@ Tensor GatLayer::forward(const Block& block, const Tensor& x_src) {
                                  num_heads_, head_dim_, kLeakySlope,
                                  saved_score_.data(), saved_alpha_.data(),
                                  saved_out_.data());
-  kernels::bias_act(nd, od, bias_.value.data(), apply_elu_,
-                    saved_out_.data());
+  kernels::bias_act(nd, od, bias_.value.data(), act_, saved_out_.data());
   return saved_out_;
 }
 
@@ -67,7 +66,7 @@ Tensor GatLayer::backward(const Block& block, const Tensor& grad_out,
   }
   Tensor grad(nd, od);
   kernels::bias_act_grad(nd, od, grad_out.data(), saved_out_.data(),
-                         apply_elu_, grad.data(), bias_.grad.data());
+                         act_, grad.data(), bias_.grad.data());
 
   Tensor grad_z(ns, od);  // head-minor, like saved_z_
   kernels::gat_attention_backward(

@@ -10,6 +10,7 @@
 // Full forward/backward over a Block, including attention softmax backward.
 
 #include "gnn/block.hpp"
+#include "gnn/kernels.hpp"
 #include "gnn/param.hpp"
 
 namespace moment::gnn {
@@ -36,7 +37,7 @@ class GatLayer final : public Module {
 
  private:
   std::size_t in_dim_, num_heads_, head_dim_;
-  bool apply_elu_;
+  kernels::Activation act_;  // ELU or none
   Param w_;       // (in_dim x heads*head_dim), heads column-blocked
   Param attn_l_;  // (heads x head_dim)
   Param attn_r_;  // (heads x head_dim)

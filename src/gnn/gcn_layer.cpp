@@ -9,7 +9,9 @@ namespace moment::gnn {
 
 GcnLayer::GcnLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
                    util::Pcg32& rng)
-    : in_dim_(in_dim), out_dim_(out_dim), apply_relu_(apply_relu),
+    : in_dim_(in_dim), out_dim_(out_dim),
+      act_(apply_relu ? kernels::Activation::kRelu
+                      : kernels::Activation::kNone),
       w_("w", Tensor::glorot(in_dim, out_dim, rng)),
       bias_("bias", Tensor::zeros(1, out_dim)) {}
 
@@ -51,8 +53,7 @@ Tensor GcnLayer::forward(const Block& block, const Tensor& x_src) {
 
   Tensor out(nd, out_dim_);
   matmul(saved_agg_, w_.value, out);
-  add_bias(out, bias_.value);
-  if (apply_relu_) relu(out);
+  kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, out.data());
   saved_out_ = out;
   return out;
 }
@@ -68,11 +69,12 @@ Tensor GcnLayer::backward(const Block& block, const Tensor& grad_out,
     throw std::logic_error(
         "GcnLayer::backward: block differs from the last forward's");
   }
-  Tensor grad = grad_out;
-  if (apply_relu_) relu_backward(saved_out_, grad);
+  Tensor grad(block.num_dst(), out_dim_);
+  kernels::bias_act_grad(block.num_dst(), out_dim_, grad_out.data(),
+                         saved_out_.data(), act_, grad.data(),
+                         bias_.grad.data());
 
   matmul_at(saved_agg_, grad, w_.grad, /*accumulate=*/true);
-  bias_grad(grad, bias_.grad);
   if (!input_grad) return {};
 
   Tensor grad_agg(block.num_dst(), in_dim_);

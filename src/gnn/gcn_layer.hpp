@@ -9,6 +9,7 @@
 // forward/backward.
 
 #include "gnn/block.hpp"
+#include "gnn/kernels.hpp"
 #include "gnn/param.hpp"
 
 namespace moment::gnn {
@@ -30,7 +31,7 @@ class GcnLayer final : public Module {
 
  private:
   std::size_t in_dim_, out_dim_;
-  bool apply_relu_;
+  kernels::Activation act_;  // ReLU or none
   Param w_, bias_;
 
   std::size_t saved_num_src_ = 0;  // src rows of the last forward's block

@@ -760,38 +760,43 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
   heads_to_major(1, heads, head_dim, gr.data(), grad_attn_r);
 }
 
-void bias_act(std::size_t rows, std::size_t cols, const float* bias, bool elu,
-              float* x) {
+void bias_act(std::size_t rows, std::size_t cols, const float* bias,
+              Activation act, float* x) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* __restrict row = x + r * cols;
     for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
-    if (!elu) continue;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (!(row[c] > 0.0f)) row[c] = std::expm1(row[c]);
+    if (act == Activation::kRelu) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (!(row[c] > 0.0f)) row[c] = 0.0f;
+      }
+    } else if (act == Activation::kElu) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (!(row[c] > 0.0f)) row[c] = std::expm1(row[c]);
+      }
     }
   }
 }
 
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
-                   const float* out, bool elu, float* grad,
+                   const float* out, Activation act, float* grad,
                    float* grad_bias) {
   for (std::size_t r = 0; r < rows; ++r) {
     const float* __restrict go = grad_out + r * cols;
     const float* __restrict y = out + r * cols;
     float* __restrict gr = grad + r * cols;
     float* __restrict gb = grad_bias;
-    if (elu) {
+    if (act == Activation::kRelu) {
       for (std::size_t c = 0; c < cols; ++c) {
-        const float v = go[c] * (y[c] > 0.0f ? 1.0f : y[c] + 1.0f);
-        gr[c] = v;
-        gb[c] += v;
+        gr[c] = y[c] > 0.0f ? go[c] : 0.0f;
+      }
+    } else if (act == Activation::kElu) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        gr[c] = go[c] * (y[c] > 0.0f ? 1.0f : y[c] + 1.0f);
       }
     } else {
-      for (std::size_t c = 0; c < cols; ++c) {
-        gr[c] = go[c];
-        gb[c] += go[c];
-      }
+      for (std::size_t c = 0; c < cols; ++c) gr[c] = go[c];
     }
+    for (std::size_t c = 0; c < cols; ++c) gb[c] += gr[c];
   }
 }
 

@@ -151,15 +151,21 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
 
 // ---- Elementwise tails ----------------------------------------------------
 
-/// x[r] = act(x[r] + bias) in place, act = ELU (std::expm1 where not > 0) when
-/// `elu`, else identity.
-void bias_act(std::size_t rows, std::size_t cols, const float* bias, bool elu,
-              float* x);
+/// A layer's activation: identity, ReLU or ELU.
+enum class Activation { kNone, kRelu, kElu };
 
-/// grad = grad_out * ELU'(out) (just grad_out when !elu, out being the
-/// post-activation output) and grad_bias[c] += grad[r][c], rows ascending.
+/// x[r] = act(x[r] + bias) in place. Where the sum is not > 0, ReLU writes 0
+/// and ELU std::expm1 of it.
+void bias_act(std::size_t rows, std::size_t cols, const float* bias,
+              Activation act, float* x);
+
+/// grad = grad_out * act'(out), out being the post-activation output, and
+/// grad_bias[c] += grad[r][c], rows ascending. ReLU selects (out > 0 ?
+/// grad_out : 0) rather than multiplies, so a masked gradient is +0 whatever
+/// grad_out's sign.
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
-                   const float* out, bool elu, float* grad, float* grad_bias);
+                   const float* out, Activation act, float* grad,
+                   float* grad_bias);
 
 // ---- Row gather -----------------------------------------------------------
 

@@ -8,7 +8,9 @@ namespace moment::gnn {
 
 SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
                      util::Pcg32& rng)
-    : in_dim_(in_dim), out_dim_(out_dim), apply_relu_(apply_relu),
+    : in_dim_(in_dim), out_dim_(out_dim),
+      act_(apply_relu ? kernels::Activation::kRelu
+                      : kernels::Activation::kNone),
       w_self_("w_self", Tensor::glorot(in_dim, out_dim, rng)),
       w_neigh_("w_neigh", Tensor::glorot(in_dim, out_dim, rng)),
       bias_("bias", Tensor::zeros(1, out_dim)) {}
@@ -29,8 +31,7 @@ Tensor SageLayer::forward(const Block& block, const Tensor& x_src) {
   Tensor out(nd, out_dim_);
   matmul(saved_x_dst_, w_self_.value, out);
   matmul(saved_mean_, w_neigh_.value, out, /*accumulate=*/true);
-  add_bias(out, bias_.value);
-  if (apply_relu_) relu(out);
+  kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, out.data());
   saved_out_ = out;
   return out;
 }
@@ -41,13 +42,14 @@ Tensor SageLayer::backward(const Block& block, const Tensor& grad_out,
     throw std::invalid_argument("SageLayer::backward: grad shape mismatch");
   }
   const CompiledBlock& cb = block.compiled();
-  Tensor grad = grad_out;
-  if (apply_relu_) relu_backward(saved_out_, grad);
+  Tensor grad(block.num_dst(), out_dim_);
+  kernels::bias_act_grad(block.num_dst(), out_dim_, grad_out.data(),
+                         saved_out_.data(), act_, grad.data(),
+                         bias_.grad.data());
 
-  // Parameter gradients.
+  // Weight gradients.
   matmul_at(saved_x_dst_, grad, w_self_.grad, /*accumulate=*/true);
   matmul_at(saved_mean_, grad, w_neigh_.grad, /*accumulate=*/true);
-  bias_grad(grad, bias_.grad);
   if (!input_grad) return {};
 
   // Input gradients: the self part lands on each dst's own src row, the

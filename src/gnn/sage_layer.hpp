@@ -4,6 +4,7 @@
 // Full forward/backward over a Block.
 
 #include "gnn/block.hpp"
+#include "gnn/kernels.hpp"
 #include "gnn/param.hpp"
 
 namespace moment::gnn {
@@ -31,7 +32,7 @@ class SageLayer final : public Module {
 
  private:
   std::size_t in_dim_, out_dim_;
-  bool apply_relu_;
+  kernels::Activation act_;  // ReLU or none
   Param w_self_, w_neigh_, bias_;
 
   // Saved activations for backward (degrees live in the block's CSR).

@@ -71,40 +71,6 @@ void matmul_at(const Tensor& a, const Tensor& b, Tensor& out,
                    out.data(), accumulate);
 }
 
-void add_bias(Tensor& x, const Tensor& bias) {
-  if (bias.rows() != 1 || bias.cols() != x.cols()) {
-    throw std::invalid_argument("add_bias: shape mismatch");
-  }
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * x.cols();
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] += bias.at(0, c);
-  }
-}
-
-void bias_grad(const Tensor& grad, Tensor& grad_bias) {
-  if (grad_bias.rows() != 1 || grad_bias.cols() != grad.cols()) {
-    throw std::invalid_argument("bias_grad: shape mismatch");
-  }
-  for (std::size_t r = 0; r < grad.rows(); ++r) {
-    const float* row = grad.data() + r * grad.cols();
-    for (std::size_t c = 0; c < grad.cols(); ++c) {
-      grad_bias.at(0, c) += row[c];
-    }
-  }
-}
-
-void relu(Tensor& x) noexcept {
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = std::max(0.0f, x.data()[i]);
-  }
-}
-
-void relu_backward(const Tensor& activated, Tensor& grad) noexcept {
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    if (activated.data()[i] <= 0.0f) grad.data()[i] = 0.0f;
-  }
-}
-
 float leaky_relu_scalar(float x, float slope) noexcept {
   return x > 0.0f ? x : slope * x;
 }

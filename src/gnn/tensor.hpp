@@ -74,15 +74,6 @@ void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out,
                bool accumulate = false);
 
-/// Adds `bias` (1 x n) to every row of `x` (m x n) in place.
-void add_bias(Tensor& x, const Tensor& bias);
-/// grad_bias (1 x n) += column sums of grad (m x n).
-void bias_grad(const Tensor& grad, Tensor& grad_bias);
-
-void relu(Tensor& x) noexcept;
-/// grad *= 1[activation > 0], where `activated` is the post-ReLU tensor.
-void relu_backward(const Tensor& activated, Tensor& grad) noexcept;
-
 float leaky_relu_scalar(float x, float slope) noexcept;
 
 /// Row-wise softmax in place.

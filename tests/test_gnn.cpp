@@ -86,17 +86,19 @@ TEST(Tensor, SoftmaxRowsSumToOne) {
 }
 
 TEST(Tensor, ReluAndBackward) {
-  Tensor x(1, 4);
-  const float v[] = {-1.0f, 0.0f, 2.0f, -3.0f};
-  std::copy(v, v + 4, x.data());
-  relu(x);
-  EXPECT_FLOAT_EQ(x.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(x.at(0, 2), 2.0f);
-  Tensor g(1, 4);
-  g.fill(1.0f);
-  relu_backward(x, g);
-  EXPECT_FLOAT_EQ(g.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(g.at(0, 2), 1.0f);
+  const float bias[] = {0.0f, 0.0f, 1.0f, -1.0f, -0.0f};
+  float x[] = {-1.0f, -0.0f, 1.0f, 1.0f, 0.0f};
+  kernels::bias_act(1, 5, bias, kernels::Activation::kRelu, x);
+  const float want_x[] = {0.0f, 0.0f, 2.0f, 0.0f, 0.0f};
+  EXPECT_EQ(std::memcmp(x, want_x, sizeof x), 0);
+  // The gradient selects: a masked entry is +0 even where grad_out < 0.
+  const float grad_out[] = {-1.0f, -2.0f, -3.0f, 4.0f, -5.0f};
+  float grad[5], grad_bias[5] = {};
+  kernels::bias_act_grad(1, 5, grad_out, x, kernels::Activation::kRelu, grad,
+                         grad_bias);
+  const float want_grad[] = {0.0f, 0.0f, -3.0f, 0.0f, 0.0f};
+  EXPECT_EQ(std::memcmp(grad, want_grad, sizeof grad), 0);
+  EXPECT_EQ(std::memcmp(grad_bias, want_grad, sizeof grad_bias), 0);
 }
 
 /// A tiny fixed block: 3 dst vertices, 5 src vertices.
@@ -496,12 +498,9 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
                                    attn_l.value.data(), attn_r.value.data(),
                                    GatLayer::kLeakySlope, score.data(),
                                    alpha.data(), pre.data());
-  add_bias(pre, bias.value);
-  if (elu) {
-    for (std::size_t i = 0; i < pre.size(); ++i) {
-      const float v = pre.data()[i];
-      pre.data()[i] = v > 0.0f ? v : std::expm1(v);
-    }
+  for (std::size_t i = 0; i < pre.size(); ++i) {
+    const float v = pre.data()[i] + bias.value.data()[i % od];
+    pre.data()[i] = !elu || v > 0.0f ? v : std::expm1(v);
   }
 
   Tensor grad = grad_out;
@@ -511,7 +510,9 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
       grad.data()[i] *= out > 0.0f ? 1.0f : out + 1.0f;
     }
   }
-  bias_grad(grad, bias.grad);
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    bias.grad.data()[i % od] += grad.data()[i];
+  }
   Tensor grad_z(ns, od);
   reference::gat_attention_backward(
       cb, grad.data(), z.data(), heads, hd, GatLayer::kLeakySlope,
