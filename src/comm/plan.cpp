@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace moment::comm {
@@ -143,30 +142,6 @@ double CommPlan::schedule_payload_bytes(double payload_bytes) const {
     }
   }
   return total;
-}
-
-std::string CommPlan::to_string() const {
-  std::ostringstream os;
-  os << "CommPlan{" << comm::to_string(algo) << ", gpus=" << num_gpus
-     << ", order=[";
-  for (std::size_t i = 0; i < ring_order.size(); ++i) {
-    os << (i ? " " : "") << ring_order[i];
-  }
-  os << "], share=[";
-  for (std::size_t i = 0; i < chunk_share.size(); ++i) {
-    os << (i ? " " : "");
-    os.precision(3);
-    os << chunk_share[i];
-  }
-  os << "], steps=" << steps.size() << "}\n";
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    os << "  step " << s << ":";
-    for (const Transfer& t : steps[s].transfers) {
-      os << " " << t.src_gpu << "->" << t.dst_gpu << " x" << t.fraction;
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace moment::comm

@@ -4,11 +4,10 @@
 // A CommPlan is a schedule of modeled transfers over the *physical* link
 // graph — which GPUs exchange which fraction of the payload, in which order,
 // over which concrete links. Plans are compiled once per machine by
-// comm::CommPlanner (planner.hpp) from the topology plus the max-flow
-// bandwidth predictor, then consumed by
+// comm::CommPlanner (planner.hpp) from the topology's flow graph (max-flow
+// pair bandwidths and flow-graph routes), then consumed by
 //   - runtime::DataParallelTrainer (gradient all-reduce),
-//   - iostack::TieredFeatureClient (peer-HBM gather routing),
-//   - sim::machine_sim (per-link contention costing of the comm phase).
+//   - iostack::TieredFeatureClient (peer-HBM gather routing).
 //
 // The functional substrate of this repo reduces gradients in shared host
 // memory, so a plan never changes *values* — it changes the modeled
@@ -190,9 +189,6 @@ struct CommPlan {
   /// Total bytes entering hops across the whole schedule (the analytic
   /// 2*B*(N-1)/N * N figure for ring; 2*B*(N-1) for flat through the hub).
   double schedule_payload_bytes(double payload_bytes) const;
-
-  /// Human-readable multi-line dump (ring order, shares, per-step hops).
-  std::string to_string() const;
 };
 
 }  // namespace moment::comm

@@ -35,7 +35,6 @@ void AdaptivePlacer::observe(std::span<const graph::VertexId> accesses) {
     ema_[v] = (1.0 - a) * ema_[v] + a * batch_counts_[v];
     ema_total_ += ema_[v];
   }
-  ++batches_;
 }
 
 double AdaptivePlacer::target_share(std::size_t bin) const {

@@ -60,8 +60,6 @@ class AdaptivePlacer {
 
   const DataPlacementResult& placement() const noexcept { return placement_; }
   const std::vector<Bin>& bins() const noexcept { return bins_; }
-  const std::vector<double>& ema_hotness() const noexcept { return ema_; }
-  std::uint64_t observed_batches() const noexcept { return batches_; }
 
   /// Traffic-share L1 error of the current placement under the current EMA.
   double current_error() const;
@@ -77,7 +75,6 @@ class AdaptivePlacer {
   std::vector<double> ema_;
   std::vector<double> batch_counts_;  // scratch, zeroed per observe
   double ema_total_ = 0.0;
-  std::uint64_t batches_ = 0;
 };
 
 }  // namespace moment::ddak

@@ -250,11 +250,9 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   IoResilience io_resilience() const override;
 
   const GatherStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
   /// The client's IO engine; its retry_stats() and latency() are snapshots
   /// safe to read from any thread.
   const IoEngine& engine() const noexcept { return io_; }
-  const PeerConfig& peer_config() const noexcept { return peer_; }
 
  private:
   /// One SSD row in flight: where its bytes land in the bounce buffer,

@@ -163,7 +163,6 @@ class DataParallelTrainer {
                          std::size_t batch_size,
                          std::size_t max_rounds = SIZE_MAX);
 
-  std::size_t num_workers() const noexcept { return replicas_.size(); }
   gnn::GnnModel& replica(std::size_t i) { return replicas_[i]->model; }
 
   /// True when all replicas hold bitwise-close parameters (DDP invariant).

@@ -7,12 +7,6 @@
 
 namespace moment::sampling {
 
-std::size_t SampledSubgraph::num_sampled_edges() const noexcept {
-  std::size_t n = 0;
-  for (const auto& l : layers) n += l.edges.size();
-  return n;
-}
-
 NeighborSampler::NeighborSampler(const CsrGraph& graph,
                                  std::vector<int> fanouts)
     : graph_(graph), fanouts_(std::move(fanouts)) {

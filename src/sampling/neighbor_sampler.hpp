@@ -32,8 +32,6 @@ struct SampledSubgraph {
   std::vector<SampledLayer> layers;
   /// Unique vertices whose features must be fetched (all sampled vertices).
   std::vector<VertexId> fetch_set;
-
-  std::size_t num_sampled_edges() const noexcept;
 };
 
 class NeighborSampler {
