@@ -204,6 +204,20 @@ TEST(Planner, PeerRoutesFollowFlowGraph) {
   }
 }
 
+TEST(Planner, PeerRoutesFollowLinkOrientation) {
+  // A link may list the GPU end first; each hop's direction and capacity
+  // follow the link's own a/b order.
+  topology::Topology topo;
+  const auto rc = topo.add_device(topology::DeviceKind::kRootComplex, "RC0", 0);
+  const auto g0 = topo.add_device(topology::DeviceKind::kGpu, "GPU0", 0);
+  const auto g1 = topo.add_device(topology::DeviceKind::kGpu, "GPU1", 1);
+  topo.add_link(g0, rc, topology::LinkKind::kPcie, 10.0, 20.0, "up");
+  topo.add_link(rc, g1, topology::LinkKind::kPcie, 30.0, 40.0, "down");
+  const CommPlan plan = CommPlanner(topo).plan(AllReduceAlgo::kRing);
+  EXPECT_EQ(describe(topo, *plan.peer_route(0, 1)), "up> down>");
+  EXPECT_EQ(describe(topo, *plan.peer_route(1, 0)), "down< up<");
+}
+
 TEST(Plan, SchedulePayloadMatchesAnalyticVolume) {
   const auto topo = make_topo('c', 4);
   const CommPlanner planner(topo);
