@@ -1,10 +1,12 @@
 #include "gnn/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -17,7 +19,7 @@
 // This translation unit is compiled -O3 -funroll-loops -ffp-contract=off (see
 // CMakeLists.txt). The last flag is load-bearing: every GEMM output element is
 // c = c + a*b with the multiply and the add rounded separately, which is what
-// makes the portable and the AVX2 tile bodies agree bit for bit.
+// makes the portable, AVX2 and AVX-512 tile bodies agree bit for bit.
 
 namespace moment::gnn::kernels {
 
@@ -26,13 +28,21 @@ namespace {
 // One output tile: C (rows x cols, row stride ldc) += sum over p < depth of
 // A(r, p) * B(p, j), with A(r, p) = a[r*sr + p*sp] and B(p, j) = b[p*ldb + j].
 // The accumulators start from C (load_c) or zero, stay in registers for the
-// whole p loop and are stored once. rows <= kTileRows, cols <= kTileCols.
+// whole p loop and are stored once. rows and cols are at most the body's
+// tile shape (kRows x kCols).
 using TileFn = void (*)(std::size_t rows, std::size_t cols, std::size_t depth,
                         const float* a, std::size_t sr, std::size_t sp,
                         const float* b, std::size_t ldb, float* c,
                         std::size_t ldc, bool load_c);
 
-// Any tile shape, one element at a time: the column tails of both bodies.
+// A tile function with the shape gemm_rows steps by.
+struct TileKernel {
+  TileFn fn;
+  std::size_t rows, cols;
+};
+
+// Any tile shape, one element at a time: the column tails of the portable
+// and AVX2 bodies.
 void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
                  const float* a, std::size_t sr, std::size_t sp,
                  const float* b, std::size_t ldb, float* c, std::size_t ldc,
@@ -52,12 +62,14 @@ void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
 // code where there is neither). The 16 tile columns run as two 8-wide halves
 // so the 8 accumulators and 2 B vectors fit in 16 registers.
 struct PortableBody {
+  static constexpr std::size_t kRows = 4, kCols = 16;
+  static constexpr bool kMaskedTails = false;
   using V = float __attribute__((vector_size(16)));
   template <std::size_t R>
-  static void rows(std::size_t depth, const float* a, std::size_t sr,
-                   std::size_t sp, const float* b, std::size_t ldb, float* c,
-                   std::size_t ldc, bool load_c) {
-    for (std::size_t h = 0; h < kTileCols; h += 8) {
+  static void rows(std::size_t /*cols*/, std::size_t depth, const float* a,
+                   std::size_t sr, std::size_t sp, const float* b,
+                   std::size_t ldb, float* c, std::size_t ldc, bool load_c) {
+    for (std::size_t h = 0; h < kCols; h += 8) {
       V acc[R][2];
       for (std::size_t r = 0; r < R; ++r) {
         for (std::size_t q = 0; q < 2; ++q) {
@@ -85,13 +97,16 @@ struct PortableBody {
 
 #ifdef MOMENT_KERNELS_X86
 // AVX2 body: two 8-lane accumulators per row. Deliberately mul then add, not
-// FMA, so each lane rounds exactly as the portable body does.
+// FMA, so each lane rounds exactly as the portable body does. 4 rows: 8 rows
+// would need more than the 16 ymm registers and spill.
 struct Avx2Body {
+  static constexpr std::size_t kRows = 4, kCols = 16;
+  static constexpr bool kMaskedTails = false;
   template <std::size_t R>
   __attribute__((target("avx2"))) static void rows(
-      std::size_t depth, const float* a, std::size_t sr, std::size_t sp,
-      const float* b, std::size_t ldb, float* c, std::size_t ldc,
-      bool load_c) {
+      std::size_t /*cols*/, std::size_t depth, const float* a, std::size_t sr,
+      std::size_t sp, const float* b, std::size_t ldb, float* c,
+      std::size_t ldc, bool load_c) {
     __m256 acc[R][2];
     for (std::size_t r = 0; r < R; ++r) {
       acc[r][0] = load_c ? _mm256_loadu_ps(c + r * ldc) : _mm256_setzero_ps();
@@ -113,35 +128,79 @@ struct Avx2Body {
     }
   }
 };
+
+// AVX-512 body: one 16-lane accumulator per row, 8 rows, so 8 accumulators
+// and one B vector use 9 of the 32 zmm registers. Column tails (cols < 16)
+// run the same loop under a lane mask: masked-off lanes load zero and are
+// never stored, and the live lanes round as in a full tile. Mul then add,
+// never FMA, like the other bodies.
+struct Avx512Body {
+  static constexpr std::size_t kRows = 8, kCols = 16;
+  static constexpr bool kMaskedTails = true;
+  template <std::size_t R>
+  __attribute__((target("avx512f"))) static void rows(
+      std::size_t cols, std::size_t depth, const float* a, std::size_t sr,
+      std::size_t sp, const float* b, std::size_t ldb, float* c,
+      std::size_t ldc, bool load_c) {
+    // The row loops are unrolled before GCC scalarizes acc, so the
+    // accumulators live in registers instead of being stored every step.
+    const auto mask = static_cast<__mmask16>((1u << cols) - 1u);
+    __m512 acc[R];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = load_c ? _mm512_maskz_loadu_ps(mask, c + r * ldc)
+                      : _mm512_setzero_ps();
+    }
+    for (std::size_t p = 0; p < depth; ++p) {
+      const __m512 bv = _mm512_maskz_loadu_ps(mask, b + p * ldb);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m512 av = _mm512_set1_ps(a[r * sr + p * sp]);
+        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, bv));
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm512_mask_storeu_ps(c + r * ldc, mask, acc[r]);
+    }
+  }
+};
 #endif
 
+// Runs Body::rows<rows> on a tile of at most Body::kRows x Body::kCols; a
+// column tail goes to tile_scalar unless the body masks its own tails.
 template <typename Body>
 void tile(std::size_t rows, std::size_t cols, std::size_t depth,
           const float* a, std::size_t sr, std::size_t sp, const float* b,
           std::size_t ldb, float* c, std::size_t ldc, bool load_c) {
-  static_assert(kTileRows == 4 && kTileCols == 16);
-  if (cols != kTileCols) {
+  if (!Body::kMaskedTails && cols != Body::kCols) {
     return tile_scalar(rows, cols, depth, a, sr, sp, b, ldb, c, ldc, load_c);
   }
-  switch (rows) {
-    case 4:
-      return Body::template rows<4>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
-    case 3:
-      return Body::template rows<3>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
-    case 2:
-      return Body::template rows<2>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
-    default:
-      return Body::template rows<1>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
-  }
+  using RowsFn = void (*)(std::size_t, std::size_t, const float*, std::size_t,
+                          std::size_t, const float*, std::size_t, float*,
+                          std::size_t, bool);
+  static constexpr auto by_rows = []<std::size_t... R>(
+                                      std::index_sequence<R...>) {
+    return std::array<RowsFn, sizeof...(R)>{&Body::template rows<R + 1>...};
+  }(std::make_index_sequence<Body::kRows>{});
+  by_rows[rows - 1](cols, depth, a, sr, sp, b, ldb, c, ldc, load_c);
 }
 
-TileFn tile_for([[maybe_unused]] detail::Body body) {
+template <typename Body>
+constexpr TileKernel kernel_of() {
+  return {tile<Body>, Body::kRows, Body::kCols};
+}
+
+TileKernel tile_for([[maybe_unused]] detail::Body body) {
 #ifdef MOMENT_KERNELS_X86
-  if (body == detail::Body::kAvx2 && detail::avx2_supported()) {
-    return tile<Avx2Body>;
+  if (body == detail::Body::kAvx512 && detail::avx512_supported()) {
+    return kernel_of<Avx512Body>();
+  }
+  if (body != detail::Body::kPortable && detail::avx2_supported()) {
+    return kernel_of<Avx2Body>();
   }
 #endif
-  return tile<PortableBody>;
+  return kernel_of<PortableBody>();
 }
 
 // C rows [r0, r1) (row-major, n wide) of A (rows x inner, strides sr/sp) @
@@ -149,7 +208,7 @@ TileFn tile_for([[maybe_unused]] detail::Body body) {
 // panel stays cache-resident across the row tiles; C round-trips through
 // memory between blocks, which is exact, so every element is still
 // c = c + a*b in ascending inner index, whatever the tiling or threading.
-void gemm_rows(TileFn tile_fn, std::size_t r0, std::size_t r1,
+void gemm_rows(const TileKernel& tile, std::size_t r0, std::size_t r1,
                std::size_t inner, std::size_t n, const float* a,
                std::size_t sr, std::size_t sp, const float* b, float* c,
                bool accumulate) {
@@ -159,10 +218,10 @@ void gemm_rows(TileFn tile_fn, std::size_t r0, std::size_t r1,
   for (std::size_t p0 = 0; p0 < inner; p0 += kKcBlock) {
     const std::size_t depth = std::min(kKcBlock, inner - p0);
     const bool load_c = accumulate || p0 > 0;
-    for (std::size_t r = r0; r < r1; r += kTileRows) {
-      const std::size_t rows = std::min(kTileRows, r1 - r);
-      for (std::size_t j = 0; j < n; j += kTileCols) {
-        tile_fn(rows, std::min(kTileCols, n - j), depth, a + r * sr + p0 * sp,
+    for (std::size_t r = r0; r < r1; r += tile.rows) {
+      const std::size_t rows = std::min(tile.rows, r1 - r);
+      for (std::size_t j = 0; j < n; j += tile.cols) {
+        tile.fn(rows, std::min(tile.cols, n - j), depth, a + r * sr + p0 * sp,
                 sr, sp, b + p0 * n + j, n, c + r * n + j, n, load_c);
       }
     }
@@ -170,7 +229,9 @@ void gemm_rows(TileFn tile_fn, std::size_t r0, std::size_t r1,
 }
 
 detail::Body active_body() {
-  static const detail::Body body = detail::avx2_supported()
+  static const detail::Body body = detail::avx512_supported()
+                                       ? detail::Body::kAvx512
+                                   : detail::avx2_supported()
                                        ? detail::Body::kAvx2
                                        : detail::Body::kPortable;
   return body;
@@ -193,12 +254,21 @@ bool avx2_supported() {
 #endif
 }
 
+bool avx512_supported() {
+#ifdef MOMENT_KERNELS_X86
+  static const bool supported = __builtin_cpu_supports("avx512f");
+  return supported;
+#else
+  return false;
+#endif
+}
+
 void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
           const float* a, const float* b, float* c, bool accumulate) {
-  const TileFn tile_fn = tile_for(body);
+  const TileKernel tile = tile_for(body);
   util::parallel_for(util::compute_pool(), 0, m, kRowGrain,
                      [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(tile_fn, r0, r1, k, n, a, k, 1, b, c,
+                       gemm_rows(tile, r0, r1, k, n, a, k, 1, b, c,
                                  accumulate);
                      });
 }
@@ -219,10 +289,10 @@ void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
              const float* a, const float* b, float* c, bool accumulate) {
   // Output is k x n: parallelise over the k rows of c (columns of a), reading
   // a transposed: A(r, i) = a[i*k + r].
-  const TileFn tile_fn = tile_for(body);
+  const TileKernel tile = tile_for(body);
   util::parallel_for(util::compute_pool(), 0, k, kRowGrain,
                      [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(tile_fn, r0, r1, m, n, a, 1, k, b, c,
+                       gemm_rows(tile, r0, r1, m, n, a, 1, k, b, c,
                                  accumulate);
                      });
 }
@@ -230,7 +300,15 @@ void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
 }  // namespace detail
 
 const char* isa() {
-  return active_body() == detail::Body::kAvx2 ? "avx2" : "portable";
+  switch (active_body()) {
+    case detail::Body::kAvx512:
+      return "avx512";
+    case detail::Body::kAvx2:
+      return "avx2";
+    case detail::Body::kPortable:
+      break;
+  }
+  return "portable";
 }
 
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -517,7 +595,7 @@ const HeadOps& head_ops(std::size_t heads) {
   if (heads % 8 != 0) return any;
 #ifdef MOMENT_KERNELS_X86
   static const HeadOps v8_avx2{dot_v8_avx2, axpy_v8_avx2};
-  if (active_body() == detail::Body::kAvx2) return v8_avx2;
+  if (detail::avx2_supported()) return v8_avx2;
 #endif
   return v8_base;
 }

@@ -8,15 +8,17 @@
 // identical for any thread count (1..N), which is what keeps the engine's
 // depth-1 vs depth-2 trajectory-equality guarantees intact.
 //
-// GEMMs: one strided register tile (kTileRows x kTileCols accumulators held
-// for the whole inner loop, operand A read as a[r*sr + p*sp]) serves all
-// three variants. gemm calls it directly, gemm_at reads A transposed, and
-// gemm_bt packs B^T into a reused per-thread buffer and then runs gemm. The
-// inner index is blocked by kKcBlock so the B panel stays cache-resident.
-// The tile has a portable body and an AVX2 body, picked once at start-up
-// (isa()). Every output element is c = c + a*b in ascending inner index with
-// the multiply and add rounded separately (no FMA; the TU is built with
-// -ffp-contract=off), so both bodies, any tiling and any thread count give
+// GEMMs: one strided register tile (accumulators for a few output rows x 16
+// columns held for the whole inner loop, operand A read as a[r*sr + p*sp])
+// serves all three variants. gemm calls it directly, gemm_at reads A
+// transposed, and gemm_bt packs B^T into a reused per-thread buffer and then
+// runs gemm. The inner index is blocked by kKcBlock so the B panel stays
+// cache-resident. The tile has three bodies, picked once at start-up
+// (isa()): portable (4 x 16, GNU 4-lane vectors), AVX2 (4 x 16, two ymm per
+// row) and AVX-512 (8 x 16, one zmm per row, masked column tails). Every
+// output element is c = c + a*b in ascending inner index with the multiply
+// and add rounded separately (no FMA; the TU is built with
+// -ffp-contract=off), so every body, any tiling and any thread count give
 // the same bits as a plain ascending float triple loop.
 //
 // Aggregation kernels walk the CompiledBlock CSR with 4-way neighbor-row
@@ -32,15 +34,12 @@ namespace moment::gnn::kernels {
 /// Inner-dimension block size: a B panel of KC x n stays cache-resident while
 /// the row tiles sweep it.
 inline constexpr std::size_t kKcBlock = 256;
-/// GEMM register tile: output rows x columns accumulated in registers.
-inline constexpr std::size_t kTileRows = 4;
-inline constexpr std::size_t kTileCols = 16;
 /// parallel_for grain for row-partitioned loops.
 inline constexpr std::size_t kRowGrain = 16;
 
 // ---- GEMM -----------------------------------------------------------------
 
-/// Tile body the GEMMs run on this CPU: "avx2" or "portable".
+/// Tile body the GEMMs run on this CPU: "avx512", "avx2" or "portable".
 const char* isa();
 
 /// c (m x n) = a (m x k) @ b (k x n); adds into c when `accumulate`.
@@ -56,10 +55,13 @@ void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate);
 
 namespace detail {
-/// The GEMMs above with the tile body named explicitly, so tests can pin both
-/// bodies to the same bits. kAvx2 runs the portable body on CPUs without AVX2.
-enum class Body { kPortable, kAvx2 };
+/// The GEMMs above with the tile body named explicitly, so tests can pin every
+/// body to the same bits. A body the CPU lacks falls back to the next one:
+/// kAvx512 runs the AVX2 body on CPUs without AVX-512F, and kAvx2 the portable
+/// body on CPUs without AVX2.
+enum class Body { kPortable, kAvx2, kAvx512 };
 bool avx2_supported();
+bool avx512_supported();
 void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
           const float* a, const float* b, float* c, bool accumulate);
 void gemm_bt(Body body, std::size_t m, std::size_t k, std::size_t n,
@@ -105,7 +107,7 @@ void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
 // still one ascending-c chain per head with the multiply and the add rounded
 // separately, so the results are the bits of a one-head-at-a-time loop. The
 // loops run on a portable body or, when heads is a multiple of 8, on 8-lane
-// vectors picked once through isa().
+// vectors, built for AVX2 if the CPU has it.
 
 /// out row r = in row r converted head-major -> head-minor.
 void heads_to_minor(std::size_t rows, std::size_t heads, std::size_t head_dim,

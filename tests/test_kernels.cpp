@@ -180,17 +180,29 @@ void expect_bitwise(const std::vector<float>& ref,
 
 TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
   using kernels::detail::Body;
-  // Ragged rows (m % 4 != 0), ragged columns (n % 16 != 0), inner dimensions
-  // past one kKcBlock (> 256), an empty inner dimension, and full tiles.
+  // Ragged rows for both tile heights (m % 4 != 0; m % 8 in {5, 6, 7}),
+  // ragged columns (n % 16 != 0, including n < 16), inner dimensions past one
+  // kKcBlock (> 256), an empty inner dimension, and full tiles.
   const std::size_t shapes[][3] = {
-      {1, 1, 1},   {3, 5, 2},    {17, 33, 29}, {65, 1, 129}, {33, 257, 7},
-      {4, 256, 16}, {6, 300, 37}, {13, 520, 48}, {8, 0, 16},  {37, 70, 130}};
-  for (const Body body : {Body::kPortable, Body::kAvx2}) {
-    if (body == Body::kAvx2 && !kernels::detail::avx2_supported()) {
-      std::printf("[ SKIPPED  ] AVX2 body: this CPU has no AVX2\n");
+      {1, 1, 1},    {3, 5, 2},    {17, 33, 29}, {65, 1, 129}, {33, 257, 7},
+      {4, 256, 16}, {6, 300, 37}, {13, 520, 48}, {8, 0, 16},  {37, 70, 130},
+      {21, 40, 15}, {22, 9, 33},  {23, 260, 1}, {16, 64, 16}, {45, 31, 47}};
+  struct Case {
+    Body body;
+    const char* name;
+    bool supported;
+  };
+  const Case cases[] = {
+      {Body::kPortable, "portable", true},
+      {Body::kAvx2, "avx2", kernels::detail::avx2_supported()},
+      {Body::kAvx512, "avx512", kernels::detail::avx512_supported()}};
+  for (const Case& cs : cases) {
+    if (!cs.supported) {
+      std::printf("[ SKIPPED  ] %s body: this CPU lacks it\n", cs.name);
       continue;
     }
-    SCOPED_TRACE(body == Body::kAvx2 ? "avx2 body" : "portable body");
+    const Body body = cs.body;
+    SCOPED_TRACE(testing::Message() << cs.name << " body");
     moment::util::Pcg32 rng(11);
     for (const auto& s : shapes) {
       const std::size_t m = s[0], k = s[1], n = s[2];
@@ -227,7 +239,9 @@ TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
     }
   }
   const std::string isa = kernels::isa();
-  EXPECT_EQ(isa, kernels::detail::avx2_supported() ? "avx2" : "portable");
+  EXPECT_EQ(isa, kernels::detail::avx512_supported() ? "avx512"
+                 : kernels::detail::avx2_supported() ? "avx2"
+                                                     : "portable");
 }
 
 TEST(CompiledBlockTest, StructureMatchesEdgeList) {
