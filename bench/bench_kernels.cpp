@@ -4,13 +4,19 @@
 // compile at the project-default optimisation level, so the reported speedups
 // are honest before/after numbers, not strawmen.
 //
-// The GAT layer-0 block times the three GEMMs at the shape GAT trains on and
-// checks each bit for bit against an ascending-order float loop; the JSON
-// records the tile body (isa) the kernels ran on. The gat_attention row times
-// the all-head attention kernels (logits, forward, backward) against the
-// per-head reference (tests/gat_reference.hpp) at the layer-0 block shape on
-// one thread each, and checks every output bit for bit; --smoke runs the same
-// check at small shapes.
+// The GAT layer-0 block times the three GEMMs at the shape GAT trains on, on
+// one thread, once per tile body this CPU has (portable, avx2, avx512), and
+// checks each bit for bit against an ascending-order float loop. The
+// gat_attention row times the all-head attention kernels (logits, forward,
+// backward) against the per-head reference (tests/gat_reference.hpp) at the
+// layer-0 block shape on one thread each, and checks every output bit for
+// bit. --smoke runs both bitwise checks at small shapes, every GEMM on every
+// tile body, and fails on any mismatch.
+//
+// Every wall time is the median of kReps = 5 repeats on a warm cache. The
+// JSON's host block names the CPU, the tile body the public kernels use
+// (isa) and the repeat count; timings from a shared VM stay noisy, so
+// compare bodies within one run, not across runs.
 //
 // Usage:
 //   bench_kernels [--threads N] [--out FILE]   full run, writes BENCH_kernels.json
@@ -24,6 +30,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -67,36 +74,6 @@ void naive_gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
       if (av == 0.0f) continue;
       const float* brow = b + p * n;
       float* orow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
-
-void naive_gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                   const float* b, float* c) {
-  std::memset(c, 0, m * n * sizeof(float));
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* orow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] += acc;
-    }
-  }
-}
-
-void naive_gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                   const float* b, float* c) {
-  std::memset(c, 0, k * n * sizeof(float));
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const float* brow = b + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      float* orow = c + p * n;
       for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
@@ -157,15 +134,51 @@ double max_rel_diff(const std::vector<float>& ref,
   return worst;
 }
 
+/// Repeats of every timed call; the reported time is their median.
+constexpr int kReps = 5;
+
 template <typename Fn>
-double time_best(int reps, Fn&& fn) {
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
+double time_median(Fn&& fn) {
+  std::vector<double> t(kReps);
+  for (double& ti : t) {
     const double t0 = now_s();
     fn();
-    best = std::min(best, now_s() - t0);
+    ti = now_s() - t0;
   }
-  return best;
+  std::nth_element(t.begin(), t.begin() + kReps / 2, t.end());
+  return t[kReps / 2];
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+using kernels::detail::Body;
+
+struct BodyCase {
+  Body body;
+  const char* name;
+};
+
+/// The tile bodies this CPU runs (a body it lacks would only rerun a
+/// fallback).
+std::vector<BodyCase> supported_bodies() {
+  std::vector<BodyCase> out{{Body::kPortable, "portable"}};
+  if (kernels::detail::avx2_supported()) {
+    out.push_back({Body::kAvx2, "avx2"});
+  }
+  if (kernels::detail::avx512_supported()) {
+    out.push_back({Body::kAvx512, "avx512"});
+  }
+  return out;
 }
 
 Block make_block(std::size_t nd, std::size_t ns, std::size_t ne,
@@ -207,11 +220,10 @@ struct GatAttentionRow {
 
 /// All-head attention kernels vs the per-head reference on one random block,
 /// each on one thread: score, alpha, out, grad_z and both attention-vector
-/// gradients must match bit for bit. Times are best of `reps` (0 = check
-/// only).
+/// gradients must match bit for bit. Times are medians of kReps when `timed`.
 GatAttentionRow run_gat_attention(std::size_t nd, std::size_t ns,
                                   std::size_t ne, std::size_t heads,
-                                  std::size_t hd, int reps,
+                                  std::size_t hd, bool timed,
                                   moment::util::Pcg32& rng) {
   const std::size_t threads = moment::util::compute_pool_threads();
   moment::util::set_compute_pool_threads(1);
@@ -281,39 +293,61 @@ GatAttentionRow run_gat_attention(std::size_t nd, std::size_t ns,
                           same(ref.out, got.out) &&
                           same(ref.grad_z, got.grad_z) &&
                           same(ref.gal, got.gal) && same(ref.gar, got.gar)};
-  if (reps > 0) {
-    row.reference_s = time_best(reps, run_reference);
-    row.logits_s = time_best(reps, logits);
-    row.forward_s = time_best(reps, forward);
-    row.backward_s = time_best(reps, backward);
+  if (timed) {
+    row.reference_s = time_median(run_reference);
+    row.logits_s = time_median(logits);
+    row.forward_s = time_median(forward);
+    row.backward_s = time_median(backward);
   }
   moment::util::set_compute_pool_threads(threads);
   return row;
 }
 
+/// The three GEMMs on one tile body against the ascending float oracle, bit
+/// for bit: gemm (m x k x n), gemm_bt (m x k x n, B given n x k) and gemm_at
+/// (k x n from an m-row A and B).
+bool gemm_bitwise(Body body, std::size_t m, std::size_t k, std::size_t n,
+                  moment::util::Pcg32& rng) {
+  const auto a = random_matrix(m, k, rng);
+  const auto b = random_matrix(k, n, rng);
+  const auto bt = random_matrix(n, k, rng);
+  const auto bm = random_matrix(m, n, rng);
+  auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
+    return std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+  };
+  std::vector<float> ref(m * n), got(m * n);
+  ascending_gemm(m, k, n, a.data(), k, 1, b.data(), n, 1, ref.data());
+  kernels::detail::gemm(body, m, k, n, a.data(), b.data(), got.data(), false);
+  bool ok = same(ref, got);
+  ascending_gemm(m, k, n, a.data(), k, 1, bt.data(), 1, k, ref.data());
+  kernels::detail::gemm_bt(body, m, k, n, a.data(), bt.data(), got.data(),
+                           false);
+  ok &= same(ref, got);
+  ref.resize(k * n);
+  got.resize(k * n);
+  ascending_gemm(k, m, n, a.data(), 1, k, bm.data(), n, 1, ref.data());
+  kernels::detail::gemm_at(body, m, k, n, a.data(), bm.data(), got.data(),
+                           false);
+  return ok & same(ref, got);
+}
+
 int run_smoke() {
   moment::util::Pcg32 rng(42);
   bool pass = true;
+  // Ragged rows of the 4- and 8-row tiles, column tails (n < 16 as well),
+  // a KC block boundary and an inner dimension of 1.
   const std::size_t shapes[][3] = {
-      {1, 1, 1}, {3, 5, 2}, {17, 33, 29}, {65, 1, 129}, {33, 257, 7}};
-  for (const auto& s : shapes) {
-    const std::size_t m = s[0], k = s[1], n = s[2];
-    const auto a = random_matrix(m, k, rng);
-    const auto b = random_matrix(k, n, rng);
-    const auto bt = random_matrix(n, k, rng);
-    const auto bm = random_matrix(m, n, rng);
-    std::vector<float> ref(m * n), got(m * n);
-    naive_gemm(m, k, n, a.data(), b.data(), ref.data());
-    kernels::gemm(m, k, n, a.data(), b.data(), got.data(), false);
-    pass &= check("gemm", ref, got);
-    std::vector<float> ref2(m * n), got2(m * n);
-    naive_gemm_bt(m, k, n, a.data(), bt.data(), ref2.data());
-    kernels::gemm_bt(m, k, n, a.data(), bt.data(), got2.data(), false);
-    pass &= check("gemm_bt", ref2, got2);
-    std::vector<float> ref3(k * n), got3(k * n);
-    naive_gemm_at(m, k, n, a.data(), bm.data(), ref3.data());
-    kernels::gemm_at(m, k, n, a.data(), bm.data(), got3.data(), false);
-    pass &= check("gemm_at", ref3, got3);
+      {1, 1, 1},    {3, 5, 2},   {17, 33, 29}, {65, 1, 129}, {33, 257, 7},
+      {21, 40, 15}, {22, 9, 33}, {23, 260, 1}, {16, 64, 16}, {45, 31, 47}};
+  for (const BodyCase& bc : supported_bodies()) {
+    bool ok = true;
+    for (const auto& s : shapes) {
+      ok &= gemm_bitwise(bc.body, s[0], s[1], s[2], rng);
+    }
+    std::printf("%s gemm/gemm_bt/gemm_at %s body: %s\n",
+                ok ? "ok  " : "FAIL", bc.name,
+                ok ? "bitwise" : "BITWISE MISMATCH vs ascending loop");
+    pass &= ok;
   }
   {
     const std::size_t nd = 50, ns = 120, ne = 400, dim = 33;
@@ -328,7 +362,7 @@ int run_smoke() {
   const std::size_t gat_shapes[][2] = {{8, 64}, {3, 7}, {16, 5}, {1, 16}};
   for (const auto& s : gat_shapes) {
     const GatAttentionRow r =
-        run_gat_attention(50, 120, 400, s[0], s[1], 0, rng);
+        run_gat_attention(50, 120, 400, s[0], s[1], false, rng);
     std::printf("%s gat_attention heads %zu x %zu: %s\n",
                 r.bitwise ? "ok  " : "FAIL", r.heads, r.head_dim,
                 r.bitwise ? "bitwise" : "BITWISE MISMATCH vs per-head");
@@ -339,6 +373,7 @@ int run_smoke() {
 }
 
 struct BitwiseRow {
+  const char* body;
   const char* name;
   std::size_t m, k, n;
   double kernel_s;
@@ -346,42 +381,49 @@ struct BitwiseRow {
 };
 
 /// The three GEMMs at the GAT layer-0 shape (5.8k sampled sources, 128 input
-/// features, 8 heads of 64): Z = X W, dX = dZ W^T, dW = X^T dZ. Each output
-/// is compared bit for bit with the ascending float oracle.
+/// features, 8 heads of 64): Z = X W, dX = dZ W^T, dW = X^T dZ, on one thread
+/// and on every tile body this CPU has. Each output is compared bit for bit
+/// with the ascending float oracle.
 std::vector<BitwiseRow> run_gat_layer0(moment::util::Pcg32& rng) {
+  const std::size_t threads = moment::util::compute_pool_threads();
+  moment::util::set_compute_pool_threads(1);
   const std::size_t m = 5800, k = 128, n = 512;
   const auto x = random_matrix(m, k, rng);
   const auto w = random_matrix(k, n, rng);
   const auto dz = random_matrix(m, n, rng);
+  std::vector<float> ref_z(m * n), ref_dx(m * k), ref_dw(k * n);
+  ascending_gemm(m, k, n, x.data(), k, 1, w.data(), n, 1, ref_z.data());
+  ascending_gemm(m, n, k, dz.data(), n, 1, w.data(), 1, n, ref_dx.data());
+  ascending_gemm(k, m, n, x.data(), 1, k, dz.data(), n, 1, ref_dw.data());
   std::vector<BitwiseRow> rows;
-  auto record = [&](const char* name, std::size_t rm, std::size_t rk,
-                    std::size_t rn, const std::vector<float>& ref, auto&& fn) {
-    std::vector<float> got(ref.size());
-    fn(got.data());
-    const bool same =
-        std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) == 0;
-    const double t = time_best(5, [&] { fn(got.data()); });
-    std::printf("  %-8s %zu x %zu x %zu  kernel %7.2f ms (%5.2f GF/s)  %s\n",
-                name, rm, rk, rn, t * 1e3,
-                2.0 * static_cast<double>(rm * rk * rn) / t / 1e9,
-                same ? "bitwise ok" : "BITWISE MISMATCH");
-    rows.push_back({name, rm, rk, rn, t, same});
-  };
-  std::vector<float> ref(m * n);
-  ascending_gemm(m, k, n, x.data(), k, 1, w.data(), n, 1, ref.data());
-  record("gemm", m, k, n, ref, [&](float* c) {
-    kernels::gemm(m, k, n, x.data(), w.data(), c, false);
-  });
-  ref.assign(m * k, 0.0f);
-  ascending_gemm(m, n, k, dz.data(), n, 1, w.data(), 1, n, ref.data());
-  record("gemm_bt", m, n, k, ref, [&](float* c) {
-    kernels::gemm_bt(m, n, k, dz.data(), w.data(), c, false);
-  });
-  ref.assign(k * n, 0.0f);
-  ascending_gemm(k, m, n, x.data(), 1, k, dz.data(), n, 1, ref.data());
-  record("gemm_at", m, k, n, ref, [&](float* c) {
-    kernels::gemm_at(m, k, n, x.data(), dz.data(), c, false);
-  });
+  for (const BodyCase& bc : supported_bodies()) {
+    const Body body = bc.body;
+    auto record = [&](const char* name, std::size_t rm, std::size_t rk,
+                      std::size_t rn, const std::vector<float>& ref,
+                      auto&& fn) {
+      std::vector<float> got(ref.size());
+      fn(got.data());
+      const bool same =
+          std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) ==
+          0;
+      const double t = time_median([&] { fn(got.data()); });
+      std::printf("  %-8s %-8s %zu x %zu x %zu  %7.2f ms (%5.2f GF/s)  %s\n",
+                  bc.name, name, rm, rk, rn, t * 1e3,
+                  2.0 * static_cast<double>(rm * rk * rn) / t / 1e9,
+                  same ? "bitwise ok" : "BITWISE MISMATCH");
+      rows.push_back({bc.name, name, rm, rk, rn, t, same});
+    };
+    record("gemm", m, k, n, ref_z, [&](float* c) {
+      kernels::detail::gemm(body, m, k, n, x.data(), w.data(), c, false);
+    });
+    record("gemm_bt", m, n, k, ref_dx, [&](float* c) {
+      kernels::detail::gemm_bt(body, m, n, k, dz.data(), w.data(), c, false);
+    });
+    record("gemm_at", m, k, n, ref_dw, [&](float* c) {
+      kernels::detail::gemm_at(body, m, k, n, x.data(), dz.data(), c, false);
+    });
+  }
+  moment::util::set_compute_pool_threads(threads);
   return rows;
 }
 
@@ -392,8 +434,11 @@ struct GemmRow {
 
 int run_full(std::size_t threads, const std::string& out_path) {
   moment::util::set_compute_pool_threads(threads);
-  std::printf("compute pool: %zu thread(s)\n",
-              moment::util::compute_pool_threads());
+  const std::string cpu = cpu_model();
+  std::printf("host: %s, isa %s, compute pool %zu thread(s), median of %d "
+              "repeats\n",
+              cpu.c_str(), kernels::isa(),
+              moment::util::compute_pool_threads(), kReps);
   moment::util::Pcg32 rng(42);
   bool pass = true;
 
@@ -413,10 +458,10 @@ int run_full(std::size_t threads, const std::string& out_path) {
     }
     GemmRow r;
     r.m = m; r.k = k; r.n = n;
-    r.naive_s = time_best(3, [&] {
+    r.naive_s = time_median([&] {
       naive_gemm(m, k, n, a.data(), b.data(), ref.data());
     });
-    r.kernel_s = time_best(5, [&] {
+    r.kernel_s = time_median([&] {
       kernels::gemm(m, k, n, a.data(), b.data(), got.data(), false);
     });
     const double flops = 2.0 * static_cast<double>(m * k * n);
@@ -430,13 +475,13 @@ int run_full(std::size_t threads, const std::string& out_path) {
                 r.kernel_gflops, r.speedup);
   }
 
-  std::printf("\nGAT layer-0 GEMMs, %s tile body:\n", kernels::isa());
+  std::printf("\nGAT layer-0 GEMMs, each tile body, 1 thread:\n");
   const std::vector<BitwiseRow> gat = run_gat_layer0(rng);
   for (const BitwiseRow& r : gat) pass &= r.bitwise;
 
   // GAT layer-0 block: 1.15k dst, 4.8k src, 10.7k edges, 8 heads of 64.
   const GatAttentionRow att =
-      run_gat_attention(1150, 4800, 10700, 8, 64, 5, rng);
+      run_gat_attention(1150, 4800, 10700, 8, 64, true, rng);
   const double att_kernel_s = att.logits_s + att.forward_s + att.backward_s;
   std::printf("\ngat_attention %zu dst / %zu edges / %zu src, %zu heads x "
               "%zu, 1 thread:\n  per-head %7.2f ms  all-head %7.2f ms "
@@ -460,10 +505,10 @@ int run_full(std::size_t threads, const std::string& out_path) {
     std::printf("FAIL aggregate_mean exceeds tolerance\n");
     pass = false;
   }
-  const double agg_naive_s = time_best(5, [&] {
+  const double agg_naive_s = time_median([&] {
     naive_aggregate_mean(block, x.data(), dim, ref.data());
   });
-  const double agg_kernel_s = time_best(7, [&] {
+  const double agg_kernel_s = time_median([&] {
     kernels::aggregate_mean(cb, x.data(), dim, got.data());
   });
   const double agg_speedup = agg_naive_s / agg_kernel_s;
@@ -478,9 +523,11 @@ int run_full(std::size_t threads, const std::string& out_path) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"threads\": %zu,\n  \"isa\": \"%s\",\n"
+               "{\n  \"host\": {\"cpu\": \"%s\", \"isa\": \"%s\", "
+               "\"threads\": %zu, \"timing\": \"median of %d repeats\"},\n"
                "  \"gemm\": [\n",
-               moment::util::compute_pool_threads(), kernels::isa());
+               cpu.c_str(), kernels::isa(),
+               moment::util::compute_pool_threads(), kReps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const GemmRow& r = rows[i];
     std::fprintf(f,
@@ -496,9 +543,10 @@ int run_full(std::size_t threads, const std::string& out_path) {
   for (std::size_t i = 0; i < gat.size(); ++i) {
     const BitwiseRow& r = gat[i];
     std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"m\": %zu, \"k\": %zu, "
-                 "\"n\": %zu, \"kernel_s\": %.6f, \"bitwise\": %s}%s\n",
-                 r.name, r.m, r.k, r.n, r.kernel_s,
+                 "    {\"body\": \"%s\", \"kernel\": \"%s\", \"m\": %zu, "
+                 "\"k\": %zu, \"n\": %zu, \"threads\": 1, "
+                 "\"kernel_s\": %.6f, \"bitwise\": %s}%s\n",
+                 r.body, r.name, r.m, r.k, r.n, r.kernel_s,
                  r.bitwise ? "true" : "false", i + 1 < gat.size() ? "," : "");
   }
   std::fprintf(f,
