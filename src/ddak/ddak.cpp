@@ -70,8 +70,13 @@ DataPlacementResult ddak_place(std::span<const Bin> bins,
   // when nothing else fits (priority +inf but still capacity-checked).
   // The small regularisers keep the product well-defined for empty bins
   // (0 * 0 would make every empty bin indistinguishable); ties fall through
-  // to the GPU > CPU > SSD hierarchy, then to the larger traffic target.
+  // to the GPU > CPU > SSD hierarchy, then to the larger traffic target,
+  // then to the lower fill ratio. The last rule is what spreads park-only
+  // bins, which all tie, evenly by capacity.
   constexpr double kReg = 1e-3;
+  auto fill_ratio = [&](std::size_t i) {
+    return static_cast<double>(r.bin_count[i]) / bins[i].capacity_vertices;
+  };
   auto priority = [&](std::size_t i) {
     const Bin& b = bins[i];
     if (static_cast<double>(r.bin_count[i]) >= b.capacity_vertices) {
@@ -83,9 +88,7 @@ DataPlacementResult ddak_place(std::span<const Bin> bins,
       return std::numeric_limits<double>::max();  // park-only bin
     }
     const double access_ratio = r.bin_traffic_share[i] / target_share;
-    const double fill_ratio =
-        static_cast<double>(r.bin_count[i]) / b.capacity_vertices;
-    return (access_ratio + kReg) * (fill_ratio + kReg);
+    return (access_ratio + kReg) * (fill_ratio(i) + kReg);
   };
 
   const double total_hotness = std::accumulate(
@@ -124,10 +127,11 @@ DataPlacementResult ddak_place(std::span<const Bin> bins,
       } else if (unsatisfied && tier != best_tier) {
         better = tier < best_tier;  // hierarchy among below-budget bins
       } else {
+        const double ti = bins[i].traffic_target;
+        const double tb = bins[best].traffic_target;
         better = p < best_priority - 1e-12 ||
                  (std::abs(p - best_priority) <= 1e-12 &&
-                  bins[i].traffic_target >
-                      bins[best].traffic_target);
+                  (ti > tb || (ti == tb && fill_ratio(i) < fill_ratio(best))));
       }
       if (better) {
         best = i;

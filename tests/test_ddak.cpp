@@ -189,6 +189,32 @@ TEST(Ddak, ThrowsWhenBinsTooSmall) {
   EXPECT_THROW(hash_place(bins, p), std::invalid_argument);
 }
 
+TEST(Ddak, ZeroTargetSsdBinsFillEvenlyByCapacity) {
+  // The flow plan sends nothing to any SSD, so every SSD bin is park-only.
+  // They must share the rows the caches cannot hold by capacity, not leave
+  // them all on the first SSD.
+  const std::size_t n = 6000;
+  const auto p = synthetic_profile(n, 1.0);
+  std::vector<Bin> bins(5);
+  bins[0] = {"GPU0.HBM", 0, topology::StorageTier::kGpuHbm, 0.02 * n, 40.0, {}};
+  bins[1] = {"DRAM0", 1, topology::StorageTier::kCpuDram, 0.05 * n, 25.0, {}};
+  bins[2] = {"SSD0", 2, topology::StorageTier::kSsd, 1.0 * n, 0.0, {}};
+  bins[3] = {"SSD1", 3, topology::StorageTier::kSsd, 1.0 * n, 0.0, {}};
+  bins[4] = {"SSD2", 4, topology::StorageTier::kSsd, 0.5 * n, 0.0, {}};
+  DdakOptions options;
+  options.pool_size = 50;
+  const auto r = ddak_place(bins, p, options);
+  const double parked = static_cast<double>(n - r.bin_count[0] -
+                                            r.bin_count[1]);
+  const double ssd_capacity = 2.5 * n;
+  for (std::size_t i = 2; i < bins.size(); ++i) {
+    const double share = parked * bins[i].capacity_vertices / ssd_capacity;
+    EXPECT_LE(static_cast<double>(r.bin_count[i]),
+              share + static_cast<double>(options.pool_size))
+        << bins[i].name;
+  }
+}
+
 TEST(HashPlace, CachesStillHoldHotSet) {
   // GIDS-style static cache: hash only stripes the SSD remainder.
   const auto p = synthetic_profile(2000, 1.2);
