@@ -70,9 +70,10 @@ Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::forward: block/layer mismatch");
   }
-  Tensor h = x0;
+  // Layer 0 reads x0 in place; h holds the later layers' inputs.
+  Tensor h;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Tensor out = layers_[l]->forward(blocks[l], h);
+    Tensor out = layers_[l]->forward(blocks[l], l == 0 ? x0 : h);
     if (l + 1 < layers_.size()) {
       // Gather the next block's src rows out of this block's dst rows.
       Tensor gathered(blocks[l + 1].num_src(), out.cols());
@@ -94,10 +95,13 @@ void GnnModel::backward(std::span<const Block> blocks, const Tensor& grad_out) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::backward: block/layer mismatch");
   }
-  Tensor g = grad_out;
+  // The last layer reads grad_out in place; g holds the earlier layers'.
+  Tensor g;
   for (std::size_t l = layers_.size(); l-- > 0;) {
     // Layer 0's input gradient would be w.r.t. the raw features: skip it.
-    Tensor gin = layers_[l]->backward(blocks[l], g, /*input_grad=*/l > 0);
+    Tensor gin = layers_[l]->backward(
+        blocks[l], l + 1 == layers_.size() ? grad_out : g,
+        /*input_grad=*/l > 0);
     if (l > 0) {
       // Scatter gin (defined on blocks[l].src_ids) back onto the previous
       // block's dst rows.
