@@ -1,7 +1,7 @@
 // Kernel-vs-naive equivalence for the gnn/kernels layer: the tiled GEMM
 // variants against reference triple loops on ragged shapes (within a
 // tolerance against double loops, and bit for bit against ascending float
-// loops for both tile bodies), CompiledBlock
+// loops for every tile body), CompiledBlock
 // structure, CSR aggregation against edge-list oracles, and bitwise
 // thread-count invariance of the row-partitioned parallel paths.
 
