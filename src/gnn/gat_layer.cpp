@@ -16,7 +16,7 @@ GatLayer::GatLayer(std::size_t in_dim, std::size_t num_heads,
       attn_r_("attn_r", Tensor::glorot(num_heads, head_dim, rng)),
       bias_("bias", Tensor::zeros(1, num_heads * head_dim)) {}
 
-Tensor GatLayer::forward(const Block& block, const Tensor& x_src) {
+const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
     throw std::invalid_argument("GatLayer::forward: x_src shape mismatch");
   }

@@ -11,26 +11,27 @@
 
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
-#include "gnn/param.hpp"
+#include "gnn/layer.hpp"
 
 namespace moment::gnn {
 
-class GatLayer final : public Module {
+class GatLayer final : public GnnLayer {
  public:
   GatLayer(std::size_t in_dim, std::size_t num_heads, std::size_t head_dim,
            bool apply_elu, util::Pcg32& rng);
 
-  Tensor forward(const Block& block, const Tensor& x_src);
-  /// Returns the gradient w.r.t. x_src, or an empty tensor when !input_grad.
+  const Tensor& forward(const Block& block, const Tensor& x_src) override;
   Tensor backward(const Block& block, const Tensor& grad_out,
-                  bool input_grad = true);
+                  bool input_grad = true) override;
 
   std::vector<Param*> parameters() override {
     return {&w_, &attn_l_, &attn_r_, &bias_};
   }
 
   std::size_t in_dim() const noexcept { return in_dim_; }
-  std::size_t out_dim() const noexcept { return num_heads_ * head_dim_; }
+  std::size_t out_dim() const noexcept override {
+    return num_heads_ * head_dim_;
+  }
   std::size_t num_heads() const noexcept { return num_heads_; }
 
   static constexpr float kLeakySlope = 0.2f;

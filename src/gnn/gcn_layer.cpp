@@ -15,7 +15,7 @@ GcnLayer::GcnLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
       w_("w", Tensor::glorot(in_dim, out_dim, rng)),
       bias_("bias", Tensor::zeros(1, out_dim)) {}
 
-Tensor GcnLayer::forward(const Block& block, const Tensor& x_src) {
+const Tensor& GcnLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
     throw std::invalid_argument("GcnLayer::forward: x_src shape mismatch");
   }
@@ -51,11 +51,10 @@ Tensor GcnLayer::forward(const Block& block, const Tensor& x_src) {
   kernels::aggregate_coeff(cb, saved_coeff_.data(), saved_coeff_.data() + ne,
                            x_src.data(), in_dim_, saved_agg_.data());
 
-  Tensor out(nd, out_dim_);
-  matmul(saved_agg_, w_.value, out);
-  kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, out.data());
-  saved_out_ = out;
-  return out;
+  saved_out_ = Tensor(nd, out_dim_);
+  matmul(saved_agg_, w_.value, saved_out_);
+  kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, saved_out_.data());
+  return saved_out_;
 }
 
 Tensor GcnLayer::backward(const Block& block, const Tensor& grad_out,

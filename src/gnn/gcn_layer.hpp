@@ -10,24 +10,23 @@
 
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
-#include "gnn/param.hpp"
+#include "gnn/layer.hpp"
 
 namespace moment::gnn {
 
-class GcnLayer final : public Module {
+class GcnLayer final : public GnnLayer {
  public:
   GcnLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
            util::Pcg32& rng);
 
-  Tensor forward(const Block& block, const Tensor& x_src);
-  /// Returns the gradient w.r.t. x_src, or an empty tensor when !input_grad.
+  const Tensor& forward(const Block& block, const Tensor& x_src) override;
   Tensor backward(const Block& block, const Tensor& grad_out,
-                  bool input_grad = true);
+                  bool input_grad = true) override;
 
   std::vector<Param*> parameters() override { return {&w_, &bias_}; }
 
   std::size_t in_dim() const noexcept { return in_dim_; }
-  std::size_t out_dim() const noexcept { return out_dim_; }
+  std::size_t out_dim() const noexcept override { return out_dim_; }
 
  private:
   std::size_t in_dim_, out_dim_;

@@ -12,18 +12,25 @@
 #include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
 #define MOMENT_KERNELS_X86 1
 #endif
 
 // This translation unit is compiled -O3 -funroll-loops -ffp-contract=off (see
 // CMakeLists.txt). The last flag is load-bearing: every GEMM output element is
 // c = c + a*b with the multiply and the add rounded separately, which is what
-// makes the portable, AVX2 and AVX-512 tile bodies agree bit for bit.
+// makes the portable, AVX2 and AVX-512 builds of the GEMM tile agree bit for
+// bit.
 
 namespace moment::gnn::kernels {
 
 namespace {
+
+// GNU vectors of 4, 8 and 16 floats. They are declared here, not inside a
+// template: GCC drops a vector_size that depends on a template parameter, and
+// the "vector" silently becomes one float.
+using V4 = float __attribute__((vector_size(16)));
+using V8 = float __attribute__((vector_size(32)));
+using V16 = float __attribute__((vector_size(64)));
 
 // One output tile: C (rows x cols, row stride ldc) += sum over p < depth of
 // A(r, p) * B(p, j), with A(r, p) = a[r*sr + p*sp] and B(p, j) = b[p*ldb + j].
@@ -41,8 +48,7 @@ struct TileKernel {
   std::size_t rows, cols;
 };
 
-// Any tile shape, one element at a time: the column tails of the portable
-// and AVX2 bodies.
+// Any tile shape, one element at a time: every body's column tails.
 void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
                  const float* a, std::size_t sr, std::size_t sp,
                  const float* b, std::size_t ldb, float* c, std::size_t ldc,
@@ -58,132 +64,100 @@ void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
   }
 }
 
-// Portable body: GNU vector extension with 4 lanes (SSE2, NEON, or scalar
-// code where there is neither). The 16 tile columns run as two 8-wide halves
-// so the 8 accumulators and 2 B vectors fit in 16 registers.
-struct PortableBody {
-  static constexpr std::size_t kRows = 4, kCols = 16;
-  static constexpr bool kMaskedTails = false;
-  using V = float __attribute__((vector_size(16)));
-  template <std::size_t R>
-  static void rows(std::size_t /*cols*/, std::size_t depth, const float* a,
-                   std::size_t sr, std::size_t sp, const float* b,
-                   std::size_t ldb, float* c, std::size_t ldc, bool load_c) {
-    for (std::size_t h = 0; h < kCols; h += 8) {
-      V acc[R][2];
-      for (std::size_t r = 0; r < R; ++r) {
-        for (std::size_t q = 0; q < 2; ++q) {
-          acc[r][q] = V{};
-          if (load_c) std::memcpy(&acc[r][q], c + r * ldc + h + 4 * q, 16);
-        }
-      }
-      for (std::size_t p = 0; p < depth; ++p) {
-        V b0, b1;
-        std::memcpy(&b0, b + p * ldb + h, 16);
-        std::memcpy(&b1, b + p * ldb + h + 4, 16);
-        for (std::size_t r = 0; r < R; ++r) {
-          const float av = a[r * sr + p * sp];
-          acc[r][0] = acc[r][0] + av * b0;
-          acc[r][1] = acc[r][1] + av * b1;
-        }
-      }
-      for (std::size_t r = 0; r < R; ++r) {
-        std::memcpy(c + r * ldc + h, &acc[r][0], 16);
-        std::memcpy(c + r * ldc + h + 4, &acc[r][1], 16);
-      }
+// The one GEMM tile: R full rows of N vectors V, mul then add per lane, never
+// FMA. It is inlined into each body below, so each target attribute compiles
+// it for its own ISA. The row loops are unrolled before GCC scalarizes acc,
+// so the accumulators live in registers instead of being stored every step.
+template <typename V, std::size_t N, std::size_t R>
+[[gnu::always_inline]] inline void tile_rows(std::size_t depth,
+                                             const float* a, std::size_t sr,
+                                             std::size_t sp, const float* b,
+                                             std::size_t ldb, float* c,
+                                             std::size_t ldc, bool load_c) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  V acc[R][N];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < N; ++q) {
+      acc[r][q] = V{};
+      if (load_c) std::memcpy(&acc[r][q], c + r * ldc + q * kLanes, sizeof(V));
     }
+  }
+  for (std::size_t p = 0; p < depth; ++p) {
+    V bv[N];
+    for (std::size_t q = 0; q < N; ++q) {
+      std::memcpy(&bv[q], b + p * ldb + q * kLanes, sizeof(V));
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const float av = a[r * sr + p * sp];
+      for (std::size_t q = 0; q < N; ++q) acc[r][q] = acc[r][q] + av * bv[q];
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t q = 0; q < N; ++q) {
+      std::memcpy(c + r * ldc + q * kLanes, &acc[r][q], sizeof(V));
+    }
+  }
+}
+
+// Portable body: 4 lanes (SSE2, NEON, or scalar code where there is
+// neither), 4 x 8, so the 8 accumulators and 2 B vectors fit in 16 registers.
+struct PortableBody {
+  static constexpr std::size_t kRows = 4, kCols = 8;
+  template <std::size_t R>
+  static void rows(std::size_t depth, const float* a, std::size_t sr,
+                   std::size_t sp, const float* b, std::size_t ldb, float* c,
+                   std::size_t ldc, bool load_c) {
+    tile_rows<V4, 2, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
   }
 };
 
 #ifdef MOMENT_KERNELS_X86
-// AVX2 body: two 8-lane accumulators per row. Deliberately mul then add, not
-// FMA, so each lane rounds exactly as the portable body does. 4 rows: 8 rows
-// would need more than the 16 ymm registers and spill.
+// AVX2 body: 8 lanes, 4 x 16 (8 rows would need more than 16 ymm registers).
 struct Avx2Body {
   static constexpr std::size_t kRows = 4, kCols = 16;
-  static constexpr bool kMaskedTails = false;
   template <std::size_t R>
   __attribute__((target("avx2"))) static void rows(
-      std::size_t /*cols*/, std::size_t depth, const float* a, std::size_t sr,
-      std::size_t sp, const float* b, std::size_t ldb, float* c,
-      std::size_t ldc, bool load_c) {
-    __m256 acc[R][2];
-    for (std::size_t r = 0; r < R; ++r) {
-      acc[r][0] = load_c ? _mm256_loadu_ps(c + r * ldc) : _mm256_setzero_ps();
-      acc[r][1] =
-          load_c ? _mm256_loadu_ps(c + r * ldc + 8) : _mm256_setzero_ps();
-    }
-    for (std::size_t p = 0; p < depth; ++p) {
-      const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-      const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
-      for (std::size_t r = 0; r < R; ++r) {
-        const __m256 av = _mm256_broadcast_ss(a + r * sr + p * sp);
-        acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
-        acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
+      std::size_t depth, const float* a, std::size_t sr, std::size_t sp,
+      const float* b, std::size_t ldb, float* c, std::size_t ldc,
+      bool load_c) {
+    tile_rows<V8, 2, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
   }
 };
 
-// AVX-512 body: one 16-lane accumulator per row, 8 rows, so 8 accumulators
-// and one B vector use 9 of the 32 zmm registers. Column tails (cols < 16)
-// run the same loop under a lane mask: masked-off lanes load zero and are
-// never stored, and the live lanes round as in a full tile. Mul then add,
-// never FMA, like the other bodies.
+// AVX-512 body: 16 lanes, 8 x 16, so 8 accumulators and one B vector use 9
+// of the 32 zmm registers.
 struct Avx512Body {
   static constexpr std::size_t kRows = 8, kCols = 16;
-  static constexpr bool kMaskedTails = true;
   template <std::size_t R>
   __attribute__((target("avx512f"))) static void rows(
-      std::size_t cols, std::size_t depth, const float* a, std::size_t sr,
-      std::size_t sp, const float* b, std::size_t ldb, float* c,
-      std::size_t ldc, bool load_c) {
-    // The row loops are unrolled before GCC scalarizes acc, so the
-    // accumulators live in registers instead of being stored every step.
-    const auto mask = static_cast<__mmask16>((1u << cols) - 1u);
-    __m512 acc[R];
-#pragma GCC unroll 8
-    for (std::size_t r = 0; r < R; ++r) {
-      acc[r] = load_c ? _mm512_maskz_loadu_ps(mask, c + r * ldc)
-                      : _mm512_setzero_ps();
-    }
-    for (std::size_t p = 0; p < depth; ++p) {
-      const __m512 bv = _mm512_maskz_loadu_ps(mask, b + p * ldb);
-#pragma GCC unroll 8
-      for (std::size_t r = 0; r < R; ++r) {
-        const __m512 av = _mm512_set1_ps(a[r * sr + p * sp]);
-        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, bv));
-      }
-    }
-#pragma GCC unroll 8
-    for (std::size_t r = 0; r < R; ++r) {
-      _mm512_mask_storeu_ps(c + r * ldc, mask, acc[r]);
-    }
+      std::size_t depth, const float* a, std::size_t sr, std::size_t sp,
+      const float* b, std::size_t ldb, float* c, std::size_t ldc,
+      bool load_c) {
+    tile_rows<V16, 1, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
   }
 };
 #endif
 
-// Runs Body::rows<rows> on a tile of at most Body::kRows x Body::kCols; a
-// column tail goes to tile_scalar unless the body masks its own tails.
+// Runs Body::rows<rows> on a full-width tile of at most Body::kRows rows; a
+// column tail goes to tile_scalar.
 template <typename Body>
 void tile(std::size_t rows, std::size_t cols, std::size_t depth,
           const float* a, std::size_t sr, std::size_t sp, const float* b,
           std::size_t ldb, float* c, std::size_t ldc, bool load_c) {
-  if (!Body::kMaskedTails && cols != Body::kCols) {
+  if (cols != Body::kCols) {
     return tile_scalar(rows, cols, depth, a, sr, sp, b, ldb, c, ldc, load_c);
   }
-  using RowsFn = void (*)(std::size_t, std::size_t, const float*, std::size_t,
-                          std::size_t, const float*, std::size_t, float*,
-                          std::size_t, bool);
+  using RowsFn = void (*)(std::size_t, const float*, std::size_t, std::size_t,
+                          const float*, std::size_t, float*, std::size_t,
+                          bool);
   static constexpr auto by_rows = []<std::size_t... R>(
                                       std::index_sequence<R...>) {
     return std::array<RowsFn, sizeof...(R)>{&Body::template rows<R + 1>...};
   }(std::make_index_sequence<Body::kRows>{});
-  by_rows[rows - 1](cols, depth, a, sr, sp, b, ldb, c, ldc, load_c);
+  by_rows[rows - 1](depth, a, sr, sp, b, ldb, c, ldc, load_c);
 }
 
 template <typename Body>
@@ -525,10 +499,9 @@ void axpy_any(std::size_t heads, std::size_t n, const float* __restrict s,
   }
 }
 
-// heads % 8 == 0: 8 heads per vector. One source, compiled twice below
+// heads % 8 == 0: 8 heads per vector (V8). One source, compiled twice below
 // (baseline and AVX2); every lane is a separately rounded multiply and add,
 // so both builds give the bits of the scalar lanes above.
-using V8 = float __attribute__((vector_size(32)));
 using M8 = std::int32_t __attribute__((vector_size(32)));  // lane mask
 
 [[gnu::always_inline]] inline void dot_v8(std::size_t heads, std::size_t n,

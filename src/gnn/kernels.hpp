@@ -8,18 +8,19 @@
 // identical for any thread count (1..N), which is what keeps the engine's
 // depth-1 vs depth-2 trajectory-equality guarantees intact.
 //
-// GEMMs: one strided register tile (accumulators for a few output rows x 16
-// columns held for the whole inner loop, operand A read as a[r*sr + p*sp])
-// serves all three variants. gemm calls it directly, gemm_at reads A
-// transposed, and gemm_bt packs B^T into a reused per-thread buffer and then
-// runs gemm. The inner index is blocked by kKcBlock so the B panel stays
-// cache-resident. The tile has three bodies, picked once at start-up
-// (isa()): portable (4 x 16, GNU 4-lane vectors), AVX2 (4 x 16, two ymm per
-// row) and AVX-512 (8 x 16, one zmm per row, masked column tails). Every
-// output element is c = c + a*b in ascending inner index with the multiply
-// and add rounded separately (no FMA; the TU is built with
-// -ffp-contract=off), so every body, any tiling and any thread count give
-// the same bits as a plain ascending float triple loop.
+// GEMMs: one strided register tile (accumulators for a few output rows x 8
+// or 16 columns held for the whole inner loop, operand A read as
+// a[r*sr + p*sp]) serves all three variants. gemm calls it directly,
+// gemm_at reads A transposed, and gemm_bt packs B^T into a reused
+// per-thread buffer and then runs gemm. The inner index is blocked by kKcBlock so the B panel stays
+// cache-resident. The tile has one source, compiled for three bodies and
+// picked once at start-up (isa()): portable (4 x 8, 4-lane GNU vectors),
+// AVX2 (4 x 16, 8 lanes) and AVX-512 (8 x 16, 16 lanes); every body runs
+// column tails as scalar loops. Every output element is c = c + a*b in
+// ascending inner index with the multiply and add rounded separately (no
+// FMA; the TU is built with -ffp-contract=off), so every body, any tiling
+// and any thread count give the same bits as a plain ascending float triple
+// loop.
 //
 // Aggregation kernels walk the CompiledBlock CSR with 4-way neighbor-row
 // accumulation plus software prefetch, which buys memory-level parallelism

@@ -1,0 +1,22 @@
+#pragma once
+// Polymorphic layer interface so models can mix layer types.
+
+#include "gnn/block.hpp"
+#include "gnn/param.hpp"
+
+namespace moment::gnn {
+
+class GnnLayer : public Module {
+ public:
+  /// x_src: (block.num_src() x in_dim). Returns (block.num_dst() x out_dim),
+  /// held by the layer (backward reads it) until the next forward.
+  virtual const Tensor& forward(const Block& block, const Tensor& x_src) = 0;
+  /// grad_out: gradient w.r.t. forward's return. Returns the gradient w.r.t.
+  /// x_src (empty when !input_grad) and accumulates parameter gradients.
+  /// Must follow a forward() on the same block.
+  virtual Tensor backward(const Block& block, const Tensor& grad_out,
+                          bool input_grad) = 0;
+  virtual std::size_t out_dim() const = 0;
+};
+
+}  // namespace moment::gnn

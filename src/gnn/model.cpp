@@ -18,10 +18,10 @@ GnnModel::GnnModel(const ModelConfig& config) : config_(config) {
       const std::size_t out = last ? config.num_classes : config.hidden_dim;
       if (config.kind == ModelKind::kGraphSage) {
         layers_.push_back(
-            std::make_unique<SageGnnLayer>(in, out, /*relu=*/!last, rng));
+            std::make_unique<SageLayer>(in, out, /*relu=*/!last, rng));
       } else {
         layers_.push_back(
-            std::make_unique<GcnGnnLayer>(in, out, /*relu=*/!last, rng));
+            std::make_unique<GcnLayer>(in, out, /*relu=*/!last, rng));
       }
       in = out;
     }
@@ -32,11 +32,11 @@ GnnModel::GnnModel(const ModelConfig& config) : config_(config) {
     for (std::size_t l = 0; l < config.num_hops; ++l) {
       const bool last = l + 1 == config.num_hops;
       if (last) {
-        layers_.push_back(std::make_unique<GatGnnLayer>(
+        layers_.push_back(std::make_unique<GatLayer>(
             in, 1, config.num_classes, /*elu=*/false, rng));
         in = config.num_classes;
       } else {
-        layers_.push_back(std::make_unique<GatGnnLayer>(
+        layers_.push_back(std::make_unique<GatLayer>(
             in, config.gat_heads, config.hidden_dim, /*elu=*/true, rng));
         in = config.gat_heads * config.hidden_dim;
       }
@@ -70,10 +70,11 @@ Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::forward: block/layer mismatch");
   }
-  // Layer 0 reads x0 in place; h holds the later layers' inputs.
+  // Layer 0 reads x0 in place; h holds the later layers' inputs. Each layer
+  // keeps its own output, so only the rows the next block needs are copied.
   Tensor h;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Tensor out = layers_[l]->forward(blocks[l], l == 0 ? x0 : h);
+    const Tensor& out = layers_[l]->forward(blocks[l], l == 0 ? x0 : h);
     if (l + 1 < layers_.size()) {
       // Gather the next block's src rows out of this block's dst rows.
       Tensor gathered(blocks[l + 1].num_src(), out.cols());
@@ -85,7 +86,7 @@ Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
                            });
       h = std::move(gathered);
     } else {
-      h = std::move(out);
+      h = out;
     }
   }
   return h;

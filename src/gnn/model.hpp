@@ -9,73 +9,12 @@
 #include "gnn/block.hpp"
 #include "gnn/gat_layer.hpp"
 #include "gnn/gcn_layer.hpp"
+#include "gnn/layer.hpp"
 #include "gnn/loss.hpp"
 #include "gnn/param.hpp"
 #include "gnn/sage_layer.hpp"
 
 namespace moment::gnn {
-
-/// Polymorphic layer interface so models can mix layer types.
-class GnnLayer : public Module {
- public:
-  virtual Tensor forward(const Block& block, const Tensor& x_src) = 0;
-  /// Skips the input gradient (returns an empty tensor) when !input_grad.
-  virtual Tensor backward(const Block& block, const Tensor& grad_out,
-                          bool input_grad) = 0;
-  virtual std::size_t out_dim() const = 0;
-};
-
-class SageGnnLayer final : public GnnLayer {
- public:
-  SageGnnLayer(std::size_t in, std::size_t out, bool relu, util::Pcg32& rng)
-      : layer_(in, out, relu, rng) {}
-  Tensor forward(const Block& b, const Tensor& x) override {
-    return layer_.forward(b, x);
-  }
-  Tensor backward(const Block& b, const Tensor& g, bool input_grad) override {
-    return layer_.backward(b, g, input_grad);
-  }
-  std::vector<Param*> parameters() override { return layer_.parameters(); }
-  std::size_t out_dim() const override { return layer_.out_dim(); }
-
- private:
-  SageLayer layer_;
-};
-
-class GatGnnLayer final : public GnnLayer {
- public:
-  GatGnnLayer(std::size_t in, std::size_t heads, std::size_t head_dim,
-              bool elu, util::Pcg32& rng)
-      : layer_(in, heads, head_dim, elu, rng) {}
-  Tensor forward(const Block& b, const Tensor& x) override {
-    return layer_.forward(b, x);
-  }
-  Tensor backward(const Block& b, const Tensor& g, bool input_grad) override {
-    return layer_.backward(b, g, input_grad);
-  }
-  std::vector<Param*> parameters() override { return layer_.parameters(); }
-  std::size_t out_dim() const override { return layer_.out_dim(); }
-
- private:
-  GatLayer layer_;
-};
-
-class GcnGnnLayer final : public GnnLayer {
- public:
-  GcnGnnLayer(std::size_t in, std::size_t out, bool relu, util::Pcg32& rng)
-      : layer_(in, out, relu, rng) {}
-  Tensor forward(const Block& b, const Tensor& x) override {
-    return layer_.forward(b, x);
-  }
-  Tensor backward(const Block& b, const Tensor& g, bool input_grad) override {
-    return layer_.backward(b, g, input_grad);
-  }
-  std::vector<Param*> parameters() override { return layer_.parameters(); }
-  std::size_t out_dim() const override { return layer_.out_dim(); }
-
- private:
-  GcnLayer layer_;
-};
 
 enum class ModelKind { kGraphSage, kGat, kGcn };
 

@@ -15,7 +15,7 @@ SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
       w_neigh_("w_neigh", Tensor::glorot(in_dim, out_dim, rng)),
       bias_("bias", Tensor::zeros(1, out_dim)) {}
 
-Tensor SageLayer::forward(const Block& block, const Tensor& x_src) {
+const Tensor& SageLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
     throw std::invalid_argument("SageLayer::forward: x_src shape mismatch");
   }
@@ -28,12 +28,11 @@ Tensor SageLayer::forward(const Block& block, const Tensor& x_src) {
   saved_mean_ = Tensor(nd, in_dim_);
   kernels::aggregate_mean(cb, x_src.data(), in_dim_, saved_mean_.data());
 
-  Tensor out(nd, out_dim_);
-  matmul(saved_x_dst_, w_self_.value, out);
-  matmul(saved_mean_, w_neigh_.value, out, /*accumulate=*/true);
-  kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, out.data());
-  saved_out_ = out;
-  return out;
+  saved_out_ = Tensor(nd, out_dim_);
+  matmul(saved_x_dst_, w_self_.value, saved_out_);
+  matmul(saved_mean_, w_neigh_.value, saved_out_, /*accumulate=*/true);
+  kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, saved_out_.data());
+  return saved_out_;
 }
 
 Tensor SageLayer::backward(const Block& block, const Tensor& grad_out,

@@ -5,30 +5,25 @@
 
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
-#include "gnn/param.hpp"
+#include "gnn/layer.hpp"
 
 namespace moment::gnn {
 
-class SageLayer final : public Module {
+class SageLayer final : public GnnLayer {
  public:
   SageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
             util::Pcg32& rng);
 
-  /// x_src: (block.num_src() x in_dim). Returns (block.num_dst() x out_dim).
-  Tensor forward(const Block& block, const Tensor& x_src);
-
-  /// grad_out: gradient w.r.t. forward's return. Returns gradient w.r.t.
-  /// x_src (empty when !input_grad) and accumulates parameter gradients.
-  /// Must follow a forward() on the same block.
+  const Tensor& forward(const Block& block, const Tensor& x_src) override;
   Tensor backward(const Block& block, const Tensor& grad_out,
-                  bool input_grad = true);
+                  bool input_grad = true) override;
 
   std::vector<Param*> parameters() override {
     return {&w_self_, &w_neigh_, &bias_};
   }
 
   std::size_t in_dim() const noexcept { return in_dim_; }
-  std::size_t out_dim() const noexcept { return out_dim_; }
+  std::size_t out_dim() const noexcept override { return out_dim_; }
 
  private:
   std::size_t in_dim_, out_dim_;

@@ -181,12 +181,15 @@ void expect_bitwise(const std::vector<float>& ref,
 TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
   using kernels::detail::Body;
   // Ragged rows for both tile heights (m % 4 != 0; m % 8 in {5, 6, 7}),
-  // ragged columns (n % 16 != 0, including n < 16), inner dimensions past one
-  // kKcBlock (> 256), an empty inner dimension, and full tiles.
+  // ragged columns (n % 16 != 0, including n < 16), n a multiple of 8 but not
+  // of 16 (full tiles of the 8-wide portable body, tails of the 16-wide
+  // ones), inner dimensions past one kKcBlock (> 256), an empty inner
+  // dimension, and full tiles.
   const std::size_t shapes[][3] = {
       {1, 1, 1},    {3, 5, 2},    {17, 33, 29}, {65, 1, 129}, {33, 257, 7},
       {4, 256, 16}, {6, 300, 37}, {13, 520, 48}, {8, 0, 16},  {37, 70, 130},
-      {21, 40, 15}, {22, 9, 33},  {23, 260, 1}, {16, 64, 16}, {45, 31, 47}};
+      {21, 40, 15}, {22, 9, 33},  {23, 260, 1}, {16, 64, 16}, {45, 31, 47},
+      {9, 70, 24},  {5, 3, 8}};
   struct Case {
     Body body;
     const char* name;
