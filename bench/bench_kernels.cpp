@@ -10,8 +10,13 @@
 // gat_attention row times the all-head attention kernels (logits, forward,
 // backward) against the per-head reference (tests/gat_reference.hpp) at the
 // layer-0 block shape on one thread each, and checks every output bit for
-// bit. --smoke runs both bitwise checks at small shapes, every GEMM on every
-// tile body, and fails on any mismatch.
+// bit. The activation_tails rows time the ELU tails (bias_act forward and
+// bias_act_grad) at the GAT layer-0 output shape on one thread, once per
+// tile body, against the scalar loops they replaced (libm std::expm1 and a
+// branch per element), and check them bit for bit against the same loops
+// with the fdlibm expm1f port (tests/expm1f_reference.hpp). --smoke runs
+// every bitwise check at small shapes, every GEMM and tail on every tile
+// body, and fails on any mismatch.
 //
 // Every wall time is the median of kReps = 5 repeats on a warm cache. The
 // JSON's host block names the CPU, the tile body the public kernels use
@@ -38,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
@@ -137,10 +143,12 @@ double max_rel_diff(const std::vector<float>& ref,
 /// Repeats of every timed call; the reported time is their median.
 constexpr int kReps = 5;
 
-template <typename Fn>
-double time_median(Fn&& fn) {
+/// Median wall time of fn; setup runs untimed before every repeat.
+template <typename Fn, typename Setup = void (*)()>
+double time_median(Fn&& fn, Setup&& setup = [] {}) {
   std::vector<double> t(kReps);
   for (double& ti : t) {
+    setup();
     const double t0 = now_s();
     fn();
     ti = now_s() - t0;
@@ -331,6 +339,115 @@ bool gemm_bitwise(Body body, std::size_t m, std::size_t k, std::size_t n,
   return ok & same(ref, got);
 }
 
+// ---- ELU tails -------------------------------------------------------------
+
+// The scalar ELU loops bias_act and bias_act_grad ran before the vector
+// tails, verbatim; `expm1` is std::expm1 for the timed baseline and the
+// fdlibm port for the bitwise oracle.
+template <float (*Expm1)(float)>
+void scalar_elu(std::size_t rows, std::size_t cols, const float* bias,
+                float* x) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* __restrict row = x + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!(row[c] > 0.0f)) row[c] = Expm1(row[c]);
+    }
+  }
+}
+
+float libm_expm1(float x) { return std::expm1(x); }
+
+void scalar_elu_grad(std::size_t rows, std::size_t cols,
+                     const float* grad_out, const float* out, float* grad,
+                     float* grad_bias) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* __restrict go = grad_out + r * cols;
+    const float* __restrict y = out + r * cols;
+    float* __restrict gr = grad + r * cols;
+    float* __restrict gb = grad_bias;
+    for (std::size_t c = 0; c < cols; ++c) {
+      gr[c] = go[c] * (y[c] > 0.0f ? 1.0f : y[c] + 1.0f);
+    }
+    for (std::size_t c = 0; c < cols; ++c) gb[c] += gr[c];
+  }
+}
+
+struct TailRow {
+  const char* body;
+  const char* name;
+  std::size_t rows, cols;
+  double scalar_s, kernel_s;
+  bool bitwise;
+};
+
+/// ELU forward and gradient on every tile body, one thread, against the
+/// scalar loops: inputs uniform in [lo, hi) so every expm1 reduction runs.
+/// Times are medians of kReps when `timed`; the forward is restored from
+/// its input, untimed, before every repeat.
+std::vector<TailRow> run_activation_tails(std::size_t rows, std::size_t cols,
+                                          float lo, float hi, bool timed,
+                                          moment::util::Pcg32& rng) {
+  const std::size_t threads = moment::util::compute_pool_threads();
+  moment::util::set_compute_pool_threads(1);
+  const std::size_t n = rows * cols;
+  std::vector<float> pre(n), bias = random_matrix(1, cols, rng);
+  for (float& v : pre) v = static_cast<float>(rng.next_double(lo, hi));
+  const auto grad_out = random_matrix(rows, cols, rng);
+  const auto grad_bias0 = random_matrix(1, cols, rng);
+
+  std::vector<float> ref = pre;
+  scalar_elu<moment::gnn::reference::expm1f_nonpos>(rows, cols, bias.data(),
+                                                    ref.data());
+  std::vector<float> ref_grad(n), ref_gb = grad_bias0;
+  scalar_elu_grad(rows, cols, grad_out.data(), ref.data(), ref_grad.data(),
+                  ref_gb.data());
+  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  std::vector<float> x(n), grad(n), gb(cols);
+  auto restore = [&] { x = pre; };
+  double scalar_fwd_s = 0.0, scalar_grad_s = 0.0;
+  if (timed) {
+    scalar_fwd_s = time_median(
+        [&] { scalar_elu<libm_expm1>(rows, cols, bias.data(), x.data()); },
+        restore);
+    scalar_grad_s = time_median([&] {
+      scalar_elu_grad(rows, cols, grad_out.data(), ref.data(), grad.data(),
+                      gb.data());
+    });
+  }
+  std::vector<TailRow> out;
+  for (const BodyCase& bc : supported_bodies()) {
+    auto forward = [&] {
+      kernels::detail::bias_act(bc.body, rows, cols, bias.data(),
+                                kernels::Activation::kElu, x.data());
+    };
+    auto backward = [&] {
+      kernels::detail::bias_act_grad(bc.body, rows, cols, grad_out.data(),
+                                     ref.data(), kernels::Activation::kElu,
+                                     grad.data(), gb.data());
+    };
+    restore();
+    forward();
+    gb = grad_bias0;
+    backward();
+    TailRow f{bc.name, "elu_forward", rows, cols, scalar_fwd_s, 0.0,
+              same(ref, x)};
+    TailRow g{bc.name, "elu_grad", rows, cols, scalar_grad_s, 0.0,
+              same(ref_grad, grad) && same(ref_gb, gb)};
+    if (timed) {
+      f.kernel_s = time_median(forward, restore);
+      g.kernel_s = time_median(backward);
+    }
+    out.push_back(f);
+    out.push_back(g);
+  }
+  moment::util::set_compute_pool_threads(threads);
+  return out;
+}
+
 int run_smoke() {
   moment::util::Pcg32 rng(42);
   bool pass = true;
@@ -366,6 +483,14 @@ int run_smoke() {
     std::printf("%s gat_attention heads %zu x %zu: %s\n",
                 r.bitwise ? "ok  " : "FAIL", r.heads, r.head_dim,
                 r.bitwise ? "bitwise" : "BITWISE MISMATCH vs per-head");
+    pass &= r.bitwise;
+  }
+  // 37 x 33: column tails on every body; [-20, 4) reaches the -1 clamp.
+  for (const TailRow& r : run_activation_tails(37, 33, -20.0f, 4.0f, false,
+                                               rng)) {
+    std::printf("%s %s %s body: %s\n", r.bitwise ? "ok  " : "FAIL", r.name,
+                r.body,
+                r.bitwise ? "bitwise" : "BITWISE MISMATCH vs scalar fdlibm");
     pass &= r.bitwise;
   }
   std::printf("smoke: %s\n", pass ? "PASS" : "FAIL");
@@ -494,6 +619,19 @@ int run_full(std::size_t threads, const std::string& out_path) {
               att.bitwise ? "bitwise ok" : "BITWISE MISMATCH");
   pass &= att.bitwise;
 
+  // GAT layer-0 output: 1,238 dst rows of 8 heads x 64.
+  std::printf("\nactivation_tails (ELU), each tile body, 1 thread:\n");
+  const std::vector<TailRow> tails =
+      run_activation_tails(1238, 512, -3.0f, 3.0f, true, rng);
+  for (const TailRow& r : tails) {
+    std::printf("  %-8s %-11s %zu x %zu  scalar %6.2f ms  kernel %6.2f ms  "
+                "speedup %5.2fx  %s\n",
+                r.body, r.name, r.rows, r.cols, r.scalar_s * 1e3,
+                r.kernel_s * 1e3, r.scalar_s / r.kernel_s,
+                r.bitwise ? "bitwise ok" : "BITWISE MISMATCH");
+    pass &= r.bitwise;
+  }
+
   const std::size_t nd = 10000, ns = 30000, ne = 200000, dim = 256;
   const Block block = make_block(nd, ns, ne, rng);
   const CompiledBlock cb = moment::gnn::compile_block(block);
@@ -560,6 +698,19 @@ int run_full(std::size_t threads, const std::string& out_path) {
                att.reference_s, att_kernel_s, att.logits_s, att.forward_s,
                att.backward_s, att.reference_s / att_kernel_s,
                att.bitwise ? "true" : "false");
+  std::fprintf(f, "  \"activation_tails\": [\n");
+  for (std::size_t i = 0; i < tails.size(); ++i) {
+    const TailRow& r = tails[i];
+    std::fprintf(f,
+                 "    {\"body\": \"%s\", \"kernel\": \"%s\", "
+                 "\"rows\": %zu, \"cols\": %zu, \"threads\": 1, "
+                 "\"scalar_s\": %.6f, \"kernel_s\": %.6f, "
+                 "\"speedup\": %.3f, \"bitwise\": %s}%s\n",
+                 r.body, r.name, r.rows, r.cols, r.scalar_s, r.kernel_s,
+                 r.scalar_s / r.kernel_s, r.bitwise ? "true" : "false",
+                 i + 1 < tails.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"aggregate_mean\": {\"num_dst\": %zu, "
                "\"num_edges\": %zu, \"num_src\": %zu, \"dim\": %zu, "

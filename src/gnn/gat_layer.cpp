@@ -28,7 +28,7 @@ const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
 
   // z = x W with W's columns permuted head-minor, so z comes out head-minor
   // with the same bits per element.
-  saved_x_src_ = x_src;
+  saved_x_src_ = &x_src;
   Tensor w_minor(in_dim_, od);
   kernels::heads_to_minor(in_dim_, num_heads_, head_dim_, w_.value.data(),
                           w_minor.data());
@@ -79,7 +79,7 @@ Tensor GatLayer::backward(const Block& block, const Tensor& grad_out,
   Tensor grad_w(in_dim_, od);
   kernels::heads_to_minor(in_dim_, num_heads_, head_dim_, w_.grad.data(),
                           grad_w.data());
-  matmul_at(saved_x_src_, grad_z, grad_w, /*accumulate=*/true);
+  matmul_at(*saved_x_src_, grad_z, grad_w, /*accumulate=*/true);
   kernels::heads_to_major(in_dim_, num_heads_, head_dim_, grad_w.data(),
                           w_.grad.data());
   if (!input_grad) return {};

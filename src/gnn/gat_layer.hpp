@@ -47,7 +47,7 @@ class GatLayer final : public GnnLayer {
   // Saved state for backward. Per-edge state is indexed by the CSR edge id of
   // block.compiled() (head-minor: edge * num_heads + head) — the per-dst
   // adjacency comes from the shared CompiledBlock, not a layer-local copy.
-  Tensor saved_x_src_;
+  const Tensor* saved_x_src_ = nullptr;  // forward's input, read in place
   Tensor saved_z_;    // (num_src x heads*head_dim), head-minor columns
   Tensor saved_out_;  // post-activation output (num_dst x heads*head_dim)
   std::vector<float> saved_alpha_;   // per (CSR edge, head)

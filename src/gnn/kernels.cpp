@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -41,12 +42,6 @@ using TileFn = void (*)(std::size_t rows, std::size_t cols, std::size_t depth,
                         const float* a, std::size_t sr, std::size_t sp,
                         const float* b, std::size_t ldb, float* c,
                         std::size_t ldc, bool load_c);
-
-// A tile function with the shape gemm_rows steps by.
-struct TileKernel {
-  TileFn fn;
-  std::size_t rows, cols;
-};
 
 // Any tile shape, one element at a time: every body's column tails.
 void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
@@ -102,6 +97,198 @@ template <typename V, std::size_t N, std::size_t R>
   }
 }
 
+// ---- Elementwise tails, one vector V at a time ------------------------------
+// Like tile_rows, every template here is always_inline, so each body below
+// compiles it for its own ISA.
+
+// fdlibm's s_expm1f.c constants, by their bits.
+constexpr float kLn2Hi = std::bit_cast<float>(0x3f317180u);
+constexpr float kLn2Lo = std::bit_cast<float>(0x3717f7d1u);
+constexpr float kInvLn2 = std::bit_cast<float>(0x3fb8aa3bu);
+constexpr float kQ1 = std::bit_cast<float>(0xbd088889u);
+constexpr float kQ2 = std::bit_cast<float>(0x3ad00d01u);
+constexpr float kQ3 = std::bit_cast<float>(0xb8a670cdu);
+constexpr float kQ4 = std::bit_cast<float>(0x36867e54u);
+constexpr float kQ5 = std::bit_cast<float>(0xb457edbbu);
+
+// expm1 of every lane with x <= 0 (or NaN): fdlibm's s_expm1f.c (glibc's
+// expm1f) with its branches turned into selects. The k = 0, k = -1 and
+// k <= -2 reductions are one reduction with t = k, which rounds the same:
+// t * ln2_hi and t * ln2_lo are exact for t in {0, -1}. Every step is one
+// rounded +, -, * or / (the TU is built -ffp-contract=off), so each lane
+// has the bits of the scalar routine. Lanes with x > 0 get garbage. (V
+// goes by reference here and below: a 32- or 64-byte vector passed by value
+// draws GCC's -Wpsabi note even where the function is always inlined.)
+template <typename V>
+[[gnu::always_inline]] inline void expm1_nonpos(const V& x, V& out) {
+  using VI = decltype(x > x);  // int32 lanes
+  const V one = V{} + 1.0f;
+  const VI hx = __builtin_bit_cast(VI, x) & 0x7fffffff;
+  const VI big = hx >= 0x4195b844;  // |x| >= 27 ln2, inf and NaN too
+  const V xs = big ? V{} : x;       // keeps the int conversion in range
+  VI k = __builtin_convertvector(kInvLn2 * xs - 0.5f, VI);
+  k = hx > 0x3eb17218 ? (hx < 0x3f851592 ? VI{} - 1 : k) : VI{};
+  const V t = __builtin_convertvector(k, V);
+  const V hi = xs - t * kLn2Hi, lo = t * kLn2Lo;
+  const V r = hi - lo;  // in the primary range
+  const V c = (hi - r) - lo;
+  const V hfx = 0.5f * r, hxs = r * hfx;
+  const V r1 =
+      one + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const V u = 3.0f - r1 * hfx;
+  V e = hxs * ((r1 - u) / (6.0f - r * u));
+  const V k0 = r - (r * e - hxs);
+  e = r * (e - c) - c;
+  e = e - hxs;
+  const V km1 = 0.5f * (r - e) - 0.5f;
+  // k <= -2: 2^k (1 - (e - r)) - 1, adding k to the exponent's bits.
+  const V y = 1.0f - (e - r);
+  const V kn =
+      __builtin_bit_cast(V, __builtin_bit_cast(VI, y) + k * 0x800000) - one;
+  out = k == 0 ? k0 : k == -1 ? km1 : kn;
+  out = hx < 0x33000000 ? x : out;  // |x| < 2^-25
+  out = big ? V{} - one : out;
+  out = hx > 0x7f800000 ? x + x : out;
+}
+
+// v = act(v).
+template <Activation A, typename V>
+[[gnu::always_inline]] inline void activate(V& v) {
+  if constexpr (A == Activation::kRelu) {
+    v = v > V{} ? v : V{};
+  } else if constexpr (A == Activation::kElu) {
+    V e;
+    expm1_nonpos(v, e);
+    v = v > V{} ? v : e;
+  }
+}
+
+// g = g * act'(y), y being the activation's output.
+template <Activation A, typename V>
+[[gnu::always_inline]] inline void activate_grad(V& g, const V& y) {
+  if constexpr (A == Activation::kRelu) {
+    g = y > V{} ? g : V{};
+  } else if constexpr (A == Activation::kElu) {
+    const V one = V{} + 1.0f;
+    g = g * (y > V{} ? one : y + one);
+  }
+}
+
+// x = act(x + bias) for one vector.
+template <Activation A, typename V>
+[[gnu::always_inline]] inline void act_step(const float* bias, float* x) {
+  V v, b;
+  std::memcpy(&v, x, sizeof(V));
+  std::memcpy(&b, bias, sizeof(V));
+  v = v + b;
+  activate<A>(v);
+  std::memcpy(x, &v, sizeof(V));
+}
+
+// grad = act'(...) for one vector, then grad_bias += grad.
+template <Activation A, typename V>
+[[gnu::always_inline]] inline void act_grad_step(const float* go,
+                                                 const float* y, float* grad,
+                                                 float* grad_bias) {
+  V g, o, b;
+  std::memcpy(&g, go, sizeof(V));
+  std::memcpy(&o, y, sizeof(V));
+  std::memcpy(&b, grad_bias, sizeof(V));
+  activate_grad<A>(g, o);
+  b = b + g;
+  std::memcpy(grad, &g, sizeof(V));
+  std::memcpy(grad_bias, &b, sizeof(V));
+}
+
+// bias_act over rows [r0, r1). A column tail shorter than V runs act_step
+// on zero-padded copies.
+template <Activation A, typename V>
+[[gnu::always_inline]] inline void act_rows(std::size_t r0, std::size_t r1,
+                                            std::size_t cols,
+                                            const float* bias, float* x) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  const std::size_t full = cols - cols % kLanes, n = cols - full;
+  float bias_tail[kLanes] = {};
+  std::memcpy(bias_tail, bias + full, n * sizeof(float));
+  for (std::size_t r = r0; r < r1; ++r) {
+    float* row = x + r * cols;
+    for (std::size_t c = 0; c < full; c += kLanes) {
+      act_step<A, V>(bias + c, row + c);
+    }
+    if (n == 0) continue;
+    float pad[kLanes] = {};
+    std::memcpy(pad, row + full, n * sizeof(float));
+    act_step<A, V>(bias_tail, pad);
+    std::memcpy(row + full, pad, n * sizeof(float));
+  }
+}
+
+// bias_act_grad over columns [c0, c1) of every row, rows ascending. A
+// column tail shorter than V runs act_grad_step on zero-padded copies.
+template <Activation A, typename V>
+[[gnu::always_inline]] inline void act_grad_cols(
+    std::size_t rows, std::size_t cols, std::size_t c0, std::size_t c1,
+    const float* grad_out, const float* out, float* grad, float* grad_bias) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  const std::size_t full = c1 - (c1 - c0) % kLanes, n = c1 - full;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t at = r * cols;
+    for (std::size_t c = c0; c < full; c += kLanes) {
+      act_grad_step<A, V>(grad_out + at + c, out + at + c, grad + at + c,
+                          grad_bias + c);
+    }
+    if (n == 0) continue;
+    float go[kLanes] = {}, y[kLanes] = {}, g[kLanes], gb[kLanes] = {};
+    std::memcpy(go, grad_out + at + full, n * sizeof(float));
+    std::memcpy(y, out + at + full, n * sizeof(float));
+    std::memcpy(gb, grad_bias + full, n * sizeof(float));
+    act_grad_step<A, V>(go, y, g, gb);
+    std::memcpy(grad + at + full, g, n * sizeof(float));
+    std::memcpy(grad_bias + full, gb, n * sizeof(float));
+  }
+}
+
+// The tails with the activation picked once per call.
+template <typename V>
+[[gnu::always_inline]] inline void act_rows(std::size_t r0, std::size_t r1,
+                                            std::size_t cols,
+                                            const float* bias, Activation act,
+                                            float* x) {
+  switch (act) {
+    case Activation::kNone:
+      return act_rows<Activation::kNone, V>(r0, r1, cols, bias, x);
+    case Activation::kRelu:
+      return act_rows<Activation::kRelu, V>(r0, r1, cols, bias, x);
+    case Activation::kElu:
+      return act_rows<Activation::kElu, V>(r0, r1, cols, bias, x);
+  }
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void act_grad_cols(
+    std::size_t rows, std::size_t cols, std::size_t c0, std::size_t c1,
+    const float* grad_out, const float* out, Activation act, float* grad,
+    float* grad_bias) {
+  switch (act) {
+    case Activation::kNone:
+      return act_grad_cols<Activation::kNone, V>(rows, cols, c0, c1, grad_out,
+                                                 out, grad, grad_bias);
+    case Activation::kRelu:
+      return act_grad_cols<Activation::kRelu, V>(rows, cols, c0, c1, grad_out,
+                                                 out, grad, grad_bias);
+    case Activation::kElu:
+      return act_grad_cols<Activation::kElu, V>(rows, cols, c0, c1, grad_out,
+                                                out, grad, grad_bias);
+  }
+}
+
+using ActFn = void (*)(std::size_t r0, std::size_t r1, std::size_t cols,
+                       const float* bias, Activation act, float* x);
+using ActGradFn = void (*)(std::size_t rows, std::size_t cols, std::size_t c0,
+                           std::size_t c1, const float* grad_out,
+                           const float* out, Activation act, float* grad,
+                           float* grad_bias);
+
 // Portable body: 4 lanes (SSE2, NEON, or scalar code where there is
 // neither), 4 x 8, so the 8 accumulators and 2 B vectors fit in 16 registers.
 struct PortableBody {
@@ -111,6 +298,17 @@ struct PortableBody {
                    std::size_t sp, const float* b, std::size_t ldb, float* c,
                    std::size_t ldc, bool load_c) {
     tile_rows<V4, 2, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+  }
+  static void act(std::size_t r0, std::size_t r1, std::size_t cols,
+                  const float* bias, Activation act, float* x) {
+    act_rows<V4>(r0, r1, cols, bias, act, x);
+  }
+  static void act_grad(std::size_t rows, std::size_t cols, std::size_t c0,
+                       std::size_t c1, const float* grad_out,
+                       const float* out, Activation act, float* grad,
+                       float* grad_bias) {
+    act_grad_cols<V4>(rows, cols, c0, c1, grad_out, out, act, grad,
+                      grad_bias);
   }
 };
 
@@ -125,6 +323,20 @@ struct Avx2Body {
       bool load_c) {
     tile_rows<V8, 2, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
   }
+  __attribute__((target("avx2"))) static void act(std::size_t r0,
+                                                  std::size_t r1,
+                                                  std::size_t cols,
+                                                  const float* bias,
+                                                  Activation act, float* x) {
+    act_rows<V8>(r0, r1, cols, bias, act, x);
+  }
+  __attribute__((target("avx2"))) static void act_grad(
+      std::size_t rows, std::size_t cols, std::size_t c0, std::size_t c1,
+      const float* grad_out, const float* out, Activation act, float* grad,
+      float* grad_bias) {
+    act_grad_cols<V8>(rows, cols, c0, c1, grad_out, out, act, grad,
+                      grad_bias);
+  }
 };
 
 // AVX-512 body: 16 lanes, 8 x 16, so 8 accumulators and one B vector use 9
@@ -137,6 +349,21 @@ struct Avx512Body {
       const float* b, std::size_t ldb, float* c, std::size_t ldc,
       bool load_c) {
     tile_rows<V16, 1, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+  }
+  __attribute__((target("avx512f"))) static void act(std::size_t r0,
+                                                     std::size_t r1,
+                                                     std::size_t cols,
+                                                     const float* bias,
+                                                     Activation act,
+                                                     float* x) {
+    act_rows<V16>(r0, r1, cols, bias, act, x);
+  }
+  __attribute__((target("avx512f"))) static void act_grad(
+      std::size_t rows, std::size_t cols, std::size_t c0, std::size_t c1,
+      const float* grad_out, const float* out, Activation act, float* grad,
+      float* grad_bias) {
+    act_grad_cols<V16>(rows, cols, c0, c1, grad_out, out, act, grad,
+                       grad_bias);
   }
 };
 #endif
@@ -160,21 +387,30 @@ void tile(std::size_t rows, std::size_t cols, std::size_t depth,
   by_rows[rows - 1](depth, a, sr, sp, b, ldb, c, ldc, load_c);
 }
 
+// One body's kernels: its GEMM tile, with the shape gemm_rows steps by, and
+// its elementwise tails.
+struct BodyKernels {
+  TileFn tile;
+  std::size_t rows, cols;
+  ActFn act;
+  ActGradFn act_grad;
+};
+
 template <typename Body>
-constexpr TileKernel kernel_of() {
-  return {tile<Body>, Body::kRows, Body::kCols};
+constexpr BodyKernels kernels_of() {
+  return {tile<Body>, Body::kRows, Body::kCols, Body::act, Body::act_grad};
 }
 
-TileKernel tile_for([[maybe_unused]] detail::Body body) {
+BodyKernels kernels_for([[maybe_unused]] detail::Body body) {
 #ifdef MOMENT_KERNELS_X86
   if (body == detail::Body::kAvx512 && detail::avx512_supported()) {
-    return kernel_of<Avx512Body>();
+    return kernels_of<Avx512Body>();
   }
   if (body != detail::Body::kPortable && detail::avx2_supported()) {
-    return kernel_of<Avx2Body>();
+    return kernels_of<Avx2Body>();
   }
 #endif
-  return kernel_of<PortableBody>();
+  return kernels_of<PortableBody>();
 }
 
 // C rows [r0, r1) (row-major, n wide) of A (rows x inner, strides sr/sp) @
@@ -182,7 +418,7 @@ TileKernel tile_for([[maybe_unused]] detail::Body body) {
 // panel stays cache-resident across the row tiles; C round-trips through
 // memory between blocks, which is exact, so every element is still
 // c = c + a*b in ascending inner index, whatever the tiling or threading.
-void gemm_rows(const TileKernel& tile, std::size_t r0, std::size_t r1,
+void gemm_rows(const BodyKernels& k, std::size_t r0, std::size_t r1,
                std::size_t inner, std::size_t n, const float* a,
                std::size_t sr, std::size_t sp, const float* b, float* c,
                bool accumulate) {
@@ -192,11 +428,11 @@ void gemm_rows(const TileKernel& tile, std::size_t r0, std::size_t r1,
   for (std::size_t p0 = 0; p0 < inner; p0 += kKcBlock) {
     const std::size_t depth = std::min(kKcBlock, inner - p0);
     const bool load_c = accumulate || p0 > 0;
-    for (std::size_t r = r0; r < r1; r += tile.rows) {
-      const std::size_t rows = std::min(tile.rows, r1 - r);
-      for (std::size_t j = 0; j < n; j += tile.cols) {
-        tile.fn(rows, std::min(tile.cols, n - j), depth, a + r * sr + p0 * sp,
-                sr, sp, b + p0 * n + j, n, c + r * n + j, n, load_c);
+    for (std::size_t r = r0; r < r1; r += k.rows) {
+      const std::size_t rows = std::min(k.rows, r1 - r);
+      for (std::size_t j = 0; j < n; j += k.cols) {
+        k.tile(rows, std::min(k.cols, n - j), depth, a + r * sr + p0 * sp, sr,
+               sp, b + p0 * n + j, n, c + r * n + j, n, load_c);
       }
     }
   }
@@ -239,10 +475,10 @@ bool avx512_supported() {
 
 void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
           const float* a, const float* b, float* c, bool accumulate) {
-  const TileKernel tile = tile_for(body);
+  const BodyKernels kern = kernels_for(body);
   util::parallel_for(util::compute_pool(), 0, m, kRowGrain,
                      [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(tile, r0, r1, k, n, a, k, 1, b, c,
+                       gemm_rows(kern, r0, r1, k, n, a, k, 1, b, c,
                                  accumulate);
                      });
 }
@@ -263,11 +499,36 @@ void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
              const float* a, const float* b, float* c, bool accumulate) {
   // Output is k x n: parallelise over the k rows of c (columns of a), reading
   // a transposed: A(r, i) = a[i*k + r].
-  const TileKernel tile = tile_for(body);
+  const BodyKernels kern = kernels_for(body);
   util::parallel_for(util::compute_pool(), 0, k, kRowGrain,
                      [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(tile, r0, r1, m, n, a, 1, k, b, c,
+                       gemm_rows(kern, r0, r1, m, n, a, 1, k, b, c,
                                  accumulate);
+                     });
+}
+
+void bias_act(Body body, std::size_t rows, std::size_t cols,
+              const float* bias, Activation act, float* x) {
+  const ActFn fn = kernels_for(body).act;
+  util::parallel_for(util::compute_pool(), 0, rows, kRowGrain,
+                     [&](std::size_t r0, std::size_t r1) {
+                       fn(r0, r1, cols, bias, act, x);
+                     });
+}
+
+void bias_act_grad(Body body, std::size_t rows, std::size_t cols,
+                   const float* grad_out, const float* out, Activation act,
+                   float* grad, float* grad_bias) {
+  // Every grad_bias element sums over rows in ascending order, so tasks split
+  // the columns instead, in blocks of the widest vector.
+  constexpr std::size_t kColBlock = 16;
+  const ActGradFn fn = kernels_for(body).act_grad;
+  util::parallel_for(util::compute_pool(), 0,
+                     (cols + kColBlock - 1) / kColBlock, 4,
+                     [&](std::size_t b0, std::size_t b1) {
+                       fn(rows, cols, b0 * kColBlock,
+                          std::min(cols, b1 * kColBlock), grad_out, out, act,
+                          grad, grad_bias);
                      });
 }
 
@@ -813,42 +1074,14 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
 
 void bias_act(std::size_t rows, std::size_t cols, const float* bias,
               Activation act, float* x) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* __restrict row = x + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
-    if (act == Activation::kRelu) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (!(row[c] > 0.0f)) row[c] = 0.0f;
-      }
-    } else if (act == Activation::kElu) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        if (!(row[c] > 0.0f)) row[c] = std::expm1(row[c]);
-      }
-    }
-  }
+  detail::bias_act(active_body(), rows, cols, bias, act, x);
 }
 
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
                    const float* out, Activation act, float* grad,
                    float* grad_bias) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* __restrict go = grad_out + r * cols;
-    const float* __restrict y = out + r * cols;
-    float* __restrict gr = grad + r * cols;
-    float* __restrict gb = grad_bias;
-    if (act == Activation::kRelu) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        gr[c] = y[c] > 0.0f ? go[c] : 0.0f;
-      }
-    } else if (act == Activation::kElu) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        gr[c] = go[c] * (y[c] > 0.0f ? 1.0f : y[c] + 1.0f);
-      }
-    } else {
-      for (std::size_t c = 0; c < cols; ++c) gr[c] = go[c];
-    }
-    for (std::size_t c = 0; c < cols; ++c) gb[c] += gr[c];
-  }
+  detail::bias_act_grad(active_body(), rows, cols, grad_out, out, act, grad,
+                        grad_bias);
 }
 
 void gather_rows(const int* index, std::size_t rows, const float* x,

@@ -153,22 +153,38 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
                             float* grad_attn_r);
 
 // ---- Elementwise tails ----------------------------------------------------
+// Branch-free loops over the tile body's vectors (same body as the GEMMs).
+// Every element is computed on its own, so results do not depend on the
+// body, the vector width or the thread count. ELU's expm1 is computed in
+// this library, not by the host libm: it is fdlibm's expm1f (the routine
+// glibc ships) written with selects, with the same bits.
 
 /// A layer's activation: identity, ReLU or ELU.
 enum class Activation { kNone, kRelu, kElu };
 
-/// x[r] = act(x[r] + bias) in place. Where the sum is not > 0, ReLU writes 0
-/// and ELU std::expm1 of it.
+/// x[r] = act(x[r] + bias) in place, parallel over rows. Where the sum is not
+/// > 0 (NaN included), ReLU writes +0 and ELU expm1 of it, bit for bit
+/// fdlibm's expm1f.
 void bias_act(std::size_t rows, std::size_t cols, const float* bias,
               Activation act, float* x);
 
-/// grad = grad_out * act'(out), out being the post-activation output, and
-/// grad_bias[c] += grad[r][c], rows ascending. ReLU selects (out > 0 ?
-/// grad_out : 0) rather than multiplies, so a masked gradient is +0 whatever
-/// grad_out's sign.
+/// grad = grad_out * act'(out), out being the post-activation output (ELU':
+/// out + 1 where out is not > 0), and grad_bias[c] += grad[r][c], rows
+/// ascending; tasks split the columns. ReLU selects (out > 0 ? grad_out : 0)
+/// rather than multiplies, so a masked gradient is +0 whatever grad_out's
+/// sign.
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
                    const float* out, Activation act, float* grad,
                    float* grad_bias);
+
+namespace detail {
+/// The tails above on a named body, like the detail GEMMs.
+void bias_act(Body body, std::size_t rows, std::size_t cols,
+              const float* bias, Activation act, float* x);
+void bias_act_grad(Body body, std::size_t rows, std::size_t cols,
+                   const float* grad_out, const float* out, Activation act,
+                   float* grad, float* grad_bias);
+}  // namespace detail
 
 // ---- Row gather -----------------------------------------------------------
 

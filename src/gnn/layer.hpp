@@ -9,7 +9,9 @@ namespace moment::gnn {
 class GnnLayer : public Module {
  public:
   /// x_src: (block.num_src() x in_dim). Returns (block.num_dst() x out_dim),
-  /// held by the layer (backward reads it) until the next forward.
+  /// held by the layer (backward reads it) until the next forward. A layer
+  /// may keep a reference to x_src instead of a copy, so x_src must outlive
+  /// the matching backward.
   virtual const Tensor& forward(const Block& block, const Tensor& x_src) = 0;
   /// grad_out: gradient w.r.t. forward's return. Returns the gradient w.r.t.
   /// x_src (empty when !input_grad) and accumulates parameter gradients.

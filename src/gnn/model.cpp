@@ -70,26 +70,23 @@ Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::forward: block/layer mismatch");
   }
-  // Layer 0 reads x0 in place; h holds the later layers' inputs. Each layer
-  // keeps its own output, so only the rows the next block needs are copied.
-  Tensor h;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Tensor& out = layers_[l]->forward(blocks[l], l == 0 ? x0 : h);
-    if (l + 1 < layers_.size()) {
-      // Gather the next block's src rows out of this block's dst rows.
-      Tensor gathered(blocks[l + 1].num_src(), out.cols());
-      for_each_chained_row(blocks[l], blocks[l + 1],
-                           [&](std::size_t i, std::size_t row) {
-                             std::copy(out.row(row).begin(),
-                                       out.row(row).end(),
-                                       gathered.row(i).begin());
-                           });
-      h = std::move(gathered);
-    } else {
-      h = out;
-    }
+  // Layer 0 reads x0 in place; inputs_ holds the later layers' inputs until
+  // backward. Each layer keeps its own output, so only the rows the next
+  // block needs are copied.
+  inputs_.resize(layers_.size());
+  for (std::size_t l = 0;; ++l) {
+    const Tensor& out =
+        layers_[l]->forward(blocks[l], l == 0 ? x0 : inputs_[l]);
+    if (l + 1 == layers_.size()) return out;
+    // Gather the next block's src rows out of this block's dst rows.
+    Tensor gathered(blocks[l + 1].num_src(), out.cols());
+    for_each_chained_row(blocks[l], blocks[l + 1],
+                         [&](std::size_t i, std::size_t row) {
+                           std::copy(out.row(row).begin(), out.row(row).end(),
+                                     gathered.row(i).begin());
+                         });
+    inputs_[l + 1] = std::move(gathered);
   }
-  return h;
 }
 
 void GnnModel::backward(std::span<const Block> blocks, const Tensor& grad_out) {

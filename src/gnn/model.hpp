@@ -33,7 +33,9 @@ class GnnModel final : public Module {
  public:
   explicit GnnModel(const ModelConfig& config);
 
-  /// blocks.size() must equal num_hops. x0: features of blocks[0].src_ids.
+  /// blocks.size() must equal num_hops. x0: features of blocks[0].src_ids;
+  /// layers may read it in backward, so it must outlive the matching
+  /// backward. The later layers' inputs are kept here until the next forward.
   Tensor forward(std::span<const Block> blocks, const Tensor& x0);
   /// grad w.r.t. forward's output; backpropagates and accumulates parameter
   /// grads. The first layer's input gradient is never computed.
@@ -48,6 +50,9 @@ class GnnModel final : public Module {
  private:
   ModelConfig config_;
   std::vector<std::unique_ptr<GnnLayer>> layers_;
+  // inputs_[l]: layer l's input gathered by the last forward (inputs_[0]
+  // stays empty: layer 0 reads x0).
+  std::vector<Tensor> inputs_;
 };
 
 /// One training step up to (not including) the optimizer update: forward,

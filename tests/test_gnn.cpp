@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
 #include "gnn/block.hpp"
 #include "gnn/features.hpp"
@@ -500,7 +501,7 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
                                    alpha.data(), pre.data());
   for (std::size_t i = 0; i < pre.size(); ++i) {
     const float v = pre.data()[i] + bias.value.data()[i % od];
-    pre.data()[i] = !elu || v > 0.0f ? v : std::expm1(v);
+    pre.data()[i] = !elu || v > 0.0f ? v : reference::expm1f_nonpos(v);
   }
 
   Tensor grad = grad_out;

@@ -1,18 +1,23 @@
 // Kernel-vs-naive equivalence for the gnn/kernels layer: the tiled GEMM
 // variants against reference triple loops on ragged shapes (within a
 // tolerance against double loops, and bit for bit against ascending float
-// loops for every tile body), CompiledBlock
-// structure, CSR aggregation against edge-list oracles, and bitwise
-// thread-count invariance of the row-partitioned parallel paths.
+// loops for every tile body), the bias + activation tails against scalar
+// loops bit for bit (ELU against the fdlibm expm1f port in
+// expm1f_reference.hpp) on every body, CompiledBlock structure, CSR
+// aggregation against edge-list oracles, and bitwise thread-count invariance
+// of the row-partitioned parallel paths.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "expm1f_reference.hpp"
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
 #include "util/rng.hpp"
@@ -178,8 +183,22 @@ void expect_bitwise(const std::vector<float>& ref,
   }
 }
 
+using kernels::detail::Body;
+
+struct BodyCase {
+  Body body;
+  const char* name;
+  bool supported;
+};
+
+/// Every tile body; a body the CPU lacks is reported as skipped.
+std::vector<BodyCase> body_cases() {
+  return {{Body::kPortable, "portable", true},
+          {Body::kAvx2, "avx2", kernels::detail::avx2_supported()},
+          {Body::kAvx512, "avx512", kernels::detail::avx512_supported()}};
+}
+
 TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
-  using kernels::detail::Body;
   // Ragged rows for both tile heights (m % 4 != 0; m % 8 in {5, 6, 7}),
   // ragged columns (n % 16 != 0, including n < 16), n a multiple of 8 but not
   // of 16 (full tiles of the 8-wide portable body, tails of the 16-wide
@@ -190,16 +209,7 @@ TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
       {4, 256, 16}, {6, 300, 37}, {13, 520, 48}, {8, 0, 16},  {37, 70, 130},
       {21, 40, 15}, {22, 9, 33},  {23, 260, 1}, {16, 64, 16}, {45, 31, 47},
       {9, 70, 24},  {5, 3, 8}};
-  struct Case {
-    Body body;
-    const char* name;
-    bool supported;
-  };
-  const Case cases[] = {
-      {Body::kPortable, "portable", true},
-      {Body::kAvx2, "avx2", kernels::detail::avx2_supported()},
-      {Body::kAvx512, "avx512", kernels::detail::avx512_supported()}};
-  for (const Case& cs : cases) {
+  for (const BodyCase& cs : body_cases()) {
     if (!cs.supported) {
       std::printf("[ SKIPPED  ] %s body: this CPU lacks it\n", cs.name);
       continue;
@@ -245,6 +255,179 @@ TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
   EXPECT_EQ(isa, kernels::detail::avx512_supported() ? "avx512"
                  : kernels::detail::avx2_supported() ? "avx2"
                                                      : "portable");
+}
+
+// The bias + activation tails as the scalar loops they replaced, with ELU's
+// expm1 from the scalar fdlibm port instead of the host libm.
+void scalar_bias_act(std::size_t rows, std::size_t cols, const float* bias,
+                     kernels::Activation act, float* x) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      float& v = x[r * cols + c];
+      v += bias[c];
+      if (act == kernels::Activation::kRelu && !(v > 0.0f)) v = 0.0f;
+      if (act == kernels::Activation::kElu && !(v > 0.0f)) {
+        v = moment::gnn::reference::expm1f_nonpos(v);
+      }
+    }
+  }
+}
+
+void scalar_bias_act_grad(std::size_t rows, std::size_t cols,
+                          const float* grad_out, const float* out,
+                          kernels::Activation act, float* grad,
+                          float* grad_bias) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t i = r * cols + c;
+      const float go = grad_out[i], y = out[i];
+      grad[i] = act == kernels::Activation::kRelu ? (y > 0.0f ? go : 0.0f)
+                : act == kernels::Activation::kElu
+                    ? go * (y > 0.0f ? 1.0f : y + 1.0f)
+                    : go;
+      grad_bias[c] += grad[i];
+    }
+  }
+}
+
+float from_bits(std::uint32_t w) { return std::bit_cast<float>(w); }
+
+/// A strided sweep of every float with the sign bit set (-0 to -NaN), a
+/// coarser one of the positive floats, the words fdlibm's expm1f branches
+/// on, each with its neighbours, in both signs (zeros, denormals, 2^-25,
+/// 0.5 ln2, 1.5 ln2, 27 ln2, the largest finite float, inf and NaNs), and
+/// inputs whose result changes when one multiply-add of the routine is fused
+/// into an FMA.
+std::vector<float> activation_inputs() {
+  std::vector<float> in;
+  for (std::uint64_t w = 0x80000000u; w <= 0xffffffffu; w += 4093) {
+    in.push_back(from_bits(static_cast<std::uint32_t>(w)));
+  }
+  for (std::uint64_t w = 0; w < 0x80000000u; w += 65521) {
+    in.push_back(from_bits(static_cast<std::uint32_t>(w)));
+  }
+  const std::uint32_t words[] = {0x00000000, 0x00000001, 0x007fffff,
+                                 0x00800000, 0x33000000, 0x3eb17218,
+                                 0x3f851592, 0x4195b844, 0x7f7fffff,
+                                 0x7f800000, 0x7f800001, 0x7fc00000,
+                                 0x7fffffff};
+  for (const std::uint32_t w : words) {
+    for (const std::uint32_t sign : {0u, 0x80000000u}) {
+      for (const std::uint32_t d : {0u, 1u, 2u}) {
+        if (w >= d) in.push_back(from_bits(sign | (w - d)));
+        in.push_back(from_bits(sign | (w + d)));
+      }
+    }
+  }
+  // Two witnesses each, from an exhaustive search over x <= 0, for fusing
+  // r1 = 1 + hxs*p (38 inputs change, none on the sweep), 3 - r1*hfx,
+  // 6 - x*t, x*e - hxs and x*(e - c) - c. Fusing any of the Q5..Q1 steps,
+  // the k estimate or the k = -1 result changes no input at all.
+  const std::uint32_t fma_witnesses[] = {
+      0xbe42562e, 0xbe4e5d98, 0xbcda972a, 0xbd08d0e7, 0xbc4638ae,
+      0xbc76698b, 0xbaffcc41, 0xbb408200, 0xbeb17dcd, 0xbeb19818};
+  for (const std::uint32_t w : fma_witnesses) in.push_back(from_bits(w));
+  return in;
+}
+
+/// expect_bitwise, except that where ref is a NaN any NaN will do: when two
+/// NaNs meet in a sum, IEEE 754 leaves open whose payload and sign survive,
+/// and the compiler may order the operands of a + either way.
+void expect_bitwise_any_nan(const std::vector<float>& ref,
+                            const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (std::isnan(ref[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " at index " << i;
+    } else {
+      ASSERT_EQ(std::memcmp(&ref[i], &got[i], sizeof(float)), 0)
+          << what << " first differs at index " << i << ": " << ref[i]
+          << " vs " << got[i];
+    }
+  }
+}
+
+const char* act_name(kernels::Activation act) {
+  return act == kernels::Activation::kRelu  ? "relu"
+         : act == kernels::Activation::kElu ? "elu"
+                                            : "none";
+}
+
+/// bias_act and bias_act_grad on every body against the scalar loops, bit for
+/// bit: x (rows x cols) is the input, the gradient is taken at the scalar
+/// output and adds into a copy of grad_bias.
+void expect_tails_match_scalar(std::size_t rows, std::size_t cols,
+                               const std::vector<float>& x,
+                               const std::vector<float>& bias,
+                               const std::vector<float>& grad_out,
+                               const std::vector<float>& grad_bias,
+                               kernels::Activation act) {
+  std::vector<float> ref = x;
+  scalar_bias_act(rows, cols, bias.data(), act, ref.data());
+  std::vector<float> ref_grad(x.size()), ref_gb = grad_bias;
+  scalar_bias_act_grad(rows, cols, grad_out.data(), ref.data(), act,
+                       ref_grad.data(), ref_gb.data());
+  for (const BodyCase& cs : body_cases()) {
+    if (!cs.supported) {
+      std::printf("[ SKIPPED  ] %s body: this CPU lacks it\n", cs.name);
+      continue;
+    }
+    SCOPED_TRACE(testing::Message() << cs.name << " body");
+    std::vector<float> got = x;
+    kernels::detail::bias_act(cs.body, rows, cols, bias.data(), act,
+                              got.data());
+    expect_bitwise(ref, got, "bias_act");
+    std::vector<float> grad(x.size()), gb = grad_bias;
+    kernels::detail::bias_act_grad(cs.body, rows, cols, grad_out.data(),
+                                   ref.data(), act, grad.data(), gb.data());
+    expect_bitwise(ref_grad, grad, "bias_act_grad grad");
+    // Each bias sums many rows, NaN ones among them.
+    expect_bitwise_any_nan(ref_gb, gb, "bias_act_grad grad_bias");
+  }
+}
+
+TEST(Kernels, ActivationTailsMatchScalarOracleBitwise) {
+  const std::vector<float> in = activation_inputs();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    moment::util::set_compute_pool_threads(threads);
+    moment::util::Pcg32 rng(19);
+    // Column counts below one vector, past one, and a whole number of them.
+    for (const std::size_t cols : {std::size_t{7}, std::size_t{33},
+                                   std::size_t{16}}) {
+      const std::size_t rows = (in.size() + cols - 1) / cols;
+      std::vector<float> x(rows * cols);
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] = in[i % in.size()];
+      const auto grad_out = random_matrix(rows, cols, rng);
+      const auto grad_bias = random_matrix(1, cols, rng);
+      // A -0 bias passes every input through the add unchanged; a random
+      // one exercises the add.
+      for (const bool zero_bias : {true, false}) {
+        const std::vector<float> bias =
+            zero_bias ? std::vector<float>(cols, -0.0f)
+                      : random_matrix(1, cols, rng);
+        for (const auto act :
+             {kernels::Activation::kNone, kernels::Activation::kRelu,
+              kernels::Activation::kElu}) {
+          SCOPED_TRACE(testing::Message()
+                       << act_name(act) << ", cols " << cols << ", "
+                       << (zero_bias ? "-0" : "random") << " bias, "
+                       << threads << " thread(s)");
+          expect_tails_match_scalar(rows, cols, x, bias, grad_out, grad_bias,
+                                    act);
+        }
+      }
+    }
+  }
+  moment::util::set_compute_pool_threads(0);
+
+  // ReLU's signed-zero rule: -0 and NaN come out +0, on the public entry
+  // point too.
+  const float bias[3] = {-0.0f, -0.0f, -0.0f};
+  float relu[3] = {-0.0f, std::bit_cast<float>(0xffc00000u), 2.0f};
+  kernels::bias_act(1, 3, bias, kernels::Activation::kRelu, relu);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(relu[0]), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(relu[1]), 0u);
+  EXPECT_EQ(relu[2], 2.0f);
 }
 
 TEST(CompiledBlockTest, StructureMatchesEdgeList) {
