@@ -20,7 +20,8 @@
 // CMakeLists.txt). The last flag is load-bearing: every GEMM output element is
 // c = c + a*b with the multiply and the add rounded separately, which is what
 // makes the portable, AVX2 and AVX-512 builds of the GEMM tile agree bit for
-// bit.
+// bit, and ELU's vector expm1 rounds every step on its own, as the scalar
+// fdlibm routine it reproduces does.
 
 namespace moment::gnn::kernels {
 
@@ -116,9 +117,10 @@ constexpr float kQ5 = std::bit_cast<float>(0xb457edbbu);
 // k <= -2 reductions are one reduction with t = k, which rounds the same:
 // t * ln2_hi and t * ln2_lo are exact for t in {0, -1}. Every step is one
 // rounded +, -, * or / (the TU is built -ffp-contract=off), so each lane
-// has the bits of the scalar routine. Lanes with x > 0 get garbage. (V
-// goes by reference here and below: a 32- or 64-byte vector passed by value
-// draws GCC's -Wpsabi note even where the function is always inlined.)
+// has the bits of the scalar routine. Lanes with x > 0 get values the
+// callers select away. (V goes by reference here and below: a 32- or 64-byte
+// vector passed by value draws GCC's -Wpsabi note even where the function is
+// always inlined.)
 template <typename V>
 [[gnu::always_inline]] inline void expm1_nonpos(const V& x, V& out) {
   using VI = decltype(x > x);  // int32 lanes

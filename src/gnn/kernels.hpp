@@ -4,7 +4,9 @@
 // All kernels are raw-pointer, row-major, and fan out over the process-wide
 // util::compute_pool() with *row-partitioned* parallelism: every output row
 // is produced start-to-finish by exactly one task, and the accumulation order
-// within a row is fixed by construction. Results are therefore bitwise
+// within a row is fixed by construction. Sums over rows (the bias and
+// attention-vector gradients) split the columns instead, and each element
+// still adds its rows in ascending order. Results are therefore bitwise
 // identical for any thread count (1..N), which is what keeps the engine's
 // depth-1 vs depth-2 trajectory-equality guarantees intact.
 //
