@@ -4,22 +4,26 @@
 // compile at the project-default optimisation level, so the reported speedups
 // are honest before/after numbers, not strawmen.
 //
-// The GAT layer-0 block times the three GEMMs at the shape GAT trains on, on
-// one thread, once per tile body this CPU has (portable, avx2, avx512), and
-// checks each bit for bit against an ascending-order float loop. The
-// gat_attention row times the all-head attention kernels (logits, forward,
-// backward) against the per-head reference (tests/gat_reference.hpp) at the
-// layer-0 block shape on one thread each, and checks every output bit for
-// bit. The activation_tails rows time the ELU tails (bias_act forward and
-// bias_act_grad) at the GAT layer-0 output shape on one thread, once per
-// tile body, against the scalar loops they replaced (libm std::expm1 and a
-// branch per element), and check them bit for bit against the same loops
-// with the fdlibm expm1f port (tests/expm1f_reference.hpp). --smoke runs
-// every bitwise check at small shapes, every GEMM and tail on every tile
-// body, and fails on any mismatch.
+// Every per-body row runs once per body this CPU has (portable, avx2,
+// avx512), pinned with kernels::detail::ScopedBody. The GAT layer-0 rows
+// time the three GEMMs at the shape GAT trains on, on one thread, and check
+// each bit for bit against an ascending-order float loop. The gat_attention
+// rows time the all-head attention kernels (logits, forward, backward)
+// against the per-head reference (tests/gat_reference.hpp) at the layer-0
+// block shape on one thread, and check every output bit for bit. The
+// activation_tails rows time the ELU tails (bias_act forward and
+// bias_act_grad) at the GAT layer-0 output shape on one thread against the
+// scalar loops they replaced (libm std::expm1 and a branch per element), and
+// check them bit for bit against the same loops with the fdlibm expm1f port
+// (tests/expm1f_reference.hpp). The aggregate_mean rows time the mean
+// aggregation on the compute pool against the edge-list loop it replaced and
+// check it bit for bit against the loop in the kernel's order
+// (tests/aggregate_reference.hpp).
+// --smoke runs every bitwise check at small shapes on every body, the four
+// aggregation kernels included, and fails on any mismatch.
 //
 // Every wall time is the median of kReps = 5 repeats on a warm cache. The
-// JSON's host block names the CPU, the tile body the public kernels use
+// JSON's host block names the CPU, the body the kernels use unpinned
 // (isa) and the repeat count; timings from a shared VM stay noisy, so
 // compare bodies within one run, not across runs.
 //
@@ -43,6 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "aggregate_reference.hpp"
+#include "body_cases.hpp"
 #include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
 #include "gnn/block.hpp"
@@ -55,6 +61,8 @@ namespace {
 using moment::gnn::Block;
 using moment::gnn::CompiledBlock;
 namespace kernels = moment::gnn::kernels;
+namespace reference = moment::gnn::reference;
+using reference::for_each_body;
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -169,26 +177,6 @@ std::string cpu_model() {
   return "unknown";
 }
 
-using kernels::detail::Body;
-
-struct BodyCase {
-  Body body;
-  const char* name;
-};
-
-/// The tile bodies this CPU runs (a body it lacks would only rerun a
-/// fallback).
-std::vector<BodyCase> supported_bodies() {
-  std::vector<BodyCase> out{{Body::kPortable, "portable"}};
-  if (kernels::detail::avx2_supported()) {
-    out.push_back({Body::kAvx2, "avx2"});
-  }
-  if (kernels::detail::avx512_supported()) {
-    out.push_back({Body::kAvx512, "avx512"});
-  }
-  return out;
-}
-
 Block make_block(std::size_t nd, std::size_t ns, std::size_t ne,
                  moment::util::Pcg32& rng) {
   Block block;
@@ -209,30 +197,27 @@ Block make_block(std::size_t nd, std::size_t ns, std::size_t ne,
 
 constexpr double kTol = 1e-4;
 
-bool check(const char* what, const std::vector<float>& ref,
-           const std::vector<float>& got) {
-  const double diff = max_rel_diff(ref, got);
-  if (diff > kTol) {
-    std::printf("FAIL %-28s max_rel_diff=%.3g (tol %.1g)\n", what, diff, kTol);
-    return false;
-  }
-  std::printf("ok   %-28s max_rel_diff=%.3g\n", what, diff);
-  return true;
+bool same(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 struct GatAttentionRow {
+  const char* body;
   std::size_t nd, ns, ne, heads, head_dim;
   double reference_s, logits_s, forward_s, backward_s;
   bool bitwise;
 };
 
-/// All-head attention kernels vs the per-head reference on one random block,
-/// each on one thread: score, alpha, out, grad_z and both attention-vector
-/// gradients must match bit for bit. Times are medians of kReps when `timed`.
-GatAttentionRow run_gat_attention(std::size_t nd, std::size_t ns,
-                                  std::size_t ne, std::size_t heads,
-                                  std::size_t hd, bool timed,
-                                  moment::util::Pcg32& rng) {
+/// All-head attention kernels on every body vs the per-head reference on one
+/// random block, each on one thread: score, alpha, out, grad_z and both
+/// attention-vector gradients must match bit for bit. Times are medians of
+/// kReps when `timed`.
+std::vector<GatAttentionRow> run_gat_attention(std::size_t nd, std::size_t ns,
+                                               std::size_t ne,
+                                               std::size_t heads,
+                                               std::size_t hd, bool timed,
+                                               moment::util::Pcg32& rng) {
   const std::size_t threads = moment::util::compute_pool_threads();
   moment::util::set_compute_pool_threads(1);
   const Block block = make_block(nd, ns, ne, rng);
@@ -269,73 +254,104 @@ GatAttentionRow run_gat_attention(std::size_t nd, std::size_t ns,
   };
   run_reference();
 
-  Outputs got = fresh();
-  std::vector<float> zm(ns * od), grad_zm(ns * od), el(nd * heads),
-      er(ns * heads);
-  kernels::heads_to_minor(ns, heads, hd, z.data(), zm.data());
-  auto logits = [&] {
-    kernels::gat_logits(cb, zm.data(), heads, hd, attn_l.data(),
-                        attn_r.data(), el.data(), er.data());
-  };
-  auto forward = [&] {
-    kernels::gat_attention_forward(cb, el.data(), er.data(), zm.data(), heads,
-                                   hd, slope, got.score.data(),
-                                   got.alpha.data(), got.out.data());
-  };
-  auto backward = [&] {
-    kernels::gat_attention_backward(
-        cb, g.data(), zm.data(), heads, hd, slope, attn_l.data(),
-        attn_r.data(), got.score.data(), got.alpha.data(), grad_zm.data(),
-        got.gal.data(), got.gar.data());
-  };
-  logits();
-  forward();
-  backward();
-  kernels::heads_to_major(ns, heads, hd, grad_zm.data(), got.grad_z.data());
-  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
-    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-  };
-  GatAttentionRow row{nd, ns, ne, heads, hd, 0.0, 0.0, 0.0, 0.0,
-                      same(ref.score, got.score) &&
-                          same(ref.alpha, got.alpha) &&
-                          same(ref.out, got.out) &&
-                          same(ref.grad_z, got.grad_z) &&
-                          same(ref.gal, got.gal) && same(ref.gar, got.gar)};
+  std::vector<GatAttentionRow> rows;
+  for_each_body([&](const char* body) {
+    Outputs got = fresh();
+    std::vector<float> zm(ns * od), grad_zm(ns * od), el(nd * heads),
+        er(ns * heads);
+    kernels::heads_to_minor(ns, heads, hd, z.data(), zm.data());
+    auto logits = [&] {
+      kernels::gat_logits(cb, zm.data(), heads, hd, attn_l.data(),
+                          attn_r.data(), el.data(), er.data());
+    };
+    auto forward = [&] {
+      kernels::gat_attention_forward(cb, el.data(), er.data(), zm.data(),
+                                     heads, hd, slope, got.score.data(),
+                                     got.alpha.data(), got.out.data());
+    };
+    auto backward = [&] {
+      kernels::gat_attention_backward(
+          cb, g.data(), zm.data(), heads, hd, slope, attn_l.data(),
+          attn_r.data(), got.score.data(), got.alpha.data(), grad_zm.data(),
+          got.gal.data(), got.gar.data());
+    };
+    logits();
+    forward();
+    backward();
+    kernels::heads_to_major(ns, heads, hd, grad_zm.data(), got.grad_z.data());
+    GatAttentionRow row{body, nd, ns, ne, heads, hd, 0.0, 0.0, 0.0, 0.0,
+                        same(ref.score, got.score) &&
+                            same(ref.alpha, got.alpha) &&
+                            same(ref.out, got.out) &&
+                            same(ref.grad_z, got.grad_z) &&
+                            same(ref.gal, got.gal) && same(ref.gar, got.gar)};
+    if (timed) {
+      row.logits_s = time_median(logits);
+      row.forward_s = time_median(forward);
+      row.backward_s = time_median(backward);
+    }
+    rows.push_back(row);
+  });
+  // Last: every repeat adds into the reference's attention-vector gradients.
   if (timed) {
-    row.reference_s = time_median(run_reference);
-    row.logits_s = time_median(logits);
-    row.forward_s = time_median(forward);
-    row.backward_s = time_median(backward);
+    const double reference_s = time_median(run_reference);
+    for (GatAttentionRow& row : rows) row.reference_s = reference_s;
   }
   moment::util::set_compute_pool_threads(threads);
-  return row;
+  return rows;
 }
 
-/// The three GEMMs on one tile body against the ascending float oracle, bit
-/// for bit: gemm (m x k x n), gemm_bt (m x k x n, B given n x k) and gemm_at
-/// (k x n from an m-row A and B).
-bool gemm_bitwise(Body body, std::size_t m, std::size_t k, std::size_t n,
+/// The three GEMMs on the pinned body against the ascending float oracle,
+/// bit for bit: gemm (m x k x n), gemm_bt (m x k x n, B given n x k) and
+/// gemm_at (k x n from an m-row A and B).
+bool gemm_bitwise(std::size_t m, std::size_t k, std::size_t n,
                   moment::util::Pcg32& rng) {
   const auto a = random_matrix(m, k, rng);
   const auto b = random_matrix(k, n, rng);
   const auto bt = random_matrix(n, k, rng);
   const auto bm = random_matrix(m, n, rng);
-  auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
-    return std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
-  };
   std::vector<float> ref(m * n), got(m * n);
   ascending_gemm(m, k, n, a.data(), k, 1, b.data(), n, 1, ref.data());
-  kernels::detail::gemm(body, m, k, n, a.data(), b.data(), got.data(), false);
+  kernels::gemm(m, k, n, a.data(), b.data(), got.data(), false);
   bool ok = same(ref, got);
   ascending_gemm(m, k, n, a.data(), k, 1, bt.data(), 1, k, ref.data());
-  kernels::detail::gemm_bt(body, m, k, n, a.data(), bt.data(), got.data(),
-                           false);
+  kernels::gemm_bt(m, k, n, a.data(), bt.data(), got.data(), false);
   ok &= same(ref, got);
   ref.resize(k * n);
   got.resize(k * n);
   ascending_gemm(k, m, n, a.data(), 1, k, bm.data(), n, 1, ref.data());
-  kernels::detail::gemm_at(body, m, k, n, a.data(), bm.data(), got.data(),
-                           false);
+  kernels::gemm_at(m, k, n, a.data(), bm.data(), got.data(), false);
+  return ok & same(ref, got);
+}
+
+/// The four aggregation kernels on the pinned body against the loops in
+/// their order (aggregate_reference.hpp), bit for bit, on one random block.
+bool aggregation_bitwise(std::size_t nd, std::size_t ns, std::size_t ne,
+                         std::size_t dim, moment::util::Pcg32& rng) {
+  const CompiledBlock cb =
+      moment::gnn::compile_block(make_block(nd, ns, ne, rng));
+  const auto x = random_matrix(ns, dim, rng);
+  const auto g = random_matrix(nd, dim, rng);
+  const auto g2 = random_matrix(nd, dim, rng);
+  const auto coeff = random_matrix(1, ne + nd, rng);
+  const float* self = coeff.data() + ne;
+  std::vector<float> ref(nd * dim), got(nd * dim);
+  reference::aggregate_mean(cb, x.data(), dim, ref.data());
+  kernels::aggregate_mean(cb, x.data(), dim, got.data());
+  bool ok = same(ref, got);
+  reference::aggregate_coeff(cb, coeff.data(), self, x.data(), dim,
+                             ref.data());
+  kernels::aggregate_coeff(cb, coeff.data(), self, x.data(), dim, got.data());
+  ok &= same(ref, got);
+  ref.resize(ns * dim);
+  got.resize(ns * dim);
+  reference::aggregate_coeff_grad(cb, coeff.data(), self, g.data(), dim,
+                                  ref.data());
+  kernels::aggregate_coeff_grad(cb, coeff.data(), self, g.data(), dim,
+                                got.data());
+  ok &= same(ref, got);
+  reference::sage_input_grad(cb, g.data(), g2.data(), dim, ref.data());
+  kernels::sage_input_grad(cb, g.data(), g2.data(), dim, got.data());
   return ok & same(ref, got);
 }
 
@@ -381,7 +397,7 @@ struct TailRow {
   bool bitwise;
 };
 
-/// ELU forward and gradient on every tile body, one thread, against the
+/// ELU forward and gradient on every body, one thread, against the
 /// scalar loops: inputs uniform in [lo, hi) so every expm1 reduction runs.
 /// Times are medians of kReps when `timed`; the forward is restored from
 /// its input, untimed, before every repeat.
@@ -402,9 +418,6 @@ std::vector<TailRow> run_activation_tails(std::size_t rows, std::size_t cols,
   std::vector<float> ref_grad(n), ref_gb = grad_bias0;
   scalar_elu_grad(rows, cols, grad_out.data(), ref.data(), ref_grad.data(),
                   ref_gb.data());
-  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
-    return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-  };
 
   std::vector<float> x(n), grad(n), gb(cols);
   auto restore = [&] { x = pre; };
@@ -419,23 +432,23 @@ std::vector<TailRow> run_activation_tails(std::size_t rows, std::size_t cols,
     });
   }
   std::vector<TailRow> out;
-  for (const BodyCase& bc : supported_bodies()) {
+  for_each_body([&](const char* body) {
     auto forward = [&] {
-      kernels::detail::bias_act(bc.body, rows, cols, bias.data(),
-                                kernels::Activation::kElu, x.data());
+      kernels::bias_act(rows, cols, bias.data(), kernels::Activation::kElu,
+                        x.data());
     };
     auto backward = [&] {
-      kernels::detail::bias_act_grad(bc.body, rows, cols, grad_out.data(),
-                                     ref.data(), kernels::Activation::kElu,
-                                     grad.data(), gb.data());
+      kernels::bias_act_grad(rows, cols, grad_out.data(), ref.data(),
+                             kernels::Activation::kElu, grad.data(),
+                             gb.data());
     };
     restore();
     forward();
     gb = grad_bias0;
     backward();
-    TailRow f{bc.name, "elu_forward", rows, cols, scalar_fwd_s, 0.0,
+    TailRow f{body, "elu_forward", rows, cols, scalar_fwd_s, 0.0,
               same(ref, x)};
-    TailRow g{bc.name, "elu_grad", rows, cols, scalar_grad_s, 0.0,
+    TailRow g{body, "elu_grad", rows, cols, scalar_grad_s, 0.0,
               same(ref_grad, grad) && same(ref_gb, gb)};
     if (timed) {
       f.kernel_s = time_median(forward, restore);
@@ -443,7 +456,7 @@ std::vector<TailRow> run_activation_tails(std::size_t rows, std::size_t cols,
     }
     out.push_back(f);
     out.push_back(g);
-  }
+  });
   moment::util::set_compute_pool_threads(threads);
   return out;
 }
@@ -456,34 +469,31 @@ int run_smoke() {
   const std::size_t shapes[][3] = {
       {1, 1, 1},    {3, 5, 2},   {17, 33, 29}, {65, 1, 129}, {33, 257, 7},
       {21, 40, 15}, {22, 9, 33}, {23, 260, 1}, {16, 64, 16}, {45, 31, 47}};
-  for (const BodyCase& bc : supported_bodies()) {
+  for_each_body([&](const char* body) {
     bool ok = true;
-    for (const auto& s : shapes) {
-      ok &= gemm_bitwise(bc.body, s[0], s[1], s[2], rng);
-    }
+    for (const auto& s : shapes) ok &= gemm_bitwise(s[0], s[1], s[2], rng);
     std::printf("%s gemm/gemm_bt/gemm_at %s body: %s\n",
-                ok ? "ok  " : "FAIL", bc.name,
+                ok ? "ok  " : "FAIL", body,
                 ok ? "bitwise" : "BITWISE MISMATCH vs ascending loop");
     pass &= ok;
-  }
-  {
-    const std::size_t nd = 50, ns = 120, ne = 400, dim = 33;
-    const Block block = make_block(nd, ns, ne, rng);
-    const CompiledBlock cb = moment::gnn::compile_block(block);
-    const auto x = random_matrix(ns, dim, rng);
-    std::vector<float> ref(nd * dim), got(nd * dim);
-    naive_aggregate_mean(block, x.data(), dim, ref.data());
-    kernels::aggregate_mean(cb, x.data(), dim, got.data());
-    pass &= check("aggregate_mean", ref, got);
-  }
-  const std::size_t gat_shapes[][2] = {{8, 64}, {3, 7}, {16, 5}, {1, 16}};
+    // dim 33: a column tail on every body.
+    ok = aggregation_bitwise(50, 120, 400, 33, rng);
+    std::printf("%s aggregate_mean/coeff/coeff_grad/sage_input_grad %s body: "
+                "%s\n",
+                ok ? "ok  " : "FAIL", body,
+                ok ? "bitwise" : "BITWISE MISMATCH vs ordered loop");
+    pass &= ok;
+  });
+  const std::size_t gat_shapes[][2] = {{8, 64}, {3, 7}, {4, 7}, {16, 5},
+                                       {1, 16}};
   for (const auto& s : gat_shapes) {
-    const GatAttentionRow r =
-        run_gat_attention(50, 120, 400, s[0], s[1], false, rng);
-    std::printf("%s gat_attention heads %zu x %zu: %s\n",
-                r.bitwise ? "ok  " : "FAIL", r.heads, r.head_dim,
-                r.bitwise ? "bitwise" : "BITWISE MISMATCH vs per-head");
-    pass &= r.bitwise;
+    for (const GatAttentionRow& r :
+         run_gat_attention(50, 120, 400, s[0], s[1], false, rng)) {
+      std::printf("%s gat_attention heads %zu x %zu %s body: %s\n",
+                  r.bitwise ? "ok  " : "FAIL", r.heads, r.head_dim, r.body,
+                  r.bitwise ? "bitwise" : "BITWISE MISMATCH vs per-head");
+      pass &= r.bitwise;
+    }
   }
   // 37 x 33: column tails on every body; [-20, 4) reaches the -1 clamp.
   for (const TailRow& r : run_activation_tails(37, 33, -20.0f, 4.0f, false,
@@ -507,7 +517,7 @@ struct BitwiseRow {
 
 /// The three GEMMs at the GAT layer-0 shape (5.8k sampled sources, 128 input
 /// features, 8 heads of 64): Z = X W, dX = dZ W^T, dW = X^T dZ, on one thread
-/// and on every tile body this CPU has. Each output is compared bit for bit
+/// and on every body this CPU has. Each output is compared bit for bit
 /// with the ascending float oracle.
 std::vector<BitwiseRow> run_gat_layer0(moment::util::Pcg32& rng) {
   const std::size_t threads = moment::util::compute_pool_threads();
@@ -521,33 +531,30 @@ std::vector<BitwiseRow> run_gat_layer0(moment::util::Pcg32& rng) {
   ascending_gemm(m, n, k, dz.data(), n, 1, w.data(), 1, n, ref_dx.data());
   ascending_gemm(k, m, n, x.data(), 1, k, dz.data(), n, 1, ref_dw.data());
   std::vector<BitwiseRow> rows;
-  for (const BodyCase& bc : supported_bodies()) {
-    const Body body = bc.body;
+  for_each_body([&](const char* body) {
     auto record = [&](const char* name, std::size_t rm, std::size_t rk,
                       std::size_t rn, const std::vector<float>& ref,
                       auto&& fn) {
       std::vector<float> got(ref.size());
       fn(got.data());
-      const bool same =
-          std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) ==
-          0;
+      const bool bitwise = same(ref, got);
       const double t = time_median([&] { fn(got.data()); });
       std::printf("  %-8s %-8s %zu x %zu x %zu  %7.2f ms (%5.2f GF/s)  %s\n",
-                  bc.name, name, rm, rk, rn, t * 1e3,
+                  body, name, rm, rk, rn, t * 1e3,
                   2.0 * static_cast<double>(rm * rk * rn) / t / 1e9,
-                  same ? "bitwise ok" : "BITWISE MISMATCH");
-      rows.push_back({bc.name, name, rm, rk, rn, t, same});
+                  bitwise ? "bitwise ok" : "BITWISE MISMATCH");
+      rows.push_back({body, name, rm, rk, rn, t, bitwise});
     };
     record("gemm", m, k, n, ref_z, [&](float* c) {
-      kernels::detail::gemm(body, m, k, n, x.data(), w.data(), c, false);
+      kernels::gemm(m, k, n, x.data(), w.data(), c, false);
     });
     record("gemm_bt", m, n, k, ref_dx, [&](float* c) {
-      kernels::detail::gemm_bt(body, m, n, k, dz.data(), w.data(), c, false);
+      kernels::gemm_bt(m, n, k, dz.data(), w.data(), c, false);
     });
     record("gemm_at", m, k, n, ref_dw, [&](float* c) {
-      kernels::detail::gemm_at(body, m, k, n, x.data(), dz.data(), c, false);
+      kernels::gemm_at(m, k, n, x.data(), dz.data(), c, false);
     });
-  }
+  });
   moment::util::set_compute_pool_threads(threads);
   return rows;
 }
@@ -600,27 +607,32 @@ int run_full(std::size_t threads, const std::string& out_path) {
                 r.kernel_gflops, r.speedup);
   }
 
-  std::printf("\nGAT layer-0 GEMMs, each tile body, 1 thread:\n");
+  std::printf("\nGAT layer-0 GEMMs, each body, 1 thread:\n");
   const std::vector<BitwiseRow> gat = run_gat_layer0(rng);
   for (const BitwiseRow& r : gat) pass &= r.bitwise;
 
   // GAT layer-0 block: 1.15k dst, 4.8k src, 10.7k edges, 8 heads of 64.
-  const GatAttentionRow att =
+  const std::vector<GatAttentionRow> att =
       run_gat_attention(1150, 4800, 10700, 8, 64, true, rng);
-  const double att_kernel_s = att.logits_s + att.forward_s + att.backward_s;
+  auto att_kernel_s = [](const GatAttentionRow& r) {
+    return r.logits_s + r.forward_s + r.backward_s;
+  };
   std::printf("\ngat_attention %zu dst / %zu edges / %zu src, %zu heads x "
-              "%zu, 1 thread:\n  per-head %7.2f ms  all-head %7.2f ms "
-              "(logits %.2f, forward %.2f, backward %.2f)  speedup %.2fx  "
-              "%s\n",
-              att.nd, att.ne, att.ns, att.heads, att.head_dim,
-              att.reference_s * 1e3, att_kernel_s * 1e3, att.logits_s * 1e3,
-              att.forward_s * 1e3, att.backward_s * 1e3,
-              att.reference_s / att_kernel_s,
-              att.bitwise ? "bitwise ok" : "BITWISE MISMATCH");
-  pass &= att.bitwise;
+              "%zu, each body, 1 thread: per-head reference %7.2f ms\n",
+              att[0].nd, att[0].ne, att[0].ns, att[0].heads, att[0].head_dim,
+              att[0].reference_s * 1e3);
+  for (const GatAttentionRow& r : att) {
+    std::printf("  %-8s all-head %7.2f ms (logits %.2f, forward %.2f, "
+                "backward %.2f)  speedup %.2fx  %s\n",
+                r.body, att_kernel_s(r) * 1e3, r.logits_s * 1e3,
+                r.forward_s * 1e3, r.backward_s * 1e3,
+                r.reference_s / att_kernel_s(r),
+                r.bitwise ? "bitwise ok" : "BITWISE MISMATCH");
+    pass &= r.bitwise;
+  }
 
   // GAT layer-0 output: 1,238 dst rows of 8 heads x 64.
-  std::printf("\nactivation_tails (ELU), each tile body, 1 thread:\n");
+  std::printf("\nactivation_tails (ELU), each body, 1 thread:\n");
   const std::vector<TailRow> tails =
       run_activation_tails(1238, 512, -3.0f, 3.0f, true, rng);
   for (const TailRow& r : tails) {
@@ -636,24 +648,32 @@ int run_full(std::size_t threads, const std::string& out_path) {
   const Block block = make_block(nd, ns, ne, rng);
   const CompiledBlock cb = moment::gnn::compile_block(block);
   const auto x = random_matrix(ns, dim, rng);
-  std::vector<float> ref(nd * dim), got(nd * dim);
-  naive_aggregate_mean(block, x.data(), dim, ref.data());
-  kernels::aggregate_mean(cb, x.data(), dim, got.data());
-  if (max_rel_diff(ref, got) > kTol) {
-    std::printf("FAIL aggregate_mean exceeds tolerance\n");
-    pass = false;
-  }
+  std::vector<float> naive(nd * dim), ref(nd * dim), got(nd * dim);
+  reference::aggregate_mean(cb, x.data(), dim, ref.data());
   const double agg_naive_s = time_median([&] {
-    naive_aggregate_mean(block, x.data(), dim, ref.data());
+    naive_aggregate_mean(block, x.data(), dim, naive.data());
   });
-  const double agg_kernel_s = time_median([&] {
+  std::printf("\naggregate_mean %zu dst / %zu edges / %zu src, dim %zu, each "
+              "body, %zu thread(s): naive %7.2f ms\n",
+              nd, ne, ns, dim, moment::util::compute_pool_threads(),
+              agg_naive_s * 1e3);
+  struct AggregateRow {
+    const char* body;
+    double kernel_s;
+    bool bitwise;
+  };
+  std::vector<AggregateRow> agg;
+  for_each_body([&](const char* body) {
     kernels::aggregate_mean(cb, x.data(), dim, got.data());
+    const bool bitwise = same(ref, got);
+    const double t = time_median([&] {
+      kernels::aggregate_mean(cb, x.data(), dim, got.data());
+    });
+    std::printf("  %-8s kernel %7.2f ms  speedup %.2fx  %s\n", body, t * 1e3,
+                agg_naive_s / t, bitwise ? "bitwise ok" : "BITWISE MISMATCH");
+    agg.push_back({body, t, bitwise});
+    pass &= bitwise;
   });
-  const double agg_speedup = agg_naive_s / agg_kernel_s;
-  std::printf("\naggregate_mean %zu dst / %zu edges / %zu src, dim %zu:\n"
-              "  naive %7.2f ms  kernel %7.2f ms  speedup %.2fx\n",
-              nd, ne, ns, dim, agg_naive_s * 1e3, agg_kernel_s * 1e3,
-              agg_speedup);
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -687,17 +707,22 @@ int run_full(std::size_t threads, const std::string& out_path) {
                  r.body, r.name, r.m, r.k, r.n, r.kernel_s,
                  r.bitwise ? "true" : "false", i + 1 < gat.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"gat_attention\": {\"num_dst\": %zu, "
-               "\"num_edges\": %zu, \"num_src\": %zu, \"heads\": %zu, "
-               "\"head_dim\": %zu, \"threads\": 1, \"reference_s\": %.6f, "
-               "\"kernel_s\": %.6f, \"logits_s\": %.6f, "
-               "\"forward_s\": %.6f, \"backward_s\": %.6f, "
-               "\"speedup\": %.3f, \"bitwise\": %s},\n",
-               att.nd, att.ne, att.ns, att.heads, att.head_dim,
-               att.reference_s, att_kernel_s, att.logits_s, att.forward_s,
-               att.backward_s, att.reference_s / att_kernel_s,
-               att.bitwise ? "true" : "false");
+  std::fprintf(f, "  ],\n  \"gat_attention\": [\n");
+  for (std::size_t i = 0; i < att.size(); ++i) {
+    const GatAttentionRow& r = att[i];
+    std::fprintf(f,
+                 "    {\"body\": \"%s\", \"num_dst\": %zu, \"num_edges\": %zu, "
+                 "\"num_src\": %zu, \"heads\": %zu, \"head_dim\": %zu, "
+                 "\"threads\": 1, \"reference_s\": %.6f, \"kernel_s\": %.6f, "
+                 "\"logits_s\": %.6f, \"forward_s\": %.6f, "
+                 "\"backward_s\": %.6f, \"speedup\": %.3f, "
+                 "\"bitwise\": %s}%s\n",
+                 r.body, r.nd, r.ne, r.ns, r.heads, r.head_dim, r.reference_s,
+                 att_kernel_s(r), r.logits_s, r.forward_s, r.backward_s,
+                 r.reference_s / att_kernel_s(r), r.bitwise ? "true" : "false",
+                 i + 1 < att.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"activation_tails\": [\n");
   for (std::size_t i = 0; i < tails.size(); ++i) {
     const TailRow& r = tails[i];
@@ -710,12 +735,19 @@ int run_full(std::size_t threads, const std::string& out_path) {
                  r.scalar_s / r.kernel_s, r.bitwise ? "true" : "false",
                  i + 1 < tails.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"aggregate_mean\": {\"num_dst\": %zu, "
-               "\"num_edges\": %zu, \"num_src\": %zu, \"dim\": %zu, "
-               "\"naive_s\": %.6f, \"kernel_s\": %.6f, \"speedup\": %.3f}\n}\n",
-               nd, ne, ns, dim, agg_naive_s, agg_kernel_s, agg_speedup);
+  std::fprintf(f, "  ],\n  \"aggregate_mean\": [\n");
+  for (std::size_t i = 0; i < agg.size(); ++i) {
+    const AggregateRow& r = agg[i];
+    std::fprintf(f,
+                 "    {\"body\": \"%s\", \"num_dst\": %zu, \"num_edges\": %zu, "
+                 "\"num_src\": %zu, \"dim\": %zu, \"threads\": %zu, "
+                 "\"naive_s\": %.6f, \"kernel_s\": %.6f, \"speedup\": %.3f, "
+                 "\"bitwise\": %s}%s\n",
+                 r.body, nd, ne, ns, dim, moment::util::compute_pool_threads(),
+                 agg_naive_s, r.kernel_s, agg_naive_s / r.kernel_s,
+                 r.bitwise ? "true" : "false", i + 1 < agg.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
   return pass ? 0 : 1;

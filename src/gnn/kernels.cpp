@@ -1,13 +1,11 @@
 #include "gnn/kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <limits>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -19,7 +17,7 @@
 // This translation unit is compiled -O3 -funroll-loops -ffp-contract=off (see
 // CMakeLists.txt). The last flag is load-bearing: every GEMM output element is
 // c = c + a*b with the multiply and the add rounded separately, which is what
-// makes the portable, AVX2 and AVX-512 builds of the GEMM tile agree bit for
+// makes the portable, AVX2 and AVX-512 builds of every kernel agree bit for
 // bit, and ELU's vector expm1 rounds every step on its own, as the scalar
 // fdlibm routine it reproduces does.
 
@@ -34,15 +32,14 @@ using V4 = float __attribute__((vector_size(16)));
 using V8 = float __attribute__((vector_size(32)));
 using V16 = float __attribute__((vector_size(64)));
 
+// Floats per V; 1 for V = float (scalar lanes).
+template <typename V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+
 // One output tile: C (rows x cols, row stride ldc) += sum over p < depth of
 // A(r, p) * B(p, j), with A(r, p) = a[r*sr + p*sp] and B(p, j) = b[p*ldb + j].
 // The accumulators start from C (load_c) or zero, stay in registers for the
-// whole p loop and are stored once. rows and cols are at most the body's
-// tile shape (kRows x kCols).
-using TileFn = void (*)(std::size_t rows, std::size_t cols, std::size_t depth,
-                        const float* a, std::size_t sr, std::size_t sp,
-                        const float* b, std::size_t ldb, float* c,
-                        std::size_t ldc, bool load_c);
+// whole p loop and are stored once.
 
 // Any tile shape, one element at a time: every body's column tails.
 void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
@@ -61,9 +58,10 @@ void tile_scalar(std::size_t rows, std::size_t cols, std::size_t depth,
 }
 
 // The one GEMM tile: R full rows of N vectors V, mul then add per lane, never
-// FMA. It is inlined into each body below, so each target attribute compiles
-// it for its own ISA. The row loops are unrolled before GCC scalarizes acc,
-// so the accumulators live in registers instead of being stored every step.
+// FMA. Like every template below it is always_inline, so with_body compiles
+// it for each body's ISA. The row loops are unrolled before GCC scalarizes
+// acc, so the accumulators live in registers instead of being stored every
+// step.
 template <typename V, std::size_t N, std::size_t R>
 [[gnu::always_inline]] inline void tile_rows(std::size_t depth,
                                              const float* a, std::size_t sr,
@@ -99,8 +97,6 @@ template <typename V, std::size_t N, std::size_t R>
 }
 
 // ---- Elementwise tails, one vector V at a time ------------------------------
-// Like tile_rows, every template here is always_inline, so each body below
-// compiles it for its own ISA.
 
 // fdlibm's s_expm1f.c constants, by their bits.
 constexpr float kLn2Hi = std::bit_cast<float>(0x3f317180u);
@@ -118,9 +114,7 @@ constexpr float kQ5 = std::bit_cast<float>(0xb457edbbu);
 // t * ln2_hi and t * ln2_lo are exact for t in {0, -1}. Every step is one
 // rounded +, -, * or / (the TU is built -ffp-contract=off), so each lane
 // has the bits of the scalar routine. Lanes with x > 0 get values the
-// callers select away. (V goes by reference here and below: a 32- or 64-byte
-// vector passed by value draws GCC's -Wpsabi note even where the function is
-// always inlined.)
+// callers select away.
 template <typename V>
 [[gnu::always_inline]] inline void expm1_nonpos(const V& x, V& out) {
   using VI = decltype(x > x);  // int32 lanes
@@ -284,135 +278,32 @@ template <typename V>
   }
 }
 
-using ActFn = void (*)(std::size_t r0, std::size_t r1, std::size_t cols,
-                       const float* bias, Activation act, float* x);
-using ActGradFn = void (*)(std::size_t rows, std::size_t cols, std::size_t c0,
-                           std::size_t c1, const float* grad_out,
-                           const float* out, Activation act, float* grad,
-                           float* grad_bias);
+// The tile of the body with vector V: kTileRows<V> rows of kTileVecs<V>
+// vectors. Portable (V4) 4 x 8, so the 8 accumulators and 2 B vectors fit
+// in 16 registers; AVX2 (V8) 4 x 16, since 8 rows would need more than 16
+// ymm registers; AVX-512 (V16) 8 x 16, so 8 accumulators and one B vector
+// use 9 of the 32 zmm registers.
+template <typename V>
+constexpr std::size_t kTileRows = kLanes<V> == 16 ? 8 : 4;
+template <typename V>
+constexpr std::size_t kTileVecs = kLanes<V> == 16 ? 1 : 2;
 
-// Portable body: 4 lanes (SSE2, NEON, or scalar code where there is
-// neither), 4 x 8, so the 8 accumulators and 2 B vectors fit in 16 registers.
-struct PortableBody {
-  static constexpr std::size_t kRows = 4, kCols = 8;
-  template <std::size_t R>
-  static void rows(std::size_t depth, const float* a, std::size_t sr,
-                   std::size_t sp, const float* b, std::size_t ldb, float* c,
-                   std::size_t ldc, bool load_c) {
-    tile_rows<V4, 2, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
+// tile_rows on a full-width tile of `rows` <= R rows; each row count is its
+// own inlined instance.
+template <typename V, std::size_t R = kTileRows<V>>
+[[gnu::always_inline]] inline void tile_upto(std::size_t rows,
+                                             std::size_t depth,
+                                             const float* a, std::size_t sr,
+                                             std::size_t sp, const float* b,
+                                             std::size_t ldb, float* c,
+                                             std::size_t ldc, bool load_c) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      return tile_upto<V, R - 1>(rows, depth, a, sr, sp, b, ldb, c, ldc,
+                                 load_c);
+    }
   }
-  static void act(std::size_t r0, std::size_t r1, std::size_t cols,
-                  const float* bias, Activation act, float* x) {
-    act_rows<V4>(r0, r1, cols, bias, act, x);
-  }
-  static void act_grad(std::size_t rows, std::size_t cols, std::size_t c0,
-                       std::size_t c1, const float* grad_out,
-                       const float* out, Activation act, float* grad,
-                       float* grad_bias) {
-    act_grad_cols<V4>(rows, cols, c0, c1, grad_out, out, act, grad,
-                      grad_bias);
-  }
-};
-
-#ifdef MOMENT_KERNELS_X86
-// AVX2 body: 8 lanes, 4 x 16 (8 rows would need more than 16 ymm registers).
-struct Avx2Body {
-  static constexpr std::size_t kRows = 4, kCols = 16;
-  template <std::size_t R>
-  __attribute__((target("avx2"))) static void rows(
-      std::size_t depth, const float* a, std::size_t sr, std::size_t sp,
-      const float* b, std::size_t ldb, float* c, std::size_t ldc,
-      bool load_c) {
-    tile_rows<V8, 2, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
-  }
-  __attribute__((target("avx2"))) static void act(std::size_t r0,
-                                                  std::size_t r1,
-                                                  std::size_t cols,
-                                                  const float* bias,
-                                                  Activation act, float* x) {
-    act_rows<V8>(r0, r1, cols, bias, act, x);
-  }
-  __attribute__((target("avx2"))) static void act_grad(
-      std::size_t rows, std::size_t cols, std::size_t c0, std::size_t c1,
-      const float* grad_out, const float* out, Activation act, float* grad,
-      float* grad_bias) {
-    act_grad_cols<V8>(rows, cols, c0, c1, grad_out, out, act, grad,
-                      grad_bias);
-  }
-};
-
-// AVX-512 body: 16 lanes, 8 x 16, so 8 accumulators and one B vector use 9
-// of the 32 zmm registers.
-struct Avx512Body {
-  static constexpr std::size_t kRows = 8, kCols = 16;
-  template <std::size_t R>
-  __attribute__((target("avx512f"))) static void rows(
-      std::size_t depth, const float* a, std::size_t sr, std::size_t sp,
-      const float* b, std::size_t ldb, float* c, std::size_t ldc,
-      bool load_c) {
-    tile_rows<V16, 1, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
-  }
-  __attribute__((target("avx512f"))) static void act(std::size_t r0,
-                                                     std::size_t r1,
-                                                     std::size_t cols,
-                                                     const float* bias,
-                                                     Activation act,
-                                                     float* x) {
-    act_rows<V16>(r0, r1, cols, bias, act, x);
-  }
-  __attribute__((target("avx512f"))) static void act_grad(
-      std::size_t rows, std::size_t cols, std::size_t c0, std::size_t c1,
-      const float* grad_out, const float* out, Activation act, float* grad,
-      float* grad_bias) {
-    act_grad_cols<V16>(rows, cols, c0, c1, grad_out, out, act, grad,
-                       grad_bias);
-  }
-};
-#endif
-
-// Runs Body::rows<rows> on a full-width tile of at most Body::kRows rows; a
-// column tail goes to tile_scalar.
-template <typename Body>
-void tile(std::size_t rows, std::size_t cols, std::size_t depth,
-          const float* a, std::size_t sr, std::size_t sp, const float* b,
-          std::size_t ldb, float* c, std::size_t ldc, bool load_c) {
-  if (cols != Body::kCols) {
-    return tile_scalar(rows, cols, depth, a, sr, sp, b, ldb, c, ldc, load_c);
-  }
-  using RowsFn = void (*)(std::size_t, const float*, std::size_t, std::size_t,
-                          const float*, std::size_t, float*, std::size_t,
-                          bool);
-  static constexpr auto by_rows = []<std::size_t... R>(
-                                      std::index_sequence<R...>) {
-    return std::array<RowsFn, sizeof...(R)>{&Body::template rows<R + 1>...};
-  }(std::make_index_sequence<Body::kRows>{});
-  by_rows[rows - 1](depth, a, sr, sp, b, ldb, c, ldc, load_c);
-}
-
-// One body's kernels: its GEMM tile, with the shape gemm_rows steps by, and
-// its elementwise tails.
-struct BodyKernels {
-  TileFn tile;
-  std::size_t rows, cols;
-  ActFn act;
-  ActGradFn act_grad;
-};
-
-template <typename Body>
-constexpr BodyKernels kernels_of() {
-  return {tile<Body>, Body::kRows, Body::kCols, Body::act, Body::act_grad};
-}
-
-BodyKernels kernels_for([[maybe_unused]] detail::Body body) {
-#ifdef MOMENT_KERNELS_X86
-  if (body == detail::Body::kAvx512 && detail::avx512_supported()) {
-    return kernels_of<Avx512Body>();
-  }
-  if (body != detail::Body::kPortable && detail::avx2_supported()) {
-    return kernels_of<Avx2Body>();
-  }
-#endif
-  return kernels_of<PortableBody>();
+  tile_rows<V, kTileVecs<V>, R>(depth, a, sr, sp, b, ldb, c, ldc, load_c);
 }
 
 // C rows [r0, r1) (row-major, n wide) of A (rows x inner, strides sr/sp) @
@@ -420,33 +311,109 @@ BodyKernels kernels_for([[maybe_unused]] detail::Body body) {
 // panel stays cache-resident across the row tiles; C round-trips through
 // memory between blocks, which is exact, so every element is still
 // c = c + a*b in ascending inner index, whatever the tiling or threading.
-void gemm_rows(const BodyKernels& k, std::size_t r0, std::size_t r1,
-               std::size_t inner, std::size_t n, const float* a,
-               std::size_t sr, std::size_t sp, const float* b, float* c,
-               bool accumulate) {
+// Column tails narrower than the tile run tile_scalar.
+template <typename V>
+[[gnu::always_inline]] inline void gemm_rows(std::size_t r0, std::size_t r1,
+                                             std::size_t inner, std::size_t n,
+                                             const float* a, std::size_t sr,
+                                             std::size_t sp, const float* b,
+                                             float* c, bool accumulate) {
+  constexpr std::size_t kRows = kTileRows<V>;
+  constexpr std::size_t kCols = kTileVecs<V> * kLanes<V>;
   if (inner == 0 && !accumulate) {
     std::memset(c + r0 * n, 0, (r1 - r0) * n * sizeof(float));
   }
   for (std::size_t p0 = 0; p0 < inner; p0 += kKcBlock) {
     const std::size_t depth = std::min(kKcBlock, inner - p0);
     const bool load_c = accumulate || p0 > 0;
-    for (std::size_t r = r0; r < r1; r += k.rows) {
-      const std::size_t rows = std::min(k.rows, r1 - r);
-      for (std::size_t j = 0; j < n; j += k.cols) {
-        k.tile(rows, std::min(k.cols, n - j), depth, a + r * sr + p0 * sp, sr,
-               sp, b + p0 * n + j, n, c + r * n + j, n, load_c);
+    for (std::size_t r = r0; r < r1; r += kRows) {
+      const std::size_t rows = std::min(kRows, r1 - r);
+      const float* ar = a + r * sr + p0 * sp;
+      for (std::size_t j = 0; j < n; j += kCols) {
+        const float* bj = b + p0 * n + j;
+        float* cj = c + r * n + j;
+        if (n - j < kCols) {
+          tile_scalar(rows, n - j, depth, ar, sr, sp, bj, n, cj, n, load_c);
+        } else {
+          tile_upto<V>(rows, depth, ar, sr, sp, bj, n, cj, n, load_c);
+        }
       }
     }
   }
 }
 
-detail::Body active_body() {
-  static const detail::Body body = detail::avx512_supported()
-                                       ? detail::Body::kAvx512
-                                   : detail::avx2_supported()
-                                       ? detail::Body::kAvx2
-                                       : detail::Body::kPortable;
-  return body;
+// ---- The one ISA dispatch -------------------------------------------------
+// Every kernel that does arithmetic writes its per-task loop once, as a
+// generic lambda f(Lanes<V>, i0, i1) marked __attribute__((always_inline))
+// (GCC 12 silently ignores [[gnu::always_inline]] in that place). with_body
+// calls it from one of three functions, each under its body's target
+// attribute, so the loop is inlined into each and compiled for that ISA:
+// portable with V4 (SSE2, NEON, or scalar code where there is neither), AVX2
+// with V8 and AVX-512 with V16. Every template the loop calls with V is
+// always_inline too, and takes vectors by reference: a 32- or 64-byte vector
+// passed by value draws GCC's -Wpsabi note even where the call is inlined.
+
+template <typename V>
+using Lanes = std::type_identity<V>;
+
+template <typename F>
+void portable_body(F& f, std::size_t i0, std::size_t i1) {
+  f(Lanes<V4>{}, i0, i1);
+}
+
+#ifdef MOMENT_KERNELS_X86
+template <typename F>
+__attribute__((target("avx2"))) void avx2_body(F& f, std::size_t i0,
+                                               std::size_t i1) {
+  f(Lanes<V8>{}, i0, i1);
+}
+
+template <typename F>
+__attribute__((target("avx512f"))) void avx512_body(F& f, std::size_t i0,
+                                                    std::size_t i1) {
+  f(Lanes<V16>{}, i0, i1);
+}
+#endif
+
+template <typename F>
+void with_body(detail::Body body, F& f, std::size_t i0, std::size_t i1) {
+  switch (body) {
+#ifdef MOMENT_KERNELS_X86
+    case detail::Body::kAvx512:
+      return avx512_body(f, i0, i1);
+    case detail::Body::kAvx2:
+      return avx2_body(f, i0, i1);
+#endif
+    default:
+      return portable_body(f, i0, i1);
+  }
+}
+
+// The body detail::ScopedBody pinned on this thread; kAvx512, the widest the
+// CPU has, when there is no pin.
+thread_local detail::Body pinned_body = detail::Body::kAvx512;
+
+// The pinned body, or the next one the CPU has: kAvx512 -> kAvx2 -> portable.
+detail::Body current_body() {
+  if (pinned_body == detail::Body::kAvx512 && detail::avx512_supported()) {
+    return detail::Body::kAvx512;
+  }
+  if (pinned_body != detail::Body::kPortable && detail::avx2_supported()) {
+    return detail::Body::kAvx2;
+  }
+  return detail::Body::kPortable;
+}
+
+// f(Lanes<V>, i0, i1) over [0, n) on compute_pool(), in tasks of at least
+// `grain`, on the calling thread's body. The body is read here, before the
+// fan-out, so the pool threads never read their own.
+template <typename F>
+void parallel_on_body(std::size_t n, std::size_t grain, F&& f) {
+  const detail::Body body = current_body();
+  util::parallel_for(util::compute_pool(), 0, n, grain,
+                     [&](std::size_t i0, std::size_t i1) {
+                       with_body(body, f, i0, i1);
+                     });
 }
 
 inline const float* row(const float* x, std::size_t i, std::size_t dim) {
@@ -475,69 +442,14 @@ bool avx512_supported() {
 #endif
 }
 
-void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
-          const float* a, const float* b, float* c, bool accumulate) {
-  const BodyKernels kern = kernels_for(body);
-  util::parallel_for(util::compute_pool(), 0, m, kRowGrain,
-                     [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(kern, r0, r1, k, n, a, k, 1, b, c,
-                                 accumulate);
-                     });
-}
+ScopedBody::ScopedBody(Body body) : saved_(pinned_body) { pinned_body = body; }
 
-void gemm_bt(Body body, std::size_t m, std::size_t k, std::size_t n,
-             const float* a, const float* b, float* c, bool accumulate) {
-  // Pack B (n x k) as B^T (k x n) into a per-thread buffer that is reused,
-  // not reallocated, from call to call; then it is a plain gemm.
-  thread_local std::vector<float> bt;
-  bt.resize(k * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
-  }
-  gemm(body, m, k, n, a, bt.data(), c, accumulate);
-}
-
-void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
-             const float* a, const float* b, float* c, bool accumulate) {
-  // Output is k x n: parallelise over the k rows of c (columns of a), reading
-  // a transposed: A(r, i) = a[i*k + r].
-  const BodyKernels kern = kernels_for(body);
-  util::parallel_for(util::compute_pool(), 0, k, kRowGrain,
-                     [&](std::size_t r0, std::size_t r1) {
-                       gemm_rows(kern, r0, r1, m, n, a, 1, k, b, c,
-                                 accumulate);
-                     });
-}
-
-void bias_act(Body body, std::size_t rows, std::size_t cols,
-              const float* bias, Activation act, float* x) {
-  const ActFn fn = kernels_for(body).act;
-  util::parallel_for(util::compute_pool(), 0, rows, kRowGrain,
-                     [&](std::size_t r0, std::size_t r1) {
-                       fn(r0, r1, cols, bias, act, x);
-                     });
-}
-
-void bias_act_grad(Body body, std::size_t rows, std::size_t cols,
-                   const float* grad_out, const float* out, Activation act,
-                   float* grad, float* grad_bias) {
-  // Every grad_bias element sums over rows in ascending order, so tasks split
-  // the columns instead, in blocks of the widest vector.
-  constexpr std::size_t kColBlock = 16;
-  const ActGradFn fn = kernels_for(body).act_grad;
-  util::parallel_for(util::compute_pool(), 0,
-                     (cols + kColBlock - 1) / kColBlock, 4,
-                     [&](std::size_t b0, std::size_t b1) {
-                       fn(rows, cols, b0 * kColBlock,
-                          std::min(cols, b1 * kColBlock), grad_out, out, act,
-                          grad, grad_bias);
-                     });
-}
+ScopedBody::~ScopedBody() { pinned_body = saved_; }
 
 }  // namespace detail
 
 const char* isa() {
-  switch (active_body()) {
+  switch (current_body()) {
     case detail::Body::kAvx512:
       return "avx512";
     case detail::Body::kAvx2:
@@ -550,25 +462,44 @@ const char* isa() {
 
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c, bool accumulate) {
-  detail::gemm(active_body(), m, k, n, a, b, c, accumulate);
+  parallel_on_body(
+      m, kRowGrain,
+      [&]<typename V>(Lanes<V>, std::size_t r0, std::size_t r1)
+          __attribute__((always_inline)) {
+            gemm_rows<V>(r0, r1, k, n, a, k, 1, b, c, accumulate);
+          });
 }
 
 void gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate) {
-  detail::gemm_bt(active_body(), m, k, n, a, b, c, accumulate);
+  // Pack B (n x k) as B^T (k x n) into a per-thread buffer that is reused,
+  // not reallocated, from call to call; then it is a plain gemm.
+  thread_local std::vector<float> bt;
+  bt.resize(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+  }
+  gemm(m, k, n, a, bt.data(), c, accumulate);
 }
 
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate) {
-  detail::gemm_at(active_body(), m, k, n, a, b, c, accumulate);
+  // Output is k x n: parallelise over the k rows of c (columns of a), reading
+  // a transposed: A(r, i) = a[i*k + r].
+  parallel_on_body(
+      k, kRowGrain,
+      [&]<typename V>(Lanes<V>, std::size_t r0, std::size_t r1)
+          __attribute__((always_inline)) {
+            gemm_rows<V>(r0, r1, m, n, a, 1, k, b, c, accumulate);
+          });
 }
 
 void aggregate_mean(const CompiledBlock& cb, const float* x, std::size_t dim,
                     float* out) {
   const int* __restrict src_of = cb.src_of.data();
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_dst(), kRowGrain,
-      [&](std::size_t d0, std::size_t d1) {
+  parallel_on_body(
+      cb.num_dst(), kRowGrain,
+      [&](auto, std::size_t d0, std::size_t d1) __attribute__((always_inline)) {
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict o = out + i * dim;
           std::memset(o, 0, dim * sizeof(float));
@@ -611,9 +542,9 @@ void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
                      const float* self_coeff, const float* x, std::size_t dim,
                      float* out) {
   const int* __restrict src_of = cb.src_of.data();
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_dst(), kRowGrain,
-      [&](std::size_t d0, std::size_t d1) {
+  parallel_on_body(
+      cb.num_dst(), kRowGrain,
+      [&](auto, std::size_t d0, std::size_t d1) __attribute__((always_inline)) {
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict o = out + i * dim;
           std::memset(o, 0, dim * sizeof(float));
@@ -661,9 +592,9 @@ void aggregate_coeff_grad(const CompiledBlock& cb, const float* edge_coeff,
                           std::size_t dim, float* grad_src) {
   const int* __restrict rev_edge = cb.rev_edge.data();
   const int* __restrict dst_of = cb.dst_of.data();
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_src(), kRowGrain,
-      [&](std::size_t v0, std::size_t v1) {
+  parallel_on_body(
+      cb.num_src(), kRowGrain,
+      [&](auto, std::size_t v0, std::size_t v1) __attribute__((always_inline)) {
         for (std::size_t v = v0; v < v1; ++v) {
           float* __restrict o = grad_src + v * dim;
           std::memset(o, 0, dim * sizeof(float));
@@ -695,9 +626,9 @@ void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
                      float* grad_src) {
   const int* __restrict rev_edge = cb.rev_edge.data();
   const int* __restrict dst_of = cb.dst_of.data();
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_src(), kRowGrain,
-      [&](std::size_t v0, std::size_t v1) {
+  parallel_on_body(
+      cb.num_src(), kRowGrain,
+      [&](auto, std::size_t v0, std::size_t v1) __attribute__((always_inline)) {
         for (std::size_t v = v0; v < v1; ++v) {
           float* __restrict o = grad_src + v * dim;
           const int sd = cb.src_to_dst[v];
@@ -730,110 +661,88 @@ namespace {
 // Lane primitives over `n` feature indices of one head-minor row, element
 // [c * heads + h]: the heads are independent lanes, and each lane runs the
 // ascending-c chain a one-head loop would. `s` holds one value per head.
-struct HeadOps {
-  // out[h] = 0 + a[0,h]*b[0,h] + a[1,h]*b[1,h] + ... (ascending c).
-  void (*dot)(std::size_t heads, std::size_t n, const float* a,
-              const float* b, float* out);
-  // y[c,h] += s[h] * x[c,h]; with skip_zero, lanes with s[h] == 0 are left
-  // as they are (adding a zero product would turn -0 into +0).
-  void (*axpy)(std::size_t heads, std::size_t n, const float* s,
-               const float* x, float* y, bool skip_zero);
-};
 
-// Any head count: scalar lanes, accumulators in `out`.
-void dot_any(std::size_t heads, std::size_t n, const float* __restrict a,
-             const float* __restrict b, float* __restrict out) {
-  for (std::size_t h = 0; h < heads; ++h) out[h] = 0.0f;
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t h = 0; h < heads; ++h) {
-      out[h] = out[h] + a[c * heads + h] * b[c * heads + h];
+// out[h] = 0 + a[0,h]*b[0,h] + a[1,h]*b[1,h] + ..., kLanes<L> heads at a
+// time: L is a vector whose lane count divides heads, or float.
+template <typename L>
+[[gnu::always_inline]] inline void dot_lanes(std::size_t heads, std::size_t n,
+                                             const float* a, const float* b,
+                                             float* out) {
+  for (std::size_t h0 = 0; h0 < heads; h0 += kLanes<L>) {
+    L acc{};
+    for (std::size_t c = 0; c < n; ++c) {
+      L av, bv;
+      std::memcpy(&av, a + c * heads + h0, sizeof(L));
+      std::memcpy(&bv, b + c * heads + h0, sizeof(L));
+      acc = acc + av * bv;
     }
+    std::memcpy(out + h0, &acc, sizeof(L));
   }
 }
 
-void axpy_any(std::size_t heads, std::size_t n, const float* __restrict s,
-              const float* __restrict x, float* __restrict y, bool skip_zero) {
-  for (std::size_t c = 0; c < n; ++c) {
+// dot_lanes on the widest of V16, V8 and V4, up to the body's V, whose lane
+// count divides heads; scalar lanes when none does.
+template <typename V>
+[[gnu::always_inline]] inline void dot(std::size_t heads, std::size_t n,
+                                       const float* a, const float* b,
+                                       float* out) {
+  if constexpr (kLanes<V> >= 16) {
+    if (heads % 16 == 0) return dot_lanes<V16>(heads, n, a, b, out);
+  }
+  if constexpr (kLanes<V> >= 8) {
+    if (heads % 8 == 0) return dot_lanes<V8>(heads, n, a, b, out);
+  }
+  if (heads % 4 == 0) return dot_lanes<V4>(heads, n, a, b, out);
+  dot_lanes<float>(heads, n, a, b, out);
+}
+
+// y[c,h] += s[h] * x[c,h]; with skip_zero, lanes with s[h] == 0 are left as
+// they are (adding a zero product would turn -0 into +0). Every element is
+// computed on its own, so the vectors run over the flat index: when heads
+// divides kLanes<V>, one vector holds several feature indices and s repeats
+// in it; when kLanes<V> divides heads, a feature index takes heads / kLanes
+// vectors. What is left, and any other head count, runs scalar lanes.
+template <typename V>
+[[gnu::always_inline]] inline void axpy(std::size_t heads, std::size_t n,
+                                        const float* s, const float* x,
+                                        float* y, bool skip_zero) {
+  constexpr std::size_t kL = kLanes<V>;
+  // The vector loop covers feature indices [0, done) in steps of `width`
+  // floats, whose s values start at sv.
+  std::size_t width = 0, done = 0;
+  const float* sv = s;
+  float rep[kL];
+  if (heads % kL == 0) {
+    width = heads;
+    done = n;
+  } else if (kL % heads == 0) {
+    // heads divides kL, a power of two, so l % heads == l & (heads - 1).
+    for (std::size_t l = 0; l < kL; ++l) rep[l] = s[l & (heads - 1)];
+    sv = rep;
+    width = kL;
+    done = n - n % (kL / heads);
+  }
+  const std::size_t full = done * heads;
+  for (std::size_t h0 = 0; h0 < width; h0 += kL) {
+    V sh;
+    std::memcpy(&sh, sv + h0, sizeof(V));
+    const auto live = sh != V{};
+    for (std::size_t i = h0; i < full; i += width) {
+      V xv, yv;
+      std::memcpy(&xv, x + i, sizeof(V));
+      std::memcpy(&yv, y + i, sizeof(V));
+      const V sum = yv + sh * xv;
+      yv = skip_zero ? (live ? sum : yv) : sum;
+      std::memcpy(y + i, &yv, sizeof(V));
+    }
+  }
+  for (std::size_t c = done; c < n; ++c) {
     for (std::size_t h = 0; h < heads; ++h) {
       const float v = y[c * heads + h];
       const float sum = v + s[h] * x[c * heads + h];
       y[c * heads + h] = skip_zero ? (s[h] != 0.0f ? sum : v) : sum;
     }
   }
-}
-
-// heads % 8 == 0: 8 heads per vector (V8). One source, compiled twice below
-// (baseline and AVX2); every lane is a separately rounded multiply and add,
-// so both builds give the bits of the scalar lanes above.
-using M8 = std::int32_t __attribute__((vector_size(32)));  // lane mask
-
-[[gnu::always_inline]] inline void dot_v8(std::size_t heads, std::size_t n,
-                                          const float* a, const float* b,
-                                          float* out) {
-  for (std::size_t h0 = 0; h0 < heads; h0 += 8) {
-    V8 acc{};
-    for (std::size_t c = 0; c < n; ++c) {
-      V8 av, bv;
-      std::memcpy(&av, a + c * heads + h0, sizeof(V8));
-      std::memcpy(&bv, b + c * heads + h0, sizeof(V8));
-      acc = acc + av * bv;
-    }
-    std::memcpy(out + h0, &acc, sizeof(V8));
-  }
-}
-
-[[gnu::always_inline]] inline void axpy_v8(std::size_t heads, std::size_t n,
-                                           const float* s, const float* x,
-                                           float* y, bool skip_zero) {
-  for (std::size_t h0 = 0; h0 < heads; h0 += 8) {
-    V8 sv;
-    std::memcpy(&sv, s + h0, sizeof(V8));
-    const M8 live = sv != V8{};
-    for (std::size_t c = 0; c < n; ++c) {
-      V8 xv, yv;
-      std::memcpy(&xv, x + c * heads + h0, sizeof(V8));
-      std::memcpy(&yv, y + c * heads + h0, sizeof(V8));
-      const V8 sum = yv + sv * xv;
-      yv = skip_zero ? (live ? sum : yv) : sum;
-      std::memcpy(y + c * heads + h0, &yv, sizeof(V8));
-    }
-  }
-}
-
-void dot_v8_base(std::size_t heads, std::size_t n, const float* a,
-                 const float* b, float* out) {
-  dot_v8(heads, n, a, b, out);
-}
-void axpy_v8_base(std::size_t heads, std::size_t n, const float* s,
-                  const float* x, float* y, bool skip_zero) {
-  axpy_v8(heads, n, s, x, y, skip_zero);
-}
-
-#ifdef MOMENT_KERNELS_X86
-__attribute__((target("avx2"))) void dot_v8_avx2(std::size_t heads,
-                                                 std::size_t n,
-                                                 const float* a,
-                                                 const float* b, float* out) {
-  dot_v8(heads, n, a, b, out);
-}
-__attribute__((target("avx2"))) void axpy_v8_avx2(std::size_t heads,
-                                                  std::size_t n,
-                                                  const float* s,
-                                                  const float* x, float* y,
-                                                  bool skip_zero) {
-  axpy_v8(heads, n, s, x, y, skip_zero);
-}
-#endif
-
-const HeadOps& head_ops(std::size_t heads) {
-  static const HeadOps any{dot_any, axpy_any};
-  static const HeadOps v8_base{dot_v8_base, axpy_v8_base};
-  if (heads % 8 != 0) return any;
-#ifdef MOMENT_KERNELS_X86
-  static const HeadOps v8_avx2{dot_v8_avx2, axpy_v8_avx2};
-  if (detail::avx2_supported()) return v8_avx2;
-#endif
-  return v8_base;
 }
 
 // out row r = in row r, an (a x b) row-major block, transposed to (b x a).
@@ -882,24 +791,26 @@ void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
                 std::size_t head_dim, const float* attn_l,
                 const float* attn_r, float* el, float* er) {
   const std::size_t od = heads * head_dim;
-  const HeadOps& ops = head_ops(heads);
   const std::vector<float> al = minor_copy(heads, head_dim, attn_l);
   const std::vector<float> ar = minor_copy(heads, head_dim, attn_r);
-  util::parallel_for(util::compute_pool(), 0, cb.num_src(), kRowGrain * 4,
-                     [&](std::size_t v0, std::size_t v1) {
-                       for (std::size_t v = v0; v < v1; ++v) {
-                         ops.dot(heads, head_dim, ar.data(), z + v * od,
-                                 er + v * heads);
-                       }
-                     });
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_dst(), kRowGrain * 4,
-      [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          const auto self = static_cast<std::size_t>(cb.self_src[i]);
-          ops.dot(heads, head_dim, al.data(), z + self * od, el + i * heads);
-        }
-      });
+  parallel_on_body(
+      cb.num_src(), kRowGrain * 4,
+      [&]<typename V>(Lanes<V>, std::size_t v0, std::size_t v1)
+          __attribute__((always_inline)) {
+            for (std::size_t v = v0; v < v1; ++v) {
+              dot<V>(heads, head_dim, ar.data(), z + v * od, er + v * heads);
+            }
+          });
+  parallel_on_body(
+      cb.num_dst(), kRowGrain * 4,
+      [&]<typename V>(Lanes<V>, std::size_t i0, std::size_t i1)
+          __attribute__((always_inline)) {
+            for (std::size_t i = i0; i < i1; ++i) {
+              const auto self = static_cast<std::size_t>(cb.self_src[i]);
+              dot<V>(heads, head_dim, al.data(), z + self * od,
+                     el + i * heads);
+            }
+          });
 }
 
 void gat_attention_forward(const CompiledBlock& cb, const float* el,
@@ -907,11 +818,11 @@ void gat_attention_forward(const CompiledBlock& cb, const float* el,
                            std::size_t head_dim, float leaky_slope,
                            float* score, float* alpha, float* out) {
   const std::size_t od = heads * head_dim;
-  const HeadOps& ops = head_ops(heads);
   const int* __restrict src_of = cb.src_of.data();
-  util::parallel_for(
-      util::compute_pool(), 0, cb.num_dst(), kRowGrain,
-      [&](std::size_t d0, std::size_t d1) {
+  parallel_on_body(
+      cb.num_dst(), kRowGrain,
+      [&]<typename V>(Lanes<V>, std::size_t d0, std::size_t d1)
+          __attribute__((always_inline)) {
         // acc: the dst row head-minor; mx: per-head running max, then the
         // softmax denominator's inverse.
         std::vector<float> buf(od + heads);
@@ -958,8 +869,8 @@ void gat_attention_forward(const CompiledBlock& cb, const float* el,
             }
             float* __restrict al = alpha + static_cast<std::size_t>(t) * heads;
             for (std::size_t h = 0; h < heads; ++h) al[h] = al[h] * mx[h];
-            ops.axpy(heads, head_dim, al,
-                     z + static_cast<std::size_t>(src_of[t]) * od, acc, false);
+            axpy<V>(heads, head_dim, al,
+                    z + static_cast<std::size_t>(src_of[t]) * od, acc, false);
           }
           heads_to_major(1, heads, head_dim, acc, o);
         }
@@ -975,7 +886,6 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
                             float* grad_attn_r) {
   const std::size_t nd = cb.num_dst(), ns = cb.num_src();
   const std::size_t od = heads * head_dim;
-  const HeadOps& ops = head_ops(heads);
   const int* __restrict src_of = cb.src_of.data();
   const int* __restrict rev_edge = cb.rev_edge.data();
   const int* __restrict dst_of = cb.dst_of.data();
@@ -986,9 +896,10 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
       der(ns * heads);
 
   // Pass 1 (over dst): ds holds g.z per edge, then the score gradient.
-  util::parallel_for(
-      util::compute_pool(), 0, nd, kRowGrain,
-      [&](std::size_t d0, std::size_t d1) {
+  parallel_on_body(
+      nd, kRowGrain,
+      [&]<typename V>(Lanes<V>, std::size_t d0, std::size_t d1)
+          __attribute__((always_inline)) {
         std::vector<float> sum(heads);
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict dl = del.data() + i * heads;
@@ -1003,11 +914,11 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
                            od);
             }
             const std::size_t idx = static_cast<std::size_t>(t) * heads;
-            float* __restrict dot = ds.data() + idx;
-            ops.dot(heads, head_dim, gi,
-                    z + static_cast<std::size_t>(src_of[t]) * od, dot);
+            float* __restrict dot_e = ds.data() + idx;
+            dot<V>(heads, head_dim, gi,
+                   z + static_cast<std::size_t>(src_of[t]) * od, dot_e);
             for (std::size_t h = 0; h < heads; ++h) {
-              sum[h] += alpha[idx + h] * dot[h];
+              sum[h] += alpha[idx + h] * dot_e[h];
             }
           }
           for (int t = b; t < e; ++t) {
@@ -1025,9 +936,10 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
   // Pass 2 (over src): grad_z rows and der.
   const std::vector<float> al = minor_copy(heads, head_dim, attn_l);
   const std::vector<float> ar = minor_copy(heads, head_dim, attn_r);
-  util::parallel_for(
-      util::compute_pool(), 0, ns, kRowGrain,
-      [&](std::size_t v0, std::size_t v1) {
+  parallel_on_body(
+      ns, kRowGrain,
+      [&]<typename V>(Lanes<V>, std::size_t v0, std::size_t v1)
+          __attribute__((always_inline)) {
         for (std::size_t v = v0; v < v1; ++v) {
           float* __restrict o = grad_z + v * od;
           std::memset(o, 0, od * sizeof(float));
@@ -1039,16 +951,16 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
             for (std::size_t h = 0; h < heads; ++h) {
               dr[h] += ds[ed * heads + h];
             }
-            ops.axpy(heads, head_dim, alpha + ed * heads, gt.data() + d * od,
-                     o, false);
+            axpy<V>(heads, head_dim, alpha + ed * heads, gt.data() + d * od, o,
+                    false);
           }
           const int sd = cb.src_to_dst[v];
           if (sd >= 0) {
-            ops.axpy(heads, head_dim,
-                     del.data() + static_cast<std::size_t>(sd) * heads,
-                     al.data(), o, true);
+            axpy<V>(heads, head_dim,
+                    del.data() + static_cast<std::size_t>(sd) * heads,
+                    al.data(), o, true);
           }
-          ops.axpy(heads, head_dim, dr, ar.data(), o, true);
+          axpy<V>(heads, head_dim, dr, ar.data(), o, true);
         }
       });
 
@@ -1056,18 +968,19 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
   // order, so tasks split the feature index instead.
   std::vector<float> gl = minor_copy(heads, head_dim, grad_attn_l);
   std::vector<float> gr = minor_copy(heads, head_dim, grad_attn_r);
-  util::parallel_for(
-      util::compute_pool(), 0, head_dim, 8,
-      [&](std::size_t c0, std::size_t c1) {
+  parallel_on_body(
+      head_dim, 8,
+      [&]<typename V>(Lanes<V>, std::size_t c0, std::size_t c1)
+          __attribute__((always_inline)) {
         const std::size_t off = c0 * heads, n = c1 - c0;
         for (std::size_t i = 0; i < nd; ++i) {
           const auto self = static_cast<std::size_t>(cb.self_src[i]);
-          ops.axpy(heads, n, del.data() + i * heads, z + self * od + off,
-                   gl.data() + off, true);
+          axpy<V>(heads, n, del.data() + i * heads, z + self * od + off,
+                  gl.data() + off, true);
         }
         for (std::size_t v = 0; v < ns; ++v) {
-          ops.axpy(heads, n, der.data() + v * heads, z + v * od + off,
-                   gr.data() + off, true);
+          axpy<V>(heads, n, der.data() + v * heads, z + v * od + off,
+                  gr.data() + off, true);
         }
       });
   heads_to_major(1, heads, head_dim, gl.data(), grad_attn_l);
@@ -1076,14 +989,28 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
 
 void bias_act(std::size_t rows, std::size_t cols, const float* bias,
               Activation act, float* x) {
-  detail::bias_act(active_body(), rows, cols, bias, act, x);
+  parallel_on_body(
+      rows, kRowGrain,
+      [&]<typename V>(Lanes<V>, std::size_t r0, std::size_t r1)
+          __attribute__((always_inline)) {
+            act_rows<V>(r0, r1, cols, bias, act, x);
+          });
 }
 
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
                    const float* out, Activation act, float* grad,
                    float* grad_bias) {
-  detail::bias_act_grad(active_body(), rows, cols, grad_out, out, act, grad,
-                        grad_bias);
+  // Every grad_bias element sums over rows in ascending order, so tasks split
+  // the columns instead, in blocks of the widest vector.
+  constexpr std::size_t kColBlock = 16;
+  parallel_on_body(
+      (cols + kColBlock - 1) / kColBlock, 4,
+      [&]<typename V>(Lanes<V>, std::size_t b0, std::size_t b1)
+          __attribute__((always_inline)) {
+            act_grad_cols<V>(rows, cols, b0 * kColBlock,
+                             std::min(cols, b1 * kColBlock), grad_out, out,
+                             act, grad, grad_bias);
+          });
 }
 
 void gather_rows(const int* index, std::size_t rows, const float* x,

@@ -10,23 +10,20 @@
 // identical for any thread count (1..N), which is what keeps the engine's
 // depth-1 vs depth-2 trajectory-equality guarantees intact.
 //
-// GEMMs: one strided register tile (accumulators for a few output rows x 8
+// Every kernel that does arithmetic has one source, compiled for three
+// bodies: portable (4-lane GNU vectors), AVX2 (8 lanes) and AVX-512 (16
+// lanes). A call runs the widest body the CPU has (isa()), or the one
+// detail::ScopedBody pins on the calling thread. No body fuses a multiply
+// and an add (the TU is built -ffp-contract=off) or reorders a sum, so every
+// body gives the same bits.
+//
+// GEMMs: one strided register tile (accumulators for 4 or 8 output rows x 8
 // or 16 columns held for the whole inner loop, operand A read as
 // a[r*sr + p*sp]) serves all three variants. gemm calls it directly,
 // gemm_at reads A transposed, and gemm_bt packs B^T into a reused
-// per-thread buffer and then runs gemm. The inner index is blocked by kKcBlock so the B panel stays
-// cache-resident. The tile has one source, compiled for three bodies and
-// picked once at start-up (isa()): portable (4 x 8, 4-lane GNU vectors),
-// AVX2 (4 x 16, 8 lanes) and AVX-512 (8 x 16, 16 lanes); every body runs
-// column tails as scalar loops. Every output element is c = c + a*b in
-// ascending inner index with the multiply and add rounded separately (no
-// FMA; the TU is built with -ffp-contract=off), so every body, any tiling
-// and any thread count give the same bits as a plain ascending float triple
-// loop.
-//
-// Aggregation kernels walk the CompiledBlock CSR with 4-way neighbor-row
-// accumulation plus software prefetch, which buys memory-level parallelism
-// on the random feature-row reads that dominate sampled-block aggregation.
+// per-thread buffer and then runs gemm. The inner index is blocked by
+// kKcBlock so the B panel stays cache-resident. Every output element is
+// c = c + a*b in ascending inner index: the bits of a plain float loop.
 
 #include <cstddef>
 
@@ -40,10 +37,31 @@ inline constexpr std::size_t kKcBlock = 256;
 /// parallel_for grain for row-partitioned loops.
 inline constexpr std::size_t kRowGrain = 16;
 
-// ---- GEMM -----------------------------------------------------------------
-
-/// Tile body the GEMMs run on this CPU: "avx512", "avx2" or "portable".
+/// Body the kernels run on this thread: "avx512", "avx2" or "portable".
 const char* isa();
+
+namespace detail {
+/// The bodies: 4-, 8- and 16-lane GNU vectors.
+enum class Body { kPortable, kAvx2, kAvx512 };
+bool avx2_supported();
+bool avx512_supported();
+
+/// Pins the body of every kernel this thread calls (and of its pool tasks)
+/// while in scope, so tests and bench_kernels can run each body. A body the
+/// CPU lacks falls back: kAvx512 -> kAvx2 -> kPortable.
+class ScopedBody {
+ public:
+  explicit ScopedBody(Body body);
+  ~ScopedBody();
+  ScopedBody(const ScopedBody&) = delete;
+  ScopedBody& operator=(const ScopedBody&) = delete;
+
+ private:
+  Body saved_;
+};
+}  // namespace detail
+
+// ---- GEMM -----------------------------------------------------------------
 
 /// c (m x n) = a (m x k) @ b (k x n); adds into c when `accumulate`.
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -57,23 +75,14 @@ void gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate);
 
-namespace detail {
-/// The GEMMs above with the tile body named explicitly, so tests can pin every
-/// body to the same bits. A body the CPU lacks falls back to the next one:
-/// kAvx512 runs the AVX2 body on CPUs without AVX-512F, and kAvx2 the portable
-/// body on CPUs without AVX2.
-enum class Body { kPortable, kAvx2, kAvx512 };
-bool avx2_supported();
-bool avx512_supported();
-void gemm(Body body, std::size_t m, std::size_t k, std::size_t n,
-          const float* a, const float* b, float* c, bool accumulate);
-void gemm_bt(Body body, std::size_t m, std::size_t k, std::size_t n,
-             const float* a, const float* b, float* c, bool accumulate);
-void gemm_at(Body body, std::size_t m, std::size_t k, std::size_t n,
-             const float* a, const float* b, float* c, bool accumulate);
-}  // namespace detail
-
 // ---- Block aggregation (x: num_src x dim, out: num_dst x dim) -------------
+// The forward kernels read four neighbour rows at a time and prefetch the
+// next four: the random row reads are latency-bound. Summation order per
+// element: from +0, the CSR neighbours in CSR order, four at a time as
+// (s0 + s1) + (s2 + s3) (terms weighted for aggregate_coeff), the rest one at
+// a time, then the self term or the product by inv_deg. The transposed
+// kernels start from +0 or the grad_self row and add one edge at a time in
+// reverse-CSR order, then the self term.
 
 /// out[i] = mean over CSR neighbors of x[src]; zero row for isolated dsts.
 void aggregate_mean(const CompiledBlock& cb, const float* x, std::size_t dim,
@@ -108,9 +117,8 @@ void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
 // inner loop runs over the heads as independent lanes; per-row and per-edge
 // state (el, er, score, alpha) is [row * heads + h]. Every dot product is
 // still one ascending-c chain per head with the multiply and the add rounded
-// separately, so the results are the bits of a one-head-at-a-time loop. The
-// loops run on a portable body or, when heads is a multiple of 8, on 8-lane
-// vectors, built for AVX2 if the CPU has it.
+// separately, so the results are the bits of a one-head-at-a-time loop on
+// every body.
 
 /// out row r = in row r converted head-major -> head-minor.
 void heads_to_minor(std::size_t rows, std::size_t heads, std::size_t head_dim,
@@ -155,7 +163,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
                             float* grad_attn_r);
 
 // ---- Elementwise tails ----------------------------------------------------
-// Branch-free loops over the tile body's vectors (same body as the GEMMs).
+// Branch-free loops over the body's vectors.
 // Every element is computed on its own, so results do not depend on the
 // body, the vector width or the thread count. ELU's expm1 is computed in
 // this library, not by the host libm: it is fdlibm's expm1f (the routine
@@ -178,15 +186,6 @@ void bias_act(std::size_t rows, std::size_t cols, const float* bias,
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
                    const float* out, Activation act, float* grad,
                    float* grad_bias);
-
-namespace detail {
-/// The tails above on a named body, like the detail GEMMs.
-void bias_act(Body body, std::size_t rows, std::size_t cols,
-              const float* bias, Activation act, float* x);
-void bias_act_grad(Body body, std::size_t rows, std::size_t cols,
-                   const float* grad_out, const float* out, Activation act,
-                   float* grad, float* grad_bias);
-}  // namespace detail
 
 // ---- Row gather -----------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "body_cases.hpp"
 #include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
 #include "gnn/block.hpp"
@@ -26,6 +27,8 @@
 
 namespace moment::gnn {
 namespace {
+
+using reference::for_each_body;
 
 TEST(Tensor, MatmulAgainstHand) {
   Tensor a(2, 3), b(3, 2), out(2, 2);
@@ -557,51 +560,55 @@ bool same_bits(const float* a, const float* b, std::size_t n) {
 TEST(GatLayer, MatchesPerHeadReferenceBitwise) {
   const Block block = gat_reference_block();
   constexpr std::size_t kInDim = 10;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::set_compute_pool_threads(threads);
-    for (const std::size_t heads : {1u, 3u, 8u, 9u, 16u}) {
-      for (const std::size_t hd : {1u, 7u, 64u}) {
-        for (const bool elu : {false, true}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "threads=" << threads << " heads=" << heads
-                       << " head_dim=" << hd << " elu=" << elu);
-          util::Pcg32 rng(31 + heads * 7 + hd);
-          GatLayer layer(kInDim, heads, hd, elu, rng);
-          Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
-          x *= 3.0f;
-          for (Param* p : layer.parameters()) {
-            if (p->name == "bias") {
-              p->value = Tensor::glorot(1, heads * hd, rng);
+  for_each_body([&](const char* body) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::set_compute_pool_threads(threads);
+      for (const std::size_t heads : {1u, 3u, 4u, 8u, 9u, 16u}) {
+        for (const std::size_t hd : {1u, 7u, 64u}) {
+          for (const bool elu : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << body << " body, threads=" << threads
+                         << " heads=" << heads << " head_dim=" << hd
+                         << " elu=" << elu);
+            util::Pcg32 rng(31 + heads * 7 + hd);
+            GatLayer layer(kInDim, heads, hd, elu, rng);
+            Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
+            x *= 3.0f;
+            for (Param* p : layer.parameters()) {
+              if (p->name == "bias") {
+                p->value = Tensor::glorot(1, heads * hd, rng);
+              }
+              p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
             }
-            p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
-          }
-          const Tensor grad_out =
-              Tensor::glorot(block.num_dst(), heads * hd, rng);
-          std::vector<Param> params;
-          for (Param* p : layer.parameters()) params.push_back(*p);
+            const Tensor grad_out =
+                Tensor::glorot(block.num_dst(), heads * hd, rng);
+            std::vector<Param> params;
+            for (Param* p : layer.parameters()) params.push_back(*p);
 
-          const GatReference ref = gat_per_head_reference(
-              block, x, grad_out, params, heads, hd, elu);
-          const Tensor out = layer.forward(block, x);
-          const Tensor grad_x = layer.backward(block, grad_out);
-          ASSERT_EQ(out.size(), ref.out.size());
-          EXPECT_TRUE(same_bits(out.data(), ref.out.data(), out.size()));
-          ASSERT_EQ(grad_x.size(), ref.grad_x.size());
-          EXPECT_TRUE(
-              same_bits(grad_x.data(), ref.grad_x.data(), grad_x.size()));
-          const std::vector<float> got = flat_grads(layer.parameters());
-          ASSERT_EQ(got.size(), ref.param_grads.size());
-          std::size_t at = 0;
-          for (const Param* p : layer.parameters()) {
-            EXPECT_TRUE(same_bits(got.data() + at,
-                                  ref.param_grads.data() + at, p->grad.size()))
-                << p->name;
-            at += p->grad.size();
+            const GatReference ref = gat_per_head_reference(
+                block, x, grad_out, params, heads, hd, elu);
+            const Tensor out = layer.forward(block, x);
+            const Tensor grad_x = layer.backward(block, grad_out);
+            ASSERT_EQ(out.size(), ref.out.size());
+            EXPECT_TRUE(same_bits(out.data(), ref.out.data(), out.size()));
+            ASSERT_EQ(grad_x.size(), ref.grad_x.size());
+            EXPECT_TRUE(
+                same_bits(grad_x.data(), ref.grad_x.data(), grad_x.size()));
+            const std::vector<float> got = flat_grads(layer.parameters());
+            ASSERT_EQ(got.size(), ref.param_grads.size());
+            std::size_t at = 0;
+            for (const Param* p : layer.parameters()) {
+              EXPECT_TRUE(same_bits(got.data() + at,
+                                    ref.param_grads.data() + at,
+                                    p->grad.size()))
+                  << p->name;
+              at += p->grad.size();
+            }
           }
         }
       }
     }
-  }
+  });
   util::set_compute_pool_threads(0);
 }
 
@@ -717,59 +724,63 @@ LayerReference gcn_reference(const Block& block, const Tensor& x,
   return ref;
 }
 
-/// Runs `Layer` against `reference` on gat_reference_block(), ReLU on and
-/// off, with 1 and 4 pool threads, and compares every output bit. Output
-/// column 0 is a dead ReLU unit (bias -100, negative upstream gradient) whose
-/// bias gradient starts at -0: it stays -0 only if the masked gradient is -0,
-/// so a ReLU gradient that multiplies by 0 instead of selecting shows.
+/// Runs `Layer` against `reference` on gat_reference_block() on every body,
+/// ReLU on and off, with 1 and 4 pool threads, and compares every output
+/// bit. Output column 0 is a dead ReLU unit (bias -100, negative upstream
+/// gradient) whose bias gradient starts at -0: it stays -0 only if the masked
+/// gradient is -0, so a ReLU gradient that multiplies by 0 instead of
+/// selecting shows.
 template <class Layer, class Reference>
 void expect_layer_matches_reference(Reference reference) {
   const Block block = gat_reference_block();
   constexpr std::size_t kInDim = 10, kOutDim = 9;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::set_compute_pool_threads(threads);
-    for (const bool relu : {false, true}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " relu=" << relu);
-      util::Pcg32 rng(relu ? 57 : 53);
-      Layer layer(kInDim, kOutDim, relu, rng);
-      Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
-      x *= 3.0f;
-      for (Param* p : layer.parameters()) {
-        if (p->name == "bias") {
-          p->value = Tensor::glorot(1, kOutDim, rng);
-          p->value.at(0, 0) = -100.0f;
-          p->grad = Tensor::glorot(1, kOutDim, rng);
-          p->grad.at(0, 0) = -0.0f;
-        } else {
-          p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
+  for_each_body([&](const char* body) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::set_compute_pool_threads(threads);
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << body << " body, threads="
+                                          << threads << " relu=" << relu);
+        util::Pcg32 rng(relu ? 57 : 53);
+        Layer layer(kInDim, kOutDim, relu, rng);
+        Tensor x = Tensor::glorot(block.num_src(), kInDim, rng);
+        x *= 3.0f;
+        for (Param* p : layer.parameters()) {
+          if (p->name == "bias") {
+            p->value = Tensor::glorot(1, kOutDim, rng);
+            p->value.at(0, 0) = -100.0f;
+            p->grad = Tensor::glorot(1, kOutDim, rng);
+            p->grad.at(0, 0) = -0.0f;
+          } else {
+            p->grad = Tensor::glorot(p->value.rows(), p->value.cols(), rng);
+          }
+        }
+        Tensor grad_out = Tensor::glorot(block.num_dst(), kOutDim, rng);
+        for (std::size_t r = 0; r < grad_out.rows(); ++r) {
+          grad_out.at(r, 0) = -1.0f - std::fabs(grad_out.at(r, 0));
+        }
+        std::vector<Param> params;
+        for (Param* p : layer.parameters()) params.push_back(*p);
+
+        const LayerReference ref = reference(block, x, grad_out, params, relu);
+        const Tensor out = layer.forward(block, x);
+        const Tensor grad_x = layer.backward(block, grad_out);
+        ASSERT_EQ(out.size(), ref.out.size());
+        EXPECT_TRUE(same_bits(out.data(), ref.out.data(), out.size()));
+        ASSERT_EQ(grad_x.size(), ref.grad_x.size());
+        EXPECT_TRUE(
+            same_bits(grad_x.data(), ref.grad_x.data(), grad_x.size()));
+        const std::vector<float> got = flat_grads(layer.parameters());
+        ASSERT_EQ(got.size(), ref.param_grads.size());
+        std::size_t at = 0;
+        for (const Param* p : layer.parameters()) {
+          EXPECT_TRUE(same_bits(got.data() + at, ref.param_grads.data() + at,
+                                p->grad.size()))
+              << p->name;
+          at += p->grad.size();
         }
       }
-      Tensor grad_out = Tensor::glorot(block.num_dst(), kOutDim, rng);
-      for (std::size_t r = 0; r < grad_out.rows(); ++r) {
-        grad_out.at(r, 0) = -1.0f - std::fabs(grad_out.at(r, 0));
-      }
-      std::vector<Param> params;
-      for (Param* p : layer.parameters()) params.push_back(*p);
-
-      const LayerReference ref = reference(block, x, grad_out, params, relu);
-      const Tensor out = layer.forward(block, x);
-      const Tensor grad_x = layer.backward(block, grad_out);
-      ASSERT_EQ(out.size(), ref.out.size());
-      EXPECT_TRUE(same_bits(out.data(), ref.out.data(), out.size()));
-      ASSERT_EQ(grad_x.size(), ref.grad_x.size());
-      EXPECT_TRUE(same_bits(grad_x.data(), ref.grad_x.data(), grad_x.size()));
-      const std::vector<float> got = flat_grads(layer.parameters());
-      ASSERT_EQ(got.size(), ref.param_grads.size());
-      std::size_t at = 0;
-      for (const Param* p : layer.parameters()) {
-        EXPECT_TRUE(same_bits(got.data() + at, ref.param_grads.data() + at,
-                              p->grad.size()))
-            << p->name;
-        at += p->grad.size();
-      }
     }
-  }
+  });
   util::set_compute_pool_threads(0);
 }
 

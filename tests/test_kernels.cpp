@@ -1,22 +1,24 @@
 // Kernel-vs-naive equivalence for the gnn/kernels layer: the tiled GEMM
 // variants against reference triple loops on ragged shapes (within a
 // tolerance against double loops, and bit for bit against ascending float
-// loops for every tile body), the bias + activation tails against scalar
-// loops bit for bit (ELU against the fdlibm expm1f port in
-// expm1f_reference.hpp) on every body, CompiledBlock structure, CSR
-// aggregation against edge-list oracles, and bitwise thread-count invariance
-// of the row-partitioned parallel paths.
+// loops for every body), the bias + activation tails against scalar loops
+// bit for bit (ELU against the fdlibm expm1f port in expm1f_reference.hpp)
+// on every body, CompiledBlock structure, CSR aggregation bit for bit
+// against scalar loops in the kernels' order (aggregate_reference.hpp) on
+// every body, and bitwise thread-count invariance of every parallel kernel
+// on every body.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "aggregate_reference.hpp"
+#include "body_cases.hpp"
 #include "expm1f_reference.hpp"
 #include "gnn/block.hpp"
 #include "gnn/kernels.hpp"
@@ -29,6 +31,8 @@ using moment::gnn::Block;
 using moment::gnn::CompiledBlock;
 using moment::gnn::compile_block;
 namespace kernels = moment::gnn::kernels;
+namespace reference = moment::gnn::reference;
+using reference::for_each_body;
 
 constexpr double kTol = 1e-4;
 
@@ -183,21 +187,6 @@ void expect_bitwise(const std::vector<float>& ref,
   }
 }
 
-using kernels::detail::Body;
-
-struct BodyCase {
-  Body body;
-  const char* name;
-  bool supported;
-};
-
-/// Every tile body; a body the CPU lacks is reported as skipped.
-std::vector<BodyCase> body_cases() {
-  return {{Body::kPortable, "portable", true},
-          {Body::kAvx2, "avx2", kernels::detail::avx2_supported()},
-          {Body::kAvx512, "avx512", kernels::detail::avx512_supported()}};
-}
-
 TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
   // Ragged rows for both tile heights (m % 4 != 0; m % 8 in {5, 6, 7}),
   // ragged columns (n % 16 != 0, including n < 16), n a multiple of 8 but not
@@ -209,13 +198,8 @@ TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
       {4, 256, 16}, {6, 300, 37}, {13, 520, 48}, {8, 0, 16},  {37, 70, 130},
       {21, 40, 15}, {22, 9, 33},  {23, 260, 1}, {16, 64, 16}, {45, 31, 47},
       {9, 70, 24},  {5, 3, 8}};
-  for (const BodyCase& cs : body_cases()) {
-    if (!cs.supported) {
-      std::printf("[ SKIPPED  ] %s body: this CPU lacks it\n", cs.name);
-      continue;
-    }
-    const Body body = cs.body;
-    SCOPED_TRACE(testing::Message() << cs.name << " body");
+  for_each_body([&](const char* body) {
+    SCOPED_TRACE(testing::Message() << body << " body");
     moment::util::Pcg32 rng(11);
     for (const auto& s : shapes) {
       const std::size_t m = s[0], k = s[1], n = s[2];
@@ -229,32 +213,35 @@ TEST(Kernels, GemmBitwiseMatchesAscendingFloatOracle) {
         auto got = ref;
         ascending_gemm(m, k, n, a.data(), k, 1, b.data(), n, 1, ref.data(),
                        acc);
-        kernels::detail::gemm(body, m, k, n, a.data(), b.data(), got.data(),
-                              acc);
+        kernels::gemm(m, k, n, a.data(), b.data(), got.data(), acc);
         expect_bitwise(ref, got, "gemm");
 
         auto ref2 = random_matrix(m, n, rng);
         auto got2 = ref2;
         ascending_gemm(m, k, n, a.data(), k, 1, bt.data(), 1, k, ref2.data(),
                        acc);
-        kernels::detail::gemm_bt(body, m, k, n, a.data(), bt.data(),
-                                 got2.data(), acc);
+        kernels::gemm_bt(m, k, n, a.data(), bt.data(), got2.data(), acc);
         expect_bitwise(ref2, got2, "gemm_bt");
 
         auto ref3 = random_matrix(k, n, rng);
         auto got3 = ref3;
         ascending_gemm(k, m, n, a.data(), 1, k, bm.data(), n, 1, ref3.data(),
                        acc);
-        kernels::detail::gemm_at(body, m, k, n, a.data(), bm.data(),
-                                 got3.data(), acc);
+        kernels::gemm_at(m, k, n, a.data(), bm.data(), got3.data(), acc);
         expect_bitwise(ref3, got3, "gemm_at");
       }
     }
-  }
+  });
   const std::string isa = kernels::isa();
   EXPECT_EQ(isa, kernels::detail::avx512_supported() ? "avx512"
                  : kernels::detail::avx2_supported() ? "avx2"
                                                      : "portable");
+  // A pin holds on this thread until it goes out of scope.
+  {
+    const kernels::detail::ScopedBody pin(kernels::detail::Body::kPortable);
+    EXPECT_STREQ(kernels::isa(), "portable");
+  }
+  EXPECT_EQ(kernels::isa(), isa);
 }
 
 // The bias + activation tails as the scalar loops they replaced, with ELU's
@@ -369,23 +356,18 @@ void expect_tails_match_scalar(std::size_t rows, std::size_t cols,
   std::vector<float> ref_grad(x.size()), ref_gb = grad_bias;
   scalar_bias_act_grad(rows, cols, grad_out.data(), ref.data(), act,
                        ref_grad.data(), ref_gb.data());
-  for (const BodyCase& cs : body_cases()) {
-    if (!cs.supported) {
-      std::printf("[ SKIPPED  ] %s body: this CPU lacks it\n", cs.name);
-      continue;
-    }
-    SCOPED_TRACE(testing::Message() << cs.name << " body");
+  for_each_body([&](const char* body) {
+    SCOPED_TRACE(testing::Message() << body << " body");
     std::vector<float> got = x;
-    kernels::detail::bias_act(cs.body, rows, cols, bias.data(), act,
-                              got.data());
+    kernels::bias_act(rows, cols, bias.data(), act, got.data());
     expect_bitwise(ref, got, "bias_act");
     std::vector<float> grad(x.size()), gb = grad_bias;
-    kernels::detail::bias_act_grad(cs.body, rows, cols, grad_out.data(),
-                                   ref.data(), act, grad.data(), gb.data());
+    kernels::bias_act_grad(rows, cols, grad_out.data(), ref.data(), act,
+                           grad.data(), gb.data());
     expect_bitwise(ref_grad, grad, "bias_act_grad grad");
     // Each bias sums many rows, NaN ones among them.
     expect_bitwise_any_nan(ref_gb, gb, "bias_act_grad grad_bias");
-  }
+  });
 }
 
 TEST(Kernels, ActivationTailsMatchScalarOracleBitwise) {
@@ -482,27 +464,15 @@ TEST(Kernels, AggregateMeanMatchesEdgeListOracle) {
   const CompiledBlock cb = compile_block(block);
   ASSERT_EQ(cb.degree(0), 0);
   const auto x = random_matrix(ns, dim, rng);
-
-  std::vector<float> ref(nd * dim, 0.0f);
-  std::vector<std::size_t> degree(nd, 0);
-  for (const auto& [dst, src] : block.edges) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      ref[static_cast<std::size_t>(dst) * dim + c] +=
-          x[static_cast<std::size_t>(src) * dim + c];
-    }
-    ++degree[static_cast<std::size_t>(dst)];
-  }
-  for (std::size_t i = 0; i < nd; ++i) {
-    if (degree[i] == 0) continue;
-    for (std::size_t c = 0; c < dim; ++c) {
-      ref[i * dim + c] /= static_cast<float>(degree[i]);
-    }
-  }
-
-  std::vector<float> got(nd * dim, 1.0f);  // nonzero: rows must be overwritten
-  kernels::aggregate_mean(cb, x.data(), dim, got.data());
-  expect_close(ref, got, "aggregate_mean");
-  for (std::size_t c = 0; c < dim; ++c) EXPECT_EQ(got[c], 0.0f);
+  std::vector<float> ref(nd * dim);
+  reference::aggregate_mean(cb, x.data(), dim, ref.data());
+  for_each_body([&](const char* body) {
+    SCOPED_TRACE(testing::Message() << body << " body");
+    std::vector<float> got(nd * dim, 1.0f);  // rows must be overwritten
+    kernels::aggregate_mean(cb, x.data(), dim, got.data());
+    expect_bitwise(ref, got, "aggregate_mean");
+    for (std::size_t c = 0; c < dim; ++c) EXPECT_EQ(got[c], 0.0f);
+  });
 }
 
 TEST(Kernels, AggregateCoeffAndGradMatchOracle) {
@@ -511,49 +481,29 @@ TEST(Kernels, AggregateCoeffAndGradMatchOracle) {
   const Block block = random_block(nd, ns, ne, rng);
   const CompiledBlock cb = compile_block(block);
   const auto x = random_matrix(ns, dim, rng);
+  const auto g = random_matrix(nd, dim, rng);
   std::vector<float> edge_coeff(ne), self_coeff(nd);
   for (float& v : edge_coeff) v = static_cast<float>(rng.next_double(0.1, 1.0));
   for (float& v : self_coeff) v = static_cast<float>(rng.next_double(0.1, 1.0));
-
-  // Forward oracle over the CSR edge list (coefficients are CSR-indexed).
-  std::vector<float> ref(nd * dim, 0.0f);
-  for (std::size_t i = 0; i < nd; ++i) {
-    for (int t = cb.dst_off[i]; t < cb.dst_off[i + 1]; ++t) {
-      const auto src = static_cast<std::size_t>(cb.src_of[t]);
-      for (std::size_t c = 0; c < dim; ++c) {
-        ref[i * dim + c] += edge_coeff[static_cast<std::size_t>(t)] * x[src * dim + c];
-      }
-    }
-    const auto self = static_cast<std::size_t>(cb.self_src[i]);
-    for (std::size_t c = 0; c < dim; ++c) {
-      ref[i * dim + c] += self_coeff[i] * x[self * dim + c];
-    }
+  // With and without the self term (coefficients are CSR-indexed).
+  for (const float* self : {self_coeff.data(), static_cast<float*>(nullptr)}) {
+    std::vector<float> ref(nd * dim), gref(ns * dim);
+    reference::aggregate_coeff(cb, edge_coeff.data(), self, x.data(), dim,
+                               ref.data());
+    reference::aggregate_coeff_grad(cb, edge_coeff.data(), self, g.data(),
+                                    dim, gref.data());
+    for_each_body([&](const char* body) {
+      SCOPED_TRACE(testing::Message()
+                   << body << " body, self term " << (self != nullptr));
+      std::vector<float> got(nd * dim, 1.0f), ggot(ns * dim, 1.0f);
+      kernels::aggregate_coeff(cb, edge_coeff.data(), self, x.data(), dim,
+                               got.data());
+      expect_bitwise(ref, got, "aggregate_coeff");
+      kernels::aggregate_coeff_grad(cb, edge_coeff.data(), self, g.data(),
+                                    dim, ggot.data());
+      expect_bitwise(gref, ggot, "aggregate_coeff_grad");
+    });
   }
-  std::vector<float> got(nd * dim);
-  kernels::aggregate_coeff(cb, edge_coeff.data(), self_coeff.data(), x.data(),
-                           dim, got.data());
-  expect_close(ref, got, "aggregate_coeff");
-
-  // Backward oracle: scatter g through the same weights, transposed.
-  const auto g = random_matrix(nd, dim, rng);
-  std::vector<float> gref(ns * dim, 0.0f);
-  for (std::size_t i = 0; i < nd; ++i) {
-    for (int t = cb.dst_off[i]; t < cb.dst_off[i + 1]; ++t) {
-      const auto src = static_cast<std::size_t>(cb.src_of[t]);
-      for (std::size_t c = 0; c < dim; ++c) {
-        gref[src * dim + c] +=
-            edge_coeff[static_cast<std::size_t>(t)] * g[i * dim + c];
-      }
-    }
-    const auto self = static_cast<std::size_t>(cb.self_src[i]);
-    for (std::size_t c = 0; c < dim; ++c) {
-      gref[self * dim + c] += self_coeff[i] * g[i * dim + c];
-    }
-  }
-  std::vector<float> ggot(ns * dim);
-  kernels::aggregate_coeff_grad(cb, edge_coeff.data(), self_coeff.data(),
-                                g.data(), dim, ggot.data());
-  expect_close(gref, ggot, "aggregate_coeff_grad");
 }
 
 TEST(Kernels, SageInputGradMatchesOracle) {
@@ -563,24 +513,16 @@ TEST(Kernels, SageInputGradMatchesOracle) {
   const CompiledBlock cb = compile_block(block);
   const auto grad_self = random_matrix(nd, dim, rng);
   const auto grad_mean = random_matrix(nd, dim, rng);
-
-  std::vector<float> ref(ns * dim, 0.0f);
-  for (std::size_t i = 0; i < nd; ++i) {
-    const auto self = static_cast<std::size_t>(cb.self_src[i]);
-    for (std::size_t c = 0; c < dim; ++c) {
-      ref[self * dim + c] += grad_self[i * dim + c];
-    }
-    for (int t = cb.dst_off[i]; t < cb.dst_off[i + 1]; ++t) {
-      const auto src = static_cast<std::size_t>(cb.src_of[t]);
-      for (std::size_t c = 0; c < dim; ++c) {
-        ref[src * dim + c] += cb.inv_deg[i] * grad_mean[i * dim + c];
-      }
-    }
-  }
-  std::vector<float> got(ns * dim);
-  kernels::sage_input_grad(cb, grad_self.data(), grad_mean.data(), dim,
-                           got.data());
-  expect_close(ref, got, "sage_input_grad");
+  std::vector<float> ref(ns * dim);
+  reference::sage_input_grad(cb, grad_self.data(), grad_mean.data(), dim,
+                             ref.data());
+  for_each_body([&](const char* body) {
+    SCOPED_TRACE(testing::Message() << body << " body");
+    std::vector<float> got(ns * dim, 1.0f);
+    kernels::sage_input_grad(cb, grad_self.data(), grad_mean.data(), dim,
+                             got.data());
+    expect_bitwise(ref, got, "sage_input_grad");
+  });
 }
 
 TEST(Kernels, ResultsAreBitwiseThreadCountInvariant) {
@@ -592,23 +534,72 @@ TEST(Kernels, ResultsAreBitwiseThreadCountInvariant) {
   const Block block = random_block(nd, ns, ne, rng);
   const CompiledBlock cb = compile_block(block);
   const auto x = random_matrix(ns, dim, rng);
+  const auto g = random_matrix(nd, dim, rng);
+  const auto g2 = random_matrix(nd, dim, rng);
+  const auto coeff = random_matrix(1, ne + nd, rng);
+  // GAT rows of up to 8 heads x 19: head_dim is past the 8-wide grain of the
+  // attention-vector gradient pass, so that pass splits too.
+  const std::size_t hd = 19;
+  const auto z = random_matrix(ns, 8 * hd, rng);
+  const auto go = random_matrix(nd, 8 * hd, rng);
+  const auto attn = random_matrix(2, 8 * hd, rng);
 
-  moment::util::set_compute_pool_threads(1);
-  std::vector<float> c1(m * n), agg1(nd * dim);
-  kernels::gemm(m, k, n, a.data(), b.data(), c1.data(), false);
-  kernels::aggregate_mean(cb, x.data(), dim, agg1.data());
-
-  moment::util::set_compute_pool_threads(4);
-  std::vector<float> c4(m * n), agg4(nd * dim);
-  kernels::gemm(m, k, n, a.data(), b.data(), c4.data(), false);
-  kernels::aggregate_mean(cb, x.data(), dim, agg4.data());
-  moment::util::set_compute_pool_threads(0);  // back to auto
-
-  // Row-partitioned work with fixed per-row accumulation order: bitwise
+  // Every output of GEMM, the four aggregations and the three attention
+  // kernels (8 and 3 heads), concatenated.
+  auto run_all = [&] {
+    std::vector<float> all;
+    auto take = [&](std::size_t size, auto&& fn) {
+      std::vector<float> out(size);
+      fn(out.data());
+      all.insert(all.end(), out.begin(), out.end());
+    };
+    take(m * n, [&](float* c) {
+      kernels::gemm(m, k, n, a.data(), b.data(), c, false);
+    });
+    take(nd * dim, [&](float* o) {
+      kernels::aggregate_mean(cb, x.data(), dim, o);
+    });
+    take(nd * dim, [&](float* o) {
+      kernels::aggregate_coeff(cb, coeff.data(), coeff.data() + ne, x.data(),
+                               dim, o);
+    });
+    take(ns * dim, [&](float* o) {
+      kernels::aggregate_coeff_grad(cb, coeff.data(), coeff.data() + ne,
+                                    g.data(), dim, o);
+    });
+    take(ns * dim, [&](float* o) {
+      kernels::sage_input_grad(cb, g.data(), g2.data(), dim, o);
+    });
+    for (const std::size_t heads : {std::size_t{8}, std::size_t{3}}) {
+      const std::size_t od = heads * hd;
+      std::vector<float> el(nd * heads), er(ns * heads), score(ne * heads),
+          alpha(ne * heads), out(nd * od), grad_z(ns * od), gal(od), gar(od);
+      kernels::gat_logits(cb, z.data(), heads, hd, attn.data(),
+                          attn.data() + od, el.data(), er.data());
+      kernels::gat_attention_forward(cb, el.data(), er.data(), z.data(),
+                                     heads, hd, 0.2f, score.data(),
+                                     alpha.data(), out.data());
+      kernels::gat_attention_backward(
+          cb, go.data(), z.data(), heads, hd, 0.2f, attn.data(),
+          attn.data() + od, score.data(), alpha.data(), grad_z.data(),
+          gal.data(), gar.data());
+      for (const auto* v : {&el, &er, &score, &alpha, &out, &grad_z, &gal,
+                            &gar}) {
+        all.insert(all.end(), v->begin(), v->end());
+      }
+    }
+    return all;
+  };
+  // Row-partitioned work with a fixed per-row accumulation order: bitwise
   // equality, not just tolerance.
-  EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)));
-  EXPECT_EQ(0,
-            std::memcmp(agg1.data(), agg4.data(), agg1.size() * sizeof(float)));
+  for_each_body([&](const char* body) {
+    SCOPED_TRACE(testing::Message() << body << " body");
+    moment::util::set_compute_pool_threads(1);
+    const std::vector<float> one = run_all();
+    moment::util::set_compute_pool_threads(4);
+    expect_bitwise(one, run_all(), "1 vs 4 pool threads");
+  });
+  moment::util::set_compute_pool_threads(0);  // back to auto
 }
 
 }  // namespace
