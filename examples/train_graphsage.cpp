@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
     const std::vector<std::uint64_t> bytes_before = ssd_bytes();
     const auto stats = trainer.train_epoch(task.labels, 64);
     const std::vector<std::uint64_t> bytes_after = ssd_bytes();
-    std::printf("epoch %d: loss %.3f  acc %.3f  batches %zu  "
+    std::printf("epoch %d: loss %.9g  acc %.3f  batches %zu  "
                 "fetched %zu vertices  (%.2f s, replicas in sync: %s)\n",
                 e, stats.mean_loss, stats.mean_accuracy, stats.batches,
                 stats.fetched_vertices, stats.wall_time_s,

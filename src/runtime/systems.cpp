@@ -31,7 +31,6 @@ Workbench Workbench::make(graph::DatasetId id, int scale_shift,
   const auto train = sampling::select_train_vertices(
       bench.dataset.csr, bench.dataset.train_fraction, seed);
   sampling::HotnessOptions opts;
-  opts.num_batches = 24;
   opts.batch_size = std::max<std::size_t>(
       8, static_cast<std::size_t>(8000.0 / bench.dataset.upscale()));
   opts.seed = seed + 1;

@@ -81,6 +81,10 @@ struct Workbench {
   graph::Dataset dataset;
   sampling::HotnessProfile profile;
 
+  /// The dataset plus its pre-sampled profile: its own training set,
+  /// fan-outs {25, 10}, paper-scale batches (8 seeds at IG), drawn until two
+  /// fetches per vertex are recorded, so DDAK and the hot-row cache rank the
+  /// graph rather than vertex-id ties.
   static Workbench make(graph::DatasetId id, int scale_shift,
                         std::uint64_t seed);
 };

@@ -1,10 +1,16 @@
 #pragma once
 // Pre-sampling hotness profiler (paper Section 3.3: "We first collect vertex
-// hotness information through pre-sampling"). Runs the real sampler over a
-// number of warm-up batches and counts how often each vertex appears in the
+// hotness information through pre-sampling"). Runs the real sampler over
+// warm-up batches and counts how often each vertex appears in the
 // feature-fetch set. The normalised counts are the hotness distribution DDAK
 // sorts by, and the per-epoch access volume estimate the simulator scales to
 // paper-size traffic.
+//
+// The profile is sized to the graph, not to a batch count: it keeps drawing
+// batches until it has recorded at least two fetches per vertex, then stops
+// at that batch boundary. A fixed number of small batches records well under
+// one fetch per vertex on a large graph, so most vertices tie at zero and
+// the ranking degrades to vertex-id order.
 
 #include <cstdint>
 #include <vector>
@@ -25,21 +31,24 @@ struct HotnessProfile {
   double top10pct_traffic = 0.0;
   std::size_t profiled_batches = 0;
   std::size_t batch_size = 0;  // seeds per profiled batch
+  /// by_hotness_desc() as profile_hotness sorted it once. Empty on a profile
+  /// whose `hotness` is filled by hand.
+  std::vector<VertexId> ranked;
 
-  /// Vertices sorted by descending hotness (DDAK's allocation order).
+  /// Vertices sorted by descending hotness, ties by ascending id (DDAK's
+  /// allocation order and the hot-row cache's warm order). Returns `ranked`
+  /// when it covers every vertex, else sorts `hotness`.
   std::vector<VertexId> by_hotness_desc() const;
-
-  /// The `k` hottest vertices only (descending, stable on ties): the cheap
-  /// partial form used to seed the IO stack's hot-row cache at startup.
-  std::vector<VertexId> hottest(std::size_t k) const;
 };
 
 struct HotnessOptions {
-  std::size_t num_batches = 32;
   std::size_t batch_size = 1024;
   std::uint64_t seed = 7;
 };
 
+/// Profiles until at least 2 x num_vertices fetches are recorded (whole
+/// batches; the training set is reshuffled when an epoch runs out). Throws
+/// std::invalid_argument on an empty training set.
 HotnessProfile profile_hotness(const CsrGraph& graph,
                                const NeighborSampler& sampler,
                                const std::vector<VertexId>& train_vertices,

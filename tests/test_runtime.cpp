@@ -13,6 +13,8 @@
 #include "iostack/feature_store.hpp"
 #include "runtime/parallel_trainer.hpp"
 #include "runtime/systems.hpp"
+#include "sampling/neighbor_sampler.hpp"
+#include "util/rng.hpp"
 
 namespace moment::runtime {
 namespace {
@@ -190,6 +192,54 @@ TEST(Systems, HashPolicyKeepsCpuBinsUnmirrored) {
   EXPECT_EQ(count_bins(hash.bins, topology::StorageTier::kGpuHbm), 1);
   EXPECT_EQ(hash.data_placement.bin_of_vertex.size(),
             bench.dataset.scaled.vertices);
+}
+
+// Share of a training run's fetches that land on the profile's hottest
+// n/16 vertices (the hot-row cache's size in perfbench and train_graphsage).
+// The run is three independent epochs at the runtime's scale: a 10% training
+// set in batches of 256, fan-outs {25, 10}.
+double hot_set_coverage(const Workbench& bench) {
+  const graph::CsrGraph& g = bench.dataset.csr;
+  const auto order = bench.profile.by_hotness_desc();
+  std::vector<bool> hot(g.num_vertices(), false);
+  for (std::size_t i = 0; i < order.size() / 16; ++i) hot[order[i]] = true;
+
+  const sampling::NeighborSampler sampler(g, {25, 10});
+  std::size_t fetches = 0;
+  std::size_t covered = 0;
+  for (std::uint64_t seed : {101, 202, 303}) {
+    sampling::BatchIterator batches(
+        sampling::select_train_vertices(g, 0.10, seed), 256, seed);
+    util::Pcg32 rng(seed);
+    for (auto batch = batches.next(); !batch.empty(); batch = batches.next()) {
+      for (graph::VertexId v : sampler.sample(batch, rng).fetch_set) {
+        ++fetches;
+        covered += hot[v] ? 1 : 0;
+      }
+    }
+  }
+  return static_cast<double>(covered) / static_cast<double>(fetches);
+}
+
+TEST(Workbench, ProfileRanksTheGraph) {
+  const Workbench bench = Workbench::make(graph::DatasetId::kIG, 0, 42);
+  EXPECT_GE(hot_set_coverage(bench), 0.45);
+
+  // The profile records at least two fetches per vertex at every scale.
+  const auto covers_twice = [](const Workbench& b) {
+    const double recorded = static_cast<double>(b.profile.profiled_batches) *
+                            b.profile.fetches_per_batch;
+    const auto n = static_cast<double>(b.dataset.csr.num_vertices());
+    return recorded + 0.5 >= 2.0 * n;
+  };
+  EXPECT_TRUE(covers_twice(bench));
+  EXPECT_TRUE(covers_twice(Workbench::make(graph::DatasetId::kIG, 3, 42)));
+  EXPECT_TRUE(covers_twice(Workbench::make(graph::DatasetId::kIG, 4, 42)));
+
+  const Workbench again = Workbench::make(graph::DatasetId::kIG, 0, 42);
+  EXPECT_EQ(again.profile.profiled_batches, bench.profile.profiled_batches);
+  EXPECT_EQ(again.profile.hotness, bench.profile.hotness);
+  EXPECT_EQ(again.profile.ranked, bench.profile.ranked);
 }
 
 struct TrainerRig {

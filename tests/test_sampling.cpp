@@ -209,12 +209,15 @@ TEST(Hotness, ProfilesSkewedTraffic) {
   NeighborSampler sampler(g, {25, 10});
   const auto train = select_train_vertices(g, 0.05, 11);
   HotnessOptions opts;
-  opts.num_batches = 16;
   opts.batch_size = 16;
   const auto profile = profile_hotness(g, sampler, train, opts);
   EXPECT_EQ(profile.hotness.size(), g.num_vertices());
   EXPECT_GT(profile.fetches_per_batch, 100.0);
   EXPECT_EQ(profile.batch_size, 16u);
+  // It stops once two fetches per vertex are recorded.
+  const double recorded = profile.fetches_per_batch *
+                          static_cast<double>(profile.profiled_batches);
+  EXPECT_GE(recorded + 0.5, 2.0 * static_cast<double>(g.num_vertices()));
   // RMAT skew: the top 1% of vertices must carry a disproportionate share.
   EXPECT_GT(profile.top1pct_traffic, 0.05);
   EXPECT_GT(profile.top5pct_traffic, profile.top1pct_traffic);
@@ -227,14 +230,26 @@ TEST(Hotness, ByHotnessDescSorted) {
   NeighborSampler sampler(g, {10, 5});
   const auto train = select_train_vertices(g, 0.05, 13);
   HotnessOptions opts;
-  opts.num_batches = 8;
   opts.batch_size = 8;
   const auto profile = profile_hotness(g, sampler, train, opts);
   const auto order = profile.by_hotness_desc();
   ASSERT_EQ(order.size(), profile.hotness.size());
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_GE(profile.hotness[order[i - 1]], profile.hotness[order[i]]);
+    if (profile.hotness[order[i - 1]] == profile.hotness[order[i]]) {
+      EXPECT_LT(order[i - 1], order[i]);  // ties by ascending id
+    }
   }
+  // A hand-filled profile (no stored order) sorts to the same order.
+  HotnessProfile by_hand;
+  by_hand.hotness = profile.hotness;
+  EXPECT_EQ(by_hand.by_hotness_desc(), order);
+}
+
+TEST(Hotness, RejectsEmptyTrainingSet) {
+  const CsrGraph g = test_graph();
+  NeighborSampler sampler(g, {10, 5});
+  EXPECT_THROW(profile_hotness(g, sampler, {}, {}), std::invalid_argument);
 }
 
 TEST(Hotness, DeterministicGivenSeed) {
@@ -242,7 +257,6 @@ TEST(Hotness, DeterministicGivenSeed) {
   NeighborSampler sampler(g, {5, 5});
   const auto train = select_train_vertices(g, 0.05, 17);
   HotnessOptions opts;
-  opts.num_batches = 4;
   opts.batch_size = 8;
   const auto p1 = profile_hotness(g, sampler, train, opts);
   const auto p2 = profile_hotness(g, sampler, train, opts);
