@@ -18,7 +18,11 @@
 // (tests/expm1f_reference.hpp). The aggregate_mean rows time the mean
 // aggregation on the compute pool against the edge-list loop it replaced and
 // check it bit for bit against the loop in the kernel's order
-// (tests/aggregate_reference.hpp).
+// (tests/aggregate_reference.hpp). The gat_layer0_step rows time one whole
+// GatLayer forward + backward (no input gradient, as layer 0 runs) at the
+// layer-0 block shape on one thread, after an untimed step that sizes the
+// layer's workspaces: the layer's own memory traffic (allocation, zero fill,
+// head permutations) on top of the kernels above.
 // --smoke runs every bitwise check at small shapes on every body, the four
 // aggregation kernels included, and fails on any mismatch.
 //
@@ -52,6 +56,7 @@
 #include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
 #include "gnn/block.hpp"
+#include "gnn/gat_layer.hpp"
 #include "gnn/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -559,6 +564,44 @@ std::vector<BitwiseRow> run_gat_layer0(moment::util::Pcg32& rng) {
   return rows;
 }
 
+struct LayerStepRow {
+  const char* body;
+  std::size_t nd, ns, ne, in_dim, heads, head_dim;
+  double step_s;
+};
+
+/// One GatLayer (ELU, 8 heads of 64 by default) forward + backward without
+/// the input gradient, on every body, one thread: the median of kReps steps
+/// after one untimed step.
+std::vector<LayerStepRow> run_gat_layer0_step(std::size_t nd, std::size_t ns,
+                                              std::size_t ne,
+                                              std::size_t in_dim,
+                                              std::size_t heads,
+                                              std::size_t hd,
+                                              moment::util::Pcg32& rng) {
+  const std::size_t threads = moment::util::compute_pool_threads();
+  moment::util::set_compute_pool_threads(1);
+  const Block block = make_block(nd, ns, ne, rng);
+  moment::gnn::Tensor x(ns, in_dim), grad_out(nd, heads * hd);
+  const auto xv = random_matrix(ns, in_dim, rng);
+  const auto gv = random_matrix(nd, heads * hd, rng);
+  std::copy(xv.begin(), xv.end(), x.data());
+  std::copy(gv.begin(), gv.end(), grad_out.data());
+  std::vector<LayerStepRow> rows;
+  for_each_body([&](const char* body) {
+    moment::util::Pcg32 wrng(7);
+    moment::gnn::GatLayer layer(in_dim, heads, hd, /*apply_elu=*/true, wrng);
+    auto step = [&] {
+      layer.forward(block, x);
+      layer.backward(block, grad_out, /*input_grad=*/false);
+    };
+    step();
+    rows.push_back({body, nd, ns, ne, in_dim, heads, hd, time_median(step)});
+  });
+  moment::util::set_compute_pool_threads(threads);
+  return rows;
+}
+
 struct GemmRow {
   std::size_t m, k, n;
   double naive_s, kernel_s, speedup, naive_gflops, kernel_gflops;
@@ -629,6 +672,16 @@ int run_full(std::size_t threads, const std::string& out_path) {
                 r.reference_s / att_kernel_s(r),
                 r.bitwise ? "bitwise ok" : "BITWISE MISMATCH");
     pass &= r.bitwise;
+  }
+
+  const std::vector<LayerStepRow> steps =
+      run_gat_layer0_step(1150, 4800, 10700, 128, 8, 64, rng);
+  std::printf("\ngat_layer0_step GatLayer forward + backward, %zu dst / %zu "
+              "edges / %zu src, %zu -> %zu heads x %zu, each body, 1 thread:\n",
+              steps[0].nd, steps[0].ne, steps[0].ns, steps[0].in_dim,
+              steps[0].heads, steps[0].head_dim);
+  for (const LayerStepRow& r : steps) {
+    std::printf("  %-8s %7.2f ms\n", r.body, r.step_s * 1e3);
   }
 
   // GAT layer-0 output: 1,238 dst rows of 8 heads x 64.
@@ -721,6 +774,17 @@ int run_full(std::size_t threads, const std::string& out_path) {
                  att_kernel_s(r), r.logits_s, r.forward_s, r.backward_s,
                  r.reference_s / att_kernel_s(r), r.bitwise ? "true" : "false",
                  i + 1 < att.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"gat_layer0_step\": [\n");
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const LayerStepRow& r = steps[i];
+    std::fprintf(f,
+                 "    {\"body\": \"%s\", \"num_dst\": %zu, "
+                 "\"num_edges\": %zu, \"num_src\": %zu, \"in_dim\": %zu, "
+                 "\"heads\": %zu, \"head_dim\": %zu, \"threads\": 1, "
+                 "\"step_s\": %.6f}%s\n",
+                 r.body, r.nd, r.ne, r.ns, r.in_dim, r.heads, r.head_dim,
+                 r.step_s, i + 1 < steps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"activation_tails\": [\n");

@@ -114,12 +114,11 @@ std::vector<Block> build_blocks(const sampling::SampledSubgraph& sg) {
     }
   }
 
-  // Sanity: consecutive blocks must chain (next block's srcs are produced by
-  // this block's dsts).
+  // Sanity: consecutive blocks chain exactly (the next block's srcs are this
+  // block's dsts: a hop's frontier is the previous frontier plus its
+  // sampled sources), so a layer reads the previous layer's output in place.
   for (std::size_t k = 0; k + 1 < blocks.size(); ++k) {
-    if (!std::includes(blocks[k].dst_ids.begin(), blocks[k].dst_ids.end(),
-                       blocks[k + 1].src_ids.begin(),
-                       blocks[k + 1].src_ids.end())) {
+    if (blocks[k].dst_ids != blocks[k + 1].src_ids) {
       throw std::logic_error("build_blocks: block chaining violated");
     }
   }

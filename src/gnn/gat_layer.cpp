@@ -1,7 +1,6 @@
 #include "gnn/gat_layer.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 #include "gnn/kernels.hpp"
 
@@ -14,7 +13,7 @@ GatLayer::GatLayer(std::size_t in_dim, std::size_t num_heads,
       w_("w", Tensor::glorot(in_dim, num_heads * head_dim, rng)),
       attn_l_("attn_l", Tensor::glorot(num_heads, head_dim, rng)),
       attn_r_("attn_r", Tensor::glorot(num_heads, head_dim, rng)),
-      bias_("bias", Tensor::zeros(1, num_heads * head_dim)) {}
+      bias_("bias", Tensor(1, num_heads * head_dim)) {}
 
 const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
@@ -29,20 +28,21 @@ const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
   // z = x W with W's columns permuted head-minor, so z comes out head-minor
   // with the same bits per element.
   saved_x_src_ = &x_src;
-  Tensor w_minor(in_dim_, od);
+  w_minor_.reshape(in_dim_, od);
   kernels::heads_to_minor(in_dim_, num_heads_, head_dim_, w_.value.data(),
-                          w_minor.data());
-  saved_z_ = Tensor(ns, od);
-  matmul(x_src, w_minor, saved_z_);
+                          w_minor_.data());
+  saved_z_.reshape(ns, od);
+  matmul(x_src, w_minor_, saved_z_);
 
-  std::vector<float> el(nd * num_heads_), er(ns * num_heads_);
+  el_.reshape(nd, num_heads_);
+  er_.reshape(ns, num_heads_);
   kernels::gat_logits(cb, saved_z_.data(), num_heads_, head_dim_,
-                      attn_l_.value.data(), attn_r_.value.data(), el.data(),
-                      er.data());
-  saved_score_.resize(ne * num_heads_);
-  saved_alpha_.resize(ne * num_heads_);
-  saved_out_ = Tensor(nd, od);
-  kernels::gat_attention_forward(cb, el.data(), er.data(), saved_z_.data(),
+                      attn_l_.value.data(), attn_r_.value.data(), el_.data(),
+                      er_.data());
+  saved_score_.reshape(ne, num_heads_);
+  saved_alpha_.reshape(ne, num_heads_);
+  saved_out_.reshape(nd, od);
+  kernels::gat_attention_forward(cb, el_.data(), er_.data(), saved_z_.data(),
                                  num_heads_, head_dim_, kLeakySlope,
                                  saved_score_.data(), saved_alpha_.data(),
                                  saved_out_.data());
@@ -50,8 +50,8 @@ const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
   return saved_out_;
 }
 
-Tensor GatLayer::backward(const Block& block, const Tensor& grad_out,
-                          bool input_grad) {
+const Tensor& GatLayer::backward(const Block& block, const Tensor& grad_out,
+                                 bool input_grad) {
   const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
   const std::size_t ns = block.num_src();
@@ -59,37 +59,41 @@ Tensor GatLayer::backward(const Block& block, const Tensor& grad_out,
   if (grad_out.rows() != nd || grad_out.cols() != od) {
     throw std::invalid_argument("GatLayer::backward: grad shape mismatch");
   }
-  if (saved_z_.rows() != ns ||
-      saved_score_.size() != cb.num_edges() * num_heads_) {
+  if (saved_out_.rows() != nd || saved_z_.rows() != ns ||
+      saved_score_.rows() != cb.num_edges()) {
     throw std::logic_error(
         "GatLayer::backward: block differs from the last forward's");
   }
-  Tensor grad(nd, od);
-  kernels::bias_act_grad(nd, od, grad_out.data(), saved_out_.data(),
-                         act_, grad.data(), bias_.grad.data());
+  Tensor& grad = saved_out_;  // in place: bias_act_grad allows it
+  kernels::bias_act_grad(nd, od, grad_out.data(), saved_out_.data(), act_,
+                         grad.data(), bias_.grad.data());
 
-  Tensor grad_z(ns, od);  // head-minor, like saved_z_
+  grad_z_.reshape(ns, od);
   kernels::gat_attention_backward(
       cb, grad.data(), saved_z_.data(), num_heads_, head_dim_, kLeakySlope,
       attn_l_.value.data(), attn_r_.value.data(), saved_score_.data(),
-      saved_alpha_.data(), grad_z.data(), attn_l_.grad.data(),
+      saved_alpha_.data(), grad_z_.data(), attn_l_.grad.data(),
       attn_r_.grad.data());
+  saved_out_.reshape(0, 0);  // consumed: a second backward needs a forward
 
   // Z = X W: accumulate dW in W's head-minor column order, then put it back.
-  Tensor grad_w(in_dim_, od);
+  grad_w_.reshape(in_dim_, od);
   kernels::heads_to_minor(in_dim_, num_heads_, head_dim_, w_.grad.data(),
-                          grad_w.data());
-  matmul_at(*saved_x_src_, grad_z, grad_w, /*accumulate=*/true);
-  kernels::heads_to_major(in_dim_, num_heads_, head_dim_, grad_w.data(),
+                          grad_w_.data());
+  matmul_at(*saved_x_src_, grad_z_, grad_w_, /*accumulate=*/true);
+  kernels::heads_to_major(in_dim_, num_heads_, head_dim_, grad_w_.data(),
                           w_.grad.data());
-  if (!input_grad) return {};
+  if (!input_grad) {
+    grad_x_.reshape(0, 0);
+    return grad_x_;
+  }
   // dX sums over W's columns in head-major order.
-  Tensor grad_z_major(ns, od);
-  kernels::heads_to_major(ns, num_heads_, head_dim_, grad_z.data(),
-                          grad_z_major.data());
-  Tensor grad_x(ns, in_dim_);
-  matmul_bt(grad_z_major, w_.value, grad_x);
-  return grad_x;
+  grad_z_major_.reshape(ns, od);
+  kernels::heads_to_major(ns, num_heads_, head_dim_, grad_z_.data(),
+                          grad_z_major_.data());
+  grad_x_.reshape(ns, in_dim_);
+  matmul_bt(grad_z_major_, w_.value, grad_x_);
+  return grad_x_;
 }
 
 }  // namespace moment::gnn

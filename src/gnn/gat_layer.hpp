@@ -21,8 +21,8 @@ class GatLayer final : public GnnLayer {
            bool apply_elu, util::Pcg32& rng);
 
   const Tensor& forward(const Block& block, const Tensor& x_src) override;
-  Tensor backward(const Block& block, const Tensor& grad_out,
-                  bool input_grad = true) override;
+  const Tensor& backward(const Block& block, const Tensor& grad_out,
+                         bool input_grad = true) override;
 
   std::vector<Param*> parameters() override {
     return {&w_, &attn_l_, &attn_r_, &bias_};
@@ -48,10 +48,16 @@ class GatLayer final : public GnnLayer {
   // block.compiled() (head-minor: edge * num_heads + head) — the per-dst
   // adjacency comes from the shared CompiledBlock, not a layer-local copy.
   const Tensor* saved_x_src_ = nullptr;  // forward's input, read in place
-  Tensor saved_z_;    // (num_src x heads*head_dim), head-minor columns
-  Tensor saved_out_;  // post-activation output (num_dst x heads*head_dim)
-  std::vector<float> saved_alpha_;   // per (CSR edge, head)
-  std::vector<float> saved_score_;   // pre-LeakyReLU logits per (CSR edge, head)
+  Tensor saved_z_;      // (num_src x heads*head_dim), head-minor columns
+  Tensor saved_out_;    // (num_dst x heads*head_dim) output, then its grad
+  Tensor saved_alpha_;  // (CSR edges x heads)
+  Tensor saved_score_;  // pre-LeakyReLU logits (CSR edges x heads)
+  Tensor w_minor_;      // W with head-minor columns (in_dim x out_dim)
+  Tensor el_, er_;      // attention logits per dst / per src (rows x heads)
+  Tensor grad_z_;       // (num_src x heads*head_dim), head-minor
+  Tensor grad_w_;       // dW with head-minor columns (in_dim x out_dim)
+  Tensor grad_z_major_; // grad_z_ with head-major columns
+  Tensor grad_x_;       // backward's return (num_src x in_dim)
 };
 
 }  // namespace moment::gnn

@@ -20,8 +20,8 @@ class GcnLayer final : public GnnLayer {
            util::Pcg32& rng);
 
   const Tensor& forward(const Block& block, const Tensor& x_src) override;
-  Tensor backward(const Block& block, const Tensor& grad_out,
-                  bool input_grad = true) override;
+  const Tensor& backward(const Block& block, const Tensor& grad_out,
+                         bool input_grad = true) override;
 
   std::vector<Param*> parameters() override { return {&w_, &bias_}; }
 
@@ -35,10 +35,12 @@ class GcnLayer final : public GnnLayer {
 
   std::size_t saved_num_src_ = 0;  // src rows of the last forward's block
   Tensor saved_agg_;   // normalized aggregation (num_dst x in)
-  Tensor saved_out_;   // post-activation
-  /// Indexed by CSR edge id (block.compiled()), with the per-dst self-loop
-  /// coefficients appended after the num_edges() edge entries.
-  std::vector<float> saved_coeff_;
+  Tensor saved_out_;   // post-activation, then backward's pre-activation grad
+  /// (1 x num_edges + num_dst): indexed by CSR edge id (block.compiled()),
+  /// with the per-dst self-loop coefficients appended after the edges.
+  Tensor saved_coeff_;
+  Tensor grad_agg_;    // (num_dst x in)
+  Tensor grad_src_;    // backward's return (num_src x in)
 };
 
 }  // namespace moment::gnn

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "gnn/tensor.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -474,12 +475,13 @@ void gemm_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, bool accumulate) {
   // Pack B (n x k) as B^T (k x n) into a per-thread buffer that is reused,
   // not reallocated, from call to call; then it is a plain gemm.
-  thread_local std::vector<float> bt;
-  bt.resize(k * n);
+  thread_local Tensor bt;
+  bt.reshape(k, n);
+  float* t = bt.data();
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+    for (std::size_t p = 0; p < k; ++p) t[p * n + j] = b[j * k + p];
   }
-  gemm(m, k, n, a, bt.data(), c, accumulate);
+  gemm(m, k, n, a, t, c, accumulate);
 }
 
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -890,10 +892,16 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
   const int* __restrict rev_edge = cb.rev_edge.data();
   const int* __restrict dst_of = cb.dst_of.data();
 
-  std::vector<float> gt(nd * od);
-  heads_to_minor(nd, heads, head_dim, g, gt.data());
-  std::vector<float> ds(cb.num_edges() * heads), del(nd * heads),
-      der(ns * heads);
+  // The calling thread's scratch, kept from call to call; every float is
+  // written before it is read. Tasks get plain pointers (a thread_local
+  // named in a task would be the task thread's).
+  thread_local Tensor scratch;
+  scratch.reshape(1, nd * od + (cb.num_edges() + nd + ns) * heads);
+  float* gt = scratch.data();  // g, head-minor
+  float* ds = gt + nd * od;
+  float* del = ds + cb.num_edges() * heads;
+  float* der = del + nd * heads;
+  heads_to_minor(nd, heads, head_dim, g, gt);
 
   // Pass 1 (over dst): ds holds g.z per edge, then the score gradient.
   parallel_on_body(
@@ -902,11 +910,11 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
           __attribute__((always_inline)) {
         std::vector<float> sum(heads);
         for (std::size_t i = d0; i < d1; ++i) {
-          float* __restrict dl = del.data() + i * heads;
+          float* __restrict dl = del + i * heads;
           std::memset(dl, 0, heads * sizeof(float));
           const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
           if (e == b) continue;
-          const float* gi = gt.data() + i * od;
+          const float* gi = gt + i * od;
           std::fill(sum.begin(), sum.end(), 0.0f);
           for (int t = b; t < e; ++t) {
             if (t + 1 < e) {
@@ -914,7 +922,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
                            od);
             }
             const std::size_t idx = static_cast<std::size_t>(t) * heads;
-            float* __restrict dot_e = ds.data() + idx;
+            float* __restrict dot_e = ds + idx;
             dot<V>(heads, head_dim, gi,
                    z + static_cast<std::size_t>(src_of[t]) * od, dot_e);
             for (std::size_t h = 0; h < heads; ++h) {
@@ -923,7 +931,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
           }
           for (int t = b; t < e; ++t) {
             const std::size_t idx = static_cast<std::size_t>(t) * heads;
-            float* __restrict d = ds.data() + idx;
+            float* __restrict d = ds + idx;
             for (std::size_t h = 0; h < heads; ++h) {
               const float grad_act = alpha[idx + h] * (d[h] - sum[h]);
               d[h] = grad_act * (score[idx + h] > 0.0f ? 1.0f : leaky_slope);
@@ -943,7 +951,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
         for (std::size_t v = v0; v < v1; ++v) {
           float* __restrict o = grad_z + v * od;
           std::memset(o, 0, od * sizeof(float));
-          float* __restrict dr = der.data() + v * heads;
+          float* __restrict dr = der + v * heads;
           std::memset(dr, 0, heads * sizeof(float));
           for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
             const std::size_t ed = static_cast<std::size_t>(rev_edge[t]);
@@ -951,13 +959,13 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
             for (std::size_t h = 0; h < heads; ++h) {
               dr[h] += ds[ed * heads + h];
             }
-            axpy<V>(heads, head_dim, alpha + ed * heads, gt.data() + d * od, o,
+            axpy<V>(heads, head_dim, alpha + ed * heads, gt + d * od, o,
                     false);
           }
           const int sd = cb.src_to_dst[v];
           if (sd >= 0) {
             axpy<V>(heads, head_dim,
-                    del.data() + static_cast<std::size_t>(sd) * heads,
+                    del + static_cast<std::size_t>(sd) * heads,
                     al.data(), o, true);
           }
           axpy<V>(heads, head_dim, dr, ar.data(), o, true);
@@ -975,11 +983,11 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
         const std::size_t off = c0 * heads, n = c1 - c0;
         for (std::size_t i = 0; i < nd; ++i) {
           const auto self = static_cast<std::size_t>(cb.self_src[i]);
-          axpy<V>(heads, n, del.data() + i * heads, z + self * od + off,
+          axpy<V>(heads, n, del + i * heads, z + self * od + off,
                   gl.data() + off, true);
         }
         for (std::size_t v = 0; v < ns; ++v) {
-          axpy<V>(heads, n, der.data() + v * heads, z + v * od + off,
+          axpy<V>(heads, n, der + v * heads, z + v * od + off,
                   gr.data() + off, true);
         }
       });

@@ -182,7 +182,8 @@ void bias_act(std::size_t rows, std::size_t cols, const float* bias,
 /// out + 1 where out is not > 0), and grad_bias[c] += grad[r][c], rows
 /// ascending; tasks split the columns. ReLU selects (out > 0 ? grad_out : 0)
 /// rather than multiplies, so a masked gradient is +0 whatever grad_out's
-/// sign.
+/// sign. grad may alias out or grad_out: each element is read before it is
+/// written.
 void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
                    const float* out, Activation act, float* grad,
                    float* grad_bias);

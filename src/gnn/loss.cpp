@@ -1,19 +1,23 @@
 #include "gnn/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace moment::gnn {
 
-LossResult softmax_cross_entropy(const Tensor& logits,
-                                 std::span<const std::int32_t> labels) {
+void softmax_cross_entropy(const Tensor& logits,
+                           std::span<const std::int32_t> labels,
+                           LossResult& result) {
   if (labels.size() != logits.rows()) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
   const std::size_t n = logits.rows();
   const std::size_t k = logits.cols();
-  LossResult result;
-  result.grad_logits = logits;  // copy, then convert to probabilities
+  // Copy the logits, then convert them to probabilities.
+  result.grad_logits.reshape(n, k);
+  std::copy(logits.data(), logits.data() + logits.size(),
+            result.grad_logits.data());
   softmax_rows(result.grad_logits);
 
   double loss = 0.0;
@@ -37,7 +41,6 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   result.grad_logits *= inv_n;
   result.loss = static_cast<float>(loss) * inv_n;
   result.accuracy = static_cast<float>(correct) * inv_n;
-  return result;
 }
 
 }  // namespace moment::gnn

@@ -14,8 +14,17 @@ struct LossResult {
   Tensor grad_logits;      // d loss / d logits (already divided by N)
 };
 
-/// logits: (n x classes); labels: n entries in [0, classes).
-LossResult softmax_cross_entropy(const Tensor& logits,
-                                 std::span<const std::int32_t> labels);
+/// logits: (n x classes); labels: n entries in [0, classes). Writes into
+/// `result`, reshaping its grad_logits in place.
+void softmax_cross_entropy(const Tensor& logits,
+                           std::span<const std::int32_t> labels,
+                           LossResult& result);
+
+inline LossResult softmax_cross_entropy(const Tensor& logits,
+                                        std::span<const std::int32_t> labels) {
+  LossResult result;
+  softmax_cross_entropy(logits, labels, result);
+  return result;
+}
 
 }  // namespace moment::gnn

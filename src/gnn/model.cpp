@@ -1,6 +1,5 @@
 #include "gnn/model.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace moment::gnn {
@@ -46,71 +45,43 @@ GnnModel::GnnModel(const ModelConfig& config) : config_(config) {
 
 namespace {
 
-// The next block's src set is a subset of this block's dst set (both sorted):
-// calls fn(i, row) for each next.src_ids[i] with its row in cur.dst_ids.
-template <typename Fn>
-void for_each_chained_row(const Block& cur, const Block& next, Fn&& fn) {
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < next.src_ids.size(); ++i) {
-    while (cursor < cur.dst_ids.size() &&
-           cur.dst_ids[cursor] < next.src_ids[i]) {
-      ++cursor;
-    }
-    if (cursor >= cur.dst_ids.size() ||
-        cur.dst_ids[cursor] != next.src_ids[i]) {
+// Layer l+1 reads layer l's output rows as they are, so each block's src set
+// must be the previous block's dst set (build_blocks makes them so).
+void check_chaining(std::span<const Block> blocks) {
+  for (std::size_t l = 1; l < blocks.size(); ++l) {
+    if (blocks[l].src_ids != blocks[l - 1].dst_ids) {
       throw std::logic_error("GnnModel: block chaining broken");
     }
-    fn(i, cursor);
   }
 }
 
 }  // namespace
 
-Tensor GnnModel::forward(std::span<const Block> blocks, const Tensor& x0) {
+const Tensor& GnnModel::forward(std::span<const Block> blocks,
+                                const Tensor& x0) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::forward: block/layer mismatch");
   }
-  // Layer 0 reads x0 in place; inputs_ holds the later layers' inputs until
-  // backward. Each layer keeps its own output, so only the rows the next
-  // block needs are copied.
-  inputs_.resize(layers_.size());
-  for (std::size_t l = 0;; ++l) {
-    const Tensor& out =
-        layers_[l]->forward(blocks[l], l == 0 ? x0 : inputs_[l]);
-    if (l + 1 == layers_.size()) return out;
-    // Gather the next block's src rows out of this block's dst rows.
-    Tensor gathered(blocks[l + 1].num_src(), out.cols());
-    for_each_chained_row(blocks[l], blocks[l + 1],
-                         [&](std::size_t i, std::size_t row) {
-                           std::copy(out.row(row).begin(), out.row(row).end(),
-                                     gathered.row(i).begin());
-                         });
-    inputs_[l + 1] = std::move(gathered);
+  check_chaining(blocks);
+  // Each layer reads the previous layer's output in place.
+  const Tensor* x = &x0;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    x = &layers_[l]->forward(blocks[l], *x);
   }
+  return *x;
 }
 
 void GnnModel::backward(std::span<const Block> blocks, const Tensor& grad_out) {
   if (blocks.size() != layers_.size()) {
     throw std::invalid_argument("GnnModel::backward: block/layer mismatch");
   }
-  // The last layer reads grad_out in place; g holds the earlier layers'.
-  Tensor g;
+  // Checked before any layer consumes its saved state.
+  check_chaining(blocks);
+  // Each layer reads the next layer's input gradient in place. Layer 0's
+  // would be w.r.t. the raw features: it is skipped.
+  const Tensor* g = &grad_out;
   for (std::size_t l = layers_.size(); l-- > 0;) {
-    // Layer 0's input gradient would be w.r.t. the raw features: skip it.
-    Tensor gin = layers_[l]->backward(
-        blocks[l], l + 1 == layers_.size() ? grad_out : g,
-        /*input_grad=*/l > 0);
-    if (l > 0) {
-      // Scatter gin (defined on blocks[l].src_ids) back onto the previous
-      // block's dst rows.
-      Tensor scattered(blocks[l - 1].num_dst(), gin.cols());
-      for_each_chained_row(blocks[l - 1], blocks[l],
-                           [&](std::size_t i, std::size_t row) {
-                             std::copy(gin.row(i).begin(), gin.row(i).end(),
-                                       scattered.row(row).begin());
-                           });
-      g = std::move(scattered);
-    }
+    g = &layers_[l]->backward(blocks[l], *g, /*input_grad=*/l > 0);
   }
 }
 
@@ -136,12 +107,13 @@ std::size_t GnnModel::num_parameters() const {
   return n;
 }
 
-LossResult train_step(GnnModel& model, std::span<const Block> blocks,
-                      const Tensor& x0, std::span<const std::int32_t> labels) {
-  Tensor logits = model.forward(blocks, x0);
+const LossResult& train_step(GnnModel& model, std::span<const Block> blocks,
+                             const Tensor& x0,
+                             std::span<const std::int32_t> labels) {
+  const Tensor& logits = model.forward(blocks, x0);
   // The last block's destinations are the batch's seed vertices.
-  std::vector<std::int32_t> seed_labels;
-  seed_labels.reserve(blocks.back().dst_ids.size());
+  std::vector<std::int32_t>& seed_labels = model.seed_labels_;
+  seed_labels.clear();
   for (graph::VertexId v : blocks.back().dst_ids) {
     if (v >= labels.size()) {
       throw std::out_of_range("train_step: label table too small");
@@ -149,9 +121,9 @@ LossResult train_step(GnnModel& model, std::span<const Block> blocks,
     seed_labels.push_back(labels[v]);
   }
   model.zero_grad();
-  LossResult loss = softmax_cross_entropy(logits, seed_labels);
-  model.backward(blocks, loss.grad_logits);
-  return loss;
+  softmax_cross_entropy(logits, seed_labels, model.loss_);
+  model.backward(blocks, model.loss_.grad_logits);
+  return model.loss_;
 }
 
 }  // namespace moment::gnn

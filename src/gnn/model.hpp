@@ -33,12 +33,15 @@ class GnnModel final : public Module {
  public:
   explicit GnnModel(const ModelConfig& config);
 
-  /// blocks.size() must equal num_hops. x0: features of blocks[0].src_ids;
-  /// layers may read it in backward, so it must outlive the matching
-  /// backward. The later layers' inputs are kept here until the next forward.
-  Tensor forward(std::span<const Block> blocks, const Tensor& x0);
+  /// blocks.size() must equal num_hops, and each block's src_ids must equal
+  /// the previous block's dst_ids (std::logic_error otherwise). x0: features
+  /// of blocks[0].src_ids; layers may read it in backward, so it must outlive
+  /// the matching backward. Returns the last layer's output, valid until the
+  /// next forward or backward.
+  const Tensor& forward(std::span<const Block> blocks, const Tensor& x0);
   /// grad w.r.t. forward's output; backpropagates and accumulates parameter
-  /// grads. The first layer's input gradient is never computed.
+  /// grads. The first layer's input gradient is never computed. Consumes the
+  /// forward's saved state (GnnLayer::backward).
   void backward(std::span<const Block> blocks, const Tensor& grad_out);
 
   std::vector<Param*> parameters() override;
@@ -50,17 +53,22 @@ class GnnModel final : public Module {
  private:
   ModelConfig config_;
   std::vector<std::unique_ptr<GnnLayer>> layers_;
-  // inputs_[l]: layer l's input gathered by the last forward (inputs_[0]
-  // stays empty: layer 0 reads x0).
-  std::vector<Tensor> inputs_;
+  LossResult loss_;                       // train_step's result
+  std::vector<std::int32_t> seed_labels_;  // train_step's label lookup
+
+  friend const LossResult& train_step(GnnModel&, std::span<const Block>,
+                                      const Tensor&,
+                                      std::span<const std::int32_t>);
 };
 
 /// One training step up to (not including) the optimizer update: forward,
 /// the seed-label lookup (`labels` indexes by global vertex id; throws
 /// std::out_of_range when the table is too short), zero_grad, softmax
 /// cross-entropy and backward. Data-parallel callers average the gradients
-/// it leaves behind before stepping their optimizers.
-LossResult train_step(GnnModel& model, std::span<const Block> blocks,
-                      const Tensor& x0, std::span<const std::int32_t> labels);
+/// it leaves behind before stepping their optimizers. The result is held by
+/// the model until its next train_step.
+const LossResult& train_step(GnnModel& model, std::span<const Block> blocks,
+                             const Tensor& x0,
+                             std::span<const std::int32_t> labels);
 
 }  // namespace moment::gnn

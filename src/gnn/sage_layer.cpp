@@ -13,7 +13,7 @@ SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu,
                       : kernels::Activation::kNone),
       w_self_("w_self", Tensor::glorot(in_dim, out_dim, rng)),
       w_neigh_("w_neigh", Tensor::glorot(in_dim, out_dim, rng)),
-      bias_("bias", Tensor::zeros(1, out_dim)) {}
+      bias_("bias", Tensor(1, out_dim)) {}
 
 const Tensor& SageLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
@@ -22,47 +22,53 @@ const Tensor& SageLayer::forward(const Block& block, const Tensor& x_src) {
   const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
 
-  saved_x_dst_ = Tensor(nd, in_dim_);
+  saved_x_dst_.reshape(nd, in_dim_);
   kernels::gather_rows(cb.self_src.data(), nd, x_src.data(), in_dim_,
                        saved_x_dst_.data());
-  saved_mean_ = Tensor(nd, in_dim_);
+  saved_mean_.reshape(nd, in_dim_);
   kernels::aggregate_mean(cb, x_src.data(), in_dim_, saved_mean_.data());
 
-  saved_out_ = Tensor(nd, out_dim_);
+  saved_out_.reshape(nd, out_dim_);
   matmul(saved_x_dst_, w_self_.value, saved_out_);
   matmul(saved_mean_, w_neigh_.value, saved_out_, /*accumulate=*/true);
   kernels::bias_act(nd, out_dim_, bias_.value.data(), act_, saved_out_.data());
   return saved_out_;
 }
 
-Tensor SageLayer::backward(const Block& block, const Tensor& grad_out,
-                           bool input_grad) {
-  if (grad_out.rows() != block.num_dst() || grad_out.cols() != out_dim_) {
+const Tensor& SageLayer::backward(const Block& block, const Tensor& grad_out,
+                                  bool input_grad) {
+  const std::size_t nd = block.num_dst();
+  if (grad_out.rows() != nd || grad_out.cols() != out_dim_) {
     throw std::invalid_argument("SageLayer::backward: grad shape mismatch");
   }
+  if (saved_out_.rows() != nd) {
+    throw std::logic_error(
+        "SageLayer::backward: block differs from the last forward's");
+  }
   const CompiledBlock& cb = block.compiled();
-  Tensor grad(block.num_dst(), out_dim_);
-  kernels::bias_act_grad(block.num_dst(), out_dim_, grad_out.data(),
-                         saved_out_.data(), act_, grad.data(),
-                         bias_.grad.data());
+  Tensor& grad = saved_out_;  // in place: bias_act_grad allows it
+  kernels::bias_act_grad(nd, out_dim_, grad_out.data(), saved_out_.data(),
+                         act_, grad.data(), bias_.grad.data());
 
   // Weight gradients.
   matmul_at(saved_x_dst_, grad, w_self_.grad, /*accumulate=*/true);
   matmul_at(saved_mean_, grad, w_neigh_.grad, /*accumulate=*/true);
-  if (!input_grad) return {};
-
-  // Input gradients: the self part lands on each dst's own src row, the
-  // neighbor part fans grad @ W_neigh^T / degree back along the reverse CSR
-  // (race-free over src rows).
-  Tensor grad_self(block.num_dst(), in_dim_);
-  matmul_bt(grad, w_self_.value, grad_self);
-  Tensor grad_mean(block.num_dst(), in_dim_);
-  matmul_bt(grad, w_neigh_.value, grad_mean);
-
-  Tensor grad_src(block.num_src(), in_dim_);
-  kernels::sage_input_grad(cb, grad_self.data(), grad_mean.data(), in_dim_,
-                           grad_src.data());
-  return grad_src;
+  if (input_grad) {
+    // Input gradients: the self part lands on each dst's own src row, the
+    // neighbor part fans grad @ W_neigh^T / degree back along the reverse
+    // CSR (race-free over src rows).
+    grad_self_.reshape(nd, in_dim_);
+    matmul_bt(grad, w_self_.value, grad_self_);
+    grad_mean_.reshape(nd, in_dim_);
+    matmul_bt(grad, w_neigh_.value, grad_mean_);
+    grad_src_.reshape(block.num_src(), in_dim_);
+    kernels::sage_input_grad(cb, grad_self_.data(), grad_mean_.data(),
+                             in_dim_, grad_src_.data());
+  } else {
+    grad_src_.reshape(0, 0);
+  }
+  saved_out_.reshape(0, 0);  // consumed: a second backward needs a forward
+  return grad_src_;
 }
 
 }  // namespace moment::gnn

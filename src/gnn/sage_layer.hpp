@@ -15,8 +15,8 @@ class SageLayer final : public GnnLayer {
             util::Pcg32& rng);
 
   const Tensor& forward(const Block& block, const Tensor& x_src) override;
-  Tensor backward(const Block& block, const Tensor& grad_out,
-                  bool input_grad = true) override;
+  const Tensor& backward(const Block& block, const Tensor& grad_out,
+                         bool input_grad = true) override;
 
   std::vector<Param*> parameters() override {
     return {&w_self_, &w_neigh_, &bias_};
@@ -30,10 +30,13 @@ class SageLayer final : public GnnLayer {
   kernels::Activation act_;  // ReLU or none
   Param w_self_, w_neigh_, bias_;
 
-  // Saved activations for backward (degrees live in the block's CSR).
+  // Saved activations (degrees live in the block's CSR), backward's buffers.
   Tensor saved_x_dst_;   // (num_dst x in)
   Tensor saved_mean_;    // (num_dst x in)
-  Tensor saved_out_;     // (num_dst x out), post-activation
+  Tensor saved_out_;     // (num_dst x out), post-activation, then its grad
+  Tensor grad_self_;     // (num_dst x in)
+  Tensor grad_mean_;     // (num_dst x in)
+  Tensor grad_src_;      // backward's return (num_src x in)
 };
 
 }  // namespace moment::gnn

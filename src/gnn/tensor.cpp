@@ -25,14 +25,6 @@ float Tensor::norm() const noexcept {
   return static_cast<float>(std::sqrt(acc));
 }
 
-Tensor& Tensor::operator+=(const Tensor& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("Tensor::operator+=: shape mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
 Tensor& Tensor::operator*=(float s) noexcept {
   for (float& v : data_) v *= s;
   return *this;
@@ -69,10 +61,6 @@ void matmul_at(const Tensor& a, const Tensor& b, Tensor& out,
   check_out(out, a.cols(), b.cols());
   kernels::gemm_at(a.rows(), a.cols(), b.cols(), a.data(), b.data(),
                    out.data(), accumulate);
-}
-
-float leaky_relu_scalar(float x, float slope) noexcept {
-  return x > 0.0f ? x : slope * x;
 }
 
 void softmax_rows(Tensor& x) noexcept {

@@ -4,8 +4,10 @@
 // layers need. Deliberately small: this is the training substrate the
 // paper's system runs on top of, not a general ML framework.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,11 +21,24 @@ class Tensor {
   Tensor(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
 
-  static Tensor zeros(std::size_t rows, std::size_t cols) {
-    return Tensor(rows, cols);
-  }
   /// Glorot/Xavier-uniform initialisation.
   static Tensor glorot(std::size_t rows, std::size_t cols, util::Pcg32& rng);
+
+  /// Makes this a (rows x cols) tensor with unspecified contents, for a
+  /// buffer a kernel then writes in full. Never zero-fills; allocates only
+  /// past the capacity reserved for its largest shape so far, and then
+  /// reserves half again (a size that creeps up from batch to batch
+  /// reallocates rarely; untouched pages are not resident).
+  void reshape(std::size_t rows, std::size_t cols) {
+    const std::size_t n = rows * cols;
+    if (n > data_.capacity()) {
+      data_ = Storage();  // free first; nothing stale is copied
+      data_.reserve(n + n / 2);
+    }
+    data_.resize(n);
+    rows_ = rows;
+    cols_ = cols;
+  }
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -49,19 +64,28 @@ class Tensor {
     return {data_.data() + r * cols_, cols_};
   }
 
-  void fill(float v) noexcept { std::fill(data_.begin(), data_.end(), v); }
-  void zero() noexcept { fill(0.0f); }
+  void zero() noexcept { std::fill(data_.begin(), data_.end(), 0.0f); }
 
   /// Frobenius norm; used by gradient-check tests and clipping.
   float norm() const noexcept;
 
-  Tensor& operator+=(const Tensor& other);
   Tensor& operator*=(float s) noexcept;
 
  private:
+  // Value-less construction leaves the float unwritten, so growing the
+  // vector does not zero-fill it (reshape).
+  struct Uninit : std::allocator<float> {
+    template <typename U>
+    struct rebind {
+      using other = Uninit;
+    };
+    void construct(float*) noexcept {}
+  };
+  using Storage = std::vector<float, Uninit>;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<float> data_;
+  Storage data_;
 };
 
 /// out = a @ b. Shapes (m,k) x (k,n) -> (m,n). `accumulate` adds into out.
@@ -73,8 +97,6 @@ void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
 /// out = a^T @ b. Shapes (m,k) x (m,n) -> (k,n).
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out,
                bool accumulate = false);
-
-float leaky_relu_scalar(float x, float slope) noexcept;
 
 /// Row-wise softmax in place.
 void softmax_rows(Tensor& x) noexcept;

@@ -15,29 +15,15 @@ struct ModelPreset {
   std::string name;
   /// A100 per-batch training time (batch 8000, 2-hop [25,10]), seconds.
   double compute_time_per_batch;
-  std::size_t hidden_dim;
-  std::size_t heads;
 };
-
-inline ModelPreset graphsage_preset() {
-  return {gnn::ModelKind::kGraphSage, "GraphSAGE", 0.055, 256, 1};
-}
-
-inline ModelPreset gat_preset() {
-  return {gnn::ModelKind::kGat, "GAT", 0.110, 64, 8};
-}
-
-inline ModelPreset gcn_preset() {
-  return {gnn::ModelKind::kGcn, "GCN", 0.045, 256, 1};
-}
 
 inline ModelPreset model_preset(gnn::ModelKind kind) {
   switch (kind) {
-    case gnn::ModelKind::kGat: return gat_preset();
-    case gnn::ModelKind::kGcn: return gcn_preset();
+    case gnn::ModelKind::kGat: return {kind, "GAT", 0.110};
+    case gnn::ModelKind::kGcn: return {kind, "GCN", 0.045};
     case gnn::ModelKind::kGraphSage: break;
   }
-  return graphsage_preset();
+  return {gnn::ModelKind::kGraphSage, "GraphSAGE", 0.055};
 }
 
 }  // namespace moment::runtime

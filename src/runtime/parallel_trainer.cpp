@@ -126,8 +126,8 @@ void DataParallelTrainer::fetch_batch(std::size_t w,
                                       Prefetch& slot, std::size_t round) {
   Replica& r = *replicas_[w];
   StageTimes& times = r.state.times;
-  slot = Prefetch{};
   slot.valid = true;
+  slot.ticket = gnn::FeatureProvider::kSyncTicket;
   const auto t0 = Clock::now();
   slot.batch = iter.next();
   if (slot.batch.empty()) {
@@ -144,7 +144,8 @@ void DataParallelTrainer::fetch_batch(std::size_t w,
   times.sample_s += seconds_since(t0);
 
   const auto t1 = Clock::now();
-  slot.x0 = gnn::Tensor(slot.blocks[0].num_src(), r.provider.dim());
+  // The gather writes every row, so x0 is reshaped, not zero-filled.
+  slot.x0.reshape(slot.blocks[0].num_src(), r.provider.dim());
   slot.ticket = r.provider.gather_begin(slot.blocks[0].src_ids, slot.x0);
   slot.issued_at = Clock::now();
   times.gather_issue_s += seconds_since(t1);
@@ -157,16 +158,15 @@ void DataParallelTrainer::run_worker_epoch(std::size_t w) {
 
   sampling::BatchIterator iter(r.partition, ctx_.batch_size,
                                seed_ + ctx_.epoch * 1000 + w);
-  Prefetch slots[2];
 
   for (std::size_t round = 0;; ++round) {
-    Prefetch& cur = slots[round & 1];
+    Prefetch& cur = r.slots[round & 1];
     try {
       if (!cur.valid) fetch_batch(w, iter, cur, round);
       // Issue the next batch's sample + gather before completing the
       // current one: its IO overlaps this round's wait and compute.
       if (pipelined && round + 1 < ctx_.max_rounds) {
-        fetch_batch(w, iter, slots[(round + 1) & 1], round + 1);
+        fetch_batch(w, iter, r.slots[(round + 1) & 1], round + 1);
       }
       ws.has_batch = !cur.batch.empty();
 
@@ -181,7 +181,7 @@ void DataParallelTrainer::run_worker_epoch(std::size_t w) {
         ws.times.gather_wait_s += seconds_since(tw);
 
         const auto tc = Clock::now();
-        const gnn::LossResult loss =
+        const gnn::LossResult& loss =
             gnn::train_step(r.model, cur.blocks, cur.x0, ctx_.labels);
         ws.times.compute_s += seconds_since(tc);
 
@@ -212,7 +212,7 @@ void DataParallelTrainer::run_worker_epoch(std::size_t w) {
 
   // Drain any prefetched-but-never-computed gather (max_rounds truncation)
   // before the epoch-exit barrier, so the caller may tear down providers.
-  for (Prefetch& slot : slots) {
+  for (Prefetch& slot : r.slots) {
     if (slot.valid && slot.ticket != gnn::FeatureProvider::kSyncTicket) {
       try {
         r.provider.gather_wait(slot.ticket);
@@ -220,7 +220,7 @@ void DataParallelTrainer::run_worker_epoch(std::size_t w) {
         if (!ws.error) ws.error = std::current_exception();
       }
     }
-    slot = Prefetch{};
+    slot.valid = false;
   }
   barrier_.arrive_and_wait();  // epoch drained
 }

@@ -175,7 +175,7 @@ class DataParallelTrainer {
   struct Prefetch {
     std::span<const graph::VertexId> batch;
     std::vector<gnn::Block> blocks;
-    gnn::Tensor x0;
+    gnn::Tensor x0;  // reshaped in place: keeps its storage across batches
     gnn::FeatureProvider::GatherTicket ticket =
         gnn::FeatureProvider::kSyncTicket;
     std::chrono::steady_clock::time_point issued_at{};
@@ -207,6 +207,7 @@ class DataParallelTrainer {
     std::vector<graph::VertexId> partition;
     std::vector<gnn::Param*> params;  // model.parameters(), cached
     WorkerState state;
+    Prefetch slots[2];  // round r computes slots[r & 1]
   };
 
   /// Shared per-epoch context, written by the coordinator before waking the

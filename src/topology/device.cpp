@@ -6,18 +6,6 @@
 
 namespace moment::topology {
 
-const char* to_string(DeviceKind kind) noexcept {
-  switch (kind) {
-    case DeviceKind::kRootComplex: return "RootComplex";
-    case DeviceKind::kPcieSwitch: return "PcieSwitch";
-    case DeviceKind::kCpuMemory: return "CpuMemory";
-    case DeviceKind::kGpu: return "Gpu";
-    case DeviceKind::kSsd: return "Ssd";
-    case DeviceKind::kNic: return "Nic";
-  }
-  return "Unknown";
-}
-
 const char* to_string(LinkKind kind) noexcept {
   switch (kind) {
     case LinkKind::kPcie: return "PCIe";

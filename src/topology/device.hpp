@@ -33,7 +33,6 @@ enum class LinkKind : std::uint8_t {
   kNetwork,  // inter-machine network (cluster modelling)
 };
 
-const char* to_string(DeviceKind kind) noexcept;
 const char* to_string(LinkKind kind) noexcept;
 
 struct Device {

@@ -13,13 +13,6 @@ namespace moment::topology {
 using maxflow::EdgeId;
 using maxflow::NodeId;
 
-int FlowGraph::storage_index_of(DeviceId dev) const {
-  for (std::size_t i = 0; i < storage.size(); ++i) {
-    if (storage[i].device == dev) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 FlowGraph compile_flow_graph(const Topology& topo,
                              const FlowGraphOptions& options) {
   FlowGraph fg;

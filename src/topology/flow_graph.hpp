@@ -69,9 +69,6 @@ struct FlowGraph {
   /// it — which is exactly the freedom DDAK later realises. -1 if the tier
   /// has no members.
   maxflow::EdgeId tier_edge[3] = {-1, -1, -1};
-
-  /// Index into `storage` for a device id; -1 if not a storage device.
-  int storage_index_of(DeviceId dev) const;
 };
 
 struct FlowGraphOptions {

@@ -16,8 +16,6 @@ double predict_rate_bound(const FlowGraph& fg) {
 
 Prediction predict(const FlowGraph& fg, const WorkloadDemand& demand) {
   Prediction out;
-  out.rate_max_flow = predict_rate_bound(fg);
-
   if (demand.per_gpu_bytes.size() != fg.gpus.size()) {
     throw std::invalid_argument("predict: per_gpu_bytes size mismatch");
   }

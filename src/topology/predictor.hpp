@@ -37,7 +37,6 @@ struct LinkTraffic {
 
 struct Prediction {
   bool feasible = false;
-  double rate_max_flow = 0.0;   // bytes/s aggregate bound
   double epoch_io_time_s = 0.0; // min time to satisfy all demands
   double throughput = 0.0;      // total demand / epoch_io_time_s
   std::vector<double> per_gpu_bytes;      // bytes delivered per GPU at T*

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 #include "body_cases.hpp"
 #include "expm1f_reference.hpp"
@@ -832,6 +833,189 @@ TEST(GcnLayer, BackwardRejectsBlockOfOtherForward) {
                  "GcnLayer::backward: block differs from the last forward's");
   }
   EXPECT_EQ(layer.backward(small, out).rows(), small.num_src());
+}
+
+/// backward writes its gradient over the forward's saved output, so a second
+/// backward without a forward must throw, not read a gradient as an output.
+void expect_second_backward_throws(GnnLayer& layer, std::size_t in_dim) {
+  const Block block = tiny_block();
+  util::Pcg32 rng(97);
+  const Tensor x = Tensor::glorot(block.num_src(), in_dim, rng);
+  const Tensor grad = Tensor::glorot(block.num_dst(), layer.out_dim(), rng);
+  layer.forward(block, x);
+  layer.backward(block, grad, true);
+  EXPECT_THROW(layer.backward(block, grad, true), std::logic_error);
+  layer.forward(block, x);
+  EXPECT_EQ(layer.backward(block, grad, true).rows(), block.num_src());
+}
+
+TEST(GatLayer, SecondBackwardNeedsItsOwnForward) {
+  util::Pcg32 rng(101);
+  GatLayer layer(4, 2, 3, true, rng);
+  expect_second_backward_throws(layer, 4);
+}
+
+TEST(SageLayer, SecondBackwardNeedsItsOwnForward) {
+  util::Pcg32 rng(103);
+  SageLayer layer(4, 3, true, rng);
+  expect_second_backward_throws(layer, 4);
+}
+
+TEST(GcnLayer, SecondBackwardNeedsItsOwnForward) {
+  util::Pcg32 rng(107);
+  GcnLayer layer(4, 3, true, rng);
+  expect_second_backward_throws(layer, 4);
+}
+
+// ---- Reused workspaces ------------------------------------------------------
+// Layers and the model reshape their buffers in place, so a buffer holds the
+// last, larger step's values until a kernel overwrites it. Running a large
+// block, a small one and the large one again through one layer (or model)
+// and comparing every step with a freshly built one catches any kernel that
+// relied on a zero-filled output.
+
+/// num_dst dsts (src rows 2i+1) over num_src srcs, 1-8 random in-edges each,
+/// except dst 3, which has none.
+Block random_block(int num_src, int num_dst, std::uint64_t seed) {
+  util::Pcg32 rng(seed);
+  Block b;
+  for (int v = 0; v < num_src; ++v) {
+    b.src_ids.push_back(static_cast<VertexId>(v));
+  }
+  for (int i = 0; i < num_dst; ++i) {
+    b.dst_ids.push_back(static_cast<VertexId>(2 * i + 1));
+    b.dst_in_src.push_back(2 * i + 1);
+  }
+  for (int i = 0; i < num_dst; ++i) {
+    if (i == 3) continue;
+    const int deg = 1 + static_cast<int>(rng.next_below(8));
+    for (int k = 0; k < deg; ++k) {
+      b.edges.emplace_back(i, static_cast<int>(rng.next_below(
+                                  static_cast<std::uint32_t>(num_src))));
+    }
+  }
+  return b;
+}
+
+/// One forward + backward from zeroed parameter gradients: the output, the
+/// input gradient and the parameter gradients, flattened in that order.
+std::vector<float> layer_step(GnnLayer& layer, const Block& block,
+                              std::size_t in_dim) {
+  util::Pcg32 rng(block.num_src());
+  const Tensor x = Tensor::glorot(block.num_src(), in_dim, rng);
+  layer.zero_grad();
+  std::vector<float> bits;
+  const Tensor& out = layer.forward(block, x);
+  bits.insert(bits.end(), out.data(), out.data() + out.size());
+  const Tensor grad_out = Tensor::glorot(out.rows(), out.cols(), rng);
+  const Tensor& grad_x = layer.backward(block, grad_out, true);
+  bits.insert(bits.end(), grad_x.data(), grad_x.data() + grad_x.size());
+  const std::vector<float> grads = flat_grads(layer.parameters());
+  bits.insert(bits.end(), grads.begin(), grads.end());
+  return bits;
+}
+
+template <typename Make>
+void expect_reused_layer_matches_fresh(Make make, std::size_t in_dim) {
+  const Block large = random_block(300, 100, 61);
+  const Block small = random_block(120, 40, 67);
+  for_each_body([&](const char* body) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::set_compute_pool_threads(threads);
+      const auto reused = make();
+      int step = 0;
+      for (const Block* b : {&large, &small, &large}) {
+        SCOPED_TRACE(::testing::Message() << body << " body, threads="
+                                          << threads << " step " << step++);
+        const std::vector<float> got = layer_step(*reused, *b, in_dim);
+        const std::vector<float> want = layer_step(*make(), *b, in_dim);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_TRUE(same_bits(got.data(), want.data(), got.size()));
+      }
+    }
+  });
+  util::set_compute_pool_threads(0);
+}
+
+TEST(GatLayer, ReusedWorkspacesMatchFreshLayerBitwise) {
+  for (const bool elu : {false, true}) {
+    SCOPED_TRACE(elu ? "elu" : "no activation");
+    expect_reused_layer_matches_fresh(
+        [&] {
+          util::Pcg32 rng(73);
+          return std::make_unique<GatLayer>(12, 8, 8, elu, rng);
+        },
+        12);
+  }
+}
+
+TEST(SageLayer, ReusedWorkspacesMatchFreshLayerBitwise) {
+  for (const bool relu : {false, true}) {
+    SCOPED_TRACE(relu ? "relu" : "no activation");
+    expect_reused_layer_matches_fresh(
+        [&] {
+          util::Pcg32 rng(79);
+          return std::make_unique<SageLayer>(12, 10, relu, rng);
+        },
+        12);
+  }
+}
+
+TEST(GcnLayer, ReusedWorkspacesMatchFreshLayerBitwise) {
+  for (const bool relu : {false, true}) {
+    SCOPED_TRACE(relu ? "relu" : "no activation");
+    expect_reused_layer_matches_fresh(
+        [&] {
+          util::Pcg32 rng(83);
+          return std::make_unique<GcnLayer>(12, 10, relu, rng);
+        },
+        12);
+  }
+}
+
+TEST(GnnModel, ReusedWorkspacesMatchFreshModelBitwise) {
+  graph::RmatParams gp;
+  gp.num_vertices = 512;
+  gp.num_edges = 4000;
+  const auto g = graph::generate_rmat(gp);
+  sampling::NeighborSampler sampler(g, {4, 4});
+  util::Pcg32 srng(89);
+  std::vector<graph::VertexId> many, few = {5, 77, 300};
+  for (graph::VertexId v = 0; v < 512; v += 16) many.push_back(v);
+  const std::vector<Block> large = build_blocks(sampler.sample(many, srng));
+  const std::vector<Block> small = build_blocks(sampler.sample(few, srng));
+  std::vector<std::int32_t> labels(512);
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    labels[v] = static_cast<std::int32_t>(v % 4);
+  }
+  // The loss, the accuracy and every parameter gradient of one train_step.
+  auto step = [&](GnnModel& model, const std::vector<Block>& blocks) {
+    util::Pcg32 rng(blocks[0].num_src());
+    const Tensor x0 = Tensor::glorot(blocks[0].num_src(), 8, rng);
+    const LossResult& loss = train_step(model, blocks, x0, labels);
+    std::vector<float> bits = flat_grads(model.parameters());
+    bits.push_back(loss.loss);
+    bits.push_back(loss.accuracy);
+    return bits;
+  };
+  for (ModelKind kind :
+       {ModelKind::kGraphSage, ModelKind::kGcn, ModelKind::kGat}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    ModelConfig cfg;
+    cfg.kind = kind;
+    cfg.in_dim = 8;
+    cfg.hidden_dim = 6;
+    cfg.num_classes = 4;
+    cfg.gat_heads = 3;
+    GnnModel reused(cfg);
+    for (const auto* blocks : {&large, &small, &large}) {
+      GnnModel fresh(cfg);
+      const std::vector<float> got = step(reused, *blocks);
+      const std::vector<float> want = step(fresh, *blocks);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_TRUE(same_bits(got.data(), want.data(), got.size()));
+    }
+  }
 }
 
 TEST(Features, AsyncProtocolFallsBackToSync) {
