@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 
+#include "block_reference.hpp"
 #include "body_cases.hpp"
 #include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
@@ -303,6 +304,80 @@ TEST(Blocks, BuiltFromSampledSubgraph) {
       EXPECT_LT(static_cast<std::size_t>(src), b.num_src());
     }
   }
+}
+
+/// Whole vectors compared byte for byte (inv_deg included).
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(Blocks, CsrMatchesEdgeListOracle) {
+  // Sparse RMAT graphs leave many vertices isolated: those dsts get degree
+  // 0 in every hop. Seeds are distinct and shuffled, never sorted.
+  for (std::uint64_t graph_seed : {5u, 6u}) {
+    graph::RmatParams gp;
+    gp.num_vertices = 2048;
+    gp.num_edges = 3000;
+    gp.seed = graph_seed;
+    const auto g = graph::generate_rmat(gp);
+    std::vector<graph::VertexId> isolated, pool;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      (g.degree(v) == 0 ? isolated : pool).push_back(v);
+    }
+    ASSERT_FALSE(isolated.empty());
+    for (const std::vector<int>& fanouts :
+         {std::vector<int>{25, 10}, std::vector<int>{3, 3, 3},
+          std::vector<int>{1}}) {
+      sampling::NeighborSampler sampler(g, fanouts);
+      for (std::size_t batch : {1u, 7u, 256u}) {
+        for (std::size_t threads : {1u, 4u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "graph " << graph_seed << ", hops "
+                       << fanouts.size() << ", batch " << batch << ", "
+                       << threads << " threads");
+          util::set_compute_pool_threads(threads);
+          util::Pcg32 rng(graph_seed * 100 + batch);
+          std::vector<graph::VertexId> seeds = pool;
+          for (std::size_t i = seeds.size(); i > 1; --i) {
+            std::swap(seeds[i - 1],
+                      seeds[rng.next_below(static_cast<std::uint32_t>(i))]);
+          }
+          seeds.resize(batch);
+          if (batch > 1) seeds[batch / 2] = isolated[batch % isolated.size()];
+          if (batch > 2) {
+            ASSERT_FALSE(std::is_sorted(seeds.begin(), seeds.end()));
+          }
+
+          const auto sg = sampler.sample(seeds, rng);
+          const std::vector<Block> blocks = build_blocks(sg);
+          ASSERT_EQ(blocks.size(), fanouts.size());
+          EXPECT_EQ(blocks.front().src_ids, sg.fetch_set);
+          EXPECT_EQ(blocks.back().dst_ids, seeds);
+          for (std::size_t k = 0; k < blocks.size(); ++k) {
+            SCOPED_TRACE(testing::Message() << "block " << k);
+            const auto& layer = sg.layers[blocks.size() - 1 - k];
+            const reference::BlockCsr want = reference::block_csr(
+                layer.dst_vertices, reference::layer_edges(layer));
+            const Block& b = blocks[k];
+            const CompiledBlock& got = b.compiled();
+            EXPECT_EQ(b.src_ids, want.src_ids);
+            EXPECT_EQ(b.dst_ids, want.dst_ids);
+            EXPECT_TRUE(same_bytes(got.dst_off, want.dst_off));
+            EXPECT_TRUE(same_bytes(got.src_of, want.src_of));
+            EXPECT_TRUE(same_bytes(got.inv_deg, want.inv_deg));
+            EXPECT_TRUE(same_bytes(got.src_off, want.src_off));
+            EXPECT_TRUE(same_bytes(got.rev_edge, want.rev_edge));
+            EXPECT_TRUE(same_bytes(got.dst_of, want.dst_of));
+            EXPECT_TRUE(same_bytes(got.src_to_dst, want.src_to_dst));
+            EXPECT_TRUE(same_bytes(got.self_src, want.self_src));
+          }
+        }
+      }
+    }
+  }
+  util::set_compute_pool_threads(0);
 }
 
 TEST(Model, ForwardProducesSeedLogits) {
