@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "aggregate_reference.hpp"
+#include "block_reference.hpp"
 #include "body_cases.hpp"
 #include "expm1f_reference.hpp"
 #include "gat_reference.hpp"
@@ -64,7 +65,6 @@
 namespace {
 
 using moment::gnn::Block;
-using moment::gnn::CompiledBlock;
 namespace kernels = moment::gnn::kernels;
 namespace reference = moment::gnn::reference;
 using reference::for_each_body;
@@ -117,13 +117,15 @@ void ascending_gemm(std::size_t rows, std::size_t inner, std::size_t n,
   }
 }
 
+/// Local (dst, src) pairs of a block.
+using Edges = std::vector<std::pair<int, int>>;
+
 // Edge-list mean aggregation, as SageLayer::forward did it pre-kernels.
-void naive_aggregate_mean(const Block& block, const float* x, std::size_t dim,
-                          float* out) {
-  const std::size_t nd = block.num_dst();
+void naive_aggregate_mean(std::size_t nd, const Edges& edges, const float* x,
+                          std::size_t dim, float* out) {
   std::memset(out, 0, nd * dim * sizeof(float));
   std::vector<std::size_t> degree(nd, 0);
-  for (const auto& [dst, src] : block.edges) {
+  for (const auto& [dst, src] : edges) {
     const auto d = static_cast<std::size_t>(dst);
     const float* srow = x + static_cast<std::size_t>(src) * dim;
     float* orow = out + d * dim;
@@ -182,22 +184,31 @@ std::string cpu_model() {
   return "unknown";
 }
 
-Block make_block(std::size_t nd, std::size_t ns, std::size_t ne,
-                 moment::util::Pcg32& rng) {
-  Block block;
-  block.dst_ids.resize(nd);
-  block.src_ids.resize(ns);
-  for (std::size_t i = 0; i < nd; ++i) block.dst_ids[i] = static_cast<int>(i);
-  for (std::size_t i = 0; i < ns; ++i) block.src_ids[i] = static_cast<int>(i);
-  block.dst_in_src.resize(nd);
-  for (std::size_t i = 0; i < nd; ++i) block.dst_in_src[i] = static_cast<int>(i);
-  block.edges.reserve(ne);
+/// ne random pairs over nd dsts and ns srcs.
+Edges random_edges(std::size_t nd, std::size_t ns, std::size_t ne,
+                   moment::util::Pcg32& rng) {
+  Edges edges;
+  edges.reserve(ne);
   for (std::size_t e = 0; e < ne; ++e) {
-    block.edges.emplace_back(
+    edges.emplace_back(
         static_cast<int>(rng.next_below(static_cast<std::uint32_t>(nd))),
         static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ns))));
   }
-  return block;
+  return edges;
+}
+
+/// A block whose dst i is src i, over `edges`.
+Block identity_block(std::size_t nd, std::size_t ns, const Edges& edges) {
+  std::vector<moment::graph::VertexId> dst_ids(nd), src_ids(ns);
+  for (std::size_t i = 0; i < nd; ++i) dst_ids[i] = static_cast<int>(i);
+  for (std::size_t i = 0; i < ns; ++i) src_ids[i] = static_cast<int>(i);
+  return reference::block_from_edges(std::move(src_ids), std::move(dst_ids),
+                                     edges);
+}
+
+Block random_block(std::size_t nd, std::size_t ns, std::size_t ne,
+                   moment::util::Pcg32& rng) {
+  return identity_block(nd, ns, random_edges(nd, ns, ne, rng));
 }
 
 constexpr double kTol = 1e-4;
@@ -225,8 +236,7 @@ std::vector<GatAttentionRow> run_gat_attention(std::size_t nd, std::size_t ns,
                                                moment::util::Pcg32& rng) {
   const std::size_t threads = moment::util::compute_pool_threads();
   moment::util::set_compute_pool_threads(1);
-  const Block block = make_block(nd, ns, ne, rng);
-  const CompiledBlock cb = moment::gnn::compile_block(block);
+  const Block block = random_block(nd, ns, ne, rng);
   const std::size_t od = heads * hd;
   const float slope = 0.2f;
   const auto z = random_matrix(ns, od, rng);
@@ -250,10 +260,10 @@ std::vector<GatAttentionRow> run_gat_attention(std::size_t nd, std::size_t ns,
     std::fill(ref.out.begin(), ref.out.end(), 0.0f);
     std::fill(ref.grad_z.begin(), ref.grad_z.end(), 0.0f);
     moment::gnn::reference::gat_attention_forward(
-        cb, z.data(), heads, hd, attn_l.data(), attn_r.data(), slope,
+        block, z.data(), heads, hd, attn_l.data(), attn_r.data(), slope,
         ref.score.data(), ref.alpha.data(), ref.out.data());
     moment::gnn::reference::gat_attention_backward(
-        cb, g.data(), z.data(), heads, hd, slope, attn_l.data(),
+        block, g.data(), z.data(), heads, hd, slope, attn_l.data(),
         attn_r.data(), ref.score.data(), ref.alpha.data(), ref.grad_z.data(),
         ref.gal.data(), ref.gar.data());
   };
@@ -266,17 +276,17 @@ std::vector<GatAttentionRow> run_gat_attention(std::size_t nd, std::size_t ns,
         er(ns * heads);
     kernels::heads_to_minor(ns, heads, hd, z.data(), zm.data());
     auto logits = [&] {
-      kernels::gat_logits(cb, zm.data(), heads, hd, attn_l.data(),
+      kernels::gat_logits(block, zm.data(), heads, hd, attn_l.data(),
                           attn_r.data(), el.data(), er.data());
     };
     auto forward = [&] {
-      kernels::gat_attention_forward(cb, el.data(), er.data(), zm.data(),
+      kernels::gat_attention_forward(block, el.data(), er.data(), zm.data(),
                                      heads, hd, slope, got.score.data(),
                                      got.alpha.data(), got.out.data());
     };
     auto backward = [&] {
       kernels::gat_attention_backward(
-          cb, g.data(), zm.data(), heads, hd, slope, attn_l.data(),
+          block, g.data(), zm.data(), heads, hd, slope, attn_l.data(),
           attn_r.data(), got.score.data(), got.alpha.data(), grad_zm.data(),
           got.gal.data(), got.gar.data());
     };
@@ -333,30 +343,30 @@ bool gemm_bitwise(std::size_t m, std::size_t k, std::size_t n,
 /// their order (aggregate_reference.hpp), bit for bit, on one random block.
 bool aggregation_bitwise(std::size_t nd, std::size_t ns, std::size_t ne,
                          std::size_t dim, moment::util::Pcg32& rng) {
-  const CompiledBlock cb =
-      moment::gnn::compile_block(make_block(nd, ns, ne, rng));
+  const Block block = random_block(nd, ns, ne, rng);
   const auto x = random_matrix(ns, dim, rng);
   const auto g = random_matrix(nd, dim, rng);
   const auto g2 = random_matrix(nd, dim, rng);
   const auto coeff = random_matrix(1, ne + nd, rng);
   const float* self = coeff.data() + ne;
   std::vector<float> ref(nd * dim), got(nd * dim);
-  reference::aggregate_mean(cb, x.data(), dim, ref.data());
-  kernels::aggregate_mean(cb, x.data(), dim, got.data());
+  reference::aggregate_mean(block, x.data(), dim, ref.data());
+  kernels::aggregate_mean(block, x.data(), dim, got.data());
   bool ok = same(ref, got);
-  reference::aggregate_coeff(cb, coeff.data(), self, x.data(), dim,
+  reference::aggregate_coeff(block, coeff.data(), self, x.data(), dim,
                              ref.data());
-  kernels::aggregate_coeff(cb, coeff.data(), self, x.data(), dim, got.data());
+  kernels::aggregate_coeff(block, coeff.data(), self, x.data(), dim,
+                           got.data());
   ok &= same(ref, got);
   ref.resize(ns * dim);
   got.resize(ns * dim);
-  reference::aggregate_coeff_grad(cb, coeff.data(), self, g.data(), dim,
+  reference::aggregate_coeff_grad(block, coeff.data(), self, g.data(), dim,
                                   ref.data());
-  kernels::aggregate_coeff_grad(cb, coeff.data(), self, g.data(), dim,
+  kernels::aggregate_coeff_grad(block, coeff.data(), self, g.data(), dim,
                                 got.data());
   ok &= same(ref, got);
-  reference::sage_input_grad(cb, g.data(), g2.data(), dim, ref.data());
-  kernels::sage_input_grad(cb, g.data(), g2.data(), dim, got.data());
+  reference::sage_input_grad(block, g.data(), g2.data(), dim, ref.data());
+  kernels::sage_input_grad(block, g.data(), g2.data(), dim, got.data());
   return ok & same(ref, got);
 }
 
@@ -581,7 +591,7 @@ std::vector<LayerStepRow> run_gat_layer0_step(std::size_t nd, std::size_t ns,
                                               moment::util::Pcg32& rng) {
   const std::size_t threads = moment::util::compute_pool_threads();
   moment::util::set_compute_pool_threads(1);
-  const Block block = make_block(nd, ns, ne, rng);
+  const Block block = random_block(nd, ns, ne, rng);
   moment::gnn::Tensor x(ns, in_dim), grad_out(nd, heads * hd);
   const auto xv = random_matrix(ns, in_dim, rng);
   const auto gv = random_matrix(nd, heads * hd, rng);
@@ -698,13 +708,13 @@ int run_full(std::size_t threads, const std::string& out_path) {
   }
 
   const std::size_t nd = 10000, ns = 30000, ne = 200000, dim = 256;
-  const Block block = make_block(nd, ns, ne, rng);
-  const CompiledBlock cb = moment::gnn::compile_block(block);
+  const Edges edges = random_edges(nd, ns, ne, rng);
+  const Block block = identity_block(nd, ns, edges);
   const auto x = random_matrix(ns, dim, rng);
   std::vector<float> naive(nd * dim), ref(nd * dim), got(nd * dim);
-  reference::aggregate_mean(cb, x.data(), dim, ref.data());
+  reference::aggregate_mean(block, x.data(), dim, ref.data());
   const double agg_naive_s = time_median([&] {
-    naive_aggregate_mean(block, x.data(), dim, naive.data());
+    naive_aggregate_mean(nd, edges, x.data(), dim, naive.data());
   });
   std::printf("\naggregate_mean %zu dst / %zu edges / %zu src, dim %zu, each "
               "body, %zu thread(s): naive %7.2f ms\n",
@@ -717,10 +727,10 @@ int run_full(std::size_t threads, const std::string& out_path) {
   };
   std::vector<AggregateRow> agg;
   for_each_body([&](const char* body) {
-    kernels::aggregate_mean(cb, x.data(), dim, got.data());
+    kernels::aggregate_mean(block, x.data(), dim, got.data());
     const bool bitwise = same(ref, got);
     const double t = time_median([&] {
-      kernels::aggregate_mean(cb, x.data(), dim, got.data());
+      kernels::aggregate_mean(block, x.data(), dim, got.data());
     });
     std::printf("  %-8s kernel %7.2f ms  speedup %.2fx  %s\n", body, t * 1e3,
                 agg_naive_s / t, bitwise ? "bitwise ok" : "BITWISE MISMATCH");

@@ -1,10 +1,10 @@
 #pragma once
-// Message-passing blocks: the bipartite (src -> dst) compute structures built
-// from a SampledSubgraph, mirroring DGL's `to_block`. blocks[0] is applied
-// first (widest frontier, raw features); blocks.back() produces seed outputs.
+// Message-passing blocks: the bipartite (src -> dst) compute structures of a
+// sampled mini-batch, mirroring DGL's `to_block`. blocks[0] is applied first
+// (widest frontier, raw features); blocks.back() produces seed outputs.
 
-#include <memory>
-#include <utility>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sampling/neighbor_sampler.hpp"
@@ -13,12 +13,17 @@ namespace moment::gnn {
 
 using graph::VertexId;
 
-/// Per-destination CSR view of a Block's edge list, compiled once per sampled
-/// block and shared by every layer invocation on it (SAGE/GCN aggregation,
-/// GAT attention, and all their backward passes). Both directions are
-/// materialised so forward passes can parallelise race-free over dst rows and
-/// backward passes over src rows.
-struct CompiledBlock {
+/// One block as a per-destination CSR over local rows, read by every layer
+/// invocation on it (SAGE/GCN aggregation, GAT attention, and all their
+/// backward passes). Both directions are materialised so forward passes can
+/// parallelise race-free over dst rows and backward passes over src rows.
+/// Built by make_block or build_blocks; the arrays do not change after.
+struct Block {
+  std::vector<VertexId> src_ids;  // ascending global vertex ids
+  /// Global ids of the dst rows, distinct, each also a src. Ascending, except
+  /// in the seed block (blocks.back()), which keeps the batch order.
+  std::vector<VertexId> dst_ids;
+
   /// Forward CSR: neighbors of dst i are src_of[dst_off[i] .. dst_off[i+1]),
   /// sorted ascending. Positions in src_of define the "CSR edge id" that
   /// layers use to index per-edge saved state (GAT alpha, GCN coeffs).
@@ -34,44 +39,31 @@ struct CompiledBlock {
   /// src_to_dst[v] = dst index of src v when the vertex is also a dst
   /// (self-feature row), else -1. Injective over valid entries.
   std::vector<int> src_to_dst;  // num_src
-  /// self_src[i] = src row holding dst i's own features (= dst_in_src).
+  /// self_src[i] = src row holding dst i's own features.
   std::vector<int> self_src;  // num_dst
 
-  std::size_t num_dst() const noexcept { return inv_deg.size(); }
-  std::size_t num_src() const noexcept { return src_to_dst.size(); }
+  std::size_t num_src() const noexcept { return src_ids.size(); }
+  std::size_t num_dst() const noexcept { return dst_ids.size(); }
   std::size_t num_edges() const noexcept { return src_of.size(); }
   int degree(std::size_t dst) const noexcept {
     return dst_off[dst + 1] - dst_off[dst];
   }
 };
 
-struct Block {
-  std::vector<VertexId> src_ids;  // sorted global vertex ids
-  std::vector<VertexId> dst_ids;  // sorted; subset of src_ids
-  /// dst_in_src[i] = position of dst_ids[i] within src_ids (self features).
-  std::vector<int> dst_in_src;
-  /// Edges as (dst_local, src_local) index pairs.
-  std::vector<std::pair<int, int>> edges;
+/// Builds a block from per-dst src lists: dst i aggregates from the src rows
+/// nbr[nbr_off[i] .. nbr_off[i+1]), given in any order. src_ids must be
+/// strictly ascending and hold every dst id. Throws std::out_of_range for a
+/// src row outside src_ids or a dst id missing from it, and
+/// std::invalid_argument for a repeated dst id, unsorted src_ids or offsets
+/// that do not partition nbr.
+Block make_block(std::vector<VertexId> src_ids, std::vector<VertexId> dst_ids,
+                 std::span<const std::size_t> nbr_off, std::vector<int> nbr);
 
-  std::size_t num_src() const noexcept { return src_ids.size(); }
-  std::size_t num_dst() const noexcept { return dst_ids.size(); }
-
-  /// CSR compilation of `edges`, built lazily on first use and cached (copies
-  /// of the block share the cache). The block's index fields must not change
-  /// after the first call; not thread-safe — each block belongs to exactly
-  /// one worker, which is the engine's ownership model.
-  const CompiledBlock& compiled() const;
-
- private:
-  mutable std::shared_ptr<const CompiledBlock> compiled_;
-};
-
-/// Standalone CSR compilation (also used by tests and the kernel bench).
-CompiledBlock compile_block(const Block& block);
-
-/// Builds application-ordered blocks. blocks[k] corresponds to sampled hop
-/// (L-1-k): its dst set is that hop's frontier, its src set the next wider
-/// frontier. The final block's dst set equals the seeds.
+/// Builds application-ordered blocks. blocks[k] applies sampled hop
+/// h = L-1-k: its dsts are that hop's frontier, its srcs the next wider one
+/// (layers[h+1].dst_vertices, or the fetch set for the outermost hop). So
+/// blocks[k].dst_ids == blocks[k+1].src_ids, and the final block's dsts are
+/// the seeds in batch order. Throws std::invalid_argument on a repeated seed.
 std::vector<Block> build_blocks(const sampling::SampledSubgraph& sg);
 
 }  // namespace moment::gnn

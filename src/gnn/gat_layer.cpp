@@ -19,10 +19,9 @@ const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
     throw std::invalid_argument("GatLayer::forward: x_src shape mismatch");
   }
-  const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
   const std::size_t ns = block.num_src();
-  const std::size_t ne = cb.num_edges();
+  const std::size_t ne = block.num_edges();
   const std::size_t od = out_dim();
 
   // z = x W with W's columns permuted head-minor, so z comes out head-minor
@@ -36,23 +35,22 @@ const Tensor& GatLayer::forward(const Block& block, const Tensor& x_src) {
 
   el_.reshape(nd, num_heads_);
   er_.reshape(ns, num_heads_);
-  kernels::gat_logits(cb, saved_z_.data(), num_heads_, head_dim_,
+  kernels::gat_logits(block, saved_z_.data(), num_heads_, head_dim_,
                       attn_l_.value.data(), attn_r_.value.data(), el_.data(),
                       er_.data());
   saved_score_.reshape(ne, num_heads_);
   saved_alpha_.reshape(ne, num_heads_);
   saved_out_.reshape(nd, od);
-  kernels::gat_attention_forward(cb, el_.data(), er_.data(), saved_z_.data(),
-                                 num_heads_, head_dim_, kLeakySlope,
-                                 saved_score_.data(), saved_alpha_.data(),
-                                 saved_out_.data());
+  kernels::gat_attention_forward(block, el_.data(), er_.data(),
+                                 saved_z_.data(), num_heads_, head_dim_,
+                                 kLeakySlope, saved_score_.data(),
+                                 saved_alpha_.data(), saved_out_.data());
   kernels::bias_act(nd, od, bias_.value.data(), act_, saved_out_.data());
   return saved_out_;
 }
 
 const Tensor& GatLayer::backward(const Block& block, const Tensor& grad_out,
                                  bool input_grad) {
-  const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
   const std::size_t ns = block.num_src();
   const std::size_t od = out_dim();
@@ -60,7 +58,7 @@ const Tensor& GatLayer::backward(const Block& block, const Tensor& grad_out,
     throw std::invalid_argument("GatLayer::backward: grad shape mismatch");
   }
   if (saved_out_.rows() != nd || saved_z_.rows() != ns ||
-      saved_score_.rows() != cb.num_edges()) {
+      saved_score_.rows() != block.num_edges()) {
     throw std::logic_error(
         "GatLayer::backward: block differs from the last forward's");
   }
@@ -70,7 +68,7 @@ const Tensor& GatLayer::backward(const Block& block, const Tensor& grad_out,
 
   grad_z_.reshape(ns, od);
   kernels::gat_attention_backward(
-      cb, grad.data(), saved_z_.data(), num_heads_, head_dim_, kLeakySlope,
+      block, grad.data(), saved_z_.data(), num_heads_, head_dim_, kLeakySlope,
       attn_l_.value.data(), attn_r_.value.data(), saved_score_.data(),
       saved_alpha_.data(), grad_z_.data(), attn_l_.grad.data(),
       attn_r_.grad.data());

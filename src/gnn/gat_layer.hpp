@@ -44,9 +44,9 @@ class GatLayer final : public GnnLayer {
   Param attn_r_;  // (heads x head_dim)
   Param bias_;    // (1 x heads*head_dim)
 
-  // Saved state for backward. Per-edge state is indexed by the CSR edge id of
-  // block.compiled() (head-minor: edge * num_heads + head) — the per-dst
-  // adjacency comes from the shared CompiledBlock, not a layer-local copy.
+  // Saved state for backward. Per-edge state is indexed by the block's CSR
+  // edge id (head-minor: edge * num_heads + head) — the per-dst adjacency
+  // comes from the block, not a layer-local copy.
   const Tensor* saved_x_src_ = nullptr;  // forward's input, read in place
   Tensor saved_z_;      // (num_src x heads*head_dim), head-minor columns
   Tensor saved_out_;    // (num_dst x heads*head_dim) output, then its grad

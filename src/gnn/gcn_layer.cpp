@@ -19,15 +19,14 @@ const Tensor& GcnLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
     throw std::invalid_argument("GcnLayer::forward: x_src shape mismatch");
   }
-  const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
-  const std::size_t ne = cb.num_edges();
+  const std::size_t ne = block.num_edges();
 
   // In-block degree (+1 self loop) per dst. A source that is also a dst uses
   // its dst degree; frontier-only sources count as degree 1 (their in-block
   // fan-in is not sampled).
   auto deg = [&](std::size_t i) {
-    return 1.0 + static_cast<double>(cb.degree(i));
+    return 1.0 + static_cast<double>(block.degree(i));
   };
 
   // Normalisation coefficients, indexed by CSR edge id (self coefficients
@@ -35,9 +34,10 @@ const Tensor& GcnLayer::forward(const Block& block, const Tensor& x_src) {
   saved_coeff_.reshape(1, ne + nd);
   float* coeff = saved_coeff_.data();
   for (std::size_t i = 0; i < nd; ++i) {
-    const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+    const int b = block.dst_off[i], e = block.dst_off[i + 1];
     for (int t = b; t < e; ++t) {
-      const int sd = cb.src_to_dst[static_cast<std::size_t>(cb.src_of[t])];
+      const int sd =
+          block.src_to_dst[static_cast<std::size_t>(block.src_of[t])];
       const double src_deg = sd >= 0 ? deg(static_cast<std::size_t>(sd)) : 1.0;
       coeff[static_cast<std::size_t>(t)] =
           static_cast<float>(1.0 / std::sqrt(deg(i) * src_deg));
@@ -48,7 +48,7 @@ const Tensor& GcnLayer::forward(const Block& block, const Tensor& x_src) {
 
   saved_num_src_ = block.num_src();
   saved_agg_.reshape(nd, in_dim_);
-  kernels::aggregate_coeff(cb, coeff, coeff + ne, x_src.data(), in_dim_,
+  kernels::aggregate_coeff(block, coeff, coeff + ne, x_src.data(), in_dim_,
                            saved_agg_.data());
 
   saved_out_.reshape(nd, out_dim_);
@@ -63,8 +63,7 @@ const Tensor& GcnLayer::backward(const Block& block, const Tensor& grad_out,
   if (grad_out.rows() != nd || grad_out.cols() != out_dim_) {
     throw std::invalid_argument("GcnLayer::backward: grad shape mismatch");
   }
-  const CompiledBlock& cb = block.compiled();
-  const std::size_t ne = cb.num_edges();
+  const std::size_t ne = block.num_edges();
   if (saved_out_.rows() != nd || saved_num_src_ != block.num_src() ||
       saved_coeff_.size() != ne + nd) {
     throw std::logic_error(
@@ -79,7 +78,7 @@ const Tensor& GcnLayer::backward(const Block& block, const Tensor& grad_out,
     grad_agg_.reshape(nd, in_dim_);
     matmul_bt(grad, w_.value, grad_agg_);
     grad_src_.reshape(block.num_src(), in_dim_);
-    kernels::aggregate_coeff_grad(cb, saved_coeff_.data(),
+    kernels::aggregate_coeff_grad(block, saved_coeff_.data(),
                                   saved_coeff_.data() + ne, grad_agg_.data(),
                                   in_dim_, grad_src_.data());
   } else {

@@ -36,7 +36,7 @@ class GcnLayer final : public GnnLayer {
   std::size_t saved_num_src_ = 0;  // src rows of the last forward's block
   Tensor saved_agg_;   // normalized aggregation (num_dst x in)
   Tensor saved_out_;   // post-activation, then backward's pre-activation grad
-  /// (1 x num_edges + num_dst): indexed by CSR edge id (block.compiled()),
+  /// (1 x num_edges + num_dst): indexed by the block's CSR edge id,
   /// with the per-dst self-loop coefficients appended after the edges.
   Tensor saved_coeff_;
   Tensor grad_agg_;    // (num_dst x in)

@@ -496,16 +496,16 @@ void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
           });
 }
 
-void aggregate_mean(const CompiledBlock& cb, const float* x, std::size_t dim,
+void aggregate_mean(const Block& block, const float* x, std::size_t dim,
                     float* out) {
-  const int* __restrict src_of = cb.src_of.data();
+  const int* __restrict src_of = block.src_of.data();
   parallel_on_body(
-      cb.num_dst(), kRowGrain,
+      block.num_dst(), kRowGrain,
       [&](auto, std::size_t d0, std::size_t d1) __attribute__((always_inline)) {
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict o = out + i * dim;
           std::memset(o, 0, dim * sizeof(float));
-          const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+          const int b = block.dst_off[i], e = block.dst_off[i + 1];
           int t = b;
           // 4 neighbor rows per step plus prefetch of the next 4: the random
           // feature-row reads are latency-bound, so overlapping misses is
@@ -534,23 +534,23 @@ void aggregate_mean(const CompiledBlock& cb, const float* x, std::size_t dim,
                 row(x, static_cast<std::size_t>(src_of[t]), dim);
             for (std::size_t j = 0; j < dim; ++j) o[j] += s[j];
           }
-          const float inv = cb.inv_deg[i];
+          const float inv = block.inv_deg[i];
           for (std::size_t j = 0; j < dim; ++j) o[j] *= inv;
         }
       });
 }
 
-void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
+void aggregate_coeff(const Block& block, const float* edge_coeff,
                      const float* self_coeff, const float* x, std::size_t dim,
                      float* out) {
-  const int* __restrict src_of = cb.src_of.data();
+  const int* __restrict src_of = block.src_of.data();
   parallel_on_body(
-      cb.num_dst(), kRowGrain,
+      block.num_dst(), kRowGrain,
       [&](auto, std::size_t d0, std::size_t d1) __attribute__((always_inline)) {
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict o = out + i * dim;
           std::memset(o, 0, dim * sizeof(float));
-          const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+          const int b = block.dst_off[i], e = block.dst_off[i + 1];
           int t = b;
           for (; t + 4 <= e; t += 4) {
             const float w0 = edge_coeff[t + 0], w1 = edge_coeff[t + 1];
@@ -582,25 +582,25 @@ void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
           if (self_coeff != nullptr) {
             const float w = self_coeff[i];
             const float* __restrict s =
-                row(x, static_cast<std::size_t>(cb.self_src[i]), dim);
+                row(x, static_cast<std::size_t>(block.self_src[i]), dim);
             for (std::size_t j = 0; j < dim; ++j) o[j] += w * s[j];
           }
         }
       });
 }
 
-void aggregate_coeff_grad(const CompiledBlock& cb, const float* edge_coeff,
+void aggregate_coeff_grad(const Block& block, const float* edge_coeff,
                           const float* self_coeff, const float* g,
                           std::size_t dim, float* grad_src) {
-  const int* __restrict rev_edge = cb.rev_edge.data();
-  const int* __restrict dst_of = cb.dst_of.data();
+  const int* __restrict rev_edge = block.rev_edge.data();
+  const int* __restrict dst_of = block.dst_of.data();
   parallel_on_body(
-      cb.num_src(), kRowGrain,
+      block.num_src(), kRowGrain,
       [&](auto, std::size_t v0, std::size_t v1) __attribute__((always_inline)) {
         for (std::size_t v = v0; v < v1; ++v) {
           float* __restrict o = grad_src + v * dim;
           std::memset(o, 0, dim * sizeof(float));
-          const int b = cb.src_off[v], e = cb.src_off[v + 1];
+          const int b = block.src_off[v], e = block.src_off[v + 1];
           for (int t = b; t < e; ++t) {
             const int ed = rev_edge[t];
             const std::size_t d = static_cast<std::size_t>(dst_of[ed]);
@@ -612,7 +612,7 @@ void aggregate_coeff_grad(const CompiledBlock& cb, const float* edge_coeff,
             const float* __restrict gr = row(g, d, dim);
             for (std::size_t j = 0; j < dim; ++j) o[j] += w * gr[j];
           }
-          const int sd = cb.src_to_dst[v];
+          const int sd = block.src_to_dst[v];
           if (self_coeff != nullptr && sd >= 0) {
             const float w = self_coeff[sd];
             const float* __restrict gr =
@@ -623,24 +623,24 @@ void aggregate_coeff_grad(const CompiledBlock& cb, const float* edge_coeff,
       });
 }
 
-void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
+void sage_input_grad(const Block& block, const float* grad_self,
                      const float* grad_mean, std::size_t dim,
                      float* grad_src) {
-  const int* __restrict rev_edge = cb.rev_edge.data();
-  const int* __restrict dst_of = cb.dst_of.data();
+  const int* __restrict rev_edge = block.rev_edge.data();
+  const int* __restrict dst_of = block.dst_of.data();
   parallel_on_body(
-      cb.num_src(), kRowGrain,
+      block.num_src(), kRowGrain,
       [&](auto, std::size_t v0, std::size_t v1) __attribute__((always_inline)) {
         for (std::size_t v = v0; v < v1; ++v) {
           float* __restrict o = grad_src + v * dim;
-          const int sd = cb.src_to_dst[v];
+          const int sd = block.src_to_dst[v];
           if (sd >= 0) {
             std::memcpy(o, row(grad_self, static_cast<std::size_t>(sd), dim),
                         dim * sizeof(float));
           } else {
             std::memset(o, 0, dim * sizeof(float));
           }
-          const int b = cb.src_off[v], e = cb.src_off[v + 1];
+          const int b = block.src_off[v], e = block.src_off[v + 1];
           for (int t = b; t < e; ++t) {
             const std::size_t d = static_cast<std::size_t>(dst_of[rev_edge[t]]);
             if (t + 1 < e) {
@@ -648,7 +648,7 @@ void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
                   row(grad_mean, static_cast<std::size_t>(dst_of[rev_edge[t + 1]]),
                       dim));
             }
-            const float w = cb.inv_deg[d];
+            const float w = block.inv_deg[d];
             const float* __restrict gm = row(grad_mean, d, dim);
             for (std::size_t j = 0; j < dim; ++j) o[j] += w * gm[j];
           }
@@ -789,14 +789,14 @@ void heads_to_major(std::size_t rows, std::size_t heads, std::size_t head_dim,
   transpose_rows(rows, head_dim, heads, in, out);
 }
 
-void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
+void gat_logits(const Block& block, const float* z, std::size_t heads,
                 std::size_t head_dim, const float* attn_l,
                 const float* attn_r, float* el, float* er) {
   const std::size_t od = heads * head_dim;
   const std::vector<float> al = minor_copy(heads, head_dim, attn_l);
   const std::vector<float> ar = minor_copy(heads, head_dim, attn_r);
   parallel_on_body(
-      cb.num_src(), kRowGrain * 4,
+      block.num_src(), kRowGrain * 4,
       [&]<typename V>(Lanes<V>, std::size_t v0, std::size_t v1)
           __attribute__((always_inline)) {
             for (std::size_t v = v0; v < v1; ++v) {
@@ -804,25 +804,25 @@ void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
             }
           });
   parallel_on_body(
-      cb.num_dst(), kRowGrain * 4,
+      block.num_dst(), kRowGrain * 4,
       [&]<typename V>(Lanes<V>, std::size_t i0, std::size_t i1)
           __attribute__((always_inline)) {
             for (std::size_t i = i0; i < i1; ++i) {
-              const auto self = static_cast<std::size_t>(cb.self_src[i]);
+              const auto self = static_cast<std::size_t>(block.self_src[i]);
               dot<V>(heads, head_dim, al.data(), z + self * od,
                      el + i * heads);
             }
           });
 }
 
-void gat_attention_forward(const CompiledBlock& cb, const float* el,
+void gat_attention_forward(const Block& block, const float* el,
                            const float* er, const float* z, std::size_t heads,
                            std::size_t head_dim, float leaky_slope,
                            float* score, float* alpha, float* out) {
   const std::size_t od = heads * head_dim;
-  const int* __restrict src_of = cb.src_of.data();
+  const int* __restrict src_of = block.src_of.data();
   parallel_on_body(
-      cb.num_dst(), kRowGrain,
+      block.num_dst(), kRowGrain,
       [&]<typename V>(Lanes<V>, std::size_t d0, std::size_t d1)
           __attribute__((always_inline)) {
         // acc: the dst row head-minor; mx: per-head running max, then the
@@ -832,7 +832,7 @@ void gat_attention_forward(const CompiledBlock& cb, const float* el,
         float* __restrict mx = acc + od;
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict o = out + i * od;
-          const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+          const int b = block.dst_off[i], e = block.dst_off[i + 1];
           if (e == b) {
             std::memset(o, 0, od * sizeof(float));
             continue;
@@ -879,27 +879,27 @@ void gat_attention_forward(const CompiledBlock& cb, const float* el,
       });
 }
 
-void gat_attention_backward(const CompiledBlock& cb, const float* g,
+void gat_attention_backward(const Block& block, const float* g,
                             const float* z, std::size_t heads,
                             std::size_t head_dim, float leaky_slope,
                             const float* attn_l, const float* attn_r,
                             const float* score, const float* alpha,
                             float* grad_z, float* grad_attn_l,
                             float* grad_attn_r) {
-  const std::size_t nd = cb.num_dst(), ns = cb.num_src();
+  const std::size_t nd = block.num_dst(), ns = block.num_src();
   const std::size_t od = heads * head_dim;
-  const int* __restrict src_of = cb.src_of.data();
-  const int* __restrict rev_edge = cb.rev_edge.data();
-  const int* __restrict dst_of = cb.dst_of.data();
+  const int* __restrict src_of = block.src_of.data();
+  const int* __restrict rev_edge = block.rev_edge.data();
+  const int* __restrict dst_of = block.dst_of.data();
 
   // The calling thread's scratch, kept from call to call; every float is
   // written before it is read. Tasks get plain pointers (a thread_local
   // named in a task would be the task thread's).
   thread_local Tensor scratch;
-  scratch.reshape(1, nd * od + (cb.num_edges() + nd + ns) * heads);
+  scratch.reshape(1, nd * od + (block.num_edges() + nd + ns) * heads);
   float* gt = scratch.data();  // g, head-minor
   float* ds = gt + nd * od;
-  float* del = ds + cb.num_edges() * heads;
+  float* del = ds + block.num_edges() * heads;
   float* der = del + nd * heads;
   heads_to_minor(nd, heads, head_dim, g, gt);
 
@@ -912,7 +912,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
         for (std::size_t i = d0; i < d1; ++i) {
           float* __restrict dl = del + i * heads;
           std::memset(dl, 0, heads * sizeof(float));
-          const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+          const int b = block.dst_off[i], e = block.dst_off[i + 1];
           if (e == b) continue;
           const float* gi = gt + i * od;
           std::fill(sum.begin(), sum.end(), 0.0f);
@@ -953,7 +953,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
           std::memset(o, 0, od * sizeof(float));
           float* __restrict dr = der + v * heads;
           std::memset(dr, 0, heads * sizeof(float));
-          for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
+          for (int t = block.src_off[v]; t < block.src_off[v + 1]; ++t) {
             const std::size_t ed = static_cast<std::size_t>(rev_edge[t]);
             const std::size_t d = static_cast<std::size_t>(dst_of[ed]);
             for (std::size_t h = 0; h < heads; ++h) {
@@ -962,7 +962,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
             axpy<V>(heads, head_dim, alpha + ed * heads, gt + d * od, o,
                     false);
           }
-          const int sd = cb.src_to_dst[v];
+          const int sd = block.src_to_dst[v];
           if (sd >= 0) {
             axpy<V>(heads, head_dim,
                     del + static_cast<std::size_t>(sd) * heads,
@@ -982,7 +982,7 @@ void gat_attention_backward(const CompiledBlock& cb, const float* g,
           __attribute__((always_inline)) {
         const std::size_t off = c0 * heads, n = c1 - c0;
         for (std::size_t i = 0; i < nd; ++i) {
-          const auto self = static_cast<std::size_t>(cb.self_src[i]);
+          const auto self = static_cast<std::size_t>(block.self_src[i]);
           axpy<V>(heads, n, del + i * heads, z + self * od + off,
                   gl.data() + off, true);
         }

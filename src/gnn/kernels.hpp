@@ -85,13 +85,13 @@ void gemm_at(std::size_t m, std::size_t k, std::size_t n, const float* a,
 // reverse-CSR order, then the self term.
 
 /// out[i] = mean over CSR neighbors of x[src]; zero row for isolated dsts.
-void aggregate_mean(const CompiledBlock& cb, const float* x, std::size_t dim,
+void aggregate_mean(const Block& block, const float* x, std::size_t dim,
                     float* out);
 
 /// out[i] = sum_e edge_coeff[e] * x[src_of[e]]  +  self_coeff[i] * x[self_i]
 /// (GCN symmetric-normalized aggregation; edge_coeff indexed by CSR edge id,
 /// self_i = the src row holding dst i's own features).
-void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
+void aggregate_coeff(const Block& block, const float* edge_coeff,
                      const float* self_coeff, const float* x, std::size_t dim,
                      float* out);
 
@@ -99,14 +99,14 @@ void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
 /// grad_src[v] = sum_{e into v} edge_coeff[e] * g[dst_of[e]]
 ///             + [v is self of dst d] self_coeff[d] * g[d].
 /// Pass self_coeff = nullptr to skip the self term.
-void aggregate_coeff_grad(const CompiledBlock& cb, const float* edge_coeff,
+void aggregate_coeff_grad(const Block& block, const float* edge_coeff,
                           const float* self_coeff, const float* g,
                           std::size_t dim, float* grad_src);
 
 /// SAGE input gradient, race-free over src rows:
 /// grad_src[v] = [v is self of d] grad_self[d]
 ///             + sum_{e into v} inv_deg[dst_of[e]] * grad_mean[dst_of[e]].
-void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
+void sage_input_grad(const Block& block, const float* grad_self,
                      const float* grad_mean, std::size_t dim, float* grad_src);
 
 // ---- GAT attention (all heads per call) -----------------------------------
@@ -131,7 +131,7 @@ void heads_to_major(std::size_t rows, std::size_t heads, std::size_t head_dim,
 /// attn_r[h] . z[v] for every src row and el[i*heads + h] =
 /// attn_l[h] . z[self_src[i]] for every dst row. attn_l/attn_r are the
 /// (heads x head_dim) parameters, head-major.
-void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
+void gat_logits(const Block& block, const float* z, std::size_t heads,
                 std::size_t head_dim, const float* attn_l,
                 const float* attn_r, float* el, float* er);
 
@@ -140,7 +140,7 @@ void gat_logits(const CompiledBlock& cb, const float* z, std::size_t heads,
 /// score, the max-shifted softmax of LeakyReLU(score) into alpha (both
 /// [csr_edge * heads + h]) and writes out[i] = concat_h sum_e alpha * z[src]
 /// head-major. Isolated dsts get a zero row and no edge state.
-void gat_attention_forward(const CompiledBlock& cb, const float* el,
+void gat_attention_forward(const Block& block, const float* el,
                            const float* er, const float* z, std::size_t heads,
                            std::size_t head_dim, float leaky_slope,
                            float* score, float* alpha, float* out);
@@ -154,7 +154,7 @@ void gat_attention_forward(const CompiledBlock& cb, const float* el,
 /// zero logit gradient adds nothing). The last pass adds
 /// sum_i del[i] z[self_i] into grad_attn_l and sum_v der[v] z[v] into
 /// grad_attn_r, rows ascending. Needs src_to_dst to invert self_src.
-void gat_attention_backward(const CompiledBlock& cb, const float* g,
+void gat_attention_backward(const Block& block, const float* g,
                             const float* z, std::size_t heads,
                             std::size_t head_dim, float leaky_slope,
                             const float* attn_l, const float* attn_r,

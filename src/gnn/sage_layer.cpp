@@ -19,14 +19,13 @@ const Tensor& SageLayer::forward(const Block& block, const Tensor& x_src) {
   if (x_src.rows() != block.num_src() || x_src.cols() != in_dim_) {
     throw std::invalid_argument("SageLayer::forward: x_src shape mismatch");
   }
-  const CompiledBlock& cb = block.compiled();
   const std::size_t nd = block.num_dst();
 
   saved_x_dst_.reshape(nd, in_dim_);
-  kernels::gather_rows(cb.self_src.data(), nd, x_src.data(), in_dim_,
+  kernels::gather_rows(block.self_src.data(), nd, x_src.data(), in_dim_,
                        saved_x_dst_.data());
   saved_mean_.reshape(nd, in_dim_);
-  kernels::aggregate_mean(cb, x_src.data(), in_dim_, saved_mean_.data());
+  kernels::aggregate_mean(block, x_src.data(), in_dim_, saved_mean_.data());
 
   saved_out_.reshape(nd, out_dim_);
   matmul(saved_x_dst_, w_self_.value, saved_out_);
@@ -45,7 +44,6 @@ const Tensor& SageLayer::backward(const Block& block, const Tensor& grad_out,
     throw std::logic_error(
         "SageLayer::backward: block differs from the last forward's");
   }
-  const CompiledBlock& cb = block.compiled();
   Tensor& grad = saved_out_;  // in place: bias_act_grad allows it
   kernels::bias_act_grad(nd, out_dim_, grad_out.data(), saved_out_.data(),
                          act_, grad.data(), bias_.grad.data());
@@ -62,7 +60,7 @@ const Tensor& SageLayer::backward(const Block& block, const Tensor& grad_out,
     grad_mean_.reshape(nd, in_dim_);
     matmul_bt(grad, w_neigh_.value, grad_mean_);
     grad_src_.reshape(block.num_src(), in_dim_);
-    kernels::sage_input_grad(cb, grad_self_.data(), grad_mean_.data(),
+    kernels::sage_input_grad(block, grad_self_.data(), grad_mean_.data(),
                              in_dim_, grad_src_.data());
   } else {
     grad_src_.reshape(0, 0);

@@ -29,8 +29,8 @@ double NeighborSampler::expansion_factor() const noexcept {
 SampledSubgraph NeighborSampler::sample(std::span<const VertexId> seeds,
                                         util::Pcg32& rng) const {
   SampledSubgraph sg;
-  sg.seeds.assign(seeds.begin(), seeds.end());
   sg.layers.resize(fanouts_.size());
+  sg.layers[0].dst_vertices.assign(seeds.begin(), seeds.end());
 
   // Exactly two draws from the caller's generator — independent of the batch
   // content — derive the batch base. Every (hop, dst) then samples from its
@@ -40,21 +40,18 @@ SampledSubgraph NeighborSampler::sample(std::span<const VertexId> seeds,
   const auto hi = static_cast<std::uint64_t>(rng.next());
   const auto lo = static_cast<std::uint64_t>(rng.next());
   const std::uint64_t base = (hi << 32) ^ lo;
-
-  std::vector<VertexId>& frontier = scratch_frontier_;
-  frontier.assign(seeds.begin(), seeds.end());
   util::ThreadPool* pool = util::compute_pool();
 
   for (std::size_t hop = 0; hop < fanouts_.size(); ++hop) {
     SampledLayer& layer = sg.layers[hop];
+    const std::vector<VertexId>& frontier = layer.dst_vertices;
     const auto fanout = static_cast<std::size_t>(fanouts_[hop]);
-    layer.dst_vertices = frontier;
 
-    // Fan the per-dst sampling out over the compute pool: each dst writes
-    // only its own slice of the scratch arrays, so chunk shapes are
-    // irrelevant to the result.
-    scratch_srcs_.resize(frontier.size() * fanout);
-    scratch_counts_.assign(frontier.size(), 0);
+    // Fan the per-dst sampling out over the compute pool: dst i draws into
+    // nbr[i * fanout ..) and records its count in nbr_off[i + 1], so chunk
+    // shapes are irrelevant to the result.
+    layer.nbr_off.assign(frontier.size() + 1, 0);
+    layer.nbr.resize(frontier.size() * fanout);
     util::parallel_for(
         pool, 0, frontier.size(), 64, [&](std::size_t b, std::size_t e) {
           for (std::size_t i = b; i < e; ++i) {
@@ -65,43 +62,43 @@ SampledSubgraph NeighborSampler::sample(std::span<const VertexId> seeds,
                 util::hash_combine(base + hop,
                                    static_cast<std::uint64_t>(dst)),
                 0x4e534d50);  // "NSMP"
-            VertexId* out = scratch_srcs_.data() + i * fanout;
+            VertexId* out = layer.nbr.data() + i * fanout;
             // Sampling WITH replacement (DGL's default for uniform neighbor
             // sampling when fanout can exceed degree).
             for (std::size_t k = 0; k < fanout; ++k) {
               out[k] = nbrs[r.next_below(
                   static_cast<std::uint32_t>(nbrs.size()))];
             }
-            scratch_counts_[i] = static_cast<std::uint32_t>(fanout);
+            layer.nbr_off[i + 1] = fanout;
           }
         });
 
-    // Sequential compaction in frontier order: the same edge order the
-    // historical sequential loop produced.
-    layer.edges.clear();
-    layer.edges.reserve(frontier.size() * fanout);
+    // Counts become offsets; the lists move down over the isolated dsts'
+    // empty slots (a list never moves up, so none is overwritten unread).
     for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const VertexId* src = scratch_srcs_.data() + i * fanout;
-      for (std::uint32_t k = 0; k < scratch_counts_[i]; ++k) {
-        layer.edges.emplace_back(frontier[i], src[k]);
+      const std::size_t count = layer.nbr_off[i + 1];
+      layer.nbr_off[i + 1] = layer.nbr_off[i] + count;
+      if (count > 0 && layer.nbr_off[i] != i * fanout) {
+        const VertexId* list = layer.nbr.data() + i * fanout;
+        std::copy(list, list + count, layer.nbr.data() + layer.nbr_off[i]);
       }
     }
+    layer.nbr.resize(layer.nbr_off.back());
 
-    // DGL block semantics: the next hop's frontier is the previous frontier
-    // PLUS its sampled sources (every block's dst set is a subset of its src
-    // set, so self features are available to UPDATE).
-    scratch_next_.assign(frontier.begin(), frontier.end());
-    for (const auto& [dst, src] : layer.edges) scratch_next_.push_back(src);
-    std::sort(scratch_next_.begin(), scratch_next_.end());
-    scratch_next_.erase(
-        std::unique(scratch_next_.begin(), scratch_next_.end()),
-        scratch_next_.end());
-    std::swap(frontier, scratch_next_);
+    // DGL block semantics: the next hop's frontier is this frontier PLUS its
+    // sampled sources (every block's dst set is a subset of its src set, so
+    // self features are available to UPDATE). The frontier grows
+    // monotonically, so after the last hop it IS the unique feature-fetch
+    // set.
+    std::vector<VertexId>& next = hop + 1 < fanouts_.size()
+                                      ? sg.layers[hop + 1].dst_vertices
+                                      : sg.fetch_set;
+    next.reserve(frontier.size() + layer.nbr.size());
+    next.assign(frontier.begin(), frontier.end());
+    next.insert(next.end(), layer.nbr.begin(), layer.nbr.end());
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
   }
-
-  // The frontier grows monotonically (seeds U all sampled sources), so after
-  // the last hop it IS the unique feature-fetch set.
-  sg.fetch_set = frontier;
   return sg;
 }
 

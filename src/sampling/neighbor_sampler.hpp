@@ -2,11 +2,13 @@
 // Mini-batch k-hop uniform neighbor sampling (GraphSAGE-style), matching the
 // paper's workload: 2-hop random sampling with fan-outs [25, 10], batch 8000.
 //
-// sample() returns the layered subgraph (per-hop edges) plus the unique
-// feature-fetch set — the vertices whose embeddings must be gathered from the
-// storage hierarchy. The fetch set drives both the hotness profiler and the
-// simulator's traffic model.
+// sample() returns the layered subgraph (each hop's frontier and, per
+// frontier vertex, its sampled sources) plus the unique feature-fetch set —
+// the vertices whose embeddings must be gathered from the storage hierarchy.
+// The fetch set drives both the hotness profiler and the simulator's traffic
+// model; gnn::build_blocks turns the layers into message-passing blocks.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,18 +21,22 @@ namespace moment::sampling {
 using graph::CsrGraph;
 using graph::VertexId;
 
-/// One message-passing layer of a sampled subgraph. Edges are (dst, src):
-/// dst aggregates from src. Vertex ids are global graph ids.
+/// One sampled hop as a per-dst CSR over global vertex ids: dst_vertices[i]
+/// aggregates from nbr[nbr_off[i] .. nbr_off[i+1]), its sampled sources in
+/// draw order (with repeats). An isolated vertex has an empty list.
 struct SampledLayer {
-  std::vector<VertexId> dst_vertices;           // unique targets of this hop
-  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<VertexId> dst_vertices;  // this hop's frontier
+  std::vector<std::size_t> nbr_off;    // dst_vertices.size() + 1
+  std::vector<VertexId> nbr;
 };
 
 struct SampledSubgraph {
-  std::vector<VertexId> seeds;
-  /// layers[0] is the outermost hop (seeds aggregate in layers.back()).
+  /// layers[0] is the seed hop: its dst_vertices are the seeds in batch
+  /// order. layers[h + 1].dst_vertices is layers[h]'s frontier plus its
+  /// sources, ascending and unique.
   std::vector<SampledLayer> layers;
-  /// Unique vertices whose features must be fetched (all sampled vertices).
+  /// Unique vertices whose features must be fetched (all sampled vertices),
+  /// ascending: the last hop's frontier plus its sources.
   std::vector<VertexId> fetch_set;
 };
 
@@ -44,9 +50,7 @@ class NeighborSampler {
   /// `rng` to derive a batch base, then every (hop, dst) pair samples from
   /// its own counter-based stream — fanned over util::compute_pool(), with
   /// results independent of the thread count (samples are a pure function of
-  /// (base, hop, dst)). Reuses per-sampler scratch buffers, so concurrent
-  /// sample() calls on the SAME instance race; give each worker thread its
-  /// own sampler (the engine already does).
+  /// (base, hop, dst)). Seeds may repeat; each copy gets the same sources.
   SampledSubgraph sample(std::span<const VertexId> seeds,
                          util::Pcg32& rng) const;
 
@@ -59,12 +63,6 @@ class NeighborSampler {
  private:
   const CsrGraph& graph_;
   std::vector<int> fanouts_;
-  /// Per-call scratch, hoisted so steady-state sampling allocates only the
-  /// returned subgraph (see sample() for the reuse/thread-safety contract).
-  mutable std::vector<VertexId> scratch_frontier_;
-  mutable std::vector<VertexId> scratch_next_;
-  mutable std::vector<VertexId> scratch_srcs_;
-  mutable std::vector<std::uint32_t> scratch_counts_;
 };
 
 /// Shuffled mini-batch iterator over training vertices.

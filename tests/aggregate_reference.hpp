@@ -14,16 +14,16 @@ namespace moment::gnn::reference {
 /// Element j of dst row i before the self term: from +0, the CSR neighbours
 /// four at a time as (t0 + t1) + (t2 + t3), then one at a time. A term is
 /// x[src] weighted by edge_coeff, or unweighted when edge_coeff is null.
-inline float csr_sum(const CompiledBlock& cb, const float* edge_coeff,
+inline float csr_sum(const Block& block, const float* edge_coeff,
                      const float* x, std::size_t dim, std::size_t i,
                      std::size_t j) {
   auto term = [&](int t) {
-    const float v = x[static_cast<std::size_t>(cb.src_of[t]) * dim + j];
+    const float v = x[static_cast<std::size_t>(block.src_of[t]) * dim + j];
     return edge_coeff == nullptr ? v : edge_coeff[t] * v;
   };
-  const int e = cb.dst_off[i + 1];
+  const int e = block.dst_off[i + 1];
   float o = 0.0f;
-  int t = cb.dst_off[i];
+  int t = block.dst_off[i];
   for (; t + 4 <= e; t += 4) {
     o = o + ((term(t) + term(t + 1)) + (term(t + 2) + term(t + 3)));
   }
@@ -31,22 +31,23 @@ inline float csr_sum(const CompiledBlock& cb, const float* edge_coeff,
   return o;
 }
 
-inline void aggregate_mean(const CompiledBlock& cb, const float* x,
+inline void aggregate_mean(const Block& block, const float* x,
                            std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < cb.num_dst(); ++i) {
+  for (std::size_t i = 0; i < block.num_dst(); ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
-      out[i * dim + j] = csr_sum(cb, nullptr, x, dim, i, j) * cb.inv_deg[i];
+      out[i * dim + j] =
+          csr_sum(block, nullptr, x, dim, i, j) * block.inv_deg[i];
     }
   }
 }
 
-inline void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
+inline void aggregate_coeff(const Block& block, const float* edge_coeff,
                             const float* self_coeff, const float* x,
                             std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < cb.num_dst(); ++i) {
-    const auto self = static_cast<std::size_t>(cb.self_src[i]);
+  for (std::size_t i = 0; i < block.num_dst(); ++i) {
+    const auto self = static_cast<std::size_t>(block.self_src[i]);
     for (std::size_t j = 0; j < dim; ++j) {
-      float o = csr_sum(cb, edge_coeff, x, dim, i, j);
+      float o = csr_sum(block, edge_coeff, x, dim, i, j);
       if (self_coeff != nullptr) o = o + self_coeff[i] * x[self * dim + j];
       out[i * dim + j] = o;
     }
@@ -54,17 +55,17 @@ inline void aggregate_coeff(const CompiledBlock& cb, const float* edge_coeff,
 }
 
 /// From +0, one reverse-CSR edge at a time, then the self term.
-inline void aggregate_coeff_grad(const CompiledBlock& cb,
+inline void aggregate_coeff_grad(const Block& block,
                                  const float* edge_coeff,
                                  const float* self_coeff, const float* g,
                                  std::size_t dim, float* grad_src) {
-  for (std::size_t v = 0; v < cb.num_src(); ++v) {
-    const int sd = cb.src_to_dst[v];
+  for (std::size_t v = 0; v < block.num_src(); ++v) {
+    const int sd = block.src_to_dst[v];
     for (std::size_t j = 0; j < dim; ++j) {
       float o = 0.0f;
-      for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
-        const int ed = cb.rev_edge[static_cast<std::size_t>(t)];
-        const auto d = static_cast<std::size_t>(cb.dst_of[ed]);
+      for (int t = block.src_off[v]; t < block.src_off[v + 1]; ++t) {
+        const int ed = block.rev_edge[static_cast<std::size_t>(t)];
+        const auto d = static_cast<std::size_t>(block.dst_of[ed]);
         o = o + edge_coeff[ed] * g[d * dim + j];
       }
       if (self_coeff != nullptr && sd >= 0) {
@@ -77,18 +78,18 @@ inline void aggregate_coeff_grad(const CompiledBlock& cb,
 
 /// From grad_self of the dst v is self of (else +0), one reverse-CSR edge at
 /// a time.
-inline void sage_input_grad(const CompiledBlock& cb, const float* grad_self,
+inline void sage_input_grad(const Block& block, const float* grad_self,
                             const float* grad_mean, std::size_t dim,
                             float* grad_src) {
-  for (std::size_t v = 0; v < cb.num_src(); ++v) {
-    const int sd = cb.src_to_dst[v];
+  for (std::size_t v = 0; v < block.num_src(); ++v) {
+    const int sd = block.src_to_dst[v];
     for (std::size_t j = 0; j < dim; ++j) {
       float o = sd >= 0 ? grad_self[static_cast<std::size_t>(sd) * dim + j]
                         : 0.0f;
-      for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
+      for (int t = block.src_off[v]; t < block.src_off[v + 1]; ++t) {
         const auto d = static_cast<std::size_t>(
-            cb.dst_of[cb.rev_edge[static_cast<std::size_t>(t)]]);
-        o = o + cb.inv_deg[d] * grad_mean[d * dim + j];
+            block.dst_of[block.rev_edge[static_cast<std::size_t>(t)]]);
+        o = o + block.inv_deg[d] * grad_mean[d * dim + j];
       }
       grad_src[v * dim + j] = o;
     }

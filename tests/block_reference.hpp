@@ -5,7 +5,8 @@
 // global ids map to local rows through hash maps; the pairs are then grouped
 // by dst in edge order, each dst's neighbours sorted ascending, the reverse
 // CSR built over the forward CSR edge ids, and the self maps filled from the
-// dst rows. Every array must equal build_blocks' byte for byte.
+// dst rows. Every array must equal build_blocks' byte for byte. Also
+// block_from_edges, which builds hand-made test blocks from local pairs.
 
 #include <algorithm>
 #include <stdexcept>
@@ -13,11 +14,31 @@
 #include <utility>
 #include <vector>
 
+#include "gnn/block.hpp"
 #include "sampling/neighbor_sampler.hpp"
 
 namespace moment::gnn::reference {
 
 using graph::VertexId;
+
+/// A block from local (dst row, src row) pairs in any order: the pairs are
+/// grouped by dst in edge order and handed to make_block.
+inline Block block_from_edges(std::vector<VertexId> src_ids,
+                              std::vector<VertexId> dst_ids,
+                              const std::vector<std::pair<int, int>>& edges) {
+  std::vector<std::size_t> off(dst_ids.size() + 1, 0);
+  for (const auto& [dst, src] : edges) {
+    ++off.at(static_cast<std::size_t>(dst) + 1);
+  }
+  for (std::size_t i = 0; i + 1 < off.size(); ++i) off[i + 1] += off[i];
+  std::vector<std::size_t> cursor(off.begin(), off.end() - 1);
+  std::vector<int> nbr(edges.size());
+  for (const auto& [dst, src] : edges) {
+    nbr[cursor[static_cast<std::size_t>(dst)]++] = src;
+  }
+  return make_block(std::move(src_ids), std::move(dst_ids), off,
+                    std::move(nbr));
+}
 
 struct BlockCsr {
   std::vector<VertexId> src_ids;
@@ -36,7 +57,13 @@ struct BlockCsr {
 /// and each dst's sources in draw order.
 inline std::vector<std::pair<VertexId, VertexId>> layer_edges(
     const sampling::SampledLayer& layer) {
-  return layer.edges;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (std::size_t i = 0; i < layer.dst_vertices.size(); ++i) {
+    for (std::size_t t = layer.nbr_off[i]; t < layer.nbr_off[i + 1]; ++t) {
+      edges.emplace_back(layer.dst_vertices[i], layer.nbr[t]);
+    }
+  }
+  return edges;
 }
 
 inline BlockCsr block_csr(

@@ -24,12 +24,12 @@ namespace moment::gnn::reference {
 
 /// Writes score and alpha for every edge and out (nd rows, zeroed by the
 /// caller) for every head.
-inline void gat_attention_forward(const CompiledBlock& cb, const float* z,
+inline void gat_attention_forward(const Block& block, const float* z,
                                   std::size_t heads, std::size_t hd,
                                   const float* attn_l, const float* attn_r,
                                   float slope, float* score, float* alpha,
                                   float* out) {
-  const std::size_t nd = cb.num_dst(), ns = cb.num_src(), od = heads * hd;
+  const std::size_t nd = block.num_dst(), ns = block.num_src(), od = heads * hd;
   std::vector<float> pl(ns), pr(ns);
   for (std::size_t h = 0; h < heads; ++h) {
     const std::size_t off = h * hd;
@@ -47,12 +47,12 @@ inline void gat_attention_forward(const CompiledBlock& cb, const float* z,
     }
     for (std::size_t i = 0; i < nd; ++i) {
       float* o = out + i * od + off;
-      const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+      const int b = block.dst_off[i], e = block.dst_off[i + 1];
       if (e == b) continue;
-      const float el = pl[static_cast<std::size_t>(cb.self_src[i])];
+      const float el = pl[static_cast<std::size_t>(block.self_src[i])];
       float mx = -std::numeric_limits<float>::infinity();
       for (int t = b; t < e; ++t) {
-        const float s = el + pr[static_cast<std::size_t>(cb.src_of[t])];
+        const float s = el + pr[static_cast<std::size_t>(block.src_of[t])];
         score[static_cast<std::size_t>(t) * heads + h] = s;
         mx = std::max(mx, s > 0.0f ? s : slope * s);
       }
@@ -68,7 +68,7 @@ inline void gat_attention_forward(const CompiledBlock& cb, const float* z,
         float& a = alpha[static_cast<std::size_t>(t) * heads + h];
         a = a * inv;
         const float* zr =
-            z + static_cast<std::size_t>(cb.src_of[t]) * od + off;
+            z + static_cast<std::size_t>(block.src_of[t]) * od + off;
         for (std::size_t j = 0; j < hd; ++j) o[j] += a * zr[j];
       }
     }
@@ -77,26 +77,26 @@ inline void gat_attention_forward(const CompiledBlock& cb, const float* z,
 
 /// Writes grad_z (ns rows, zeroed by the caller) and adds into grad_attn_l
 /// and grad_attn_r; g is the gradient of forward's out.
-inline void gat_attention_backward(const CompiledBlock& cb, const float* g,
+inline void gat_attention_backward(const Block& block, const float* g,
                                    const float* z, std::size_t heads,
                                    std::size_t hd, float slope,
                                    const float* attn_l, const float* attn_r,
                                    const float* score, const float* alpha,
                                    float* grad_z, float* grad_attn_l,
                                    float* grad_attn_r) {
-  const std::size_t nd = cb.num_dst(), ns = cb.num_src(), od = heads * hd;
-  std::vector<float> ds(cb.num_edges() * heads, 0.0f), del(nd), der(ns);
+  const std::size_t nd = block.num_dst(), ns = block.num_src(), od = heads * hd;
+  std::vector<float> ds(block.num_edges() * heads, 0.0f), del(nd), der(ns);
   for (std::size_t h = 0; h < heads; ++h) {
     const std::size_t off = h * hd;
     for (std::size_t i = 0; i < nd; ++i) {
-      const int b = cb.dst_off[i], e = cb.dst_off[i + 1];
+      const int b = block.dst_off[i], e = block.dst_off[i + 1];
       del[i] = 0.0f;
       if (e == b) continue;
       const float* gi = g + i * od + off;
       float sum = 0.0f;
       for (int t = b; t < e; ++t) {
         const float* zr =
-            z + static_cast<std::size_t>(cb.src_of[t]) * od + off;
+            z + static_cast<std::size_t>(block.src_of[t]) * od + off;
         float dot = 0.0f;
         for (std::size_t j = 0; j < hd; ++j) dot += gi[j] * zr[j];
         const std::size_t idx = static_cast<std::size_t>(t) * heads + h;
@@ -115,9 +115,9 @@ inline void gat_attention_backward(const CompiledBlock& cb, const float* g,
     for (std::size_t v = 0; v < ns; ++v) {
       float* o = grad_z + v * od + off;
       float acc = 0.0f;
-      for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
-        const auto ed = static_cast<std::size_t>(cb.rev_edge[t]);
-        const auto d = static_cast<std::size_t>(cb.dst_of[ed]);
+      for (int t = block.src_off[v]; t < block.src_off[v + 1]; ++t) {
+        const auto ed = static_cast<std::size_t>(block.rev_edge[t]);
+        const auto d = static_cast<std::size_t>(block.dst_of[ed]);
         const float a = alpha[ed * heads + h];
         acc += ds[ed * heads + h];
         const float* gr = g + d * od + off;
@@ -132,7 +132,7 @@ inline void gat_attention_backward(const CompiledBlock& cb, const float* g,
     for (std::size_t i = 0; i < nd; ++i) {
       const float gl = del[i];
       if (gl == 0.0f) continue;
-      const auto self = static_cast<std::size_t>(cb.self_src[i]);
+      const auto self = static_cast<std::size_t>(block.self_src[i]);
       const float* zr = z + self * od + off;
       float* gz = grad_z + self * od + off;
       for (std::size_t c = 0; c < hd; ++c) {

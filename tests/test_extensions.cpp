@@ -28,12 +28,9 @@ namespace {
 // -------------------------------------------------------------------- gnn
 
 gnn::Block tiny_block() {
-  gnn::Block b;
-  b.src_ids = {0, 1, 2, 3, 4};
-  b.dst_ids = {0, 1, 2};
-  b.dst_in_src = {0, 1, 2};
-  b.edges = {{0, 3}, {0, 4}, {1, 0}, {2, 2}, {2, 4}};
-  return b;
+  // dst 0 <- src {3, 4}, dst 1 <- {0}, dst 2 <- {2, 4}.
+  const std::size_t off[] = {0, 2, 3, 5};
+  return gnn::make_block({0, 1, 2, 3, 4}, {0, 1, 2}, off, {3, 4, 0, 2, 4});
 }
 
 TEST(GcnLayer, ForwardShape) {
@@ -78,10 +75,8 @@ TEST(GcnLayer, SelfLoopOnly) {
   // A dst with no sampled edges still gets its own (1/deg) contribution.
   util::Pcg32 rng(3);
   gnn::GcnLayer layer(2, 2, false, rng);
-  gnn::Block b;
-  b.src_ids = {0};
-  b.dst_ids = {0};
-  b.dst_in_src = {0};
+  const std::size_t off[] = {0, 0};
+  const gnn::Block b = gnn::make_block({0}, {0}, off, {});
   gnn::Tensor x(1, 2);
   x.at(0, 0) = 1.0f;
   x.at(0, 1) = -1.0f;

@@ -108,13 +108,11 @@ TEST(Tensor, ReluAndBackward) {
 }
 
 /// A tiny fixed block: 3 dst vertices, 5 src vertices.
+const std::vector<std::pair<int, int>> kTinyEdges = {
+    {0, 3}, {0, 4}, {1, 0}, {1, 3}, {2, 2}, {2, 4}, {2, 1}};
+
 Block tiny_block() {
-  Block b;
-  b.src_ids = {0, 1, 2, 3, 4};
-  b.dst_ids = {0, 1, 2};
-  b.dst_in_src = {0, 1, 2};
-  b.edges = {{0, 3}, {0, 4}, {1, 0}, {1, 3}, {2, 2}, {2, 4}, {2, 1}};
-  return b;
+  return reference::block_from_edges({0, 1, 2, 3, 4}, {0, 1, 2}, kTinyEdges);
 }
 
 /// Central-difference gradient check through an arbitrary layer.
@@ -296,11 +294,10 @@ TEST(Blocks, BuiltFromSampledSubgraph) {
   EXPECT_EQ(blocks.back().dst_ids, seeds);
   for (const auto& b : blocks) {
     for (std::size_t i = 0; i < b.dst_ids.size(); ++i) {
-      EXPECT_EQ(b.src_ids[static_cast<std::size_t>(b.dst_in_src[i])],
+      EXPECT_EQ(b.src_ids[static_cast<std::size_t>(b.self_src[i])],
                 b.dst_ids[i]);
     }
-    for (const auto& [dst, src] : b.edges) {
-      EXPECT_LT(static_cast<std::size_t>(dst), b.num_dst());
+    for (int src : b.src_of) {
       EXPECT_LT(static_cast<std::size_t>(src), b.num_src());
     }
   }
@@ -360,10 +357,9 @@ TEST(Blocks, CsrMatchesEdgeListOracle) {
             const auto& layer = sg.layers[blocks.size() - 1 - k];
             const reference::BlockCsr want = reference::block_csr(
                 layer.dst_vertices, reference::layer_edges(layer));
-            const Block& b = blocks[k];
-            const CompiledBlock& got = b.compiled();
-            EXPECT_EQ(b.src_ids, want.src_ids);
-            EXPECT_EQ(b.dst_ids, want.dst_ids);
+            const Block& got = blocks[k];
+            EXPECT_EQ(got.src_ids, want.src_ids);
+            EXPECT_EQ(got.dst_ids, want.dst_ids);
             EXPECT_TRUE(same_bytes(got.dst_off, want.dst_off));
             EXPECT_TRUE(same_bytes(got.src_of, want.src_of));
             EXPECT_TRUE(same_bytes(got.inv_deg, want.inv_deg));
@@ -564,9 +560,8 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
                                     std::vector<Param> params,
                                     std::size_t heads, std::size_t hd,
                                     bool elu) {
-  const CompiledBlock cb = compile_block(block);
-  const std::size_t nd = cb.num_dst(), ns = cb.num_src(),
-                    ne = cb.num_edges(), od = heads * hd;
+  const std::size_t nd = block.num_dst(), ns = block.num_src(),
+                    ne = block.num_edges(), od = heads * hd;
   Param &w = params[0], &attn_l = params[1], &attn_r = params[2],
         &bias = params[3];
 
@@ -574,7 +569,7 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
   matmul(x, w.value, z);
   std::vector<float> score(ne * heads, 0.0f), alpha(ne * heads, 0.0f);
   Tensor pre(nd, od);
-  reference::gat_attention_forward(cb, z.data(), heads, hd,
+  reference::gat_attention_forward(block, z.data(), heads, hd,
                                    attn_l.value.data(), attn_r.value.data(),
                                    GatLayer::kLeakySlope, score.data(),
                                    alpha.data(), pre.data());
@@ -595,7 +590,7 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
   }
   Tensor grad_z(ns, od);
   reference::gat_attention_backward(
-      cb, grad.data(), z.data(), heads, hd, GatLayer::kLeakySlope,
+      block, grad.data(), z.data(), heads, hd, GatLayer::kLeakySlope,
       attn_l.value.data(), attn_r.value.data(), score.data(), alpha.data(),
       grad_z.data(), attn_l.grad.data(), attn_r.grad.data());
   matmul_at(x, grad_z, w.grad, /*accumulate=*/true);
@@ -613,20 +608,21 @@ GatReference gat_per_head_reference(const Block& block, const Tensor& x,
 /// out-edges, so both zero-gradient skips are exercised.
 Block gat_reference_block() {
   util::Pcg32 rng(23);
-  Block b;
-  for (VertexId v = 0; v < 150; ++v) b.src_ids.push_back(v);
+  std::vector<VertexId> src_ids, dst_ids;
+  std::vector<std::pair<int, int>> edges;
+  for (VertexId v = 0; v < 150; ++v) src_ids.push_back(v);
   for (int i = 0; i < 48; ++i) {
-    b.dst_ids.push_back(static_cast<VertexId>(3 * i + 1));
-    b.dst_in_src.push_back(3 * i + 1);
+    dst_ids.push_back(static_cast<VertexId>(3 * i + 1));
   }
   for (int i = 0; i < 48; ++i) {
     if (i == 5) continue;
     const int deg = 1 + static_cast<int>(rng.next_below(9));
     for (int k = 0; k < deg; ++k) {
-      b.edges.emplace_back(i, static_cast<int>(rng.next_below(149)));
+      edges.emplace_back(i, static_cast<int>(rng.next_below(149)));
     }
   }
-  return b;
+  return reference::block_from_edges(std::move(src_ids), std::move(dst_ids),
+                                     edges);
 }
 
 bool same_bits(const float* a, const float* b, std::size_t n) {
@@ -732,15 +728,14 @@ void append_grads(const std::vector<Param>& params, LayerReference& ref) {
 LayerReference sage_reference(const Block& block, const Tensor& x,
                               const Tensor& grad_out,
                               std::vector<Param> params, bool relu) {
-  const CompiledBlock cb = compile_block(block);
-  const std::size_t nd = cb.num_dst(), in = x.cols();
+  const std::size_t nd = block.num_dst(), in = x.cols();
   Param &w_self = params[0], &w_neigh = params[1], &bias = params[2];
   Tensor x_dst(nd, in), mean(nd, in);
   for (std::size_t i = 0; i < nd; ++i) {
-    const auto self = x.row(static_cast<std::size_t>(cb.self_src[i]));
+    const auto self = x.row(static_cast<std::size_t>(block.self_src[i]));
     std::copy(self.begin(), self.end(), x_dst.row(i).begin());
   }
-  kernels::aggregate_mean(cb, x.data(), in, mean.data());
+  kernels::aggregate_mean(block, x.data(), in, mean.data());
   Tensor out(nd, w_self.value.cols());
   matmul(x_dst, w_self.value, out);
   matmul(mean, w_neigh.value, out, /*accumulate=*/true);
@@ -752,8 +747,8 @@ LayerReference sage_reference(const Block& block, const Tensor& x,
   Tensor grad_self(nd, in), grad_mean(nd, in);
   matmul_bt(grad, w_self.value, grad_self);
   matmul_bt(grad, w_neigh.value, grad_mean);
-  LayerReference ref{out, Tensor(cb.num_src(), in), {}};
-  kernels::sage_input_grad(cb, grad_self.data(), grad_mean.data(), in,
+  LayerReference ref{out, Tensor(block.num_src(), in), {}};
+  kernels::sage_input_grad(block, grad_self.data(), grad_mean.data(), in,
                            ref.grad_x.data());
   append_grads(params, ref);
   return ref;
@@ -762,20 +757,20 @@ LayerReference sage_reference(const Block& block, const Tensor& x,
 LayerReference gcn_reference(const Block& block, const Tensor& x,
                              const Tensor& grad_out, std::vector<Param> params,
                              bool relu) {
-  const CompiledBlock cb = compile_block(block);
-  const std::size_t nd = cb.num_dst(), ne = cb.num_edges(), in = x.cols();
+  const std::size_t nd = block.num_dst(), ne = block.num_edges(), in = x.cols();
   Param &w = params[0], &bias = params[1];
   // Symmetric normalisation 1/sqrt(d_dst * d_src) with in-block degrees + 1;
   // frontier-only sources count as degree 1. Self coefficients follow the
   // edge coefficients.
   std::vector<float> coeff(ne + nd);
   for (std::size_t i = 0; i < nd; ++i) {
-    const double di = 1.0 + static_cast<double>(cb.degree(i));
-    for (int t = cb.dst_off[i]; t < cb.dst_off[i + 1]; ++t) {
-      const int sd = cb.src_to_dst[static_cast<std::size_t>(cb.src_of[t])];
+    const double di = 1.0 + static_cast<double>(block.degree(i));
+    for (int t = block.dst_off[i]; t < block.dst_off[i + 1]; ++t) {
+      const int sd =
+          block.src_to_dst[static_cast<std::size_t>(block.src_of[t])];
       const double ds =
           sd >= 0 ? 1.0 + static_cast<double>(
-                              cb.degree(static_cast<std::size_t>(sd)))
+                              block.degree(static_cast<std::size_t>(sd)))
                   : 1.0;
       coeff[static_cast<std::size_t>(t)] =
           static_cast<float>(1.0 / std::sqrt(di * ds));
@@ -783,7 +778,7 @@ LayerReference gcn_reference(const Block& block, const Tensor& x,
     coeff[ne + i] = static_cast<float>(1.0 / di);
   }
   Tensor agg(nd, in);
-  kernels::aggregate_coeff(cb, coeff.data(), coeff.data() + ne, x.data(), in,
+  kernels::aggregate_coeff(block, coeff.data(), coeff.data() + ne, x.data(), in,
                            agg.data());
   Tensor out(nd, w.value.cols());
   matmul(agg, w.value, out);
@@ -793,8 +788,8 @@ LayerReference gcn_reference(const Block& block, const Tensor& x,
   matmul_at(agg, grad, w.grad, /*accumulate=*/true);
   Tensor grad_agg(nd, in);
   matmul_bt(grad, w.value, grad_agg);
-  LayerReference ref{out, Tensor(cb.num_src(), in), {}};
-  kernels::aggregate_coeff_grad(cb, coeff.data(), coeff.data() + ne,
+  LayerReference ref{out, Tensor(block.num_src(), in), {}};
+  kernels::aggregate_coeff_grad(block, coeff.data(), coeff.data() + ne,
                                 grad_agg.data(), in, ref.grad_x.data());
   append_grads(params, ref);
   return ref;
@@ -871,11 +866,10 @@ TEST(GcnLayer, MatchesReferenceBitwise) {
 /// tiny_block() with one more src row and two more edges: same dst count,
 /// so a gradient for one block has the shape of the other's.
 Block wider_tiny_block() {
-  Block b = tiny_block();
-  b.src_ids.push_back(5);
-  b.edges.emplace_back(0, 5);
-  b.edges.emplace_back(2, 5);
-  return b;
+  std::vector<std::pair<int, int>> edges = kTinyEdges;
+  edges.emplace_back(0, 5);
+  edges.emplace_back(2, 5);
+  return reference::block_from_edges({0, 1, 2, 3, 4, 5}, {0, 1, 2}, edges);
 }
 
 TEST(GatLayer, BackwardRejectsBlockOfOtherForward) {
@@ -953,23 +947,24 @@ TEST(GcnLayer, SecondBackwardNeedsItsOwnForward) {
 /// except dst 3, which has none.
 Block random_block(int num_src, int num_dst, std::uint64_t seed) {
   util::Pcg32 rng(seed);
-  Block b;
+  std::vector<VertexId> src_ids, dst_ids;
+  std::vector<std::pair<int, int>> edges;
   for (int v = 0; v < num_src; ++v) {
-    b.src_ids.push_back(static_cast<VertexId>(v));
+    src_ids.push_back(static_cast<VertexId>(v));
   }
   for (int i = 0; i < num_dst; ++i) {
-    b.dst_ids.push_back(static_cast<VertexId>(2 * i + 1));
-    b.dst_in_src.push_back(2 * i + 1);
+    dst_ids.push_back(static_cast<VertexId>(2 * i + 1));
   }
   for (int i = 0; i < num_dst; ++i) {
     if (i == 3) continue;
     const int deg = 1 + static_cast<int>(rng.next_below(8));
     for (int k = 0; k < deg; ++k) {
-      b.edges.emplace_back(i, static_cast<int>(rng.next_below(
-                                  static_cast<std::uint32_t>(num_src))));
+      edges.emplace_back(i, static_cast<int>(rng.next_below(
+                                static_cast<std::uint32_t>(num_src))));
     }
   }
-  return b;
+  return reference::block_from_edges(std::move(src_ids), std::move(dst_ids),
+                                     edges);
 }
 
 /// One forward + backward from zeroed parameter gradients: the output, the

@@ -3,7 +3,7 @@
 // tolerance against double loops, and bit for bit against ascending float
 // loops for every body), the bias + activation tails against scalar loops
 // bit for bit (ELU against the fdlibm expm1f port in expm1f_reference.hpp)
-// on every body, CompiledBlock structure, CSR aggregation bit for bit
+// on every body, block CSR structure, CSR aggregation bit for bit
 // against scalar loops in the kernels' order (aggregate_reference.hpp) on
 // every body, and bitwise thread-count invariance of every parallel kernel
 // on every body.
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "aggregate_reference.hpp"
+#include "block_reference.hpp"
 #include "body_cases.hpp"
 #include "expm1f_reference.hpp"
 #include "gnn/block.hpp"
@@ -28,8 +29,6 @@
 namespace {
 
 using moment::gnn::Block;
-using moment::gnn::CompiledBlock;
-using moment::gnn::compile_block;
 namespace kernels = moment::gnn::kernels;
 namespace reference = moment::gnn::reference;
 using reference::for_each_body;
@@ -92,32 +91,40 @@ void expect_close(const std::vector<float>& ref, const std::vector<float>& got,
 }
 
 /// A hand-built bipartite block: 4 dsts (dst 3 isolated), 7 srcs.
-Block tiny_block() {
-  Block block;
-  block.dst_ids = {0, 1, 2, 3};
-  block.src_ids = {0, 1, 2, 3, 4, 5, 6};
-  block.dst_in_src = {0, 1, 2, 3};
-  block.edges = {{0, 4}, {0, 1}, {1, 5}, {1, 4}, {1, 6}, {2, 0}, {0, 4}};
-  return block;
+const std::vector<std::pair<int, int>> kTinyEdges = {
+    {0, 4}, {0, 1}, {1, 5}, {1, 4}, {1, 6}, {2, 0}, {0, 4}};
+
+Block tiny_block(const std::vector<std::pair<int, int>>& edges = kTinyEdges) {
+  return reference::block_from_edges({0, 1, 2, 3, 4, 5, 6}, {0, 1, 2, 3},
+                                     edges);
+}
+
+/// ne random (dst, src) pairs over nd dsts and ns srcs.
+std::vector<std::pair<int, int>> random_edges(std::size_t nd, std::size_t ns,
+                                              std::size_t ne,
+                                              moment::util::Pcg32& rng) {
+  std::vector<std::pair<int, int>> edges;
+  for (std::size_t e = 0; e < ne; ++e) {
+    edges.emplace_back(
+        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(nd))),
+        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ns))));
+  }
+  return edges;
+}
+
+/// A block whose dst i is src i, over the given local pairs.
+Block identity_block(std::size_t nd, std::size_t ns,
+                     const std::vector<std::pair<int, int>>& edges) {
+  std::vector<moment::graph::VertexId> dst_ids(nd), src_ids(ns);
+  for (std::size_t i = 0; i < nd; ++i) dst_ids[i] = static_cast<int>(i);
+  for (std::size_t i = 0; i < ns; ++i) src_ids[i] = static_cast<int>(i);
+  return reference::block_from_edges(std::move(src_ids), std::move(dst_ids),
+                                     edges);
 }
 
 Block random_block(std::size_t nd, std::size_t ns, std::size_t ne,
                    moment::util::Pcg32& rng) {
-  Block block;
-  block.dst_ids.resize(nd);
-  block.src_ids.resize(ns);
-  block.dst_in_src.resize(nd);
-  for (std::size_t i = 0; i < nd; ++i) {
-    block.dst_ids[i] = static_cast<int>(i);
-    block.dst_in_src[i] = static_cast<int>(i);
-  }
-  for (std::size_t i = 0; i < ns; ++i) block.src_ids[i] = static_cast<int>(i);
-  for (std::size_t e = 0; e < ne; ++e) {
-    block.edges.emplace_back(
-        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(nd))),
-        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ns))));
-  }
-  return block;
+  return identity_block(nd, ns, random_edges(nd, ns, ne, rng));
 }
 
 TEST(Kernels, GemmVariantsMatchReferenceOnRaggedShapes) {
@@ -405,71 +412,72 @@ TEST(Kernels, ActivationTailsMatchScalarOracleBitwise) {
   moment::util::set_compute_pool_threads(0);
 }
 
-TEST(CompiledBlockTest, StructureMatchesEdgeList) {
+TEST(BlockCsr, StructureMatchesEdgeList) {
   const Block block = tiny_block();
-  const CompiledBlock& cb = block.compiled();
-  ASSERT_EQ(cb.num_dst(), 4u);
-  ASSERT_EQ(cb.num_src(), 7u);
-  ASSERT_EQ(cb.num_edges(), block.edges.size());
+  ASSERT_EQ(block.num_dst(), 4u);
+  ASSERT_EQ(block.num_src(), 7u);
+  ASSERT_EQ(block.num_edges(), kTinyEdges.size());
 
   // Forward CSR: neighbors sorted ascending, degrees match the edge list.
-  EXPECT_EQ(cb.degree(0), 3);  // {4, 1, 4}
-  EXPECT_EQ(cb.degree(1), 3);  // {5, 4, 6}
-  EXPECT_EQ(cb.degree(2), 1);
-  EXPECT_EQ(cb.degree(3), 0);  // isolated
-  EXPECT_EQ(std::vector<int>(cb.src_of.begin() + cb.dst_off[0],
-                             cb.src_of.begin() + cb.dst_off[1]),
+  EXPECT_EQ(block.degree(0), 3);  // {4, 1, 4}
+  EXPECT_EQ(block.degree(1), 3);  // {5, 4, 6}
+  EXPECT_EQ(block.degree(2), 1);
+  EXPECT_EQ(block.degree(3), 0);  // isolated
+  EXPECT_EQ(std::vector<int>(block.src_of.begin() + block.dst_off[0],
+                             block.src_of.begin() + block.dst_off[1]),
             (std::vector<int>{1, 4, 4}));
-  EXPECT_EQ(std::vector<int>(cb.src_of.begin() + cb.dst_off[1],
-                             cb.src_of.begin() + cb.dst_off[2]),
+  EXPECT_EQ(std::vector<int>(block.src_of.begin() + block.dst_off[1],
+                             block.src_of.begin() + block.dst_off[2]),
             (std::vector<int>{4, 5, 6}));
-  EXPECT_FLOAT_EQ(cb.inv_deg[0], 1.0f / 3.0f);
-  EXPECT_FLOAT_EQ(cb.inv_deg[3], 0.0f);
+  EXPECT_FLOAT_EQ(block.inv_deg[0], 1.0f / 3.0f);
+  EXPECT_FLOAT_EQ(block.inv_deg[3], 0.0f);
 
   // Reverse CSR: every CSR edge id appears exactly once, attached to its src.
-  std::vector<int> seen(cb.num_edges(), 0);
-  for (std::size_t v = 0; v < cb.num_src(); ++v) {
-    for (int t = cb.src_off[v]; t < cb.src_off[v + 1]; ++t) {
-      const int e = cb.rev_edge[static_cast<std::size_t>(t)];
-      EXPECT_EQ(cb.src_of[static_cast<std::size_t>(e)], static_cast<int>(v));
+  std::vector<int> seen(block.num_edges(), 0);
+  for (std::size_t v = 0; v < block.num_src(); ++v) {
+    for (int t = block.src_off[v]; t < block.src_off[v + 1]; ++t) {
+      const int e = block.rev_edge[static_cast<std::size_t>(t)];
+      EXPECT_EQ(block.src_of[static_cast<std::size_t>(e)], static_cast<int>(v));
       ++seen[static_cast<std::size_t>(e)];
     }
   }
   for (int count : seen) EXPECT_EQ(count, 1);
 
   // dst_of inverts the forward CSR; self maps are mutual inverses.
-  for (std::size_t i = 0; i < cb.num_dst(); ++i) {
-    for (int t = cb.dst_off[i]; t < cb.dst_off[i + 1]; ++t) {
-      EXPECT_EQ(cb.dst_of[static_cast<std::size_t>(t)], static_cast<int>(i));
+  for (std::size_t i = 0; i < block.num_dst(); ++i) {
+    for (int t = block.dst_off[i]; t < block.dst_off[i + 1]; ++t) {
+      EXPECT_EQ(block.dst_of[static_cast<std::size_t>(t)], static_cast<int>(i));
     }
-    EXPECT_EQ(cb.src_to_dst[static_cast<std::size_t>(cb.self_src[i])],
+    EXPECT_EQ(block.src_to_dst[static_cast<std::size_t>(block.self_src[i])],
               static_cast<int>(i));
   }
 }
 
-TEST(CompiledBlockTest, RejectsOutOfRangeEdges) {
-  Block block = tiny_block();
-  block.edges.emplace_back(0, 99);
-  EXPECT_THROW(compile_block(block), std::out_of_range);
+TEST(BlockCsr, RejectsOutOfRangeEdges) {
+  std::vector<std::pair<int, int>> edges = kTinyEdges;
+  edges.emplace_back(0, 99);
+  EXPECT_THROW(tiny_block(edges), std::out_of_range);
+  edges.back() = {0, -1};
+  EXPECT_THROW(tiny_block(edges), std::out_of_range);
 }
 
 TEST(Kernels, AggregateMeanMatchesEdgeListOracle) {
   moment::util::Pcg32 rng(11);
   const std::size_t nd = 60, ns = 150, ne = 700, dim = 37;
-  Block block = random_block(nd, ns, ne, rng);
+  std::vector<std::pair<int, int>> edges = random_edges(nd, ns, ne, rng);
   // Force a zero-degree dst: rewire every edge pointing at dst 0 to dst 1.
-  for (auto& [dst, src] : block.edges) {
+  for (auto& [dst, src] : edges) {
     if (dst == 0) dst = 1;
   }
-  const CompiledBlock cb = compile_block(block);
-  ASSERT_EQ(cb.degree(0), 0);
+  const Block block = identity_block(nd, ns, edges);
+  ASSERT_EQ(block.degree(0), 0);
   const auto x = random_matrix(ns, dim, rng);
   std::vector<float> ref(nd * dim);
-  reference::aggregate_mean(cb, x.data(), dim, ref.data());
+  reference::aggregate_mean(block, x.data(), dim, ref.data());
   for_each_body([&](const char* body) {
     SCOPED_TRACE(testing::Message() << body << " body");
     std::vector<float> got(nd * dim, 1.0f);  // rows must be overwritten
-    kernels::aggregate_mean(cb, x.data(), dim, got.data());
+    kernels::aggregate_mean(block, x.data(), dim, got.data());
     expect_bitwise(ref, got, "aggregate_mean");
     for (std::size_t c = 0; c < dim; ++c) EXPECT_EQ(got[c], 0.0f);
   });
@@ -479,7 +487,6 @@ TEST(Kernels, AggregateCoeffAndGradMatchOracle) {
   moment::util::Pcg32 rng(13);
   const std::size_t nd = 40, ns = 90, ne = 350, dim = 19;
   const Block block = random_block(nd, ns, ne, rng);
-  const CompiledBlock cb = compile_block(block);
   const auto x = random_matrix(ns, dim, rng);
   const auto g = random_matrix(nd, dim, rng);
   std::vector<float> edge_coeff(ne), self_coeff(nd);
@@ -488,18 +495,18 @@ TEST(Kernels, AggregateCoeffAndGradMatchOracle) {
   // With and without the self term (coefficients are CSR-indexed).
   for (const float* self : {self_coeff.data(), static_cast<float*>(nullptr)}) {
     std::vector<float> ref(nd * dim), gref(ns * dim);
-    reference::aggregate_coeff(cb, edge_coeff.data(), self, x.data(), dim,
+    reference::aggregate_coeff(block, edge_coeff.data(), self, x.data(), dim,
                                ref.data());
-    reference::aggregate_coeff_grad(cb, edge_coeff.data(), self, g.data(),
+    reference::aggregate_coeff_grad(block, edge_coeff.data(), self, g.data(),
                                     dim, gref.data());
     for_each_body([&](const char* body) {
       SCOPED_TRACE(testing::Message()
                    << body << " body, self term " << (self != nullptr));
       std::vector<float> got(nd * dim, 1.0f), ggot(ns * dim, 1.0f);
-      kernels::aggregate_coeff(cb, edge_coeff.data(), self, x.data(), dim,
+      kernels::aggregate_coeff(block, edge_coeff.data(), self, x.data(), dim,
                                got.data());
       expect_bitwise(ref, got, "aggregate_coeff");
-      kernels::aggregate_coeff_grad(cb, edge_coeff.data(), self, g.data(),
+      kernels::aggregate_coeff_grad(block, edge_coeff.data(), self, g.data(),
                                     dim, ggot.data());
       expect_bitwise(gref, ggot, "aggregate_coeff_grad");
     });
@@ -510,16 +517,15 @@ TEST(Kernels, SageInputGradMatchesOracle) {
   moment::util::Pcg32 rng(17);
   const std::size_t nd = 45, ns = 110, ne = 400, dim = 23;
   const Block block = random_block(nd, ns, ne, rng);
-  const CompiledBlock cb = compile_block(block);
   const auto grad_self = random_matrix(nd, dim, rng);
   const auto grad_mean = random_matrix(nd, dim, rng);
   std::vector<float> ref(ns * dim);
-  reference::sage_input_grad(cb, grad_self.data(), grad_mean.data(), dim,
+  reference::sage_input_grad(block, grad_self.data(), grad_mean.data(), dim,
                              ref.data());
   for_each_body([&](const char* body) {
     SCOPED_TRACE(testing::Message() << body << " body");
     std::vector<float> got(ns * dim, 1.0f);
-    kernels::sage_input_grad(cb, grad_self.data(), grad_mean.data(), dim,
+    kernels::sage_input_grad(block, grad_self.data(), grad_mean.data(), dim,
                              got.data());
     expect_bitwise(ref, got, "sage_input_grad");
   });
@@ -532,7 +538,6 @@ TEST(Kernels, ResultsAreBitwiseThreadCountInvariant) {
   const auto b = random_matrix(k, n, rng);
   const std::size_t nd = 70, ns = 160, ne = 900, dim = 31;
   const Block block = random_block(nd, ns, ne, rng);
-  const CompiledBlock cb = compile_block(block);
   const auto x = random_matrix(ns, dim, rng);
   const auto g = random_matrix(nd, dim, rng);
   const auto g2 = random_matrix(nd, dim, rng);
@@ -557,30 +562,30 @@ TEST(Kernels, ResultsAreBitwiseThreadCountInvariant) {
       kernels::gemm(m, k, n, a.data(), b.data(), c, false);
     });
     take(nd * dim, [&](float* o) {
-      kernels::aggregate_mean(cb, x.data(), dim, o);
+      kernels::aggregate_mean(block, x.data(), dim, o);
     });
     take(nd * dim, [&](float* o) {
-      kernels::aggregate_coeff(cb, coeff.data(), coeff.data() + ne, x.data(),
+      kernels::aggregate_coeff(block, coeff.data(), coeff.data() + ne, x.data(),
                                dim, o);
     });
     take(ns * dim, [&](float* o) {
-      kernels::aggregate_coeff_grad(cb, coeff.data(), coeff.data() + ne,
+      kernels::aggregate_coeff_grad(block, coeff.data(), coeff.data() + ne,
                                     g.data(), dim, o);
     });
     take(ns * dim, [&](float* o) {
-      kernels::sage_input_grad(cb, g.data(), g2.data(), dim, o);
+      kernels::sage_input_grad(block, g.data(), g2.data(), dim, o);
     });
     for (const std::size_t heads : {std::size_t{8}, std::size_t{3}}) {
       const std::size_t od = heads * hd;
       std::vector<float> el(nd * heads), er(ns * heads), score(ne * heads),
           alpha(ne * heads), out(nd * od), grad_z(ns * od), gal(od), gar(od);
-      kernels::gat_logits(cb, z.data(), heads, hd, attn.data(),
+      kernels::gat_logits(block, z.data(), heads, hd, attn.data(),
                           attn.data() + od, el.data(), er.data());
-      kernels::gat_attention_forward(cb, el.data(), er.data(), z.data(),
+      kernels::gat_attention_forward(block, el.data(), er.data(), z.data(),
                                      heads, hd, 0.2f, score.data(),
                                      alpha.data(), out.data());
       kernels::gat_attention_backward(
-          cb, go.data(), z.data(), heads, hd, 0.2f, attn.data(),
+          block, go.data(), z.data(), heads, hd, 0.2f, attn.data(),
           attn.data() + od, score.data(), alpha.data(), grad_z.data(),
           gal.data(), gar.data());
       for (const auto* v : {&el, &er, &score, &alpha, &out, &grad_z, &gal,

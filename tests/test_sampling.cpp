@@ -44,7 +44,7 @@ TEST(NeighborSampler, FetchSetContainsSeeds) {
   for (graph::VertexId s : seeds) {
     EXPECT_TRUE(std::binary_search(sg.fetch_set.begin(), sg.fetch_set.end(), s));
   }
-  EXPECT_EQ(sg.seeds, seeds);
+  EXPECT_EQ(sg.layers[0].dst_vertices, seeds);  // the seed hop
   EXPECT_EQ(sg.layers.size(), 2u);
 }
 
@@ -59,7 +59,12 @@ TEST(NeighborSampler, EdgeCountsRespectFanout) {
   for (graph::VertexId s : seeds) {
     if (g.degree(s) > 0) expected += 7;
   }
-  EXPECT_EQ(sg.layers[0].edges.size(), expected);
+  EXPECT_EQ(sg.layers[0].nbr.size(), expected);
+  ASSERT_EQ(sg.layers[0].nbr_off.size(), seeds.size() + 1);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(sg.layers[0].nbr_off[i + 1] - sg.layers[0].nbr_off[i],
+              g.degree(seeds[i]) > 0 ? 7u : 0u);
+  }
 }
 
 TEST(NeighborSampler, EdgesPointIntoGraph) {
@@ -69,12 +74,17 @@ TEST(NeighborSampler, EdgesPointIntoGraph) {
   const std::vector<graph::VertexId> seeds = {10, 20, 30};
   const auto sg = sampler.sample(seeds, rng);
   for (const auto& layer : sg.layers) {
-    for (const auto& [dst, src] : layer.edges) {
+    ASSERT_EQ(layer.nbr_off.size(), layer.dst_vertices.size() + 1);
+    EXPECT_EQ(layer.nbr_off.back(), layer.nbr.size());
+    for (std::size_t i = 0; i < layer.dst_vertices.size(); ++i) {
+      const graph::VertexId dst = layer.dst_vertices[i];
       EXPECT_LT(dst, g.num_vertices());
-      EXPECT_LT(src, g.num_vertices());
-      // src must actually be a neighbor of dst.
+      // Every src must actually be a neighbor of its dst.
       const auto nbrs = g.neighbors(dst);
-      EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), src) != nbrs.end());
+      for (std::size_t t = layer.nbr_off[i]; t < layer.nbr_off[i + 1]; ++t) {
+        EXPECT_TRUE(std::find(nbrs.begin(), nbrs.end(), layer.nbr[t]) !=
+                    nbrs.end());
+      }
     }
   }
 }
@@ -102,7 +112,8 @@ TEST(NeighborSampler, DeterministicGivenRngState) {
   const auto sa = sampler.sample(seeds, a);
   const auto sb = sampler.sample(seeds, b);
   EXPECT_EQ(sa.fetch_set, sb.fetch_set);
-  EXPECT_EQ(sa.layers[1].edges, sb.layers[1].edges);
+  EXPECT_EQ(sa.layers[1].nbr_off, sb.layers[1].nbr_off);
+  EXPECT_EQ(sa.layers[1].nbr, sb.layers[1].nbr);
 }
 
 TEST(NeighborSampler, ThreadCountInvariantSubgraphs) {
@@ -131,7 +142,8 @@ TEST(NeighborSampler, ThreadCountInvariantSubgraphs) {
   for (std::size_t l = 0; l < inline_run.layers.size(); ++l) {
     EXPECT_EQ(inline_run.layers[l].dst_vertices,
               pooled_run.layers[l].dst_vertices);
-    EXPECT_EQ(inline_run.layers[l].edges, pooled_run.layers[l].edges);
+    EXPECT_EQ(inline_run.layers[l].nbr_off, pooled_run.layers[l].nbr_off);
+    EXPECT_EQ(inline_run.layers[l].nbr, pooled_run.layers[l].nbr);
   }
   // Both runs must have advanced the caller's generator identically.
   EXPECT_EQ(r1.next(), r4.next());
