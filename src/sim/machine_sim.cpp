@@ -390,6 +390,8 @@ TraceSimReport simulate_epoch_traced(
     std::vector<SubStream> streams;
     for (int g = 0; g < num_gpus; ++g) {
       // Sample a real batch for this GPU and bucket its fetch set by bin.
+      // Seeds are drawn with replacement: only the (unique) fetch set is
+      // read, never gnn::build_blocks, which rejects a repeated seed.
       std::vector<graph::VertexId> seeds(scaled_batch);
       for (auto& s : seeds) {
         s = train_vertices[rng.next_below(

@@ -376,6 +376,45 @@ TEST(Blocks, CsrMatchesEdgeListOracle) {
   util::set_compute_pool_threads(0);
 }
 
+TEST(Blocks, RejectsRepeatedSeed) {
+  // A repeated dst would leave its second copy without edges or a self row
+  // of its own, so the builder refuses it. The sampler itself accepts
+  // repeats (the traced simulator reads only the fetch set).
+  graph::RmatParams gp;
+  gp.num_vertices = 512;
+  gp.num_edges = 4000;
+  const auto g = graph::generate_rmat(gp);
+  sampling::NeighborSampler sampler(g, {4, 4});
+  util::Pcg32 rng(14);
+  const std::vector<graph::VertexId> seeds = {9, 40, 9};
+  const auto sg = sampler.sample(seeds, rng);
+  EXPECT_EQ(sg.layers[0].dst_vertices, seeds);
+  EXPECT_TRUE(std::binary_search(sg.fetch_set.begin(), sg.fetch_set.end(), 9u));
+  EXPECT_THROW(build_blocks(sg), std::invalid_argument);
+
+  const std::size_t off[] = {0, 1, 2};
+  EXPECT_THROW(make_block({0, 1, 2}, {1, 1}, off, {0, 2}),
+               std::invalid_argument);
+}
+
+TEST(Blocks, MakeBlockRejectsMalformedInput) {
+  const std::size_t off[] = {0, 1, 2};
+  EXPECT_NO_THROW(make_block({0, 1, 2}, {1, 2}, off, {0, 2}));
+  // A dst outside the src set has no self row.
+  EXPECT_THROW(make_block({0, 1, 2}, {1, 3}, off, {0, 2}), std::out_of_range);
+  EXPECT_THROW(make_block({0, 1, 2}, {1, 2}, off, {0, 3}), std::out_of_range);
+  EXPECT_THROW(make_block({0, 2, 1}, {1, 2}, off, {0, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(make_block({0, 1, 1, 2}, {1, 2}, off, {0, 2}),
+               std::invalid_argument);
+  const std::size_t past_end[] = {0, 1, 3};
+  EXPECT_THROW(make_block({0, 1, 2}, {1, 2}, past_end, {0, 2}),
+               std::invalid_argument);
+  const std::size_t descending[] = {0, 2, 1};
+  EXPECT_THROW(make_block({0, 1, 2}, {1, 2}, descending, {0}),
+               std::invalid_argument);
+}
+
 TEST(Model, ForwardProducesSeedLogits) {
   graph::RmatParams gp;
   gp.num_vertices = 512;
