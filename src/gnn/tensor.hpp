@@ -7,11 +7,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/uninit.hpp"
 
 namespace moment::gnn {
 
@@ -72,16 +72,8 @@ class Tensor {
   Tensor& operator*=(float s) noexcept;
 
  private:
-  // Value-less construction leaves the float unwritten, so growing the
-  // vector does not zero-fill it (reshape).
-  struct Uninit : std::allocator<float> {
-    template <typename U>
-    struct rebind {
-      using other = Uninit;
-    };
-    void construct(float*) noexcept {}
-  };
-  using Storage = std::vector<float, Uninit>;
+  // Growing the storage does not zero-fill it (reshape).
+  using Storage = std::vector<float, util::UninitAllocator<float>>;
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -22,6 +22,7 @@
 #include "comm/plan.hpp"
 #include "gnn/features.hpp"
 #include "iostack/ssd.hpp"
+#include "util/uninit.hpp"
 
 namespace moment::iostack {
 
@@ -288,7 +289,9 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     std::vector<ReadRequest> reqs;
     std::vector<PendingRow> pending;
     std::vector<Run> runs;
-    std::vector<std::byte> bounce;  // page-aligned staging for SSD reads
+    // Staging for SSD reads; growing it does not zero-fill what the reads
+    // then overwrite.
+    std::vector<std::byte, util::UninitAllocator<std::byte>> bounce;
   };
 
   /// Stage 1: serves every row that needs no SSD read and collects the rest
