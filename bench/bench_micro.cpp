@@ -97,6 +97,7 @@ graph::CsrGraph bench_graph() {
   return graph::generate_rmat(p);
 }
 
+// The trainer's sample stage: sample() plus build_blocks().
 void BM_NeighborSample(benchmark::State& state) {
   const auto g = bench_graph();
   sampling::NeighborSampler sampler(g, {25, 10});
@@ -105,9 +106,9 @@ void BM_NeighborSample(benchmark::State& state) {
   const std::span<const graph::VertexId> seeds{train.data(), 64};
   std::size_t fetched = 0;
   for (auto _ : state) {
-    const auto sg = sampler.sample(seeds, rng);
-    fetched += sg.fetch_set.size();
-    benchmark::DoNotOptimize(sg.fetch_set.data());
+    const auto blocks = gnn::build_blocks(sampler.sample(seeds, rng));
+    fetched += blocks.front().num_src();
+    benchmark::DoNotOptimize(blocks.front().src_of.data());
   }
   state.counters["fetched/s"] = benchmark::Counter(
       static_cast<double>(fetched), benchmark::Counter::kIsRate);
