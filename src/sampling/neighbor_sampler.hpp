@@ -51,6 +51,7 @@ class NeighborSampler {
   /// its own counter-based stream — fanned over util::compute_pool(), with
   /// results independent of the thread count (samples are a pure function of
   /// (base, hop, dst)). Seeds may repeat; each copy gets the same sources.
+  /// The sampler keeps no state between calls.
   SampledSubgraph sample(std::span<const VertexId> seeds,
                          util::Pcg32& rng) const;
 
