@@ -184,31 +184,10 @@ std::string cpu_model() {
   return "unknown";
 }
 
-/// ne random pairs over nd dsts and ns srcs.
-Edges random_edges(std::size_t nd, std::size_t ns, std::size_t ne,
-                   moment::util::Pcg32& rng) {
-  Edges edges;
-  edges.reserve(ne);
-  for (std::size_t e = 0; e < ne; ++e) {
-    edges.emplace_back(
-        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(nd))),
-        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ns))));
-  }
-  return edges;
-}
-
-/// A block whose dst i is src i, over `edges`.
-Block identity_block(std::size_t nd, std::size_t ns, const Edges& edges) {
-  std::vector<moment::graph::VertexId> dst_ids(nd), src_ids(ns);
-  for (std::size_t i = 0; i < nd; ++i) dst_ids[i] = static_cast<int>(i);
-  for (std::size_t i = 0; i < ns; ++i) src_ids[i] = static_cast<int>(i);
-  return reference::block_from_edges(std::move(src_ids), std::move(dst_ids),
-                                     edges);
-}
-
 Block random_block(std::size_t nd, std::size_t ns, std::size_t ne,
                    moment::util::Pcg32& rng) {
-  return identity_block(nd, ns, random_edges(nd, ns, ne, rng));
+  return reference::identity_block(nd, ns,
+                                   reference::random_edges(nd, ns, ne, rng));
 }
 
 constexpr double kTol = 1e-4;
@@ -708,8 +687,8 @@ int run_full(std::size_t threads, const std::string& out_path) {
   }
 
   const std::size_t nd = 10000, ns = 30000, ne = 200000, dim = 256;
-  const Edges edges = random_edges(nd, ns, ne, rng);
-  const Block block = identity_block(nd, ns, edges);
+  const Edges edges = reference::random_edges(nd, ns, ne, rng);
+  const Block block = reference::identity_block(nd, ns, edges);
   const auto x = random_matrix(ns, dim, rng);
   std::vector<float> naive(nd * dim), ref(nd * dim), got(nd * dim);
   reference::aggregate_mean(block, x.data(), dim, ref.data());

@@ -6,9 +6,11 @@
 // by dst in edge order, each dst's neighbours sorted ascending, the reverse
 // CSR built over the forward CSR edge ids, and the self maps filled from the
 // dst rows. Every array must equal build_blocks' byte for byte. Also
-// block_from_edges, which builds hand-made test blocks from local pairs.
+// builders of hand-made and random blocks from local pairs, for the tests
+// and bench_kernels.
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +18,7 @@
 
 #include "gnn/block.hpp"
 #include "sampling/neighbor_sampler.hpp"
+#include "util/rng.hpp"
 
 namespace moment::gnn::reference {
 
@@ -38,6 +41,30 @@ inline Block block_from_edges(std::vector<VertexId> src_ids,
   }
   return make_block(std::move(src_ids), std::move(dst_ids), off,
                     std::move(nbr));
+}
+
+/// ne random (dst row, src row) pairs over nd dsts and ns srcs.
+inline std::vector<std::pair<int, int>> random_edges(std::size_t nd,
+                                                     std::size_t ns,
+                                                     std::size_t ne,
+                                                     util::Pcg32& rng) {
+  std::vector<std::pair<int, int>> edges;
+  edges.reserve(ne);
+  for (std::size_t e = 0; e < ne; ++e) {
+    edges.emplace_back(
+        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(nd))),
+        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ns))));
+  }
+  return edges;
+}
+
+/// A block over `edges` whose src ids are 0..ns-1 and whose dst i is src i.
+inline Block identity_block(std::size_t nd, std::size_t ns,
+                            const std::vector<std::pair<int, int>>& edges) {
+  std::vector<VertexId> dst_ids(nd), src_ids(ns);
+  for (std::size_t i = 0; i < nd; ++i) dst_ids[i] = static_cast<VertexId>(i);
+  for (std::size_t i = 0; i < ns; ++i) src_ids[i] = static_cast<VertexId>(i);
+  return block_from_edges(std::move(src_ids), std::move(dst_ids), edges);
 }
 
 struct BlockCsr {

@@ -99,32 +99,10 @@ Block tiny_block(const std::vector<std::pair<int, int>>& edges = kTinyEdges) {
                                      edges);
 }
 
-/// ne random (dst, src) pairs over nd dsts and ns srcs.
-std::vector<std::pair<int, int>> random_edges(std::size_t nd, std::size_t ns,
-                                              std::size_t ne,
-                                              moment::util::Pcg32& rng) {
-  std::vector<std::pair<int, int>> edges;
-  for (std::size_t e = 0; e < ne; ++e) {
-    edges.emplace_back(
-        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(nd))),
-        static_cast<int>(rng.next_below(static_cast<std::uint32_t>(ns))));
-  }
-  return edges;
-}
-
-/// A block whose dst i is src i, over the given local pairs.
-Block identity_block(std::size_t nd, std::size_t ns,
-                     const std::vector<std::pair<int, int>>& edges) {
-  std::vector<moment::graph::VertexId> dst_ids(nd), src_ids(ns);
-  for (std::size_t i = 0; i < nd; ++i) dst_ids[i] = static_cast<int>(i);
-  for (std::size_t i = 0; i < ns; ++i) src_ids[i] = static_cast<int>(i);
-  return reference::block_from_edges(std::move(src_ids), std::move(dst_ids),
-                                     edges);
-}
-
 Block random_block(std::size_t nd, std::size_t ns, std::size_t ne,
                    moment::util::Pcg32& rng) {
-  return identity_block(nd, ns, random_edges(nd, ns, ne, rng));
+  return reference::identity_block(nd, ns,
+                                   reference::random_edges(nd, ns, ne, rng));
 }
 
 TEST(Kernels, GemmVariantsMatchReferenceOnRaggedShapes) {
@@ -464,12 +442,13 @@ TEST(BlockCsr, RejectsOutOfRangeEdges) {
 TEST(Kernels, AggregateMeanMatchesEdgeListOracle) {
   moment::util::Pcg32 rng(11);
   const std::size_t nd = 60, ns = 150, ne = 700, dim = 37;
-  std::vector<std::pair<int, int>> edges = random_edges(nd, ns, ne, rng);
+  std::vector<std::pair<int, int>> edges =
+      reference::random_edges(nd, ns, ne, rng);
   // Force a zero-degree dst: rewire every edge pointing at dst 0 to dst 1.
   for (auto& [dst, src] : edges) {
     if (dst == 0) dst = 1;
   }
-  const Block block = identity_block(nd, ns, edges);
+  const Block block = reference::identity_block(nd, ns, edges);
   ASSERT_EQ(block.degree(0), 0);
   const auto x = random_matrix(ns, dim, rng);
   std::vector<float> ref(nd * dim);
