@@ -119,10 +119,9 @@ Workload make_workload(const Shape& shape) {
 
 struct ConfigResult {
   std::string name;
-  iostack::GatherStats stats;
+  gnn::FeatureProvider::IoResilience stats;
   std::uint64_t device_reads = 0;
   std::uint64_t device_bytes = 0;
-  std::uint64_t device_remaps = 0;
   bool byte_identical = true;
 };
 
@@ -166,13 +165,12 @@ ConfigResult run_config(const Shape& shape, const Workload& w,
       }
     }
   }
-  result.stats = client.stats();
+  result.stats = client.io_resilience();
   for (std::size_t s = 0; s < array.size(); ++s) {
     result.device_reads += array.ssd(s).stats().reads;
     result.device_bytes += array.ssd(s).stats().bytes_read;
   }
   array.stop_all();
-  result.device_remaps = store.device_remaps();
   return result;
 }
 
@@ -183,7 +181,7 @@ void print_result(const ConfigResult& r) {
       "cache %llu/%llu  bytes %.1f MiB  %s\n",
       r.name.c_str(),
       static_cast<unsigned long long>(s.ssd_commands),
-      static_cast<unsigned long long>(s.ssd_reads), s.coalesce_rows_per_cmd(),
+      static_cast<unsigned long long>(s.ssd_rows), s.coalesce_rows_per_cmd(),
       static_cast<unsigned long long>(r.device_reads),
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.cache_hits + s.cache_misses),
@@ -203,7 +201,7 @@ void emit_json_config(FILE* f, const ConfigResult& r, bool last) {
       "%.4f, \"device_reads\": %llu, \"device_bytes\": %llu, "
       "\"byte_identical\": %s}%s\n",
       r.name.c_str(), static_cast<unsigned long long>(s.ssd_commands),
-      static_cast<unsigned long long>(s.ssd_reads), s.coalesce_rows_per_cmd(),
+      static_cast<unsigned long long>(s.ssd_rows), s.coalesce_rows_per_cmd(),
       static_cast<unsigned long long>(s.coalesced_commands),
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.cache_misses),
@@ -228,7 +226,7 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
 
   // Without a cache every SSD-resident occurrence is read, so the no-cache
   // leg's row count is the naive command count.
-  const std::uint64_t naive = base.stats.ssd_reads;
+  const std::uint64_t naive = base.stats.ssd_rows;
   const double cmd_reduction =
       naive > 0 ? 1.0 - static_cast<double>(best.stats.ssd_commands) /
                             static_cast<double>(naive)
@@ -241,14 +239,14 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
   std::printf("  chaos leg: %s, %llu remap(s), %llu cache hits (cache leg "
               "%llu)\n",
               fault.byte_identical ? "byte-identical" : "BYTE MISMATCH",
-              static_cast<unsigned long long>(fault.device_remaps),
+              static_cast<unsigned long long>(fault.stats.device_remaps),
               static_cast<unsigned long long>(fault.stats.cache_hits),
               static_cast<unsigned long long>(best.stats.cache_hits));
 
   bool pass = base.byte_identical && best.byte_identical &&
               fault.byte_identical;
   if (!pass) std::printf("FAIL: a leg returned wrong bytes\n");
-  if (best.stats.ssd_reads + best.stats.cache_hits != naive) {
+  if (best.stats.ssd_rows + best.stats.cache_hits != naive) {
     std::printf("FAIL: cache leg rows do not add up to the naive count\n");
     pass = false;
   }
@@ -261,7 +259,7 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
                 "no-cache\n");
     pass = false;
   }
-  if (fault.device_remaps != 1) {
+  if (fault.stats.device_remaps != 1) {
     std::printf("FAIL: chaos leg did not remap exactly one device\n");
     pass = false;
   }
@@ -291,7 +289,7 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
         "\"fault_run_byte_identical\": %s, "
         "\"fault_device_remaps\": %llu, \"pass\": %s}\n}\n",
         cmd_reduction, fault.byte_identical ? "true" : "false",
-        static_cast<unsigned long long>(fault.device_remaps),
+        static_cast<unsigned long long>(fault.stats.device_remaps),
         pass ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path.c_str());

@@ -261,9 +261,10 @@ GatherLeg run_gather(const GatherShape& shape, bool use_peer_path) {
   }
   array.stop_all();
 
-  leg.peer_rows = client.stats().peer_hits;
-  leg.peer_bytes = client.stats().peer_bytes;
-  leg.host_fallback_rows = client.stats().remote_hbm_host_reads;
+  const auto io = client.io_resilience();
+  leg.peer_rows = io.peer_rows;
+  leg.peer_bytes = io.peer_bytes;
+  leg.host_fallback_rows = io.remote_hbm_host_rows;
   for (const auto v : counters.snapshot()) leg.link_bytes += v;
   if (use_peer_path) {
     const comm::PeerRoute* route = plan.peer_route(1, 0);

@@ -111,7 +111,7 @@ struct Rig {
 struct RunResult {
   std::vector<float> losses;
   std::vector<float> accuracies;
-  gnn::FeatureProvider::IoResilience io;  // summed epoch deltas + gauges
+  gnn::FeatureProvider::IoResilience io;  // summed epoch deltas, max gauges
 };
 
 RunResult run(bool faulted) {
@@ -125,14 +125,9 @@ RunResult run(bool faulted) {
     const auto stats = trainer.train_epoch(rig.task.labels, kBatch);
     res.losses.push_back(stats.mean_loss);
     res.accuracies.push_back(stats.mean_accuracy);
-    res.io.retries += stats.io.retries;
-    res.io.timeouts += stats.io.timeouts;
-    res.io.permanent_failures += stats.io.permanent_failures;
-    res.io.failovers += stats.io.failovers;
-    res.io.device_remaps =
-        std::max(res.io.device_remaps, stats.io.device_remaps);
-    res.io.devices_failed =
-        std::max(res.io.devices_failed, stats.io.devices_failed);
+    for_each_field(res.io, stats.io, [](auto& acc, auto v, bool gauge) {
+      acc = gauge ? std::max(acc, v) : acc + v;
+    });
   }
   rig.array->stop_all();
   return res;
@@ -170,7 +165,7 @@ int main() {
   CHECK(chaos.io.failovers + chaos.io.device_remaps > 0,
         "faulted run reports failover activity");
   CHECK(chaos.io.devices_failed == 1, "exactly one device hard-failed");
-  CHECK(chaos.io.device_remaps >= 1, "failed device's bins were remapped");
+  CHECK(chaos.io.device_remaps == 1, "failed device's bins were remapped once");
 
   // And the fault-free run must be silent.
   CHECK(clean.io.retries == 0, "fault-free run reports zero retries");

@@ -11,7 +11,6 @@
 // (per-link bytes, predicted comm seconds) follows the plan, and remote
 // GPU-HBM rows are served over planned peer routes instead of the host copy.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -206,25 +205,5 @@ int main(int argc, char** argv) {
     if (!comm_line.empty()) std::printf("  %s\n", comm_line.c_str());
   }
   array.stop_all();
-
-  // Tier traffic summary.
-  std::printf("\ngather statistics per worker:\n");
-  for (int w = 0; w < workers; ++w) {
-    const auto& s = clients[static_cast<std::size_t>(w)]->stats();
-    // Shares of every row source; a worker that gathered nothing reports 0%.
-    const double total = std::max(
-        1.0, static_cast<double>(s.gpu_hits + s.peer_hits + s.cpu_hits +
-                                 s.remote_hbm_host_reads + s.cache_hits +
-                                 s.ssd_reads));
-    const auto pct = [total](std::uint64_t n) {
-      return 100.0 * static_cast<double>(n) / total;
-    };
-    std::printf("  worker %d: GPU %.1f%%  peer %.1f%%  CPU %.1f%%  host "
-                "%.1f%%  cache %.1f%%  SSD %.1f%% (%llu reads, %.1f MiB)\n",
-                w, pct(s.gpu_hits), pct(s.peer_hits), pct(s.cpu_hits),
-                pct(s.remote_hbm_host_reads), pct(s.cache_hits),
-                pct(s.ssd_reads), static_cast<unsigned long long>(s.ssd_reads),
-                static_cast<double>(s.ssd_bytes) / (1024.0 * 1024.0));
-  }
   return 0;
 }

@@ -43,19 +43,32 @@ class FeatureProvider {
   /// Completes the gather identified by `ticket`. A kSyncTicket is a no-op.
   virtual void gather_wait(GatherTicket ticket) { (void)ticket; }
 
-  /// IO telemetry: fault-recovery work plus the IO-reduction pipeline's
-  /// effect (run coalescing, shared hot-row cache). Counters are
-  /// cumulative since construction; the gauges reflect the backing device
-  /// array now. Providers without a faultable backend (e.g.
+  /// IO telemetry: where each gathered row came from, fault-recovery work
+  /// and the IO-reduction pipeline's effect (run coalescing, shared hot-row
+  /// cache). Counters are cumulative since construction and count only this
+  /// provider's own work; the two devices_* gauges reflect the backing
+  /// device array now. Providers without a faultable backend (e.g.
   /// InMemoryFeatures) report all-zero.
+  ///
+  /// Each gathered row counts once, under the source that served it: with
+  /// no faults, gpu_hits + cpu_hits + peer_rows + remote_hbm_host_rows +
+  /// cache_hits + ssd_rows = rows gathered. A row served from the host copy
+  /// after a fault counts in failovers instead, or as well when its SSD
+  /// read was issued and failed.
   struct IoResilience {
+    /// Rows served from this GPU's HBM tier (local or replicated bins).
+    std::uint64_t gpu_hits = 0;
+    /// Rows served from the CPU DRAM tier.
+    std::uint64_t cpu_hits = 0;
     std::uint64_t retries = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t permanent_failures = 0;
     /// Rows served from the host-side authoritative copy after SSD reads
     /// permanently failed.
     std::uint64_t failovers = 0;
-    /// Failed devices whose bins were re-placed onto survivors.
+    /// Failed devices whose bins this provider re-placed onto survivors. A
+    /// remap is done once per device, by whichever client saw the failure
+    /// first, so the sum over a store's clients is the store's remap count.
     std::uint64_t device_remaps = 0;
     std::uint32_t devices_degraded = 0;
     std::uint32_t devices_failed = 0;
@@ -64,7 +77,8 @@ class FeatureProvider {
     /// Always 0: the gather has no in-batch dedup. Kept only because the
     /// benchmark under perfbench/ still reads it; delete it with that use.
     std::uint64_t dedup_saved_reads = 0;
-    /// Feature rows actually fetched from the SSDs.
+    /// SSD-resident rows that missed the row cache and were read from an
+    /// SSD (one per occurrence; duplicates in a batch are read twice).
     std::uint64_t ssd_rows = 0;
     /// Commands issued after run coalescing (<= ssd_rows).
     std::uint64_t ssd_commands = 0;
@@ -93,6 +107,31 @@ class FeatureProvider {
       return ssd_commands > 0 ? static_cast<double>(ssd_rows) /
                                     static_cast<double>(ssd_commands)
                               : 0.0;
+    }
+
+    /// Calls f(a.x, b.x, gauge) for every field but the two always-zero
+    /// ones: gauge is true for devices_degraded and devices_failed, false
+    /// for the counters. Aggregating and differencing records walk this one
+    /// list, so a new field needs its line here and the code that counts it.
+    template <typename F>
+    friend void for_each_field(IoResilience& a, const IoResilience& b, F&& f) {
+      f(a.gpu_hits, b.gpu_hits, false);
+      f(a.cpu_hits, b.cpu_hits, false);
+      f(a.retries, b.retries, false);
+      f(a.timeouts, b.timeouts, false);
+      f(a.permanent_failures, b.permanent_failures, false);
+      f(a.failovers, b.failovers, false);
+      f(a.device_remaps, b.device_remaps, false);
+      f(a.devices_degraded, b.devices_degraded, true);
+      f(a.devices_failed, b.devices_failed, true);
+      f(a.ssd_rows, b.ssd_rows, false);
+      f(a.ssd_commands, b.ssd_commands, false);
+      f(a.coalesced_commands, b.coalesced_commands, false);
+      f(a.cache_hits, b.cache_hits, false);
+      f(a.cache_misses, b.cache_misses, false);
+      f(a.peer_rows, b.peer_rows, false);
+      f(a.peer_bytes, b.peer_bytes, false);
+      f(a.remote_hbm_host_rows, b.remote_hbm_host_rows, false);
     }
   };
   virtual IoResilience io_resilience() const { return {}; }

@@ -263,7 +263,6 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
     loc.index = static_cast<std::uint32_t>(slot);
     loc_[m.vertex].store(pack(loc), std::memory_order_release);
   }
-  device_remaps_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -337,36 +336,35 @@ void TieredFeatureClient::route_rows(std::span<const graph::VertexId> vertices,
       continue;
     }
     if (loc.kind == BinBacking::Kind::kCpuCache) {
-      serve(store_.cpu_cache().row(loc.index), out, i, stats_.cpu_hits);
+      serve(store_.cpu_cache().row(loc.index), out, i, counts_.cpu_hits);
       continue;
     }
     // A cached row is served even if its device has failed: the bytes are
     // keyed by vertex, not by device.
     if (cache_on) {
       if (const auto row = store_.cached_row(v); !row.empty()) {
-        serve(row, out, i, stats_.cache_hits);
+        serve(row, out, i, counts_.cache_hits);
         continue;
       }
-      ++stats_.cache_misses;
+      ++counts_.cache_misses;
     }
     auto ssd = static_cast<std::size_t>(loc.ssd);
     if (scratch_health_[ssd] == DeviceHealth::kFailed) {
       // Known-dead device: trigger the remap (idempotent), re-read the
       // location, and fall back to the host copy if it didn't move.
-      if (store_.remap_failed_device(ssd)) ++stats_.device_remaps;
+      if (store_.remap_failed_device(ssd)) ++counts_.device_remaps;
       snapshot_health();
       loc = store_.location(v);
       ssd = static_cast<std::size_t>(loc.ssd);
       if (loc.kind != BinBacking::Kind::kSsd ||
           scratch_health_[ssd] == DeviceHealth::kFailed) {
-        serve(store_.authoritative_row(v), out, i, stats_.failovers);
+        serve(store_.authoritative_row(v), out, i, counts_.failovers);
         continue;
       }
     }
     scratch_targets_.push_back({static_cast<std::uint32_t>(ssd), loc.index, v,
                                 static_cast<std::uint32_t>(i)});
-    ++stats_.ssd_reads;
-    stats_.ssd_bytes += store_.row_bytes();
+    ++counts_.ssd_rows;
   }
 }
 
@@ -375,7 +373,7 @@ void TieredFeatureClient::route_hbm_row(
     gnn::Tensor& out, std::size_t out_row) {
   const int owner = loc.ssd;  // owning GPU ordinal; -1 = replicated
   if (owner < 0 || owner == peer_.gpu) {
-    serve(store_.gpu_cache().row(loc.index), out, out_row, stats_.gpu_hits);
+    serve(store_.gpu_cache().row(loc.index), out, out_row, counts_.gpu_hits);
     return;
   }
   const comm::PeerRoute* route =
@@ -384,14 +382,14 @@ void TieredFeatureClient::route_hbm_row(
   if (route == nullptr || !route->valid()) {
     // Storage-path round trip: host authoritative copy (same bytes).
     serve(store_.authoritative_row(v), out, out_row,
-          stats_.remote_hbm_host_reads);
+          counts_.remote_hbm_host_rows);
     return;
   }
   // Modeled P2P copy: the bytes come from the owner's HBM tier and the
   // planned route's links are charged dim*4 bytes each.
-  serve(store_.gpu_cache().row(loc.index), out, out_row, stats_.peer_hits);
+  serve(store_.gpu_cache().row(loc.index), out, out_row, counts_.peer_rows);
   const std::uint64_t bytes = store_.dim() * sizeof(float);
-  stats_.peer_bytes += bytes;
+  counts_.peer_bytes += bytes;
   if (peer_.counters != nullptr) {
     for (const comm::RouteLink& rl : route->links) {
       peer_.counters->add(rl.link, rl.forward, bytes);
@@ -441,8 +439,8 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
           {tk.out_row, off + k * row_bytes, tk.vertex, run_id});
     }
     off += static_cast<std::size_t>(rows) * row_bytes;
-    ++stats_.ssd_commands;
-    if (rows > 1) ++stats_.coalesced_commands;
+    ++counts_.ssd_commands;
+    if (rows > 1) ++counts_.coalesced_commands;
   }
 
   slot.ticket = io_.submit(slot.reqs);
@@ -484,7 +482,7 @@ void TieredFeatureClient::complete(Slot& slot) {
   for (const PendingRow& pr : slot.pending) {
     if (slot.runs[pr.run].failed) {
       serve(store_.authoritative_row(pr.vertex), *slot.out, pr.out_row,
-            stats_.failovers);
+            counts_.failovers);
     } else {
       std::memcpy(slot.out->row(pr.out_row).data(),
                   slot.bounce.data() + pr.bounce_off, raw);
@@ -497,27 +495,17 @@ void TieredFeatureClient::complete(Slot& slot) {
     if (scratch_failed_ssds_[s] &&
         store_.array().health(s) == DeviceHealth::kFailed &&
         store_.remap_failed_device(s)) {
-      ++stats_.device_remaps;
+      ++counts_.device_remaps;
     }
   }
 }
 
 gnn::FeatureProvider::IoResilience TieredFeatureClient::io_resilience() const {
-  IoResilience r;
+  IoResilience r = counts_;
   const RetryStats rs = io_.retry_stats();
   r.retries = rs.retries;
   r.timeouts = rs.timeouts;
   r.permanent_failures = rs.permanent_failures;
-  r.failovers = stats_.failovers;
-  r.device_remaps = store_.device_remaps();
-  r.ssd_rows = stats_.ssd_reads;
-  r.ssd_commands = stats_.ssd_commands;
-  r.coalesced_commands = stats_.coalesced_commands;
-  r.cache_hits = stats_.cache_hits;
-  r.cache_misses = stats_.cache_misses;
-  r.peer_rows = stats_.peer_hits;
-  r.peer_bytes = stats_.peer_bytes;
-  r.remote_hbm_host_rows = stats_.remote_hbm_host_reads;
   r.devices_degraded =
       static_cast<std::uint32_t>(store_.array().num_degraded());
   r.devices_failed = static_cast<std::uint32_t>(store_.array().num_failed());

@@ -44,45 +44,6 @@ struct BinBacking {
   int gpu = -1;
 };
 
-struct GatherStats {
-  /// Each gathered row counts once, under the source that served it: with
-  /// no faults, gpu + cpu + peer + remote_hbm_host + cache + ssd = rows.
-  std::uint64_t gpu_hits = 0;
-  std::uint64_t cpu_hits = 0;
-  /// SSD-resident rows that missed the row cache and were read from an SSD
-  /// (one per occurrence; duplicates in a batch are read twice).
-  std::uint64_t ssd_reads = 0;
-  std::uint64_t ssd_bytes = 0;
-  /// Commands actually issued after run coalescing (<= ssd_reads).
-  std::uint64_t ssd_commands = 0;
-  /// Commands that carried two or more adjacent rows.
-  std::uint64_t coalesced_commands = 0;
-  /// Shared hot-row cache traffic, from this client's perspective.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Rows served from the host authoritative copy after permanent failures.
-  std::uint64_t failovers = 0;
-  /// Rows owned by another GPU's HBM served by a modeled P2P copy over the
-  /// comm plan's route.
-  std::uint64_t peer_hits = 0;
-  /// Feature bytes those peer rows moved across the fabric (dim * 4 each).
-  std::uint64_t peer_bytes = 0;
-  /// Remote-owned HBM rows served from the host authoritative copy instead
-  /// (peer path disabled or the GPU pair unroutable).
-  std::uint64_t remote_hbm_host_reads = 0;
-  /// Failed-device remaps this client triggered (store-wide remaps may be
-  /// triggered by any client; each is counted once per store).
-  std::uint64_t device_remaps = 0;
-
-  /// Average rows per issued command.
-  double coalesce_rows_per_cmd() const noexcept {
-    return ssd_commands > 0
-               ? static_cast<double>(ssd_reads) /
-                     static_cast<double>(ssd_commands)
-               : 0.0;
-  }
-};
-
 /// Empty, and sets nothing: the gather has one pipeline with no per-client
 /// knobs. The type remains only because the benchmark under perfbench/ still
 /// passes `GatherOptions{}` to the TieredFeatureClient constructor; delete
@@ -133,15 +94,11 @@ class TieredFeatureStore {
   /// Re-places every bin of `ssd` onto surviving devices: plans with
   /// ddak::plan_bin_failover, writes the rows to fresh slots, then publishes
   /// the new locations. Idempotent per device; thread-safe. Returns true if
-  /// this call performed the remap (false = already done or nothing to do).
-  /// Vertices that fit on no survivor keep pointing at the failed device and
-  /// are served from the authoritative copy by clients.
+  /// this call performed the remap (false = already done or nothing to do);
+  /// the client whose call it was counts it in its device_remaps. Vertices
+  /// that fit on no survivor keep pointing at the failed device and are
+  /// served from the authoritative copy by clients.
   bool remap_failed_device(std::size_t ssd);
-
-  /// Total failed-device remaps performed (telemetry).
-  std::uint64_t device_remaps() const noexcept {
-    return device_remaps_.load(std::memory_order_relaxed);
-  }
 
   /// Sizes the shared hot-row DRAM cache, which every client consults
   /// before it builds SSD requests, and empties it. capacity_rows == 0
@@ -191,7 +148,6 @@ class TieredFeatureStore {
   std::mutex remap_mu_;
   std::vector<std::uint32_t> ssd_next_slot_;
   std::vector<bool> device_remapped_;
-  std::atomic<std::uint64_t> device_remaps_{0};
 
   /// Static hot-row cache: row cache_slot_[v] of cache_rows_ holds v's
   /// bytes, -1 = not cached (empty while the cache is disabled). Keyed by
@@ -248,9 +204,13 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
                             gnn::Tensor& out) override;
   void gather_wait(GatherTicket ticket) override;
 
+  /// The client's counters plus its engine's retry stats and the array's
+  /// two gauges.
   IoResilience io_resilience() const override;
 
-  const GatherStats& stats() const noexcept { return stats_; }
+  /// Same as io_resilience(). Kept only because the benchmark under
+  /// perfbench/ still reads it; delete it with that use.
+  IoResilience stats() const { return io_resilience(); }
   /// The client's IO engine; its retry_stats() and latency() are snapshots
   /// safe to read from any thread.
   const IoEngine& engine() const noexcept { return io_; }
@@ -314,7 +274,9 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
 
   TieredFeatureStore& store_;
   PeerConfig peer_;
-  GatherStats stats_;
+  /// Counted by the gather stages; the retry fields and gauges stay zero
+  /// here and are filled in by io_resilience().
+  IoResilience counts_;
   Slot slots_[2];
   std::vector<FailedRead> scratch_failed_;
   /// Devices with a permanently failed read in the batch being completed.

@@ -441,15 +441,13 @@ bool IoEngine::drain_completions() {
   for (auto* qp : queues_) {
     while (qp->poll_completion(cqe)) {
       progress = true;
-      const auto ab = abandoned_.find(cqe.tag);
-      if (ab != abandoned_.end()) {
-        // Late completion of a timed-out attempt: the retry (or failover)
-        // owns the request now; the duplicate write carried the same bytes.
-        abandoned_.erase(ab);
+      const auto it = pending_.find(cqe.tag);
+      if (it == pending_.end()) {
+        // Late completion of a timed-out attempt (tags are never reused):
+        // the retry (or failover) owns the request now; the duplicate write
+        // carried the same bytes.
         continue;
       }
-      const auto it = pending_.find(cqe.tag);
-      if (it == pending_.end()) continue;  // dropped/stale tag
       const Pending p = it->second;
       pending_.erase(it);
       if (cqe.status == kStatusOk) {
@@ -516,15 +514,10 @@ bool IoEngine::check_timeouts(std::uint64_t now) {
       continue;
     }
     const Pending p = it->second;
-    abandoned_.emplace(it->first, p.ssd);
     it = pending_.erase(it);
     array_.report_io_result(p.ssd, false);
     handle_attempt_failure(p, now, /*timed_out=*/true);
     progress = true;
-  }
-  // Abandoned attempts on a failed device will never complete; forget them.
-  for (auto it = abandoned_.begin(); it != abandoned_.end();) {
-    it = device_failed(it->second) ? abandoned_.erase(it) : std::next(it);
   }
   return progress;
 }
@@ -550,7 +543,6 @@ void IoEngine::force_fail(const Batch* batch) {
       continue;
     }
     const Pending p = it->second;
-    abandoned_.emplace(it->first, p.ssd);
     it = pending_.erase(it);
     bump(&RetryStats::timeouts);
     array_.report_io_result(p.ssd, false);

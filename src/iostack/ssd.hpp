@@ -322,7 +322,6 @@ class IoEngine {
   std::size_t queued_count_ = 0;
   /// Tag-indexed state (no linear scans on the completion path).
   std::unordered_map<std::uint64_t, Pending> pending_;
-  std::unordered_map<std::uint64_t, std::size_t> abandoned_;  // tag -> ssd
   std::vector<RetryEntry> retry_queue_;
   std::uint64_t next_tag_ = 1;
   std::uint64_t last_timeout_scan_ns_ = 0;

@@ -19,34 +19,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// How an IoResilience field aggregates over the providers of one epoch.
-enum class IoField {
-  kClient,     // per-client counter: summed, reported as a delta
-  kStoreWide,  // counter shared by a store's clients: max, reported as delta
-  kGauge,      // post-epoch state of the backing array: max, no delta
-};
-
-/// Calls f(a.field, b.field, kind) for every IoResilience field, so the
-/// per-epoch aggregation and delta list each field exactly once.
-template <typename F>
-void visit_io(IoResilience& a, const IoResilience& b, F&& f) {
-  f(a.retries, b.retries, IoField::kClient);
-  f(a.timeouts, b.timeouts, IoField::kClient);
-  f(a.permanent_failures, b.permanent_failures, IoField::kClient);
-  f(a.failovers, b.failovers, IoField::kClient);
-  f(a.device_remaps, b.device_remaps, IoField::kStoreWide);
-  f(a.devices_degraded, b.devices_degraded, IoField::kGauge);
-  f(a.devices_failed, b.devices_failed, IoField::kGauge);
-  f(a.ssd_rows, b.ssd_rows, IoField::kClient);
-  f(a.ssd_commands, b.ssd_commands, IoField::kClient);
-  f(a.coalesced_commands, b.coalesced_commands, IoField::kClient);
-  f(a.cache_hits, b.cache_hits, IoField::kClient);
-  f(a.cache_misses, b.cache_misses, IoField::kClient);
-  f(a.peer_rows, b.peer_rows, IoField::kClient);
-  f(a.peer_bytes, b.peer_bytes, IoField::kClient);
-  f(a.remote_hbm_host_rows, b.remote_hbm_host_rows, IoField::kClient);
-}
-
 }  // namespace
 
 DataParallelTrainer::Replica::Replica(const graph::CsrGraph& graph,
@@ -280,10 +252,10 @@ void DataParallelTrainer::all_reduce_grads() {
 IoResilience DataParallelTrainer::io_totals() const {
   IoResilience total;
   for (const auto& r : replicas_) {
-    visit_io(total, r->provider.io_resilience(),
-             [](auto& acc, auto v, IoField kind) {
-               acc = kind == IoField::kClient ? acc + v : std::max(acc, v);
-             });
+    for_each_field(total, r->provider.io_resilience(),
+                   [](auto& acc, auto v, bool gauge) {
+                     acc = gauge ? std::max(acc, v) : acc + v;
+                   });
   }
   return total;
 }
@@ -366,8 +338,8 @@ EpochStats DataParallelTrainer::train_epoch(
   }
 
   stats.io = io_totals();
-  visit_io(stats.io, io_before, [](auto& after, auto before, IoField kind) {
-    if (kind != IoField::kGauge) after -= before;
+  for_each_field(stats.io, io_before, [](auto& after, auto before, bool gauge) {
+    if (!gauge) after -= before;
   });
 
   if (const comm::CommPlan* plan = options_.comm_plan) {
@@ -425,6 +397,24 @@ std::string io_report(const EpochStats& stats) {
   const auto& io = stats.io;
   char buf[256];
   std::string out = "io:";
+  // Share of the epoch's gathered rows each source served; elided for
+  // providers that count none (e.g. in-memory features).
+  const std::uint64_t sourced = io.gpu_hits + io.peer_rows + io.cpu_hits +
+                                io.remote_hbm_host_rows + io.cache_hits +
+                                io.ssd_rows;
+  if (sourced > 0 && stats.fetched_vertices > 0) {
+    const auto pct = [&](std::uint64_t n) {
+      return 100.0 * static_cast<double>(n) /
+             static_cast<double>(stats.fetched_vertices);
+    };
+    std::snprintf(buf, sizeof(buf),
+                  " rows GPU %.1f%% peer %.1f%% CPU %.1f%% host %.1f%% "
+                  "cache %.1f%% SSD %.1f%% |",
+                  pct(io.gpu_hits), pct(io.peer_rows), pct(io.cpu_hits),
+                  pct(io.remote_hbm_host_rows), pct(io.cache_hits),
+                  pct(io.ssd_rows));
+    out += buf;
+  }
   // Naive = one read per SSD-resident row that reached the cache or SSDs.
   const std::uint64_t naive = io.ssd_rows + io.cache_hits;
   std::snprintf(buf, sizeof(buf),

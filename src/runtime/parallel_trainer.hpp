@@ -96,8 +96,8 @@ struct EpochStats {
   double overlap_ratio = 0.0;
 
   /// IO telemetry this epoch: counter fields are per-epoch deltas summed
-  /// over workers (fault recovery plus the coalesce/cache IO-reduction
-  /// pipeline); the devices_* gauges are the post-epoch state of the backing
+  /// over workers (row sources, fault recovery and the coalesce/cache
+  /// IO-reduction pipeline); the devices_* gauges are the post-epoch state of the backing
   /// array (max across providers). All zero for fault-free runs on providers
   /// without a faultable backend.
   gnn::FeatureProvider::IoResilience io;
@@ -106,9 +106,10 @@ struct EpochStats {
   CommStats comm;
 };
 
-/// Formats the epoch's IO telemetry for the per-epoch report: the retry/
-/// failover counters (RetryStats-derived) alongside the IO-reduction
-/// pipeline's counters (coalesced commands and rows/cmd, cache hit rate).
+/// Formats the epoch's IO telemetry for the per-epoch report: each row
+/// source's share of the fetched rows (GPU, peer, CPU, host, cache, SSD),
+/// the IO-reduction pipeline's counters (coalesced commands and rows/cmd,
+/// cache hit rate) and the retry/failover counters (RetryStats-derived).
 /// Single line, empty-ish sections elided.
 std::string io_report(const EpochStats& stats);
 

@@ -541,17 +541,17 @@ TEST(PeerGather, ByteIdenticalWithAndWithoutPeerRoute) {
   }
   // The peer client served GPU1-owned rows over the route; the plan-less
   // client fell back to the host authoritative copy.
-  const auto& ps = peer_path.stats();
-  EXPECT_GT(ps.peer_hits, 0u);
-  EXPECT_EQ(ps.peer_bytes, ps.peer_hits * kDim * sizeof(float));
-  EXPECT_EQ(ps.remote_hbm_host_reads, 0u);
+  const auto ps = peer_path.io_resilience();
+  EXPECT_GT(ps.peer_rows, 0u);
+  EXPECT_EQ(ps.peer_bytes, ps.peer_rows * kDim * sizeof(float));
+  EXPECT_EQ(ps.remote_hbm_host_rows, 0u);
   EXPECT_GT(ps.gpu_hits, 0u);  // GPU0-owned rows stay local
-  EXPECT_EQ(storage_path.stats().peer_hits, 0u);
-  EXPECT_GT(storage_path.stats().remote_hbm_host_reads, 0u);
+  EXPECT_EQ(storage_path.io_resilience().peer_rows, 0u);
+  EXPECT_GT(storage_path.io_resilience().remote_hbm_host_rows, 0u);
   // Both clients saw the same GPU1-owned occurrences, one way or the other.
-  EXPECT_EQ(ps.peer_hits, storage_path.stats().remote_hbm_host_reads);
+  EXPECT_EQ(ps.peer_rows, storage_path.io_resilience().remote_hbm_host_rows);
   EXPECT_GT(ps.cache_hits, 0u);
-  EXPECT_EQ(ps.cache_hits, storage_path.stats().cache_hits);
+  EXPECT_EQ(ps.cache_hits, storage_path.io_resilience().cache_hits);
 
   // Link counters carry exactly the peer traffic: every peer row charges
   // row bytes to each link of the owner->client route.
@@ -592,15 +592,15 @@ TEST(PeerGather, TwoClientsConcurrentSharedCounters) {
   t0.join();
   t1.join();
 
-  EXPECT_GT(client0.stats().peer_hits, 0u);
-  EXPECT_GT(client1.stats().peer_hits, 0u);
+  EXPECT_GT(client0.io_resilience().peer_rows, 0u);
+  EXPECT_GT(client1.io_resilience().peer_rows, 0u);
   const PeerRoute* r10 = plan.peer_route(1, 0);
   const PeerRoute* r01 = plan.peer_route(0, 1);
   ASSERT_NE(r10, nullptr);
   ASSERT_NE(r01, nullptr);
   const std::uint64_t expected =
-      client0.stats().peer_bytes * r10->links.size() +
-      client1.stats().peer_bytes * r01->links.size();
+      client0.io_resilience().peer_bytes * r10->links.size() +
+      client1.io_resilience().peer_bytes * r01->links.size();
   std::uint64_t counted = 0;
   for (const auto v : counters.snapshot()) counted += v;
   EXPECT_EQ(counted, expected);

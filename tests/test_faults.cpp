@@ -392,8 +392,8 @@ TEST(FeatureStore, FailoverServesIdenticalBytesAndRemaps) {
     }
   }
   EXPECT_EQ(array.health(1), DeviceHealth::kFailed);
-  EXPECT_GT(client.stats().failovers, 0u);
-  EXPECT_EQ(store.device_remaps(), 1u);
+  EXPECT_GT(client.io_resilience().failovers, 0u);
+  EXPECT_EQ(client.io_resilience().device_remaps, 1u);
 
   // After the remap every vertex resolves to device 0 (or a cache tier);
   // a fresh gather reads SSD 0 only and still returns the right bytes.
@@ -450,7 +450,7 @@ TEST(FeatureStore, GatherWaitFailurePathLeavesSlotReusable) {
     }
   }
   array.stop_all();
-  EXPECT_GT(client.stats().failovers, 0u);
+  EXPECT_GT(client.io_resilience().failovers, 0u);
 }
 
 TEST(FeatureStore, HardFailureOnSsd64IsRemappedByTheBatchThatSawIt) {
@@ -491,11 +491,64 @@ TEST(FeatureStore, HardFailureOnSsd64IsRemappedByTheBatchThatSawIt) {
   EXPECT_EQ(0, std::memcmp(out.data(), features.data(),
                            features.size() * sizeof(float)));
   EXPECT_EQ(array.health(64), DeviceHealth::kFailed);
-  EXPECT_GT(client.stats().failovers, 0u);
-  EXPECT_EQ(client.stats().device_remaps, 1u);
-  EXPECT_EQ(store.device_remaps(), 1u);
+  EXPECT_GT(client.io_resilience().failovers, 0u);
+  EXPECT_EQ(client.io_resilience().device_remaps, 1u);
+  EXPECT_FALSE(store.remap_failed_device(64));  // done once, by that batch
   EXPECT_EQ(store.location(1).ssd, 0);
   array.stop_all();
+}
+
+TEST(FeatureStore, TwoClientsCountOneRemapBetweenThem) {
+  // Two clients gather concurrently while device 1 hard-fails on its first
+  // read. Either or both may see the failure, but the store remaps the
+  // device once, and only the client call that did it counts it: the
+  // clients' device_remaps sum to exactly 1.
+  graph::RmatParams gp;
+  gp.num_vertices = 128;
+  gp.num_edges = 600;
+  const auto g = graph::generate_rmat(gp);
+  const auto task = gnn::make_synthetic_task(g, 2, 8, 0.1, 4);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(128);
+  for (std::size_t v = 0; v < 128; ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = 1ull << 20;  // room for both halves on device 0
+  SsdArray array(2, opts);
+  TieredFeatureStore store(task.features, bov, bins, array);
+  FaultProfile fp;
+  fp.fail_after_reads = 0;
+  array.ssd(1).inject_faults(fp);
+  IoEngineOptions io;
+  io.max_retries = 1;
+  TieredFeatureClient c0(store, 256, io), c1(store, 256, io);
+  array.start_all();
+
+  std::vector<graph::VertexId> vs(128);
+  for (std::size_t v = 0; v < vs.size(); ++v) {
+    vs[v] = static_cast<graph::VertexId>(v);
+  }
+  auto worker = [&](TieredFeatureClient& client) {
+    for (int round = 0; round < 4; ++round) {
+      gnn::Tensor out(vs.size(), 8);
+      client.gather(vs, out);
+      EXPECT_EQ(0, std::memcmp(out.data(), task.features.data(),
+                               task.features.size() * sizeof(float)))
+          << "round " << round;
+    }
+  };
+  std::thread t0(worker, std::ref(c0));
+  std::thread t1(worker, std::ref(c1));
+  t0.join();
+  t1.join();
+  array.stop_all();
+
+  EXPECT_EQ(array.health(1), DeviceHealth::kFailed);
+  EXPECT_EQ(c0.io_resilience().device_remaps + c1.io_resilience().device_remaps,
+            1u);
+  EXPECT_EQ(store.location(1).ssd, 0);
 }
 
 TEST(FeatureStore, TwoClientsUnderFaultsReportIoResilienceBetweenEpochs) {

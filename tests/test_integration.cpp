@@ -83,9 +83,9 @@ TEST(Integration, PlanDrivesIoStackAndTraining) {
   EXPECT_TRUE(trainer.replicas_in_sync());
   EXPECT_GT(stats.mean_accuracy, 0.5f);
   // The hot tiers and the SSD path must all have been exercised.
-  EXPECT_GT(client0->stats().gpu_hits, 0u);
-  EXPECT_GT(client0->stats().ssd_reads, 0u);
-  EXPECT_GT(client1->stats().ssd_reads, 0u);
+  EXPECT_GT(client0->io_resilience().gpu_hits, 0u);
+  EXPECT_GT(client0->io_resilience().ssd_rows, 0u);
+  EXPECT_GT(client1->io_resilience().ssd_rows, 0u);
 }
 
 TEST(Integration, HotTierAbsorbsMostTraffic) {
@@ -138,9 +138,9 @@ TEST(Integration, HotTierAbsorbsMostTraffic) {
   }
   array.stop_all();
 
-  const auto& s = client.stats();
+  const auto s = client.io_resilience();
   const double total =
-      static_cast<double>(s.gpu_hits + s.cpu_hits + s.ssd_reads);
+      static_cast<double>(s.gpu_hits + s.cpu_hits + s.ssd_rows);
   const double cache_share =
       static_cast<double>(s.gpu_hits + s.cpu_hits) / total;
   // Caches hold 3% of vertices but must serve far more than 3% of gathers.

@@ -8,11 +8,15 @@
 #include <stdexcept>
 #include <thread>
 
+#include "comm/planner.hpp"
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
 #include "iostack/feature_store.hpp"
 #include "iostack/queue_pair.hpp"
 #include "iostack/ssd.hpp"
+#include "runtime/parallel_trainer.hpp"
+#include "sampling/neighbor_sampler.hpp"
+#include "topology/machine.hpp"
 
 namespace moment::iostack {
 namespace {
@@ -441,11 +445,11 @@ TEST(FeatureStore, RoundTripsThroughAllTiers) {
   }
   array.stop_all();
 
-  const auto& stats = client.stats();
+  const auto stats = client.io_resilience();
   EXPECT_GT(stats.gpu_hits, 0u);
   EXPECT_GT(stats.cpu_hits, 0u);
-  EXPECT_GT(stats.ssd_reads, 0u);
-  EXPECT_EQ(stats.gpu_hits + stats.cpu_hits + stats.ssd_reads,
+  EXPECT_GT(stats.ssd_rows, 0u);
+  EXPECT_EQ(stats.gpu_hits + stats.cpu_hits + stats.ssd_rows,
             vertices.size());
 }
 
@@ -605,6 +609,90 @@ TEST(FeatureStore, RejectsSsdRowsWiderThanOneTransfer) {
   const std::vector<BinBacking> cpu_bins = {{BinBacking::Kind::kCpuCache, -1}};
   TieredFeatureStore store(task.features, bov, cpu_bins, array);
   EXPECT_GT(store.row_bytes(), kMaxTransferBytes);
+}
+
+TEST(FeatureStore, EpochStatsConserveGatheredRows) {
+  // Two trainer workers gather from a GPU bin owned by GPU 0, a CPU bin, a
+  // warmed row cache and two SSDs. With no faults every gathered row counts
+  // once, under the source that served it, so the epoch's row sources add
+  // up to fetched_vertices. GPU 1 reaches GPU 0's rows over a peer route,
+  // or over the host copy when it has no plan.
+  graph::RmatParams gp;
+  gp.num_vertices = 512;
+  gp.num_edges = 4000;
+  const auto g = graph::generate_rmat(gp);
+  const auto task = gnn::make_synthetic_task(g, 4, 12, 0.3, 9);
+  const std::vector<BinBacking> bins = {
+      {BinBacking::Kind::kGpuCache, -1, 0},
+      {BinBacking::Kind::kCpuCache, -1},
+      {BinBacking::Kind::kSsd, 0},
+      {BinBacking::Kind::kSsd, 1},
+  };
+  std::vector<std::int32_t> bov(gp.num_vertices);
+  for (std::size_t v = 0; v < bov.size(); ++v) {
+    if (v < 48) bov[v] = 0;
+    else if (v < 96) bov[v] = 1;
+    else bov[v] = 2 + static_cast<std::int32_t>(v % 2);
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = 2ull << 20;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(task.features, bov, bins, array);
+  store.enable_row_cache({64});
+  std::vector<graph::VertexId> order(gp.num_vertices);
+  std::iota(order.begin(), order.end(), graph::VertexId{0});
+  ASSERT_EQ(store.warm_row_cache(order), 64u);
+
+  const auto spec = topology::make_machine_a();
+  const auto topo = topology::instantiate(
+      spec, topology::classic_placement(spec, 'c', 2, 8));
+  const comm::CommPlan plan =
+      comm::CommPlanner(topo).plan(comm::AllReduceAlgo::kRing);
+  gnn::ModelConfig mcfg;
+  mcfg.kind = gnn::ModelKind::kGraphSage;
+  mcfg.in_dim = 12;
+  mcfg.hidden_dim = 8;
+  mcfg.num_classes = 4;
+  const auto train = sampling::select_train_vertices(g, 0.2, 3);
+  // Clients open their queue pairs before the devices start.
+  TieredFeatureClient peer0(store, 256, {}, {}, {0, &plan, nullptr});
+  TieredFeatureClient peer1(store, 256, {}, {}, {1, &plan, nullptr});
+  TieredFeatureClient host0(store, 256, {}, {}, {0, nullptr, nullptr});
+  TieredFeatureClient host1(store, 256, {}, {}, {1, nullptr, nullptr});
+  array.start_all();
+
+  for (const bool routed : {true, false}) {
+    for (const std::size_t depth : {1u, 2u}) {
+      runtime::EngineOptions eo;
+      eo.pipeline_depth = depth;
+      runtime::DataParallelTrainer trainer(
+          g,
+          routed ? std::vector<gnn::FeatureProvider*>{&peer0, &peer1}
+                 : std::vector<gnn::FeatureProvider*>{&host0, &host1},
+          mcfg, {5, 5}, train, 0.01f, 7, eo);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        const auto stats = trainer.train_epoch(task.labels, 32);
+        const auto& io = stats.io;
+        const std::string where = std::string(routed ? "peer" : "host") +
+                                  " depth " + std::to_string(depth) +
+                                  " epoch " + std::to_string(epoch);
+        EXPECT_EQ(stats.fetched_vertices,
+                  io.gpu_hits + io.cpu_hits + io.peer_rows +
+                      io.remote_hbm_host_rows + io.cache_hits + io.ssd_rows)
+            << where;
+        EXPECT_EQ(io.failovers, 0u) << where;
+        EXPECT_GT(io.gpu_hits, 0u) << where;
+        EXPECT_GT(io.cpu_hits, 0u) << where;
+        EXPECT_GT(io.cache_hits, 0u) << where;
+        EXPECT_GT(io.ssd_rows, 0u) << where;
+        EXPECT_GT(routed ? io.peer_rows : io.remote_hbm_host_rows, 0u)
+            << where;
+        EXPECT_EQ(routed ? io.remote_hbm_host_rows : io.peer_rows, 0u)
+            << where;
+      }
+    }
+  }
+  array.stop_all();
 }
 
 }  // namespace

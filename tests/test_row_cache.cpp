@@ -132,9 +132,9 @@ std::vector<graph::VertexId> shuffled(std::vector<graph::VertexId> order,
 }
 
 /// Rows served by any source; equals the rows requested when no read fails.
-std::uint64_t rows_served(const GatherStats& s) {
-  return s.gpu_hits + s.cpu_hits + s.peer_hits + s.remote_hbm_host_reads +
-         s.cache_hits + s.ssd_reads;
+std::uint64_t rows_served(const gnn::FeatureProvider::IoResilience& s) {
+  return s.gpu_hits + s.cpu_hits + s.peer_rows + s.remote_hbm_host_rows +
+         s.cache_hits + s.ssd_rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -166,9 +166,9 @@ TEST(RowCache, LookupInsertRoundTrip) {
   client.gather(vs, out);
   rig.array.stop_all();
   expect_bytes_match(out, vs, rig.task.features, "round trip");
-  EXPECT_EQ(client.stats().cache_hits, 1u);
-  EXPECT_EQ(client.stats().cache_misses, 1u);
-  EXPECT_EQ(client.stats().ssd_reads, 1u);
+  EXPECT_EQ(client.io_resilience().cache_hits, 1u);
+  EXPECT_EQ(client.io_resilience().cache_misses, 1u);
+  EXPECT_EQ(client.io_resilience().ssd_rows, 1u);
 }
 
 TEST(RowCache, ReinsertNeverChangesBytes) {
@@ -215,9 +215,9 @@ TEST(RowCache, ZeroCapacityIsInert) {
   client.gather(vs, out);
   rig.array.stop_all();
   expect_bytes_match(out, vs, rig.task.features, "no cache");
-  EXPECT_EQ(client.stats().cache_hits, 0u);
-  EXPECT_EQ(client.stats().cache_misses, 0u);
-  EXPECT_EQ(client.stats().ssd_reads, vs.size());
+  EXPECT_EQ(client.io_resilience().cache_hits, 0u);
+  EXPECT_EQ(client.io_resilience().cache_misses, 0u);
+  EXPECT_EQ(client.io_resilience().ssd_rows, vs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -240,20 +240,20 @@ TEST(GatherPipeline, DuplicateHeavyBatchesAreByteIdenticalAndConserveRows) {
     const auto vs = uniform_batch(192, rng);
     const std::set<graph::VertexId> unique(vs.begin(), vs.end());
     ASSERT_LT(unique.size(), vs.size()) << "batch " << batch;
-    const std::uint64_t before = rows_served(client.stats());
+    const std::uint64_t before = rows_served(client.io_resilience());
     gnn::Tensor out(vs.size(), kDim);
     client.gather(vs, out);
     expect_bytes_match(out, vs, rig.task.features, "uniform batch");
-    EXPECT_EQ(rows_served(client.stats()) - before, vs.size())
+    EXPECT_EQ(rows_served(client.io_resilience()) - before, vs.size())
         << "batch " << batch;
   }
   rig.array.stop_all();
 
-  const auto& s = client.stats();
+  const auto s = client.io_resilience();
   EXPECT_GT(s.gpu_hits, 0u);
   EXPECT_GT(s.cpu_hits, 0u);
-  EXPECT_GT(s.ssd_reads, 0u);
-  EXPECT_LE(s.ssd_commands, s.ssd_reads);
+  EXPECT_GT(s.ssd_rows, 0u);
+  EXPECT_LE(s.ssd_commands, s.ssd_rows);
   // Draws of the warmed rows are served from the cache.
   EXPECT_GT(s.cache_hits, 0u);
   EXPECT_EQ(s.failovers, 0u);
@@ -276,10 +276,10 @@ TEST(GatherPipeline, CoalescingMergesAdjacentRunsOnFullRangeBatch) {
   rig.array.stop_all();
   expect_bytes_match(out, vs, rig.task.features, "full range");
 
-  const auto& s = client.stats();
-  EXPECT_EQ(s.ssd_reads, kVertices - kFirstSsdVertex);
+  const auto s = client.io_resilience();
+  EXPECT_EQ(s.ssd_rows, kVertices - kFirstSsdVertex);
   EXPECT_GT(s.coalesced_commands, 0u);
-  EXPECT_LT(s.ssd_commands, s.ssd_reads / 4)
+  EXPECT_LT(s.ssd_commands, s.ssd_rows / 4)
       << "contiguous slots should coalesce aggressively";
   EXPECT_GT(s.coalesce_rows_per_cmd(), 4.0);
   // Each command stays within the transfer bound.
@@ -312,8 +312,8 @@ TEST(GatherPipeline, PowerLawBatchesCutCommandsVsNaive) {
   // The naive gather issues one read per SSD-resident occurrence, and every
   // such occurrence either hit the cache or was read. Zipf(1.2) batches are
   // reuse-heavy: the pipeline must issue far fewer commands than that.
-  const auto& s = client.stats();
-  const std::uint64_t naive = s.ssd_reads + s.cache_hits;
+  const auto s = client.io_resilience();
+  const std::uint64_t naive = s.ssd_rows + s.cache_hits;
   EXPECT_EQ(naive, kBatches * kBatch);
   EXPECT_GT(s.cache_hits, 0u);
   EXPECT_LT(s.ssd_commands, naive / 2);
@@ -345,7 +345,7 @@ TEST(GatherPipeline, CacheHitsGrowMonotonicallyUnderSkewedTrace) {
 
     std::uint64_t hot = 0;
     for (graph::VertexId v : vs) hot += v < first_cold ? 1 : 0;
-    const auto& s = client.stats();
+    const auto s = client.io_resilience();
     const std::uint64_t hit_delta = s.cache_hits - prev_hits;
     const std::uint64_t miss_delta = s.cache_misses - prev_misses;
     // Every occurrence of a warmed (hot) vertex hits and every other
@@ -368,7 +368,7 @@ TEST(GatherPipeline, CacheHitsGrowMonotonicallyUnderSkewedTrace) {
 /// Rows warm_row_cache cached, and the stats of the gather that followed.
 struct WarmedGather {
   std::size_t cached = 0;
-  GatherStats stats;
+  gnn::FeatureProvider::IoResilience stats;
 };
 
 /// Warms a fresh rig's 64-row cache from `order`, then gathers `vs` once.
@@ -387,7 +387,7 @@ WarmedGather warm_then_gather(std::span<const graph::VertexId> order,
   client.gather(vs, out);
   rig.array.stop_all();
   expect_bytes_match(out, vs, rig.task.features, "warmed");
-  result.stats = client.stats();
+  result.stats = client.io_resilience();
   return result;
 }
 
@@ -461,16 +461,16 @@ TEST(GatherPipeline, FailoverKeepsCacheAndStaysByteIdentical) {
     expect_bytes_match(out, vs, rig.task.features, "failover round");
     // Every round, before and after the remap, serves each warmed row from
     // the cache: a remap moves rows between devices, not cached bytes.
-    EXPECT_EQ(client.stats().cache_hits - prev_hits, warmed)
+    EXPECT_EQ(client.io_resilience().cache_hits - prev_hits, warmed)
         << "round " << round;
-    prev_hits = client.stats().cache_hits;
+    prev_hits = client.io_resilience().cache_hits;
   }
   rig.array.stop_all();
 
   EXPECT_EQ(rig.array.health(1), DeviceHealth::kFailed);
-  EXPECT_EQ(rig.store.device_remaps(), 1u);
-  EXPECT_GT(client.stats().failovers, 0u);
-  EXPECT_EQ(client.stats().cache_misses,
+  EXPECT_EQ(client.io_resilience().device_remaps, 1u);
+  EXPECT_GT(client.io_resilience().failovers, 0u);
+  EXPECT_EQ(client.io_resilience().cache_misses,
             4 * (kVertices - kFirstSsdVertex - warmed));
 }
 
@@ -518,8 +518,8 @@ TEST(GatherPipeline, TwoClientsGatherConcurrentlyThroughSharedCache) {
   EXPECT_TRUE(ok_a);
   EXPECT_TRUE(ok_b);
   // Both threads read the shared table; Zipf draws favour the warmed rows.
-  EXPECT_GT(client_a.stats().cache_hits, 0u);
-  EXPECT_GT(client_b.stats().cache_hits, 0u);
+  EXPECT_GT(client_a.io_resilience().cache_hits, 0u);
+  EXPECT_GT(client_b.io_resilience().cache_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +598,7 @@ TEST(GatherPipeline, IoProgressesWhileCallerIsBusy) {
   const double wait_s = seconds_since(t1);
   rig.array.stop_all();
 
-  EXPECT_EQ(client.stats().ssd_commands, kBatch);
+  EXPECT_EQ(client.io_resilience().ssd_commands, kBatch);
   EXPECT_EQ(served, kBatch) << "IO stalled while the caller was away";
   EXPECT_LT(begin_s, paced_s / 4) << "gather_begin waited on the SQ";
   EXPECT_LT(wait_s, paced_s / 4) << "gather_wait still had IO to wait for";

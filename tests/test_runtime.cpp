@@ -473,7 +473,7 @@ TEST(PipelineEngine, OverlapsGatherWithComputeThroughIoStack) {
   EXPECT_GT(stats.overlap_ratio, 0.0);
   EXPECT_GT(stats.stage_max.hidden_io_s, 0.0);
   for (const auto& c : rig.clients) {
-    EXPECT_GT(c->stats().ssd_reads, 0u);
+    EXPECT_GT(c->io_resilience().ssd_rows, 0u);
   }
 }
 
