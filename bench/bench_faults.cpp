@@ -1,7 +1,9 @@
 // Chaos harness for the fault-tolerant IO stack. Trains the same model twice
 // through the tiered NVMe feature path — once fault-free, once under 1%
 // injected transient read errors on every SSD plus one hard device failure
-// mid-training — and asserts:
+// mid-training (device 2 fails after half the reads it served in the
+// fault-free run, so the failure lands mid-training whatever a gather's
+// command count) — and asserts:
 //
 //   1. every epoch completes (all waits are deadline-bounded);
 //   2. the loss trajectory is BIT-IDENTICAL to the fault-free run: retries
@@ -14,6 +16,7 @@
 // (label: faults).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -53,7 +56,8 @@ struct Rig {
   std::vector<gnn::FeatureProvider*> providers;
 
   /// Three SSDs with 2x capacity slack so failover re-placement always fits.
-  static Rig make(bool faulted) {
+  /// A faulted rig hard-fails device 2 after `fail_after` served reads.
+  static Rig make(bool faulted, std::uint64_t fail_after) {
     Rig r;
     graph::RmatParams gp;
     gp.num_vertices = kVertices;
@@ -83,7 +87,7 @@ struct Rig {
         iostack::FaultProfile fp;
         fp.read_error_prob = 0.01;  // 1% transient errors everywhere
         fp.seed = 0x5eedf001 + s;
-        if (s == 2) fp.fail_after_reads = 150;  // hard failure mid-training
+        if (s == 2) fp.fail_after_reads = fail_after;
         r.array->ssd(s).inject_faults(fp);
       }
     }
@@ -112,10 +116,11 @@ struct RunResult {
   std::vector<float> losses;
   std::vector<float> accuracies;
   gnn::FeatureProvider::IoResilience io;  // summed epoch deltas, max gauges
+  std::uint64_t device2_reads = 0;        // reads device 2 served
 };
 
-RunResult run(bool faulted) {
-  Rig rig = Rig::make(faulted);
+RunResult run(bool faulted, std::uint64_t fail_after = UINT64_MAX) {
+  Rig rig = Rig::make(faulted, fail_after);
   auto train = sampling::select_train_vertices(rig.g, 0.3, 5);
   runtime::DataParallelTrainer trainer(rig.g, rig.providers,
                                        rig.model_config(), {5, 5}, train,
@@ -130,6 +135,7 @@ RunResult run(bool faulted) {
     });
   }
   rig.array->stop_all();
+  res.device2_reads = rig.array->ssd(2).stats().reads;
   return res;
 }
 
@@ -140,7 +146,7 @@ int main() {
               "(1%% transient errors + device 2 hard-fails)\n",
               kEpochs);
   const RunResult clean = run(/*faulted=*/false);
-  const RunResult chaos = run(/*faulted=*/true);
+  const RunResult chaos = run(/*faulted=*/true, clean.device2_reads / 2);
 
   CHECK(clean.losses.size() == static_cast<std::size_t>(kEpochs),
         "fault-free run completed all epochs");
@@ -175,6 +181,9 @@ int main() {
   CHECK(clean.io.failovers == 0, "fault-free run reports zero failovers");
   CHECK(clean.io.devices_failed == 0, "fault-free run has no failed devices");
 
+  std::printf("device 2 fails after %llu of its %llu fault-free reads\n",
+              static_cast<unsigned long long>(clean.device2_reads / 2),
+              static_cast<unsigned long long>(clean.device2_reads));
   std::printf("faulted telemetry: retries=%llu timeouts=%llu perm=%llu "
               "failovers=%llu remaps=%llu failed_devices=%u\n",
               static_cast<unsigned long long>(chaos.io.retries),

@@ -80,9 +80,11 @@ class FeatureProvider {
     /// SSD-resident rows that missed the row cache and were read from an
     /// SSD (one per occurrence; duplicates in a batch are read twice).
     std::uint64_t ssd_rows = 0;
-    /// Commands issued after run coalescing (<= ssd_rows).
+    /// SSD read commands, one per run of consecutive pages a batch touches
+    /// (<= ssd_rows).
     std::uint64_t ssd_commands = 0;
-    /// Commands that carried two or more adjacent rows.
+    /// Commands that carried two or more rows, on one page or on
+    /// consecutive pages.
     std::uint64_t coalesced_commands = 0;
     /// Shared hot-row cache traffic.
     std::uint64_t cache_hits = 0;

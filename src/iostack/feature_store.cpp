@@ -50,10 +50,15 @@ TieredFeatureStore::TieredFeatureStore(
   if (bin_of_vertex.size() != n) {
     throw std::invalid_argument("TieredFeatureStore: placement size mismatch");
   }
-  const std::size_t raw = dim_ * sizeof(float);
-  row_bytes_ = ((raw + kPageBytes - 1) / kPageBytes) * kPageBytes;
+  row_bytes_ = dim_ * sizeof(float);
+  pages_per_row_ =
+      std::max<std::size_t>(1, (row_bytes_ + kPageBytes - 1) / kPageBytes);
+  rows_per_page_ = pages_per_row_ > 1
+                       ? 1
+                       : kPageBytes / std::max<std::size_t>(row_bytes_, 1);
   for (const BinBacking& b : bins) {  // a gather reads a row in one command
-    if (b.kind == BinBacking::Kind::kSsd && row_bytes_ > kMaxTransferBytes) {
+    if (b.kind == BinBacking::Kind::kSsd &&
+        pages_per_row_ * kPageBytes > kMaxTransferBytes) {
       throw std::invalid_argument(
           "TieredFeatureStore: row wider than one SSD transfer");
     }
@@ -87,8 +92,7 @@ TieredFeatureStore::TieredFeatureStore(
     }
   }
   for (std::size_t s = 0; s < array.size(); ++s) {
-    if (static_cast<std::uint64_t>(ssd_rows[s]) * row_bytes_ >
-        array.ssd(s).capacity()) {
+    if (ssd_rows[s] > slot_capacity(s)) {
       throw std::invalid_argument(
           "TieredFeatureStore: SSD capacity too small for placement");
     }
@@ -105,7 +109,6 @@ TieredFeatureStore::TieredFeatureStore(
   std::uint32_t gpu_cursor = 0, cpu_cursor = 0;
   std::size_t host_cursor = 0;
   std::vector<std::uint32_t> ssd_cursor(array.size(), 0);
-  std::vector<std::byte> row(row_bytes_);
   for (std::size_t v = 0; v < n; ++v) {
     const BinBacking& bin = bins[static_cast<std::size_t>(bin_of_vertex[v])];
     Location loc;
@@ -134,10 +137,7 @@ TieredFeatureStore::TieredFeatureStore(
       case BinBacking::Kind::kSsd: {
         const auto s = static_cast<std::size_t>(bin.ssd);
         loc.index = ssd_cursor[s];
-        std::memset(row.data(), 0, row.size());
-        std::memcpy(row.data(), src.data(), raw);
-        array.ssd(s).write(static_cast<std::uint64_t>(loc.index) * row_bytes_,
-                           row.data(), row.size());
+        write_slot(s, loc.index, src);
         ++ssd_cursor[s];
         host_index_[v] = static_cast<std::int64_t>(host_cursor);
         std::copy(src.begin(), src.end(),
@@ -151,6 +151,19 @@ TieredFeatureStore::TieredFeatureStore(
   for (std::size_t s = 0; s < array.size(); ++s) {
     ssd_next_slot_[s] = ssd_cursor[s];
   }
+}
+
+std::uint64_t TieredFeatureStore::slot_capacity(
+    std::size_t ssd) const noexcept {
+  return array_->ssd(ssd).capacity() / (pages_per_row_ * kPageBytes) *
+         rows_per_page_;
+}
+
+void TieredFeatureStore::write_slot(std::size_t ssd, std::uint64_t slot,
+                                    std::span<const float> row) {
+  array_->ssd(ssd).write(slot_offset(slot),
+                         reinterpret_cast<const std::byte*>(row.data()),
+                         row.size_bytes());
 }
 
 void TieredFeatureStore::enable_row_cache(const RowCacheOptions& options) {
@@ -216,8 +229,7 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
           if (s == ssd) failed_bins.push_back(b);
           db.capacity_vertices = 0.0;
         } else {
-          db.capacity_vertices = static_cast<double>(
-              array_->ssd(s).capacity() / row_bytes_);
+          db.capacity_vertices = static_cast<double>(slot_capacity(s));
         }
         break;
       }
@@ -239,29 +251,30 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
       ddak::plan_bin_failover(dbins, snapshot, failed_bins);
 
   // Write each displaced vertex's authoritative row to a fresh slot on its
-  // new device, then publish the new location. The SQE ring's release/
-  // acquire pair orders the row bytes before any read that targets them.
-  const std::size_t raw = dim_ * sizeof(float);
-  std::vector<std::byte> row(row_bytes_);
+  // new device, from a fresh page on, and publish the new locations only
+  // after every write: a read covers only pages that hold a published row,
+  // so none reads a page these writes touch. The SQE ring's release/acquire
+  // pair orders the row bytes before any read that targets them.
+  for (std::uint32_t& next : ssd_next_slot_) {
+    next = static_cast<std::uint32_t>((next + rows_per_page_ - 1) /
+                                      rows_per_page_ * rows_per_page_);
+  }
+  std::vector<std::pair<graph::VertexId, Location>> placed;
   for (const ddak::FailoverMove& m : moves) {
     const auto to_bin = static_cast<std::size_t>(m.to_bin);
     const auto s = static_cast<std::size_t>(bins_[to_bin].ssd);
-    const std::uint64_t slot = ssd_next_slot_[s];
-    if ((slot + 1) * row_bytes_ > array_->ssd(s).capacity()) {
+    const std::uint32_t slot = ssd_next_slot_[s];
+    if (slot >= slot_capacity(s)) {
       continue;  // out of space: the host copy keeps serving this vertex
     }
-    const auto src = authoritative_row(m.vertex);
-    std::memset(row.data(), 0, row.size());
-    std::memcpy(row.data(), src.data(), raw);
-    array_->ssd(s).write(slot * row_bytes_, row.data(), row.size());
+    write_slot(s, slot, authoritative_row(m.vertex));
     ++ssd_next_slot_[s];
-
     bin_of_vertex_[m.vertex] = m.to_bin;
-    Location loc;
-    loc.kind = BinBacking::Kind::kSsd;
-    loc.ssd = bins_[to_bin].ssd;
-    loc.index = static_cast<std::uint32_t>(slot);
-    loc_[m.vertex].store(pack(loc), std::memory_order_release);
+    placed.push_back(
+        {m.vertex, {BinBacking::Kind::kSsd, slot, bins_[to_bin].ssd}});
+  }
+  for (const auto& [v, loc] : placed) {
+    loc_[v].store(pack(loc), std::memory_order_release);
   }
   return true;
 }
@@ -310,6 +323,9 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
     throw std::logic_error(
         "TieredFeatureClient::gather_begin: more than two gathers in flight");
   }
+  std::erase_if(quarantine_, [this](const auto& q) {
+    return !io_.writes_pending(q.first);
+  });
 
   route_rows(vertices, out);
   // Served entirely without the SSDs: nothing to wait for.
@@ -398,49 +414,51 @@ void TieredFeatureClient::route_hbm_row(
 }
 
 void TieredFeatureClient::submit_runs(Slot& slot) {
-  // Sort the targets by (ssd, row index) and merge runs of adjacent rows
-  // into single multi-row commands of at most kMaxTransferBytes (the store
-  // guarantees one row fits). Equal indices (a vertex repeated in the
-  // batch) never extend a run.
+  // Sort the targets by (ssd, slot) and read every page they touch once:
+  // each run of consecutive touched pages on one SSD becomes one
+  // page-aligned command of whole pages, at most kMaxTransferBytes (the
+  // store guarantees one row's pages fit). Rows sharing a page, a repeated
+  // vertex included, share its bytes in the bounce buffer.
   std::sort(scratch_targets_.begin(), scratch_targets_.end(),
             [](const SsdTarget& a, const SsdTarget& b) {
               return a.ssd != b.ssd ? a.ssd < b.ssd : a.index < b.index;
             });
-  const std::size_t row_bytes = store_.row_bytes();
-  const auto max_rows =
-      static_cast<std::uint32_t>(kMaxTransferBytes / row_bytes);
+  const std::uint64_t row_pages = store_.pages_per_row_;
+  constexpr std::uint64_t kMaxPages = kMaxTransferBytes / kPageBytes;
 
   slot.reqs.clear();
   slot.pending.clear();
   slot.runs.clear();
-  slot.bounce.resize(scratch_targets_.size() * row_bytes);
   std::size_t off = 0;
   std::size_t t = 0;
   while (t < scratch_targets_.size()) {
-    const std::size_t run_begin = t;
-    const SsdTarget& first = scratch_targets_[t];
-    std::uint32_t rows = 1;
-    ++t;
-    while (t < scratch_targets_.size() && rows < max_rows &&
-           scratch_targets_[t].ssd == first.ssd &&
-           scratch_targets_[t].index == first.index + rows) {
-      ++rows;
-      ++t;
-    }
+    const std::uint32_t ssd = scratch_targets_[t].ssd;
+    const std::uint64_t begin = store_.first_page(scratch_targets_[t].index);
+    std::uint64_t end = begin + row_pages;  // one past the run's last page
     const auto run_id = static_cast<std::uint32_t>(slot.runs.size());
-    slot.reqs.push_back(
-        {first.ssd, static_cast<std::uint64_t>(first.index) * row_bytes,
-         static_cast<std::uint32_t>(rows * row_bytes),
-         slot.bounce.data() + off});
-    slot.runs.push_back({off, rows, false});
-    for (std::uint32_t k = 0; k < rows; ++k) {
-      const SsdTarget& tk = scratch_targets_[run_begin + k];
+    std::uint32_t rows = 0;
+    for (; t < scratch_targets_.size() && scratch_targets_[t].ssd == ssd;
+         ++t) {
+      const SsdTarget& tk = scratch_targets_[t];
+      const std::uint64_t page = store_.first_page(tk.index);
+      if (page > end || page + row_pages - begin > kMaxPages) break;
+      end = std::max(end, page + row_pages);
       slot.pending.push_back(
-          {tk.out_row, off + k * row_bytes, tk.vertex, run_id});
+          {tk.out_row, off + store_.slot_offset(tk.index) - begin * kPageBytes,
+           tk.vertex, run_id});
+      ++rows;
     }
-    off += static_cast<std::size_t>(rows) * row_bytes;
+    const std::uint64_t bytes = (end - begin) * kPageBytes;
+    slot.reqs.push_back({ssd, begin * kPageBytes,
+                         static_cast<std::uint32_t>(bytes), nullptr});
+    slot.runs.push_back({off, false});
+    off += bytes;
     ++counts_.ssd_commands;
     if (rows > 1) ++counts_.coalesced_commands;
+  }
+  slot.bounce.resize(off);
+  for (std::size_t r = 0; r < slot.reqs.size(); ++r) {
+    slot.reqs[r].dest = slot.bounce.data() + slot.runs[r].bounce_off;
   }
 
   slot.ticket = io_.submit(slot.reqs);
@@ -465,9 +483,9 @@ void TieredFeatureClient::complete(Slot& slot) {
   scratch_failed_.clear();
   io_.wait(slot.ticket, scratch_failed_);
 
-  // A coalesced command fails as a unit: mark its run (located by binary
-  // search over the ascending bounce offsets) so every row it carried is
-  // served from the host copy instead of the bounce buffer.
+  // A command fails as a unit: mark its run (located by binary search over
+  // the ascending bounce offsets) so every row on its pages is served from
+  // the host copy instead of the bounce buffer.
   scratch_failed_ssds_.assign(store_.array().size(), false);
   for (const FailedRead& fr : scratch_failed_) {
     const auto off = static_cast<std::size_t>(fr.dest - slot.bounce.data());
@@ -487,6 +505,13 @@ void TieredFeatureClient::complete(Slot& slot) {
       std::memcpy(slot.out->row(pr.out_row).data(),
                   slot.bounce.data() + pr.bounce_off, raw);
     }
+  }
+  // A command the engine gave up on may still be on its device, which will
+  // write into this buffer when it serves it: the next batch on this slot
+  // gets a fresh buffer instead.
+  if (io_.writes_pending(slot.ticket)) {
+    quarantine_.emplace_back(slot.ticket, std::move(slot.bounce));
+    slot.bounce = Bounce();
   }
 
   // Hard-failed devices get their bins re-placed so future gathers hit

@@ -5,6 +5,10 @@
 // realisation of the paper's storage hierarchy — the piece that actually
 // moves bytes, as opposed to the flow-level simulator that models time.
 //
+// SSD layout: each device's rows pack densely into 4 KiB pages, as many to
+// a page as fit whole (a row never straddles a page), and a gather reads
+// every page its batch touches once, BaM-style (paper §3.1).
+//
 // Fault tolerance: the store keeps a host-side authoritative copy of every
 // SSD-resident row. Reads that permanently fail (retries exhausted, device
 // dead) are served from that copy — byte-identical to the device bytes, so
@@ -17,6 +21,7 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/plan.hpp"
@@ -57,9 +62,10 @@ struct GatherOptions {};
 class TieredFeatureStore {
  public:
   /// `bin_of_vertex[v]` indexes `bins`. All SSD rows are written before
-  /// return; the array must not be started yet. Throws
-  /// std::invalid_argument if a bin is on an SSD and row_bytes() exceeds
-  /// kMaxTransferBytes (a row must fit in one read command).
+  /// return, each device's in vertex-id order; the array must not be
+  /// started yet. Throws std::invalid_argument if a bin is on an SSD and
+  /// row_bytes() exceeds kMaxTransferBytes (a row must fit in one read
+  /// command), or if a device's pages cannot hold the rows placed on it.
   TieredFeatureStore(const gnn::Tensor& features,
                      std::span<const std::int32_t> bin_of_vertex,
                      std::span<const BinBacking> bins, SsdArray& array);
@@ -68,8 +74,9 @@ class TieredFeatureStore {
   SsdArray& array() noexcept { return *array_; }
   const SsdArray& array() const noexcept { return *array_; }
 
-  /// Bytes a single vertex row occupies on an SSD (padded to page size so
-  /// reads are page-aligned like real NVMe access).
+  /// Bytes of one vertex row, dim() floats. An SSD page holds
+  /// floor(kPageBytes / row_bytes()) rows back to back; a row wider than a
+  /// page takes whole pages of its own. Reads are whole pages either way.
   std::size_t row_bytes() const noexcept { return row_bytes_; }
 
   struct Location {
@@ -92,12 +99,13 @@ class TieredFeatureStore {
   std::span<const float> authoritative_row(graph::VertexId v) const;
 
   /// Re-places every bin of `ssd` onto surviving devices: plans with
-  /// ddak::plan_bin_failover, writes the rows to fresh slots, then publishes
-  /// the new locations. Idempotent per device; thread-safe. Returns true if
-  /// this call performed the remap (false = already done or nothing to do);
-  /// the client whose call it was counts it in its device_remaps. Vertices
-  /// that fit on no survivor keep pointing at the failed device and are
-  /// served from the authoritative copy by clients.
+  /// ddak::plan_bin_failover, writes the rows to fresh slots packed from a
+  /// fresh page on, then publishes the new locations. Idempotent per
+  /// device; thread-safe. Returns true if this call performed the remap
+  /// (false = already done or nothing to do); the client whose call it was
+  /// counts it in its device_remaps. Vertices that fit on no survivor keep
+  /// pointing at the failed device and are served from the authoritative
+  /// copy by clients.
   bool remap_failed_device(std::size_t ssd);
 
   /// Sizes the shared hot-row DRAM cache, which every client consults
@@ -126,8 +134,25 @@ class TieredFeatureStore {
   static std::uint64_t pack(const Location& loc) noexcept;
   static Location unpack(std::uint64_t bits) noexcept;
 
+  /// The one slot -> page mapping (the constructor, remap_failed_device and
+  /// the client all use it): slots fill rows_per_page_ rows per page in
+  /// slot order; a row wider than a page takes pages_per_row_ pages.
+  std::uint64_t first_page(std::uint64_t slot) const noexcept {
+    return slot / rows_per_page_ * pages_per_row_;
+  }
+  std::uint64_t slot_offset(std::uint64_t slot) const noexcept {
+    return first_page(slot) * kPageBytes + slot % rows_per_page_ * row_bytes_;
+  }
+  /// Slots whose pages all fit on SSD `ssd`.
+  std::uint64_t slot_capacity(std::size_t ssd) const noexcept;
+  /// Writes `row` to slot `slot` of SSD `ssd`.
+  void write_slot(std::size_t ssd, std::uint64_t slot,
+                  std::span<const float> row);
+
   std::size_t dim_ = 0;
   std::size_t row_bytes_ = 0;
+  std::size_t rows_per_page_ = 1;
+  std::size_t pages_per_row_ = 1;
   /// Packed Location per vertex: bits 0..31 index, 32..47 ssd+1, 48..49 kind.
   std::vector<std::atomic<std::uint64_t>> loc_;
   gnn::Tensor gpu_cache_;  // replicated per GPU in the real system
@@ -144,7 +169,8 @@ class TieredFeatureStore {
   std::vector<BinBacking> bins_;
   std::vector<std::int32_t> bin_of_vertex_;
 
-  /// Failover state: next free slot per SSD and per-device remap flags.
+  /// Failover state: next free slot per SSD (rounded up to a page boundary
+  /// at each remap) and per-device remap flags.
   std::mutex remap_mu_;
   std::vector<std::uint32_t> ssd_next_slot_;
   std::vector<bool> device_remapped_;
@@ -175,9 +201,10 @@ struct PeerConfig {
 /// Per-GPU gather client. Implements gnn::FeatureProvider so the trainer can
 /// run end-to-end through the IO stack. Every batch runs one pipeline with
 /// no knobs: gather_begin routes each row (local/peer GPU, CPU, host copy or
-/// shared row cache, else an SSD target), coalesces the SSD targets into
-/// adjacent-slot commands and hands them to the client's IoEngine, whose IO
-/// thread submits and completes them while the caller samples and computes;
+/// shared row cache, else an SSD target), turns the SSD targets into one
+/// read per run of consecutive touched pages and hands them to the client's
+/// IoEngine, whose IO thread submits and completes them while the caller
+/// samples and computes;
 /// gather_wait waits for that batch, then scatters the bounce-buffered rows
 /// and remaps failed devices on the calling thread, so every counter follows
 /// the caller's order, not IO timing.
@@ -217,22 +244,22 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
 
  private:
   /// One SSD row in flight: where its bytes land in the bounce buffer,
-  /// which output row receives them, and which coalesced command carries it.
+  /// which output row receives them, and which command carries its page.
   struct PendingRow {
     std::size_t out_row;
     std::size_t bounce_off;
     graph::VertexId vertex;
     std::uint32_t run;
   };
-  /// One coalesced command (a run of adjacent rows on one SSD). Failure is
-  /// per command: if it permanently fails, every row it carried is served
+  /// One command: a run of consecutive touched pages on one SSD. Failure is
+  /// per command: if it permanently fails, every row on its pages is served
   /// from the host copy.
   struct Run {
     std::size_t bounce_off;
-    std::uint32_t rows;
     bool failed;
   };
-  /// An SSD row to read, before coalescing.
+  using Bounce = std::vector<std::byte, util::UninitAllocator<std::byte>>;
+  /// An SSD row to read, before its page joins a command.
   struct SsdTarget {
     std::uint32_t ssd;
     std::uint32_t index;
@@ -242,7 +269,9 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// One in-flight gather: its IoEngine ticket, the commands it handed
   /// over, the rows to scatter, and a dedicated bounce buffer (per-slot, so
   /// prefetch never overwrites the batch still being awaited). The IO thread
-  /// reads `reqs` and the devices write `bounce` until the ticket is waited.
+  /// reads `reqs` and the devices write `bounce` until the ticket is waited;
+  /// a bounce buffer a device may still write into after that moves to
+  /// quarantine_.
   struct Slot {
     std::uint64_t ticket = 0;  // 0 = free
     gnn::Tensor* out = nullptr;
@@ -251,7 +280,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     std::vector<Run> runs;
     // Staging for SSD reads; growing it does not zero-fill what the reads
     // then overwrite.
-    std::vector<std::byte, util::UninitAllocator<std::byte>> bounce;
+    Bounce bounce;
   };
 
   /// Stage 1: serves every row that needs no SSD read and collects the rest
@@ -260,8 +289,8 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// Routes a GPU-HBM row: local, peer route, or host copy.
   void route_hbm_row(graph::VertexId v, const TieredFeatureStore::Location& loc,
                      gnn::Tensor& out, std::size_t out_row);
-  /// Stage 2: coalesces scratch_targets_ into commands and hands them to
-  /// the IO thread as one batch owned by `slot`.
+  /// Stage 2: turns scratch_targets_ into page-run commands and hands them
+  /// to the IO thread as one batch owned by `slot`.
   void submit_runs(Slot& slot);
   /// Stage 3: waits for the slot's batch, scatters it into its output
   /// tensor, and remaps devices that failed during it.
@@ -278,6 +307,10 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// here and are filled in by io_resilience().
   IoResilience counts_;
   Slot slots_[2];
+  /// Bounce buffers of waited batches that a device still holds a
+  /// given-up-on command for (IoEngine::writes_pending), with their ticket;
+  /// freed once no device can write into them.
+  std::vector<std::pair<std::uint64_t, Bounce>> quarantine_;
   std::vector<FailedRead> scratch_failed_;
   /// Devices with a permanently failed read in the batch being completed.
   std::vector<bool> scratch_failed_ssds_;
@@ -285,8 +318,8 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// Per-batch device-health snapshot: one atomic load per device per
   /// gather instead of one per vertex.
   std::vector<DeviceHealth> scratch_health_;
-  /// Declared after the slots whose buffers its reads target, so it is
-  /// destroyed (and its reads drained) first.
+  /// Declared after the slots and the quarantine whose buffers its reads
+  /// target, so it is destroyed (and its reads drained) first.
   IoEngine io_;
 };
 

@@ -85,7 +85,8 @@ void SsdDevice::serve(const Sqe& sqe, QueuePair& qp) {
     status = d.status;
   }
   if (status == kStatusOk &&
-      (sqe.dest == nullptr || sqe.offset > store_.size() ||
+      (sqe.dest == nullptr || sqe.offset % kPageBytes != 0 ||
+       sqe.length % kPageBytes != 0 || sqe.offset > store_.size() ||
        sqe.length > store_.size() - sqe.offset)) {
     status = kStatusReadError;
   }
@@ -282,6 +283,11 @@ void IoEngine::wait(std::uint64_t ticket, std::vector<FailedRead>& failed) {
   if (error) std::rethrow_exception(error);
 }
 
+bool IoEngine::writes_pending(std::uint64_t ticket) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return orphans_of_batch_.contains(ticket);
+}
+
 RetryStats IoEngine::retry_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return retry_stats_;
@@ -388,6 +394,13 @@ void IoEngine::drain() noexcept {
         std::this_thread::yield();
       }
     }
+    // A running device still serves what it holds, into the caller's
+    // buffer; a stopped one never writes again.
+    while (std::any_of(orphans_.begin(), orphans_.end(), [&](const auto& o) {
+      return array_.ssd(o.second.ssd).running();
+    })) {
+      if (!drain_completions()) std::this_thread::yield();
+    }
   } catch (...) {
     // Only an allocation can throw here. Forget what is left so no request
     // outlives its batch; a late completion is then dropped as a stale tag.
@@ -420,6 +433,25 @@ void IoEngine::finish_failure(const Pending& p) {
   p.batch->failed.push_back({p.ssd, p.offset, p.length, p.dest});
 }
 
+void IoEngine::orphan(std::uint64_t tag, const Pending& p) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++orphans_of_batch_[p.batch->ticket];
+  }
+  orphans_.emplace(tag, Orphan{p.ssd, p.batch->ticket});
+}
+
+void IoEngine::settle_orphan(std::uint64_t tag) {
+  const auto it = orphans_.find(tag);
+  if (it == orphans_.end()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto n = orphans_of_batch_.find(it->second.ticket);
+    if (--n->second == 0) orphans_of_batch_.erase(n);
+  }
+  orphans_.erase(it);
+}
+
 void IoEngine::handle_attempt_failure(Pending p, std::uint64_t now,
                                       bool timed_out) {
   if (timed_out) bump(&RetryStats::timeouts);
@@ -445,7 +477,8 @@ bool IoEngine::drain_completions() {
       if (it == pending_.end()) {
         // Late completion of a timed-out attempt (tags are never reused):
         // the retry (or failover) owns the request now; the duplicate write
-        // carried the same bytes.
+        // carried the same bytes, and it has landed.
+        settle_orphan(cqe.tag);
         continue;
       }
       const Pending p = it->second;
@@ -514,6 +547,7 @@ bool IoEngine::check_timeouts(std::uint64_t now) {
       continue;
     }
     const Pending p = it->second;
+    orphan(it->first, p);
     it = pending_.erase(it);
     array_.report_io_result(p.ssd, false);
     handle_attempt_failure(p, now, /*timed_out=*/true);
@@ -543,6 +577,7 @@ void IoEngine::force_fail(const Batch* batch) {
       continue;
     }
     const Pending p = it->second;
+    orphan(it->first, p);
     it = pending_.erase(it);
     bump(&RetryStats::timeouts);
     array_.report_io_result(p.ssd, false);

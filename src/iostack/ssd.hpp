@@ -31,15 +31,19 @@
 
 #include "iostack/fault_injector.hpp"
 #include "iostack/queue_pair.hpp"
+#include "util/uninit.hpp"
 
 namespace moment::iostack {
 
+/// The device's logical block: a read addresses whole pages (offset and
+/// length multiples of kPageBytes, as on a 4Kn NVMe namespace); any other
+/// read completes with kStatusReadError.
 inline constexpr std::size_t kPageBytes = 4096;
 
-/// Maximum data a single command may carry (the NVMe MDTS analogue). Run
-/// coalescing in the gather path merges adjacent feature rows into one
-/// multi-row read up to this bound; IoEngine rejects anything larger so a
-/// buggy caller can't smuggle an unbounded transfer past the pacing model.
+/// Maximum data a single command may carry (the NVMe MDTS analogue). The
+/// gather path merges consecutive touched pages into one read up to this
+/// bound; IoEngine rejects anything larger so a buggy caller can't smuggle
+/// an unbounded transfer past the pacing model.
 inline constexpr std::size_t kMaxTransferBytes = 128 * 1024;
 
 /// SQEs the device drains from one queue per service pass, so one busy
@@ -83,8 +87,8 @@ class SsdDevice {
 
   /// Host-side write (dataset reorganisation and failover re-placement).
   /// Safe while the service loop runs ONLY for regions no in-flight or
-  /// future read references yet (failover writes freshly allocated slots and
-  /// publishes them afterwards via an acquire/release location update).
+  /// future read references yet (failover writes fresh pages and publishes
+  /// them afterwards via an acquire/release location update).
   void write(std::uint64_t offset, const std::byte* src, std::size_t len);
 
   std::size_t capacity() const noexcept { return store_.size(); }
@@ -95,7 +99,11 @@ class SsdDevice {
   void serve(const Sqe& sqe, QueuePair& qp);
   void bounded_stall(std::uint32_t stall_us);
 
-  std::vector<std::byte> store_;
+  /// The flash. It holds only what write() put there: bytes nothing wrote
+  /// (the tail of a page no row fills, pages no row uses) are unspecified,
+  /// never zero-filled and never resident until written. A read may carry
+  /// them, but the feature store never copies them into an output row.
+  std::vector<std::byte, util::UninitAllocator<std::byte>> store_;
   std::vector<std::unique_ptr<QueuePair>> queues_;
   SsdOptions options_;
   std::unique_ptr<FaultInjector> injector_;
@@ -155,10 +163,10 @@ class SsdArray {
   HealthOptions health_options_;
 };
 
-/// A batch-read request (doorbell batching: submit many, ring once). A
-/// request may span multiple adjacent feature rows (`length` a multiple of
-/// the row size, up to kMaxTransferBytes) — the coalesced form trades
-/// commands for bandwidth, which is what moves an IOPS-bound array.
+/// A batch-read request (doorbell batching: submit many, ring once). The
+/// gather path issues whole, page-aligned pages (several consecutive ones
+/// when a batch touches them, up to kMaxTransferBytes) — the coalesced form
+/// trades commands for bandwidth, which is what moves an IOPS-bound array.
 struct ReadRequest {
   std::size_t ssd = 0;
   std::uint64_t offset = 0;
@@ -222,8 +230,10 @@ class IoEngine {
   explicit IoEngine(SsdArray& array, std::size_t queue_depth = 256,
                     IoEngineOptions options = {});
   /// Stops the IO thread. Reads already handed over are driven to a
-  /// terminal state first (bounded by wait_deadline), so no device writes
-  /// into a caller's buffer after the engine is gone.
+  /// terminal state first (bounded by wait_deadline); then the thread waits
+  /// until no running device holds a command the engine gave up on (see
+  /// writes_pending), so no device writes into a caller's buffer after the
+  /// engine is gone.
   ~IoEngine();
 
   IoEngine(const IoEngine&) = delete;
@@ -243,6 +253,13 @@ class IoEngine {
   /// thread raised while the batch was in flight. Tickets may be waited in
   /// any order, each exactly once.
   void wait(std::uint64_t ticket, std::vector<FailedRead>& failed);
+
+  /// True while a device still holds a command of batch `ticket` that the
+  /// engine gave up on (a timed-out or force-failed attempt). The device
+  /// will still write into that command's `dest` when it serves it, so the
+  /// caller must neither reuse nor free the batch's buffers until this
+  /// returns false. Safe from any thread, also after wait(ticket).
+  bool writes_pending(std::uint64_t ticket) const;
 
   /// Counters since construction; safe from any thread.
   RetryStats retry_stats() const;
@@ -289,7 +306,7 @@ class IoEngine {
   /// true if anything moved.
   bool pump();
   /// Pumps until no request is in flight, force-failing what is left past
-  /// wait_deadline.
+  /// wait_deadline, then until no running device holds an orphan.
   void drain() noexcept;
   std::size_t in_flight() const noexcept {
     return queued_count_ + pending_.size() + retry_queue_.size();
@@ -306,6 +323,11 @@ class IoEngine {
   void bump(std::uint64_t RetryStats::*counter);
   void finish_failure(const Pending& p);
   void handle_attempt_failure(Pending p, std::uint64_t now, bool timed_out);
+  /// Gives up on the attempt `tag`, whose command is still on its device:
+  /// records it as an orphan until its completion arrives.
+  void orphan(std::uint64_t tag, const Pending& p);
+  /// Counts the late completion of orphan `tag` (a no-op for other tags).
+  void settle_orphan(std::uint64_t tag);
   /// Fails every remaining request of `batch`, or of all batches if null.
   void force_fail(const Batch* batch);
   std::uint64_t backoff_ns(std::uint32_t attempts) const noexcept;
@@ -322,6 +344,12 @@ class IoEngine {
   std::size_t queued_count_ = 0;
   /// Tag-indexed state (no linear scans on the completion path).
   std::unordered_map<std::uint64_t, Pending> pending_;
+  /// Abandoned attempts whose command a device still holds, by tag.
+  struct Orphan {
+    std::size_t ssd = 0;
+    std::uint64_t ticket = 0;
+  };
+  std::unordered_map<std::uint64_t, Orphan> orphans_;
   std::vector<RetryEntry> retry_queue_;
   std::uint64_t next_tag_ = 1;
   std::uint64_t last_timeout_scan_ns_ = 0;
@@ -334,6 +362,8 @@ class IoEngine {
   std::uint64_t next_ticket_ = 1;
   bool stop_ = false;
   // Written by the IO thread under mu_.
+  /// Orphans per batch ticket (entries with a count of 0 are erased).
+  std::unordered_map<std::uint64_t, std::size_t> orphans_of_batch_;
   RetryStats retry_stats_;
   std::uint64_t latency_count_ = 0;
   double latency_sum_ns_ = 0.0;

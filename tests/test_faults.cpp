@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -427,7 +428,7 @@ TEST(FeatureStore, GatherWaitFailurePathLeavesSlotReusable) {
   std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0}};
   std::vector<std::int32_t> bov(64, 0);
   SsdOptions opts;
-  opts.capacity_bytes = 64 * kPageBytes;  // exactly full: no failover slots
+  opts.capacity_bytes = 64 * kPageBytes;  // one device: no survivor
   SsdArray array(1, opts);
   TieredFeatureStore store(task.features, bov, bins, array);
   FaultProfile fp;
@@ -451,6 +452,170 @@ TEST(FeatureStore, GatherWaitFailurePathLeavesSlotReusable) {
   }
   array.stop_all();
   EXPECT_GT(client.io_resilience().failovers, 0u);
+}
+
+/// `rows` x `dim` features whose every float is distinct.
+gnn::Tensor numbered_features(std::size_t rows, std::size_t dim) {
+  gnn::Tensor t(rows, dim);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t.data()[i] = static_cast<float>(i) + 0.5f;
+  }
+  return t;
+}
+
+/// Gathers `vs` through `client` and expects every row's exact bytes.
+void gather_and_match(TieredFeatureClient& client, const gnn::Tensor& truth,
+                      const std::vector<graph::VertexId>& vs,
+                      const char* what) {
+  gnn::Tensor out(vs.size(), truth.cols());
+  client.gather(vs, out);
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(out.row(i).data(), truth.row(vs[i]).data(),
+                             truth.cols() * sizeof(float)))
+        << what << ": vertex " << vs[i] << " at row " << i;
+  }
+}
+
+TEST(FeatureStore, FailedPageCommandServesEachOfItsRowsFromHostCopy) {
+  // 512 B rows, 8 to a page, on one SSD. The batch touches pages 0 and 2,
+  // so it costs two commands. The first read the device serves (page 0's)
+  // fails and the client does not retry: that command fails as a unit and
+  // each of the batch's rows on page 0, the repeat included, is served
+  // from the host copy; the rows on page 2 come from the device.
+  const gnn::Tensor features = numbered_features(24, 128);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0}};
+  const std::vector<std::int32_t> bov(24, 0);
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(1, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.error_burst_reads = 1;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.max_retries = 0;
+  TieredFeatureClient client(store, 256, io);
+  array.start_all();
+
+  gather_and_match(client, features, {0, 3, 17, 7, 3, 20}, "failed page");
+  array.stop_all();
+  const auto r = client.io_resilience();
+  EXPECT_EQ(r.ssd_rows, 6u);
+  EXPECT_EQ(r.ssd_commands, 2u);
+  EXPECT_EQ(r.permanent_failures, 1u);
+  EXPECT_EQ(r.failovers, 4u);  // vertices 0, 3, 7 and 3 again
+  EXPECT_EQ(array.ssd(0).stats().reads, 1u);
+  EXPECT_EQ(array.ssd(0).stats().bytes_read, kPageBytes);
+}
+
+TEST(FeatureStore, RemappedRowsLandInPackedSlots) {
+  // 512 B rows, 8 to a page: even vertices on SSD 0 (slots 0..19, pages
+  // 0..2), odd ones on SSD 1. SSD 1 fails on its first read and its 20
+  // rows move to SSD 0, packed from the next fresh page on: slots 24..43,
+  // pages 3..5. Gathering them again is then one command of three pages.
+  constexpr std::size_t kRows = 40;
+  const gnn::Tensor features = numbered_features(kRows, 128);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(kRows);
+  std::vector<graph::VertexId> odd;
+  for (std::size_t v = 0; v < kRows; ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+    if (v % 2 == 1) odd.push_back(static_cast<graph::VertexId>(v));
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.fail_after_reads = 0;
+  array.ssd(1).inject_faults(fp);
+  TieredFeatureClient client(store);
+  array.start_all();
+
+  gather_and_match(client, features, odd, "failing device");
+  ASSERT_EQ(client.io_resilience().device_remaps, 1u);
+  std::vector<std::uint32_t> slots;
+  for (const graph::VertexId v : odd) {
+    const auto loc = store.location(v);
+    EXPECT_EQ(loc.kind, BinBacking::Kind::kSsd);
+    EXPECT_EQ(loc.ssd, 0) << "vertex " << v;
+    slots.push_back(loc.index);
+  }
+  std::sort(slots.begin(), slots.end());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], 24 + i);
+  }
+
+  const auto reads = array.ssd(0).stats().reads;
+  const auto bytes = array.ssd(0).stats().bytes_read;
+  const auto cmds = client.io_resilience().ssd_commands;
+  gather_and_match(client, features, odd, "remapped");
+  array.stop_all();
+  EXPECT_EQ(client.io_resilience().ssd_commands - cmds, 1u);
+  EXPECT_EQ(array.ssd(0).stats().reads - reads, 1u);
+  EXPECT_EQ(array.ssd(0).stats().bytes_read - bytes, 3 * kPageBytes);
+  EXPECT_EQ(array.ssd(0).stats().errors, 0u);
+}
+
+/// A device write that outlives its batch: two SSDs paced to ~70 ms per
+/// 4 KiB page, rows a page each, even vertices on SSD 0 and odd ones on
+/// SSD 1. SSD 0 stalls every read 150 ms, past the 100 ms request
+/// deadline, and the client does not retry. Gathering {0, 2, 4, 6} (one
+/// four-page command) gives up on SSD 0 at the deadline and serves the
+/// host copy while SSD 0 still holds the command; the next gather, of
+/// `second` (odd vertices), is in flight when SSD 0 finally writes the
+/// first gather's pages into the bounce buffer it handed out. That write
+/// must land in a buffer no later gather uses.
+void expect_late_write_isolated(const std::vector<graph::VertexId>& second) {
+  constexpr std::size_t kRows = 12;
+  const gnn::Tensor features =
+      numbered_features(kRows, kPageBytes / sizeof(float));
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(kRows);
+  for (std::size_t v = 0; v < kRows; ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = kRows * kPageBytes;
+  opts.max_bytes_per_s = static_cast<double>(kPageBytes) / 0.070;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.stall_prob = 1.0;
+  fp.stall_us = 150'000;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.request_deadline = std::chrono::milliseconds(100);
+  io.max_retries = 0;
+  TieredFeatureClient client(store, 256, io);
+  array.start_all();
+
+  gather_and_match(client, features, {0, 2, 4, 6}, "timed-out gather");
+  EXPECT_EQ(client.io_resilience().failovers, 4u)
+      << "the first gather did not time out";
+  gather_and_match(client, features, second, "next gather");
+  EXPECT_EQ(client.io_resilience().failovers, 4u)
+      << "the next gather was not read from SSD 1";
+  // Once SSD 0 has served the late read, the engine settles it and a later
+  // gather is still exact.
+  while (array.ssd(0).stats().reads == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  gather_and_match(client, features, second, "after the late write");
+  array.stop_all();
+}
+
+TEST(FeatureStore, LateDeviceWriteNeverReachesTheNextGather) {
+  // Two one-page commands on SSD 1: the second lands after SSD 0's write.
+  expect_late_write_isolated({1, 5});
+}
+
+TEST(FeatureStore, LateDeviceWriteNeverReachesAGrownBuffer) {
+  // Five pages, more than the first gather's four: the bounce buffer
+  // grows, and SSD 0's late write must not land in the freed one (ASan).
+  expect_late_write_isolated({1, 5, 7, 9, 11});
 }
 
 TEST(FeatureStore, HardFailureOnSsd64IsRemappedByTheBatchThatSawIt) {

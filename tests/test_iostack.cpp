@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +18,7 @@
 #include "runtime/parallel_trainer.hpp"
 #include "sampling/neighbor_sampler.hpp"
 #include "topology/machine.hpp"
+#include "util/rng.hpp"
 
 namespace moment::iostack {
 namespace {
@@ -559,34 +561,231 @@ TEST(FeatureStore, ThirdInFlightGatherRejected) {
   array.stop_all();
 }
 
+/// Features whose every float is distinct, so a row read from the wrong
+/// place never matches.
+gnn::Tensor numbered_features(std::size_t rows, std::size_t dim) {
+  gnn::Tensor t(rows, dim);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t.data()[i] = static_cast<float>(i) + 0.25f;
+  }
+  return t;
+}
+
 TEST(FeatureStore, RowsArePageAligned) {
-  graph::RmatParams gp;
-  gp.num_vertices = 8;
-  gp.num_edges = 16;
-  const auto g = graph::generate_rmat(gp);
-  const auto task = gnn::make_synthetic_task(g, 2, 100, 0.1, 1);  // 400 B rows
+  // 400 B rows pack 10 to a 4 KiB page in vertex order, back to back from
+  // the page's start, and none straddles a page: row 10 opens page 1.
+  // Read the device's pages raw and find every row where the layout says.
+  constexpr std::size_t kRows = 24;
+  const gnn::Tensor features = numbered_features(kRows, 100);  // 400 B rows
   std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0}};
-  std::vector<std::int32_t> bov(8, 0);
+  std::vector<std::int32_t> bov(kRows, 0);
   SsdOptions opts;
   SsdArray array(1, opts);
-  TieredFeatureStore store(task.features, bov, bins, array);
-  EXPECT_EQ(store.row_bytes() % kPageBytes, 0u);
-  EXPECT_GE(store.row_bytes(), 100 * sizeof(float));
+  TieredFeatureStore store(features, bov, bins, array);
+  EXPECT_EQ(store.row_bytes(), 400u);
+
+  constexpr std::size_t kPages = 3;  // 10 + 10 + 4 rows
+  std::vector<std::byte> pages(kPages * kPageBytes);
+  {
+    IoEngine engine(array);
+    array.start_all();
+    const std::vector<ReadRequest> reqs = {
+        {0, 0, static_cast<std::uint32_t>(kPages * kPageBytes), pages.data()}};
+    std::vector<FailedRead> failed;
+    engine.wait(engine.submit(reqs), failed);
+    EXPECT_TRUE(failed.empty());
+  }
+  array.stop_all();
+  for (std::size_t v = 0; v < kRows; ++v) {
+    EXPECT_EQ(store.location(static_cast<graph::VertexId>(v)).index, v);
+    const std::size_t off = v / 10 * kPageBytes + v % 10 * 400;
+    EXPECT_LE(v % 10 * 400 + 400, kPageBytes) << "row " << v << " straddles";
+    EXPECT_EQ(0, std::memcmp(pages.data() + off, features.row(v).data(), 400))
+        << "row " << v;
+  }
 }
 
 TEST(FeatureStore, RejectsOverflowingPlacement) {
+  // 64 rows of 400 B need 7 pages (10 per page, the last holds 4): six
+  // pages overflow even though 64 x 400 B would fit in them byte for byte,
+  // and seven are enough.
   graph::RmatParams gp;
   gp.num_vertices = 64;
   gp.num_edges = 100;
   const auto g = graph::generate_rmat(gp);
-  const auto task = gnn::make_synthetic_task(g, 2, 16, 0.1, 1);
+  const auto task = gnn::make_synthetic_task(g, 2, 100, 0.1, 1);
   std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0}};
   std::vector<std::int32_t> bov(64, 0);
   SsdOptions opts;
-  opts.capacity_bytes = 4 * kPageBytes;  // room for only 4 rows
+  opts.capacity_bytes = 6 * kPageBytes;  // room for only 60 rows
   SsdArray array(1, opts);
   EXPECT_THROW(TieredFeatureStore(task.features, bov, bins, array),
                std::invalid_argument);
+  opts.capacity_bytes = 7 * kPageBytes;
+  SsdArray roomy(1, opts);
+  EXPECT_NO_THROW(TieredFeatureStore(task.features, bov, bins, roomy));
+}
+
+/// A packed store over two SSDs: vertex v on SSD v % 3 == 0 ? 1 : 0, so
+/// each device holds runs of neighbouring slots and gaps between them.
+struct PackedRig {
+  static constexpr std::size_t kRows = 600;
+  gnn::Tensor features;
+  std::vector<BinBacking> bins{{BinBacking::Kind::kSsd, 0},
+                               {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov;
+  SsdArray array;
+  TieredFeatureStore store;
+
+  explicit PackedRig(std::size_t dim)
+      : features(numbered_features(kRows, dim)), bov(make_bov()),
+        array(2, make_options(dim)), store(features, bov, bins, array) {}
+
+  static std::vector<std::int32_t> make_bov() {
+    std::vector<std::int32_t> bov(kRows);
+    for (std::size_t v = 0; v < kRows; ++v) bov[v] = v % 3 == 0 ? 1 : 0;
+    return bov;
+  }
+  static SsdOptions make_options(std::size_t dim) {
+    SsdOptions opts;
+    opts.capacity_bytes = kRows * ((dim * sizeof(float) + kPageBytes - 1) /
+                                   kPageBytes * kPageBytes);
+    return opts;
+  }
+  /// Reads, bytes and errors summed over both devices.
+  SsdStats device_stats() {
+    SsdStats sum;
+    for (std::size_t s = 0; s < 2; ++s) {
+      const SsdStats d = array.ssd(s).stats();
+      sum.reads += d.reads;
+      sum.bytes_read += d.bytes_read;
+      sum.errors += d.errors;
+    }
+    return sum;
+  }
+};
+
+/// Rows per page and pages per row of a `dim`-float row: 8, 10, 1 and
+/// under 1 rows per page.
+constexpr std::size_t kPackedDims[] = {128, 100, 1024, 1500};
+
+/// Batches that cover the store: every vertex, every third one, a
+/// duplicate-heavy random draw, and single rows at page edges.
+std::vector<std::vector<graph::VertexId>> packed_batches() {
+  std::vector<std::vector<graph::VertexId>> batches(4);
+  for (graph::VertexId v = 0; v < PackedRig::kRows; ++v) {
+    batches[0].push_back(v);
+    if (v % 3 == 1) batches[1].push_back(v);
+  }
+  util::Pcg32 rng(17);
+  for (int i = 0; i < 300; ++i) {
+    batches[2].push_back(static_cast<graph::VertexId>(
+        rng.next_below(static_cast<std::uint32_t>(PackedRig::kRows))));
+  }
+  batches[3] = {9, 10, 11, 79, 80, 599};
+  return batches;
+}
+
+TEST(FeatureStore, PackedGathersAreByteIdenticalAtEveryRowsPerPage) {
+  for (const std::size_t dim : kPackedDims) {
+    PackedRig rig(dim);
+    TieredFeatureClient client(rig.store);
+    rig.array.start_all();
+    for (const auto& vs : packed_batches()) {
+      gnn::Tensor out(vs.size(), dim);
+      client.gather(vs, out);
+      for (std::size_t i = 0; i < vs.size(); ++i) {
+        ASSERT_EQ(0, std::memcmp(out.row(i).data(),
+                                 rig.features.row(vs[i]).data(),
+                                 dim * sizeof(float)))
+            << "dim " << dim << " vertex " << vs[i];
+      }
+    }
+    rig.array.stop_all();
+    EXPECT_EQ(client.io_resilience().failovers, 0u) << "dim " << dim;
+    // The devices reject any read that is not whole, aligned pages.
+    EXPECT_EQ(rig.device_stats().errors, 0u) << "dim " << dim;
+  }
+}
+
+TEST(FeatureStore, CommandsAreMaximalRunsOfTouchedPages) {
+  // The oracle: per SSD, the set of pages the batch's rows lie on, split
+  // into maximal runs of consecutive pages, each run cut into commands of
+  // at most kMaxTransferBytes. The client must issue exactly those
+  // commands: one per run piece, each page read once, none partial or
+  // unaligned (the device would fail it) and none over the transfer bound
+  // (IoEngine::submit would throw).
+  constexpr std::size_t kMaxPages = kMaxTransferBytes / kPageBytes;
+  for (const std::size_t dim : kPackedDims) {
+    PackedRig rig(dim);
+    const std::size_t row_bytes = dim * sizeof(float);
+    const std::size_t row_pages = (row_bytes + kPageBytes - 1) / kPageBytes;
+    const std::size_t per_page = row_pages > 1 ? 1 : kPageBytes / row_bytes;
+    TieredFeatureClient client(rig.store);
+    rig.array.start_all();
+    for (const auto& vs : packed_batches()) {
+      std::set<std::uint64_t> pages[2];
+      for (const graph::VertexId v : vs) {
+        const auto loc = rig.store.location(v);
+        const std::uint64_t first = loc.index / per_page * row_pages;
+        for (std::size_t p = 0; p < row_pages; ++p) {
+          pages[loc.ssd].insert(first + p);
+        }
+      }
+      std::uint64_t want_cmds = 0, want_pages = 0;
+      for (const auto& set : pages) {
+        want_pages += set.size();
+        std::uint64_t run = 0, prev = 0;
+        for (const std::uint64_t p : set) {
+          if (run > 0 && p != prev + 1) {
+            want_cmds += (run + kMaxPages - 1) / kMaxPages;
+            run = 0;
+          }
+          ++run;
+          prev = p;
+        }
+        if (run > 0) want_cmds += (run + kMaxPages - 1) / kMaxPages;
+      }
+
+      const auto cmds = client.io_resilience().ssd_commands;
+      const SsdStats before = rig.device_stats();
+      gnn::Tensor out(vs.size(), dim);
+      client.gather(vs, out);
+      const SsdStats after = rig.device_stats();
+      EXPECT_EQ(client.io_resilience().ssd_commands - cmds, want_cmds)
+          << "dim " << dim << " batch of " << vs.size();
+      EXPECT_EQ(after.reads - before.reads, want_cmds) << "dim " << dim;
+      EXPECT_EQ(after.bytes_read - before.bytes_read, want_pages * kPageBytes)
+          << "dim " << dim;
+    }
+    rig.array.stop_all();
+    EXPECT_EQ(rig.device_stats().errors, 0u) << "dim " << dim;
+  }
+}
+
+TEST(SsdDevice, ReadsAreWholeAlignedPages) {
+  SsdOptions opts;
+  opts.capacity_bytes = 4 * kPageBytes;
+  SsdDevice ssd(opts);
+  QueuePair* qp = ssd.create_queue_pair();
+  ssd.start();
+  std::vector<std::byte> dest(2 * kPageBytes);
+  const auto page = static_cast<std::uint32_t>(kPageBytes);
+  // Unaligned offset, partial page, page and a half; then two whole pages.
+  const Sqe sqes[] = {{512, page, dest.data(), 1},
+                      {0, 512, dest.data(), 2},
+                      {kPageBytes, page + page / 2, dest.data(), 3},
+                      {kPageBytes, 2 * page, dest.data(), 4}};
+  for (const Sqe& sqe : sqes) {
+    ASSERT_TRUE(qp->submit(sqe));
+    Cqe cqe;
+    while (!qp->poll_completion(cqe)) std::this_thread::yield();
+    EXPECT_EQ(cqe.tag, sqe.tag);
+    EXPECT_EQ(cqe.status, sqe.tag < 4 ? kStatusReadError : kStatusOk);
+  }
+  ssd.stop();
+  EXPECT_EQ(ssd.stats().errors, 3u);
+  EXPECT_EQ(ssd.stats().bytes_read, 2 * kPageBytes);
 }
 
 TEST(FeatureStore, RejectsSsdRowsWiderThanOneTransfer) {

@@ -261,8 +261,8 @@ TEST(GatherPipeline, DuplicateHeavyBatchesAreByteIdenticalAndConserveRows) {
 
 TEST(GatherPipeline, CoalescingMergesAdjacentRunsOnFullRangeBatch) {
   // A batch covering every vertex gives each SSD a fully contiguous slot
-  // range (slots are assigned in vertex order within a device), so run
-  // coalescing must pack many rows per command.
+  // range (slots are assigned in vertex order within a device), so its
+  // pages form one run and each command carries many rows.
   Rig rig;
   TieredFeatureClient client(rig.store, 256, {});
   rig.array.start_all();
@@ -282,11 +282,20 @@ TEST(GatherPipeline, CoalescingMergesAdjacentRunsOnFullRangeBatch) {
   EXPECT_LT(s.ssd_commands, s.ssd_rows / 4)
       << "contiguous slots should coalesce aggressively";
   EXPECT_GT(s.coalesce_rows_per_cmd(), 4.0);
-  // Each command stays within the transfer bound.
-  const std::size_t max_rows =
-      kMaxTransferBytes / rig.store.row_bytes();
-  EXPECT_LE(s.coalesce_rows_per_cmd(),
-            static_cast<double>(std::max<std::size_t>(1, max_rows)));
+  // Each command is whole pages within the transfer bound: on average no
+  // more pages than that, and at least one.
+  std::uint64_t reads = 0, bytes = 0;
+  for (std::size_t d = 0; d < 3; ++d) {
+    reads += rig.array.ssd(d).stats().reads;
+    bytes += rig.array.ssd(d).stats().bytes_read;
+  }
+  EXPECT_EQ(reads, s.ssd_commands);
+  EXPECT_EQ(bytes % kPageBytes, 0u);
+  const double pages_per_cmd =
+      static_cast<double>(bytes / kPageBytes) / static_cast<double>(reads);
+  EXPECT_GE(pages_per_cmd, 1.0);
+  EXPECT_LE(pages_per_cmd,
+            static_cast<double>(kMaxTransferBytes / kPageBytes));
 }
 
 TEST(GatherPipeline, PowerLawBatchesCutCommandsVsNaive) {
@@ -527,10 +536,11 @@ TEST(GatherPipeline, TwoClientsGatherConcurrentlyThroughSharedCache) {
 // ---------------------------------------------------------------------------
 
 /// One SSD paced at 8 MiB/s (~0.5 ms per 4 KiB row) holding every vertex in
-/// slot order. Even vertices sit in non-adjacent slots, so a batch of them
-/// costs one command per row.
+/// slot order. Its rows fill a page each, so even vertices sit on
+/// non-adjacent pages and a batch of them costs one command per row.
 struct PacedRig {
   static constexpr std::size_t kRows = 1024;
+  static constexpr std::size_t kDim = kPageBytes / sizeof(float);
   static constexpr double kBytesPerS = 8.0 * 1024 * 1024;
   gnn::Tensor features;
   std::vector<BinBacking> bins{{BinBacking::Kind::kSsd, 0}};
@@ -582,7 +592,7 @@ TEST(GatherPipeline, IoProgressesWhileCallerIsBusy) {
       static_cast<double>(kBatch * kPageBytes) / PacedRig::kBytesPerS;
 
   const auto vs = PacedRig::even_vertices(kBatch);
-  gnn::Tensor out(kBatch, kDim);
+  gnn::Tensor out(kBatch, PacedRig::kDim);
   const auto t0 = std::chrono::steady_clock::now();
   const auto ticket = client.gather_begin(vs, out);
   const double begin_s = seconds_since(t0);
@@ -614,7 +624,7 @@ TEST(GatherPipeline, DestroyingClientWithGatherInFlightJoins) {
   auto client = std::make_unique<TieredFeatureClient>(rig.store, 8);
   rig.array.start_all();
   const auto vs = PacedRig::even_vertices(kBatch);
-  gnn::Tensor out(kBatch, kDim);
+  gnn::Tensor out(kBatch, PacedRig::kDim);
   client->gather_begin(vs, out);
 
   const auto t0 = std::chrono::steady_clock::now();
