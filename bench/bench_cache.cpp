@@ -9,13 +9,19 @@
 //   cache                a hotness-warmed static row cache
 //   cache+device-failure the cache leg with a mid-run hard device failure,
 //                        asserting the failover path stays byte-identical
+// Two more legs run the same stream with vertex ids scattered by a fixed
+// permutation, so the hot vertices are not the low ids:
+//   scattered            no warm: each SSD keeps its rows in id order
+//   scattered+packed     warmed at cache capacity 0, which only repacks
+//                        each SSD's pages in hotness order
 //
 // The exit status is the verdict: byte-identity on every leg, the cache
 // leg's rows conserved against the naive count, >= 30% fewer SSD commands
-// than naive, fewer device reads with the cache than without, and one remap
+// than naive, fewer device reads with the cache than without, one remap
 // in the chaos leg with exactly the cache leg's cache hits (a remap moves
-// rows between devices; the cache, keyed by vertex, keeps serving). Every
-// check counts; none times. Gather wall time is perfbench's to measure.
+// rows between devices; the cache, keyed by vertex, keeps serving), and no
+// more device bytes packed than scattered. Every check counts; none times.
+// Gather wall time is perfbench's to measure.
 //
 // Usage:
 //   bench_cache [--out FILE]   full run, writes BENCH_cache.json
@@ -23,6 +29,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,6 +125,26 @@ Workload make_workload(const Shape& shape) {
   return w;
 }
 
+/// `w` with rank r moved to vertex perm[r] for a fixed random permutation:
+/// the same placement by rank and the same batch stream, relabelled. Rows
+/// keep their features, so gathers still compare against `task.features`.
+Workload scatter(const Workload& w) {
+  std::vector<graph::VertexId> perm(w.bov.size());
+  std::iota(perm.begin(), perm.end(), graph::VertexId{0});
+  util::Pcg32 rng(43);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1],
+              perm[rng.next_below(static_cast<std::uint32_t>(i))]);
+  }
+  Workload out{w.task, std::vector<std::int32_t>(w.bov.size()), w.bins,
+               perm, w.batches};
+  for (std::size_t r = 0; r < perm.size(); ++r) out.bov[perm[r]] = w.bov[r];
+  for (auto& batch : out.batches) {
+    for (auto& v : batch) v = perm[v];
+  }
+  return out;
+}
+
 struct ConfigResult {
   std::string name;
   gnn::FeatureProvider::IoResilience stats;
@@ -125,17 +153,18 @@ struct ConfigResult {
   bool byte_identical = true;
 };
 
+/// Runs the batch stream on a fresh store, warmed from `w.hot_order` with
+/// a cache of `warm_cache_rows` rows unless that is empty.
 ConfigResult run_config(const Shape& shape, const Workload& w,
-                        const std::string& name, bool with_cache,
+                        const std::string& name,
+                        std::optional<std::size_t> warm_cache_rows,
                         bool inject_fault) {
   iostack::SsdOptions ssd_opts;
   ssd_opts.capacity_bytes = 64ull << 20;
   iostack::SsdArray array(3, ssd_opts);
   TieredFeatureStore store(w.task.features, w.bov, w.bins, array);
-  if (with_cache) {
-    iostack::RowCacheOptions cache_opts;
-    cache_opts.capacity_rows = shape.cache_rows;
-    store.enable_row_cache(cache_opts);
+  if (warm_cache_rows) {
+    store.enable_row_cache({*warm_cache_rows});
     store.warm_row_cache(w.hot_order);
   }
   if (inject_fault) {
@@ -218,11 +247,20 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
               smoke ? " [smoke]" : "");
   const Workload w = make_workload(shape);
 
-  const ConfigResult base = run_config(shape, w, "no-cache", false, false);
-  const ConfigResult best = run_config(shape, w, "cache", true, false);
+  const ConfigResult base =
+      run_config(shape, w, "no-cache", std::nullopt, false);
+  const ConfigResult best =
+      run_config(shape, w, "cache", shape.cache_rows, false);
   const ConfigResult fault =
-      run_config(shape, w, "cache+device-failure", true, true);
-  for (const ConfigResult* r : {&base, &best, &fault}) print_result(*r);
+      run_config(shape, w, "cache+device-failure", shape.cache_rows, true);
+  const Workload scattered = scatter(w);
+  const ConfigResult by_id =
+      run_config(shape, scattered, "scattered", std::nullopt, false);
+  const ConfigResult packed =
+      run_config(shape, scattered, "scattered+packed", 0, false);
+  for (const ConfigResult* r : {&base, &best, &fault, &by_id, &packed}) {
+    print_result(*r);
+  }
 
   // Without a cache every SSD-resident occurrence is read, so the no-cache
   // leg's row count is the naive command count.
@@ -242,9 +280,18 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
               static_cast<unsigned long long>(fault.stats.device_remaps),
               static_cast<unsigned long long>(fault.stats.cache_hits),
               static_cast<unsigned long long>(best.stats.cache_hits));
+  const double packed_byte_reduction =
+      by_id.device_bytes > 0
+          ? 1.0 - static_cast<double>(packed.device_bytes) /
+                      static_cast<double>(by_id.device_bytes)
+          : 0.0;
+  std::printf("  packing: %.1f%% fewer device bytes packed in hotness order "
+              "than in id order on scattered ids\n",
+              packed_byte_reduction * 100.0);
 
   bool pass = base.byte_identical && best.byte_identical &&
-              fault.byte_identical;
+              fault.byte_identical && by_id.byte_identical &&
+              packed.byte_identical;
   if (!pass) std::printf("FAIL: a leg returned wrong bytes\n");
   if (best.stats.ssd_rows + best.stats.cache_hits != naive) {
     std::printf("FAIL: cache leg rows do not add up to the naive count\n");
@@ -267,6 +314,11 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
     std::printf("FAIL: the failover changed what the cache serves\n");
     pass = false;
   }
+  if (packed.device_bytes > by_id.device_bytes) {
+    std::printf("FAIL: hotness packing reads more device bytes than id "
+                "order\n");
+    pass = false;
+  }
 
   if (!smoke) {
     FILE* f = std::fopen(out_path.c_str(), "w");
@@ -282,15 +334,18 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
                  shape.batch_size, shape.cache_rows);
     emit_json_config(f, base, false);
     emit_json_config(f, best, false);
-    emit_json_config(f, fault, true);
+    emit_json_config(f, fault, false);
+    emit_json_config(f, by_id, false);
+    emit_json_config(f, packed, true);
     std::fprintf(
         f,
         "  ],\n  \"summary\": {\"command_reduction_vs_naive\": %.4f, "
         "\"fault_run_byte_identical\": %s, "
-        "\"fault_device_remaps\": %llu, \"pass\": %s}\n}\n",
+        "\"fault_device_remaps\": %llu, "
+        "\"packed_byte_reduction\": %.4f, \"pass\": %s}\n}\n",
         cmd_reduction, fault.byte_identical ? "true" : "false",
         static_cast<unsigned long long>(fault.stats.device_remaps),
-        pass ? "true" : "false");
+        packed_byte_reduction, pass ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path.c_str());
   }

@@ -1,16 +1,18 @@
 // Chaos harness for the fault-tolerant IO stack. Trains the same model twice
 // through the tiered NVMe feature path — once fault-free, once under 1%
-// injected transient read errors on every SSD plus one hard device failure
-// mid-training (device 2 fails after half the reads it served in the
-// fault-free run, so the failure lands mid-training whatever a gather's
-// command count) — and asserts:
+// injected transient read errors on every SSD, a burst of two errors on the
+// first reads of SSDs 0 and 1, and one hard device failure mid-training
+// (device 2 fails after half the reads it served in the fault-free run, so
+// the failure lands mid-training whatever a gather's command count) — and
+// asserts:
 //
 //   1. every epoch completes (all waits are deadline-bounded);
 //   2. the loss trajectory is BIT-IDENTICAL to the fault-free run: retries
 //      and host-copy failover return exactly the bytes the device would
 //      have, so fault timing never perturbs training;
-//   3. the faulted run reports nonzero retries/failovers and one failed
-//      device with its bins remapped; the fault-free run reports all zeros.
+//   3. the faulted run reports at least the four retries the bursts force,
+//      failover activity and one failed device with its bins remapped; the
+//      fault-free run reports all zeros.
 //
 // Exit status is the verdict (0 = pass), so this runs as a CTest entry
 // (label: faults).
@@ -36,6 +38,7 @@ constexpr int kWorkers = 2;
 constexpr int kEpochs = 4;
 constexpr std::size_t kBatch = 32;
 constexpr std::size_t kVertices = 512;
+constexpr std::uint64_t kBurstReads = 2;
 
 int failures = 0;
 
@@ -87,6 +90,9 @@ struct Rig {
         iostack::FaultProfile fp;
         fp.read_error_prob = 0.01;  // 1% transient errors everywhere
         fp.seed = 0x5eedf001 + s;
+        // Two errors on the first two reads SSDs 0 and 1 serve: four
+        // retries by construction, whatever the random draws give.
+        if (s < 2) fp.error_burst_reads = kBurstReads;
         if (s == 2) fp.fail_after_reads = fail_after;
         r.array->ssd(s).inject_faults(fp);
       }
@@ -143,7 +149,8 @@ RunResult run(bool faulted, std::uint64_t fail_after = UINT64_MAX) {
 
 int main() {
   std::printf("chaos harness: %d epochs fault-free vs faulted "
-              "(1%% transient errors + device 2 hard-fails)\n",
+              "(1%% transient errors + 2-read error bursts on devices 0 "
+              "and 1 + device 2 hard-fails)\n",
               kEpochs);
   const RunResult clean = run(/*faulted=*/false);
   const RunResult chaos = run(/*faulted=*/true, clean.device2_reads / 2);
@@ -167,7 +174,8 @@ int main() {
   }
 
   // The faulted run must actually have exercised the resilience machinery.
-  CHECK(chaos.io.retries > 0, "faulted run reports retries");
+  CHECK(chaos.io.retries >= 2 * kBurstReads,
+        "faulted run reports at least the burst errors' retries");
   CHECK(chaos.io.failovers + chaos.io.device_remaps > 0,
         "faulted run reports failover activity");
   CHECK(chaos.io.devices_failed == 1, "exactly one device hard-failed");

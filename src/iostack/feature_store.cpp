@@ -174,20 +174,53 @@ void TieredFeatureStore::enable_row_cache(const RowCacheOptions& options) {
 
 std::size_t TieredFeatureStore::warm_row_cache(
     std::span<const graph::VertexId> by_hotness_desc) {
+  std::lock_guard<std::mutex> lock(remap_mu_);
   std::fill(cache_slot_.begin(), cache_slot_.end(), -1);
+  std::vector<bool> packs(array_->size());
+  for (std::size_t s = 0; s < packs.size(); ++s) {
+    packs[s] = array_->health(s) != DeviceHealth::kFailed;
+  }
+  // Rewrites each SSD-resident row of a device that has not failed to the
+  // next slot of its device, so the hottest rows share the first pages.
+  // Locations are published only after every write.
+  std::vector<std::uint32_t> next(array_->size(), 0);
+  std::vector<std::pair<graph::VertexId, Location>> placed;
+  const auto pack_row = [&](graph::VertexId v, Location loc) {
+    const auto s = static_cast<std::size_t>(loc.ssd);
+    if (!packs[s]) return;
+    loc.index = next[s]++;
+    write_slot(s, loc.index, authoritative_row(v));
+    placed.push_back({v, loc});
+  };
+
+  std::vector<bool> ranked(loc_.size(), false);
   std::size_t filled = 0;
   for (graph::VertexId v : by_hotness_desc) {
-    if (filled >= cache_rows_.rows()) break;
+    if (v >= ranked.size() || ranked[v]) continue;
+    ranked[v] = true;
     // Only SSD-resident vertices belong in the cache; the static tiers
     // already hold the rest in DRAM/HBM (owned-HBM rows have a host copy
     // too, but caching them would shadow the peer path).
-    if (v >= cache_slot_.size() || cache_slot_[v] >= 0) continue;
-    if (host_index_[v] < 0) continue;
-    if (location(v).kind != BinBacking::Kind::kSsd) continue;
-    const auto src = authoritative_row(v);
-    std::copy(src.begin(), src.end(), cache_rows_.row(filled).begin());
-    cache_slot_[v] = static_cast<std::int32_t>(filled);
-    ++filled;
+    const Location loc = location(v);
+    if (loc.kind != BinBacking::Kind::kSsd) continue;
+    if (filled < cache_rows_.rows()) {
+      const auto src = authoritative_row(v);
+      std::copy(src.begin(), src.end(), cache_rows_.row(filled).begin());
+      cache_slot_[v] = static_cast<std::int32_t>(filled);
+      ++filled;
+    }
+    pack_row(v, loc);
+  }
+  for (graph::VertexId v = 0; v < ranked.size(); ++v) {
+    if (ranked[v]) continue;
+    const Location loc = location(v);
+    if (loc.kind == BinBacking::Kind::kSsd) pack_row(v, loc);
+  }
+  for (const auto& [v, loc] : placed) {
+    loc_[v].store(pack(loc), std::memory_order_release);
+  }
+  for (std::size_t s = 0; s < packs.size(); ++s) {
+    if (packs[s]) ssd_next_slot_[s] = next[s];
   }
   return filled;
 }

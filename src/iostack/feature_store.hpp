@@ -6,8 +6,9 @@
 // moves bytes, as opposed to the flow-level simulator that models time.
 //
 // SSD layout: each device's rows pack densely into 4 KiB pages, as many to
-// a page as fit whole (a row never straddles a page), and a gather reads
-// every page its batch touches once, BaM-style (paper §3.1).
+// a page as fit whole (a row never straddles a page), in hotness order once
+// warm_row_cache has the ranking, and a gather reads every page its batch
+// touches once, BaM-style (paper §3.1).
 //
 // Fault tolerance: the store keeps a host-side authoritative copy of every
 // SSD-resident row. Reads that permanently fail (retries exhausted, device
@@ -62,10 +63,11 @@ struct GatherOptions {};
 class TieredFeatureStore {
  public:
   /// `bin_of_vertex[v]` indexes `bins`. All SSD rows are written before
-  /// return, each device's in vertex-id order; the array must not be
-  /// started yet. Throws std::invalid_argument if a bin is on an SSD and
-  /// row_bytes() exceeds kMaxTransferBytes (a row must fit in one read
-  /// command), or if a device's pages cannot hold the rows placed on it.
+  /// return, each device's in vertex-id order until warm_row_cache repacks
+  /// them in hotness order; the array must not be started yet. Throws
+  /// std::invalid_argument if a bin is on an SSD and row_bytes() exceeds
+  /// kMaxTransferBytes (a row must fit in one read command), or if a
+  /// device's pages cannot hold the rows placed on it.
   TieredFeatureStore(const gnn::Tensor& features,
                      std::span<const std::int32_t> bin_of_vertex,
                      std::span<const BinBacking> bins, SsdArray& array);
@@ -116,9 +118,13 @@ class TieredFeatureStore {
 
   /// Refills the cache from a hotness order (sampling::HotnessProfile::
   /// by_hotness_desc) with the authoritative rows of the first
-  /// row_cache_capacity() distinct SSD-resident vertices in it. Returns the
-  /// number of rows cached. The cache is read-only afterwards, so this must
-  /// finish before clients gather.
+  /// row_cache_capacity() distinct SSD-resident vertices in it, then
+  /// rewrites the rows of every SSD that has not failed into slots 0, 1, 2,
+  /// ... in that order: its ranked rows first, then its unranked rows in
+  /// vertex-id order, so hot rows share pages (repeated and out-of-range
+  /// ids are skipped). Rows on a failed device stay where they are. Returns
+  /// the number of rows cached. No gather may be in flight: the cache is
+  /// read-only afterwards and the rewrite moves rows that reads target.
   std::size_t warm_row_cache(std::span<const graph::VertexId> by_hotness_desc);
 
   /// The cached row of `v`, or an empty span if `v` is not cached.
@@ -169,8 +175,9 @@ class TieredFeatureStore {
   std::vector<BinBacking> bins_;
   std::vector<std::int32_t> bin_of_vertex_;
 
-  /// Failover state: next free slot per SSD (rounded up to a page boundary
-  /// at each remap) and per-device remap flags.
+  /// Failover state: next free slot per SSD (the packed count after
+  /// warm_row_cache, rounded up to a page boundary at each remap) and
+  /// per-device remap flags.
   std::mutex remap_mu_;
   std::vector<std::uint32_t> ssd_next_slot_;
   std::vector<bool> device_remapped_;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 
 #include "ddak/adaptive.hpp"
@@ -555,6 +556,60 @@ TEST(FeatureStore, RemappedRowsLandInPackedSlots) {
   EXPECT_EQ(client.io_resilience().ssd_commands - cmds, 1u);
   EXPECT_EQ(array.ssd(0).stats().reads - reads, 1u);
   EXPECT_EQ(array.ssd(0).stats().bytes_read - bytes, 3 * kPageBytes);
+  EXPECT_EQ(array.ssd(0).stats().errors, 0u);
+}
+
+TEST(FeatureStore, RemapAfterHotnessPackingKeepsBytes) {
+  // 512 B rows, 8 to a page: even vertices on SSD 0, odd ones on SSD 1.
+  // A warm packs each device in a ranking that runs from the highest id
+  // down, so SSD 0 holds 38, 36, ..., 0 in slots 0..19. SSD 1 then fails on
+  // its first read and its 20 rows move to SSD 0 from the first fresh page
+  // after the packed count: slots 24..43. SSD 0's own rows keep their
+  // packed slots, and every row keeps its bytes.
+  constexpr std::size_t kRows = 40;
+  const gnn::Tensor features = numbered_features(kRows, 128);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(kRows);
+  for (std::size_t v = 0; v < kRows; ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+  }
+  std::vector<graph::VertexId> all(kRows);
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+  std::vector<graph::VertexId> ranking(all.rbegin(), all.rend());
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  store.enable_row_cache({4});
+  ASSERT_EQ(store.warm_row_cache(ranking), 4u);
+  FaultProfile fp;
+  fp.fail_after_reads = 0;
+  array.ssd(1).inject_faults(fp);
+  TieredFeatureClient client(store);
+  array.start_all();
+
+  gather_and_match(client, features, all, "failing device");
+  ASSERT_EQ(client.io_resilience().device_remaps, 1u);
+  gather_and_match(client, features, all, "remapped");
+  array.stop_all();
+  EXPECT_EQ(client.io_resilience().device_remaps, 1u);
+
+  std::vector<std::uint32_t> moved;
+  for (const graph::VertexId v : all) {
+    const auto loc = store.location(v);
+    EXPECT_EQ(loc.kind, BinBacking::Kind::kSsd);
+    EXPECT_EQ(loc.ssd, 0) << "vertex " << v;
+    if (v % 2 == 0) {
+      EXPECT_EQ(loc.index, (kRows - 2 - v) / 2) << "vertex " << v;
+    } else {
+      moved.push_back(loc.index);
+    }
+  }
+  std::sort(moved.begin(), moved.end());
+  for (std::size_t i = 0; i < moved.size(); ++i) {
+    EXPECT_EQ(moved[i], 24 + i);
+  }
   EXPECT_EQ(array.ssd(0).stats().errors, 0u);
 }
 

@@ -605,6 +605,95 @@ TEST(FeatureStore, RowsArePageAligned) {
   }
 }
 
+TEST(FeatureStore, WarmPacksSsdSlotsInHotnessOrder) {
+  // 512 B rows, 8 to a page. Every sixth vertex is in the CPU tier; the
+  // rest sit on SSD v % 2. A warm rewrites each device's rows into slots
+  // 0, 1, 2, ... in ranking order, then its unranked rows in id order;
+  // repeated, out-of-range and CPU-tier ids in the ranking take no slot.
+  // Read the devices' pages raw and find every row where that order says,
+  // then gather every vertex, after a first and a second ranking.
+  constexpr std::size_t kRows = 48, kDim = 128, kPages = 3;
+  const gnn::Tensor features = numbered_features(kRows, kDim);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kCpuCache, -1},
+                                        {BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(kRows);
+  for (std::size_t v = 0; v < kRows; ++v) {
+    bov[v] = v % 6 == 0 ? 0 : 1 + static_cast<std::int32_t>(v % 2);
+  }
+  std::vector<graph::VertexId> first = {47, 13, 13, 200, 6, 2, 47, 29, 8, 1};
+  std::vector<graph::VertexId> second(kRows);
+  std::iota(second.rbegin(), second.rend(), graph::VertexId{0});
+  second.insert(second.begin() + 5, {kRows, 40, 3});
+  std::vector<graph::VertexId> all(kRows);
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+
+  // The oracle: device `ssd`'s vertices in slot order under `ranking`.
+  const auto packed_order = [&](const std::vector<graph::VertexId>& ranking,
+                                int ssd) {
+    std::vector<graph::VertexId> order;
+    std::vector<bool> seen(kRows, false);
+    const auto take = [&](graph::VertexId v) {
+      if (bins[static_cast<std::size_t>(bov[v])].ssd == ssd) {
+        order.push_back(v);
+      }
+    };
+    for (const graph::VertexId v : ranking) {
+      if (v < kRows && !seen[v]) {
+        seen[v] = true;
+        take(v);
+      }
+    }
+    for (const graph::VertexId v : all) {
+      if (!seen[v]) take(v);
+    }
+    return order;
+  };
+
+  for (const std::size_t capacity : {0u, 4u}) {
+    SsdOptions opts;
+    opts.capacity_bytes = 16 * kPageBytes;
+    SsdArray array(2, opts);
+    TieredFeatureStore store(features, bov, bins, array);
+    store.enable_row_cache({capacity});
+    IoEngine raw(array);
+    TieredFeatureClient client(store);
+    array.start_all();
+    for (const auto* ranking : {&first, &second}) {
+      ASSERT_EQ(store.warm_row_cache(*ranking), capacity);
+      for (const int ssd : {0, 1}) {
+        std::vector<std::byte> pages(kPages * kPageBytes);
+        const std::vector<ReadRequest> reqs = {
+            {static_cast<std::size_t>(ssd), 0,
+             static_cast<std::uint32_t>(pages.size()), pages.data()}};
+        std::vector<FailedRead> failed;
+        raw.wait(raw.submit(reqs), failed);
+        ASSERT_TRUE(failed.empty());
+        const auto order = packed_order(*ranking, ssd);
+        EXPECT_EQ(order.size(), ssd == 0 ? 16u : 24u);
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          const auto loc = store.location(order[i]);
+          EXPECT_EQ(loc.ssd, ssd);
+          EXPECT_EQ(loc.index, i) << "vertex " << order[i];
+          EXPECT_EQ(0, std::memcmp(pages.data() + i / 8 * kPageBytes +
+                                       i % 8 * kDim * sizeof(float),
+                                   features.row(order[i]).data(),
+                                   kDim * sizeof(float)))
+              << "capacity " << capacity << " ssd " << ssd << " slot " << i;
+        }
+      }
+      gnn::Tensor out(kRows, kDim);
+      client.gather(all, out);
+      for (const graph::VertexId v : all) {
+        EXPECT_EQ(0, std::memcmp(out.row(v).data(), features.row(v).data(),
+                                 kDim * sizeof(float)))
+            << "capacity " << capacity << " vertex " << v;
+      }
+    }
+    array.stop_all();
+  }
+}
+
 TEST(FeatureStore, RejectsOverflowingPlacement) {
   // 64 rows of 400 B need 7 pages (10 per page, the last holds 4): six
   // pages overflow even though 64 x 400 B would fit in them byte for byte,
