@@ -166,7 +166,7 @@ void BM_IoStackRead4K(benchmark::State& state) {
   array.start_all();
   std::vector<std::byte> buf(64 * iostack::kPageBytes);
   std::vector<iostack::ReadRequest> reqs(64);
-  std::vector<iostack::FailedRead> failed;
+  std::vector<std::size_t> failed;
   util::Pcg32 rng(7);
   std::uint64_t bytes = 0;
   for (auto _ : state) {

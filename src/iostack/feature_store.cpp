@@ -338,7 +338,6 @@ void TieredFeatureClient::reset_slot(Slot& slot) noexcept {
   slot.ticket = 0;
   slot.out = nullptr;
   slot.pending.clear();
-  slot.runs.clear();
 }
 
 void TieredFeatureClient::gather(std::span<const graph::VertexId> vertices,
@@ -461,14 +460,13 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
 
   slot.reqs.clear();
   slot.pending.clear();
-  slot.runs.clear();
   std::size_t off = 0;
   std::size_t t = 0;
   while (t < scratch_targets_.size()) {
     const std::uint32_t ssd = scratch_targets_[t].ssd;
     const std::uint64_t begin = store_.first_page(scratch_targets_[t].index);
     std::uint64_t end = begin + row_pages;  // one past the run's last page
-    const auto run_id = static_cast<std::uint32_t>(slot.runs.size());
+    const auto cmd = static_cast<std::uint32_t>(slot.reqs.size());
     std::uint32_t rows = 0;
     for (; t < scratch_targets_.size() && scratch_targets_[t].ssd == ssd;
          ++t) {
@@ -478,20 +476,22 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
       end = std::max(end, page + row_pages);
       slot.pending.push_back(
           {tk.out_row, off + store_.slot_offset(tk.index) - begin * kPageBytes,
-           tk.vertex, run_id});
+           tk.vertex, cmd});
       ++rows;
     }
     const std::uint64_t bytes = (end - begin) * kPageBytes;
     slot.reqs.push_back({ssd, begin * kPageBytes,
                          static_cast<std::uint32_t>(bytes), nullptr});
-    slot.runs.push_back({off, false});
     off += bytes;
     ++counts_.ssd_commands;
     if (rows > 1) ++counts_.coalesced_commands;
   }
+  // Commands lie back to back in the bounce buffer.
   slot.bounce.resize(off);
-  for (std::size_t r = 0; r < slot.reqs.size(); ++r) {
-    slot.reqs[r].dest = slot.bounce.data() + slot.runs[r].bounce_off;
+  std::byte* dest = slot.bounce.data();
+  for (ReadRequest& r : slot.reqs) {
+    r.dest = dest;
+    dest += r.length;
   }
 
   slot.ticket = io_.submit(slot.reqs);
@@ -516,22 +516,17 @@ void TieredFeatureClient::complete(Slot& slot) {
   scratch_failed_.clear();
   io_.wait(slot.ticket, scratch_failed_);
 
-  // A command fails as a unit: mark its run (located by binary search over
-  // the ascending bounce offsets) so every row on its pages is served from
-  // the host copy instead of the bounce buffer.
+  // A command fails as a unit: a null `dest` marks it, so every row on its
+  // pages is served from the host copy instead of the bounce buffer.
   scratch_failed_ssds_.assign(store_.array().size(), false);
-  for (const FailedRead& fr : scratch_failed_) {
-    const auto off = static_cast<std::size_t>(fr.dest - slot.bounce.data());
-    const auto it = std::lower_bound(
-        slot.runs.begin(), slot.runs.end(), off,
-        [](const Run& r, std::size_t o) { return r.bounce_off < o; });
-    if (it != slot.runs.end() && it->bounce_off == off) it->failed = true;
-    scratch_failed_ssds_[fr.ssd] = true;
+  for (const std::size_t cmd : scratch_failed_) {
+    scratch_failed_ssds_[slot.reqs[cmd].ssd] = true;
+    slot.reqs[cmd].dest = nullptr;
   }
 
   const std::size_t raw = store_.dim() * sizeof(float);
   for (const PendingRow& pr : slot.pending) {
-    if (slot.runs[pr.run].failed) {
+    if (slot.reqs[pr.cmd].dest == nullptr) {
       serve(store_.authoritative_row(pr.vertex), *slot.out, pr.out_row,
             counts_.failovers);
     } else {

@@ -251,19 +251,14 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
 
  private:
   /// One SSD row in flight: where its bytes land in the bounce buffer,
-  /// which output row receives them, and which command carries its page.
+  /// which output row receives them, and which command (index into
+  /// Slot::reqs) carries its page. Failure is per command: if it
+  /// permanently fails, every row on its pages is served from the host copy.
   struct PendingRow {
     std::size_t out_row;
     std::size_t bounce_off;
     graph::VertexId vertex;
-    std::uint32_t run;
-  };
-  /// One command: a run of consecutive touched pages on one SSD. Failure is
-  /// per command: if it permanently fails, every row on its pages is served
-  /// from the host copy.
-  struct Run {
-    std::size_t bounce_off;
-    bool failed;
+    std::uint32_t cmd;
   };
   using Bounce = std::vector<std::byte, util::UninitAllocator<std::byte>>;
   /// An SSD row to read, before its page joins a command.
@@ -284,7 +279,6 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     gnn::Tensor* out = nullptr;
     std::vector<ReadRequest> reqs;
     std::vector<PendingRow> pending;
-    std::vector<Run> runs;
     // Staging for SSD reads; growing it does not zero-fill what the reads
     // then overwrite.
     Bounce bounce;
@@ -318,7 +312,8 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// given-up-on command for (IoEngine::writes_pending), with their ticket;
   /// freed once no device can write into them.
   std::vector<std::pair<std::uint64_t, Bounce>> quarantine_;
-  std::vector<FailedRead> scratch_failed_;
+  /// Indices into Slot::reqs of the commands that permanently failed.
+  std::vector<std::size_t> scratch_failed_;
   /// Devices with a permanently failed read in the batch being completed.
   std::vector<bool> scratch_failed_ssds_;
   std::vector<SsdTarget> scratch_targets_;

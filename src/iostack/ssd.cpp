@@ -151,9 +151,7 @@ void SsdDevice::service_loop() {
   }
 }
 
-SsdArray::SsdArray(std::size_t num_ssds, const SsdOptions& options,
-                   const HealthOptions& health)
-    : health_options_(health) {
+SsdArray::SsdArray(std::size_t num_ssds, const SsdOptions& options) {
   ssds_.reserve(num_ssds);
   states_.reserve(num_ssds);
   for (std::size_t i = 0; i < num_ssds; ++i) {
@@ -192,9 +190,9 @@ void SsdArray::report_io_result(std::size_t i, bool ok) noexcept {
   }
   const std::uint32_t streak =
       st.consecutive_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= health_options_.failed_after) {
+  if (streak >= kFailedAfter) {
     mark_failed(i);
-  } else if (streak >= health_options_.degraded_after) {
+  } else if (streak >= kDegradedAfter) {
     int cur = st.health.load(std::memory_order_relaxed);
     if (cur == static_cast<int>(DeviceHealth::kHealthy)) {
       st.health.compare_exchange_strong(
@@ -267,7 +265,7 @@ std::uint64_t IoEngine::submit(std::span<const ReadRequest> requests) {
   return ticket;
 }
 
-void IoEngine::wait(std::uint64_t ticket, std::vector<FailedRead>& failed) {
+void IoEngine::wait(std::uint64_t ticket, std::vector<std::size_t>& failed) {
   std::unique_lock<std::mutex> lock(mu_);
   const auto it =
       std::find_if(batches_.begin(), batches_.end(),
@@ -285,7 +283,9 @@ void IoEngine::wait(std::uint64_t ticket, std::vector<FailedRead>& failed) {
 
 bool IoEngine::writes_pending(std::uint64_t ticket) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return orphans_of_batch_.contains(ticket);
+  return std::any_of(orphans_.begin(), orphans_.end(), [&](const auto& o) {
+    return o.second.ticket == ticket;
+  });
 }
 
 RetryStats IoEngine::retry_stats() const {
@@ -308,6 +308,7 @@ void IoEngine::run() {
   std::vector<Batch*> active;    // handed over and not yet done
   std::vector<Batch*> finished;  // done this pass, not yet published
   for (;;) {
+    std::size_t fresh = 0;  // taken from inbox_ now, at the back of active
     {
       std::unique_lock<std::mutex> lock(mu_);
       // Blocks only when idle; with reads in flight it returns at once.
@@ -315,16 +316,14 @@ void IoEngine::run() {
         return stop_ || !inbox_.empty() || !active.empty();
       });
       if (stop_) break;
+      fresh = inbox_.size();
       active.insert(active.end(), inbox_.begin(), inbox_.end());
       inbox_.clear();
     }
-    bool progress = false;
+    bool progress = fresh > 0;
     try {
-      for (Batch* b : active) {
-        if (!b->started) {
-          start(*b);
-          progress = true;
-        }
+      for (std::size_t i = active.size() - fresh; i < active.size(); ++i) {
+        start(*active[i]);
       }
       progress |= pump();
       std::erase_if(active, [&](Batch* b) {
@@ -359,24 +358,13 @@ void IoEngine::run() {
 }
 
 void IoEngine::start(Batch& batch) {
-  batch.started = true;
   batch.deadline_ns =
       now_ns() + static_cast<std::uint64_t>(options_.wait_deadline.count());
-  for (const ReadRequest& r : batch.requests) {
-    Pending p;
-    p.ssd = r.ssd;
-    p.offset = r.offset;
-    p.length = r.length;
-    p.dest = r.dest;
-    p.batch = &batch;
-    ++batch.outstanding;
-    if (device_failed(r.ssd)) {
-      finish_failure(p);  // known-dead device: fail fast without touching it
-      continue;
-    }
-    queued_[r.ssd].push_back(p);
-    ++queued_count_;
+  batch.outstanding = batch.requests.size();
+  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+    queued_[batch.requests[i].ssd].push_back({&batch, i});
   }
+  queued_count_ += batch.requests.size();
 }
 
 void IoEngine::drain() noexcept {
@@ -395,7 +383,8 @@ void IoEngine::drain() noexcept {
       }
     }
     // A running device still serves what it holds, into the caller's
-    // buffer; a stopped one never writes again.
+    // buffer; a stopped one never writes again. (orphans_ is written only
+    // by this thread, so reading it here needs no lock.)
     while (std::any_of(orphans_.begin(), orphans_.end(), [&](const auto& o) {
       return array_.ssd(o.second.ssd).running();
     })) {
@@ -405,7 +394,6 @@ void IoEngine::drain() noexcept {
     // Only an allocation can throw here. Forget what is left so no request
     // outlives its batch; a late completion is then dropped as a stale tag.
     pending_.clear();
-    retry_queue_.clear();
     for (std::deque<Pending>& q : queued_) q.clear();
     queued_count_ = 0;
   }
@@ -430,41 +418,31 @@ void IoEngine::bump(std::uint64_t RetryStats::*counter) {
 void IoEngine::finish_failure(const Pending& p) {
   bump(&RetryStats::permanent_failures);
   --p.batch->outstanding;
-  p.batch->failed.push_back({p.ssd, p.offset, p.length, p.dest});
+  p.batch->failed.push_back(p.index);
 }
 
-void IoEngine::orphan(std::uint64_t tag, const Pending& p) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++orphans_of_batch_[p.batch->ticket];
-  }
-  orphans_.emplace(tag, Orphan{p.ssd, p.batch->ticket});
-}
-
-void IoEngine::settle_orphan(std::uint64_t tag) {
-  const auto it = orphans_.find(tag);
-  if (it == orphans_.end()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto n = orphans_of_batch_.find(it->second.ticket);
-    if (--n->second == 0) orphans_of_batch_.erase(n);
-  }
-  orphans_.erase(it);
-}
-
-void IoEngine::handle_attempt_failure(Pending p, std::uint64_t now,
-                                      bool timed_out) {
-  if (timed_out) bump(&RetryStats::timeouts);
-  if (!device_failed(p.ssd) && p.attempts <= options_.max_retries) {
-    bump(&RetryStats::retries);
-    RetryEntry e;
-    e.not_before_ns = now + backoff_ns(p.attempts);
-    e.req = p;
-    ++e.req.attempts;
-    retry_queue_.push_back(std::move(e));
+void IoEngine::retry_or_fail(Pending p, std::uint64_t now) {
+  const std::size_t ssd = p.request().ssd;
+  if (device_failed(ssd) || p.attempts > options_.max_retries) {
+    finish_failure(p);
     return;
   }
-  finish_failure(p);
+  bump(&RetryStats::retries);
+  p.not_before_ns = now + backoff_ns(p.attempts);
+  ++p.attempts;
+  queued_[ssd].push_back(p);
+  ++queued_count_;
+}
+
+IoEngine::PendingMap::iterator IoEngine::abandon(PendingMap::iterator it) {
+  const std::size_t ssd = it->second.request().ssd;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    orphans_.emplace(it->first, Orphan{ssd, it->second.batch->ticket});
+    ++retry_stats_.timeouts;
+  }
+  array_.report_io_result(ssd, false);
+  return pending_.erase(it);
 }
 
 bool IoEngine::drain_completions() {
@@ -475,16 +453,18 @@ bool IoEngine::drain_completions() {
       progress = true;
       const auto it = pending_.find(cqe.tag);
       if (it == pending_.end()) {
-        // Late completion of a timed-out attempt (tags are never reused):
+        // Late completion of an abandoned attempt (tags are never reused):
         // the retry (or failover) owns the request now; the duplicate write
         // carried the same bytes, and it has landed.
-        settle_orphan(cqe.tag);
+        std::lock_guard<std::mutex> lock(mu_);
+        orphans_.erase(cqe.tag);
         continue;
       }
       const Pending p = it->second;
       pending_.erase(it);
+      const std::size_t ssd = p.request().ssd;
       if (cqe.status == kStatusOk) {
-        array_.report_io_result(p.ssd, true);
+        array_.report_io_result(ssd, true);
         const double lat =
             static_cast<double>(now_ns() - p.first_submit_ns);
         {
@@ -496,40 +476,12 @@ bool IoEngine::drain_completions() {
         --p.batch->outstanding;
       } else {
         if (cqe.status == kStatusDeviceFailed) {
-          array_.mark_failed(p.ssd);
+          array_.mark_failed(ssd);
         } else {
-          array_.report_io_result(p.ssd, false);
+          array_.report_io_result(ssd, false);
         }
-        handle_attempt_failure(p, now_ns(), /*timed_out=*/false);
+        retry_or_fail(p, now_ns());
       }
-    }
-  }
-  return progress;
-}
-
-bool IoEngine::service_retries(std::uint64_t now) {
-  bool progress = false;
-  for (auto it = retry_queue_.begin(); it != retry_queue_.end();) {
-    if (device_failed(it->req.ssd)) {
-      finish_failure(it->req);
-      it = retry_queue_.erase(it);
-      progress = true;
-      continue;
-    }
-    if (now < it->not_before_ns) {
-      ++it;
-      continue;
-    }
-    Pending p = it->req;
-    p.deadline_ns =
-        now + static_cast<std::uint64_t>(options_.request_deadline.count());
-    const std::uint64_t tag = next_tag_++;
-    if (queues_[p.ssd]->submit({p.offset, p.length, p.dest, tag})) {
-      pending_.emplace(tag, p);
-      it = retry_queue_.erase(it);
-      progress = true;
-    } else {
-      ++it;  // SQ full; retried on the next pump
     }
   }
   return progress;
@@ -547,10 +499,8 @@ bool IoEngine::check_timeouts(std::uint64_t now) {
       continue;
     }
     const Pending p = it->second;
-    orphan(it->first, p);
-    it = pending_.erase(it);
-    array_.report_io_result(p.ssd, false);
-    handle_attempt_failure(p, now, /*timed_out=*/true);
+    it = abandon(it);
+    retry_or_fail(p, now);
     progress = true;
   }
   return progress;
@@ -558,11 +508,9 @@ bool IoEngine::check_timeouts(std::uint64_t now) {
 
 bool IoEngine::pump() {
   bool progress = drain_completions();
-  const std::uint64_t now = now_ns();
-  progress |= service_retries(now);
   const std::size_t queued = queued_count_;
   progress |= submit_queued() < queued;
-  progress |= check_timeouts(now);
+  progress |= check_timeouts(now_ns());
   return progress;
 }
 
@@ -570,28 +518,16 @@ void IoEngine::force_fail(const Batch* batch) {
   const auto doomed = [batch](const Pending& p) {
     return batch == nullptr || p.batch == batch;
   };
-  const std::uint64_t now = now_ns();
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (!doomed(it->second)) {
       ++it;
       continue;
     }
     const Pending p = it->second;
-    orphan(it->first, p);
-    it = pending_.erase(it);
-    bump(&RetryStats::timeouts);
-    array_.report_io_result(p.ssd, false);
+    it = abandon(it);
     finish_failure(p);
   }
-  for (auto it = retry_queue_.begin(); it != retry_queue_.end();) {
-    if (!doomed(it->req)) {
-      ++it;
-      continue;
-    }
-    finish_failure(it->req);
-    it = retry_queue_.erase(it);
-  }
-  // Queued requests never reached a device.
+  // Queued requests (first attempts and retries) are not on a device.
   for (std::deque<Pending>& q : queued_) {
     std::erase_if(q, [&](const Pending& p) {
       if (!doomed(p)) return false;
@@ -600,7 +536,7 @@ void IoEngine::force_fail(const Batch* batch) {
       return true;
     });
   }
-  last_timeout_scan_ns_ = now;
+  last_timeout_scan_ns_ = now_ns();
 }
 
 std::size_t IoEngine::submit_queued() {
@@ -614,12 +550,15 @@ std::size_t IoEngine::submit_queued() {
     while (!q.empty()) {
       Pending& p = q.front();
       if (dead) {
-        finish_failure(p);
+        finish_failure(p);  // known-dead device: fail without touching it
       } else {
-        if (!queues_[ssd]->submit({p.offset, p.length, p.dest, next_tag_})) {
+        // A backing-off retry holds this device; the next one is still fed.
+        if (now < p.not_before_ns) break;
+        const ReadRequest& r = p.request();
+        if (!queues_[ssd]->submit({r.offset, r.length, r.dest, next_tag_})) {
           break;  // SQ full: this device waits, the next one is still fed
         }
-        p.first_submit_ns = now;
+        if (p.attempts == 1) p.first_submit_ns = now;
         p.deadline_ns = now + deadline;
         pending_.emplace(next_tag_++, p);
       }

@@ -121,21 +121,18 @@ class SsdDevice {
 /// copy and re-places them onto survivors. Failed is sticky.
 enum class DeviceHealth : int { kHealthy = 0, kDegraded = 1, kFailed = 2 };
 
-struct HealthOptions {
-  /// Consecutive request failures (errors or timeouts) before degraded.
-  std::uint32_t degraded_after = 3;
-  /// Consecutive request failures before the device is declared failed.
-  /// A kStatusDeviceFailed completion fails the device immediately.
-  std::uint32_t failed_after = 8;
-};
+/// Consecutive request failures (errors or timeouts) before degraded.
+inline constexpr std::uint32_t kDegradedAfter = 3;
+/// Consecutive request failures before the device is declared failed.
+/// A kStatusDeviceFailed completion fails the device immediately.
+inline constexpr std::uint32_t kFailedAfter = 8;
 
 /// A set of SSDs plus client-side engines, modelling the machine's array of
 /// NVMe devices shared by all GPUs. Owns the device health registry, shared
 /// by every client engine (thread-safe).
 class SsdArray {
  public:
-  SsdArray(std::size_t num_ssds, const SsdOptions& options,
-           const HealthOptions& health = {});
+  SsdArray(std::size_t num_ssds, const SsdOptions& options);
   ~SsdArray();
 
   std::size_t size() const noexcept { return ssds_.size(); }
@@ -160,7 +157,6 @@ class SsdArray {
   };
   std::vector<std::unique_ptr<SsdDevice>> ssds_;
   std::vector<std::unique_ptr<DeviceState>> states_;
-  HealthOptions health_options_;
 };
 
 /// A batch-read request (doorbell batching: submit many, ring once). The
@@ -203,16 +199,6 @@ struct RetryStats {
   std::uint64_t permanent_failures = 0;  // requests that exhausted retries
 };
 
-/// A request that permanently failed (all attempts exhausted, device dead,
-/// or wait deadline hit). Carries the original request so the caller can
-/// serve the bytes from an alternative source.
-struct FailedRead {
-  std::size_t ssd = 0;
-  std::uint64_t offset = 0;
-  std::uint32_t length = 0;
-  std::byte* dest = nullptr;
-};
-
 /// Per-client ("per-GPU") IO engine: one queue pair to every SSD, async
 /// submission, polling completion — the GPU-initiated access path, with
 /// client-side retry/timeout resilience layered on top. The engine owns its
@@ -223,6 +209,12 @@ struct FailedRead {
 /// samples and computes, and publishes each batch as done, with its
 /// permanent failures, under one mutex and condition variable. This is the
 /// paper's per-GPU IO stack with no central coordinator (Section 3.1).
+///
+/// Until it is terminal, a read is in exactly one of two places: its
+/// device's software queue (first attempt or backing-off retry, FIFO), or
+/// on the device (pending_). A retry rejoins the back of its device's queue
+/// and holds back the reads behind it until its backoff ends; other
+/// devices are not held back.
 class IoEngine {
  public:
   /// Creates queue pairs on each SSD of the array (call before start_all())
@@ -249,16 +241,20 @@ class IoEngine {
 
   /// Blocks until every read of `ticket` reached a terminal state (bounded
   /// by wait_deadline from the batch's start on the IO thread) and appends
-  /// the permanently failed ones to `failed`. Rethrows an exception the IO
-  /// thread raised while the batch was in flight. Tickets may be waited in
-  /// any order, each exactly once.
-  void wait(std::uint64_t ticket, std::vector<FailedRead>& failed);
+  /// to `failed` the index, in the submitted span, of each read that
+  /// permanently failed (all attempts exhausted, device dead, or deadline
+  /// hit). Rethrows an exception the IO thread raised while the batch was
+  /// in flight. Tickets may be waited in any order, each exactly once.
+  void wait(std::uint64_t ticket, std::vector<std::size_t>& failed);
 
-  /// True while a device still holds a command of batch `ticket` that the
-  /// engine gave up on (a timed-out or force-failed attempt). The device
-  /// will still write into that command's `dest` when it serves it, so the
-  /// caller must neither reuse nor free the batch's buffers until this
-  /// returns false. Safe from any thread, also after wait(ticket).
+  /// True while batch `ticket` has an attempt the engine gave up on (timed
+  /// out or force-failed) whose completion the IO thread has not polled yet.
+  /// The device writes into that command's `dest` whenever it serves it, so
+  /// the caller must neither reuse nor free the batch's buffers until this
+  /// returns false. Safe from any thread, also after wait(ticket). With no
+  /// batch in flight the IO thread sleeps until the next submit() (or
+  /// shutdown), so this stays true until then even if the device has
+  /// already served the read.
   bool writes_pending(std::uint64_t ticket) const;
 
   /// Counters since construction; safe from any thread.
@@ -273,61 +269,56 @@ class IoEngine {
   struct Batch {
     std::uint64_t ticket = 0;
     std::span<const ReadRequest> requests;
-    bool started = false;
     std::size_t outstanding = 0;  // reads not yet terminal
     std::uint64_t deadline_ns = 0;
-    std::vector<FailedRead> failed;
+    std::vector<std::size_t> failed;  // indices into `requests`
     std::exception_ptr error;
     bool done = false;
   };
-  /// One attempt in a device SQ (or completed, not yet polled), or a request
-  /// still on its device's software queue.
+  /// One read of a batch: on its device's software queue, or one attempt
+  /// in a device SQ (or completed, not yet polled).
   struct Pending {
-    std::size_t ssd = 0;
-    std::uint64_t offset = 0;
-    std::uint32_t length = 0;
-    std::byte* dest = nullptr;
     Batch* batch = nullptr;
+    std::size_t index = 0;              // into batch->requests
     std::uint64_t first_submit_ns = 0;  // first entry into an SQ
     std::uint64_t deadline_ns = 0;
+    std::uint64_t not_before_ns = 0;  // a retry's backoff end
     std::uint32_t attempts = 1;
+    const ReadRequest& request() const { return batch->requests[index]; }
   };
-  struct RetryEntry {
-    Pending req;
-    std::uint64_t not_before_ns = 0;
-  };
+  using PendingMap = std::unordered_map<std::uint64_t, Pending>;
 
   void run();
   /// Sets the batch's deadline and places its reads on their devices'
-  /// software queues; a read for a failed device fails at once.
+  /// software queues.
   void start(Batch& batch);
-  /// One non-blocking round of progress: drains completions, resubmits due
-  /// retries, runs submit_queued() and expires overdue attempts. Returns
-  /// true if anything moved.
+  /// One non-blocking round of progress: drains completions, runs
+  /// submit_queued() and expires overdue attempts. Returns true if anything
+  /// moved.
   bool pump();
   /// Pumps until no request is in flight, force-failing what is left past
   /// wait_deadline, then until no running device holds an orphan.
   void drain() noexcept;
   std::size_t in_flight() const noexcept {
-    return queued_count_ + pending_.size() + retry_queue_.size();
+    return queued_count_ + pending_.size();
   }
   /// The submission step: moves queued requests into every device's SQ
-  /// while it has room, in per-device FIFO order, and never waits. Returns
-  /// the number of requests still queued.
+  /// while it has room and its head is due, in per-device FIFO order, and
+  /// never waits. Fails the queue of a failed device. Returns the number of
+  /// requests still queued.
   std::size_t submit_queued();
   bool drain_completions();
-  bool service_retries(std::uint64_t now);
   bool check_timeouts(std::uint64_t now);
   /// Bumps one retry counter under mu_ (retry_stats() reads it from any
   /// thread).
   void bump(std::uint64_t RetryStats::*counter);
   void finish_failure(const Pending& p);
-  void handle_attempt_failure(Pending p, std::uint64_t now, bool timed_out);
-  /// Gives up on the attempt `tag`, whose command is still on its device:
-  /// records it as an orphan until its completion arrives.
-  void orphan(std::uint64_t tag, const Pending& p);
-  /// Counts the late completion of orphan `tag` (a no-op for other tags).
-  void settle_orphan(std::uint64_t tag);
+  /// Queues a retry of `p` after its backoff, or fails it for good.
+  void retry_or_fail(Pending p, std::uint64_t now);
+  /// Gives up on the attempt at `it`, whose command is still on its device:
+  /// records it as an orphan until its completion arrives, counts a timeout
+  /// and a device failure, and erases it.
+  PendingMap::iterator abandon(PendingMap::iterator it);
   /// Fails every remaining request of `batch`, or of all batches if null.
   void force_fail(const Batch* batch);
   std::uint64_t backoff_ns(std::uint32_t attempts) const noexcept;
@@ -338,19 +329,12 @@ class IoEngine {
   IoEngineOptions options_;
 
   // IO thread only.
-  /// Per-device software queues filled by start() and emptied into the
-  /// SQs by submit_queued().
+  /// Per-device software queues filled by start() and by retries, emptied
+  /// into the SQs by submit_queued().
   std::vector<std::deque<Pending>> queued_;
   std::size_t queued_count_ = 0;
-  /// Tag-indexed state (no linear scans on the completion path).
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  /// Abandoned attempts whose command a device still holds, by tag.
-  struct Orphan {
-    std::size_t ssd = 0;
-    std::uint64_t ticket = 0;
-  };
-  std::unordered_map<std::uint64_t, Orphan> orphans_;
-  std::vector<RetryEntry> retry_queue_;
+  /// Attempts on a device, by tag (no linear scans on the completion path).
+  PendingMap pending_;
   std::uint64_t next_tag_ = 1;
   std::uint64_t last_timeout_scan_ns_ = 0;
 
@@ -362,8 +346,13 @@ class IoEngine {
   std::uint64_t next_ticket_ = 1;
   bool stop_ = false;
   // Written by the IO thread under mu_.
-  /// Orphans per batch ticket (entries with a count of 0 are erased).
-  std::unordered_map<std::uint64_t, std::size_t> orphans_of_batch_;
+  /// Abandoned attempts whose command a device still holds, by tag; empty
+  /// unless an attempt timed out or was force-failed.
+  struct Orphan {
+    std::size_t ssd = 0;
+    std::uint64_t ticket = 0;
+  };
+  std::unordered_map<std::uint64_t, Orphan> orphans_;
   RetryStats retry_stats_;
   std::uint64_t latency_count_ = 0;
   double latency_sum_ns_ = 0.0;

@@ -251,7 +251,7 @@ TEST(EdgeIostack, ZeroLengthReadCompletes) {
   array.start_all();
   std::byte dummy;
   const std::vector<iostack::ReadRequest> reqs = {{0, 0, 0, &dummy}};
-  std::vector<iostack::FailedRead> failed;
+  std::vector<std::size_t> failed;
   engine.wait(engine.submit(reqs), failed);
   EXPECT_TRUE(failed.empty());
   EXPECT_EQ(engine.latency().count, 1u);

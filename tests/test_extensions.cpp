@@ -444,7 +444,7 @@ TEST(IoEngineExt, BatchSubmissionAndLatency) {
                     buf.data() + static_cast<std::size_t>(i) *
                                      iostack::kPageBytes});
   }
-  std::vector<iostack::FailedRead> failed;
+  std::vector<std::size_t> failed;
   engine.wait(engine.submit(reqs), failed);
   EXPECT_TRUE(failed.empty());
   array.stop_all();

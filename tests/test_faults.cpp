@@ -79,9 +79,9 @@ std::vector<ReadRequest> page_reads(std::size_t count, std::size_t pages,
 }
 
 /// Submits `reqs` as one batch, waits for it and returns its failures.
-std::vector<FailedRead> read_batch(IoEngine& engine,
-                                   const std::vector<ReadRequest>& reqs) {
-  std::vector<FailedRead> failed;
+std::vector<std::size_t> read_batch(IoEngine& engine,
+                                    const std::vector<ReadRequest>& reqs) {
+  std::vector<std::size_t> failed;
   engine.wait(engine.submit(reqs), failed);
   return failed;
 }
@@ -111,7 +111,7 @@ TEST(IoEngine, RetryThenSucceedRecoversData) {
 
 TEST(IoEngine, RetryExhaustedPropagatesThroughGroup) {
   // Every served read fails: the request exhausts its retries and its batch
-  // reports it with the original request attached.
+  // reports its index in the submitted span.
   SsdOptions opts;
   opts.capacity_bytes = 16 * kPageBytes;
   SsdArray array(1, opts);
@@ -124,14 +124,95 @@ TEST(IoEngine, RetryExhaustedPropagatesThroughGroup) {
   IoEngine engine(array, 256, io);
   array.start_all();
   std::vector<std::byte> dest(kPageBytes);
-  const std::vector<FailedRead> failed =
-      read_batch(engine, page_reads(1, 1, dest));
+  const std::vector<ReadRequest> reqs = page_reads(1, 1, dest);
+  const std::vector<std::size_t> failed = read_batch(engine, reqs);
   array.stop_all();
   ASSERT_EQ(failed.size(), 1u);
-  EXPECT_EQ(failed[0].ssd, 0u);
-  EXPECT_EQ(failed[0].dest, dest.data());
+  ASSERT_EQ(failed[0], 0u);
+  EXPECT_EQ(reqs[failed[0]].ssd, 0u);
+  EXPECT_EQ(reqs[failed[0]].dest, dest.data());
   EXPECT_EQ(engine.retry_stats().retries, 2u);  // == max_retries
   EXPECT_EQ(engine.retry_stats().permanent_failures, 1u);
+}
+
+TEST(IoEngine, FailedIndicesNameTheSubmittedRequests) {
+  // Reads 1 and 3 of a 4-read batch address pages beyond the device; with
+  // no retries they fail, and wait() names exactly them, by index.
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(1, opts);
+  for (std::size_t p = 0; p < 16; ++p) {
+    const std::vector<std::byte> page(kPageBytes, static_cast<std::byte>(p));
+    array.ssd(0).write(p * kPageBytes, page.data(), page.size());
+  }
+  IoEngineOptions io;
+  io.max_retries = 0;
+  IoEngine engine(array, 256, io);
+  array.start_all();
+  std::vector<std::byte> dest(4 * kPageBytes);
+  const auto len = static_cast<std::uint32_t>(kPageBytes);
+  const std::vector<ReadRequest> reqs = {
+      {0, 2 * kPageBytes, len, dest.data()},
+      {0, 100 * kPageBytes, len, dest.data() + kPageBytes},
+      {0, 5 * kPageBytes, len, dest.data() + 2 * kPageBytes},
+      {0, 200 * kPageBytes, len, dest.data() + 3 * kPageBytes},
+  };
+  std::vector<std::size_t> failed = read_batch(engine, reqs);
+  array.stop_all();
+  std::sort(failed.begin(), failed.end());
+  EXPECT_EQ(failed, (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(engine.retry_stats().permanent_failures, 2u);
+  const std::vector<std::byte> page2(kPageBytes, std::byte{2});
+  const std::vector<std::byte> page5(kPageBytes, std::byte{5});
+  EXPECT_TRUE(std::equal(page2.begin(), page2.end(), dest.begin()));
+  EXPECT_TRUE(std::equal(page5.begin(), page5.end(),
+                         dest.begin() + 2 * kPageBytes));
+}
+
+TEST(IoEngine, BackingOffRetryHoldsOnlyItsDevice) {
+  // SSD 0's first read fails and its retry backs off for 300 ms on SSD 0's
+  // queue. A batch on SSD 1 submitted meanwhile is not held back by it.
+  using clock = std::chrono::steady_clock;
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(2, opts);
+  const std::vector<std::byte> page(kPageBytes, std::byte{0x5A});
+  array.ssd(0).write(0, page.data(), page.size());
+  array.ssd(1).write(0, page.data(), page.size());
+  FaultProfile fp;
+  fp.error_burst_reads = 1;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.retry_backoff = std::chrono::milliseconds(300);
+  IoEngine engine(array, 256, io);
+  array.start_all();
+
+  std::vector<std::byte> dest(2 * kPageBytes);
+  const auto len = static_cast<std::uint32_t>(kPageBytes);
+  const std::vector<ReadRequest> on_ssd0 = {{0, 0, len, dest.data()}};
+  const std::vector<ReadRequest> on_ssd1 = {
+      {1, 0, len, dest.data() + kPageBytes}};
+  const auto t_ssd0 = clock::now();
+  const std::uint64_t ticket0 = engine.submit(on_ssd0);
+  // The first attempt failed once the retry is counted: it is backing off.
+  while (engine.retry_stats().retries == 0 &&
+         clock::now() - t_ssd0 < std::chrono::milliseconds(200)) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(engine.retry_stats().retries, 1u);
+
+  const auto t_ssd1 = clock::now();
+  EXPECT_TRUE(read_batch(engine, on_ssd1).empty());
+  EXPECT_LT(clock::now() - t_ssd1, std::chrono::milliseconds(150));
+
+  std::vector<std::size_t> failed;
+  engine.wait(ticket0, failed);
+  EXPECT_GE(clock::now() - t_ssd0, std::chrono::milliseconds(300));
+  array.stop_all();
+  EXPECT_TRUE(failed.empty());
+  EXPECT_EQ(engine.retry_stats().retries, 1u);
+  EXPECT_EQ(dest[0], std::byte{0x5A});
+  EXPECT_EQ(dest[kPageBytes], std::byte{0x5A});
 }
 
 TEST(IoEngine, DeadDeviceNeverHangsWaits) {
@@ -330,22 +411,25 @@ TEST(SsdDevice, StalledClientDoesNotBlockOtherClients) {
 
 TEST(SsdArray, HealthStateMachineTransitions) {
   SsdOptions opts;
-  HealthOptions h;
-  h.degraded_after = 2;
-  h.failed_after = 4;
-  SsdArray array(2, opts, h);
+  SsdArray array(2, opts);
   EXPECT_EQ(array.health(0), DeviceHealth::kHealthy);
 
+  for (std::uint32_t streak = 1; streak < kDegradedAfter; ++streak) {
+    array.report_io_result(0, false);
+    EXPECT_EQ(array.health(0), DeviceHealth::kHealthy) << "streak " << streak;
+  }
   array.report_io_result(0, false);
-  EXPECT_EQ(array.health(0), DeviceHealth::kHealthy);  // streak 1 < 2
-  array.report_io_result(0, false);
-  EXPECT_EQ(array.health(0), DeviceHealth::kDegraded);  // streak 2
+  EXPECT_EQ(array.health(0), DeviceHealth::kDegraded);  // kDegradedAfter
   EXPECT_EQ(array.num_degraded(), 1u);
 
   array.report_io_result(0, true);  // success resets and restores
   EXPECT_EQ(array.health(0), DeviceHealth::kHealthy);
 
-  for (int i = 0; i < 4; ++i) array.report_io_result(0, false);
+  for (std::uint32_t i = 1; i < kFailedAfter; ++i) {
+    array.report_io_result(0, false);
+  }
+  EXPECT_EQ(array.health(0), DeviceHealth::kDegraded);  // one short
+  array.report_io_result(0, false);
   EXPECT_EQ(array.health(0), DeviceHealth::kFailed);
   EXPECT_EQ(array.num_failed(), 1u);
   array.report_io_result(0, true);  // failed is sticky

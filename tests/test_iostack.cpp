@@ -203,7 +203,7 @@ TEST(IoEngine, MultiGpuConcurrentReads) {
       reqs.push_back({s, p * kPageBytes, static_cast<std::uint32_t>(kPageBytes),
                       buf.data() + i * kPageBytes});
     }
-    std::vector<FailedRead> failed;
+    std::vector<std::size_t> failed;
     engine.wait(engine.submit(reqs), failed);
     EXPECT_TRUE(failed.empty());
     for (std::size_t i = 0; i < 256; ++i) {
@@ -248,7 +248,7 @@ TEST(IoEngine, BackpressureWhenQueueFull) {
   array.start_all();
   std::vector<std::byte> buf(64 * kPageBytes);
   const std::vector<ReadRequest> reqs = page_reads(64, 16, buf);
-  std::vector<FailedRead> failed;
+  std::vector<std::size_t> failed;
   engine.wait(engine.submit(reqs), failed);
   EXPECT_TRUE(failed.empty());
   EXPECT_EQ(engine.latency().count, 64u);
@@ -285,7 +285,7 @@ TEST(IoEngine, SubmitBatchFeedsEveryDeviceWhileOneSqIsFull) {
   }
   const std::uint64_t ssd1_reads = array.ssd(1).stats().reads;
   array.ssd(0).start();
-  std::vector<FailedRead> failed;
+  std::vector<std::size_t> failed;
   engine.wait(ticket, failed);
   array.stop_all();
   EXPECT_EQ(ssd1_reads, kPerDevice) << "SSD1 starved behind SSD0's full SQ";
@@ -315,7 +315,7 @@ TEST(IoEngine, SubmitRejectsBadBatchAndServesTheNext) {
   EXPECT_THROW(engine.submit(bad_ssd), std::out_of_range);
 
   const std::vector<ReadRequest> good = {{0, 0, page_len, buf.data()}};
-  std::vector<FailedRead> failed;
+  std::vector<std::size_t> failed;
   engine.wait(engine.submit(good), failed);
   EXPECT_TRUE(failed.empty());
   EXPECT_EQ(buf[0], std::byte{0x3C});
@@ -350,7 +350,7 @@ TEST(IoEngine, CompletionGroupsAwaitIndependently) {
   const std::uint64_t tb = engine.submit(reqs_b);
 
   // Waiting out of submission order must work too.
-  std::vector<FailedRead> failed;
+  std::vector<std::size_t> failed;
   engine.wait(tb, failed);
   EXPECT_TRUE(failed.empty());
   for (std::size_t i = 0; i < 8; ++i) {
@@ -377,12 +377,13 @@ TEST(IoEngine, GroupFailuresAreAttributed) {
       {0, 100 * kPageBytes, len, buf.data() + kPageBytes}};
   const std::uint64_t t_good = engine.submit(good);
   const std::uint64_t t_bad = engine.submit(bad);
-  std::vector<FailedRead> good_failed, bad_failed;
+  std::vector<std::size_t> good_failed, bad_failed;
   engine.wait(t_good, good_failed);
   engine.wait(t_bad, bad_failed);
   EXPECT_TRUE(good_failed.empty());
   ASSERT_EQ(bad_failed.size(), 1u);
-  EXPECT_EQ(bad_failed[0].offset, 100 * kPageBytes);
+  ASSERT_EQ(bad_failed[0], 0u);
+  EXPECT_EQ(bad[bad_failed[0]].offset, 100 * kPageBytes);
   array.stop_all();
 }
 
@@ -395,7 +396,7 @@ TEST(SsdDevice, PacingLimitsThroughput) {
   array.start_all();
   std::vector<std::byte> buf(256 * kPageBytes);  // 1 MiB total
   const std::vector<ReadRequest> reqs = page_reads(256, 64, buf);
-  std::vector<FailedRead> failed;
+  std::vector<std::size_t> failed;
   const auto t0 = std::chrono::steady_clock::now();
   engine.wait(engine.submit(reqs), failed);
   const double dt =
@@ -591,7 +592,7 @@ TEST(FeatureStore, RowsArePageAligned) {
     array.start_all();
     const std::vector<ReadRequest> reqs = {
         {0, 0, static_cast<std::uint32_t>(kPages * kPageBytes), pages.data()}};
-    std::vector<FailedRead> failed;
+    std::vector<std::size_t> failed;
     engine.wait(engine.submit(reqs), failed);
     EXPECT_TRUE(failed.empty());
   }
@@ -666,7 +667,7 @@ TEST(FeatureStore, WarmPacksSsdSlotsInHotnessOrder) {
         const std::vector<ReadRequest> reqs = {
             {static_cast<std::size_t>(ssd), 0,
              static_cast<std::uint32_t>(pages.size()), pages.data()}};
-        std::vector<FailedRead> failed;
+        std::vector<std::size_t> failed;
         raw.wait(raw.submit(reqs), failed);
         ASSERT_TRUE(failed.empty());
         const auto order = packed_order(*ranking, ssd);
