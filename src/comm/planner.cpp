@@ -265,8 +265,7 @@ CommPlan CommPlanner::tree_plan() const {
   return plan;
 }
 
-CommPlan CommPlanner::plan(AllReduceAlgo algo,
-                           double reference_payload_bytes) const {
+CommPlan CommPlanner::plan(AllReduceAlgo algo) const {
   const int n = num_gpus();
   if (n < 2) {
     CommPlan degenerate;
@@ -285,17 +284,17 @@ CommPlan CommPlanner::plan(AllReduceAlgo algo,
   // Auto: lowest predicted contention-costed time wins; ties keep the
   // earlier candidate (ring, then tree, then flat) for determinism.
   CommPlan best = ring_plan();
-  double best_s = best.predicted_seconds(reference_payload_bytes);
+  double best_s = best.predicted_seconds(kDefaultReferencePayload);
   if ((n & (n - 1)) == 0) {
     CommPlan tree = tree_plan();
-    const double tree_s = tree.predicted_seconds(reference_payload_bytes);
+    const double tree_s = tree.predicted_seconds(kDefaultReferencePayload);
     if (tree_s < best_s - 1e-12) {
       best = std::move(tree);
       best_s = tree_s;
     }
   }
   CommPlan flat = flat_plan();
-  if (flat.predicted_seconds(reference_payload_bytes) < best_s - 1e-12) {
+  if (flat.predicted_seconds(kDefaultReferencePayload) < best_s - 1e-12) {
     best = std::move(flat);
   }
   return best;

@@ -45,8 +45,7 @@ class CommPlanner {
     return pair_bw_[static_cast<std::size_t>(src * num_gpus_ + dst)];
   }
 
-  CommPlan plan(AllReduceAlgo algo = AllReduceAlgo::kAuto,
-                double reference_payload_bytes = kDefaultReferencePayload) const;
+  CommPlan plan(AllReduceAlgo algo = AllReduceAlgo::kAuto) const;
 
  private:
   void fill_routes(CommPlan& plan) const;

@@ -405,16 +405,15 @@ detail::Body current_body() {
   return detail::Body::kPortable;
 }
 
-// f(Lanes<V>, i0, i1) over [0, n) on compute_pool(), in tasks of at least
+// f(Lanes<V>, i0, i1) over [0, n) on the compute pool, in tasks of at least
 // `grain`, on the calling thread's body. The body is read here, before the
 // fan-out, so the pool threads never read their own.
 template <typename F>
 void parallel_on_body(std::size_t n, std::size_t grain, F&& f) {
   const detail::Body body = current_body();
-  util::parallel_for(util::compute_pool(), 0, n, grain,
-                     [&](std::size_t i0, std::size_t i1) {
-                       with_body(body, f, i0, i1);
-                     });
+  util::parallel_for(0, n, grain, [&](std::size_t i0, std::size_t i1) {
+    with_body(body, f, i0, i1);
+  });
 }
 
 inline const float* row(const float* x, std::size_t i, std::size_t dim) {
@@ -750,7 +749,7 @@ template <typename V>
 // out row r = in row r, an (a x b) row-major block, transposed to (b x a).
 void transpose_rows(std::size_t rows, std::size_t a, std::size_t b,
                     const float* in, float* out) {
-  util::parallel_for(util::compute_pool(), 0, rows, kRowGrain * 4,
+  util::parallel_for(0, rows, kRowGrain * 4,
                      [&](std::size_t r0, std::size_t r1) {
                        for (std::size_t r = r0; r < r1; ++r) {
                          const float* __restrict src = in + r * a * b;
@@ -1023,7 +1022,7 @@ void bias_act_grad(std::size_t rows, std::size_t cols, const float* grad_out,
 
 void gather_rows(const int* index, std::size_t rows, const float* x,
                  std::size_t dim, float* out) {
-  util::parallel_for(util::compute_pool(), 0, rows, kRowGrain * 4,
+  util::parallel_for(0, rows, kRowGrain * 4,
                      [&](std::size_t r0, std::size_t r1) {
                        for (std::size_t i = r0; i < r1; ++i) {
                          std::memcpy(out + i * dim,

@@ -2,9 +2,10 @@
 // SIMD-friendly parallel compute kernels — the hot math under the GNN layers.
 //
 // All kernels are raw-pointer, row-major, and fan out over the process-wide
-// util::compute_pool() with *row-partitioned* parallelism: every output row
-// is produced start-to-finish by exactly one task, and the accumulation order
-// within a row is fixed by construction. Sums over rows (the bias and
+// compute pool through util::parallel_for (the calling thread runs chunks
+// too) with *row-partitioned* parallelism: every output row is produced
+// start-to-finish by exactly one task, and the accumulation order within a
+// row is fixed by construction. Sums over rows (the bias and
 // attention-vector gradients) split the columns instead, and each element
 // still adds its rows in ascending order. Results are therefore bitwise
 // identical for any thread count (1..N), which is what keeps the engine's

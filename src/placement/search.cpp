@@ -199,9 +199,7 @@ SearchResult search_placements(const MachineSpec& spec,
   // each candidate writing its own slot; ranking below stays deterministic
   // regardless of thread count.
   std::vector<CandidateResult> all(candidates.size());
-  util::ThreadPool* pool =
-      options.eval_threads == 1 ? nullptr : util::compute_pool();
-  util::parallel_for(pool, 0, candidates.size(), 1,
+  util::parallel_for(0, candidates.size(), 1,
                      [&](std::size_t b, std::size_t e) {
                        for (std::size_t i = b; i < e; ++i) {
                          all[i] = evaluate_placement(spec, candidates[i],

@@ -46,11 +46,6 @@ struct SearchOptions {
   /// Per-GPU-HBM byte supply (cache-hit bytes); negative = rate-limited.
   double gpu_hbm_bytes = -1.0;
   std::size_t keep_top = 8;
-  /// Candidate evaluation parallelism: 1 evaluates serially on the calling
-  /// thread; any other value fans the (independent) max-flow evaluations out
-  /// over the shared util::compute_pool(). The ranked result is identical
-  /// either way — candidates are collected first and written by index.
-  std::size_t eval_threads = 0;
 };
 
 struct SearchResult {

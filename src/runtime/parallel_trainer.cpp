@@ -236,12 +236,10 @@ void DataParallelTrainer::all_reduce_grads() {
 
   const std::size_t chunks =
       (total + comm::kAllReduceGrainFloats - 1) / comm::kAllReduceGrainFloats;
-  util::parallel_for(util::compute_pool(), 0, chunks, 1,
-                     [&](std::size_t cb, std::size_t ce) {
-                       reduce_span(cb * comm::kAllReduceGrainFloats,
-                                   std::min(total,
-                                            ce * comm::kAllReduceGrainFloats));
-                     });
+  util::parallel_for(0, chunks, 1, [&](std::size_t cb, std::size_t ce) {
+    reduce_span(cb * comm::kAllReduceGrainFloats,
+                std::min(total, ce * comm::kAllReduceGrainFloats));
+  });
 
   if (options_.comm_plan != nullptr && options_.link_counters != nullptr) {
     options_.comm_plan->account(static_cast<double>(total) * sizeof(float),

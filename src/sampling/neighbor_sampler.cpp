@@ -40,7 +40,6 @@ SampledSubgraph NeighborSampler::sample(std::span<const VertexId> seeds,
   const auto hi = static_cast<std::uint64_t>(rng.next());
   const auto lo = static_cast<std::uint64_t>(rng.next());
   const std::uint64_t base = (hi << 32) ^ lo;
-  util::ThreadPool* pool = util::compute_pool();
 
   for (std::size_t hop = 0; hop < fanouts_.size(); ++hop) {
     SampledLayer& layer = sg.layers[hop];
@@ -53,7 +52,7 @@ SampledSubgraph NeighborSampler::sample(std::span<const VertexId> seeds,
     layer.nbr_off.assign(frontier.size() + 1, 0);
     layer.nbr.resize(frontier.size() * fanout);
     util::parallel_for(
-        pool, 0, frontier.size(), 64, [&](std::size_t b, std::size_t e) {
+        0, frontier.size(), 64, [&](std::size_t b, std::size_t e) {
           for (std::size_t i = b; i < e; ++i) {
             const VertexId dst = frontier[i];
             const auto nbrs = graph_.neighbors(dst);

@@ -48,7 +48,7 @@ class NeighborSampler {
 
   /// Samples the layered subgraph for `seeds`. Draws exactly two words from
   /// `rng` to derive a batch base, then every (hop, dst) pair samples from
-  /// its own counter-based stream — fanned over util::compute_pool(), with
+  /// its own counter-based stream — fanned over the compute pool, with
   /// results independent of the thread count (samples are a pure function of
   /// (base, hop, dst)). Seeds may repeat; each copy gets the same sources.
   /// The sampler keeps no state between calls.

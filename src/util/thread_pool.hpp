@@ -1,141 +1,63 @@
 #pragma once
-// Fixed-size thread pool used by the IO stack (SSD backends), the parallel
-// sections of the simulator, and the compute kernels (gnn/kernels, gradient
-// all-reduce, placement search). Tasks are type-erased std::function<void()>;
-// submit() returns a std::future for result plumbing.
+// The process-wide compute pool, reachable only through `parallel_for`. The
+// GEMM/aggregation kernels (gnn/kernels), the trainer's gradient all-reduce,
+// the neighbor sampler and the placement search fan their loops out on it.
 //
-// `parallel_for` is the preferred way to fan a loop out over a pool: it
-// chunks the index range, runs the first chunk on the calling thread, and is
-// deadlock-safe when invoked from inside one of the pool's own workers (the
-// whole range then runs inline instead of re-entering the queue).
+// A call is fork-join: it splits the range into chunks, posts one job that
+// lives in the call's frame, and claims chunks on the calling thread while
+// idle pool workers claim the rest. It returns once every chunk has run, so
+// a call allocates nothing and its caller never waits on a queued chunk.
+// Several threads may call at once (the trainer's workers do); the pool
+// serves their jobs side by side.
 
-#include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <functional>
-#include <future>
+#include <cstddef>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <type_traits>
-#include <vector>
 
 namespace moment::util {
-
-class ThreadPool {
- public:
-  /// Creates `num_threads` workers (>=1; 0 is clamped to 1).
-  explicit ThreadPool(std::size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const noexcept { return workers_.size(); }
-
-  /// True when the calling thread is one of this pool's workers. Used by
-  /// parallel_for to avoid the submit-and-wait deadlock on nested calls.
-  bool on_worker_thread() const noexcept;
-
-  /// Enqueue a task; returns a future for its result. Throws std::runtime_error
-  /// if the pool is shutting down.
-  template <typename F, typename... Args>
-  auto submit(F&& f, Args&&... args)
-      -> std::future<std::invoke_result_t<F, Args...>> {
-    using R = std::invoke_result_t<F, Args...>;
-    auto task = std::make_shared<std::packaged_task<R()>>(
-        [fn = std::forward<F>(f),
-         ... as = std::forward<Args>(args)]() mutable -> R {
-          return std::invoke(std::move(fn), std::move(as)...);
-        });
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
-      queue_.emplace_back([task]() { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  /// Blocks until the queue is empty and all in-flight tasks are done.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
-  bool stopping_ = false;
-};
-
-/// Process-wide pool shared by the compute layers: GEMM/aggregation kernels
-/// (gnn/kernels), the engine's gradient all-reduce, and parallel placement
-/// evaluation. Lazily created on first use; returns nullptr when the
-/// configured thread count is 1 (callers then run inline). Nobody but this
-/// accessor owns the pool — engine, trainer and kernels all borrow it.
-ThreadPool* compute_pool();
 
 /// Effective compute-pool thread count (1 means "run inline, no pool").
 std::size_t compute_pool_threads();
 
 /// Reconfigures the compute pool size. 0 = auto (MOMENT_COMPUTE_THREADS env
 /// var, else hardware_concurrency, clamped to [1, 16]). Destroys and
-/// recreates the pool; must not be called while kernels are in flight.
+/// recreates the pool; must not be called while a parallel_for is in flight.
 void set_compute_pool_threads(std::size_t n);
 
-/// Splits [begin, end) into chunks of at least `grain` indices and runs
-/// `fn(chunk_begin, chunk_end)` for each, fanned out over `pool`. The first
-/// chunk runs on the calling thread; the call returns when every chunk is
-/// done (exceptions from chunks are rethrown). Runs the whole range inline
-/// when `pool` is null, the range is within one grain, or the caller already
-/// is one of `pool`'s workers (nested use would deadlock on a full queue).
+namespace detail {
+/// Runs `run(fn, b, e)` for each of parallel_for's chunks on the calling
+/// thread and the pool and returns true; or returns false, having run
+/// nothing, when the call must run inline (a pool of 1 thread, or the caller
+/// is a pool worker).
+bool fork_join(std::size_t begin, std::size_t end, std::size_t grain,
+               void* fn, void (*run)(void*, std::size_t, std::size_t));
+}  // namespace detail
+
+/// Runs `fn(chunk_begin, chunk_end)` over chunks of [begin, end) of at least
+/// `grain` indices, at most four per pool thread, on the calling thread and
+/// the compute pool. The call returns when every chunk is done, also when a
+/// chunk throws (the lowest-indexed chunk's exception is rethrown). Runs the
+/// whole range inline, as one direct call, when the pool has 1 thread, the
+/// range is within one grain, or the caller already is a pool worker (a
+/// nested call).
 ///
 /// Chunk boundaries depend only on (range, grain, pool size), so callers that
 /// need thread-count-invariant results must make `fn` independent per index
 /// (each index writes only its own rows), not rely on chunk shapes.
 template <typename Fn>
-void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
-                  std::size_t grain, Fn&& fn) {
+void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+                  Fn&& fn) {
   if (begin >= end) return;
   if (grain == 0) grain = 1;
-  const std::size_t range = end - begin;
-  if (pool == nullptr || range <= grain || pool->on_worker_thread()) {
+  using F = std::remove_reference_t<Fn>;
+  void* f = const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
+  if (end - begin <= grain ||
+      !detail::fork_join(begin, end, grain, f,
+                         [](void* p, std::size_t b, std::size_t e) {
+                           (*static_cast<F*>(p))(b, e);
+                         })) {
     fn(begin, end);
-    return;
   }
-  // Over-chunk 4x relative to the pool for load balance, bounded by grain.
-  const std::size_t max_chunks = (range + grain - 1) / grain;
-  const std::size_t chunks = std::min(max_chunks, pool->size() * 4);
-  const std::size_t step = (range + chunks - 1) / chunks;
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks);
-  for (std::size_t b = begin + step; b < end; b += step) {
-    const std::size_t e = std::min(end, b + step);
-    pending.push_back(pool->submit([&fn, b, e] { fn(b, e); }));
-  }
-  // Every pending chunk must be drained before returning OR throwing: the
-  // submitted lambdas reference `fn`, which dies with this frame. The first
-  // exception (caller's chunk first, then submission order) is rethrown.
-  std::exception_ptr err;
-  try {
-    fn(begin, std::min(end, begin + step));
-  } catch (...) {
-    err = std::current_exception();
-  }
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace moment::util

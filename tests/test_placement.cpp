@@ -156,11 +156,10 @@ TEST(Search, IdenticalTopListWithOneVsManyEvalThreads) {
   const MachineSpec spec = topology::make_machine_a();
   SearchOptions o = workload_options(4, 8);
 
-  o.eval_threads = 1;  // serial reference
+  util::set_compute_pool_threads(1);  // serial reference, inline
   const SearchResult serial = search_placements(spec, o);
 
   util::set_compute_pool_threads(4);
-  o.eval_threads = 0;  // shared pool
   const SearchResult parallel = search_placements(spec, o);
   util::set_compute_pool_threads(0);
 

@@ -1,11 +1,14 @@
 // Unit tests for the util module: deterministic RNG, distributions,
-// statistics helpers, the thread pool and the table printer.
+// statistics helpers, parallel_for on the compute pool and the table printer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/rng.hpp"
@@ -180,43 +183,43 @@ TEST(Stats, HistogramBinsAndClamping) {
   EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
 }
 
-TEST(ThreadPool, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 64; ++i) {
-    futs.push_back(pool.submit([&counter, i] {
-      ++counter;
-      return i * 2;
-    }));
+// Pins the compute pool to `n` threads for one test, then back to auto.
+struct PoolThreads {
+  explicit PoolThreads(std::size_t n) { set_compute_pool_threads(n); }
+  ~PoolThreads() { set_compute_pool_threads(0); }
+};
+
+// Spins until `count` is nonzero, for at most 10 s.
+void wait_until_nonzero(const std::atomic<int>& count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (count.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(futs[i].get(), i * 2);
-  EXPECT_EQ(counter.load(), 64);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      ++done;
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 8);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+// Number of chunks parallel_for splits [0, n) into at the current pool size.
+std::size_t chunk_count(std::size_t n, std::size_t grain) {
+  std::atomic<std::size_t> chunks{0};
+  parallel_for(0, n, grain, [&](std::size_t, std::size_t) { ++chunks; });
+  return chunks.load();
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+  // Workers' chunks are slow and the caller's wait until a worker has
+  // started one, so the caller runs out of chunks to claim while a worker
+  // is still inside one: the call must wait for it before it returns.
+  PoolThreads pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> worker_chunks{0};
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(&pool, 3, 997, 16, [&](std::size_t b, std::size_t e) {
+  parallel_for(3, 997, 16, [&](std::size_t b, std::size_t e) {
+    if (std::this_thread::get_id() != caller) {
+      ++worker_chunks;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    } else {
+      wait_until_nonzero(worker_chunks);
+    }
     for (std::size_t i = b; i < e; ++i) ++hits[i];
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -225,22 +228,26 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelFor, NullPoolRunsInlineAsOneChunk) {
+  // A pool of 1 thread has no workers: the caller runs the range as one chunk.
+  PoolThreads pool(1);
+  const auto caller = std::this_thread::get_id();
   int calls = 0;
-  parallel_for(nullptr, 0, 100, 8, [&](std::size_t b, std::size_t e) {
+  parallel_for(0, 100, 8, [&](std::size_t b, std::size_t e) {
     ++calls;
     EXPECT_EQ(b, 0u);
     EXPECT_EQ(e, 100u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
   });
   EXPECT_EQ(calls, 1);
 }
 
 TEST(ParallelFor, EmptyAndSmallRanges) {
-  ThreadPool pool(2);
+  PoolThreads pool(2);
   int calls = 0;
-  parallel_for(&pool, 5, 5, 1, [&](std::size_t, std::size_t) { ++calls; });
+  parallel_for(5, 5, 1, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   // Range within one grain: single inline chunk.
-  parallel_for(&pool, 0, 4, 8, [&](std::size_t b, std::size_t e) {
+  parallel_for(0, 4, 8, [&](std::size_t b, std::size_t e) {
     ++calls;
     EXPECT_EQ(e - b, 4u);
   });
@@ -248,42 +255,89 @@ TEST(ParallelFor, EmptyAndSmallRanges) {
 }
 
 TEST(ParallelFor, NestedCallFromWorkerRunsInline) {
-  // A parallel_for issued from inside one of the same pool's workers must not
-  // re-enter the queue (submit-and-wait from a worker can deadlock once the
-  // pool is saturated); it runs the whole range inline on that worker.
-  ThreadPool pool(2);
-  std::atomic<int> inner_chunks{0};
-  auto fut = pool.submit([&] {
-    EXPECT_TRUE(pool.on_worker_thread());
-    parallel_for(&pool, 0, 64, 1, [&](std::size_t b, std::size_t e) {
+  // A parallel_for issued from a chunk that a pool worker runs covers its
+  // whole range inline on that worker. The caller's chunks wait until a
+  // worker has run one, so the nested case is always exercised.
+  PoolThreads pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> worker_chunks{0};
+  parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
+    const bool on_worker = std::this_thread::get_id() != caller;
+    int inner_chunks = 0;
+    std::size_t covered = 0;
+    parallel_for(0, 64, 1, [&](std::size_t b, std::size_t e) {
+      if (!on_worker) return;
       ++inner_chunks;
-      EXPECT_EQ(b, 0u);
-      EXPECT_EQ(e, 64u);
+      covered += e - b;
     });
+    if (on_worker) {
+      EXPECT_EQ(inner_chunks, 1);
+      EXPECT_EQ(covered, 64u);
+      ++worker_chunks;
+      return;
+    }
+    wait_until_nonzero(worker_chunks);
   });
-  fut.get();
-  EXPECT_EQ(inner_chunks.load(), 1);
-  EXPECT_FALSE(pool.on_worker_thread());
+  EXPECT_GT(worker_chunks.load(), 0);
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for(&pool, 0, 100, 1,
-                   [&](std::size_t b, std::size_t) {
-                     if (b == 0) throw std::runtime_error("chunk failed");
-                   }),
-      std::runtime_error);
+  // Every chunk runs; the lowest-indexed failing chunk's error comes back,
+  // even though it throws last. 100 indices over 16 chunks at 4 threads:
+  // step 7, 15 chunks, and the chunks from 56 on throw.
+  PoolThreads pool(4);
+  std::atomic<int> ran{0};
+  std::atomic<int> later_throws{0};
+  try {
+    parallel_for(0, 100, 1, [&](std::size_t b, std::size_t) {
+      ++ran;
+      if (b < 50) return;
+      if (b == 56) {
+        wait_until_nonzero(later_throws);
+      } else {
+        ++later_throws;
+      }
+      throw std::runtime_error(std::to_string(b));
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "56");
+  }
+  EXPECT_EQ(ran.load(), 15);
+}
+
+TEST(ParallelFor, ConcurrentCallersShareThePool) {
+  // Two threads fan out on the one pool at once, as the trainer's workers
+  // do; each call covers its own range exactly once.
+  PoolThreads pool(4);
+  constexpr std::size_t kRange = 5000;
+  constexpr int kCalls = 50;
+  std::vector<std::atomic<int>> hits(2 * kRange);
+  auto caller = [&](std::size_t offset) {
+    for (int c = 0; c < kCalls; ++c) {
+      parallel_for(offset, offset + kRange, 16,
+                   [&](std::size_t b, std::size_t e) {
+                     for (std::size_t i = b; i < e; ++i) ++hits[i];
+                   });
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, kRange);
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), kCalls) << i;
+  }
 }
 
 TEST(ComputePool, ConfigurableAndInlineAtOneThread) {
   set_compute_pool_threads(1);
   EXPECT_EQ(compute_pool_threads(), 1u);
-  EXPECT_EQ(compute_pool(), nullptr);  // 1 thread = run inline
+  EXPECT_EQ(chunk_count(1000, 1), 1u);  // 1 thread = run inline
   set_compute_pool_threads(3);
-  ASSERT_NE(compute_pool(), nullptr);
-  EXPECT_EQ(compute_pool()->size(), 3u);
   EXPECT_EQ(compute_pool_threads(), 3u);
+  EXPECT_EQ(chunk_count(1000, 1), 12u);   // four chunks per pool thread
+  EXPECT_EQ(chunk_count(1000, 200), 5u);  // none smaller than a grain
   set_compute_pool_threads(0);  // back to auto for the rest of the suite
   EXPECT_GE(compute_pool_threads(), 1u);
 }
