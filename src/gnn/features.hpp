@@ -45,16 +45,17 @@ class FeatureProvider {
 
   /// IO telemetry: where each gathered row came from, fault-recovery work
   /// and the IO-reduction pipeline's effect (run coalescing, shared hot-row
-  /// cache). Counters are cumulative since construction and count only this
-  /// provider's own work; the two devices_* gauges reflect the backing
-  /// device array now. Providers without a faultable backend (e.g.
-  /// InMemoryFeatures) report all-zero.
+  /// cache, pages reused from an idle staging slot). Counters are
+  /// cumulative since construction and count only this provider's own
+  /// work; the two devices_* gauges reflect the backing device array now.
+  /// Providers without a faultable backend (e.g. InMemoryFeatures) report
+  /// all-zero.
   ///
   /// Each gathered row counts once, under the source that served it: with
   /// no faults, gpu_hits + cpu_hits + peer_rows + remote_hbm_host_rows +
-  /// cache_hits + ssd_rows = rows gathered. A row served from the host copy
-  /// after a fault counts in failovers instead, or as well when its SSD
-  /// read was issued and failed.
+  /// cache_hits + dedup_saved_reads + ssd_rows = rows gathered. A row
+  /// served from the host copy after a fault counts in failovers instead,
+  /// or as well when its SSD read was issued and failed.
   struct IoResilience {
     /// Rows served from this GPU's HBM tier (local or replicated bins).
     std::uint64_t gpu_hits = 0;
@@ -74,11 +75,12 @@ class FeatureProvider {
     std::uint32_t devices_failed = 0;
 
     // IO-reduction pipeline (all zero when the provider has none).
-    /// Always 0: the gather has no in-batch dedup. Kept only because the
-    /// benchmark under perfbench/ still reads it; delete it with that use.
+    /// SSD-resident rows served from a page an idle staging slot already
+    /// held (read by an earlier batch), so no read was issued for them.
     std::uint64_t dedup_saved_reads = 0;
-    /// SSD-resident rows that missed the row cache and were read from an
-    /// SSD (one per occurrence; duplicates in a batch are read twice).
+    /// SSD-resident rows that missed the row cache and the idle slots and
+    /// were read from an SSD, one per occurrence. Rows on one page, a
+    /// repeated vertex included, share that page's single read.
     std::uint64_t ssd_rows = 0;
     /// SSD read commands, one per run of consecutive pages a batch touches
     /// (<= ssd_rows).
@@ -111,10 +113,11 @@ class FeatureProvider {
                               : 0.0;
     }
 
-    /// Calls f(a.x, b.x, gauge) for every field but the two always-zero
-    /// ones: gauge is true for devices_degraded and devices_failed, false
-    /// for the counters. Aggregating and differencing records walk this one
-    /// list, so a new field needs its line here and the code that counts it.
+    /// Calls f(a.x, b.x, gauge) for every field but the always-zero
+    /// cache_evictions: gauge is true for devices_degraded and
+    /// devices_failed, false for the counters. Aggregating and differencing
+    /// records walk this one list, so a new field needs its line here and
+    /// the code that counts it.
     template <typename F>
     friend void for_each_field(IoResilience& a, const IoResilience& b, F&& f) {
       f(a.gpu_hits, b.gpu_hits, false);
@@ -126,6 +129,7 @@ class FeatureProvider {
       f(a.device_remaps, b.device_remaps, false);
       f(a.devices_degraded, b.devices_degraded, true);
       f(a.devices_failed, b.devices_failed, true);
+      f(a.dedup_saved_reads, b.dedup_saved_reads, false);
       f(a.ssd_rows, b.ssd_rows, false);
       f(a.ssd_commands, b.ssd_commands, false);
       f(a.coalesced_commands, b.coalesced_commands, false);

@@ -222,6 +222,7 @@ std::size_t TieredFeatureStore::warm_row_cache(
   for (std::size_t s = 0; s < packs.size(); ++s) {
     if (packs[s]) ssd_next_slot_[s] = next[s];
   }
+  layout_version_.fetch_add(1, std::memory_order_release);
   return filled;
 }
 
@@ -309,6 +310,7 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
   for (const auto& [v, loc] : placed) {
     loc_[v].store(pack(loc), std::memory_order_release);
   }
+  layout_version_.fetch_add(1, std::memory_order_release);
   return true;
 }
 
@@ -359,11 +361,17 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
     return !io_.writes_pending(q.first);
   });
 
+  // Taken before routing, so a remap during it (this client's or another's)
+  // marks this batch's pages stale: reuse only ever errs towards a read.
+  const std::uint64_t layout = store_.layout_version();
   route_rows(vertices, out);
+  // Before submit_runs overwrites the chosen slot's pages.
+  reuse_idle_pages(out);
   // Served entirely without the SSDs: nothing to wait for.
   if (scratch_targets_.empty()) return kSyncTicket;
 
   slot->out = &out;
+  slot->layout = layout;
   submit_runs(*slot);
   return slot->ticket;
 }
@@ -412,8 +420,11 @@ void TieredFeatureClient::route_rows(std::span<const graph::VertexId> vertices,
     }
     scratch_targets_.push_back({static_cast<std::uint32_t>(ssd), loc.index, v,
                                 static_cast<std::uint32_t>(i)});
-    ++counts_.ssd_rows;
   }
+  std::sort(scratch_targets_.begin(), scratch_targets_.end(),
+            [](const SsdTarget& a, const SsdTarget& b) {
+              return a.ssd != b.ssd ? a.ssd < b.ssd : a.index < b.index;
+            });
 }
 
 void TieredFeatureClient::route_hbm_row(
@@ -445,19 +456,50 @@ void TieredFeatureClient::route_hbm_row(
   }
 }
 
+void TieredFeatureClient::reuse_idle_pages(gnn::Tensor& out) {
+  const std::uint64_t layout = store_.layout_version();
+  const std::uint64_t row_span = store_.pages_per_row_ * kPageBytes;
+  const std::size_t raw = store_.dim() * sizeof(float);
+  for (const Slot& slot : slots_) {
+    if (slot.ticket != 0 || slot.layout != layout) continue;
+    // Both lists are sorted by (ssd, offset): one merge walk finds the
+    // command, if any, whose pages hold each target's row.
+    std::size_t kept = 0;
+    std::size_t r = 0;
+    for (const SsdTarget& t : scratch_targets_) {
+      const std::uint64_t begin = store_.first_page(t.index) * kPageBytes;
+      while (r < slot.reqs.size() &&
+             (slot.reqs[r].ssd < t.ssd ||
+              (slot.reqs[r].ssd == t.ssd &&
+               slot.reqs[r].offset + slot.reqs[r].length <= begin))) {
+        ++r;
+      }
+      const ReadRequest* req = r < slot.reqs.size() ? &slot.reqs[r] : nullptr;
+      if (req != nullptr && req->dest != nullptr && req->ssd == t.ssd &&
+          req->offset <= begin &&
+          begin + row_span <= req->offset + req->length) {
+        std::memcpy(out.row(t.out_row).data(),
+                    req->dest + (store_.slot_offset(t.index) - req->offset),
+                    raw);
+        ++counts_.dedup_saved_reads;
+      } else {
+        scratch_targets_[kept++] = t;
+      }
+    }
+    scratch_targets_.resize(kept);
+  }
+}
+
 void TieredFeatureClient::submit_runs(Slot& slot) {
-  // Sort the targets by (ssd, slot) and read every page they touch once:
-  // each run of consecutive touched pages on one SSD becomes one
-  // page-aligned command of whole pages, at most kMaxTransferBytes (the
-  // store guarantees one row's pages fit). Rows sharing a page, a repeated
-  // vertex included, share its bytes in the bounce buffer.
-  std::sort(scratch_targets_.begin(), scratch_targets_.end(),
-            [](const SsdTarget& a, const SsdTarget& b) {
-              return a.ssd != b.ssd ? a.ssd < b.ssd : a.index < b.index;
-            });
+  // Read every page the sorted targets touch once: each run of consecutive
+  // touched pages on one SSD becomes one page-aligned command of whole
+  // pages, at most kMaxTransferBytes (the store guarantees one row's pages
+  // fit). Rows sharing a page, a repeated vertex included, share its bytes
+  // in the bounce buffer.
   const std::uint64_t row_pages = store_.pages_per_row_;
   constexpr std::uint64_t kMaxPages = kMaxTransferBytes / kPageBytes;
 
+  counts_.ssd_rows += scratch_targets_.size();
   slot.reqs.clear();
   slot.pending.clear();
   std::size_t off = 0;
@@ -494,7 +536,12 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
     dest += r.length;
   }
 
-  slot.ticket = io_.submit(slot.reqs);
+  try {
+    slot.ticket = io_.submit(slot.reqs);
+  } catch (...) {
+    slot.reqs.clear();  // never read: lends no pages
+    throw;
+  }
 }
 
 void TieredFeatureClient::gather_wait(GatherTicket ticket) {
@@ -506,6 +553,7 @@ void TieredFeatureClient::gather_wait(GatherTicket ticket) {
   try {
     complete(*slot);
   } catch (...) {
+    slot->reqs.clear();  // its pages may be unread
     reset_slot(*slot);
     throw;
   }
@@ -540,6 +588,7 @@ void TieredFeatureClient::complete(Slot& slot) {
   if (io_.writes_pending(slot.ticket)) {
     quarantine_.emplace_back(slot.ticket, std::move(slot.bounce));
     slot.bounce = Bounce();
+    slot.reqs.clear();  // their pages went with the buffer
   }
 
   // Hard-failed devices get their bins re-placed so future gathers hit

@@ -7,8 +7,10 @@
 //
 // SSD layout: each device's rows pack densely into 4 KiB pages, as many to
 // a page as fit whole (a row never straddles a page), in hotness order once
-// warm_row_cache has the ranking, and a gather reads every page its batch
-// touches once, BaM-style (paper §3.1).
+// warm_row_cache has the ranking. A gather reads every page its batch
+// touches once, BaM-style (paper §3.1), except the pages a client's idle
+// staging slot still holds from an earlier batch: those rows are copied
+// from the slot, as a BaM software cache serves a page it already holds.
 //
 // Fault tolerance: the store keeps a host-side authoritative copy of every
 // SSD-resident row. Reads that permanently fail (retries exhausted, device
@@ -134,6 +136,13 @@ class TieredFeatureStore {
     return cache_rows_.row(static_cast<std::size_t>(cache_slot_[v]));
   }
 
+  /// Bumped by every call that rewrites SSD rows (warm_row_cache and a
+  /// remap that ran), after its writes. A page read under an older version
+  /// may hold other rows' bytes now, so clients never reuse it.
+  std::uint64_t layout_version() const noexcept {
+    return layout_version_.load(std::memory_order_acquire);
+  }
+
  private:
   friend class TieredFeatureClient;
 
@@ -187,6 +196,8 @@ class TieredFeatureStore {
   /// vertex, so it stays valid when a failover moves rows between devices.
   std::vector<std::int32_t> cache_slot_;
   gnn::Tensor cache_rows_;
+
+  std::atomic<std::uint64_t> layout_version_{0};
 };
 
 /// Wires a gather client into the comm layer's peer-HBM path: rows whose bin
@@ -208,16 +219,19 @@ struct PeerConfig {
 /// Per-GPU gather client. Implements gnn::FeatureProvider so the trainer can
 /// run end-to-end through the IO stack. Every batch runs one pipeline with
 /// no knobs: gather_begin routes each row (local/peer GPU, CPU, host copy or
-/// shared row cache, else an SSD target), turns the SSD targets into one
-/// read per run of consecutive touched pages and hands them to the client's
-/// IoEngine, whose IO thread submits and completes them while the caller
-/// samples and computes;
+/// shared row cache, else an SSD target), copies each SSD target whose page
+/// an idle staging slot still holds from that slot's bounce buffer, turns
+/// the rest into one read per run of consecutive touched pages and hands
+/// them to the client's IoEngine, whose IO thread submits and completes
+/// them while the caller samples and computes;
 /// gather_wait waits for that batch, then scatters the bounce-buffered rows
 /// and remaps failed devices on the calling thread, so every counter follows
 /// the caller's order, not IO timing.
 /// Each occurrence of a repeated vertex is routed on its own. Two staging
-/// slots allow two batches in flight (pipelined prefetch). One thread at a
-/// time may call the client.
+/// slots allow two batches in flight (pipelined prefetch); a slot keeps the
+/// pages of the last batch it read until the next batch it carries reads
+/// its own, and only a slot with no batch in flight lends them out. One
+/// thread at a time may call the client.
 ///
 /// Failures are recovered, not thrown: a read that permanently fails is
 /// served from the store's authoritative copy (same bytes), and a hard
@@ -273,9 +287,12 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// prefetch never overwrites the batch still being awaited). The IO thread
   /// reads `reqs` and the devices write `bounce` until the ticket is waited;
   /// a bounce buffer a device may still write into after that moves to
-  /// quarantine_.
+  /// quarantine_ and `reqs` is cleared. Once waited, `reqs` (sorted by
+  /// device and offset, a failed command's `dest` null) says which pages
+  /// `bounce` holds, read under store layout version `layout`.
   struct Slot {
     std::uint64_t ticket = 0;  // 0 = free
+    std::uint64_t layout = 0;
     gnn::Tensor* out = nullptr;
     std::vector<ReadRequest> reqs;
     std::vector<PendingRow> pending;
@@ -285,15 +302,19 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   };
 
   /// Stage 1: serves every row that needs no SSD read and collects the rest
-  /// in scratch_targets_.
+  /// in scratch_targets_, sorted by (ssd, slot).
   void route_rows(std::span<const graph::VertexId> vertices, gnn::Tensor& out);
   /// Routes a GPU-HBM row: local, peer route, or host copy.
   void route_hbm_row(graph::VertexId v, const TieredFeatureStore::Location& loc,
                      gnn::Tensor& out, std::size_t out_row);
-  /// Stage 2: turns scratch_targets_ into page-run commands and hands them
+  /// Stage 2: copies each target whose pages an idle slot read under the
+  /// current layout, in a command that succeeded, from that slot's bounce
+  /// buffer into `out`, and drops it from scratch_targets_.
+  void reuse_idle_pages(gnn::Tensor& out);
+  /// Stage 3: turns scratch_targets_ into page-run commands and hands them
   /// to the IO thread as one batch owned by `slot`.
   void submit_runs(Slot& slot);
-  /// Stage 3: waits for the slot's batch, scatters it into its output
+  /// Stage 4: waits for the slot's batch, scatters it into its output
   /// tensor, and remaps devices that failed during it.
   void complete(Slot& slot);
 

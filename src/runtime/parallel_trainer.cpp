@@ -399,7 +399,7 @@ std::string io_report(const EpochStats& stats) {
   // providers that count none (e.g. in-memory features).
   const std::uint64_t sourced = io.gpu_hits + io.peer_rows + io.cpu_hits +
                                 io.remote_hbm_host_rows + io.cache_hits +
-                                io.ssd_rows;
+                                io.dedup_saved_reads + io.ssd_rows;
   if (sourced > 0 && stats.fetched_vertices > 0) {
     const auto pct = [&](std::uint64_t n) {
       return 100.0 * static_cast<double>(n) /
@@ -407,14 +407,16 @@ std::string io_report(const EpochStats& stats) {
     };
     std::snprintf(buf, sizeof(buf),
                   " rows GPU %.1f%% peer %.1f%% CPU %.1f%% host %.1f%% "
-                  "cache %.1f%% SSD %.1f%% |",
+                  "cache %.1f%% reuse %.1f%% SSD %.1f%% |",
                   pct(io.gpu_hits), pct(io.peer_rows), pct(io.cpu_hits),
                   pct(io.remote_hbm_host_rows), pct(io.cache_hits),
-                  pct(io.ssd_rows));
+                  pct(io.dedup_saved_reads), pct(io.ssd_rows));
     out += buf;
   }
-  // Naive = one read per SSD-resident row that reached the cache or SSDs.
-  const std::uint64_t naive = io.ssd_rows + io.cache_hits;
+  // Naive = one read per SSD-resident row that reached the cache, an idle
+  // slot's pages or the SSDs.
+  const std::uint64_t naive =
+      io.ssd_rows + io.cache_hits + io.dedup_saved_reads;
   std::snprintf(buf, sizeof(buf),
                 " cmds %llu (rows %llu, %.2f rows/cmd, cache -%llu)",
                 static_cast<unsigned long long>(io.ssd_commands),

@@ -107,7 +107,8 @@ struct EpochStats {
 };
 
 /// Formats the epoch's IO telemetry for the per-epoch report: each row
-/// source's share of the fetched rows (GPU, peer, CPU, host, cache, SSD),
+/// source's share of the fetched rows (GPU, peer, CPU, host, cache, pages
+/// reused from an idle staging slot, SSD),
 /// the IO-reduction pipeline's counters (coalesced commands and rows/cmd,
 /// cache hit rate) and the retry/failover counters (RetryStats-derived).
 /// Single line, empty-ish sections elided.

@@ -632,11 +632,14 @@ TEST(FeatureStore, RemappedRowsLandInPackedSlots) {
     EXPECT_EQ(slots[i], 24 + i);
   }
 
+  // The first gather's reads failed and its remap changed the layout, so
+  // no idle slot lends a page: the moved rows' three pages are read.
   const auto reads = array.ssd(0).stats().reads;
   const auto bytes = array.ssd(0).stats().bytes_read;
   const auto cmds = client.io_resilience().ssd_commands;
   gather_and_match(client, features, odd, "remapped");
   array.stop_all();
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 0u);
   EXPECT_EQ(client.io_resilience().ssd_commands - cmds, 1u);
   EXPECT_EQ(array.ssd(0).stats().reads - reads, 1u);
   EXPECT_EQ(array.ssd(0).stats().bytes_read - bytes, 3 * kPageBytes);
@@ -860,11 +863,14 @@ TEST(FeatureStore, TwoClientsUnderFaultsReportIoResilienceBetweenEpochs) {
   // from SSDs that fail 5% of reads. The main thread reads every client's
   // io_resilience() between epochs while the IO threads stay alive; the
   // counters must never decrease and must add up to the epoch's deltas.
+  // Rows fill a page each, so the 512 pages outnumber what a client's
+  // staging slots hold and every epoch reads.
+  constexpr std::size_t kDim = kPageBytes / sizeof(float);
   graph::RmatParams gp;
   gp.num_vertices = 512;
   gp.num_edges = 4000;
   const auto g = graph::generate_rmat(gp);
-  const auto task = gnn::make_synthetic_task(g, 4, 8, 0.3, 11);
+  const auto task = gnn::make_synthetic_task(g, 4, kDim, 0.3, 11);
   const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
                                         {BinBacking::Kind::kSsd, 1}};
   std::vector<std::int32_t> bov(gp.num_vertices);
@@ -886,7 +892,7 @@ TEST(FeatureStore, TwoClientsUnderFaultsReportIoResilienceBetweenEpochs) {
 
   gnn::ModelConfig mcfg;
   mcfg.kind = gnn::ModelKind::kGraphSage;
-  mcfg.in_dim = 8;
+  mcfg.in_dim = kDim;
   mcfg.hidden_dim = 8;
   mcfg.num_classes = 4;
   runtime::DataParallelTrainer trainer(

@@ -139,8 +139,8 @@ TEST(Integration, HotTierAbsorbsMostTraffic) {
   array.stop_all();
 
   const auto s = client.io_resilience();
-  const double total =
-      static_cast<double>(s.gpu_hits + s.cpu_hits + s.ssd_rows);
+  const double total = static_cast<double>(s.gpu_hits + s.cpu_hits +
+                                           s.dedup_saved_reads + s.ssd_rows);
   const double cache_share =
       static_cast<double>(s.gpu_hits + s.cpu_hits) / total;
   // Caches hold 3% of vertices but must serve far more than 3% of gathers.

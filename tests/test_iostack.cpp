@@ -3,15 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "comm/planner.hpp"
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
+#include "iostack/fault_injector.hpp"
 #include "iostack/feature_store.hpp"
 #include "iostack/queue_pair.hpp"
 #include "iostack/ssd.hpp"
@@ -452,7 +456,8 @@ TEST(FeatureStore, RoundTripsThroughAllTiers) {
   EXPECT_GT(stats.gpu_hits, 0u);
   EXPECT_GT(stats.cpu_hits, 0u);
   EXPECT_GT(stats.ssd_rows, 0u);
-  EXPECT_EQ(stats.gpu_hits + stats.cpu_hits + stats.ssd_rows,
+  EXPECT_EQ(stats.gpu_hits + stats.cpu_hits + stats.dedup_saved_reads +
+                stats.ssd_rows,
             vertices.size());
 }
 
@@ -478,6 +483,9 @@ TEST(FeatureStore, AsyncGatherMatchesSyncAcrossTiers) {
   opts.capacity_bytes = 1ull << 20;
   SsdArray array(2, opts);
   TieredFeatureStore store(task.features, bin_of_vertex, bins, array);
+  // The sync reference gathers on a client of its own, so none of the
+  // async gathers' pages sits in an idle slot and both must read.
+  TieredFeatureClient reference(store);
   TieredFeatureClient client(store);
   array.start_all();
 
@@ -486,8 +494,8 @@ TEST(FeatureStore, AsyncGatherMatchesSyncAcrossTiers) {
   for (graph::VertexId v = 1; v < 256; v += 5) b.push_back(v);
 
   gnn::Tensor sync_a(a.size(), 12), sync_b(b.size(), 12);
-  client.gather(a, sync_a);
-  client.gather(b, sync_b);
+  reference.gather(a, sync_a);
+  reference.gather(b, sync_b);
 
   // Two async gathers in flight at once, completed out of order.
   gnn::Tensor async_a(a.size(), 12), async_b(b.size(), 12);
@@ -716,6 +724,9 @@ TEST(FeatureStore, RejectsOverflowingPlacement) {
   EXPECT_NO_THROW(TieredFeatureStore(task.features, bov, bins, roomy));
 }
 
+/// Pages per SSD, the form the page oracles below compare in.
+using PageSets = std::array<std::set<std::uint64_t>, 2>;
+
 /// A packed store over two SSDs: vertex v on SSD v % 3 == 0 ? 1 : 0, so
 /// each device holds runs of neighbouring slots and gaps between them.
 struct PackedRig {
@@ -742,6 +753,22 @@ struct PackedRig {
                                    kPageBytes * kPageBytes);
     return opts;
   }
+  /// Adds the pages `v`'s row lies on in the current layout to `pages`.
+  void add_pages(graph::VertexId v, PageSets& pages) const {
+    const std::size_t row_bytes = store.row_bytes();
+    const std::size_t row_pages = (row_bytes + kPageBytes - 1) / kPageBytes;
+    const std::size_t per_page = row_pages > 1 ? 1 : kPageBytes / row_bytes;
+    const auto loc = store.location(v);
+    const std::uint64_t first = loc.index / per_page * row_pages;
+    for (std::size_t p = 0; p < row_pages; ++p) {
+      pages[static_cast<std::size_t>(loc.ssd)].insert(first + p);
+    }
+  }
+  PageSets pages_of(std::span<const graph::VertexId> vs) const {
+    PageSets pages;
+    for (const graph::VertexId v : vs) add_pages(v, pages);
+    return pages;
+  }
   /// Reads, bytes and errors summed over both devices.
   SsdStats device_stats() {
     SsdStats sum;
@@ -754,6 +781,30 @@ struct PackedRig {
     return sum;
   }
 };
+
+/// The commands that read `pages`: per SSD, each maximal run of
+/// consecutive pages cut into pieces of at most kMaxTransferBytes.
+std::uint64_t run_commands(const PageSets& pages) {
+  constexpr std::size_t kMaxPages = kMaxTransferBytes / kPageBytes;
+  std::uint64_t cmds = 0;
+  for (const auto& set : pages) {
+    std::uint64_t run = 0, prev = 0;
+    for (const std::uint64_t p : set) {
+      if (run > 0 && p != prev + 1) {
+        cmds += (run + kMaxPages - 1) / kMaxPages;
+        run = 0;
+      }
+      ++run;
+      prev = p;
+    }
+    if (run > 0) cmds += (run + kMaxPages - 1) / kMaxPages;
+  }
+  return cmds;
+}
+
+std::uint64_t page_count(const PageSets& pages) {
+  return pages[0].size() + pages[1].size();
+}
 
 /// Rows per page and pages per row of a `dim`-float row: 8, 10, 1 and
 /// under 1 rows per page.
@@ -805,37 +856,22 @@ TEST(FeatureStore, CommandsAreMaximalRunsOfTouchedPages) {
   // commands: one per run piece, each page read once, none partial or
   // unaligned (the device would fail it) and none over the transfer bound
   // (IoEngine::submit would throw).
-  constexpr std::size_t kMaxPages = kMaxTransferBytes / kPageBytes;
   for (const std::size_t dim : kPackedDims) {
     PackedRig rig(dim);
-    const std::size_t row_bytes = dim * sizeof(float);
-    const std::size_t row_pages = (row_bytes + kPageBytes - 1) / kPageBytes;
-    const std::size_t per_page = row_pages > 1 ? 1 : kPageBytes / row_bytes;
-    TieredFeatureClient client(rig.store);
+    // Each batch gathers on a client of its own, so no idle staging slot
+    // holds any of its pages and every touched page must be read.
+    const auto batches = packed_batches();
+    std::vector<std::unique_ptr<TieredFeatureClient>> clients;
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      clients.push_back(std::make_unique<TieredFeatureClient>(rig.store));
+    }
     rig.array.start_all();
-    for (const auto& vs : packed_batches()) {
-      std::set<std::uint64_t> pages[2];
-      for (const graph::VertexId v : vs) {
-        const auto loc = rig.store.location(v);
-        const std::uint64_t first = loc.index / per_page * row_pages;
-        for (std::size_t p = 0; p < row_pages; ++p) {
-          pages[loc.ssd].insert(first + p);
-        }
-      }
-      std::uint64_t want_cmds = 0, want_pages = 0;
-      for (const auto& set : pages) {
-        want_pages += set.size();
-        std::uint64_t run = 0, prev = 0;
-        for (const std::uint64_t p : set) {
-          if (run > 0 && p != prev + 1) {
-            want_cmds += (run + kMaxPages - 1) / kMaxPages;
-            run = 0;
-          }
-          ++run;
-          prev = p;
-        }
-        if (run > 0) want_cmds += (run + kMaxPages - 1) / kMaxPages;
-      }
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const auto& vs = batches[b];
+      TieredFeatureClient& client = *clients[b];
+      const PageSets pages = rig.pages_of(vs);
+      const std::uint64_t want_cmds = run_commands(pages);
+      const std::uint64_t want_pages = page_count(pages);
 
       const auto cmds = client.io_resilience().ssd_commands;
       const SsdStats before = rig.device_stats();
@@ -850,6 +886,334 @@ TEST(FeatureStore, CommandsAreMaximalRunsOfTouchedPages) {
     }
     rig.array.stop_all();
     EXPECT_EQ(rig.device_stats().errors, 0u) << "dim " << dim;
+  }
+}
+
+// --- Idle-slot page reuse ----------------------------------------------------
+// A client keeps the pages each staging slot last read. A gather copies
+// every SSD row whose pages an idle slot holds from that slot and reads the
+// rest; a slot with a batch in flight, a failed command, a quarantined
+// buffer and a page read before the layout changed lend nothing.
+
+/// Sources that served rows; equals the rows gathered when no read fails.
+std::uint64_t rows_served(const gnn::FeatureProvider::IoResilience& s) {
+  return s.gpu_hits + s.cpu_hits + s.peer_rows + s.remote_hbm_host_rows +
+         s.cache_hits + s.dedup_saved_reads + s.ssd_rows;
+}
+
+void expect_rows_exact(const gnn::Tensor& out,
+                       std::span<const graph::VertexId> vs,
+                       const gnn::Tensor& truth, const std::string& what) {
+  const std::size_t bytes = truth.cols() * sizeof(float);
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(out.row(i).data(), truth.row(vs[i]).data(),
+                             bytes))
+        << what << ": vertex " << vs[i] << " at row " << i;
+  }
+}
+
+TEST(FeatureStore, OverlappingGatherReadsOnlyPagesNoIdleSlotHolds) {
+  // The second batch overlaps the first: its rows on pages the first read
+  // are copied from the idle slot, and exactly its other pages are read, in
+  // maximal runs.
+  std::vector<graph::VertexId> first, second;
+  for (graph::VertexId v = 0; v < 300; v += 2) first.push_back(v);
+  for (graph::VertexId v = 150; v < 450; ++v) second.push_back(v);
+  second.push_back(151);  // a repeat
+  for (const std::size_t dim : kPackedDims) {
+    PackedRig rig(dim);
+    TieredFeatureClient client(rig.store);
+    rig.array.start_all();
+    gnn::Tensor out1(first.size(), dim), out2(second.size(), dim);
+    client.gather(first, out1);
+    expect_rows_exact(out1, first, rig.features, "first");
+    const auto r1 = client.io_resilience();
+    EXPECT_EQ(r1.dedup_saved_reads, 0u);
+    EXPECT_EQ(r1.ssd_rows, first.size());
+
+    const PageSets held = rig.pages_of(first);
+    PageSets fresh;
+    std::uint64_t reused = 0;
+    for (const graph::VertexId v : second) {
+      PageSets mine;
+      rig.add_pages(v, mine);
+      const std::size_t ssd = mine[0].empty() ? 1 : 0;
+      if (held[ssd].contains(*mine[ssd].begin())) {
+        ++reused;
+      } else {
+        rig.add_pages(v, fresh);
+      }
+    }
+    ASSERT_GT(reused, 0u) << "dim " << dim;
+    ASSERT_LT(reused, second.size()) << "dim " << dim;
+
+    const SsdStats before = rig.device_stats();
+    client.gather(second, out2);
+    const SsdStats after = rig.device_stats();
+    rig.array.stop_all();
+    expect_rows_exact(out2, second, rig.features, "second");
+    const auto r2 = client.io_resilience();
+    EXPECT_EQ(r2.dedup_saved_reads - r1.dedup_saved_reads, reused)
+        << "dim " << dim;
+    EXPECT_EQ(r2.ssd_rows - r1.ssd_rows, second.size() - reused)
+        << "dim " << dim;
+    EXPECT_EQ(r2.ssd_commands - r1.ssd_commands, run_commands(fresh))
+        << "dim " << dim;
+    EXPECT_EQ(after.reads - before.reads, run_commands(fresh))
+        << "dim " << dim;
+    EXPECT_EQ(after.bytes_read - before.bytes_read,
+              page_count(fresh) * kPageBytes)
+        << "dim " << dim;
+    EXPECT_EQ(rows_served(r2), first.size() + second.size());
+  }
+}
+
+TEST(FeatureStore, RewarmedLayoutLendsNoPages) {
+  // A warm rewrites every page, so pages read before it hold other rows:
+  // the gather after a second warm reads all its pages again and returns
+  // the new layout's bytes. With no warm in between, the same batch is
+  // served entirely from the idle slot.
+  PackedRig rig(128);
+  rig.store.enable_row_cache({0});
+  std::vector<graph::VertexId> all(PackedRig::kRows);
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+  const std::vector<graph::VertexId> reversed(all.rbegin(), all.rend());
+  TieredFeatureClient client(rig.store);
+  rig.array.start_all();
+  gnn::Tensor out(all.size(), 128);
+
+  rig.store.warm_row_cache(all);
+  client.gather(all, out);
+  rig.store.warm_row_cache(reversed);
+  const std::uint64_t pages = page_count(rig.pages_of(all));
+  const SsdStats before = rig.device_stats();
+  client.gather(all, out);
+  const SsdStats after = rig.device_stats();
+  expect_rows_exact(out, all, rig.features, "after the second warm");
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 0u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, pages * kPageBytes);
+
+  EXPECT_EQ(client.gather_begin(all, out), gnn::FeatureProvider::kSyncTicket);
+  rig.array.stop_all();
+  expect_rows_exact(out, all, rig.features, "from the idle slot");
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, all.size());
+  EXPECT_EQ(rig.device_stats().reads, after.reads);
+}
+
+TEST(FeatureStore, FailedCommandPagesAreReadAgain) {
+  // 512 B rows, 8 to a page. The batch touches pages 0 and 2; page 0's
+  // command fails for good (one error burst, no retry) and its rows come
+  // from the host copy. The same batch again reads page 0 and copies only
+  // page 2's rows from the idle slot.
+  const gnn::Tensor features = numbered_features(24, 128);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0}};
+  const std::vector<std::int32_t> bov(24, 0);
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(1, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.error_burst_reads = 1;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.max_retries = 0;
+  TieredFeatureClient client(store, 256, io);
+  array.start_all();
+
+  const std::vector<graph::VertexId> vs = {0, 3, 17, 7, 3, 20};
+  gnn::Tensor out(vs.size(), 128);
+  client.gather(vs, out);
+  expect_rows_exact(out, vs, features, "failed page");
+  ASSERT_EQ(client.io_resilience().failovers, 4u);
+  ASSERT_EQ(array.ssd(0).stats().reads, 1u);  // page 2's command
+
+  client.gather(vs, out);
+  array.stop_all();
+  expect_rows_exact(out, vs, features, "again");
+  const auto r = client.io_resilience();
+  EXPECT_EQ(r.dedup_saved_reads, 2u);  // vertices 17 and 20
+  EXPECT_EQ(r.ssd_rows, 6u + 4u);
+  EXPECT_EQ(r.failovers, 4u);
+  EXPECT_EQ(array.ssd(0).stats().reads, 2u);
+  EXPECT_EQ(array.ssd(0).stats().bytes_read, 2 * kPageBytes);
+}
+
+TEST(FeatureStore, QuarantinedBufferLendsNoPages) {
+  // Rows a page each, even vertices on SSD 0 and odd ones on SSD 1. SSD 0
+  // stalls every read 1 s, past the 100 ms deadline, and the client does
+  // not retry: gathering {0, 1} gives up on SSD 0's command while the
+  // device still holds it, so the batch's buffer goes to quarantine even
+  // though SSD 1's page in it was read. Gathering {1} again reads it again.
+  constexpr std::size_t kRows = 4;
+  const gnn::Tensor features =
+      numbered_features(kRows, kPageBytes / sizeof(float));
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  const std::vector<std::int32_t> bov = {0, 1, 0, 1};
+  SsdOptions opts;
+  opts.capacity_bytes = kRows * kPageBytes;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.stall_prob = 1.0;
+  fp.stall_us = 1'000'000;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.request_deadline = std::chrono::milliseconds(100);
+  io.max_retries = 0;
+  TieredFeatureClient client(store, 256, io);
+  array.start_all();
+
+  const std::vector<graph::VertexId> both = {0, 1}, odd = {1};
+  gnn::Tensor out2(2, features.cols()), out1(1, features.cols());
+  client.gather(both, out2);
+  expect_rows_exact(out2, both, features, "timed-out gather");
+  ASSERT_EQ(client.io_resilience().failovers, 1u);
+  // SSD 0 has not served the command yet, so it was still pending when
+  // the batch completed: the buffer is in quarantine.
+  ASSERT_EQ(array.ssd(0).stats().reads, 0u);
+  ASSERT_EQ(array.ssd(1).stats().reads, 1u);
+
+  client.gather(odd, out1);
+  expect_rows_exact(out1, odd, features, "after quarantine");
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 0u);
+  EXPECT_EQ(array.ssd(1).stats().reads, 2u);
+  array.stop_all();
+}
+
+TEST(FeatureStore, InFlightBatchLendsNoPages) {
+  // Two gathers of the same batch in flight at once: the second may not
+  // copy from the first's slot, so both read every page. Once both are
+  // waited, the batch again is served from an idle slot without IO.
+  PackedRig rig(128);
+  std::vector<graph::VertexId> all(PackedRig::kRows);
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+  const std::uint64_t pages = page_count(rig.pages_of(all));
+  TieredFeatureClient client(rig.store);
+  rig.array.start_all();
+  gnn::Tensor a(all.size(), 128), b(all.size(), 128), c(all.size(), 128);
+  const auto ta = client.gather_begin(all, a);
+  const auto tb = client.gather_begin(all, b);
+  EXPECT_NE(ta, gnn::FeatureProvider::kSyncTicket);
+  EXPECT_NE(tb, gnn::FeatureProvider::kSyncTicket);
+  client.gather_wait(tb);
+  client.gather_wait(ta);
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 0u);
+  EXPECT_EQ(client.io_resilience().ssd_rows, 2 * all.size());
+  EXPECT_EQ(rig.device_stats().bytes_read, 2 * pages * kPageBytes);
+
+  EXPECT_EQ(client.gather_begin(all, c), gnn::FeatureProvider::kSyncTicket);
+  rig.array.stop_all();
+  for (const gnn::Tensor* out : {&a, &b, &c}) {
+    expect_rows_exact(*out, all, rig.features, "in flight");
+  }
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, all.size());
+  EXPECT_EQ(rig.device_stats().bytes_read, 2 * pages * kPageBytes);
+}
+
+/// Counters and device totals of one seeded run of random batches.
+struct SequenceRun {
+  gnn::FeatureProvider::IoResilience io;
+  SsdStats devices;
+};
+
+/// Gathers 16 random batches (windows of 150 ids, so neighbours overlap,
+/// repeats included) with up to `depth` in flight, on a fresh store with a
+/// `cache_rows`-row cache warmed in a shuffled order. Checks every row's
+/// bytes and per-batch row conservation (a fault-free batch is counted in
+/// full by gather_begin); at depth 1 also checks each
+/// batch's device bytes against the oracle: a batch reads the pages it
+/// touches outside the cache that the last batch to read did not read.
+SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
+                         std::uint64_t seed) {
+  constexpr std::size_t kBatches = 16, kDim = 100;
+  const std::string where = "cache " + std::to_string(cache_rows) +
+                            " depth " + std::to_string(depth) + " seed " +
+                            std::to_string(seed);
+  util::Pcg32 rng(seed);
+  std::vector<std::vector<graph::VertexId>> batches(kBatches);
+  for (auto& vs : batches) {
+    const std::uint32_t base =
+        rng.next_below(static_cast<std::uint32_t>(PackedRig::kRows - 150));
+    vs.resize(1 + rng.next_below(200));
+    for (auto& v : vs) v = base + rng.next_below(150);
+  }
+  PackedRig rig(kDim);
+  if (cache_rows > 0) {
+    std::vector<graph::VertexId> order(PackedRig::kRows);
+    std::iota(order.begin(), order.end(), graph::VertexId{0});
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1],
+                order[rng.next_below(static_cast<std::uint32_t>(i))]);
+    }
+    rig.store.enable_row_cache({cache_rows});
+    rig.store.warm_row_cache(order);
+  }
+  TieredFeatureClient client(rig.store);
+  rig.array.start_all();
+
+  std::vector<gnn::Tensor> outs;
+  for (const auto& vs : batches) outs.emplace_back(vs.size(), kDim);
+  std::vector<gnn::FeatureProvider::GatherTicket> tickets(kBatches);
+  PageSets held;
+  SsdStats before = rig.device_stats();
+  const auto finish = [&](std::size_t i) {
+    client.gather_wait(tickets[i]);
+    expect_rows_exact(outs[i], batches[i], rig.features,
+                      where + " batch " + std::to_string(i));
+    if (depth != 1) return;
+    PageSets read;
+    for (const graph::VertexId v : batches[i]) {
+      if (!rig.store.cached_row(v).empty()) continue;
+      PageSets mine;
+      rig.add_pages(v, mine);
+      for (std::size_t s = 0; s < 2; ++s) {
+        for (const std::uint64_t p : mine[s]) {
+          if (!held[s].contains(p)) read[s].insert(p);
+        }
+      }
+    }
+    if (page_count(read) > 0) held = read;
+    const SsdStats after = rig.device_stats();
+    EXPECT_EQ(after.bytes_read - before.bytes_read,
+              page_count(read) * kPageBytes)
+        << where << " batch " << i;
+    before = after;
+  };
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    const std::uint64_t served = rows_served(client.io_resilience());
+    tickets[i] = client.gather_begin(batches[i], outs[i]);
+    EXPECT_EQ(rows_served(client.io_resilience()) - served, batches[i].size())
+        << where << " batch " << i;
+    if (i + 1 >= depth) finish(i + 1 - depth);
+  }
+  for (std::size_t i = kBatches + 1 - depth; i < kBatches; ++i) finish(i);
+  rig.array.stop_all();
+  return {client.io_resilience(), rig.device_stats()};
+}
+
+TEST(FeatureStore, RandomBatchSequencesReuseIdlePagesExactly) {
+  for (const std::size_t cache_rows : {0u, 64u}) {
+    for (const std::size_t depth : {1u, 2u}) {
+      for (const std::uint64_t seed : {3u, 8u}) {
+        const SequenceRun a = run_sequence(cache_rows, depth, seed);
+        const SequenceRun b = run_sequence(cache_rows, depth, seed);
+        const std::string where = "cache " + std::to_string(cache_rows) +
+                                  " depth " + std::to_string(depth) +
+                                  " seed " + std::to_string(seed);
+        EXPECT_GT(a.io.dedup_saved_reads, 0u) << where;
+        EXPECT_EQ(a.io.failovers, 0u) << where;
+        // The same batch sequence gives the same counts, whatever the IO
+        // timing.
+        auto io = a.io;
+        for_each_field(io, b.io, [&](auto x, auto y, bool) {
+          EXPECT_EQ(x, y) << where;
+        });
+        EXPECT_EQ(a.devices.reads, b.devices.reads) << where;
+        EXPECT_EQ(a.devices.bytes_read, b.devices.bytes_read) << where;
+        EXPECT_EQ(a.io.ssd_commands, a.devices.reads) << where;
+      }
+    }
   }
 }
 
@@ -905,12 +1269,15 @@ TEST(FeatureStore, EpochStatsConserveGatheredRows) {
   // warmed row cache and two SSDs. With no faults every gathered row counts
   // once, under the source that served it, so the epoch's row sources add
   // up to fetched_vertices. GPU 1 reaches GPU 0's rows over a peer route,
-  // or over the host copy when it has no plan.
+  // or over the host copy when it has no plan. Rows fill a page each, so
+  // the SSD rows span 416 pages: every epoch reads some of them and copies
+  // others from the pages an idle staging slot holds.
+  constexpr std::size_t kDim = kPageBytes / sizeof(float);
   graph::RmatParams gp;
   gp.num_vertices = 512;
   gp.num_edges = 4000;
   const auto g = graph::generate_rmat(gp);
-  const auto task = gnn::make_synthetic_task(g, 4, 12, 0.3, 9);
+  const auto task = gnn::make_synthetic_task(g, 4, kDim, 0.3, 9);
   const std::vector<BinBacking> bins = {
       {BinBacking::Kind::kGpuCache, -1, 0},
       {BinBacking::Kind::kCpuCache, -1},
@@ -939,7 +1306,7 @@ TEST(FeatureStore, EpochStatsConserveGatheredRows) {
       comm::CommPlanner(topo).plan(comm::AllReduceAlgo::kRing);
   gnn::ModelConfig mcfg;
   mcfg.kind = gnn::ModelKind::kGraphSage;
-  mcfg.in_dim = 12;
+  mcfg.in_dim = kDim;
   mcfg.hidden_dim = 8;
   mcfg.num_classes = 4;
   const auto train = sampling::select_train_vertices(g, 0.2, 3);
@@ -967,12 +1334,14 @@ TEST(FeatureStore, EpochStatsConserveGatheredRows) {
                                   " epoch " + std::to_string(epoch);
         EXPECT_EQ(stats.fetched_vertices,
                   io.gpu_hits + io.cpu_hits + io.peer_rows +
-                      io.remote_hbm_host_rows + io.cache_hits + io.ssd_rows)
+                      io.remote_hbm_host_rows + io.cache_hits +
+                      io.dedup_saved_reads + io.ssd_rows)
             << where;
         EXPECT_EQ(io.failovers, 0u) << where;
         EXPECT_GT(io.gpu_hits, 0u) << where;
         EXPECT_GT(io.cpu_hits, 0u) << where;
         EXPECT_GT(io.cache_hits, 0u) << where;
+        EXPECT_GT(io.dedup_saved_reads, 0u) << where;
         EXPECT_GT(io.ssd_rows, 0u) << where;
         EXPECT_GT(routed ? io.peer_rows : io.remote_hbm_host_rows, 0u)
             << where;

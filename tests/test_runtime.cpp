@@ -404,7 +404,10 @@ TEST(PipelineEngine, PerStageTelemetryAccountsEpoch) {
 
 /// Tiered rig: features spread over GPU/CPU caches and two SSDs, one
 /// TieredFeatureClient per worker, as in the paper's runtime.
+/// Rows fill a 4 KiB page each, so the SSD rows span 448 pages, more than
+/// a batch's staging slot holds: every batch reads some pages.
 struct TieredRig {
+  static constexpr std::size_t kDim = iostack::kPageBytes / sizeof(float);
   graph::CsrGraph g;
   gnn::SyntheticTask task;
   std::unique_ptr<iostack::SsdArray> array;
@@ -418,7 +421,7 @@ struct TieredRig {
     gp.num_vertices = 512;
     gp.num_edges = 4000;
     r.g = graph::generate_rmat(gp);
-    r.task = gnn::make_synthetic_task(r.g, 4, 12, 0.3, 9);
+    r.task = gnn::make_synthetic_task(r.g, 4, kDim, 0.3, 9);
     std::vector<iostack::BinBacking> bins = {
         {iostack::BinBacking::Kind::kGpuCache, -1},
         {iostack::BinBacking::Kind::kCpuCache, -1},
@@ -448,7 +451,7 @@ struct TieredRig {
   gnn::ModelConfig model_config() const {
     gnn::ModelConfig cfg;
     cfg.kind = gnn::ModelKind::kGraphSage;
-    cfg.in_dim = 12;
+    cfg.in_dim = kDim;
     cfg.hidden_dim = 16;
     cfg.num_classes = 4;
     return cfg;
