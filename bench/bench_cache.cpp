@@ -28,6 +28,7 @@
 //   bench_cache [--out FILE]   full run, writes BENCH_cache.json
 //   bench_cache --smoke        small shapes, same checks, no JSON
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -59,7 +60,6 @@ struct Shape {
   std::size_t cache_rows = 2048;
   std::size_t batches = 64;
   std::size_t batch_size = 1024;
-  std::uint64_t fail_after_commands = 40;  // chaos leg, SSD 1
 };
 
 Shape smoke_shape() {
@@ -72,7 +72,6 @@ Shape smoke_shape() {
   s.cache_rows = 384;
   s.batches = 8;
   s.batch_size = 256;
-  s.fail_after_commands = 5;
   return s;
 }
 
@@ -151,15 +150,17 @@ struct ConfigResult {
   gnn::FeatureProvider::IoResilience stats;
   std::uint64_t device_reads = 0;
   std::uint64_t device_bytes = 0;
+  std::uint64_t ssd1_reads = 0;  // reads SSD 1 served
   bool byte_identical = true;
 };
 
 /// Runs the batch stream on a fresh store, warmed from `w.hot_order` with
-/// a cache of `warm_cache_rows` rows unless that is empty.
+/// a cache of `warm_cache_rows` rows unless that is empty. SSD 1 hard-fails
+/// after `ssd1_fail_after` served reads.
 ConfigResult run_config(const Shape& shape, const Workload& w,
                         const std::string& name,
                         std::optional<std::size_t> warm_cache_rows,
-                        bool inject_fault) {
+                        std::uint64_t ssd1_fail_after = UINT64_MAX) {
   iostack::SsdOptions ssd_opts;
   ssd_opts.capacity_bytes = 64ull << 20;
   iostack::SsdArray array(3, ssd_opts);
@@ -168,9 +169,9 @@ ConfigResult run_config(const Shape& shape, const Workload& w,
     store.enable_row_cache({*warm_cache_rows});
     store.warm_row_cache(w.hot_order);
   }
-  if (inject_fault) {
+  if (ssd1_fail_after != UINT64_MAX) {
     iostack::FaultProfile fp;
-    fp.fail_after_reads = shape.fail_after_commands;
+    fp.fail_after_reads = ssd1_fail_after;
     array.ssd(1).inject_faults(fp);
   }
 
@@ -200,6 +201,7 @@ ConfigResult run_config(const Shape& shape, const Workload& w,
     result.device_reads += array.ssd(s).stats().reads;
     result.device_bytes += array.ssd(s).stats().bytes_read;
   }
+  result.ssd1_reads = array.ssd(1).stats().reads;
   array.stop_all();
   return result;
 }
@@ -250,17 +252,16 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
               smoke ? " [smoke]" : "");
   const Workload w = make_workload(shape);
 
-  const ConfigResult base =
-      run_config(shape, w, "no-cache", std::nullopt, false);
-  const ConfigResult best =
-      run_config(shape, w, "cache", shape.cache_rows, false);
-  const ConfigResult fault =
-      run_config(shape, w, "cache+device-failure", shape.cache_rows, true);
+  const ConfigResult base = run_config(shape, w, "no-cache", std::nullopt);
+  const ConfigResult best = run_config(shape, w, "cache", shape.cache_rows);
+  // SSD 1 fails halfway through the reads it serves in the cache leg, so
+  // the failure lands mid-run whatever the leg's read count.
+  const ConfigResult fault = run_config(shape, w, "cache+device-failure",
+                                        shape.cache_rows, best.ssd1_reads / 2);
   const Workload scattered = scatter(w);
   const ConfigResult by_id =
-      run_config(shape, scattered, "scattered", std::nullopt, false);
-  const ConfigResult packed =
-      run_config(shape, scattered, "scattered+packed", 0, false);
+      run_config(shape, scattered, "scattered", std::nullopt);
+  const ConfigResult packed = run_config(shape, scattered, "scattered+packed", 0);
   for (const ConfigResult* r : {&base, &best, &fault, &by_id, &packed}) {
     print_result(*r);
   }
@@ -279,8 +280,10 @@ int run(const Shape& shape, bool smoke, const std::string& out_path) {
               cmd_reduction * 100.0,
               static_cast<unsigned long long>(best.device_reads),
               static_cast<unsigned long long>(base.device_reads));
-  std::printf("  chaos leg: %s, %llu remap(s), %llu cache hits (cache leg "
-              "%llu)\n",
+  std::printf("  chaos leg: SSD 1 fails after %llu of its %llu reads, %s, "
+              "%llu remap(s), %llu cache hits (cache leg %llu)\n",
+              static_cast<unsigned long long>(best.ssd1_reads / 2),
+              static_cast<unsigned long long>(best.ssd1_reads),
               fault.byte_identical ? "byte-identical" : "BYTE MISMATCH",
               static_cast<unsigned long long>(fault.stats.device_remaps),
               static_cast<unsigned long long>(fault.stats.cache_hits),

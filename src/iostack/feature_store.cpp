@@ -352,7 +352,14 @@ gnn::FeatureProvider::GatherTicket TieredFeatureClient::gather_begin(
   if (out.rows() != vertices.size() || out.cols() != store_.dim()) {
     throw std::invalid_argument("TieredFeatureClient::gather: shape mismatch");
   }
-  Slot* slot = find_slot(0);
+  // Overwrite the free slot filled least recently, so the slots hold the
+  // last two batches' pages.
+  Slot* slot = nullptr;
+  for (Slot& s : slots_) {
+    if (s.ticket == 0 && (slot == nullptr || s.filled < slot->filled)) {
+      slot = &s;
+    }
+  }
   if (slot == nullptr) {
     throw std::logic_error(
         "TieredFeatureClient::gather_begin: more than two gathers in flight");
@@ -500,6 +507,7 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
   constexpr std::uint64_t kMaxPages = kMaxTransferBytes / kPageBytes;
 
   counts_.ssd_rows += scratch_targets_.size();
+  slot.filled = ++fills_;
   slot.reqs.clear();
   slot.pending.clear();
   std::size_t off = 0;
@@ -540,6 +548,7 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
     slot.ticket = io_.submit(slot.reqs);
   } catch (...) {
     slot.reqs.clear();  // never read: lends no pages
+    slot.filled = 0;    // so the next read overwrites it first
     throw;
   }
 }
@@ -554,6 +563,7 @@ void TieredFeatureClient::gather_wait(GatherTicket ticket) {
     complete(*slot);
   } catch (...) {
     slot->reqs.clear();  // its pages may be unread
+    slot->filled = 0;
     reset_slot(*slot);
     throw;
   }
@@ -589,6 +599,7 @@ void TieredFeatureClient::complete(Slot& slot) {
     quarantine_.emplace_back(slot.ticket, std::move(slot.bounce));
     slot.bounce = Bounce();
     slot.reqs.clear();  // their pages went with the buffer
+    slot.filled = 0;
   }
 
   // Hard-failed devices get their bins re-placed so future gathers hit

@@ -228,10 +228,13 @@ struct PeerConfig {
 /// and remaps failed devices on the calling thread, so every counter follows
 /// the caller's order, not IO timing.
 /// Each occurrence of a repeated vertex is routed on its own. Two staging
-/// slots allow two batches in flight (pipelined prefetch); a slot keeps the
-/// pages of the last batch it read until the next batch it carries reads
-/// its own, and only a slot with no batch in flight lends them out. One
-/// thread at a time may call the client.
+/// slots allow two batches in flight; a slot keeps the pages of the last
+/// batch it read until the next batch it carries reads its own, and only a
+/// slot with no batch in flight lends them out. A gather that reads takes
+/// the free slot filled least recently, so a caller that waits each batch
+/// before it begins the next (the pipelined trainer does) has the pages of
+/// the last two batches to copy from. One thread at a time may call the
+/// client.
 ///
 /// Failures are recovered, not thrown: a read that permanently fails is
 /// served from the store's authoritative copy (same bytes), and a hard
@@ -293,6 +296,8 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   struct Slot {
     std::uint64_t ticket = 0;  // 0 = free
     std::uint64_t layout = 0;
+    std::uint64_t filled = 0;  // fills_ when submit_runs last wrote it;
+                               // 0 once `reqs` is cleared
     gnn::Tensor* out = nullptr;
     std::vector<ReadRequest> reqs;
     std::vector<PendingRow> pending;
@@ -318,7 +323,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// tensor, and remaps devices that failed during it.
   void complete(Slot& slot);
 
-  /// The slot holding `ticket` (0 finds a free slot), or nullptr.
+  /// The slot holding `ticket`, or nullptr.
   Slot* find_slot(std::uint64_t ticket) noexcept;
   void snapshot_health();
   void reset_slot(Slot& slot) noexcept;
@@ -329,6 +334,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// here and are filled in by io_resilience().
   IoResilience counts_;
   Slot slots_[2];
+  std::uint64_t fills_ = 0;  // batches handed to submit_runs
   /// Bounce buffers of waited batches that a device still holds a
   /// given-up-on command for (IoEngine::writes_pending), with their ticket;
   /// freed once no device can write into them.

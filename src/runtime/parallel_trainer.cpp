@@ -93,34 +93,34 @@ void DataParallelTrainer::worker_main(std::size_t w) {
   }
 }
 
-void DataParallelTrainer::fetch_batch(std::size_t w,
-                                      sampling::BatchIterator& iter,
-                                      Prefetch& slot, std::size_t round) {
+void DataParallelTrainer::sample_batch(std::size_t w,
+                                       sampling::BatchIterator& iter,
+                                       Prefetch& slot, std::size_t round) {
   Replica& r = *replicas_[w];
-  StageTimes& times = r.state.times;
   slot.valid = true;
   slot.ticket = gnn::FeatureProvider::kSyncTicket;
   const auto t0 = Clock::now();
   slot.batch = iter.next();
-  if (slot.batch.empty()) {
-    times.sample_s += seconds_since(t0);
-    return;
+  if (!slot.batch.empty()) {
+    // Per-round sampling stream, keyed by the batch's round (not the round
+    // the prefetch was issued in), so prefetching never perturbs the RNG
+    // sequence relative to the sequential reference.
+    util::Pcg32 rng(seed_ ^ (ctx_.epoch * 7919 + round * 13 + w),
+                    0x57524b52);  // "WRKR"
+    slot.blocks = gnn::build_blocks(r.sampler.sample(slot.batch, rng));
   }
-  // Per-round sampling stream, keyed by the batch's round (not the round
-  // the prefetch was issued in), so prefetching never perturbs the RNG
-  // sequence relative to the sequential reference.
-  util::Pcg32 rng(seed_ ^ (ctx_.epoch * 7919 + round * 13 + w),
-                  0x57524b52);  // "WRKR"
-  const auto sg = r.sampler.sample(slot.batch, rng);
-  slot.blocks = gnn::build_blocks(sg);
-  times.sample_s += seconds_since(t0);
+  r.state.times.sample_s += seconds_since(t0);
+}
 
-  const auto t1 = Clock::now();
+void DataParallelTrainer::gather_batch(std::size_t w, Prefetch& slot) {
+  if (slot.batch.empty()) return;
+  Replica& r = *replicas_[w];
+  const auto t0 = Clock::now();
   // The gather writes every row, so x0 is reshaped, not zero-filled.
   slot.x0.reshape(slot.blocks[0].num_src(), r.provider.dim());
   slot.ticket = r.provider.gather_begin(slot.blocks[0].src_ids, slot.x0);
   slot.issued_at = Clock::now();
-  times.gather_issue_s += seconds_since(t1);
+  r.state.times.gather_issue_s += seconds_since(t0);
 }
 
 void DataParallelTrainer::run_worker_epoch(std::size_t w) {
@@ -133,25 +133,30 @@ void DataParallelTrainer::run_worker_epoch(std::size_t w) {
 
   for (std::size_t round = 0;; ++round) {
     Prefetch& cur = r.slots[round & 1];
+    Prefetch& next = r.slots[(round + 1) & 1];
+    const bool prefetch = pipelined && round + 1 < ctx_.max_rounds;
     try {
-      if (!cur.valid) fetch_batch(w, iter, cur, round);
-      // Issue the next batch's sample + gather before completing the
-      // current one: its IO overlaps this round's wait and compute.
-      if (pipelined && round + 1 < ctx_.max_rounds) {
-        fetch_batch(w, iter, r.slots[(round + 1) & 1], round + 1);
+      if (!cur.valid) {
+        sample_batch(w, iter, cur, round);
+        gather_batch(w, cur);
       }
+      // Sample the next batch while this one's IO finishes.
+      if (prefetch) sample_batch(w, iter, next, round + 1);
       ws.has_batch = !cur.batch.empty();
 
-      if (!cur.batch.empty()) {
-        const auto tw = Clock::now();
-        if (cur.ticket != gnn::FeatureProvider::kSyncTicket) {
-          ws.times.hidden_io_s +=
-              std::chrono::duration<double>(tw - cur.issued_at).count();
-          r.provider.gather_wait(cur.ticket);
-          cur.ticket = gnn::FeatureProvider::kSyncTicket;
-        }
-        ws.times.gather_wait_s += seconds_since(tw);
+      const auto tw = Clock::now();
+      if (cur.ticket != gnn::FeatureProvider::kSyncTicket) {
+        ws.times.hidden_io_s +=
+            std::chrono::duration<double>(tw - cur.issued_at).count();
+        r.provider.gather_wait(cur.ticket);
+        cur.ticket = gnn::FeatureProvider::kSyncTicket;
+      }
+      ws.times.gather_wait_s += seconds_since(tw);
+      // Issued only now, so the provider holds this batch's pages as well
+      // as the last one's; its IO overlaps this round's compute.
+      if (prefetch) gather_batch(w, next);
 
+      if (!cur.batch.empty()) {
         const auto tc = Clock::now();
         const gnn::LossResult& loss =
             gnn::train_step(r.model, cur.blocks, cur.x0, ctx_.labels);

@@ -5,12 +5,14 @@
 // partitioned across workers, as in the paper's runtime (Section 3.1).
 //
 // Each worker is a persistent executor thread that double-buffers
-// mini-batches: while batch N runs forward/backward, batch N+1 is already
-// sampled and its feature gather issued through the provider's async
-// begin/wait protocol, so storage latency hides behind compute. Rounds stay
-// barrier-synchronized for DDP correctness: grads are averaged chunk-parallel
-// on the coordinator between two barriers, then every worker steps its own
-// optimizer on the identical averaged gradients.
+// mini-batches: batch N+1 is sampled while batch N's gather completes, and
+// its feature gather is issued through the provider's async begin/wait
+// protocol right after that wait, so its storage latency hides behind batch
+// N's forward/backward while the provider still holds the pages of both
+// earlier batches. Rounds stay barrier-synchronized for DDP correctness:
+// grads are averaged chunk-parallel on the coordinator between two
+// barriers, then every worker steps its own optimizer on the identical
+// averaged gradients.
 //
 // Per-stage telemetry (sample / gather / compute / all-reduce seconds plus a
 // pipeline-overlap ratio) makes this measured path directly comparable to the
@@ -48,8 +50,10 @@ struct StageTimes {
   double compute_s = 0.0;       // forward/backward
   double optimizer_s = 0.0;     // local optimizer step
   /// Time an async gather ticket was in flight while this worker did other
-  /// work (waiting on the previous batch, computing). Zero for providers
-  /// that complete synchronously inside gather_begin().
+  /// work: the previous batch's compute, the round barrier, the optimizer
+  /// step and the next batch's sampling. The gather is issued after the
+  /// previous batch's wait, so that wait is not part of it. Zero for
+  /// providers that complete synchronously inside gather_begin().
   double hidden_io_s = 0.0;
 
   double gather_s() const noexcept { return gather_issue_s + gather_wait_s; }
@@ -92,7 +96,9 @@ struct EpochStats {
   double allreduce_s = 0.0;  // coordinator: chunk-parallel grad averaging
   /// hidden_io / (hidden_io + gather_wait): the fraction of async-gather
   /// in-flight time that was overlapped with other pipeline stages instead
-  /// of stalling the worker. 0 when nothing ran asynchronously.
+  /// of stalling the worker. 0 when nothing ran asynchronously. The wait
+  /// for the previous batch is never hidden time: the next gather is
+  /// issued after it (see StageTimes::hidden_io_s).
   double overlap_ratio = 0.0;
 
   /// IO telemetry this epoch: counter fields are per-epoch deltas summed
@@ -122,7 +128,9 @@ std::string comm_report(const EpochStats& stats);
 struct EngineOptions {
   /// 1 = strictly sequential per worker (sample -> gather -> compute), the
   /// pre-pipelining reference; 2 = double-buffered prefetch: batch N+1 is
-  /// sampled and its gather issued before batch N's gather completes.
+  /// sampled before batch N's gather completes and its gather is issued
+  /// right after, before batch N computes. At most one gather is in flight
+  /// per worker at either depth.
   std::size_t pipeline_depth = 2;
   /// Compiled communication plan for the gradient all-reduce. The reduction
   /// itself always runs the same fixed-order elementwise kernel (so every
@@ -224,8 +232,11 @@ class DataParallelTrainer {
 
   void worker_main(std::size_t w);
   void run_worker_epoch(std::size_t w);
-  void fetch_batch(std::size_t w, sampling::BatchIterator& iter,
-                   Prefetch& slot, std::size_t round);
+  /// Draws the slot's batch and samples its blocks (the sample half).
+  void sample_batch(std::size_t w, sampling::BatchIterator& iter,
+                    Prefetch& slot, std::size_t round);
+  /// Issues the slot's feature gather (the gather half); no-op when empty.
+  void gather_batch(std::size_t w, Prefetch& slot);
   void all_reduce_grads();
   gnn::FeatureProvider::IoResilience io_totals() const;
 

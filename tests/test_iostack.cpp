@@ -1044,6 +1044,8 @@ TEST(FeatureStore, QuarantinedBufferLendsNoPages) {
   // not retry: gathering {0, 1} gives up on SSD 0's command while the
   // device still holds it, so the batch's buffer goes to quarantine even
   // though SSD 1's page in it was read. Gathering {1} again reads it again.
+  // The emptied slot is the one that gather overwrites, so the other slot
+  // still lends the page of {3}, gathered first.
   constexpr std::size_t kRows = 4;
   const gnn::Tensor features =
       numbered_features(kRows, kPageBytes / sizeof(float));
@@ -1064,20 +1066,29 @@ TEST(FeatureStore, QuarantinedBufferLendsNoPages) {
   TieredFeatureClient client(store, 256, io);
   array.start_all();
 
-  const std::vector<graph::VertexId> both = {0, 1}, odd = {1};
+  const std::vector<graph::VertexId> both = {0, 1}, odd = {1}, three = {3};
   gnn::Tensor out2(2, features.cols()), out1(1, features.cols());
+  client.gather(three, out1);
+  expect_rows_exact(out1, three, features, "first gather");
+  ASSERT_EQ(array.ssd(1).stats().reads, 1u);
+
   client.gather(both, out2);
   expect_rows_exact(out2, both, features, "timed-out gather");
   ASSERT_EQ(client.io_resilience().failovers, 1u);
   // SSD 0 has not served the command yet, so it was still pending when
   // the batch completed: the buffer is in quarantine.
   ASSERT_EQ(array.ssd(0).stats().reads, 0u);
-  ASSERT_EQ(array.ssd(1).stats().reads, 1u);
+  ASSERT_EQ(array.ssd(1).stats().reads, 2u);
 
   client.gather(odd, out1);
   expect_rows_exact(out1, odd, features, "after quarantine");
   EXPECT_EQ(client.io_resilience().dedup_saved_reads, 0u);
-  EXPECT_EQ(array.ssd(1).stats().reads, 2u);
+  EXPECT_EQ(array.ssd(1).stats().reads, 3u);
+
+  client.gather(three, out1);
+  expect_rows_exact(out1, three, features, "from the other slot");
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 1u);
+  EXPECT_EQ(array.ssd(1).stats().reads, 3u);
   array.stop_all();
 }
 
@@ -1111,6 +1122,61 @@ TEST(FeatureStore, InFlightBatchLendsNoPages) {
   EXPECT_EQ(rig.device_stats().bytes_read, 2 * pages * kPageBytes);
 }
 
+TEST(FeatureStore, SyncGathersKeepTheLastTwoBatchesPages) {
+  // Sync gathers A, B, A' (overlaps A), B' (overlaps B). Each gather takes
+  // the free slot filled least recently, so A's pages are still held when
+  // A' routes although B came in between: A' reads none of the pages A or B
+  // read. A' then replaces A, and B' finds B's pages in the other slot.
+  const auto range = [](graph::VertexId lo, graph::VertexId hi) {
+    std::vector<graph::VertexId> vs(hi - lo);
+    std::iota(vs.begin(), vs.end(), lo);
+    return vs;
+  };
+  const std::vector<std::vector<graph::VertexId>> batches = {
+      range(0, 120), range(300, 420), range(60, 180), range(360, 480)};
+  PackedRig rig(128);
+  TieredFeatureClient client(rig.store);
+  rig.array.start_all();
+  PageSets held[2];
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const auto& vs = batches[b];
+    const std::string where = "batch " + std::to_string(b);
+    PageSets fresh;
+    std::uint64_t reused = 0, reused_from_older = 0;
+    const PageSets& older = held[b % 2];  // two batches back
+    for (const graph::VertexId v : vs) {
+      PageSets mine;
+      rig.add_pages(v, mine);
+      const std::size_t ssd = mine[0].empty() ? 1 : 0;
+      const std::uint64_t page = *mine[ssd].begin();
+      if (held[0][ssd].contains(page) || held[1][ssd].contains(page)) {
+        ++reused;
+        reused_from_older += older[ssd].contains(page) ? 1 : 0;
+      } else {
+        rig.add_pages(v, fresh);
+      }
+    }
+    if (b >= 2) {
+      ASSERT_GT(reused_from_older, 0u) << where;
+    }
+    const auto io = client.io_resilience();
+    const SsdStats before = rig.device_stats();
+    gnn::Tensor out(vs.size(), 128);
+    client.gather(vs, out);
+    const SsdStats after = rig.device_stats();
+    expect_rows_exact(out, vs, rig.features, where);
+    EXPECT_EQ(client.io_resilience().dedup_saved_reads - io.dedup_saved_reads,
+              reused)
+        << where;
+    EXPECT_EQ(after.reads - before.reads, run_commands(fresh)) << where;
+    EXPECT_EQ(after.bytes_read - before.bytes_read,
+              page_count(fresh) * kPageBytes)
+        << where;
+    held[b % 2] = fresh;
+  }
+  rig.array.stop_all();
+}
+
 /// Counters and device totals of one seeded run of random batches.
 struct SequenceRun {
   gnn::FeatureProvider::IoResilience io;
@@ -1123,7 +1189,9 @@ struct SequenceRun {
 /// bytes and per-batch row conservation (a fault-free batch is counted in
 /// full by gather_begin); at depth 1 also checks each
 /// batch's device bytes against the oracle: a batch reads the pages it
-/// touches outside the cache that the last batch to read did not read.
+/// touches outside the cache that neither of the last two batches to read
+/// read, and its reads replace the older of those two page sets (the slot
+/// filled least recently).
 SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
                          std::uint64_t seed) {
   constexpr std::size_t kBatches = 16, kDim = 100;
@@ -1155,7 +1223,8 @@ SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
   std::vector<gnn::Tensor> outs;
   for (const auto& vs : batches) outs.emplace_back(vs.size(), kDim);
   std::vector<gnn::FeatureProvider::GatherTicket> tickets(kBatches);
-  PageSets held;
+  PageSets held[2];
+  std::size_t oldest = 0;  // the slot the next reading batch overwrites
   SsdStats before = rig.device_stats();
   const auto finish = [&](std::size_t i) {
     client.gather_wait(tickets[i]);
@@ -1169,11 +1238,16 @@ SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
       rig.add_pages(v, mine);
       for (std::size_t s = 0; s < 2; ++s) {
         for (const std::uint64_t p : mine[s]) {
-          if (!held[s].contains(p)) read[s].insert(p);
+          if (!held[0][s].contains(p) && !held[1][s].contains(p)) {
+            read[s].insert(p);
+          }
         }
       }
     }
-    if (page_count(read) > 0) held = read;
+    if (page_count(read) > 0) {
+      held[oldest] = read;
+      oldest ^= 1;
+    }
     const SsdStats after = rig.device_stats();
     EXPECT_EQ(after.bytes_read - before.bytes_read,
               page_count(read) * kPageBytes)

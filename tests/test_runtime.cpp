@@ -7,6 +7,8 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "gnn/synthetic.hpp"
 #include "graph/generators.hpp"
@@ -400,6 +402,105 @@ TEST(PipelineEngine, PerStageTelemetryAccountsEpoch) {
   // In-memory providers complete inside gather_begin: nothing is async, so
   // the engine must not report fake overlap.
   EXPECT_EQ(stats.overlap_ratio, 0.0);
+}
+
+/// Serves rows from memory but hands out async tickets, and records every
+/// gather_begin and gather_wait with the model's gradients at that moment:
+/// gradients that differ between two events mean a train_step ran between
+/// them.
+class RecordingProvider final : public gnn::FeatureProvider {
+ public:
+  struct Event {
+    bool begin = false;
+    std::vector<graph::VertexId> vertices;  // empty for a wait
+    std::vector<float> grads;
+  };
+
+  explicit RecordingProvider(const gnn::Tensor& features) : mem_(features) {}
+
+  std::size_t dim() const override { return mem_.dim(); }
+  void gather(std::span<const graph::VertexId> vertices,
+              gnn::Tensor& out) override {
+    mem_.gather(vertices, out);
+  }
+  GatherTicket gather_begin(std::span<const graph::VertexId> vertices,
+                            gnn::Tensor& out) override {
+    mem_.gather(vertices, out);
+    max_in_flight = std::max(max_in_flight, ++in_flight_);
+    record(true, vertices);
+    return ++tickets_;
+  }
+  void gather_wait(GatherTicket ticket) override {
+    EXPECT_NE(ticket, kSyncTicket);
+    --in_flight_;
+    record(false, {});
+  }
+
+  const gnn::GnnModel* model = nullptr;
+  std::vector<Event> events;
+  std::size_t max_in_flight = 0;
+
+ private:
+  void record(bool begin, std::span<const graph::VertexId> vertices) {
+    Event e{begin, {vertices.begin(), vertices.end()}, {}};
+    for (const gnn::Param* p : model->parameters()) {
+      e.grads.insert(e.grads.end(), p->grad.data(),
+                     p->grad.data() + p->grad.size());
+    }
+    events.push_back(std::move(e));
+  }
+
+  gnn::InMemoryFeatures mem_;
+  std::size_t in_flight_ = 0;
+  GatherTicket tickets_ = 0;
+};
+
+TEST(PipelineEngine, PrefetchedGatherIsIssuedAfterThePreviousWait) {
+  // At depth 2 a worker's round r runs: sample r+1, wait r, begin r+1,
+  // compute r. So begins and waits alternate (one gather in flight at a
+  // time), no train_step runs between wait r and begin r+1, and one runs
+  // between begin r+1 and wait r+1. Depth 1 computes between wait r and
+  // begin r+1 instead. Sampling is invisible to a provider; both depths
+  // gather the same batches, and the losses are bit-identical.
+  TrainerRig rig = TrainerRig::make(1);
+  const auto train = sampling::select_train_vertices(rig.g, 0.25, 2);
+  std::vector<std::vector<RecordingProvider::Event>> epochs[2];
+  std::vector<float> losses[2];
+  for (const std::size_t depth : {1u, 2u}) {
+    RecordingProvider provider(rig.task.features);
+    EngineOptions options;
+    options.pipeline_depth = depth;
+    DataParallelTrainer trainer(rig.g, {&provider}, rig.model_config(),
+                                {5, 5}, train, 0.01f, 11, options);
+    provider.model = &trainer.replica(0);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      losses[depth - 1].push_back(
+          trainer.train_epoch(rig.task.labels, 32).mean_loss);
+      epochs[depth - 1].push_back(std::move(provider.events));
+      provider.events.clear();
+    }
+    EXPECT_EQ(provider.max_in_flight, 1u) << "depth " << depth;
+  }
+  for (std::size_t epoch = 0; epoch < 3; ++epoch) {
+    EXPECT_EQ(losses[0][epoch], losses[1][epoch]) << "epoch " << epoch;
+    const auto& seq = epochs[0][epoch];
+    const auto& pipe = epochs[1][epoch];
+    ASSERT_EQ(seq.size(), pipe.size());
+    ASSERT_GE(pipe.size(), 6u);  // at least three rounds
+    ASSERT_EQ(pipe.size() % 2, 0u);
+    for (std::size_t i = 0; i < pipe.size(); ++i) {
+      const std::string where =
+          "epoch " + std::to_string(epoch) + " event " + std::to_string(i);
+      ASSERT_EQ(pipe[i].begin, i % 2 == 0) << where;
+      ASSERT_EQ(seq[i].begin, i % 2 == 0) << where;
+      EXPECT_EQ(pipe[i].vertices, seq[i].vertices) << where;
+      if (i % 2 == 0 || i + 1 == pipe.size()) continue;
+      // Event i is wait r and i + 1 is begin r+1; i + 2 is wait r+1.
+      EXPECT_EQ(pipe[i].grads, pipe[i + 1].grads) << where;
+      EXPECT_NE(pipe[i + 1].grads, pipe[i + 2].grads) << where;
+      EXPECT_NE(seq[i].grads, seq[i + 1].grads) << where;
+    }
+  }
 }
 
 /// Tiered rig: features spread over GPU/CPU caches and two SSDs, one
