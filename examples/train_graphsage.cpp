@@ -79,44 +79,19 @@ int main(int argc, char** argv) {
   const core::Plan plan = core::AutoModule::plan(cfg, bench);
   std::printf("%s\n", plan.to_string(machine).c_str());
 
-  // Materialise the layout in the functional tiered store.
+  // Materialise the layout in the functional tiered store over unpaced
+  // SSDs, with a shared hot-row cache between the static tiers and the SSDs
+  // seeded from the pre-sampling hotness profile (the one DDAK placed by).
   const auto& g = bench.dataset.csr;
   constexpr std::size_t kClasses = 8;
   constexpr std::size_t kDim = 32;
   const auto task = gnn::make_synthetic_task(g, kClasses, kDim, 0.4, 123);
-
-  std::vector<iostack::BinBacking> backings;
-  int ssd = 0;
-  for (const auto& bin : plan.bins) {
-    switch (bin.tier) {
-      case topology::StorageTier::kGpuHbm:
-        backings.push_back({iostack::BinBacking::Kind::kGpuCache, -1});
-        break;
-      case topology::StorageTier::kCpuDram:
-        backings.push_back({iostack::BinBacking::Kind::kCpuCache, -1});
-        break;
-      case topology::StorageTier::kSsd:
-        backings.push_back({iostack::BinBacking::Kind::kSsd, ssd++});
-        break;
-    }
-  }
-  iostack::SsdOptions sopts;
-  sopts.capacity_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * iostack::kPageBytes;
-  iostack::SsdArray array(static_cast<std::size_t>(ssd), sopts);
-  iostack::TieredFeatureStore store(task.features,
-                                    plan.data_placement.bin_of_vertex,
-                                    backings, array);
-
-  // Shared hot-row cache between the static tiers and the SSDs, seeded from
-  // the pre-sampling hotness profile (the same one DDAK placed by).
-  iostack::RowCacheOptions cache_opts;
-  cache_opts.capacity_rows = g.num_vertices() / 16;
-  store.enable_row_cache(cache_opts);
-  const std::size_t warmed =
-      store.warm_row_cache(bench.profile.by_hotness_desc());
+  const std::size_t cache_rows = g.num_vertices() / 16;
+  const core::BuiltStore built = core::build_store(
+      plan, task.features, bench.profile.by_hotness_desc(), 0.0, cache_rows);
+  iostack::SsdArray& array = *built.array;
   std::printf("hot-row cache: %zu rows capacity, %zu seeded from hotness\n",
-              cache_opts.capacity_rows, warmed);
+              cache_rows, built.cached_rows);
 
   // Optional topology-aware comm plan, compiled for the placement the
   // auto-module chose (same topology the flow predictor ranked).
@@ -140,8 +115,8 @@ int main(int argc, char** argv) {
     peer.plan = comm_plan.get();
     peer.counters = link_counters.get();
     clients.push_back(std::make_unique<iostack::TieredFeatureClient>(
-        store, 256, iostack::IoEngineOptions{}, iostack::GatherOptions{},
-        peer));
+        *built.store, 256, iostack::IoEngineOptions{},
+        iostack::GatherOptions{}, peer));
     providers.push_back(clients.back().get());
   }
   array.start_all();
@@ -188,17 +163,12 @@ int main(int argc, char** argv) {
                 stats.allreduce_s, stats.stage_max.hidden_io_s,
                 100.0 * stats.overlap_ratio);
     std::printf("  %s\n", runtime::io_report(stats).c_str());
-    // Per-SSD throughput over the epoch wall time; a paced array also shows
-    // how busy each device was (bytes / (wall x pace)).
+    // Per-SSD throughput over the epoch wall time.
     std::printf("  ssd MB/s:");
     for (std::size_t s = 0; s < bytes_after.size(); ++s) {
       const double bytes =
           static_cast<double>(bytes_after[s] - bytes_before[s]);
       std::printf("  %zu: %.1f", s, bytes / stats.wall_time_s / 1e6);
-      if (sopts.max_bytes_per_s > 0.0) {
-        std::printf(" (%.0f%% busy)", 100.0 * bytes / (stats.wall_time_s *
-                                                       sopts.max_bytes_per_s));
-      }
     }
     std::printf("\n");
     const std::string comm_line = runtime::comm_report(stats);

@@ -1,5 +1,6 @@
 #include "core/auto_module.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -85,6 +86,45 @@ std::string Plan::to_string(const topology::MachineSpec& spec) const {
   out << "  offline cost: profile " << profile_time_s << " s, search "
       << search_time_s << " s, DDAK " << ddak_time_s << " s\n";
   return out.str();
+}
+
+BuiltStore build_store(const Plan& plan, const gnn::Tensor& features,
+                       std::span<const graph::VertexId> by_hotness_desc,
+                       double ssd_bytes_per_s, std::size_t cache_rows) {
+  using Kind = iostack::BinBacking::Kind;
+  std::vector<iostack::BinBacking> backings;
+  std::vector<std::uint64_t> pages;  // per SSD, for the rows placed on it
+  for (std::size_t b = 0; b < plan.bins.size(); ++b) {
+    switch (plan.bins[b].tier) {
+      case topology::StorageTier::kGpuHbm:
+        backings.push_back({Kind::kGpuCache, -1});
+        break;
+      case topology::StorageTier::kCpuDram:
+        backings.push_back({Kind::kCpuCache, -1});
+        break;
+      case topology::StorageTier::kSsd:
+        backings.push_back({Kind::kSsd, static_cast<int>(pages.size())});
+        pages.push_back(iostack::TieredFeatureStore::pages_for_rows(
+            features.cols(), plan.data_placement.bin_count.at(b)));
+        break;
+    }
+  }
+  // Each device holds its own rows and, after any other device fails, all
+  // of that one's rows from a fresh page on: the two fullest, plus a page.
+  std::sort(pages.rbegin(), pages.rend());
+  std::uint64_t capacity_pages = pages.empty() ? 0 : pages[0];
+  if (pages.size() > 1) capacity_pages += pages[1] + 1;
+  iostack::SsdOptions options;
+  options.capacity_bytes = capacity_pages * iostack::kPageBytes;
+  options.max_bytes_per_s = ssd_bytes_per_s;
+
+  BuiltStore built;
+  built.array = std::make_unique<iostack::SsdArray>(pages.size(), options);
+  built.store = std::make_unique<iostack::TieredFeatureStore>(
+      features, plan.data_placement.bin_of_vertex, backings, *built.array);
+  built.store->enable_row_cache({cache_rows});
+  built.cached_rows = built.store->warm_row_cache(by_hotness_desc);
+  return built;
 }
 
 }  // namespace moment::core

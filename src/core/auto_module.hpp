@@ -13,10 +13,13 @@
 // GNN models and epochs for a fixed hardware set, so its cost amortises
 // exactly as the paper's Section 3.3 argues.
 
+#include <memory>
+#include <span>
 #include <string>
 
 #include "ddak/ddak.hpp"
 #include "ddak/workload.hpp"
+#include "iostack/feature_store.hpp"
 #include "placement/search.hpp"
 #include "runtime/systems.hpp"
 #include "topology/machine.hpp"
@@ -66,5 +69,23 @@ class AutoModule {
   static Plan plan(const AutoModuleConfig& config,
                    const runtime::Workbench& bench);
 };
+
+struct BuiltStore {
+  /// Not started: clients register their queue pairs, then start_all().
+  std::unique_ptr<iostack::SsdArray> array;
+  std::unique_ptr<iostack::TieredFeatureStore> store;
+  std::size_t cached_rows = 0;  // rows warm_row_cache put in the cache
+};
+
+/// The one path from a Plan to the feature store. An HBM bin becomes a GPU
+/// cache replicated on every GPU, a DRAM bin the CPU cache, and each SSD bin
+/// the next SSD ordinal. Every SSD, paced to `ssd_bytes_per_s` (0 =
+/// unpaced), is sized in pages by the failover policy stated in
+/// iostack/feature_store.hpp. The store gets a row cache of `cache_rows`
+/// rows filled by warm_row_cache(by_hotness_desc), which also packs each
+/// SSD's pages in that order.
+BuiltStore build_store(const Plan& plan, const gnn::Tensor& features,
+                       std::span<const graph::VertexId> by_hotness_desc,
+                       double ssd_bytes_per_s, std::size_t cache_rows);
 
 }  // namespace moment::core

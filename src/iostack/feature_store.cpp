@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 #include "ddak/ddak.hpp"
 
@@ -51,11 +52,7 @@ TieredFeatureStore::TieredFeatureStore(
     throw std::invalid_argument("TieredFeatureStore: placement size mismatch");
   }
   row_bytes_ = dim_ * sizeof(float);
-  pages_per_row_ =
-      std::max<std::size_t>(1, (row_bytes_ + kPageBytes - 1) / kPageBytes);
-  rows_per_page_ = pages_per_row_ > 1
-                       ? 1
-                       : kPageBytes / std::max<std::size_t>(row_bytes_, 1);
+  std::tie(rows_per_page_, pages_per_row_) = packing(dim_);
   for (const BinBacking& b : bins) {  // a gather reads a row in one command
     if (b.kind == BinBacking::Kind::kSsd &&
         pages_per_row_ * kPageBytes > kMaxTransferBytes) {
@@ -153,6 +150,19 @@ TieredFeatureStore::TieredFeatureStore(
   }
 }
 
+std::pair<std::size_t, std::size_t> TieredFeatureStore::packing(
+    std::size_t dim) noexcept {
+  const std::size_t row_bytes = std::max<std::size_t>(dim * sizeof(float), 1);
+  if (row_bytes > kPageBytes) return {1, (row_bytes - 1) / kPageBytes + 1};
+  return {kPageBytes / row_bytes, 1};
+}
+
+std::uint64_t TieredFeatureStore::pages_for_rows(std::size_t dim,
+                                                 std::uint64_t rows) noexcept {
+  const auto [rows_per_page, pages_per_row] = packing(dim);
+  return (rows + rows_per_page - 1) / rows_per_page * pages_per_row;
+}
+
 std::uint64_t TieredFeatureStore::slot_capacity(
     std::size_t ssd) const noexcept {
   return array_->ssd(ssd).capacity() / (pages_per_row_ * kPageBytes) *
@@ -242,45 +252,29 @@ bool TieredFeatureStore::remap_failed_device(std::size_t ssd) {
   device_remapped_[ssd] = true;
 
   // Build the ddak view of the placement: the stored BinBacking list plus a
-  // count/assignment snapshot. Capacities are expressed in vertices.
+  // count/assignment snapshot. Capacities are in vertices, and only the
+  // surviving SSDs get one, so the planner moves rows onto no other bin.
   std::vector<ddak::Bin> dbins(bins_.size());
   std::vector<std::size_t> failed_bins;
   for (std::size_t b = 0; b < bins_.size(); ++b) {
-    ddak::Bin& db = dbins[b];
-    switch (bins_[b].kind) {
-      case BinBacking::Kind::kGpuCache:
-        db.tier = topology::StorageTier::kGpuHbm;
-        db.capacity_vertices = 0.0;  // caches don't absorb failover rows
-        break;
-      case BinBacking::Kind::kCpuCache:
-        db.tier = topology::StorageTier::kCpuDram;
-        db.capacity_vertices = 0.0;
-        break;
-      case BinBacking::Kind::kSsd: {
-        db.tier = topology::StorageTier::kSsd;
-        const auto s = static_cast<std::size_t>(bins_[b].ssd);
-        if (s == ssd || array_->health(s) == DeviceHealth::kFailed) {
-          if (s == ssd) failed_bins.push_back(b);
-          db.capacity_vertices = 0.0;
-        } else {
-          db.capacity_vertices = static_cast<double>(slot_capacity(s));
-        }
-        break;
-      }
+    if (bins_[b].kind != BinBacking::Kind::kSsd) continue;
+    const auto s = static_cast<std::size_t>(bins_[b].ssd);
+    if (s == ssd) {
+      failed_bins.push_back(b);
+    } else if (array_->health(s) != DeviceHealth::kFailed) {
+      dbins[b].capacity_vertices = static_cast<double>(slot_capacity(s));
     }
   }
   if (failed_bins.empty()) return false;
 
+  // Survivors already hold their own rows: plan_bin_failover counts them
+  // (bin_count) against capacity.
   ddak::DataPlacementResult snapshot;
   snapshot.bin_of_vertex = bin_of_vertex_;
-  snapshot.bin_access.assign(bins_.size(), 0.0);
   snapshot.bin_count.assign(bins_.size(), 0);
-  snapshot.bin_traffic_share.assign(bins_.size(), 0.0);
   for (std::int32_t b : bin_of_vertex_) {
     ++snapshot.bin_count[static_cast<std::size_t>(b)];
   }
-  // Survivors already hold their own rows: count those against capacity.
-  // (bin_count is per-bin; plan_bin_failover seeds fill from it.)
   const std::vector<ddak::FailoverMove> moves =
       ddak::plan_bin_failover(dbins, snapshot, failed_bins);
 

@@ -19,6 +19,11 @@
 // fails, its bins are re-placed onto surviving SSDs via the ddak failover
 // planner; fresh slots are written and the vertex locations republished
 // atomically, after which gathers hit the survivors at full speed again.
+// Failover policy of core::build_store (core/auto_module.hpp), the one path
+// from a Plan to a store: each device gets its own rows' pages, plus spare
+// pages for the largest other device's rows and one more page, since a
+// remap starts on a fresh page. So any one failed device's rows are
+// re-placed onto the survivors. A single-SSD plan gets no spare pages.
 
 #include <atomic>
 #include <cstdint>
@@ -66,7 +71,8 @@ class TieredFeatureStore {
  public:
   /// `bin_of_vertex[v]` indexes `bins`. All SSD rows are written before
   /// return, each device's in vertex-id order until warm_row_cache repacks
-  /// them in hotness order; the array must not be started yet. Throws
+  /// them in hotness order; the array must not be started yet. A Plan's
+  /// store is built by core::build_store, which also warms it. Throws
   /// std::invalid_argument if a bin is on an SSD and row_bytes() exceeds
   /// kMaxTransferBytes (a row must fit in one read command), or if a
   /// device's pages cannot hold the rows placed on it.
@@ -82,6 +88,11 @@ class TieredFeatureStore {
   /// floor(kPageBytes / row_bytes()) rows back to back; a row wider than a
   /// page takes whole pages of its own. Reads are whole pages either way.
   std::size_t row_bytes() const noexcept { return row_bytes_; }
+
+  /// Pages that `rows` rows of `dim` floats fill when packed in slot order:
+  /// the slot -> page mapping below, the way a device is sized for them.
+  static std::uint64_t pages_for_rows(std::size_t dim,
+                                      std::uint64_t rows) noexcept;
 
   struct Location {
     BinBacking::Kind kind;
@@ -149,6 +160,8 @@ class TieredFeatureStore {
   static std::uint64_t pack(const Location& loc) noexcept;
   static Location unpack(std::uint64_t bits) noexcept;
 
+  /// (rows per page, pages per row) for rows of `dim` floats.
+  static std::pair<std::size_t, std::size_t> packing(std::size_t dim) noexcept;
   /// The one slot -> page mapping (the constructor, remap_failed_device and
   /// the client all use it): slots fill rows_per_page_ rows per page in
   /// slot order; a row wider than a page takes pages_per_row_ pages.

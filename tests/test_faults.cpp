@@ -9,8 +9,10 @@
 #include <chrono>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 
+#include "core/auto_module.hpp"
 #include "ddak/adaptive.hpp"
 #include "ddak/ddak.hpp"
 #include "ddak/workload.hpp"
@@ -758,6 +760,57 @@ TEST(FeatureStore, LateDeviceWriteNeverReachesAGrownBuffer) {
   // Five pages, more than the first gather's four: the bounce buffer
   // grows, and SSD 0's late write must not land in the freed one (ASan).
   expect_late_write_isolated({1, 5, 7, 9, 11});
+}
+
+TEST(FeatureStore, PlanBuiltStoreReplacesAnyOneFailedDevice) {
+  // core::build_store's failover policy: whichever of four SSDs hard-fails,
+  // the spare pages on the other three take all its rows. The gather that
+  // sees the failure returns exact bytes and remaps once; the next full
+  // gather reads every row from a live device, with no failover.
+  const auto spec = topology::make_machine_a();
+  core::AutoModuleConfig cfg;
+  cfg.machine = &spec;
+  cfg.dataset = graph::DatasetId::kPA;
+  cfg.dataset_scale_shift = 4;
+  cfg.num_gpus = 2;
+  cfg.num_ssds = 4;
+  const runtime::Workbench bench =
+      runtime::Workbench::make(cfg.dataset, cfg.dataset_scale_shift, cfg.seed);
+  const core::Plan plan = core::AutoModule::plan(cfg, bench);
+  const auto& g = bench.dataset.csr;
+  const auto task = gnn::make_synthetic_task(g, 4, 32, 0.3, 5);
+  std::vector<graph::VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+
+  for (std::size_t failed = 0; failed < 4; ++failed) {
+    SCOPED_TRACE("failed SSD " + std::to_string(failed));
+    const core::BuiltStore built =
+        core::build_store(plan, task.features, bench.profile.by_hotness_desc(),
+                          0.0, g.num_vertices() / 16);
+    ASSERT_EQ(built.array->size(), 4u);
+    FaultProfile fp;
+    fp.fail_after_reads = 0;
+    built.array->ssd(failed).inject_faults(fp);
+    IoEngineOptions io;
+    io.max_retries = 1;
+    TieredFeatureClient client(*built.store, 256, io);
+    built.array->start_all();
+
+    gather_and_match(client, task.features, all, "failing device");
+    EXPECT_EQ(client.io_resilience().device_remaps, 1u);
+    const std::uint64_t failovers = client.io_resilience().failovers;
+    EXPECT_GT(failovers, 0u);
+    gather_and_match(client, task.features, all, "remapped");
+    built.array->stop_all();
+    EXPECT_EQ(client.io_resilience().failovers, failovers);
+    EXPECT_EQ(client.io_resilience().device_remaps, 1u);
+    for (const graph::VertexId v : all) {
+      const auto loc = built.store->location(v);
+      if (loc.kind == BinBacking::Kind::kSsd) {
+        ASSERT_NE(static_cast<std::size_t>(loc.ssd), failed) << "vertex " << v;
+      }
+    }
+  }
 }
 
 TEST(FeatureStore, HardFailureOnSsd64IsRemappedByTheBatchThatSawIt) {

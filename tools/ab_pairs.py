@@ -18,11 +18,14 @@ change, wins out of N (pairs where the change is better), the metric's
 bound, whether a gain holds (at least 10 pairs, the change better in 9 of
 10 and the medians apart by more than the parent's IQR) and whether the
 parent's own spread exceeds the bound. It compares the `untraced epoch N:
-loss` lines of the two runs of each pair on their common epochs and prints
-the first mismatch. The JSON
-written to --out holds every run and the summary.
+loss` lines of the two runs of each pair on their common epochs, and the
+`io:` line printed under each of those epoch lines, and prints the first
+mismatch and the count of each kind. The JSON written to --out holds every
+run and the summary.
 
-Exits 1 when a run fails or a loss line differs, else 0.
+Exits 1 when a run fails or a loss line differs, else 0: a change to the IO
+stack moves the `io:` lines by design, so their mismatches are reported
+but do not fail the session.
 """
 
 import argparse
@@ -38,6 +41,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_JSON = os.path.join(ROOT, "BENCHMARK.json")
 STEAL_MAX_PCT = 1.0  # a run above this host steal is flagged
 LOSS_RE = re.compile(r"untraced epoch (\d+): loss (\S+)")
+
+
+def io_lines(lines):
+    """(epoch, line) for each `io:` line right under an untraced epoch."""
+    out = []
+    for prev, line in zip(lines, lines[1:]):
+        m = LOSS_RE.search(prev)
+        if m and line.strip().startswith("io:"):
+            out.append((int(m.group(1)), line.strip()))
+    return out
 
 
 def load_run_py(tree):
@@ -119,6 +132,7 @@ def run_once(binary, rev, workload, seed, seconds, tiny):
                     (result or {}).get("metrics", {}).items()},
         "losses": [(int(m.group(1)), m.group(2))
                    for m in map(LOSS_RE.search, lines) if m],
+        "io": io_lines(lines),
     }
 
 
@@ -160,13 +174,11 @@ def summarize(metric, pairs):
     }
 
 
-def first_loss_mismatch(parent, change):
-    """The first differing loss line of one pair, on common epochs."""
-    for (pe, pl), (ce, cl) in zip(parent["losses"], change["losses"]):
-        if pe != ce or pl != cl:
-            return {"seed": parent["seed"], "epoch": pe, "parent": pl,
-                    "change": cl}
-    return None
+def mismatches(parent, change, key):
+    """The epochs of one pair whose `key` lines differ, on common epochs."""
+    return [{"seed": parent["seed"], "epoch": pe, "parent": pl, "change": cl}
+            for (pe, pl), (ce, cl) in zip(parent[key], change[key])
+            if pe != ce or pl != cl]
 
 
 def main():
@@ -215,16 +227,21 @@ def main():
                       for side, r in zip(("parent", "change"), pr)
                       if r["steal_pct"] is not None
                       and r["steal_pct"] > STEAL_MAX_PCT]
-        mismatches = [m for m in (first_loss_mismatch(p, c) for p, c in good)
-                      if m]
+        loss_diff = [m[0] for m in (mismatches(p, c, "losses")
+                                    for p, c in good) if m]
         compared = sum(min(len(p["losses"]), len(c["losses"]))
                        for p, c in good)
+        io_diff = [m for p, c in good for m in mismatches(p, c, "io")]
+        io_compared = sum(min(len(p["io"]), len(c["io"])) for p, c in good)
         summary = [s for s in (summarize(m, good) for m in bench["end_to_end"])
                    if s]
-        failed |= bool(bad) or bool(mismatches)
+        failed |= bool(bad) or bool(loss_diff)
         report["workloads"][w] = {
             "summary": summary, "failed_runs": bad, "steal_over_max": steal_high,
-            "loss_epochs_compared": compared, "loss_mismatches": mismatches,
+            "loss_epochs_compared": compared, "loss_mismatches": loss_diff,
+            "io_epochs_compared": io_compared,
+            "io_mismatch_count": len(io_diff),
+            "io_first_mismatch": io_diff[0] if io_diff else None,
             "pairs": [{"parent": p, "change": c} for p, c in pairs],
         }
 
@@ -240,10 +257,16 @@ def main():
                   f"{'  WORSE BEYOND BOUND' if s['worse_beyond_bound'] else ''}"
                   f"{'  spread > bound' if s['spread_wider_than_bound'] else ''}")
         print(f"  loss lines: {compared} epochs compared, "
-              f"{len(mismatches)} pair(s) differ")
-        for m in mismatches[:1]:
+              f"{len(loss_diff)} pair(s) differ")
+        for m in loss_diff[:1]:
             print(f"  first mismatch: seed {m['seed']} epoch {m['epoch']}: "
                   f"{m['parent']} vs {m['change']}")
+        print(f"  io: lines: {io_compared} epochs compared, "
+              f"{len(io_diff)} differ")
+        for m in io_diff[:1]:
+            print(f"  first io: mismatch: seed {m['seed']} epoch "
+                  f"{m['epoch']}:\n    parent {m['parent']}\n"
+                  f"    change {m['change']}")
         for side, seed, code in bad:
             print(f"  FAILED RUN: {side} seed {seed} exit {code}")
         for side, seed, steal in steal_high:

@@ -64,6 +64,9 @@ def main():
           "same: 0/10 wins, no gain")
     check(r["loss_epochs_compared"] == 50 and not r["loss_mismatches"],
           "same: 50 loss epochs compared, none differ")
+    check(r["io_epochs_compared"] == 50 and r["io_mismatch_count"] == 0
+          and r["io_first_mismatch"] is None,
+          "same: 50 io: epochs compared, none differ")
 
     # A change 20% faster on every seed: the gain holds for the throughput
     # and both round latencies, and a metric that did not move wins nothing.
@@ -89,6 +92,16 @@ def main():
     m = r["loss_mismatches"]
     check(len(m) == 2 and m[0]["seed"] == 1 and m[0]["epoch"] == 3,
           "loss: mismatch at seed 1 epoch 3")
+
+    # One io: line differs in each pair: it is counted and the first one
+    # named, but an IO change moves these lines by design, so exit 0.
+    code, r = run_case(workdir, "io", "", "--io-diff-epoch 2", pairs=2)
+    check(code == 0, "io: exit 0")
+    m = r["io_first_mismatch"]
+    check(r["io_mismatch_count"] == 2 and m is not None and m["seed"] == 1
+          and m["epoch"] == 2 and m["parent"] != m["change"],
+          "io: 2 mismatches, the first at seed 1 epoch 2")
+    check(not r["loss_mismatches"], "io: loss lines still match")
 
     # A failing run with a malformed provenance line: the session still
     # writes its JSON, lists the run and exits 1.
