@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const auto task = gnn::make_synthetic_task(g, kClasses, kDim, 0.4, 123);
   const std::size_t cache_rows = g.num_vertices() / 16;
   const core::BuiltStore built = core::build_store(
-      plan, task.features, bench.profile.by_hotness_desc(), 0.0, cache_rows);
+      plan, task.features, bench.profile.by_hotness_desc(), cache_rows);
   iostack::SsdArray& array = *built.array;
   std::printf("hot-row cache: %zu rows capacity, %zu seeded from hotness\n",
               cache_rows, built.cached_rows);

@@ -90,7 +90,7 @@ std::string Plan::to_string(const topology::MachineSpec& spec) const {
 
 BuiltStore build_store(const Plan& plan, const gnn::Tensor& features,
                        std::span<const graph::VertexId> by_hotness_desc,
-                       double ssd_bytes_per_s, std::size_t cache_rows) {
+                       std::size_t cache_rows) {
   using Kind = iostack::BinBacking::Kind;
   std::vector<iostack::BinBacking> backings;
   std::vector<std::uint64_t> pages;  // per SSD, for the rows placed on it
@@ -109,14 +109,13 @@ BuiltStore build_store(const Plan& plan, const gnn::Tensor& features,
         break;
     }
   }
-  // Each device holds its own rows and, after any other device fails, all
-  // of that one's rows from a fresh page on: the two fullest, plus a page.
+  // Each device holds its own pages and, after any other device fails, that
+  // one's pages: the two fullest devices' pages cover every pair.
   std::sort(pages.rbegin(), pages.rend());
   std::uint64_t capacity_pages = pages.empty() ? 0 : pages[0];
-  if (pages.size() > 1) capacity_pages += pages[1] + 1;
+  if (pages.size() > 1) capacity_pages += pages[1];
   iostack::SsdOptions options;
   options.capacity_bytes = capacity_pages * iostack::kPageBytes;
-  options.max_bytes_per_s = ssd_bytes_per_s;
 
   BuiltStore built;
   built.array = std::make_unique<iostack::SsdArray>(pages.size(), options);

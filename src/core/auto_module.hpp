@@ -79,13 +79,12 @@ struct BuiltStore {
 
 /// The one path from a Plan to the feature store. An HBM bin becomes a GPU
 /// cache replicated on every GPU, a DRAM bin the CPU cache, and each SSD bin
-/// the next SSD ordinal. Every SSD, paced to `ssd_bytes_per_s` (0 =
-/// unpaced), is sized in pages by the failover policy stated in
-/// iostack/feature_store.hpp. The store gets a row cache of `cache_rows`
-/// rows filled by warm_row_cache(by_hotness_desc), which also packs each
-/// SSD's pages in that order.
+/// the next SSD ordinal. Every SSD is unpaced and sized in pages by the
+/// failover policy stated in iostack/feature_store.hpp. The store gets a row
+/// cache of `cache_rows` rows filled by warm_row_cache(by_hotness_desc),
+/// which also packs each SSD's pages in that order.
 BuiltStore build_store(const Plan& plan, const gnn::Tensor& features,
                        std::span<const graph::VertexId> by_hotness_desc,
-                       double ssd_bytes_per_s, std::size_t cache_rows);
+                       std::size_t cache_rows);
 
 }  // namespace moment::core

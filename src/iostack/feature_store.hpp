@@ -20,10 +20,10 @@
 // planner; fresh slots are written and the vertex locations republished
 // atomically, after which gathers hit the survivors at full speed again.
 // Failover policy of core::build_store (core/auto_module.hpp), the one path
-// from a Plan to a store: each device gets its own rows' pages, plus spare
-// pages for the largest other device's rows and one more page, since a
-// remap starts on a fresh page. So any one failed device's rows are
-// re-placed onto the survivors. A single-SSD plan gets no spare pages.
+// from a Plan to a store: each device gets its own pages plus the largest
+// other device's pages. A remap writes from the page after a survivor's own
+// rows, so any one failed device's rows are re-placed onto the survivors. A
+// single-SSD plan gets no spare pages.
 
 #include <atomic>
 #include <cstdint>

@@ -786,7 +786,7 @@ TEST(FeatureStore, PlanBuiltStoreReplacesAnyOneFailedDevice) {
     SCOPED_TRACE("failed SSD " + std::to_string(failed));
     const core::BuiltStore built =
         core::build_store(plan, task.features, bench.profile.by_hotness_desc(),
-                          0.0, g.num_vertices() / 16);
+                          g.num_vertices() / 16);
     ASSERT_EQ(built.array->size(), 4u);
     FaultProfile fp;
     fp.fail_after_reads = 0;

@@ -48,7 +48,7 @@ TEST(Integration, PlanDrivesIoStackAndTraining) {
   const auto& g = p.bench.dataset.csr;
   const auto task = gnn::make_synthetic_task(g, 4, 16, 0.3, 5);
   core::BuiltStore built = core::build_store(
-      p.plan, task.features, p.bench.profile.by_hotness_desc(), 0.0, 0);
+      p.plan, task.features, p.bench.profile.by_hotness_desc(), 0);
   ASSERT_EQ(built.array->size(), 4u);
   iostack::TieredFeatureClient client0(*built.store), client1(*built.store);
   built.array->start_all();
@@ -87,7 +87,7 @@ TEST(Integration, HotTierAbsorbsMostTraffic) {
   const auto& g = p.bench.dataset.csr;
   const auto task = gnn::make_synthetic_task(g, 2, 8, 0.2, 9);
   core::BuiltStore built = core::build_store(
-      p.plan, task.features, p.bench.profile.by_hotness_desc(), 0.0, 0);
+      p.plan, task.features, p.bench.profile.by_hotness_desc(), 0);
   iostack::TieredFeatureClient client(*built.store);
   built.array->start_all();
 
@@ -122,7 +122,7 @@ TEST(Integration, BuildStoreMatchesConstructThenWarm) {
   const auto ranking = p.bench.profile.by_hotness_desc();
   const std::size_t cache_rows = g.num_vertices() / 16;
   const core::BuiltStore built =
-      core::build_store(p.plan, task.features, ranking, 0.0, cache_rows);
+      core::build_store(p.plan, task.features, ranking, cache_rows);
 
   using Kind = iostack::BinBacking::Kind;
   std::vector<iostack::BinBacking> backings;
@@ -191,14 +191,14 @@ TEST(Integration, BuildStoreMatchesConstructThenWarm) {
 
 TEST(Integration, BuildStoreSizesDevicesInPackedPages) {
   // 32 floats are 128 B, 32 rows to a page. Every device gets the pages of
-  // the two fullest devices plus one: its own rows and, after a failure,
-  // another device's. One SSD has no survivor and gets no spare pages.
+  // the two fullest devices: its own and, after a failure, another
+  // device's. One SSD has no survivor and gets no spare pages.
   for (const int num_ssds : {4, 1}) {
     const Planned p = make_plan(graph::DatasetId::kIG, num_ssds);
     const auto& g = p.bench.dataset.csr;
     const auto task = gnn::make_synthetic_task(g, 8, 32, 0.4, 123);
     const core::BuiltStore built = core::build_store(
-        p.plan, task.features, p.bench.profile.by_hotness_desc(), 0.0, 0);
+        p.plan, task.features, p.bench.profile.by_hotness_desc(), 0);
     ASSERT_EQ(built.array->size(), static_cast<std::size_t>(num_ssds));
     std::vector<std::size_t> pages(built.array->size(), 0);
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -210,7 +210,7 @@ TEST(Integration, BuildStoreSizesDevicesInPackedPages) {
     for (std::size_t& rows : pages) rows = (rows + 31) / 32;
     std::sort(pages.rbegin(), pages.rend());
     const std::size_t expected =
-        num_ssds == 1 ? pages[0] : pages[0] + pages[1] + 1;
+        num_ssds == 1 ? pages[0] : pages[0] + pages[1];
     for (std::size_t s = 0; s < built.array->size(); ++s) {
       EXPECT_EQ(built.array->ssd(s).capacity(), expected * iostack::kPageBytes)
           << num_ssds << " SSDs, device " << s;
