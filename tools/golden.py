@@ -12,10 +12,12 @@ for each golden that does not match, and exits 1 if any does not. `regen`
 rewrites the goldens. A change that regenerates a golden lists each
 changed file, and why, in CHANGES.md.
 
-The goldens are the deterministic paper benches (their whole output) and
-`train_graphsage 3 2` with and without `--comm-plan=auto`: its epoch lines
+The goldens are the deterministic paper benches (their whole output),
+`train_graphsage 3 2` with and without `--comm-plan=auto` (its epoch lines
 with the wall-time field masked, and its `io:`, `comm:` and `hot-row cache:`
-lines. Each program runs in a fresh temporary directory.
+lines) and `golden_library_run` (its whole output: SAGE and GAT losses as
+hex floats over a 2-SSD store). Each program runs in a fresh temporary
+directory, with the caller's environment (MOMENT_COMPUTE_THREADS included).
 """
 
 import fnmatch
@@ -68,7 +70,9 @@ def train_graphsage_output(binary):
 def goldens():
     """NAME -> (binary path under the build dir, output of a binary)."""
     table = {"train_graphsage": (os.path.join("examples", "train_graphsage"),
-                                 train_graphsage_output)}
+                                 train_graphsage_output),
+             "golden_library_run": (os.path.join("tests", "golden_library_run"),
+                                    lambda binary: run([binary]))}
     for b in BENCHES:
         table["bench_" + b] = (os.path.join("bench", "bench_" + b),
                                lambda binary: run([binary]))
