@@ -124,7 +124,7 @@ MigrationStats AdaptivePlacer::rebalance() {
       }
       if (cold_idx >= residents.size()) break;
       const graph::VertexId victim = residents[cold_idx];
-      if (ema_[v] < options_.hysteresis * (ema_[victim] + 1e-12)) {
+      if (ema_[v] < kPromotionHysteresis * (ema_[victim] + 1e-12)) {
         break;  // order[] is sorted desc: nothing hotter follows
       }
       // Swap: victim demotes to the promoted vertex's old bin.
@@ -132,45 +132,12 @@ MigrationStats AdaptivePlacer::rebalance() {
       move_vertex(v, bin);
       ++cold_idx;
       ++stats.promotions;
-      ++stats.demotions;
       stats.migrated += 2;
       budget = budget >= 2 ? budget - 2 : 0;
     }
   }
 
   // Refresh hotness bookkeeping from the EMA.
-  std::fill(placement_.bin_access.begin(), placement_.bin_access.end(), 0.0);
-  for (std::size_t v = 0; v < ema_.size(); ++v) {
-    placement_.bin_access[static_cast<std::size_t>(
-        placement_.bin_of_vertex[v])] += ema_[v];
-  }
-  for (std::size_t b = 0; b < bins_.size(); ++b) {
-    placement_.bin_traffic_share[b] =
-        ema_total_ > 0.0 ? placement_.bin_access[b] / ema_total_ : 0.0;
-  }
-  placement_.traffic_share_error = current_error();
-  stats.error_after = placement_.traffic_share_error;
-  return stats;
-}
-
-MigrationStats AdaptivePlacer::fail_bin(std::size_t bin) {
-  if (bin >= bins_.size()) {
-    throw std::out_of_range("AdaptivePlacer::fail_bin: bin index");
-  }
-  MigrationStats stats;
-  stats.error_before = current_error();
-
-  const std::size_t failed[] = {bin};
-  const std::vector<FailoverMove> moves =
-      plan_bin_failover(bins_, placement_, failed);
-  apply_failover(bins_, placement_, moves);
-  stats.migrated = moves.size();
-
-  // The device is gone: it can neither hold vertices nor absorb traffic.
-  bins_[bin].capacity_vertices = 0.0;
-  bins_[bin].traffic_target = 0.0;
-
-  // Refresh hotness bookkeeping from the EMA (matches rebalance()).
   std::fill(placement_.bin_access.begin(), placement_.bin_access.end(), 0.0);
   for (std::size_t v = 0; v < ema_.size(); ++v) {
     placement_.bin_access[static_cast<std::size_t>(

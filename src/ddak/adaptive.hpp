@@ -9,6 +9,10 @@
 // Migration is deliberately conservative: a budget caps bytes moved per
 // rebalance (SSD writes wear flash; cache copies evict), and hysteresis
 // prevents ping-ponging vertices whose hotness sits near a bin boundary.
+//
+// Device loss is not handled here: the feature store's failover
+// (iostack::TieredFeatureStore::remap_failed_device over
+// ddak::plan_bin_failover) re-places a failed SSD's rows.
 
 #include <cstdint>
 #include <span>
@@ -23,15 +27,15 @@ struct AdaptiveOptions {
   double ema_alpha = 0.2;
   /// Max vertices migrated per rebalance() call.
   std::size_t migration_budget = 256;
-  /// A candidate must be at least this factor hotter than the vertex it
-  /// would displace (hysteresis against ping-ponging).
-  double hysteresis = 1.25;
 };
+
+/// A candidate must be at least this factor hotter than the vertex it would
+/// displace from a full bin (hysteresis against ping-ponging).
+inline constexpr double kPromotionHysteresis = 1.25;
 
 struct MigrationStats {
   std::size_t migrated = 0;
   std::size_t promotions = 0;   // into a faster tier
-  std::size_t demotions = 0;    // out of a faster tier
   double error_before = 0.0;    // traffic-share L1 error vs targets
   double error_after = 0.0;
 };
@@ -47,19 +51,10 @@ class AdaptivePlacer {
 
   /// Migrates up to the budget: promotes vertices whose EMA hotness exceeds
   /// the coldest resident of a faster tier (hysteresis-adjusted), then
-  /// rebalances SSD bins toward their traffic targets.
+  /// refreshes every bin's access mass and traffic share from the EMA.
   MigrationStats rebalance();
 
-  /// Device-loss failover: re-places every resident of `bin` onto surviving
-  /// same-tier bins (capacity-bounded, ignoring the migration budget — a
-  /// failed device leaves no choice), zeroes the failed bin's capacity and
-  /// traffic target, and refreshes the bookkeeping. Returns the migration
-  /// count; vertices that fit nowhere keep their old bin assignment and must
-  /// be served from a fallback copy by the caller.
-  MigrationStats fail_bin(std::size_t bin);
-
   const DataPlacementResult& placement() const noexcept { return placement_; }
-  const std::vector<Bin>& bins() const noexcept { return bins_; }
 
   /// Traffic-share L1 error of the current placement under the current EMA.
   double current_error() const;

@@ -349,39 +349,4 @@ std::vector<FailoverMove> plan_bin_failover(
   return moves;
 }
 
-void apply_failover(std::span<const Bin> bins, DataPlacementResult& placement,
-                    std::span<const FailoverMove> moves) {
-  for (const FailoverMove& m : moves) {
-    const auto from =
-        static_cast<std::size_t>(placement.bin_of_vertex[m.vertex]);
-    const auto to = static_cast<std::size_t>(m.to_bin);
-    // Per-vertex even share of the source bin's access mass moves with it.
-    const double share =
-        placement.bin_count[from] > 0
-            ? placement.bin_access[from] /
-                  static_cast<double>(placement.bin_count[from])
-            : 0.0;
-    placement.bin_access[from] -= share;
-    placement.bin_access[to] += share;
-    --placement.bin_count[from];
-    ++placement.bin_count[to];
-    placement.bin_of_vertex[m.vertex] = m.to_bin;
-  }
-
-  double total = 0.0;
-  for (double a : placement.bin_access) total += a;
-  double total_target = 0.0;
-  for (const auto& b : bins) total_target += std::max(0.0, b.traffic_target);
-  placement.traffic_share_error = 0.0;
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    placement.bin_traffic_share[b] =
-        total > 0.0 ? placement.bin_access[b] / total : 0.0;
-    if (bins[b].traffic_target > 0.0 && total_target > 0.0) {
-      placement.traffic_share_error +=
-          std::abs(placement.bin_traffic_share[b] -
-                   bins[b].traffic_target / total_target);
-    }
-  }
-}
-
 }  // namespace moment::ddak

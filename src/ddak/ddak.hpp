@@ -105,10 +105,4 @@ std::vector<FailoverMove> plan_bin_failover(
     std::span<const Bin> bins, const DataPlacementResult& placement,
     std::span<const std::size_t> failed_bins);
 
-/// Applies a failover plan to the placement bookkeeping: moves each vertex,
-/// transfers its (per-vertex even) share of the source bin's access mass, and
-/// recomputes the realised traffic shares.
-void apply_failover(std::span<const Bin> bins, DataPlacementResult& placement,
-                    std::span<const FailoverMove> moves);
-
 }  // namespace moment::ddak

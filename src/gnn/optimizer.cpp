@@ -4,29 +4,8 @@
 
 namespace moment::gnn {
 
-Sgd::Sgd(std::vector<Param*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (Param* p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
-    Tensor& v = velocity_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      v.data()[j] = momentum_ * v.data()[j] + p.grad.data()[j];
-      p.value.data()[j] -= lr_ * v.data()[j];
-    }
-  }
-}
-
-Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
-           float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
-      eps_(eps) {
+Adam::Adam(std::vector<Param*> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Param* p : params_) {
@@ -37,19 +16,19 @@ Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
 
 void Adam::step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Param& p = *params_[i];
     for (std::size_t j = 0; j < p.value.size(); ++j) {
       const float g = p.grad.data()[j];
       float& m = m_[i].data()[j];
       float& v = v_[i].data()[j];
-      m = beta1_ * m + (1.0f - beta1_) * g;
-      v = beta2_ * v + (1.0f - beta2_) * g * g;
+      m = kBeta1 * m + (1.0f - kBeta1) * g;
+      v = kBeta2 * v + (1.0f - kBeta2) * g * g;
       const float mhat = m / bc1;
       const float vhat = v / bc2;
-      p.value.data()[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      p.value.data()[j] -= lr_ * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

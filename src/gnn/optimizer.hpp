@@ -1,5 +1,6 @@
 #pragma once
-// Optimizers: SGD (+momentum) and Adam, operating on registered Params.
+// Adam, the training runtime's one optimizer, operating on registered Params
+// with the usual fixed moments (beta1 0.9, beta2 0.999, eps 1e-8).
 
 #include <vector>
 
@@ -7,38 +8,22 @@
 
 namespace moment::gnn {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  static constexpr float kBeta1 = 0.9f;
+  static constexpr float kBeta2 = 0.999f;
+  static constexpr float kEps = 1e-8f;
 
-  virtual void step() = 0;
+  Adam(std::vector<Param*> params, float lr);
+
+  void step();
   void zero_grad() {
     for (Param* p : params_) p->zero_grad();
   }
 
- protected:
+ private:
   std::vector<Param*> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_, momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
-
- private:
-  float lr_, beta1_, beta2_, eps_;
+  float lr_;
   std::vector<Tensor> m_, v_;
   std::int64_t t_ = 0;
 };

@@ -9,6 +9,12 @@ namespace moment::maxflow {
 
 namespace {
 
+constexpr double kTimeLo = 1e-6;        // s, the smallest T tried
+constexpr double kTimeHiInitial = 1.0;  // s, doubled until feasible
+constexpr int kMaxDoublings = 60;
+constexpr double kRelTol = 1e-4;        // bisection stops at (hi-lo) <= tol*hi
+constexpr int kMaxIterations = 80;
+
 /// Builds the byte-capacity network for trial time T and solves it.
 double solve_at_time(const FlowNetwork& base, NodeId s, NodeId t, double time_s,
                      std::span<const ByteConstraint> demands,
@@ -35,8 +41,7 @@ double solve_at_time(const FlowNetwork& base, NodeId s, NodeId t, double time_s,
 TimeBisectionResult solve_time_bisection(
     const FlowNetwork& base, NodeId s, NodeId t,
     std::span<const ByteConstraint> demands,
-    std::span<const ByteConstraint> supplies,
-    const TimeBisectionOptions& options) {
+    std::span<const ByteConstraint> supplies) {
   TimeBisectionResult result;
   for (const auto& d : demands) result.total_demand += d.bytes;
   if (result.total_demand <= 0.0) {
@@ -47,9 +52,9 @@ TimeBisectionResult solve_time_bisection(
   const double target = result.total_demand * (1.0 - 1e-9);
 
   // Phase 1: exponential search for a feasible upper bound.
-  double hi = options.t_hi_initial;
+  double hi = kTimeHiInitial;
   bool hi_feasible = false;
-  for (int i = 0; i <= options.max_doublings; ++i) {
+  for (int i = 0; i <= kMaxDoublings; ++i) {
     ++result.iterations;
     if (solve_at_time(base, s, t, hi, demands, supplies, nullptr) >= target) {
       hi_feasible = true;
@@ -63,12 +68,11 @@ TimeBisectionResult solve_time_bisection(
   }
 
   // Phase 2: bisection between lo (infeasible) and hi (feasible).
-  double lo = options.t_lo;
+  double lo = kTimeLo;
   if (solve_at_time(base, s, t, lo, demands, supplies, nullptr) >= target) {
     hi = lo;  // already feasible at the lower bound
   } else {
-    for (int i = 0; i < options.max_iterations && (hi - lo) > options.rel_tol * hi;
-         ++i) {
+    for (int i = 0; i < kMaxIterations && (hi - lo) > kRelTol * hi; ++i) {
       ++result.iterations;
       const double mid = 0.5 * (lo + hi);
       if (solve_at_time(base, s, t, mid, demands, supplies, nullptr) >= target) {

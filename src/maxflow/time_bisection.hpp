@@ -34,21 +34,15 @@ struct TimeBisectionResult {
   int iterations = 0;
 };
 
-struct TimeBisectionOptions {
-  double t_lo = 1e-6;
-  double t_hi_initial = 1.0;  // doubled until feasible (up to max_doublings)
-  int max_doublings = 60;
-  double rel_tol = 1e-4;
-  int max_iterations = 80;
-};
-
 /// `base` must carry rates on all physical edges. `demands` are the GPU->sink
 /// edges (capacity ignored in base); `supplies` are the source->storage edges
-/// whose byte availability caps them in addition to their rate.
+/// whose byte availability caps them in addition to their rate. T is
+/// searched from 1 s upward by doubling (60 times at most), then bisected
+/// down to 1e-6 s at most, until the bracket is within 1e-4 of T (80 steps
+/// at most).
 TimeBisectionResult solve_time_bisection(
     const FlowNetwork& base, NodeId s, NodeId t,
     std::span<const ByteConstraint> demands,
-    std::span<const ByteConstraint> supplies,
-    const TimeBisectionOptions& options = {});
+    std::span<const ByteConstraint> supplies);
 
 }  // namespace moment::maxflow

@@ -1,8 +1,8 @@
 #include "runtime/parallel_trainer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "gnn/block.hpp"
@@ -381,15 +381,15 @@ EpochStats DataParallelTrainer::train_epoch(
   return stats;
 }
 
-bool DataParallelTrainer::replicas_in_sync(float tolerance) const {
+bool DataParallelTrainer::replicas_in_sync() const {
   const auto& ref = replicas_[0]->params;
   for (std::size_t w = 1; w < replicas_.size(); ++w) {
     const auto& params = replicas_[w]->params;
     for (std::size_t p = 0; p < ref.size(); ++p) {
       const auto& a = ref[p]->value;
-      const auto& b = params[p]->value;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::abs(a.data()[i] - b.data()[i]) > tolerance) return false;
+      if (std::memcmp(a.data(), params[p]->value.data(),
+                      a.size() * sizeof(float)) != 0) {
+        return false;
       }
     }
   }

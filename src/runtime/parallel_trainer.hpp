@@ -175,8 +175,10 @@ class DataParallelTrainer {
 
   gnn::GnnModel& replica(std::size_t i) { return replicas_[i]->model; }
 
-  /// True when all replicas hold bitwise-close parameters (DDP invariant).
-  bool replicas_in_sync(float tolerance = 1e-5f) const;
+  /// True when all replicas hold bit-identical parameters (the DDP
+  /// invariant: every replica applies the same Adam step to the same
+  /// averaged gradient).
+  bool replicas_in_sync() const;
 
  private:
   enum class RoundControl { kContinue, kStopNow, kStopAfterStep };

@@ -1,7 +1,6 @@
 #include "sim/machine_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -32,8 +31,7 @@ std::vector<ddak::Bin> merge_replicated_gpu_bins(
 }
 
 std::vector<ddak::Bin> merge_replicated_cpu_bins(
-    std::span<const ddak::Bin> bins, double mirror_fraction) {
-  mirror_fraction = std::clamp(mirror_fraction, 0.0, 1.0);
+    std::span<const ddak::Bin> bins) {
   std::vector<ddak::Bin> out;
   ddak::Bin mirrored;
   mirrored.name = "CPU.DRAM(mirrored)";
@@ -50,20 +48,20 @@ std::vector<ddak::Bin> merge_replicated_cpu_bins(
           min_socket_capacity == 0.0
               ? b.capacity_vertices
               : std::min(min_socket_capacity, b.capacity_vertices);
-      mirrored.traffic_target += b.traffic_target * mirror_fraction;
+      mirrored.traffic_target += b.traffic_target * kCpuMirrorFraction;
       mirrored.replica_storage_indices.push_back(b.storage_index);
       ddak::Bin exclusive = b;
-      exclusive.capacity_vertices *= 1.0 - mirror_fraction;
-      exclusive.traffic_target *= 1.0 - mirror_fraction;
+      exclusive.capacity_vertices *= 1.0 - kCpuMirrorFraction;
+      exclusive.traffic_target *= 1.0 - kCpuMirrorFraction;
       exclusives.push_back(std::move(exclusive));
     } else {
       out.push_back(b);
     }
   }
   if (any_cpu) {
-    // The mirrored content occupies mirror_fraction of every socket's
+    // The mirrored content occupies kCpuMirrorFraction of every socket's
     // budget; the hottest vertices land here (largest CPU-tier target).
-    mirrored.capacity_vertices = mirror_fraction * min_socket_capacity;
+    mirrored.capacity_vertices = kCpuMirrorFraction * min_socket_capacity;
     mirrored.storage_index = mirrored.replica_storage_indices.front();
     if (mirrored.capacity_vertices >= 1.0) out.push_back(mirrored);
     for (auto& e : exclusives) {
@@ -97,7 +95,7 @@ const topology::FlowGraph& iops_capped(const topology::FlowGraph& fg,
 }
 
 /// Builds the streams of one round, one GPU at a time. Holds what is fixed
-/// for a simulation: the per-(GPU, bin) routes and the SSD fault state.
+/// for a simulation: the per-(GPU, bin) routes and the SSD ordinals.
 class RoundStreams {
  public:
   RoundStreams(const topology::FlowGraph& fg, std::span<const ddak::Bin> bins,
@@ -105,18 +103,10 @@ class RoundStreams {
       : bins_(bins),
         options_(options),
         num_gpus_(static_cast<int>(fg.gpus.size())),
-        ssd_ordinal_(bins.size(), -1),
-        failed_(bins.size(), false),
-        retry_amp_(1.0 / (1.0 - std::clamp(options.ssd_transient_error_rate,
-                                           0.0, 0.99))) {
+        ssd_ordinal_(bins.size(), -1) {
     for (std::size_t bi = 0; bi < bins.size(); ++bi) {
       if (bins[bi].tier != topology::StorageTier::kSsd) continue;
       ssd_ordinal_[bi] = num_ssd_bins_++;
-      failed_[bi] = std::find(options.failed_ssd_ordinals.begin(),
-                              options.failed_ssd_ordinals.end(),
-                              ssd_ordinal_[bi]) !=
-                    options.failed_ssd_ordinals.end();
-      if (failed_[bi]) ++failed_ssds_;
     }
     // Route table: each GPU reads a socket-replicated bin from its nearest
     // replica, then follows the routing policy's paths. A bin without a
@@ -149,25 +139,18 @@ class RoundStreams {
     }
   }
 
-  std::size_t failed_ssds() const noexcept { return failed_ssds_; }
-  double retry_amplification() const noexcept { return retry_amp_; }
-
   /// Appends GPU g's streams for one round that fetches `bytes` in total:
-  /// bin bi serves weights[bi] / total of them. Failed SSD bins shed their
-  /// weight proportionally onto the surviving SSD bins (the post-failover
-  /// steady state); under M-GIDS partitioning the GPU draws its whole SSD
-  /// weight from its own SSD subset; SSD bytes carry the read and retry
-  /// amplification.
+  /// bin bi serves weights[bi] / total of them. Under M-GIDS partitioning
+  /// the GPU draws its whole SSD weight from its own SSD subset; SSD bytes
+  /// carry the read amplification.
   void add_gpu(int g, std::span<const double> weights, double total,
                double bytes, std::vector<SubStream>& streams) const {
-    std::vector<double> w(weights.begin(), weights.end());
     double ssd_total = 0.0;
-    for (std::size_t bi = 0; bi < w.size(); ++bi) {
-      if (ssd_ordinal_[bi] >= 0) ssd_total += w[bi];
+    for (std::size_t bi = 0; bi < weights.size(); ++bi) {
+      if (ssd_ordinal_[bi] >= 0) ssd_total += weights[bi];
     }
-    if (failed_ssds_ > 0) shed_failed(w);
     for (std::size_t bi = 0; bi < bins_.size(); ++bi) {
-      double share = w[bi];
+      double share = weights[bi];
       if (options_.partition_ssds_per_gpu && ssd_ordinal_[bi] >= 0) {
         const int per_gpu = std::max(1, num_ssd_bins_ / num_gpus_);
         const int owner = std::min(ssd_ordinal_[bi] / per_gpu, num_gpus_ - 1);
@@ -178,7 +161,7 @@ class RoundStreams {
       if (bin.storage_index < 0) continue;  // replicated HBM: no fabric
       double bin_bytes = bytes * share / total;
       if (bin.tier == topology::StorageTier::kSsd) {
-        bin_bytes *= options_.ssd_read_amplification * retry_amp_;
+        bin_bytes *= options_.ssd_read_amplification;
       }
       const Route& route =
           routes_[static_cast<std::size_t>(g) * bins_.size() + bi];
@@ -203,62 +186,28 @@ class RoundStreams {
     topology::PathSet paths;
   };
 
-  void shed_failed(std::vector<double>& w) const {
-    double failed_share = 0.0, surviving_share = 0.0;
-    int surviving_bins = 0;
-    for (std::size_t bi = 0; bi < w.size(); ++bi) {
-      if (ssd_ordinal_[bi] < 0) continue;
-      if (failed_[bi]) {
-        failed_share += w[bi];
-      } else {
-        surviving_share += w[bi];
-        ++surviving_bins;
-      }
-    }
-    if (failed_share > 0.0 && surviving_bins == 0) {
-      throw std::invalid_argument(
-          "simulate_epoch: all SSD bins carrying traffic are failed");
-    }
-    for (std::size_t bi = 0; bi < w.size(); ++bi) {
-      if (ssd_ordinal_[bi] < 0) continue;
-      if (failed_[bi]) {
-        w[bi] = 0.0;
-      } else if (failed_share > 0.0) {
-        w[bi] += surviving_share > 0.0
-                     ? failed_share * w[bi] / surviving_share
-                     : failed_share / static_cast<double>(surviving_bins);
-      }
-    }
-  }
-
   std::span<const ddak::Bin> bins_;
   const SimOptions& options_;
   int num_gpus_;
   int num_ssd_bins_ = 0;
   std::vector<int> ssd_ordinal_;  // position among SSD bins, -1 otherwise
-  std::vector<bool> failed_;
-  std::size_t failed_ssds_ = 0;
-  double retry_amp_;
   std::vector<Route> routes_;  // [gpu * bins + bin]
 };
 
 /// The epoch of one round's IO time and per-edge bytes: round time,
-/// IO-boundness, rounds, epoch time, throughput, the per-link and QPI bytes
-/// scaled to the epoch, and the builder's SSD fault echo.
+/// IO-boundness, rounds, epoch time, throughput, and the per-link and QPI
+/// bytes scaled to the epoch.
 SimReport epoch_report(const topology::Topology& topo,
                        const topology::FlowGraph& fg,
                        const ddak::EpochWorkload& workload,
-                       const SimOptions& options, const RoundStreams& builder,
-                       double io_round_time_s,
+                       const SimOptions& options, double io_round_time_s,
                        std::span<const double> edge_bytes) {
   const auto num_gpus = static_cast<std::size_t>(fg.gpus.size());
   SimReport report;
-  report.failed_ssds = builder.failed_ssds();
-  report.retry_read_amplification = builder.retry_amplification();
   report.io_round_time_s = io_round_time_s;
   report.round_time_s =
       std::max(io_round_time_s, options.compute_time_per_batch) +
-      options.round_overhead_s;
+      kRoundOverheadS;
   report.io_bound = io_round_time_s >= options.compute_time_per_batch;
   report.rounds = (workload.batches_per_epoch + num_gpus - 1) / num_gpus;
   // Pipeline: IO of round k overlaps compute of round k-1; the tail adds one
@@ -293,47 +242,6 @@ SimReport epoch_report(const topology::Topology& topo,
   return report;
 }
 
-/// Expectation mode over an already IOPS-capped flow graph.
-SimReport expected_epoch(const topology::Topology& topo,
-                         const topology::FlowGraph& fg,
-                         const ddak::EpochWorkload& workload,
-                         std::span<const ddak::Bin> bins,
-                         const ddak::DataPlacementResult& placement,
-                         const SimOptions& options,
-                         const RoundStreams& builder) {
-  const int num_gpus = static_cast<int>(fg.gpus.size());
-  const double bytes_per_batch =
-      workload.fetches_per_batch * workload.feature_bytes;
-  const std::span<const double> shares = placement.bin_traffic_share;
-
-  // One round: every GPU fetches one batch by the expected bin shares.
-  std::vector<SubStream> streams;
-  for (int g = 0; g < num_gpus; ++g) {
-    builder.add_gpu(g, shares, 1.0, bytes_per_batch, streams);
-  }
-  const FluidResult round = simulate_round(fg, streams, num_gpus);
-
-  SimReport report = epoch_report(topo, fg, workload, options, builder,
-                                  round.finish_time, round.edge_bytes);
-
-  double local_bytes_per_gpu = 0.0;  // HBM-replicated hits, same for each GPU
-  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
-    if (bins[bi].storage_index < 0) {
-      local_bytes_per_gpu += bytes_per_batch * shares[bi];
-    }
-  }
-  const double fabric_bytes = bytes_per_batch - local_bytes_per_gpu;
-  for (const double t : round.gpu_finish) {
-    report.per_gpu_io_bandwidth.push_back(t > 0.0 ? fabric_bytes / t : 0.0);
-  }
-  report.imbalance_cv = util::coefficient_of_variation(round.gpu_finish);
-  report.agg_io_bandwidth =
-      round.finish_time > 0.0
-          ? fabric_bytes * static_cast<double>(num_gpus) / round.finish_time
-          : 0.0;
-  return report;
-}
-
 void check_inputs(const topology::FlowGraph& fg,
                   std::span<const ddak::Bin> bins,
                   const ddak::DataPlacementResult& placement) {
@@ -355,7 +263,37 @@ SimReport simulate_epoch(const topology::Topology& topo,
   topology::FlowGraph capped;
   const topology::FlowGraph& fg = iops_capped(fg_in, options, capped);
   const RoundStreams builder(fg, bins, options);
-  return expected_epoch(topo, fg, workload, bins, placement, options, builder);
+  const int num_gpus = static_cast<int>(fg.gpus.size());
+  const double bytes_per_batch =
+      workload.fetches_per_batch * workload.feature_bytes;
+  const std::span<const double> shares = placement.bin_traffic_share;
+
+  // One round: every GPU fetches one batch by the expected bin shares.
+  std::vector<SubStream> streams;
+  for (int g = 0; g < num_gpus; ++g) {
+    builder.add_gpu(g, shares, 1.0, bytes_per_batch, streams);
+  }
+  const FluidResult round = simulate_round(fg, streams, num_gpus);
+
+  SimReport report = epoch_report(topo, fg, workload, options,
+                                  round.finish_time, round.edge_bytes);
+
+  double local_bytes_per_gpu = 0.0;  // HBM-replicated hits, same for each GPU
+  for (std::size_t bi = 0; bi < bins.size(); ++bi) {
+    if (bins[bi].storage_index < 0) {
+      local_bytes_per_gpu += bytes_per_batch * shares[bi];
+    }
+  }
+  const double fabric_bytes = bytes_per_batch - local_bytes_per_gpu;
+  for (const double t : round.gpu_finish) {
+    report.per_gpu_io_bandwidth.push_back(t > 0.0 ? fabric_bytes / t : 0.0);
+  }
+  report.imbalance_cv = util::coefficient_of_variation(round.gpu_finish);
+  report.agg_io_bandwidth =
+      round.finish_time > 0.0
+          ? fabric_bytes * static_cast<double>(num_gpus) / round.finish_time
+          : 0.0;
+  return report;
 }
 
 TraceSimReport simulate_epoch_traced(
@@ -421,17 +359,8 @@ TraceSimReport simulate_epoch_traced(
   report.traced_rounds = io_times.size();
   report.round_io_time_s = util::summarize(io_times);
   for (double& b : edge_bytes) b /= static_cast<double>(report.traced_rounds);
-  report.epoch = epoch_report(topo, fg, workload, base, builder,
+  report.epoch = epoch_report(topo, fg, workload, base,
                               report.round_io_time_s.mean, edge_bytes);
-
-  // Diagnostic: deviation from the expectation-mode simulator.
-  const SimReport expect =
-      expected_epoch(topo, fg, workload, bins, placement, base, builder);
-  if (expect.io_round_time_s > 0.0) {
-    report.deviation_from_expectation =
-        std::abs(report.round_io_time_s.mean - expect.io_round_time_s) /
-        expect.io_round_time_s;
-  }
   return report;
 }
 

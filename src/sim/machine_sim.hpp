@@ -17,7 +17,12 @@
 //     captures what expectation mode cannot: round-to-round variance from
 //     sampling noise and placement granularity. A traced round moves the
 //     paper-scale per-batch volume, split across bins by the traced batch's
-//     observed composition.
+//     observed composition. It does not run expectation mode: a caller that
+//     compares the two calls both.
+//
+// The simulator models a fault-free machine: a failed device's steady state
+// is what the feature store's failover remap leaves, which the caller can
+// simulate as a placement of its own.
 
 #include <cstdint>
 #include <span>
@@ -34,13 +39,15 @@
 
 namespace moment::sim {
 
+/// Fixed per-round launch/sync overhead (kernel launches, allreduce) added
+/// to every simulated round, in seconds.
+inline constexpr double kRoundOverheadS = 0.002;
+
 struct SimOptions {
   topology::RoutingPolicy routing = topology::RoutingPolicy::kMultiPath;
   /// Model-training time per batch on one GPU (seconds); sets the compute
   /// side of the IO/compute overlap. See runtime/models.hpp for presets.
   double compute_time_per_batch = 0.06;
-  /// Fixed per-round launch/sync overhead (kernel launches, allreduce).
-  double round_overhead_s = 0.002;
   /// M-GIDS mode: SSDs are statically partitioned across GPUs (GPU g reads
   /// only SSD bins with ordinal in [g*S/G, (g+1)*S/G)); each GPU's whole SSD
   /// byte share is drawn from its own subset.
@@ -54,14 +61,6 @@ struct SimOptions {
   /// size) — 4 KiB feature reads on a P5510 are IOPS-bound near 1M ops/s.
   double ssd_iops = 0.0;
   double ssd_request_bytes = 4096.0;
-  /// Degraded mode: SSD bins with these ordinals (position among SSD-tier
-  /// bins, matching the partition_ssds_per_gpu numbering) are failed; their
-  /// traffic share is redistributed proportionally onto surviving SSD bins —
-  /// the steady state after the feature store's failover remap.
-  std::vector<int> failed_ssd_ordinals;
-  /// Transient read-error rate p on the SSD tier: every SSD byte is fetched
-  /// 1/(1-p) times on average (retry read amplification). 0 = fault-free.
-  double ssd_transient_error_rate = 0.0;
 };
 
 struct LinkTrafficReport {
@@ -84,10 +83,6 @@ struct SimReport {
   double qpi_bytes = 0.0;                // per epoch, both directions
   std::vector<LinkTrafficReport> link_traffic;
   bool io_bound = false;
-  /// Degraded-mode echo: failed SSD bins and the retry read-amplification
-  /// factor applied to SSD-tier bytes (1.0 = fault-free).
-  std::size_t failed_ssds = 0;
-  double retry_read_amplification = 1.0;
 };
 
 /// Expectation mode: simulates one epoch of data-parallel training.
@@ -119,9 +114,6 @@ struct TraceSimReport {
   SimReport epoch;
   util::Summary round_io_time_s;  // spread across traced rounds
   std::size_t traced_rounds = 0;
-  /// Relative deviation of the traced mean IO time from the expectation-mode
-  /// round IO time (diagnostic for Fig.-13-style studies).
-  double deviation_from_expectation = 0.0;
 };
 
 /// Trace mode. `placement.bin_of_vertex` is the realised placement over
@@ -139,13 +131,17 @@ TraceSimReport simulate_epoch_traced(
 /// traffic = sum). Use with GpuCacheMode::kReplicated.
 std::vector<ddak::Bin> merge_replicated_gpu_bins(std::span<const ddak::Bin> bins);
 
+/// Share of each socket's CPU cache budget that mirrors the hottest cached
+/// vertices (see merge_replicated_cpu_bins).
+inline constexpr double kCpuMirrorFraction = 0.5;
+
 /// Splits the CPU cache into a socket-mirrored hot portion and per-socket
 /// exclusive remainders: every socket mirrors the hottest
-/// `mirror_fraction` of its cache budget, so those hits are served from the
+/// kCpuMirrorFraction of its cache budget, so those hits are served from the
 /// GPU's local socket and never cross QPI (the paper's "adaptive migration
 /// of hot data"); colder cached vertices stay single-copy. This is Moment's
 /// CPU cache policy; the hash baseline stripes all vertices across sockets.
 std::vector<ddak::Bin> merge_replicated_cpu_bins(
-    std::span<const ddak::Bin> bins, double mirror_fraction = 0.5);
+    std::span<const ddak::Bin> bins);
 
 }  // namespace moment::sim

@@ -18,7 +18,7 @@ MachineSpec make_cluster(const ClusterOptions& options) {
       std::to_string(options.num_machines) +
       " machines joined by a network switch; per machine one root complex, "
       "socket DRAM, a NIC and one GPU/SSD slot group (paper Section 5).";
-  spec.ssd_read_bw = gib_per_s(options.ssd_read_bw_gib);
+  spec.ssd_read_bw = gib_per_s(kClusterSsdReadGibPerS);
   spec.nvlink_bw = gib_per_s(50.0);
   spec.hbm_bw = gib_per_s(1200.0);
 
@@ -33,8 +33,8 @@ MachineSpec make_cluster(const ClusterOptions& options) {
     const DeviceId mem =
         t.add_device(DeviceKind::kCpuMemory, "DRAM" + suffix, m);
     const DeviceId nic = t.add_device(DeviceKind::kNic, "NIC" + suffix, m);
-    t.add_link(mem, rc, LinkKind::kDram, gib_per_s(options.dram_bw_gib),
-               gib_per_s(options.dram_bw_gib), "MC" + suffix);
+    t.add_link(mem, rc, LinkKind::kDram, gib_per_s(kClusterDramGibPerS),
+               gib_per_s(kClusterDramGibPerS), "MC" + suffix);
     const double nic_pcie = pcie_bandwidth(options.pcie_gen, 16);
     t.add_link(rc, nic, LinkKind::kPcie, nic_pcie, nic_pcie,
                "NicBus" + suffix);

@@ -18,9 +18,11 @@ struct ClusterOptions {
   int slot_units_per_machine = 10;
   int pcie_gen = 3;              // Cluster C runs PCIe 3.0
   double network_gib_per_s = 10.0;   // ~100 Gb/s effective per NIC
-  double dram_bw_gib = 30.0;
-  double ssd_read_bw_gib = 6.0;
 };
+
+/// Every machine's DRAM bandwidth and each SSD's read bandwidth (GiB/s).
+inline constexpr double kClusterDramGibPerS = 30.0;
+inline constexpr double kClusterSsdReadGibPerS = 6.0;
 
 /// Builds a cluster-wide MachineSpec: per machine a root complex, socket
 /// DRAM, a NIC, and one GPU/SSD slot group; NICs meet at a central network

@@ -508,7 +508,9 @@ TEST(TraceSim, AgreesWithExpectationMode) {
   EXPECT_FALSE(traced.epoch.link_traffic.empty());
   EXPECT_GT(traced.round_io_time_s.stddev, 0.0) << "no sampling variance?";
   // Traced mean within 30% of expectation mode (same placement, same plan).
-  EXPECT_LT(traced.deviation_from_expectation, 0.30);
+  const double expect = rig.expected({}).io_round_time_s;
+  ASSERT_GT(expect, 0.0);
+  EXPECT_LT(std::abs(traced.round_io_time_s.mean - expect) / expect, 0.30);
 }
 
 TEST(TraceSim, HonoursSsdModel) {
@@ -527,12 +529,9 @@ TEST(TraceSim, HonoursSsdModel) {
   iops.ssd_iops = 200'000;
   sim::SimOptions partitioned;
   partitioned.partition_ssds_per_gpu = true;
-  sim::SimOptions failed;
-  failed.failed_ssd_ordinals = {0};
   for (const auto& [name, opts] :
        {std::pair{"ssd_iops", iops},
-        std::pair{"partition_ssds_per_gpu", partitioned},
-        std::pair{"failed_ssd_ordinals", failed}}) {
+        std::pair{"partition_ssds_per_gpu", partitioned}}) {
     const double expect_ratio = rig.expected(opts).io_round_time_s / expect0;
     const double traced_ratio =
         rig.traced(opts, 4).round_io_time_s.mean / traced0;
@@ -542,7 +541,6 @@ TEST(TraceSim, HonoursSsdModel) {
         << name << ": expectation x" << expect_ratio << ", traced x"
         << traced_ratio;
   }
-  EXPECT_EQ(rig.traced(failed, 1).epoch.failed_ssds, 1u);
 }
 
 TEST(TraceSim, DeterministicGivenSeed) {

@@ -1,7 +1,7 @@
 // Tests for the fault-injection + resilience layer: deterministic injectors,
 // retry/timeout/backoff in IoEngine, bounded waits, the device health
-// registry, feature-store failover with DDAK re-placement, and degraded-mode
-// simulation. Registered under the `faults` CTest label.
+// registry, and feature-store failover with DDAK re-placement. Registered
+// under the `faults` CTest label.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +13,7 @@
 #include <thread>
 
 #include "core/auto_module.hpp"
-#include "ddak/adaptive.hpp"
 #include "ddak/ddak.hpp"
-#include "ddak/workload.hpp"
 #include "gnn/synthetic.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -24,7 +22,6 @@
 #include "runtime/parallel_trainer.hpp"
 #include "runtime/systems.hpp"
 #include "sampling/neighbor_sampler.hpp"
-#include "sim/machine_sim.hpp"
 
 namespace moment::iostack {
 namespace {
@@ -1022,14 +1019,11 @@ TEST(Failover, PlanCoversAllResidentsWhenCapacityAllows) {
     EXPECT_EQ(placement.bin_of_vertex[m.vertex], 1);
     EXPECT_TRUE(m.to_bin == 0 || m.to_bin == 2);
   }
-  apply_failover(bins, placement, moves);
-  EXPECT_EQ(placement.bin_count[1], 0u);
-  EXPECT_EQ(placement.bin_count[0] + placement.bin_count[2], 90u);
-  // Survivors stay balanced (greedy min-fill): 45/45.
-  EXPECT_EQ(placement.bin_count[0], 45u);
-  EXPECT_EQ(placement.bin_count[2], 45u);
-  EXPECT_NEAR(placement.bin_traffic_share[0] + placement.bin_traffic_share[2],
-              1.0, 1e-9);
+  // Survivors stay balanced (greedy min-fill): 30 + 15 each, 45/45.
+  std::size_t moved_to[3] = {0, 0, 0};
+  for (const auto& m : moves) ++moved_to[m.to_bin];
+  EXPECT_EQ(placement.bin_count[0] + moved_to[0], 45u);
+  EXPECT_EQ(placement.bin_count[2] + moved_to[2], 45u);
 }
 
 TEST(Failover, CapacityBoundLeavesUnplaceableVerticesBehind) {
@@ -1044,68 +1038,5 @@ TEST(Failover, CapacityBoundLeavesUnplaceableVerticesBehind) {
   EXPECT_EQ(moves.size(), 4u);  // only 2+2 spare slots exist
 }
 
-TEST(Failover, AdaptivePlacerFailBinMovesResidentsAndZeroesBin) {
-  auto bins = three_ssd_bins(100.0);
-  std::vector<std::int32_t> bov(60);
-  for (std::size_t v = 0; v < 60; ++v) {
-    bov[v] = static_cast<std::int32_t>(v % 3);
-  }
-  auto placement = make_placement(bins, bov);
-  AdaptivePlacer placer(bins, placement);
-  std::vector<graph::VertexId> accesses;
-  for (graph::VertexId v = 0; v < 60; ++v) accesses.push_back(v);
-  placer.observe(accesses);
-
-  const auto stats = placer.fail_bin(2);
-  EXPECT_EQ(stats.migrated, 20u);
-  EXPECT_EQ(placer.placement().bin_count[2], 0u);
-  EXPECT_EQ(placer.bins()[2].capacity_vertices, 0.0);
-  EXPECT_EQ(placer.bins()[2].traffic_target, 0.0);
-  for (std::int32_t b : placer.placement().bin_of_vertex) {
-    EXPECT_NE(b, 2);
-  }
-}
-
 }  // namespace
 }  // namespace moment::ddak
-
-namespace moment::sim {
-namespace {
-
-TEST(DegradedSim, FailedSsdRaisesIoTimeAndErrorsAmplifyBytes) {
-  const auto bench = runtime::Workbench::make(graph::DatasetId::kIG, 3, 42);
-  const auto workload = ddak::make_epoch_workload(
-      bench.dataset, bench.profile, ddak::CacheConfig{}, 4);
-  const auto spec = topology::make_machine_a();
-  const auto topo = topology::instantiate(
-      spec, topology::classic_placement(spec, 'c', 4, 8));
-  const auto fg = topology::compile_flow_graph(topo);
-  const auto pred = topology::predict(
-      fg, ddak::to_flow_demand(workload, fg, ddak::SupplyModel::kUniformHash));
-  auto bins = ddak::make_bins(topo, fg, pred.per_storage_bytes,
-                              bench.dataset.scaled.vertices, 0.005, 0.01);
-  const auto merged = merge_replicated_gpu_bins(bins);
-  const auto place = ddak::hash_place(merged, bench.profile);
-
-  SimOptions healthy;
-  const auto base = simulate_epoch(topo, fg, workload, merged, place, healthy);
-  EXPECT_EQ(base.failed_ssds, 0u);
-  EXPECT_DOUBLE_EQ(base.retry_read_amplification, 1.0);
-
-  SimOptions degraded = healthy;
-  degraded.failed_ssd_ordinals = {0};
-  const auto deg =
-      simulate_epoch(topo, fg, workload, merged, place, degraded);
-  EXPECT_EQ(deg.failed_ssds, 1u);
-  // Survivors absorb the failed device's traffic: IO can only get slower.
-  EXPECT_GE(deg.io_round_time_s, base.io_round_time_s * 0.999);
-
-  SimOptions faulty = healthy;
-  faulty.ssd_transient_error_rate = 0.2;  // retry amp 1.25x
-  const auto amp = simulate_epoch(topo, fg, workload, merged, place, faulty);
-  EXPECT_NEAR(amp.retry_read_amplification, 1.25, 1e-9);
-  EXPECT_GT(amp.io_round_time_s, base.io_round_time_s);
-}
-
-}  // namespace
-}  // namespace moment::sim

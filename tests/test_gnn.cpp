@@ -256,18 +256,6 @@ TEST(Loss, RejectsBadLabels) {
   EXPECT_THROW(softmax_cross_entropy(logits, bad), std::out_of_range);
 }
 
-TEST(Optimizer, SgdDescendsQuadratic) {
-  Param p("w", Tensor(1, 1));
-  p.value.at(0, 0) = 4.0f;
-  Sgd opt({&p}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    p.zero_grad();
-    p.grad.at(0, 0) = 2.0f * p.value.at(0, 0);  // d/dw of w^2
-    opt.step();
-  }
-  EXPECT_NEAR(p.value.at(0, 0), 0.0f, 1e-4f);
-}
-
 TEST(Optimizer, AdamDescendsQuadratic) {
   Param p("w", Tensor(1, 1));
   p.value.at(0, 0) = 4.0f;

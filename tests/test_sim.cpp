@@ -274,7 +274,7 @@ TEST(EpochSim, ComputeBoundWhenIoTiny) {
       simulate_placement(e, spec, 'c', 4, ddak::SupplyModel::kUniformHash,
                          false, opts);
   EXPECT_FALSE(rep.io_bound);
-  EXPECT_NEAR(rep.round_time_s, 100.0 + opts.round_overhead_s, 1e-6);
+  EXPECT_NEAR(rep.round_time_s, 100.0 + kRoundOverheadS, 1e-6);
 }
 
 TEST(EpochSim, ThroughputMetricConsistent) {
