@@ -36,10 +36,9 @@ struct TimeBisectionResult {
 
 /// `base` must carry rates on all physical edges. `demands` are the GPU->sink
 /// edges (capacity ignored in base); `supplies` are the source->storage edges
-/// whose byte availability caps them in addition to their rate. T is
-/// searched from 1 s upward by doubling (60 times at most), then bisected
-/// down to 1e-6 s at most, until the bracket is within 1e-4 of T (80 steps
-/// at most).
+/// whose byte availability caps them in addition to their rate. T is found
+/// by doubling from 1 s (at most 60 times), then by bisection against a lower
+/// bound of 1e-6 s until the bracket is within 1e-4 of T (at most 80 steps).
 TimeBisectionResult solve_time_bisection(
     const FlowNetwork& base, NodeId s, NodeId t,
     std::span<const ByteConstraint> demands,

@@ -17,8 +17,7 @@
 //     captures what expectation mode cannot: round-to-round variance from
 //     sampling noise and placement granularity. A traced round moves the
 //     paper-scale per-batch volume, split across bins by the traced batch's
-//     observed composition. It does not run expectation mode: a caller that
-//     compares the two calls both.
+//     observed composition.
 //
 // The simulator models a fault-free machine: a failed device's steady state
 // is what the feature store's failover remap leaves, which the caller can
