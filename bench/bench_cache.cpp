@@ -28,6 +28,7 @@
 //   bench_cache [--out FILE]   full run, writes BENCH_cache.json
 //   bench_cache --smoke        small shapes, same checks, no JSON
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -62,11 +63,13 @@ struct Shape {
   std::size_t batch_size = 1024;
 };
 
+/// 256 B rows, 16 to a page: the SSD tier spans 57 pages, more than two
+/// batches touch, so the cache leg still reads fewer pages than no-cache.
 Shape smoke_shape() {
   Shape s;
   s.num_vertices = 1024;
   s.num_edges = 6000;
-  s.dim = 16;
+  s.dim = 64;
   s.gpu_rows = 64;
   s.cpu_rows = 64;
   s.cache_rows = 384;
@@ -210,7 +213,7 @@ void print_result(const ConfigResult& r) {
   const auto& s = r.stats;
   std::printf(
       "  %-20s cmds %8llu  rows %8llu (%.2f rows/cmd)  reused %8llu  "
-      "device reads %8llu  cache %llu/%llu  bytes %.1f MiB  %s\n",
+      "device reads %8llu  cache %llu/%llu  pages %llu (%.1f MiB)  %s\n",
       r.name.c_str(),
       static_cast<unsigned long long>(s.ssd_commands),
       static_cast<unsigned long long>(s.ssd_rows), s.coalesce_rows_per_cmd(),
@@ -218,6 +221,7 @@ void print_result(const ConfigResult& r) {
       static_cast<unsigned long long>(r.device_reads),
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.cache_hits + s.cache_misses),
+      static_cast<unsigned long long>(r.device_bytes / iostack::kPageBytes),
       static_cast<double>(r.device_bytes) / (1024.0 * 1024.0),
       r.byte_identical ? "bytes OK" : "BYTE MISMATCH");
 }
@@ -246,11 +250,21 @@ void emit_json_config(FILE* f, const ConfigResult& r, bool last) {
 }
 
 int run(const Shape& shape, bool smoke, const std::string& out_path) {
-  std::printf("bench_cache: %zu vertices, dim %zu, %zu batches x %zu "
-              "(Zipf 1.2)%s\n",
-              shape.num_vertices, shape.dim, shape.batches, shape.batch_size,
-              smoke ? " [smoke]" : "");
   const Workload w = make_workload(shape);
+  // A client's two staging slots keep every page the last two reading
+  // batches touched, so the SSD tier must span more pages than that for
+  // the legs to differ in what they read.
+  std::uint64_t tier_pages = 0;
+  for (std::int32_t bin = 2; bin < 5; ++bin) {
+    tier_pages += TieredFeatureStore::pages_for_rows(
+        shape.dim, static_cast<std::uint64_t>(
+                       std::count(w.bov.begin(), w.bov.end(), bin)));
+  }
+  std::printf("bench_cache: %zu vertices, dim %zu, SSD tier %llu pages, %zu "
+              "batches x %zu (Zipf 1.2)%s\n",
+              shape.num_vertices, shape.dim,
+              static_cast<unsigned long long>(tier_pages), shape.batches,
+              shape.batch_size, smoke ? " [smoke]" : "");
 
   const ConfigResult base = run_config(shape, w, "no-cache", std::nullopt);
   const ConfigResult best = run_config(shape, w, "cache", shape.cache_rows);

@@ -76,11 +76,13 @@ class FeatureProvider {
 
     // IO-reduction pipeline (all zero when the provider has none).
     /// SSD-resident rows served from a page an idle staging slot already
-    /// held (read by an earlier batch), so no read was issued for them.
+    /// held (touched by one of the last two reading batches), so no read
+    /// was issued for them.
     std::uint64_t dedup_saved_reads = 0;
-    /// SSD-resident rows that missed the row cache and the idle slots and
-    /// were read from an SSD, one per occurrence. Rows on one page, a
-    /// repeated vertex included, share that page's single read.
+    /// SSD-resident rows that missed the row cache and whose page no idle
+    /// staging slot held, read from an SSD, one per occurrence. Rows on
+    /// one page, a repeated vertex included, share that page's single
+    /// read.
     std::uint64_t ssd_rows = 0;
     /// SSD read commands, one per run of consecutive pages a batch touches
     /// (<= ssd_rows).

@@ -336,6 +336,11 @@ void TieredFeatureClient::reset_slot(Slot& slot) noexcept {
   slot.pending.clear();
 }
 
+void TieredFeatureClient::drop_pages(Slot& slot) noexcept {
+  slot.held.clear();
+  slot.filled = 0;
+}
+
 void TieredFeatureClient::gather(std::span<const graph::VertexId> vertices,
                                  gnn::Tensor& out) {
   gather_wait(gather_begin(vertices, out));
@@ -459,32 +464,36 @@ void TieredFeatureClient::route_hbm_row(
 
 void TieredFeatureClient::reuse_idle_pages(gnn::Tensor& out) {
   const std::uint64_t layout = store_.layout_version();
-  const std::uint64_t row_span = store_.pages_per_row_ * kPageBytes;
   const std::size_t raw = store_.dim() * sizeof(float);
+  scratch_carried_.clear();
   for (const Slot& slot : slots_) {
     if (slot.ticket != 0 || slot.layout != layout) continue;
-    // Both lists are sorted by (ssd, offset): one merge walk finds the
-    // command, if any, whose pages hold each target's row.
+    // Both lists are sorted by (ssd, offset): one merge walk finds the held
+    // page, if any, that holds each target's row.
     std::size_t kept = 0;
-    std::size_t r = 0;
+    std::size_t h = 0;
     for (const SsdTarget& t : scratch_targets_) {
       const std::uint64_t begin = store_.first_page(t.index) * kPageBytes;
-      while (r < slot.reqs.size() &&
-             (slot.reqs[r].ssd < t.ssd ||
-              (slot.reqs[r].ssd == t.ssd &&
-               slot.reqs[r].offset + slot.reqs[r].length <= begin))) {
-        ++r;
+      while (h < slot.held.size() &&
+             (slot.held[h].ssd < t.ssd ||
+              (slot.held[h].ssd == t.ssd && slot.held[h].offset < begin))) {
+        ++h;
       }
-      const ReadRequest* req = r < slot.reqs.size() ? &slot.reqs[r] : nullptr;
-      if (req != nullptr && req->dest != nullptr && req->ssd == t.ssd &&
-          req->offset <= begin &&
-          begin + row_span <= req->offset + req->length) {
-        std::memcpy(out.row(t.out_row).data(),
-                    req->dest + (store_.slot_offset(t.index) - req->offset),
-                    raw);
-        ++counts_.dedup_saved_reads;
-      } else {
+      if (h == slot.held.size() || slot.held[h].ssd != t.ssd ||
+          slot.held[h].offset != begin) {
         scratch_targets_[kept++] = t;
+        continue;
+      }
+      const HeldPage& page = slot.held[h];
+      std::memcpy(out.row(t.out_row).data(),
+                  slot.bounce.data() + page.bounce_off +
+                      (store_.slot_offset(t.index) - begin),
+                  raw);
+      ++counts_.dedup_saved_reads;
+      // Targets on one page are adjacent: record the page once.
+      if (scratch_carried_.empty() || scratch_carried_.back().from != &slot ||
+          scratch_carried_.back().page.bounce_off != page.bounce_off) {
+        scratch_carried_.push_back({&slot, page});
       }
     }
     scratch_targets_.resize(kept);
@@ -498,13 +507,16 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
   // fit). Rows sharing a page, a repeated vertex included, share its bytes
   // in the bounce buffer.
   const std::uint64_t row_pages = store_.pages_per_row_;
+  const std::size_t span = row_pages * kPageBytes;
   constexpr std::uint64_t kMaxPages = kMaxTransferBytes / kPageBytes;
 
   counts_.ssd_rows += scratch_targets_.size();
   slot.filled = ++fills_;
   slot.reqs.clear();
   slot.pending.clear();
-  std::size_t off = 0;
+  // The carried pages lie at the front of the buffer, the commands after.
+  const std::size_t carried = scratch_carried_.size() * span;
+  std::size_t off = carried;
   std::size_t t = 0;
   while (t < scratch_targets_.size()) {
     const std::uint32_t ssd = scratch_targets_[t].ssd;
@@ -530,9 +542,32 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
     ++counts_.ssd_commands;
     if (rows > 1) ++counts_.coalesced_commands;
   }
-  // Commands lie back to back in the bounce buffer.
+
+  // Carry the lent pages: first the slot's own, moved to the front of its
+  // buffer in source order (each only moves down, onto pages already
+  // moved), then the other slot's. Growing the buffer keeps what it holds.
+  const auto own_end =
+      std::partition(scratch_carried_.begin(), scratch_carried_.end(),
+                     [&slot](const CarriedPage& c) { return c.from == &slot; });
+  std::sort(scratch_carried_.begin(), own_end,
+            [](const CarriedPage& a, const CarriedPage& b) {
+              return a.page.bounce_off < b.page.bounce_off;
+            });
+  slot.held.clear();
+  std::size_t at = 0;
+  for (auto c = scratch_carried_.begin(); c != own_end; ++c, at += span) {
+    std::memmove(slot.bounce.data() + at,
+                 slot.bounce.data() + c->page.bounce_off, span);
+    slot.held.push_back({c->page.ssd, c->page.offset, at});
+  }
   slot.bounce.resize(off);
-  std::byte* dest = slot.bounce.data();
+  for (auto c = own_end; c != scratch_carried_.end(); ++c, at += span) {
+    std::memcpy(slot.bounce.data() + at,
+                c->from->bounce.data() + c->page.bounce_off, span);
+    slot.held.push_back({c->page.ssd, c->page.offset, at});
+  }
+  // Commands lie back to back behind them.
+  std::byte* dest = slot.bounce.data() + carried;
   for (ReadRequest& r : slot.reqs) {
     r.dest = dest;
     dest += r.length;
@@ -541,8 +576,7 @@ void TieredFeatureClient::submit_runs(Slot& slot) {
   try {
     slot.ticket = io_.submit(slot.reqs);
   } catch (...) {
-    slot.reqs.clear();  // never read: lends no pages
-    slot.filled = 0;    // so the next read overwrites it first
+    drop_pages(slot);  // its reads never ran
     throw;
   }
 }
@@ -556,8 +590,7 @@ void TieredFeatureClient::gather_wait(GatherTicket ticket) {
   try {
     complete(*slot);
   } catch (...) {
-    slot->reqs.clear();  // its pages may be unread
-    slot->filled = 0;
+    drop_pages(*slot);  // its pages may be unread
     reset_slot(*slot);
     throw;
   }
@@ -586,14 +619,27 @@ void TieredFeatureClient::complete(Slot& slot) {
                   slot.bounce.data() + pr.bounce_off, raw);
     }
   }
+  // The slot now holds its carried pages and the pages of every command
+  // that succeeded.
+  const std::size_t span = store_.pages_per_row_ * kPageBytes;
+  for (const ReadRequest& r : slot.reqs) {
+    if (r.dest == nullptr) continue;
+    const auto base = static_cast<std::size_t>(r.dest - slot.bounce.data());
+    for (std::size_t o = 0; o < r.length; o += span) {
+      slot.held.push_back({r.ssd, r.offset + o, base + o});
+    }
+  }
+  std::sort(slot.held.begin(), slot.held.end(),
+            [](const HeldPage& a, const HeldPage& b) {
+              return a.ssd != b.ssd ? a.ssd < b.ssd : a.offset < b.offset;
+            });
   // A command the engine gave up on may still be on its device, which will
   // write into this buffer when it serves it: the next batch on this slot
-  // gets a fresh buffer instead.
+  // gets a fresh buffer instead, and the pages went with this one.
   if (io_.writes_pending(slot.ticket)) {
     quarantine_.emplace_back(slot.ticket, std::move(slot.bounce));
     slot.bounce = Bounce();
-    slot.reqs.clear();  // their pages went with the buffer
-    slot.filled = 0;
+    drop_pages(slot);
   }
 
   // Hard-failed devices get their bins re-placed so future gathers hit

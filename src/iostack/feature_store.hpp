@@ -9,8 +9,10 @@
 // a page as fit whole (a row never straddles a page), in hotness order once
 // warm_row_cache has the ranking. A gather reads every page its batch
 // touches once, BaM-style (paper §3.1), except the pages a client's idle
-// staging slot still holds from an earlier batch: those rows are copied
-// from the slot, as a BaM software cache serves a page it already holds.
+// staging slot still holds: those rows are copied from the slot, as a BaM
+// software cache serves a page it already holds. A slot holds every page
+// its batch touched outside the row cache, read or copied, so a page that
+// every batch touches is read once.
 //
 // Fault tolerance: the store keeps a host-side authoritative copy of every
 // SSD-resident row. Reads that permanently fail (retries exhausted, device
@@ -241,13 +243,15 @@ struct PeerConfig {
 /// and remaps failed devices on the calling thread, so every counter follows
 /// the caller's order, not IO timing.
 /// Each occurrence of a repeated vertex is routed on its own. Two staging
-/// slots allow two batches in flight; a slot keeps the pages of the last
-/// batch it read until the next batch it carries reads its own, and only a
-/// slot with no batch in flight lends them out. A gather that reads takes
-/// the free slot filled least recently, so a caller that waits each batch
-/// before it begins the next (the pipelined trainer does) has the pages of
-/// the last two batches to copy from. One thread at a time may call the
-/// client.
+/// slots allow two batches in flight. Once waited, a slot holds every SSD
+/// page its batch touched outside the row cache: the pages it read and the
+/// pages it copied from an idle slot, carried into its own buffer. It keeps
+/// them until the next batch it carries reads, and only a slot with no
+/// batch in flight lends them out. A gather that reads takes the free slot
+/// filled least recently, so a caller that waits each batch before it
+/// begins the next (the pipelined trainer does) has every page the last
+/// two reading batches touched to copy from; a batch served entirely from
+/// the slots changes neither. One thread at a time may call the client.
 ///
 /// Failures are recovered, not thrown: a read that permanently fails is
 /// served from the store's authoritative copy (same bytes), and a hard
@@ -298,25 +302,41 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
     graph::VertexId vertex;
     std::uint32_t out_row;
   };
+  /// One row's pages (one page for rows up to a page) in a bounce buffer:
+  /// the device and byte offset they were read from, and where they lie.
+  struct HeldPage {
+    std::size_t ssd;
+    std::uint64_t offset;
+    std::size_t bounce_off;
+  };
   /// One in-flight gather: its IoEngine ticket, the commands it handed
   /// over, the rows to scatter, and a dedicated bounce buffer (per-slot, so
-  /// prefetch never overwrites the batch still being awaited). The IO thread
-  /// reads `reqs` and the devices write `bounce` until the ticket is waited;
-  /// a bounce buffer a device may still write into after that moves to
-  /// quarantine_ and `reqs` is cleared. Once waited, `reqs` (sorted by
-  /// device and offset, a failed command's `dest` null) says which pages
-  /// `bounce` holds, read under store layout version `layout`.
+  /// prefetch never overwrites the batch still being awaited). `bounce`
+  /// holds the pages carried from idle slots, then the commands' pages back
+  /// to back. The IO thread reads `reqs` and the devices write `bounce`
+  /// until the ticket is waited; a bounce buffer a device may still write
+  /// into after that moves to quarantine_ and `held` is cleared. Once
+  /// waited, `held` (sorted by device and offset) lists the pages `bounce`
+  /// holds under store layout version `layout`: the carried ones and those
+  /// of every command that succeeded.
   struct Slot {
     std::uint64_t ticket = 0;  // 0 = free
     std::uint64_t layout = 0;
     std::uint64_t filled = 0;  // fills_ when submit_runs last wrote it;
-                               // 0 once `reqs` is cleared
+                               // 0 once `held` is dropped
     gnn::Tensor* out = nullptr;
     std::vector<ReadRequest> reqs;
     std::vector<PendingRow> pending;
+    std::vector<HeldPage> held;
     // Staging for SSD reads; growing it does not zero-fill what the reads
     // then overwrite.
     Bounce bounce;
+  };
+  /// A held page an idle slot lends to the batch being routed, which
+  /// carries it into its own slot's buffer.
+  struct CarriedPage {
+    const Slot* from;
+    HeldPage page;
   };
 
   /// Stage 1: serves every row that needs no SSD read and collects the rest
@@ -325,21 +345,26 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// Routes a GPU-HBM row: local, peer route, or host copy.
   void route_hbm_row(graph::VertexId v, const TieredFeatureStore::Location& loc,
                      gnn::Tensor& out, std::size_t out_row);
-  /// Stage 2: copies each target whose pages an idle slot read under the
-  /// current layout, in a command that succeeded, from that slot's bounce
-  /// buffer into `out`, and drops it from scratch_targets_.
+  /// Stage 2: copies each target whose pages an idle slot holds under the
+  /// current layout from that slot's bounce buffer into `out`, drops it
+  /// from scratch_targets_ and records each such page once in
+  /// scratch_carried_.
   void reuse_idle_pages(gnn::Tensor& out);
-  /// Stage 3: turns scratch_targets_ into page-run commands and hands them
+  /// Stage 3: carries scratch_carried_'s pages into `slot`'s buffer, turns
+  /// scratch_targets_ into page-run commands behind them and hands those
   /// to the IO thread as one batch owned by `slot`.
   void submit_runs(Slot& slot);
   /// Stage 4: waits for the slot's batch, scatters it into its output
-  /// tensor, and remaps devices that failed during it.
+  /// tensor, indexes the pages the slot now holds, and remaps devices that
+  /// failed during it.
   void complete(Slot& slot);
 
   /// The slot holding `ticket`, or nullptr.
   Slot* find_slot(std::uint64_t ticket) noexcept;
   void snapshot_health();
   void reset_slot(Slot& slot) noexcept;
+  /// Forgets the slot's pages, so it lends none and is overwritten first.
+  static void drop_pages(Slot& slot) noexcept;
 
   TieredFeatureStore& store_;
   PeerConfig peer_;
@@ -357,6 +382,7 @@ class TieredFeatureClient final : public gnn::FeatureProvider {
   /// Devices with a permanently failed read in the batch being completed.
   std::vector<bool> scratch_failed_ssds_;
   std::vector<SsdTarget> scratch_targets_;
+  std::vector<CarriedPage> scratch_carried_;
   /// Per-batch device-health snapshot: one atomic load per device per
   /// gather instead of one per vertex.
   std::vector<DeviceHealth> scratch_health_;

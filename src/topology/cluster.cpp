@@ -35,7 +35,7 @@ MachineSpec make_cluster(const ClusterOptions& options) {
     const DeviceId nic = t.add_device(DeviceKind::kNic, "NIC" + suffix, m);
     t.add_link(mem, rc, LinkKind::kDram, gib_per_s(kClusterDramGibPerS),
                gib_per_s(kClusterDramGibPerS), "MC" + suffix);
-    const double nic_pcie = pcie_bandwidth(options.pcie_gen, 16);
+    const double nic_pcie = pcie_bandwidth(kClusterPcieGen, 16);
     t.add_link(rc, nic, LinkKind::kPcie, nic_pcie, nic_pcie,
                "NicBus" + suffix);
     t.add_link(nic, net_switch, LinkKind::kNetwork,
@@ -48,7 +48,7 @@ MachineSpec make_cluster(const ClusterOptions& options) {
     g.units = options.slot_units_per_machine;
     g.allows_gpu = true;
     g.allows_ssd = true;
-    g.pcie_gen = options.pcie_gen;
+    g.pcie_gen = kClusterPcieGen;
     spec.slot_groups.push_back(std::move(g));
   }
 
@@ -73,7 +73,6 @@ MachineSpec make_cluster(const ClusterOptions& options) {
 MachineSpec make_cluster_c() {
   ClusterOptions options;
   options.num_machines = 4;
-  options.pcie_gen = 3;
   options.network_gib_per_s = 10.0;  // ~100 Gb/s line rate, ~85% effective
   return make_cluster(options);
 }

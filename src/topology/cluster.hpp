@@ -16,11 +16,12 @@ struct ClusterOptions {
   int num_machines = 4;
   /// Slot units per machine (a GPU takes 2 units, an SSD 1).
   int slot_units_per_machine = 10;
-  int pcie_gen = 3;              // Cluster C runs PCIe 3.0
   double network_gib_per_s = 10.0;   // ~100 Gb/s effective per NIC
 };
 
-/// Every machine's DRAM bandwidth and each SSD's read bandwidth (GiB/s).
+/// Every machine's PCIe generation (Cluster C runs PCIe 3.0), DRAM
+/// bandwidth and each SSD's read bandwidth (GiB/s).
+inline constexpr int kClusterPcieGen = 3;
 inline constexpr double kClusterDramGibPerS = 30.0;
 inline constexpr double kClusterSsdReadGibPerS = 6.0;
 

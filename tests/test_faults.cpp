@@ -592,6 +592,91 @@ TEST(FeatureStore, FailedPageCommandServesEachOfItsRowsFromHostCopy) {
   EXPECT_EQ(array.ssd(0).stats().bytes_read, kPageBytes);
 }
 
+TEST(FeatureStore, FailedCommandPageIsNeverCarried) {
+  // 512 B rows, 8 to a page, on one SSD. {0, 17} touches pages 0 and 2;
+  // page 0's command fails for good and vertex 0 comes from the host copy.
+  // {17, 8} copies page 2 from that slot and reads page 1; {40} then
+  // overwrites the first slot with page 5. So the second slot holds pages 1
+  // and 2 (page 2 carried) and no slot holds page 0: {0, 17, 8} copies two
+  // rows and reads page 0, now from the device.
+  const gnn::Tensor features = numbered_features(48, 128);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0}};
+  const std::vector<std::int32_t> bov(48, 0);
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(1, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.error_burst_reads = 1;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.max_retries = 0;
+  TieredFeatureClient client(store, 256, io);
+  array.start_all();
+
+  gather_and_match(client, features, {0, 17}, "failed page");
+  ASSERT_EQ(client.io_resilience().failovers, 1u);
+  gather_and_match(client, features, {17, 8}, "carry page 2");
+  gather_and_match(client, features, {40}, "overwrite");
+  ASSERT_EQ(client.io_resilience().dedup_saved_reads, 1u);
+  ASSERT_EQ(array.ssd(0).stats().reads, 3u);
+
+  gather_and_match(client, features, {0, 17, 8}, "again");
+  array.stop_all();
+  const auto r = client.io_resilience();
+  EXPECT_EQ(r.dedup_saved_reads, 3u);  // 17 once carried, then 17 and 8
+  EXPECT_EQ(r.failovers, 1u);
+  EXPECT_EQ(array.ssd(0).stats().reads, 4u);
+  EXPECT_EQ(array.ssd(0).stats().bytes_read, 4 * kPageBytes);
+}
+
+TEST(FeatureStore, CarriedPageIsNotLentAfterARemap) {
+  // 512 B rows, 8 to a page: even vertices on SSD 0, odd ones on SSD 1,
+  // which fails on its first read. {0} reads vertex 0's page; {0, 32}
+  // carries it into the other slot; {48} overwrites the first slot, so the
+  // carried copy is the only one. A second client's gather of {1} remaps
+  // SSD 1's rows onto SSD 0 from a fresh page on: vertex 0's page keeps its
+  // bytes, but the layout version moved, so {0} reads it again.
+  constexpr std::size_t kRows = 64;
+  const gnn::Tensor features = numbered_features(kRows, 128);
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  std::vector<std::int32_t> bov(kRows);
+  for (std::size_t v = 0; v < kRows; ++v) {
+    bov[v] = static_cast<std::int32_t>(v % 2);
+  }
+  SsdOptions opts;
+  opts.capacity_bytes = 16 * kPageBytes;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.fail_after_reads = 0;
+  array.ssd(1).inject_faults(fp);
+  TieredFeatureClient client(store);
+  TieredFeatureClient other(store);
+  array.start_all();
+
+  gather_and_match(client, features, {0}, "read");
+  gather_and_match(client, features, {0, 32}, "carry");
+  gather_and_match(client, features, {48}, "overwrite");
+  gnn::Tensor out(1, features.cols());
+  const std::vector<graph::VertexId> zero = {0};
+  // Before the remap, the carried page serves {0} without a read.
+  EXPECT_EQ(client.gather_begin(zero, out),
+            gnn::FeatureProvider::kSyncTicket);
+  ASSERT_EQ(client.io_resilience().dedup_saved_reads, 2u);
+
+  gather_and_match(other, features, {1}, "failing device");
+  ASSERT_EQ(other.io_resilience().device_remaps, 1u);
+  const auto reads = array.ssd(0).stats().reads;
+  const auto bytes = array.ssd(0).stats().bytes_read;
+  gather_and_match(client, features, {0}, "after the remap");
+  array.stop_all();
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 2u);
+  EXPECT_EQ(array.ssd(0).stats().reads - reads, 1u);
+  EXPECT_EQ(array.ssd(0).stats().bytes_read - bytes, kPageBytes);
+}
+
 TEST(FeatureStore, RemappedRowsLandInPackedSlots) {
   // 512 B rows, 8 to a page: even vertices on SSD 0 (slots 0..19, pages
   // 0..2), odd ones on SSD 1. SSD 1 fails on its first read and its 20

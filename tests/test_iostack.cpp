@@ -890,10 +890,11 @@ TEST(FeatureStore, CommandsAreMaximalRunsOfTouchedPages) {
 }
 
 // --- Idle-slot page reuse ----------------------------------------------------
-// A client keeps the pages each staging slot last read. A gather copies
-// every SSD row whose pages an idle slot holds from that slot and reads the
-// rest; a slot with a batch in flight, a failed command, a quarantined
-// buffer and a page read before the layout changed lend nothing.
+// Each staging slot keeps every page its last batch touched outside the row
+// cache, read or carried from an idle slot. A gather copies every SSD row
+// whose pages an idle slot holds from that slot and reads the rest; a slot
+// with a batch in flight, a failed command, a quarantined buffer and a page
+// held since before the layout changed lend nothing.
 
 /// Sources that served rows; equals the rows gathered when no read fails.
 std::uint64_t rows_served(const gnn::FeatureProvider::IoResilience& s) {
@@ -1092,6 +1093,50 @@ TEST(FeatureStore, QuarantinedBufferLendsNoPages) {
   array.stop_all();
 }
 
+TEST(FeatureStore, QuarantinedBufferLendsNoCarriedPages) {
+  // The rig above. {1} then {3} fill both slots; {1, 0} overwrites the
+  // older slot, carrying vertex 1's page within it, and gives up on SSD 0's
+  // stalled command, so the buffer goes to quarantine with the carried page
+  // as its only copy. Gathering {1} again reads it again.
+  constexpr std::size_t kRows = 4;
+  const gnn::Tensor features =
+      numbered_features(kRows, kPageBytes / sizeof(float));
+  const std::vector<BinBacking> bins = {{BinBacking::Kind::kSsd, 0},
+                                        {BinBacking::Kind::kSsd, 1}};
+  const std::vector<std::int32_t> bov = {0, 1, 0, 1};
+  SsdOptions opts;
+  opts.capacity_bytes = kRows * kPageBytes;
+  SsdArray array(2, opts);
+  TieredFeatureStore store(features, bov, bins, array);
+  FaultProfile fp;
+  fp.stall_prob = 1.0;
+  fp.stall_us = 1'000'000;
+  array.ssd(0).inject_faults(fp);
+  IoEngineOptions io;
+  io.request_deadline = std::chrono::milliseconds(100);
+  io.max_retries = 0;
+  TieredFeatureClient client(store, 256, io);
+  array.start_all();
+
+  const std::vector<graph::VertexId> odd = {1}, three = {3}, both = {1, 0};
+  gnn::Tensor out1(1, features.cols()), out2(2, features.cols());
+  client.gather(odd, out1);
+  client.gather(three, out1);
+  ASSERT_EQ(array.ssd(1).stats().reads, 2u);
+
+  client.gather(both, out2);
+  expect_rows_exact(out2, both, features, "timed-out gather");
+  ASSERT_EQ(client.io_resilience().dedup_saved_reads, 1u);  // vertex 1
+  ASSERT_EQ(client.io_resilience().failovers, 1u);          // vertex 0
+  ASSERT_EQ(array.ssd(0).stats().reads, 0u);  // still pending: quarantined
+
+  client.gather(odd, out1);
+  expect_rows_exact(out1, odd, features, "after quarantine");
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 1u);
+  EXPECT_EQ(array.ssd(1).stats().reads, 3u);
+  array.stop_all();
+}
+
 TEST(FeatureStore, InFlightBatchLendsNoPages) {
   // Two gathers of the same batch in flight at once: the second may not
   // copy from the first's slot, so both read every page. Once both are
@@ -1123,27 +1168,32 @@ TEST(FeatureStore, InFlightBatchLendsNoPages) {
 }
 
 TEST(FeatureStore, SyncGathersKeepTheLastTwoBatchesPages) {
-  // Sync gathers A, B, A' (overlaps A), B' (overlaps B). Each gather takes
-  // the free slot filled least recently, so A's pages are still held when
-  // A' routes although B came in between: A' reads none of the pages A or B
-  // read. A' then replaces A, and B' finds B's pages in the other slot.
+  // Sync gathers A, B, A' (overlaps A), B' (overlaps B), A'' (overlaps A
+  // and A'). A gather that reads takes the free slot filled least recently,
+  // which then holds every page the batch touched. So A's pages are still
+  // held when A' routes although B came in between: A' reads none of the
+  // pages A or B read. A' then replaces A, B' finds B's pages in the other
+  // slot, and A'' finds in the slot A' filled the pages A' copied from A
+  // as well as those it read.
   const auto range = [](graph::VertexId lo, graph::VertexId hi) {
     std::vector<graph::VertexId> vs(hi - lo);
     std::iota(vs.begin(), vs.end(), lo);
     return vs;
   };
   const std::vector<std::vector<graph::VertexId>> batches = {
-      range(0, 120), range(300, 420), range(60, 180), range(360, 480)};
+      range(0, 120), range(300, 420), range(60, 180), range(360, 480),
+      range(30, 150)};
   PackedRig rig(128);
   TieredFeatureClient client(rig.store);
   rig.array.start_all();
   PageSets held[2];
+  std::size_t oldest = 0;  // the slot the next reading batch overwrites
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const auto& vs = batches[b];
     const std::string where = "batch " + std::to_string(b);
     PageSets fresh;
     std::uint64_t reused = 0, reused_from_older = 0;
-    const PageSets& older = held[b % 2];  // two batches back
+    const PageSets& older = held[oldest];  // two reading batches back
     for (const graph::VertexId v : vs) {
       PageSets mine;
       rig.add_pages(v, mine);
@@ -1172,9 +1222,73 @@ TEST(FeatureStore, SyncGathersKeepTheLastTwoBatchesPages) {
     EXPECT_EQ(after.bytes_read - before.bytes_read,
               page_count(fresh) * kPageBytes)
         << where;
-    held[b % 2] = fresh;
+    ASSERT_GT(page_count(fresh), 0u) << where;  // every batch here reads
+    held[oldest] = rig.pages_of(vs);
+    oldest ^= 1;
   }
   rig.array.stop_all();
+}
+
+TEST(FeatureStore, PageEveryBatchTouchesIsReadOnce) {
+  // Rows a page each. Every batch gathers vertex 0 and one vertex no other
+  // batch gathers, so each reads one new page and the slots alternate. Page
+  // 0 is read by the first batch only: each later batch copies it from the
+  // slot the batch before filled, and carries it into its own.
+  PackedRig rig(kPageBytes / sizeof(float));
+  TieredFeatureClient client(rig.store);
+  rig.array.start_all();
+  gnn::Tensor out(2, kPageBytes / sizeof(float));
+  for (graph::VertexId b = 0; b < 6; ++b) {
+    const std::vector<graph::VertexId> vs = {0, 10 * (b + 1)};
+    const std::string where = "batch " + std::to_string(b);
+    const auto io = client.io_resilience();
+    const SsdStats before = rig.device_stats();
+    client.gather(vs, out);
+    const SsdStats after = rig.device_stats();
+    expect_rows_exact(out, vs, rig.features, where);
+    const std::uint64_t pages = b == 0 ? 2 : 1;
+    EXPECT_EQ(after.bytes_read - before.bytes_read, pages * kPageBytes)
+        << where;
+    EXPECT_EQ(client.io_resilience().dedup_saved_reads - io.dedup_saved_reads,
+              2 - pages)
+        << where;
+  }
+  rig.array.stop_all();
+  EXPECT_EQ(rig.device_stats().bytes_read, 7 * kPageBytes);
+}
+
+TEST(FeatureStore, CarriedPageIsNotLentAfterAWarm) {
+  // 512 B rows, 8 to a page. {0} reads vertex 0's page; {0, 100} carries it
+  // into the other slot; {200} overwrites the first slot, so the carried
+  // copy is the only one. A warm in the same order writes the same bytes
+  // to the same slots but bumps the layout version, so {0} reads its page
+  // again.
+  PackedRig rig(128);
+  rig.store.enable_row_cache({0});
+  std::vector<graph::VertexId> all(PackedRig::kRows);
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+  TieredFeatureClient client(rig.store);
+  rig.array.start_all();
+  const std::vector<graph::VertexId> zero = {0}, carry = {0, 100},
+                                     other = {200};
+  gnn::Tensor out1(1, 128), out2(2, 128);
+  client.gather(zero, out1);
+  client.gather(carry, out2);
+  client.gather(other, out1);
+  ASSERT_EQ(client.io_resilience().dedup_saved_reads, 1u);
+  // Before the warm, the carried page serves {0} without a read.
+  EXPECT_EQ(client.gather_begin(zero, out1),
+            gnn::FeatureProvider::kSyncTicket);
+  ASSERT_EQ(client.io_resilience().dedup_saved_reads, 2u);
+
+  rig.store.warm_row_cache(all);
+  const SsdStats before = rig.device_stats();
+  client.gather(zero, out1);
+  const SsdStats after = rig.device_stats();
+  rig.array.stop_all();
+  expect_rows_exact(out1, zero, rig.features, "after the warm");
+  EXPECT_EQ(client.io_resilience().dedup_saved_reads, 2u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, kPageBytes);
 }
 
 /// Counters and device totals of one seeded run of random batches.
@@ -1190,8 +1304,9 @@ struct SequenceRun {
 /// full by gather_begin); at depth 1 also checks each
 /// batch's device bytes against the oracle: a batch reads the pages it
 /// touches outside the cache that neither of the last two batches to read
-/// read, and its reads replace the older of those two page sets (the slot
-/// filled least recently).
+/// touched there. A batch that reads replaces the older of those two page
+/// sets (the slot filled least recently) with every page it touched
+/// outside the cache; a batch that reads nothing replaces neither.
 SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
                          std::uint64_t seed) {
   constexpr std::size_t kBatches = 16, kDim = 100;
@@ -1231,13 +1346,14 @@ SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
     expect_rows_exact(outs[i], batches[i], rig.features,
                       where + " batch " + std::to_string(i));
     if (depth != 1) return;
-    PageSets read;
+    PageSets touched, read;
     for (const graph::VertexId v : batches[i]) {
       if (!rig.store.cached_row(v).empty()) continue;
       PageSets mine;
       rig.add_pages(v, mine);
       for (std::size_t s = 0; s < 2; ++s) {
         for (const std::uint64_t p : mine[s]) {
+          touched[s].insert(p);
           if (!held[0][s].contains(p) && !held[1][s].contains(p)) {
             read[s].insert(p);
           }
@@ -1245,7 +1361,7 @@ SequenceRun run_sequence(std::size_t cache_rows, std::size_t depth,
       }
     }
     if (page_count(read) > 0) {
-      held[oldest] = read;
+      held[oldest] = touched;
       oldest ^= 1;
     }
     const SsdStats after = rig.device_stats();
